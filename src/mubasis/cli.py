@@ -5,8 +5,9 @@ polynomial values are canonical grammar strings; identical (input, seed)
 pairs produce byte-identical documents.  Wall-clock timings are therefore
 reported on stderr, never inside the document.
 
-Exit codes: 0 success, 2 invalid input, 3 internal verification failure,
-4 resource limit exceeded.
+Exit codes: 0 success, 2 invalid input, 3 internal verification failure
+(including any unexpected exception, which is reported by type and never as
+a traceback), 4 resource limit exceeded.
 """
 
 from __future__ import annotations
@@ -193,6 +194,12 @@ def run(command: str, spec: InputSpec, basis_text: str | None = None):
         return _error_doc(doc, EXIT_LIMIT, str(exc)), EXIT_LIMIT, {}
     except (InternalError, CompletionError) as exc:
         return _error_doc(doc, EXIT_INTERNAL, str(exc)), EXIT_INTERNAL, {}
+    except Exception as exc:  # a defect deep in the library; keep the exit contract
+        return _error_doc(doc, EXIT_INTERNAL, _unexpected(exc)), EXIT_INTERNAL, {}
+
+
+def _unexpected(exc: Exception) -> str:
+    return f"internal error ({type(exc).__name__}: {exc})"
 
 
 def _error_doc(doc, code, message):
@@ -219,8 +226,9 @@ def _render_human(doc, out):
         emit(k, v)
 
 
-class _Timeout(Exception):
-    pass
+class _Timeout(BaseException):
+    """Raised by the alarm; a BaseException so that no handler for library
+    errors can swallow it."""
 
 
 def _alarm_handler(signum, frame):
@@ -279,6 +287,9 @@ def main(argv=None) -> int:
         doc, code = _error_doc(base_doc, EXIT_INPUT, str(exc)), EXIT_INPUT
         _emit(doc, args.json)
         return code
+    except Exception as exc:  # a defect in the parser; keep the exit contract
+        _emit(_error_doc(base_doc, EXIT_INTERNAL, _unexpected(exc)), args.json)
+        return EXIT_INTERNAL
 
     use_alarm = hasattr(signal, "SIGALRM") and args.timeout > 0
     old = None
@@ -293,6 +304,9 @@ def main(argv=None) -> int:
                               EXIT_LIMIT, {})
     except MuBasisError as exc:
         doc, code, timings = (_error_doc(base_doc, EXIT_INTERNAL, str(exc)),
+                              EXIT_INTERNAL, {})
+    except Exception as exc:  # a defect deep in the library; keep the exit contract
+        doc, code, timings = (_error_doc(base_doc, EXIT_INTERNAL, _unexpected(exc)),
                               EXIT_INTERNAL, {})
     finally:
         if use_alarm:

@@ -219,8 +219,9 @@ def compute_mu_basis(par: Parametrization, seed: int = 0):
     timings = {}
     t0 = time.perf_counter()
     b, d = homogenize_ideal(par)
+    t_res = time.perf_counter()
     res = free_resolution(list(b), fixed_first_map=True)
-    timings["resolution"] = time.perf_counter() - t0
+    timings["resolution"] = time.perf_counter() - t_res
 
     completion = None
     mu = None

@@ -13,6 +13,13 @@ Horrocks loop whose "units" are tracked by gcds against a squarefree
 modulus, splitting the modulus instead of factoring), patch the local
 solutions into a polynomial matrix along a Bezout partition of t, and
 finish over the principal ideal domain Q[s].
+
+Every step is an elementary operation with a known inverse, so M^-1 is
+built alongside M rather than recovered from an adjugate: column operations
+on M are mirrored by the inverse row operations on M^-1, each block or
+rank-one factor comes with its explicit inverse, and each patch factor
+E(b') E(b)^-1 is inverted as E(b) E^-1(b').  The certificate is then checked
+by multiplication alone (M F = [I_n; 0], M M^-1 = I and M^-1 M = I).
 """
 
 from __future__ import annotations
@@ -29,7 +36,6 @@ from .arith import (
     PolyMatrix,
     exact_div,
     gcd_many,
-    mat_inverse,
 )
 from .errors import CompletionError, InternalError
 from .grobner import buchberger, lift_coefficients, make_lifter, reduce_with_certificate
@@ -60,19 +66,31 @@ def qs_degree_bound(n_or_m: int, deg_f: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def is_unimodular(f: PolyMatrix) -> bool:
-    """True when the ideal of maximal minors of f (m x n, m >= n) is (1)."""
+def _maximal_minors(f: PolyMatrix) -> list[tuple[tuple[int, ...], Poly]]:
+    """(rows, minor) for every nonzero maximal minor of f (m x n, m >= n),
+    with the row subsets in lexicographic order."""
     m, n = f.rows, f.cols
     if m < n:
         raise ValueError("expected at least as many rows as columns")
-    minors = []
+    out = []
     for rows in combinations(range(m), n):
         d = f.submatrix(rows, range(n)).det()
         if not d.is_zero():
-            minors.append(d)
-    if not minors:
-        return False
-    return buchberger(minors).contains_constant()
+            out.append((rows, d))
+    return out
+
+
+def _minors_generate_unit_ideal(minors) -> bool:
+    """True when the given nonzero minors generate (1); a constant minor
+    settles this without a Groebner basis."""
+    if any(d.is_constant() for _, d in minors):
+        return True
+    return bool(minors) and buchberger([d for _, d in minors]).contains_constant()
+
+
+def is_unimodular(f: PolyMatrix) -> bool:
+    """True when the ideal of maximal minors of f (m x n, m >= n) is (1)."""
+    return _minors_generate_unit_ideal(_maximal_minors(f))
 
 
 def left_inverse(f: PolyMatrix) -> PolyMatrix:
@@ -389,53 +407,6 @@ def _tp_mat_mul(a, b):
     return out
 
 
-def _tp_mat_det(a) -> _TPoly:
-    n = len(a)
-    memo: dict[tuple, _TPoly] = {}
-
-    def rec(rows: tuple) -> _TPoly:
-        col = n - len(rows)
-        if not rows:
-            return _TPoly.one()
-        if rows in memo:
-            return memo[rows]
-        acc = _TPoly.zero()
-        for pos, i in enumerate(rows):
-            x = a[i][col]
-            if x.is_zero():
-                continue
-            term = x * rec(rows[:pos] + rows[pos + 1:])
-            acc = acc + term if pos % 2 == 0 else acc - term
-        memo[rows] = acc
-        return acc
-
-    return rec(tuple(range(n)))
-
-
-def _tp_mat_adjugate(a):
-    n = len(a)
-    if n == 1:
-        return [[_TPoly.one()]]
-    out = [[None] * n for _ in range(n)]
-    idx = range(n)
-    for i in range(n):
-        for j in range(n):
-            sub = [[a[r][c] for c in idx if c != i] for r in idx if r != j]
-            cof = _tp_mat_det(sub)
-            out[i][j] = cof if (i + j) % 2 == 0 else _TPoly.zero() - cof
-    return out
-
-
-def _tp_mat_inverse(a):
-    """Inverse of a matrix whose determinant is a t-free unit."""
-    det = _tp_mat_det(a)
-    if det.is_zero() or det.deg > 0:
-        raise InternalError("local completion matrix has a non-unit determinant")
-    dinv = det.coeff(0).inv()
-    adj = _tp_mat_adjugate(a)
-    return [[x.scale(dinv) for x in row] for row in adj]
-
-
 def _tp_subst_matrix(a, b: _TPoly):
     return [[x.subst_t(b) for x in row] for row in a]
 
@@ -452,32 +423,40 @@ def _horrocks_local(row_polys: list[Poly], gamma: Poly | None):
     gamma: squarefree monic modulus describing the chart V(gamma), or None
     for the dense chart where any nonzero element counts as a unit.
 
-    Returns (E, denom, spawned, gamma_final): a matrix over Q[s]_denom[t]
-    with row * E = e1, the accumulated denominator, split-off moduli that
-    still need their own charts, and the possibly shrunken modulus.
+    Returns (E, E_inv, denom, spawned, gamma_final): a matrix over
+    Q[s]_denom[t] with row * E = e1 and its inverse, the accumulated
+    denominator, split-off moduli that still need their own charts, and the
+    possibly shrunken modulus.
     """
     m = len(row_polys)
     if m < 3:
         raise InternalError("local trivialization needs at least three entries")
     h = [_TPoly.from_poly(p) for p in row_polys]
     E = _tp_identity(m)
+    Einv = _tp_identity(m)
     denom = Poly.const(VARS_ST, 1)
     spawned: list[Poly] = []
 
+    # each column operation on E is undone by the inverse row operation,
+    # applied on the left of Einv
     def colop(i, j, factor: _TPoly):
         h[i] = h[i] + factor * h[j]
         for r in range(m):
             E[r][i] = E[r][i] + factor * E[r][j]
+        Einv[j] = [x - factor * y for x, y in zip(Einv[j], Einv[i])]
 
     def colscale(i, c: _RatFunc):
         h[i] = h[i].scale(c)
         for r in range(m):
             E[r][i] = E[r][i].scale(c)
+        cinv = c.inv()
+        Einv[i] = [x.scale(cinv) for x in Einv[i]]
 
     def colswap(i, j):
         h[i], h[j] = h[j], h[i]
         for r in range(m):
             E[r][i], E[r][j] = E[r][j], E[r][i]
+        Einv[i], Einv[j] = Einv[j], Einv[i]
 
     def residue_class(x: _RatFunc) -> str:
         """'unit', 'zero', or 'split' relative to the current chart."""
@@ -559,14 +538,26 @@ def _horrocks_local(row_polys: list[Poly], gamma: Poly | None):
         if h[target].deg != D - 1:
             raise InternalError("pivot construction produced the wrong degree")
         colswap(0, target)
-    return E, denom, spawned, gamma
+    return E, Einv, denom, spawned, gamma
 
 
-def _eliminate_t_monic(row_polys: list[Poly]) -> PolyMatrix:
+def _tp_to_polymatrix(a) -> PolyMatrix | None:
+    """Back to a matrix over Q[s,t]; None when a denominator survives."""
+    rows = []
+    for row in a:
+        out_row = [x.to_poly() for x in row]
+        if any(p is None for p in out_row):
+            return None
+        rows.append(out_row)
+    return PolyMatrix(rows)
+
+
+def _eliminate_t_monic(row_polys: list[Poly]) -> tuple[PolyMatrix, PolyMatrix]:
     """For a unimodular row whose first entry is monic in t (constant lead
-    coefficient), build a polynomial M with row * M = row(t := 0)."""
+    coefficient), build a polynomial M with row * M = row(t := 0), together
+    with M^-1."""
     m = len(row_polys)
-    charts = []  # (denominator, E) with row(t) * E(t) = e1 over Q[s]_den[t]
+    charts = []  # (denominator, E, E^-1) with row(t) * E(t) = e1 over Q[s]_den[t]
     worklist: list[Poly | None] = [None]
     seen_guard = 0
     while worklist:
@@ -576,13 +567,13 @@ def _eliminate_t_monic(row_polys: list[Poly]) -> PolyMatrix:
         gamma = worklist.pop()
         if gamma is not None and gamma.is_constant():
             continue
-        E, denom, spawned, _ = _horrocks_local(row_polys, gamma)
+        E, Einv, denom, spawned, _ = _horrocks_local(row_polys, gamma)
         worklist.extend(spawned)
         if gamma is None and not denom.is_constant():
             # the dense chart misses V(denom); cover it with its own charts
             worklist.append(_squarefree_part(denom, _S))
-        charts.append((denom, E))
-    dens = [c for c, _ in charts]
+        charts.append((denom, E, Einv))
+    dens = [c for c, _, _ in charts]
     if not gcd_many(dens).is_constant():
         raise CompletionError("completion failed (charts do not cover the line)")
 
@@ -593,45 +584,35 @@ def _eliminate_t_monic(row_polys: list[Poly]) -> PolyMatrix:
             continue
         factors = []
         b_prev = _TPoly.zero()
-        ok = True
-        for (den, emat), w in zip(charts, weights):
+        for (den, emat, einv), w in zip(charts, weights):
             # row(x) E(x) = e1 for every substitution x, so the patch
-            # E(b_next) E(b_prev)^-1 carries row(b_next) to row(b_prev)
+            # E(b_next) E(b_prev)^-1 carries row(b_next) to row(b_prev);
+            # its inverse is E(b_prev) E^-1(b_next)
             delta = _TPoly.from_poly(t_var * w * den**e)
             b_next = b_prev + delta
-            patched = _tp_mat_mul(_tp_subst_matrix(emat, b_next),
-                                  _tp_mat_inverse(_tp_subst_matrix(emat, b_prev)))
-            rows = []
-            for prow in patched:
-                out_row = []
-                for x in prow:
-                    poly = x.to_poly()
-                    if poly is None:
-                        ok = False
-                        break
-                    out_row.append(poly)
-                if not ok:
-                    break
-                rows.append(out_row)
-            if not ok:
+            patch = _tp_to_polymatrix(_tp_mat_mul(_tp_subst_matrix(emat, b_next),
+                                                  _tp_subst_matrix(einv, b_prev)))
+            patch_inv = _tp_to_polymatrix(_tp_mat_mul(_tp_subst_matrix(emat, b_prev),
+                                                      _tp_subst_matrix(einv, b_next)))
+            if patch is None or patch_inv is None:
                 break
-            factors.append(PolyMatrix(rows))
+            factors.append((patch, patch_inv))
             b_prev = b_next
-        if not ok:
-            continue
-        total = factors[-1]
-        for f in reversed(factors[:-1]):
-            total = total * f
-        expected = [p.set_var("t", 0) for p in row_polys]
-        got = [Poly.zero(VARS_ST)] * m
-        for j in range(m):
-            acc = Poly.zero(VARS_ST)
-            for i in range(m):
-                acc = acc + row_polys[i] * total[i, j]
-            got[j] = acc
-        if got == expected:
-            return total
-        raise InternalError("patched elimination matrix failed verification")
+        else:
+            total, total_inv = factors[-1]
+            for f, f_inv in reversed(factors[:-1]):
+                total = total * f
+                total_inv = f_inv * total_inv
+            expected = [p.set_var("t", 0) for p in row_polys]
+            got = [Poly.zero(VARS_ST)] * m
+            for j in range(m):
+                acc = Poly.zero(VARS_ST)
+                for i in range(m):
+                    acc = acc + row_polys[i] * total[i, j]
+                got[j] = acc
+            if got == expected:
+                return total, total_inv
+            raise InternalError("patched elimination matrix failed verification")
     raise CompletionError("completion failed (no denominator exponent cleared the patch)")
 
 
@@ -656,18 +637,20 @@ def _bezout_powers(dens: list[Poly], e: int):
 
 
 class _RowCompleter:
-    """Builds E with row * E = e1 for a unimodular row over Q[s,t]."""
+    """Builds E with row * E = e1 for a unimodular row over Q[s,t], and
+    E^-1 alongside it."""
 
     def __init__(self, row, rng: random.Random, use_heuristics=True):
         self.vars = VARS_ST
         self.work = [p for p in row]
         self.m = len(row)
-        self.E = [[Poly.const(VARS_ST, 1) if i == j else Poly.zero(VARS_ST)
-                   for j in range(self.m)] for i in range(self.m)]
+        self.E = PolyMatrix.identity(self.m, VARS_ST).entries
+        self.Einv = PolyMatrix.identity(self.m, VARS_ST).entries
         self.rng = rng
         self.use_heuristics = use_heuristics
 
-    # column operations applied simultaneously to the working row and E
+    # column operations applied simultaneously to the working row and E;
+    # each is undone by the inverse row operation on the left of Einv
 
     def colop(self, i, j, factor: Poly):
         if factor.is_zero():
@@ -675,11 +658,14 @@ class _RowCompleter:
         self.work[i] = self.work[i] + factor * self.work[j]
         for r in range(self.m):
             self.E[r][i] = self.E[r][i] + factor * self.E[r][j]
+        self.Einv[j] = [x - factor * y for x, y in zip(self.Einv[j], self.Einv[i])]
 
     def colscale(self, i, c: Fraction):
         self.work[i] = self.work[i] * c
         for r in range(self.m):
             self.E[r][i] = self.E[r][i] * c
+        cinv = Fraction(1) / c
+        self.Einv[i] = [x * cinv for x in self.Einv[i]]
 
     def colswap(self, i, j):
         if i == j:
@@ -687,13 +673,21 @@ class _RowCompleter:
         self.work[i], self.work[j] = self.work[j], self.work[i]
         for r in range(self.m):
             self.E[r][i], self.E[r][j] = self.E[r][j], self.E[r][i]
+        self.Einv[i], self.Einv[j] = self.Einv[j], self.Einv[i]
 
-    def apply_matrix(self, b: PolyMatrix):
-        """work <- work * b, E <- E * b."""
+    def apply_matrix(self, b: PolyMatrix, b_inv: PolyMatrix):
+        """work <- work * b, E <- E * b, Einv <- b_inv * Einv."""
         self.work = [sum((self.work[k] * b[k, j] for k in range(self.m)),
                          Poly.zero(self.vars)) for j in range(self.m)]
-        e = PolyMatrix(self.E) * b
-        self.E = e.entries
+        self.E = (PolyMatrix(self.E) * b).entries
+        self.Einv = (b_inv * PolyMatrix(self.Einv)).entries
+
+    def _block(self, a: int, b: int, block) -> PolyMatrix:
+        """The identity with the 2 x 2 block ((aa, ab), (ba, bb)) on rows and
+        columns a, b."""
+        out = PolyMatrix.identity(self.m, self.vars)
+        (out.entries[a][a], out.entries[a][b]), (out.entries[b][a], out.entries[b][b]) = block
+        return out
 
     def constant_index(self):
         for j, p in enumerate(self.work):
@@ -709,13 +703,13 @@ class _RowCompleter:
         self.colscale(j, Fraction(1) / c)
         self.colswap(0, j)
 
-    def run(self) -> PolyMatrix:
+    def run(self) -> tuple[PolyMatrix, PolyMatrix]:
         if self.m == 1:
             p = self.work[0]
             if p.is_zero() or not p.is_constant():
                 raise CompletionError("completion failed (length-one row is not a unit)")
             self.colscale(0, Fraction(1) / p.constant_value())
-            return PolyMatrix(self.E)
+            return PolyMatrix(self.E), PolyMatrix(self.Einv)
         if self.use_heuristics:
             self._heuristic_phase()
         j = self.constant_index()
@@ -727,7 +721,7 @@ class _RowCompleter:
         self.finish_with_pivot(j)
         if self.work != [Poly.const(self.vars, 1)] + [Poly.zero(self.vars)] * (self.m - 1):
             raise InternalError("row completion did not reach a unit vector")
-        return PolyMatrix(self.E)
+        return PolyMatrix(self.E), PolyMatrix(self.Einv)
 
     # heuristic layer ---------------------------------------------------
 
@@ -782,12 +776,9 @@ class _RowCompleter:
         if coeffs is None:
             return False
         u, v = coeffs
-        block = PolyMatrix.identity(self.m, self.vars)
-        block.entries[a][a] = u
-        block.entries[b][a] = v
-        block.entries[a][b] = -wb
-        block.entries[b][b] = wa
-        self.apply_matrix(block)
+        # det [[u, -wb], [v, wa]] = u wa + v wb = 1
+        self.apply_matrix(self._block(a, b, ((u, -wb), (v, wa))),
+                          self._block(a, b, ((wa, wb), (-v, u))))
         return True
 
     def _mutual_reduction_pass(self, nz) -> bool:
@@ -820,15 +811,17 @@ class _RowCompleter:
                 break
         if pivot is None:
             return
-        # rank-one update: B = I + h^T (e_pivot - work); then work B = e_pivot
-        # because work h^T = 1, and det B = h_pivot is a nonzero constant
+        # rank-one update: B = I + h^T x with x = e_pivot - work; then
+        # work B = e_pivot because work h^T = 1, and x h^T = h_pivot - 1, so
+        # det B = h_pivot is a nonzero constant and B^-1 = I - h^T x / h_pivot
         zero = Poly.zero(self.vars)
-        b = [[None] * self.m for _ in range(self.m)]
-        for i in range(self.m):
-            for j in range(self.m):
-                base = one if i == j else zero
-                b[i][j] = base + h[i] * ((one if j == pivot else zero) - self.work[j])
-        self.apply_matrix(PolyMatrix(b))
+        x = [(one if j == pivot else zero) - self.work[j] for j in range(self.m)]
+        hp_inv = Fraction(1) / h[pivot].constant_value()
+        b = [[(one if i == j else zero) + h[i] * x[j] for j in range(self.m)]
+             for i in range(self.m)]
+        b_inv = [[(one if i == j else zero) - h[i] * x[j] * hp_inv for j in range(self.m)]
+                 for i in range(self.m)]
+        self.apply_matrix(PolyMatrix(b), PolyMatrix(b_inv))
 
     # general layer -----------------------------------------------------
 
@@ -847,8 +840,7 @@ class _RowCompleter:
             self._pid_phase(vi)
             return
         lam = self._monicize()
-        elim = _eliminate_t_monic(self.work)
-        self.apply_matrix(elim)
+        self.apply_matrix(*_eliminate_t_monic(self.work))
         self._pid_phase(_S)
         self._unsubstitute(lam)
 
@@ -869,9 +861,7 @@ class _RowCompleter:
                 val = top.set_var("s", lam).set_var("t", 1)
                 if not val.is_zero():
                     if lam:
-                        sub = {"s": s + t * Fraction(lam)}
-                        self.work = [w.substitute(sub) for w in self.work]
-                        self.E = [[x.substitute(sub) for x in row] for row in self.E]
+                        self._substitute({"s": s + t * Fraction(lam)})
                     self.colswap(0, idx)
                     return Fraction(lam)
         raise CompletionError("completion failed (no change of variables made a monic entry)")
@@ -881,9 +871,13 @@ class _RowCompleter:
             return
         s = Poly.variable(self.vars, "s")
         t = Poly.variable(self.vars, "t")
-        sub = {"s": s - t * lam}
+        self._substitute({"s": s - t * lam})
+
+    def _substitute(self, sub):
+        """Apply a ring automorphism to the working row, E and Einv."""
         self.work = [w.substitute(sub) for w in self.work]
         self.E = [[x.substitute(sub) for x in row] for row in self.E]
+        self.Einv = [[x.substitute(sub) for x in row] for row in self.Einv]
 
     def _pid_phase(self, vi: int):
         """Completion of a univariate unimodular row by a Bezout chain."""
@@ -900,30 +894,23 @@ class _RowCompleter:
             g, u, v = _uni_xgcd(a, b, vi)
             qa = exact_div(a, g)
             qb = exact_div(b, g)
-            block = PolyMatrix.identity(self.m, self.vars)
-            block.entries[0][0] = u
-            block.entries[i][0] = v
-            block.entries[0][i] = -qb
-            block.entries[i][i] = qa
-            self.apply_matrix(block)
+            # det [[u, -qb], [v, qa]] = (u a + v b) / g = 1
+            self.apply_matrix(self._block(0, i, ((u, -qb), (v, qa))),
+                              self._block(0, i, ((qa, qb), (-v, u))))
         if not self.work[0].is_constant() or self.work[0].is_zero():
             raise CompletionError("completion failed (univariate row has a common factor)")
 
 
-def _complete_row(row, rng, use_heuristics=True) -> PolyMatrix:
-    e = _RowCompleter(list(row), rng, use_heuristics).run()
-    return e
-
-
-def _complete_rows(f: PolyMatrix, rng, use_heuristics=True) -> PolyMatrix:
-    """M (cols x cols, unimodular) with f M = [I_n, 0] for row-unimodular f."""
+def _complete_rows(f: PolyMatrix, rng, use_heuristics=True) -> tuple[PolyMatrix, PolyMatrix]:
+    """(M, M^-1) with M (cols x cols, unimodular) and f M = [I_n, 0] for
+    row-unimodular f."""
     n, m = f.rows, f.cols
     if n > m:
         raise ValueError("expected at least as many columns as rows")
-    e1 = _complete_row(f.row(0), rng, use_heuristics)
-    fe = f * e1
+    e1, e1_inv = _RowCompleter(f.row(0), rng, use_heuristics).run()
     if n == 1:
-        return e1
+        return e1, e1_inv
+    fe = f * e1
     # rescale the untouched columns to primitive integer content; the scales
     # are units, so e1 stays unimodular and row 0 of fe stays (1, 0, ..., 0)
     for j in range(1, m):
@@ -933,23 +920,30 @@ def _complete_rows(f: PolyMatrix, rng, use_heuristics=True) -> PolyMatrix:
                 fe.entries[i][j] = fe.entries[i][j] * scale
             for i in range(m):
                 e1.entries[i][j] = e1.entries[i][j] * scale
+            e1_inv.entries[j] = [x * (1 / scale) for x in e1_inv.entries[j]]
     sub = fe.submatrix(range(1, n), range(1, m))
-    mp = _complete_rows(sub, rng, use_heuristics)
+    mp, mp_inv = _complete_rows(sub, rng, use_heuristics)
     zero = Poly.zero(f.vars)
     one = Poly.const(f.vars, 1)
-    diag = PolyMatrix([[one if (i == 0 and j == 0) else
-                        (mp[i - 1, j - 1] if i > 0 and j > 0 else zero)
-                        for j in range(m)] for i in range(m)])
-    # Y carries the row-clearing matrix L = [[1,0],[-c,I]] in its leading block
+
+    def diag(block):
+        return PolyMatrix([[one if (i == 0 and j == 0) else
+                            (block[i - 1, j - 1] if i > 0 and j > 0 else zero)
+                            for j in range(m)] for i in range(m)])
+
+    # Y carries the row-clearing matrix L = [[1,0],[-c,I]] in its leading
+    # block; its inverse is [[1,0],[c,I]]
     y = PolyMatrix.identity(m, f.vars)
+    y_inv = PolyMatrix.identity(m, f.vars)
     for i in range(1, n):
         y.entries[i][0] = -fe[i, 0]
-    total = e1 * diag * y
+        y_inv.entries[i][0] = fe[i, 0]
+    total = e1 * diag(mp) * y
     check = f * total
     expected = PolyMatrix([[one if i == j else zero for j in range(m)] for i in range(n)])
     if check != expected:
         raise InternalError("row completion product check failed")
-    return total
+    return total, y_inv * diag(mp_inv) * e1_inv
 
 
 # ---------------------------------------------------------------------------
@@ -959,7 +953,12 @@ def _complete_rows(f: PolyMatrix, rng, use_heuristics=True) -> PolyMatrix:
 
 @dataclass
 class CompletionCertificate:
-    """Verified completion data: m unimodular, m * f = [I_n; 0]."""
+    """Verified completion data: M unimodular, M * f = [I_n; 0].
+
+    M_inv is built alongside M, step by step, and both M M_inv = I and
+    M_inv M = I are checked exactly.  Since that makes det M a nonzero
+    constant, det is read off the constant-term matrix M(0, 0).
+    """
 
     M: PolyMatrix
     M_inv: PolyMatrix
@@ -974,39 +973,69 @@ def _target_block(n: int, m: int, vars) -> PolyMatrix:
     return PolyMatrix([[one if i == j else zero for j in range(n)] for i in range(m)])
 
 
-def _constant_minor_completion(f: PolyMatrix) -> PolyMatrix | None:
-    """Fast path: when some maximal minor of f is a nonzero constant, the
-    matrix [f | unit columns on the complementary rows] is invertible and
-    its inverse is a completion."""
+def _leverrier_inverse(a: PolyMatrix) -> PolyMatrix:
+    """Inverse of a square matrix whose determinant is a nonzero constant.
+
+    Faddeev-LeVerrier: with M_1 = I, c_(n-k) = -tr(A M_k) / k and
+    M_(k+1) = A M_k + c_(n-k) I, Cayley-Hamilton gives A M_n = -c_0 I, so
+    A^-1 = -M_n / c_0.  Only n products and divisions by integers are
+    needed, no cofactors.
+    """
+    n = a.rows
+    mk = PolyMatrix.identity(n, a.vars)
+    for k in range(1, n + 1):
+        amk = a * mk
+        c = sum((amk[i, i] for i in range(n)), Poly.zero(a.vars)) * Fraction(-1, k)
+        if k < n:
+            for i in range(n):
+                amk.entries[i][i] = amk.entries[i][i] + c
+            mk = amk
+    if c.is_zero() or not c.is_constant():
+        raise ValueError("not invertible over the polynomial ring")
+    scale = Fraction(-1) / c.constant_value()
+    return mk.map_entries(lambda p: p * scale)
+
+
+def _constant_minor_completion(f: PolyMatrix, rows) -> tuple[PolyMatrix, PolyMatrix]:
+    """Fast path for a maximal minor of f on ``rows`` that is a nonzero
+    constant: N = [f | unit columns on the complementary rows] is invertible,
+    M = N^-1 is a completion and M^-1 = N.
+
+    Only the block A = f[rows, :] is inverted.  The columns of M indexed by
+    ``rows`` are ([I_n; 0] - sum_i e_slot(i) f[i, :]) A^-1 over the
+    complementary rows i, and column i of M is e_slot(i).
+    """
     m, n = f.rows, f.cols
     zero = Poly.zero(f.vars)
     one = Poly.const(f.vars, 1)
-    for rows in combinations(range(m), n):
-        d = f.submatrix(rows, range(n)).det()
-        if d.is_zero() or not d.is_constant():
-            continue
-        complement = [i for i in range(m) if i not in rows]
-        # place each unit column at its own index when that slot is free,
-        # so e.g. completing a lone unit column yields a plain transposition
-        slots = list(range(n, m))
-        placement = {}
-        for i in complement:
-            if i in slots:
-                placement[i] = i
-                slots.remove(i)
-        for i in complement:
-            if i not in placement:
-                placement[i] = slots.pop(0)
-        ncols = [f.column(j) for j in range(n)] + [None] * (m - n)
-        for i, slot in placement.items():
-            ncols[slot] = [one if r == i else zero for r in range(m)]
-        nmat = PolyMatrix.from_columns(ncols)
-        try:
-            inv, _ = mat_inverse(nmat)
-        except ValueError:
-            continue
-        return inv
-    return None
+    complement = [i for i in range(m) if i not in rows]
+    # place each unit column at its own index when that slot is free,
+    # so e.g. completing a lone unit column yields a plain transposition
+    slots = list(range(n, m))
+    placement = {}
+    for i in complement:
+        if i in slots:
+            placement[i] = i
+            slots.remove(i)
+    for i in complement:
+        if i not in placement:
+            placement[i] = slots.pop(0)
+    ncols = [f.column(j) for j in range(n)] + [None] * (m - n)
+    for i, slot in placement.items():
+        ncols[slot] = [one if r == i else zero for r in range(m)]
+    m_inv = PolyMatrix.from_columns(ncols)
+    # every slot is a row below n, where [I_n; 0] vanishes
+    lead = _target_block(n, m, f.vars)
+    for i, slot in placement.items():
+        lead.entries[slot] = [-x for x in f.row(i)]
+    c = lead * _leverrier_inverse(f.submatrix(rows, range(n)))
+    big = PolyMatrix.zero(m, m, f.vars)
+    for k, r in enumerate(rows):
+        for i in range(m):
+            big.entries[i][r] = c[i, k]
+    for i, slot in placement.items():
+        big.entries[slot][i] = one
+    return big, m_inv
 
 
 def complete_columns(f: PolyMatrix, seed: int = 0,
@@ -1020,23 +1049,26 @@ def complete_columns(f: PolyMatrix, seed: int = 0,
     m, n = f.rows, f.cols
     if m <= n:
         raise ValueError("expected strictly more rows than columns")
-    if not is_unimodular(f):
+    minors = _maximal_minors(f)
+    if not _minors_generate_unit_ideal(minors):
         raise ValueError("matrix is not unimodular")
-    rng = random.Random(seed)
-    big = _constant_minor_completion(f) if use_heuristics else None
-    if big is None:
-        mt = _complete_rows(f.transpose(), rng, use_heuristics)
-        big = mt.transpose()
-    try:
-        inv, det = mat_inverse(big)
-    except ValueError as exc:
-        raise CompletionError(f"completion failed ({exc})") from exc
+    const_rows = next((rows for rows, d in minors if d.is_constant()), None)
+    if use_heuristics and const_rows is not None:
+        big, inv = _constant_minor_completion(f, const_rows)
+    else:
+        mt, mt_inv = _complete_rows(f.transpose(), random.Random(seed), use_heuristics)
+        big, inv = mt.transpose(), mt_inv.transpose()
     if big * f != _target_block(n, m, f.vars):
         raise CompletionError("completion failed (certificate product check)")
+    ident = PolyMatrix.identity(m, f.vars)
+    if big * inv != ident or inv * big != ident:
+        raise InternalError("completion inverse verification failed")
+    # M M^-1 = I makes det M a nonzero constant, so det M = det M(0, 0)
+    det = big.map_entries(lambda p: Poly.const(f.vars, p.constant_value())).det()
     deg_f = 0 if f.degree == NEG_INF else int(f.degree)
     bound = qs_degree_bound(n, deg_f)
     deg_m = 0 if big.degree == NEG_INF else int(big.degree)
-    return CompletionCertificate(M=big, M_inv=inv, det=det, deg_M=deg_m,
+    return CompletionCertificate(M=big, M_inv=inv, det=det.constant_value(), deg_M=deg_m,
                                  bound=bound, within_bound=deg_m <= bound)
 
 
@@ -1055,26 +1087,30 @@ def variable_elimination_step(f: PolyMatrix, var: str, seed: int = 0) -> PolyMat
         const_j = next((j for j, p in enumerate(row)
                         if not p.is_zero() and p.is_constant()), None)
         if const_j is not None:
+            # I + e_j x with x_j = 0 is undone by I - e_j x
             c = row[const_j].constant_value()
             out = PolyMatrix.identity(m, f.vars)
+            out_inv = PolyMatrix.identity(m, f.vars)
             for i in range(m):
                 if i == const_j:
                     continue
                 diff = row[i].set_var(var, 0) - row[i]
                 if not diff.is_zero():
                     out.entries[const_j][i] = diff * (Fraction(1) / c)
-            _check_elimination(f, out, specialized)
+                    out_inv.entries[const_j][i] = -out.entries[const_j][i]
+            _check_elimination(f, out, out_inv, specialized)
             return out
     rng = random.Random(seed)
-    m1 = _complete_rows(f, rng)
-    m2 = _complete_rows(specialized, rng)
-    m2_inv, _ = mat_inverse(m2)
+    m1, m1_inv = _complete_rows(f, rng)
+    m2, m2_inv = _complete_rows(specialized, rng)
     out = m1 * m2_inv
-    _check_elimination(f, out, specialized)
+    _check_elimination(f, out, m2 * m1_inv, specialized)
     return out
 
 
-def _check_elimination(f, m, specialized):
+def _check_elimination(f, m, m_inv, specialized):
     if f * m != specialized:
         raise InternalError("variable elimination product check failed")
-    mat_inverse(m)  # raises unless unimodular
+    ident = PolyMatrix.identity(m.rows, m.vars)
+    if m * m_inv != ident or m_inv * m != ident:
+        raise InternalError("variable elimination inverse check failed")

@@ -193,6 +193,23 @@ class TestMain:
         assert code == 0
         assert any("zero" in w for w in doc["warnings"])
 
+    def test_unexpected_exception_exit_three(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("deep defect")
+
+        monkeypatch.setattr("mubasis.cli.compute_mu_basis", broken)
+        code = main(["compute", REFERENCE, "--json"])
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert code == 3
+        assert doc["error"]["code"] == 3
+        assert "ValueError" in doc["error"]["message"]
+        assert doc["command"] == "compute" and doc["input"] == [
+            "s^2", "t^2", "s^2 - 1", "s^2 + 1"]
+        assert "Traceback" not in captured.err
+        doc, code, _ = run("compute", parse_parametrization(REFERENCE))
+        assert code == 3 and "ValueError" in doc["error"]["message"]
+
     def test_timeout_exit_four(self, capsys):
         dense = ("(3s^3+2s^2*t-st^2+t^3-s+1, s^3-3s*t^2+2t-1,"
                  " 2s^2*t+3t^3-s^2+s, s^3+s^2*t+st^2-2t^3+t)")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from mubasis import arith, quillen_suslin
 from mubasis.arith import VARS_ST, Poly, PolyMatrix, mat_inverse
 from mubasis.quillen_suslin import (
     _eliminate_t_monic,
@@ -155,34 +156,37 @@ class TestCompleteColumns:
         assert a.M == b.M and a.M_inv == b.M_inv
 
 
+# rows completed without heuristics; they reach the Horrocks/patching path
+GENERAL_ROUTE_ROWS = [
+    [T**2 - S, S * T + S**2, S + 1],
+    [T**2, T + 1, S],
+    [T**2 + S, S * T + 1, S**2],
+]
+
+
 class TestGeneralRoute:
     """Exercise the Horrocks/patching machinery directly."""
 
     def test_monic_elimination_simple(self):
         row = [T**2, T + 1, S]
         assert is_unimodular(PolyMatrix([[p] for p in row]))
-        m = _eliminate_t_monic(row)
+        m, m_inv = _eliminate_t_monic(row)
         got = [sum((row[i] * m[i, j] for i in range(3)), ZERO) for j in range(3)]
         assert got == [p.set_var("t", 0) for p in row]
-        mat_inverse(m)  # must be unimodular
+        assert mat_inverse(m)[0] == m_inv  # must be unimodular
 
     def test_monic_elimination_with_charts(self):
         # the dense chart must invert the nonconstant coefficient s, forcing
         # a second chart along s = 0 and a genuine patch
         row = [T**2 - S, S * T + S**2, S + 1]
         assert is_unimodular(PolyMatrix([[p] for p in row]))
-        m = _eliminate_t_monic(row)
+        m, m_inv = _eliminate_t_monic(row)
         got = [sum((row[i] * m[i, j] for i in range(3)), ZERO) for j in range(3)]
         assert got == [p.set_var("t", 0) for p in row]
-        mat_inverse(m)
+        assert mat_inverse(m)[0] == m_inv
 
     def test_complete_columns_without_heuristics(self):
-        cases = [
-            [T**2 - S, S * T + S**2, S + 1],
-            [T**2, T + 1, S],
-            [T**2 + S, S * T + 1, S**2],
-        ]
-        for row in cases:
+        for row in GENERAL_ROUTE_ROWS:
             f = PolyMatrix([[p] for p in row])
             if not is_unimodular(f):
                 continue
@@ -224,3 +228,65 @@ class TestVariableElimination:
     def test_precondition(self):
         with pytest.raises(ValueError):
             variable_elimination_step(PolyMatrix([[S, T]]), "t")
+
+
+def _certificate_cases():
+    """(f, seed, use_heuristics) covering every route through completion:
+    the acceptance criterion 5 stream, the reference column, a constant
+    minor, and the general route without heuristics."""
+    rng = random.Random(77)
+    for k in range(30):
+        if k % 3 == 2:
+            n = rng.randint(1, 2)
+            f = random_unimodular_matrix(rng, n + rng.randint(1, 2), n)
+        else:
+            f = random_unimodular_column(rng, rng.randint(2, 5))
+        yield f, k, True
+    yield reference_column(), 0, True
+    yield PolyMatrix([[S, T], [ONE, S], [T, ONE + S * T]]), 0, True
+    for row in GENERAL_ROUTE_ROWS:
+        f = PolyMatrix([[p] for p in row])
+        if is_unimodular(f):
+            yield f, 0, False
+
+
+class TestCarriedInverse:
+    """The inverse and determinant built alongside M match the adjugate
+    route, which stays the reference implementation."""
+
+    def test_matches_mat_inverse(self):
+        for f, seed, heur in _certificate_cases():
+            cert = complete_columns(f, seed=seed, use_heuristics=heur)
+            assert (cert.M_inv, cert.det) == mat_inverse(cert.M)
+            # the constant-minor path inverts its block this way; M is larger
+            assert quillen_suslin._leverrier_inverse(cert.M) == cert.M_inv
+
+    def test_constant_minor_needs_no_groebner_basis(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("slow path used")
+
+        monkeypatch.setattr(quillen_suslin, "buchberger", boom)
+        monkeypatch.setattr(quillen_suslin, "_complete_rows", boom)
+        f = PolyMatrix([[S, T], [ONE, S], [T, ONE + S * T]])
+        cert = complete_columns(f)
+        assert cert.M * f == target_block(2, 3)
+        assert cert.M_inv.column(0) == f.column(0)
+
+    def test_no_adjugate_on_the_completion_path(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("adjugate route used")
+
+        monkeypatch.setattr(PolyMatrix, "adjugate", boom)
+        monkeypatch.setattr(arith, "mat_inverse", boom)
+        monkeypatch.setattr(quillen_suslin, "mat_inverse", boom, raising=False)
+        for f, seed, heur in _certificate_cases():
+            cert = complete_columns(f, seed=seed, use_heuristics=heur)
+            assert cert.M * cert.M_inv == PolyMatrix.identity(f.rows, VARS_ST)
+        rng = random.Random(47)
+        for _ in range(5):
+            n = rng.randint(1, 2)
+            f = random_unimodular_matrix(rng, n + rng.randint(1, 2), n).transpose()
+            out = variable_elimination_step(f, "t", seed=3)
+            assert f * out == f.map_entries(lambda p: p.set_var("t", 0))
+        assert variable_elimination_step(PolyMatrix([[T, ONE]]), "t") == \
+            PolyMatrix([[ONE, ZERO], [-T, ONE]])
