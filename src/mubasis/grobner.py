@@ -1,10 +1,15 @@
 """Groebner bases for ideals and submodules of free modules over Q[s,t(,u)].
 
-Everything runs through one engine operating on sparse module vectors
+Groebner bases run through one engine operating on sparse module vectors
 ({(position, monomial): coefficient} dictionaries); an ideal is the rank-1
 case.  Buchberger's algorithm tracks representations of basis elements in
 terms of the input generators, which powers syzygy computation (Schreyer's
-construction), membership lifting, free resolutions, and ideal quotients.
+construction), membership lifting and ideal quotients.
+
+Minimal generators of graded modules are selected by exact linear algebra
+on one graded piece at a time (graded Nakayama), with one echelon routine
+that also yields the graded syzygy spaces; Buchberger remains the
+independent cross-check of the resulting resolutions (``modules_equal``).
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .arith import (
@@ -601,19 +607,17 @@ def _expand(w, nz, k, zero):
     return tuple(full)
 
 
+def primitive_scale(coeffs) -> Fraction:
+    """Constant c > 0 making c times the given rationals coprime integers."""
+    coeffs = list(coeffs)
+    den = lcm(*(c.denominator for c in coeffs))
+    return Fraction(den, gcd(*(c.numerator for c in coeffs)) or 1)
+
+
 def integer_normalize(vec):
     """Scale a vector by a constant so coefficients are coprime integers
     with a positive leading coefficient (keeps spans and syzygies intact)."""
-    coeffs = [c for p in vec for c in p.terms.values()]
-    if not coeffs:
-        return tuple(vec)
-    from math import gcd, lcm
-
-    den = lcm(*(c.denominator for c in coeffs)) if len(coeffs) > 1 else coeffs[0].denominator
-    num = 0
-    for c in coeffs:
-        num = gcd(num, abs(c.numerator))
-    scale = Fraction(den, num if num else 1)
+    scale = primitive_scale(c for p in vec for c in p.terms.values())
     lead = None
     for p in vec:
         if not p.is_zero():
@@ -660,7 +664,8 @@ def minimal_generators(vectors, shifts):
     """Minimal homogeneous generating subset of a graded submodule.
 
     Processes candidates in increasing degree and keeps those not generated
-    by the ones already kept (graded Nakayama).  Returns (kept, degrees).
+    by the ones already kept (graded Nakayama), each decided by exact linear
+    algebra in its graded piece.  Returns (kept, degrees).
     """
     items = []
     for v in vectors:
@@ -669,49 +674,106 @@ def minimal_generators(vectors, shifts):
             continue
         items.append((graded_degree(tup, shifts), tup))
     items.sort(key=lambda t: t[0])
+    span = _GradedSpan()
     kept: list[tuple[Poly, ...]] = []
     degs: list[int] = []
     for deg, tup in items:
-        if kept:
-            gb = buchberger(kept)
-            if gb.contains(tup):
-                continue
+        if not span.add(Vec.from_polys(tup), deg):
+            continue
         kept.append(integer_normalize(tup))
         degs.append(deg)
     return kept, degs
 
 
+def _integral(vec: dict) -> dict:
+    """Integer multiple of a {column: Fraction} vector with coprime entries."""
+    scale = primitive_scale(vec.values())
+    return {c: x.numerator * (scale.numerator // x.denominator) // scale.denominator
+            for c, x in vec.items()}
+
+
+def _eliminate(target: dict, c, row: dict) -> dict:
+    """row[c] * target - target[c] * row, divided by its content: a multiple
+    of target with column c cleared, computed fraction-free."""
+    a, b = row[c], target[c]
+    out = {col: a * x for col, x in target.items()}
+    for col, x in row.items():
+        val = out.get(col, 0) - b * x
+        if val:
+            out[col] = val
+        else:
+            del out[col]
+    g = gcd(*out.values())
+    return {col: x // g for col, x in out.items()} if g > 1 else out
+
+
+def _echelon_add(rows: dict, vec: dict) -> bool:
+    """Insert a {column: Fraction} vector into an echelon form; False when
+    the rows already span it.
+
+    rows maps each pivot column to a {column: int} row with coprime entries,
+    kept up to a scalar so that elimination is fraction-free.  Each row is
+    nonzero in its pivot column and every other row is zero there, so a
+    vector reduces to zero exactly when it lies in the row span.  A new
+    pivot is the least column of its reduced row, which makes the rows,
+    scaled to 1 at their pivots, the unique reduced echelon form.
+    """
+    row = _integral(vec)
+    for c in [c for c in row if c in rows]:
+        row = _eliminate(row, c, rows[c])
+    if not row:
+        return False
+    pivot = min(row)
+    for p, other in rows.items():
+        if pivot in other:
+            rows[p] = _eliminate(other, pivot, row)
+    rows[pivot] = row
+    return True
+
+
+class _GradedSpan:
+    """The submodule generated by kept homogeneous vectors, one graded
+    piece at a time.
+
+    Vectors come in nondecreasing degree.  One of degree k lies in the
+    submodule exactly when it lies in the Q-span of the products m * g with
+    g kept and m a monomial of degree k - deg g.  Those products are held in
+    one echelon form, extended when a vector is kept in degree k and rebuilt
+    when the degree rises.
+    """
+
+    def __init__(self):
+        self.kept: list[tuple[int, Vec]] = []
+        self.degree = None
+        self.piece: dict = {}  # echelon form of the current degree
+
+    def add(self, vec: Vec, deg: int) -> bool:
+        """Keep vec unless the kept vectors generate it; True when kept."""
+        if deg != self.degree:
+            self.degree, self.piece = deg, {}
+            for gdeg, g in self.kept:
+                for m in monomials_of_degree(len(g.vars), deg - gdeg):
+                    _echelon_add(self.piece, g.term_mul(m, Fraction(1)).terms)
+        if not _echelon_add(self.piece, vec.terms):
+            return False
+        self.kept.append((deg, vec))
+        return True
+
+
 def _fraction_nullspace(rows, ncols):
-    """Right-nullspace basis of an exact rational matrix (echelon form)."""
-    m = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    """Right-nullspace basis of an exact rational matrix, given by sparse rows
+    ({column: value}), read off its reduced row echelon form."""
+    ech: dict = {}
+    for r in rows:
+        _echelon_add(ech, {c: x for c, x in r.items() if x})
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in ech:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = -m[ri][fc]
+        for pc, row in ech.items():
+            v[pc] = Fraction(-row.get(fc, 0), row[pc])
         basis.append(v)
     return basis
 
@@ -742,13 +804,12 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k):
     for j, rho in enumerate(row_shifts):
         for m in monomials_of_degree(nvars, k - rho) if k - rho >= 0 else []:
             eq_index[(j, m)] = len(eq_index)
-    rows = [[Fraction(0)] * len(cols) for _ in range(len(eq_index))]
+    rows = [dict() for _ in range(len(eq_index))]
     for ci, (i, mono) in enumerate(cols):
         for j, comp in enumerate(vectors[i]):
-            if comp.is_zero():
-                continue
             for pm, c in comp.terms.items():
-                rows[eq_index[(j, mono_mul(pm, mono))]][ci] += c
+                row = rows[eq_index[(j, mono_mul(pm, mono))]]
+                row[ci] = row.get(ci, 0) + c
     out = []
     zero = Poly.zero(vars)
     for sol in _fraction_nullspace(rows, len(cols)):
@@ -767,6 +828,7 @@ def _small_minimal_generators(vectors, degrees, row_shifts, target_degrees):
     multiset of degrees must reproduce target_degrees (graded Nakayama makes
     it intrinsic), otherwise the caller's data was inconsistent.
     """
+    span = _GradedSpan()
     kept: list = []
     degs: list[int] = []
     for k in sorted(set(target_degrees)):
@@ -776,9 +838,8 @@ def _small_minimal_generators(vectors, degrees, row_shifts, target_degrees):
         for v in space:
             if found == want:
                 break
-            if kept:
-                if buchberger(kept).contains(v):
-                    continue
+            if not span.add(Vec.from_polys(v), k):
+                continue
             kept.append(v)
             degs.append(k)
             found += 1

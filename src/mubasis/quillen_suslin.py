@@ -38,7 +38,13 @@ from .arith import (
     gcd_many,
 )
 from .errors import CompletionError, InternalError
-from .grobner import buchberger, lift_coefficients, make_lifter, reduce_with_certificate
+from .grobner import (
+    buchberger,
+    lift_coefficients,
+    make_lifter,
+    primitive_scale,
+    reduce_with_certificate,
+)
 
 # ---------------------------------------------------------------------------
 # Degree bound
@@ -123,21 +129,6 @@ def left_inverse(f: PolyMatrix) -> PolyMatrix:
 
 def _uses_var(p: Poly, vi: int) -> bool:
     return any(m[vi] for m in p.terms)
-
-
-def _primitive_scale(polys) -> Fraction:
-    """Constant c > 0 making the coefficients of c * polys coprime integers."""
-    from math import gcd, lcm
-
-    coeffs = [c for p in polys for c in p.terms.values()]
-    if not coeffs:
-        return Fraction(1)
-    den = 1
-    num = 0
-    for c in coeffs:
-        den = lcm(den, c.denominator)
-        num = gcd(num, abs(c.numerator))
-    return Fraction(den, num if num else 1)
 
 
 def _uni_coeffs(p: Poly, vi: int) -> list[Fraction]:
@@ -729,7 +720,7 @@ class _RowCompleter:
         for j, p in enumerate(self.work):
             if p.is_zero():
                 continue
-            scale = _primitive_scale([p])
+            scale = primitive_scale(p.terms.values())
             if scale != 1:
                 self.colscale(j, scale)
 
@@ -914,7 +905,7 @@ def _complete_rows(f: PolyMatrix, rng, use_heuristics=True) -> tuple[PolyMatrix,
     # rescale the untouched columns to primitive integer content; the scales
     # are units, so e1 stays unimodular and row 0 of fe stays (1, 0, ..., 0)
     for j in range(1, m):
-        scale = _primitive_scale([fe[i, j] for i in range(n)])
+        scale = primitive_scale(c for i in range(n) for c in fe[i, j].terms.values())
         if scale != 1:
             for i in range(n):
                 fe.entries[i][j] = fe.entries[i][j] * scale
@@ -955,9 +946,11 @@ def _complete_rows(f: PolyMatrix, rng, use_heuristics=True) -> tuple[PolyMatrix,
 class CompletionCertificate:
     """Verified completion data: M unimodular, M * f = [I_n; 0].
 
-    M_inv is built alongside M, step by step, and both M M_inv = I and
-    M_inv M = I are checked exactly.  Since that makes det M a nonzero
-    constant, det is read off the constant-term matrix M(0, 0).
+    M_inv is built alongside M, step by step, and M M_inv = I is checked
+    exactly.  That alone proves M_inv M = I: over a commutative ring it gives
+    det M det M_inv = 1, so M is invertible and M_inv is its inverse.  It
+    also makes det M a nonzero constant, so det is read off the
+    constant-term matrix M(0, 0).
     """
 
     M: PolyMatrix
@@ -1061,7 +1054,7 @@ def complete_columns(f: PolyMatrix, seed: int = 0,
     if big * f != _target_block(n, m, f.vars):
         raise CompletionError("completion failed (certificate product check)")
     ident = PolyMatrix.identity(m, f.vars)
-    if big * inv != ident or inv * big != ident:
+    if big * inv != ident:
         raise InternalError("completion inverse verification failed")
     # M M^-1 = I makes det M a nonzero constant, so det M = det M(0, 0)
     det = big.map_entries(lambda p: Poly.const(f.vars, p.constant_value())).det()
@@ -1112,5 +1105,5 @@ def _check_elimination(f, m, m_inv, specialized):
     if f * m != specialized:
         raise InternalError("variable elimination product check failed")
     ident = PolyMatrix.identity(m.rows, m.vars)
-    if m * m_inv != ident or m_inv * m != ident:
+    if m * m_inv != ident:
         raise InternalError("variable elimination inverse check failed")

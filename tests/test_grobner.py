@@ -1,16 +1,24 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mubasis.arith import VARS_ST, VARS_STU, Poly
+from mubasis import grobner
+from mubasis.arith import VARS_ST, VARS_STU, Poly, gcd_many, homogenize, monomials_of_degree
 from mubasis.grobner import (
     Vec,
+    _fraction_nullspace,
+    _GradedSpan,
+    _small_minimal_generators,
     buchberger,
     free_resolution,
     graded_degree,
+    graded_syzygy_space,
     hilbert_function,
     hilbert_quotient,
     ideal_quotient,
+    integer_normalize,
     krull_dimension,
     lift_coefficients,
     minimal_generators,
@@ -24,6 +32,7 @@ from helpers import (
     random_form,
     brute_force_syzygies,
     hilbert_by_linear_algebra,
+    nullspace,
     random_poly,
 )
 
@@ -351,3 +360,186 @@ class TestMinimalGenerators:
         assert graded_degree((S**2, ZERO3, ONE3), [2, 4, 4]) == 4
         with pytest.raises(ValueError):
             graded_degree((S, ONE3), [0, 0])
+
+
+# ---------------------------------------------------------------------------
+# Minimal generators by graded linear algebra, against per-candidate Groebner
+# bases as the reference
+# ---------------------------------------------------------------------------
+
+
+def _graded_items(vectors, shifts):
+    items = [(graded_degree(tuple(v), shifts), tuple(v)) for v in vectors
+             if any(not p.is_zero() for p in v)]
+    return sorted(items, key=lambda t: t[0])
+
+
+def reference_minimal_generators(vectors, shifts):
+    """Keep a candidate unless the Groebner basis of the kept ones contains it.
+
+    Returns (kept, degrees, decisions), one keep/skip decision per nonzero
+    candidate in the order they are visited.
+    """
+    kept, degs, decisions = [], [], []
+    for deg, tup in _graded_items(vectors, shifts):
+        keep = not kept or not buchberger(kept).contains(tup)
+        decisions.append(keep)
+        if keep:
+            kept.append(integer_normalize(tup))
+            degs.append(deg)
+    return kept, degs, decisions
+
+
+def reference_small_minimal_generators(vectors, degrees, row_shifts, target_degrees):
+    kept, degs = [], []
+    for k in sorted(set(target_degrees)):
+        want, found = list(target_degrees).count(k), 0
+        for v in graded_syzygy_space(vectors, degrees, row_shifts, k):
+            if found == want:
+                break
+            if kept and buchberger(kept).contains(v):
+                continue
+            kept.append(v)
+            degs.append(k)
+            found += 1
+    return kept, degs
+
+
+def assert_graded_agrees(vectors, shifts):
+    kept, degs, decisions = reference_minimal_generators(vectors, shifts)
+    span = _GradedSpan()
+    assert [span.add(Vec.from_polys(t), deg)
+            for deg, t in _graded_items(vectors, shifts)] == decisions
+    assert minimal_generators(vectors, shifts) == (kept, degs)
+
+
+def assert_resolution_selections_agree(row):
+    """Every selection free_resolution(row, fixed_first_map=True) makes."""
+    nonzero = [g for g in row if not g.is_zero()]
+    d = max(int(g.degree) for g in nonzero)
+    shifts0 = [int(g.degree) if not g.is_zero() else d for g in row]
+    assert_graded_agrees([(g,) for g in nonzero], [0])
+    assert_graded_agrees(syzygy_generators(row), shifts0)
+    res = free_resolution(row, fixed_first_map=True)
+    ones = [(g,) for g in row]
+    assert _small_minimal_generators(ones, shifts0, [0], res.q) == \
+        reference_small_minimal_generators(ones, shifts0, [0], res.q)
+    cols1 = [tuple(c) for c in res.d1.columns()]
+    assert_graded_agrees(syzygy_generators(cols1), res.q)
+    if res.p:
+        assert _small_minimal_generators(cols1, res.q, shifts0, res.p) == \
+            reference_small_minimal_generators(cols1, res.q, shifts0, res.p)
+
+
+def recipe_row(seed, d):
+    """Homogenized ROADMAP baseline tuple: Random(seed), every component of
+    exact degree d, redrawn until the components are coprime."""
+    rng = random.Random(seed)
+    while True:
+        polys = [random_poly(rng, VARS_ST, d, coeff_bound=3, density=0.5) for _ in range(4)]
+        if all(p.degree == d for p in polys) and gcd_many(polys).is_constant():
+            return [homogenize(p, d) for p in polys]
+
+
+def criterion_4_rows(count):
+    """The first rows of the acceptance suite's criterion-4 stream."""
+    rng = random.Random(20240 + 1)
+    rows = []
+    while len(rows) < count:
+        polys = [random_poly(rng, VARS_ST, rng.randint(0, 3), coeff_bound=3,
+                             density=0.5) for _ in range(4)]
+        nz = [p for p in polys if not p.is_zero()]
+        if not nz or not gcd_many(nz).is_constant():
+            continue
+        d = max(int(p.degree) for p in nz)
+        if d >= 1:
+            rows.append([homogenize(p, d) for p in polys])
+    return rows
+
+
+class TestGradedMinimalGenerators:
+    def test_reference_row_drops_its_redundant_generator(self):
+        row = homogenized_reference_generators()
+        kept, _, decisions = reference_minimal_generators([(g,) for g in row], [0])
+        assert decisions == [True, True, True, False]
+        assert_resolution_selections_agree(row)
+
+    @pytest.mark.parametrize("seed,d", [(1, 2), (2, 2), (3, 2), (1, 3)])
+    def test_recipe_rows(self, seed, d):
+        assert_resolution_selections_agree(recipe_row(seed, d))
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_criterion_4_rows(self, index):
+        assert_resolution_selections_agree(criterion_4_rows(4)[index])
+
+    def test_row_with_zero_component(self):
+        row = [S**2, T**2, ZERO3, S * T + U**2]
+        assert_resolution_selections_agree(row)
+        vectors = [(S, ZERO3), (ZERO3, ZERO3), (T * S, ZERO3), (ZERO3, U), (S, U)]
+        assert_graded_agrees(vectors, [0, 0])
+
+    def test_no_groebner_basis_per_candidate(self, monkeypatch):
+        calls = []
+        real = grobner.buchberger
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(grobner, "buchberger", counting)
+        for row in (homogenized_reference_generators(), recipe_row(1, 3)):
+            minimal_generators(syzygy_generators(row), [int(g.degree) for g in row])
+            assert calls == []
+            for fixed in (True, False):
+                free_resolution(row, fixed_first_map=fixed)
+                # only the two modules_equal cross-checks, two bases each
+                assert len(calls) <= 4
+                calls.clear()
+
+
+_COEFF = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+
+
+def _draw_form(draw, deg):
+    if deg < 0:
+        return ZERO3
+    terms = {m: draw(_COEFF) for m in monomials_of_degree(3, deg)}
+    return Poly(VARS_STU, terms)
+
+
+@st.composite
+def graded_candidates(draw):
+    """Homogeneous vectors of rank <= 3 over Q[s,t,u], some of them
+    combinations of others, in a drawn order; returns (vectors, shifts)."""
+    rank = draw(st.integers(1, 3))
+    shifts = draw(st.lists(st.integers(0, 2), min_size=rank, max_size=rank))
+    base = []
+    for _ in range(draw(st.integers(1, 3))):
+        deg = max(shifts) + draw(st.integers(0, 1))
+        base.append((deg, tuple(_draw_form(draw, deg - sh) for sh in shifts)))
+    derived = []
+    for _ in range(draw(st.integers(0, 3))):
+        (di, gi), (dj, gj) = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+        deg = max(di, dj) + draw(st.integers(0, 1))
+        mi = Poly(VARS_STU, {draw(st.sampled_from(monomials_of_degree(3, deg - di))): 1})
+        mj = Poly(VARS_STU, {draw(st.sampled_from(monomials_of_degree(3, deg - dj))): 1})
+        c = draw(_COEFF)
+        derived.append(tuple(mi * a + mj * b * c for a, b in zip(gi, gj)))
+    vectors = draw(st.permutations([g for _, g in base] + derived))
+    return vectors, shifts
+
+
+@settings(max_examples=40, deadline=5000)
+@given(graded_candidates())
+def test_graded_selection_matches_groebner_membership(case):
+    assert_graded_agrees(*case)
+
+
+@settings(max_examples=60, deadline=2000)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=n, max_size=n),
+    min_size=0, max_size=5).map(lambda rows: (rows, n))))
+def test_fraction_nullspace_matches_dense_elimination(case):
+    rows, ncols = case
+    sparse = [{c: x for c, x in enumerate(r)} for r in rows]
+    assert _fraction_nullspace(sparse, ncols) == nullspace(rows, ncols)
