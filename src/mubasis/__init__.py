@@ -55,6 +55,7 @@ from .grobner import (
     ideal_quotient,
     krull_dimension,
     lift_coefficients,
+    minimal_betti_table,
     minimal_generators,
     modules_equal,
     normal_form,

@@ -341,36 +341,71 @@ def _prem(f: dict[int, Poly], g: dict[int, Poly], vars) -> dict[int, Poly]:
     return r
 
 
-def _univar_coeffs(p: Poly, i: int) -> list[Fraction]:
-    out = [Fraction(0)] * (max(m[i] for m in p.terms) + 1)
+def _uni_coeffs(p: Poly, vi: int) -> list[Fraction]:
+    """Dense coefficient list, constant term first, of p univariate in x_vi."""
+    if p.is_zero():
+        return []
+    out = [Fraction(0)] * (max(m[vi] for m in p.terms) + 1)
     for m, c in p.terms.items():
-        out[m[i]] = c
+        if sum(m) != m[vi]:
+            raise ValueError("polynomial is not univariate in the requested variable")
+        out[m[vi]] += c
     return out
+
+
+def _uni_from_coeffs(cs, vi: int, vars) -> Poly:
+    terms = {}
+    for k, c in enumerate(cs):
+        if c:
+            mono = [0] * len(vars)
+            mono[vi] = k
+            terms[tuple(mono)] = c
+    return Poly(vars, terms)
+
+
+def _uni_divmod(a: list[Fraction], b: list[Fraction]):
+    """Quotient and remainder of coefficient lists; b has a nonzero top."""
+    a = list(a)
+    if not b:
+        raise ZeroDivisionError
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b) and a:
+        if a[-1] == 0:
+            a.pop()
+            continue
+        k = len(a) - len(b)
+        f = a[-1] / b[-1]
+        q[k] = f
+        for i, bc in enumerate(b):
+            a[i + k] -= f * bc
+        while a and a[-1] == 0:
+            a.pop()
+    return q, a
 
 
 def _euclid_univar(f: Poly, g: Poly, i: int) -> Poly:
     """Monic Euclidean gcd for polynomials univariate in variable i."""
-    a, b = _univar_coeffs(f, i), _univar_coeffs(g, i)
+    a, b = _uni_coeffs(f, i), _uni_coeffs(g, i)
     while b:
-        inv = Fraction(1) / b[-1]
-        b = [c * inv for c in b]
-        while len(a) >= len(b):
-            if a[-1] != 0:
-                k = len(a) - len(b)
-                lead = a[-1]
-                for j in range(len(b)):
-                    a[j + k] -= lead * b[j]
-            a.pop()
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    mono = [0] * len(f.vars)
-    terms = {}
-    for e, c in enumerate(a):
-        if c:
-            mono[i] = e
-            terms[tuple(mono)] = c
-    return Poly(f.vars, terms)
+        a, b = b, _uni_divmod(a, b)[1]
+    return _uni_from_coeffs([c / a[-1] for c in a], i, f.vars)
+
+
+def _uni_xgcd(a: Poly, b: Poly, vi: int):
+    """(g, u, v) with u a + v b = g, g monic (or constant 1), over Q[x_vi]."""
+    r0, r1 = _uni_coeffs(a, vi), _uni_coeffs(b, vi)
+    s0, s1 = Poly.const(a.vars, 1), Poly.zero(a.vars)
+    t0, t1 = s1, s0
+    while r1:
+        q, r = _uni_divmod(r0, r1)
+        q = _uni_from_coeffs(q, vi, a.vars)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if not r0:
+        raise ValueError("xgcd of zero polynomials")
+    inv = 1 / r0[-1]
+    return _uni_from_coeffs([c * inv for c in r0], vi, a.vars), s0 * inv, t0 * inv
 
 
 def _poly_gcd(f: Poly, g: Poly) -> Poly:

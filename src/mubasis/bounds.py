@@ -3,29 +3,37 @@
 Every formula is evaluated in exact integer arithmetic.  Violations of any
 proved inequality are reported as failed verdicts; the test suite treats a
 failed verdict on valid input as a library bug.
+
+Observed regularity, Betti numbers, generic-ACI shape and height come from
+the minimal Betti table read off the fixed-first-map resolution
+(``minimal_betti_table``); no second resolution is built.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 
 from .arith import Poly, exact_div, gcd_many
 from .errors import InternalError, ValidationError
 from .grobner import (
+    BettiTable,
     FreeResolution,
+    _betti_table,
     buchberger,
-    free_resolution,
     hilbert_function,
     hilbert_quotient,
     ideal_quotient,
     krull_dimension,
+    minimal_betti_table,
     minimal_generators,
     modules_equal,
     normal_form,
-    regularity_from_resolution,
+    resolution_invariants,
 )
+from .grobner import free_resolution  # noqa: F401  perfbench/tracing.py wraps this binding
 from .quillen_suslin import degree_bound_for_D
 
 #: The four bound regimes for the basis-degree theorem, tightest last.
@@ -146,22 +154,24 @@ def evaluate_bounds(d: int, m: int, case: str, beta2: int | None = None,
     )
 
 
-def check_resolution_bounds(res: FreeResolution, d: int, m: int,
-                            minres: FreeResolution | None = None) -> list[Verdict]:
+def check_resolution_bounds(res: FreeResolution, d: int, m: int) -> list[Verdict]:
     """Evaluate every proved inequality against a fixed-first-map resolution.
 
-    The true (minimal) Betti numbers are computed from a minimal resolution
-    of the same generators.  Failures are verdicts, not exceptions.
+    The true (minimal) Betti numbers and the regularity are read off the
+    resolution by ``minimal_betti_table``.  Failures are verdicts, not
+    exceptions.
     """
+    return _verdicts(res, minimal_betti_table(res) if d >= 1 else None, d, m)
+
+
+def _verdicts(res: FreeResolution, betti: BettiTable | None, d: int, m: int):
     if d < 1:
         return [Verdict("degenerate input (d = 0): bound theorems not applicable",
                         None, None, True, applicable=False)]
     gens = [g for g in res.gens if not g.is_zero()]
-    if minres is None:
-        minres = free_resolution(gens, fixed_first_map=False)
-    reg = regularity_from_resolution(minres)
-    beta1 = minres.ranks[1]
-    beta2 = minres.ranks[2]
+    reg = betti.regularity
+    beta1 = betti.totals[1]
+    beta2 = betti.totals[2]
     out = [
         Verdict("reg(ideal) <= 3d-2", regularity_bound(d), reg,
                 reg <= regularity_bound(d)),
@@ -174,9 +184,10 @@ def check_resolution_bounds(res: FreeResolution, d: int, m: int,
     eq_bound = beta2_bound_equal_degree(d, len(gens))
     out.append(Verdict("beta2 <= m*C(2d,2) (equal degrees)", eq_bound, beta2,
                        beta2 <= eq_bound, applicable=equal_degree))
-    for p in sorted(set(minres.p)):
-        count = sum(1 for x in minres.p if x == p)
-        cap = hilbert_function(gens, p - 2) - hilbert_function(gens, p - 3)
+    graded = sorted((p, n) for (i, p), n in betti.entries.items() if i == 2)
+    gb = buchberger(gens) if graded else None
+    for p, count in graded:
+        cap = hilbert_function(gb, p - 2) - hilbert_function(gb, p - 3)
         out.append(Verdict(f"graded beta2 in degree {p} <= H({p-2})-H({p-3})",
                            cap, count, count <= cap))
     if res.q:
@@ -187,8 +198,7 @@ def check_resolution_bounds(res: FreeResolution, d: int, m: int,
                            max(res.p) <= 3 * d))
     out.append(Verdict("last rank of fixed resolution = beta2", beta2,
                        res.ranks[2], res.ranks[2] == beta2))
-    height3 = krull_dimension(gens) == 0
-    applicable = height3 and equal_degree
+    applicable = equal_degree and _artinian(betti, len(res.vars))
     out.append(Verdict("beta1 <= 2d+2 (height 3, equal degrees)", 2 * d + 2,
                        beta1, beta1 <= 2 * d + 2, applicable=applicable))
     out.append(Verdict("beta2 <= 2d-1 (height 3, equal degrees)", 2 * d - 1,
@@ -196,15 +206,27 @@ def check_resolution_bounds(res: FreeResolution, d: int, m: int,
     return out
 
 
-def classify_surface_case(res: FreeResolution, minres: FreeResolution, d: int) -> str:
-    """Tightest applicable regime for the basis-degree theorem."""
+def _artinian(betti: BettiTable, nvars: int) -> bool:
+    """True when R/I has Krull dimension 0.  Its Hilbert series is
+    K(t)/(1-t)^nvars with K(t) = 1 - sum_ij (-1)^i beta_ij t^j, a polynomial
+    exactly when the moments sum_j K_j j^k vanish for k < nvars; K = 0 is the
+    unit ideal."""
+    K = Counter({0: 1})
+    for (i, j), n in betti.entries.items():
+        K[j] += (-1) ** (i + 1) * n
+    return any(K.values()) and not any(
+        sum(c * j**k for j, c in K.items()) for k in range(nvars))
+
+
+def classify_surface_case(res: FreeResolution, betti: BettiTable, d: int) -> str:
+    """Tightest applicable regime for the basis-degree theorem, given the
+    minimal Betti table of the ideal (``minimal_betti_table``)."""
     if res.ranks[2] == 0:
         return "pd1"
-    if general_aci_shape_check(minres, d):
+    if _general_aci_shape(betti, d):
         return "general_aci"
     gens = [g for g in res.gens if not g.is_zero()]
-    equal_degree = all(int(g.degree) == d for g in gens)
-    if equal_degree and krull_dimension(gens) == 0:
+    if all(int(g.degree) == d for g in gens) and _artinian(betti, len(res.vars)):
         return "height3"
     return "general"
 
@@ -440,26 +462,19 @@ def general_aci_shape_check(res: FreeResolution, d: int) -> bool:
     degree-d forms."""
     if res.fixed_first_map:
         raise ValueError("expects a minimal resolution")
-    first, middle, last = expected_general_aci_shape(d)
-    return (sorted(res.shifts0) == first and sorted(res.q) == middle
-            and sorted(res.p) == last)
+    return _general_aci_shape(resolution_invariants(res)[0], d)
+
+
+def _general_aci_shape(betti: BettiTable, d: int) -> bool:
+    return betti.entries == _betti_table(expected_general_aci_shape(d), False).entries
 
 
 def report_for_resolution(res: FreeResolution, d: int, m: int) -> BoundsReport:
     """Assemble a BoundsReport (formulas + verdicts + observations) for a
     fixed-first-map resolution of the homogenized ideal."""
-    gens = [g for g in res.gens if not g.is_zero()]
-    minres = None
-    case = "pd1" if res.ranks[2] == 0 else None
-    verdicts = []
-    if d >= 1:
-        minres = free_resolution(gens, fixed_first_map=False)
-        verdicts = check_resolution_bounds(res, d, m, minres=minres)
-        if case is None:
-            case = classify_surface_case(res, minres, d)
-    else:
-        case = "pd1"
-        verdicts = check_resolution_bounds(res, d, m)
+    betti = minimal_betti_table(res) if d >= 1 else None
+    verdicts = _verdicts(res, betti, d, m)
+    case = classify_surface_case(res, betti, d) if betti is not None else "pd1"
     gamma1 = int(res.d1.degree) if res.d1 is not None else None
     gamma2 = int(res.d2.degree) if res.d2 is not None else None
     beta2 = res.ranks[2]
@@ -474,8 +489,8 @@ def report_for_resolution(res: FreeResolution, d: int, m: int) -> BoundsReport:
         "max_q": max(res.q) if res.q else None,
         "max_p": max(res.p) if res.p else None,
     }
-    if minres is not None:
-        report.observed["beta1"] = minres.ranks[1]
-        report.observed["beta2"] = minres.ranks[2]
-        report.observed["regularity"] = regularity_from_resolution(minres)
+    if betti is not None:
+        report.observed["beta1"] = betti.totals[1]
+        report.observed["beta2"] = betti.totals[2]
+        report.observed["regularity"] = betti.regularity
     return report

@@ -15,6 +15,7 @@ independent cross-check of the resulting resolutions (``modules_equal``).
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -979,12 +980,15 @@ class BettiTable:
 
 def regularity_from_resolution(res: FreeResolution) -> int:
     """Castelnuovo-Mumford regularity of the ideal, from a minimal resolution."""
-    cands = [max(res.shifts0)]
-    if res.q:
-        cands.append(max(res.q) - 1)
-    if res.p:
-        cands.append(max(res.p) - 2)
-    return max(cands)
+    return _betti_table((res.shifts0, res.q, res.p), True).regularity
+
+
+def _betti_table(levels, minimal: bool) -> BettiTable:
+    entries = Counter((i, sh) for i, level in enumerate(levels) for sh in level)
+    reg = max(sh - i for i, sh in entries) if minimal else None
+    return BettiTable(entries=dict(entries),
+                      totals={i: len(level) for i, level in enumerate(levels)},
+                      regularity=reg)
 
 
 def resolution_invariants(res: FreeResolution):
@@ -994,22 +998,36 @@ def resolution_invariants(res: FreeResolution):
     the two maps.  The Betti table carries a regularity value only when the
     resolution is minimal.
     """
-    entries: dict = {}
-    for sh in res.shifts0:
-        entries[(0, sh)] = entries.get((0, sh), 0) + 1
-    for sh in res.q:
-        entries[(1, sh)] = entries.get((1, sh), 0) + 1
-    for sh in res.p:
-        entries[(2, sh)] = entries.get((2, sh), 0) + 1
-    totals = {i: sum(v for (h, _), v in entries.items() if h == i) for i in range(3)}
-    reg = None if res.fixed_first_map else regularity_from_resolution(res)
-    table = BettiTable(entries=entries, totals=totals, regularity=reg)
+    table = _betti_table((res.shifts0, res.q, res.p), not res.fixed_first_map)
     inv = {
         "a": res.ranks[2],
         "gamma1": int(res.d1.degree) if res.d1 is not None else None,
         "gamma2": int(res.d2.degree) if res.d2 is not None else None,
     }
     return table, inv
+
+
+def minimal_betti_table(res: FreeResolution) -> BettiTable:
+    """Minimal graded Betti numbers (with regularity) of the ideal, read off
+    a fixed-first-map resolution without building the minimal one.
+
+    beta_ij = dim Tor_i(I, Q)_j can be computed from any graded free
+    resolution, and every graded free resolution is the minimal one plus
+    trivial complexes R(-j) -> R(-j) (Eisenbud, The Geometry of Syzygies,
+    ch. 1).  Here d2 has no unit entries (``FreeResolution.validate``) and
+    the resolution stops at F2, so every trivial summand sits in
+    homological degrees 0 and 1, one for each generator that
+    ``minimal_generators`` drops (zero, or generated by the others).
+    Removing their degrees from shifts0 and from q leaves the minimal
+    table; p is already minimal.
+    """
+    nonzero = [(g,) for g in res.gens if not g.is_zero()]
+    _, first = minimal_generators(nonzero, [0])
+    trivial = Counter(res.shifts0) - Counter(first)
+    middle = Counter(res.q)
+    if trivial - middle:
+        raise InternalError("first syzygies lack a trivial summand of the generators")
+    return _betti_table((first, list((middle - trivial).elements()), res.p), True)
 
 
 # ---------------------------------------------------------------------------

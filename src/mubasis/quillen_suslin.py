@@ -34,6 +34,9 @@ from .arith import (
     VARS_ST,
     Poly,
     PolyMatrix,
+    _uni_coeffs,
+    _uni_from_coeffs,
+    _uni_xgcd,
     exact_div,
     gcd_many,
 )
@@ -131,85 +134,12 @@ def _uses_var(p: Poly, vi: int) -> bool:
     return any(m[vi] for m in p.terms)
 
 
-def _uni_coeffs(p: Poly, vi: int) -> list[Fraction]:
-    if p.is_zero():
-        return []
-    deg = max(m[vi] for m in p.terms)
-    out = [Fraction(0)] * (deg + 1)
-    for m, c in p.terms.items():
-        if sum(m) != m[vi]:
-            raise ValueError("polynomial is not univariate in the requested variable")
-        out[m[vi]] += c
-    return out
-
-
-def _uni_from_coeffs(cs, vi: int, vars=VARS_ST) -> Poly:
-    terms = {}
-    for k, c in enumerate(cs):
-        if c:
-            mono = [0] * len(vars)
-            mono[vi] = k
-            terms[tuple(mono)] = c
-    return Poly(vars, terms)
-
-
-def _uni_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        k = len(a) - len(b)
-        f = a[-1] / b[-1]
-        q[k] = f
-        for i, bc in enumerate(b):
-            a[i + k] -= f * bc
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a
-
-
-def _uni_xgcd(a: Poly, b: Poly, vi: int):
-    """(g, u, v) with u a + v b = g, g monic (or constant 1), over Q[x_vi]."""
-    ca, cb = _uni_coeffs(a, vi), _uni_coeffs(b, vi)
-    r0, r1 = ca, cb
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-
-    def sub_scaled(x, q, y):
-        out = list(x) + [Fraction(0)] * max(0, len(y) + len(q) - 1 - len(x))
-        for i, qc in enumerate(q):
-            if qc == 0:
-                continue
-            for j, yc in enumerate(y):
-                out[i + j] -= qc * yc
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    while r1:
-        q, r = _uni_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub_scaled(s0, q, s1)
-        t0, t1 = t1, sub_scaled(t0, q, t1)
-    if not r0:
-        raise ValueError("xgcd of zero polynomials")
-    lead = r0[-1]
-    r0 = [c / lead for c in r0]
-    s0 = [c / lead for c in s0]
-    t0 = [c / lead for c in t0]
-    return (_uni_from_coeffs(r0, vi), _uni_from_coeffs(s0, vi), _uni_from_coeffs(t0, vi))
-
-
 def _squarefree_part(g: Poly, vi: int) -> Poly:
     """g / gcd(g, g'), monic; g univariate in x_vi."""
     cs = _uni_coeffs(g, vi)
     if len(cs) <= 1:
         return Poly.const(g.vars, 1)
-    deriv = _uni_from_coeffs([c * k for k, c in enumerate(cs)][1:], vi)
+    deriv = _uni_from_coeffs([c * k for k, c in enumerate(cs)][1:], vi, g.vars)
     common = gcd_many([g, deriv])
     out = exact_div(g, common)
     return out.monic()

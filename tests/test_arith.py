@@ -9,6 +9,7 @@ from mubasis.arith import (
     VARS_STU,
     Poly,
     PolyMatrix,
+    _uni_xgcd,
     dehomogenize,
     divides,
     exact_div,
@@ -219,3 +220,56 @@ class TestMatrixBasics:
         m = PolyMatrix.from_columns([[S, T], [ONE, ONE]])
         assert m.rows == 2 and m.cols == 2
         assert m.column(0) == [S, T]
+
+
+def _univariate(rng, vi, max_deg):
+    """Random nonzero polynomial of Q[s,t] in variable vi only."""
+    cs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(0, max_deg) + 1)]
+    cs[-1] = cs[-1] or Fraction(1)
+    return Poly(VARS_ST, {tuple(k if i == vi else 0 for i in range(2)): c
+                          for k, c in enumerate(cs) if c})
+
+
+class TestEuclidAgainstSympy:
+    """gcd_many and the univariate extended Euclid against sympy (test-only
+    oracle; skipped when sympy is not installed)."""
+
+    @pytest.fixture
+    def sp(self):
+        return pytest.importorskip("sympy")
+
+    @staticmethod
+    def to_sympy(sp, p):
+        return sp.sympify(str(p).replace("^", "**"))
+
+    def test_gcd_many_matches_sympy_gcd(self, sp):
+        rng = random.Random(2024)
+        s_, t_ = sp.symbols("s t")
+        for trial in range(60):
+            if trial % 3 == 2:
+                common = random_poly(rng, VARS_ST, 2, coeff_bound=3, force_nonzero=True)
+                fs = [common * random_poly(rng, VARS_ST, 2, coeff_bound=3, force_nonzero=True)
+                      for _ in range(3)]
+            else:  # univariate inputs take the Euclidean route
+                vi = trial % 3
+                common = _univariate(rng, vi, 3)
+                fs = [common * _univariate(rng, vi, 3) for _ in range(3)]
+            ours = gcd_many(fs)
+            theirs = sp.gcd_list([self.to_sympy(sp, f) for f in fs])
+            assert sp.Poly(self.to_sympy(sp, ours), s_, t_).monic() == \
+                sp.Poly(theirs, s_, t_).monic()
+            assert ours.leading_coefficient() == 1
+
+    @pytest.mark.parametrize("vi", [0, 1])
+    def test_uni_xgcd_matches_sympy_gcdex(self, sp, vi):
+        rng = random.Random(7 + vi)
+        x = sp.symbols("st"[vi])
+        for _ in range(40):
+            common = _univariate(rng, vi, 2)
+            a = common * _univariate(rng, vi, 4)
+            b = common * _univariate(rng, vi, 4)
+            g, u, v = _uni_xgcd(a, b, vi)
+            assert u * a + v * b == g
+            su, sv, sg = sp.gcdex(self.to_sympy(sp, a), self.to_sympy(sp, b), x)
+            assert [self.to_sympy(sp, p) for p in (g, u, v)] == \
+                [sp.expand(e) for e in (sg, su, sv)]

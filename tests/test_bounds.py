@@ -3,7 +3,9 @@ import random
 import pytest
 
 from mubasis.arith import VARS_ST, VARS_STU, Poly, gcd_many
+from mubasis import bounds, grobner
 from mubasis.bounds import (
+    _artinian,
     basis_degree_bound,
     beta2_bound_equal_degree,
     beta2_bound_total,
@@ -20,7 +22,7 @@ from mubasis.bounds import (
     socle_check,
 )
 from mubasis.errors import ValidationError
-from mubasis.grobner import free_resolution, krull_dimension
+from mubasis.grobner import free_resolution, krull_dimension, minimal_betti_table
 from helpers import random_form
 
 S = Poly.variable(VARS_STU, "s")
@@ -94,9 +96,8 @@ class TestResolutionVerdicts:
 
     def test_classification(self):
         res = reference_resolution()
-        minres = free_resolution(list(res.gens), fixed_first_map=False)
         # Artinian equal-degree but not the generic shape (Koszul on 3 gens)
-        assert classify_surface_case(res, minres, 2) == "height3"
+        assert classify_surface_case(res, minimal_betti_table(res), 2) == "height3"
 
     def test_report_for_resolution(self):
         res = reference_resolution()
@@ -105,6 +106,36 @@ class TestResolutionVerdicts:
         assert rep.all_passed()
         assert rep.observed["beta2"] == 1
         assert rep.observed["regularity"] == 4
+
+    def test_report_builds_no_resolution_and_one_groebner_basis(self, monkeypatch):
+        calls = {"free_resolution": 0, "buchberger": 0}
+        for module in (grobner, bounds):
+            for name in calls:
+                def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counting)
+        for gens in ([S**2, T**2, S**2 - U**2, S**2 + U**2],
+                     [S**2 - T * U, T**2, U**2, Poly.zero(VARS_STU)]):
+            res = free_resolution(gens, fixed_first_map=True)
+            calls.update(free_resolution=0, buchberger=0)
+            rep = report_for_resolution(res, 2, 4)
+            assert rep.case == "height3" and rep.all_passed()
+            assert calls == {"free_resolution": 0, "buchberger": 1}
+
+    @pytest.mark.parametrize("gens", [
+        [S**2, T**2, S**2 - U**2, S**2 + U**2],
+        [S**2, S * T, T**2, S * U],
+        [S, T, Poly.zero(VARS_STU), Poly.zero(VARS_STU)],
+        [S * U, T * U, U**2, S * T],
+        [Poly.const(VARS_STU, 1), S, T, U],
+    ] + [[random_form(rng, VARS_STU, 2, coeff_bound=3, density=0.4) for _ in range(4)]
+         for rng in map(random.Random, range(4))])
+    def test_height_from_betti_table_matches_krull_dimension(self, gens):
+        table = minimal_betti_table(free_resolution(gens, fixed_first_map=True))
+        nonzero = [g for g in gens if not g.is_zero()]
+        assert _artinian(table, 3) == (krull_dimension(nonzero) == 0)
 
 
 class TestCoprimeSequence:

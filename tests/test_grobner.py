@@ -1,11 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mubasis import grobner
 from mubasis.arith import VARS_ST, VARS_STU, Poly, gcd_many, homogenize, monomials_of_degree
+from mubasis.errors import InternalError
 from mubasis.grobner import (
     Vec,
     _fraction_nullspace,
@@ -21,9 +22,11 @@ from mubasis.grobner import (
     integer_normalize,
     krull_dimension,
     lift_coefficients,
+    minimal_betti_table,
     minimal_generators,
     modules_equal,
     normal_form,
+    regularity_from_resolution,
     resolution_invariants,
     schreyer_syzygy_basis,
     syzygy_generators,
@@ -543,3 +546,75 @@ def test_fraction_nullspace_matches_dense_elimination(case):
     rows, ncols = case
     sparse = [{c: x for c, x in enumerate(r)} for r in rows]
     assert _fraction_nullspace(sparse, ncols) == nullspace(rows, ncols)
+
+
+def assert_minimal_betti_matches_oracle(row):
+    """The table read off the fixed-first-map resolution equals the one of a
+    separately built minimal resolution of the nonzero generators."""
+    table = minimal_betti_table(free_resolution(row, fixed_first_map=True))
+    minres = free_resolution([g for g in row if not g.is_zero()], fixed_first_map=False)
+    oracle, _ = resolution_invariants(minres)
+    assert table.entries == oracle.entries
+    assert table.totals == oracle.totals
+    assert table.regularity == oracle.regularity == regularity_from_resolution(minres)
+    return table
+
+
+class TestMinimalBettiTable:
+    def test_reference_row_prunes_its_dependent_generator(self):
+        row = homogenized_reference_generators()
+        table = assert_minimal_betti_matches_oracle(row)
+        assert table.totals == {0: 3, 1: 3, 2: 1} and table.regularity == 4
+        fixed, _ = resolution_invariants(free_resolution(row, fixed_first_map=True))
+        assert fixed.totals == {0: 4, 1: 4, 2: 1} and fixed.regularity is None
+
+    def test_scalar_multiple_component(self):
+        row = [S * T + 2 * U**2, -(T**2) + 2 * U**2, -(S * T), -2 * S * T]
+        assert assert_minimal_betti_matches_oracle(row).totals[0] == 3
+
+    @pytest.mark.parametrize("row", [
+        [S**2, T**2, ZERO3, S * T + U**2],
+        [S**2 - T * U, T**2, U**2, ZERO3],
+        [S, T**2, S * T, U],  # s*t = t*s: generated, not a scalar combination
+    ])
+    def test_zero_or_generated_component(self, row):
+        assert assert_minimal_betti_matches_oracle(row).totals[0] == 3
+
+    @pytest.mark.parametrize("seed,d", [(1, 2), (2, 2), (3, 2), (8, 2), (1, 3)])
+    def test_recipe_rows(self, seed, d):
+        assert_minimal_betti_matches_oracle(recipe_row(seed, d))
+
+    def test_already_minimal_resolution_is_unchanged(self):
+        minres = free_resolution([S**2, T**2, U**2], fixed_first_map=False)
+        table, _ = resolution_invariants(minres)
+        assert minimal_betti_table(minres) == table
+
+    def test_missing_trivial_summand_is_an_internal_error(self):
+        res = free_resolution(homogenized_reference_generators(), fixed_first_map=True)
+        res.q = tuple(x for x in res.q if x != 2)
+        with pytest.raises(InternalError, match="trivial summand"):
+            minimal_betti_table(res)
+
+
+@st.composite
+def rows_with_redundant_component(draw):
+    """Three random forms of degree 1 or 2 and, at a drawn position, a fourth
+    that is zero or a Q-combination of forms of its degree."""
+    degs = draw(st.lists(st.integers(1, 2), min_size=3, max_size=3))
+    base = [_draw_form(draw, k) for k in degs]
+    if draw(st.booleans()):
+        extra = ZERO3
+    else:
+        i = draw(st.integers(0, 2))
+        j = draw(st.sampled_from([j for j in range(3) if degs[j] == degs[i]]))
+        extra = draw(_COEFF) * base[i] + draw(_COEFF) * base[j]
+    row = list(base)
+    row.insert(draw(st.integers(0, 3)), extra)
+    return row
+
+
+@settings(max_examples=60, deadline=20000)
+@given(rows_with_redundant_component())
+def test_minimal_betti_table_matches_minimal_resolution(row):
+    assume(any(not g.is_zero() for g in row))
+    assert_minimal_betti_matches_oracle(row)
