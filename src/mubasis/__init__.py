@@ -47,7 +47,6 @@ from .grobner import (
     BettiTable,
     FreeResolution,
     GroebnerBasis,
-    SchreyerOrder,
     buchberger,
     free_resolution,
     hilbert_function,

@@ -2,14 +2,17 @@
 
 Groebner bases run through one engine operating on sparse module vectors
 ({(position, monomial): coefficient} dictionaries); an ideal is the rank-1
-case.  Buchberger's algorithm tracks representations of basis elements in
-terms of the input generators, which powers syzygy computation (Schreyer's
-construction), membership lifting and ideal quotients.
+case.  For the callers that need them, Buchberger's algorithm tracks
+representations of basis elements in terms of the input generators, which
+powers syzygy computation (Schreyer's construction), membership lifting and
+ideal quotients.
 
-Minimal generators of graded modules are selected by exact linear algebra
-on one graded piece at a time (graded Nakayama), with one echelon routine
-that also yields the graded syzygy spaces; Buchberger remains the
-independent cross-check of the resulting resolutions (``modules_equal``).
+Free resolutions are built by exact linear algebra on one graded piece at a
+time (graded Nakayama), with one echelon routine that yields both the
+graded syzygy spaces and the minimal generators; a Groebner basis only
+supplies the Schreyer degree bound that ends the scan.  The Buchberger and
+Schreyer route of ``syzygy_generators`` stays independent of it and serves
+verification.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
@@ -50,23 +54,6 @@ class TermOverPosition:
     def key(self, pm):
         pos, mono = pm
         return (grevlex_key(mono), -pos)
-
-
-class SchreyerOrder:
-    """Order induced by the leading monomials of a Groebner basis.
-
-    (m, e_i) exceeds (m', e_j) when m * lm(g_i) exceeds m' * lm(g_j) in
-    grevlex, ties broken by position.
-    """
-
-    name = "schreyer"
-
-    def __init__(self, lead_monomials: Sequence[Monomial]):
-        self.leads = list(lead_monomials)
-
-    def key(self, pm):
-        pos, mono = pm
-        return (grevlex_key(mono_mul(mono, self.leads[pos])), -pos)
 
 
 GREVLEX = TermOverPosition()
@@ -137,14 +124,21 @@ class Vec:
         return isinstance(other, Vec) and self.rank == other.rank and self.terms == other.terms
 
 
+def _lead(g: Vec, order):
+    """((position, monomial), coefficient) of the leading term of g."""
+    pm = g.leading(order)
+    return pm, g.terms[pm]
+
+
 def _reduce_full(vec: Vec, basis: Sequence[Vec], order, leads=None, want_quotients=False):
     """Full normal form of vec against basis; optionally track quotients.
 
     Returns (remainder, quotients) where quotients[i] is the Poly q_i with
-    vec = sum q_i basis_i + remainder.
+    vec = sum q_i basis_i + remainder.  leads, when given, holds _lead of
+    every basis element.
     """
     if leads is None:
-        leads = [(g.leading(order), g.terms[g.leading(order)]) for g in basis]
+        leads = [_lead(g, order) for g in basis]
     vars = vec.vars
     quots = [dict() for _ in basis] if want_quotients else None
     work = dict(vec.terms)
@@ -181,20 +175,20 @@ def _reduce_full(vec: Vec, basis: Sequence[Vec], order, leads=None, want_quotien
 
 @dataclass
 class _ExtGB:
-    """Reduced Groebner basis with representations over the input generators."""
+    """Reduced Groebner basis, with representations over the input generators
+    when they were tracked (reps is None otherwise)."""
 
     vars: tuple
     rank: int
     ngens: int
     order: object
     vecs: list          # reduced GB elements
-    reps: list          # reps[i]: list of Poly, vecs[i] = sum reps[i][j] * gen_j
+    reps: list | None   # reps[i]: list of Poly, vecs[i] = sum reps[i][j] * gen_j
     leads: list = field(default_factory=list)
 
     def __post_init__(self):
         if not self.leads:
-            self.leads = [(g.leading(self.order), g.terms[g.leading(self.order)])
-                          for g in self.vecs]
+            self.leads = [_lead(g, self.order) for g in self.vecs]
 
     def reduce(self, vec: Vec, want_quotients=False):
         return _reduce_full(vec, self.vecs, self.order, self.leads, want_quotients)
@@ -218,20 +212,34 @@ class _ExtGB:
         return coeffs
 
 
-def _spair_data(gi: Vec, gj: Vec, order):
-    (pi, mi) = gi.leading(order)
-    (pj, mj) = gj.leading(order)
+def _spair_data(lead_i, lead_j):
+    """S-pair multipliers from two leads ((position, monomial), coefficient);
+    None when the positions differ."""
+    (pi, mi), ci = lead_i
+    (pj, mj), cj = lead_j
     if pi != pj:
         return None
     u = mono_lcm(mi, mj)
-    ci = gi.terms[(pi, mi)]
-    cj = gj.terms[(pj, mj)]
     return u, mono_div(u, mi), Fraction(1) / ci, mono_div(u, mj), Fraction(1) / cj
 
 
-def _buchberger_ext(gens: Sequence[Vec], order) -> _ExtGB:
-    """Buchberger with sugar selection, both classical criteria, and
-    representation tracking; finishes with interreduction to the reduced basis."""
+def _add_combination(base, coeffs, vectors):
+    """base + sum_g coeffs[g] * vectors[g], entry by entry (lists of Poly)."""
+    out = list(base)
+    for c, v in zip(coeffs, vectors):
+        if c.is_zero():
+            continue
+        for l, vl in enumerate(v):
+            if not vl.is_zero():
+                out[l] = out[l] + c * vl
+    return out
+
+
+def _buchberger_ext(gens: Sequence[Vec], order, track_reps: bool) -> _ExtGB:
+    """Buchberger with sugar selection and both classical criteria; finishes
+    with interreduction to the reduced basis.  With track_reps every basis
+    element carries its representation over gens, which only lifting and
+    syzygy callers read."""
     vars = gens[0].vars
     rank = gens[0].rank
     k = len(gens)
@@ -239,23 +247,24 @@ def _buchberger_ext(gens: Sequence[Vec], order) -> _ExtGB:
     zero = Poly.zero(vars)
 
     G: list[Vec] = []
-    reps: list[list[Poly]] = []
+    LT: list = []  # _lead of every element of G
+    reps: list = []
     sugars: list[int] = []
     for idx, g in enumerate(gens):
         if g.is_zero():
             continue
         G.append(g.copy())
-        reps.append([one if j == idx else zero for j in range(k)])
+        LT.append(_lead(g, order))
+        reps.append([one if j == idx else zero for j in range(k)] if track_reps else None)
         sugars.append(max(sum(m) for _, m in g.terms))
 
     pending: set[tuple[int, int]] = set()
     heap: list[tuple[int, int, int, int]] = []
 
     def push_pairs(new_idx: int):
-        gn = G[new_idx]
-        pn, mn = gn.leading(order)
+        pn, mn = LT[new_idx][0]
         for i in range(new_idx):
-            pi, mi = G[i].leading(order)
+            pi, mi = LT[i][0]
             if pi != pn:
                 continue
             u = mono_lcm(mi, mn)
@@ -273,12 +282,12 @@ def _buchberger_ext(gens: Sequence[Vec], order) -> _ExtGB:
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        data = _spair_data(G[i], G[j], order)
+        data = _spair_data(LT[i], LT[j])
         if data is None:
             continue
         u, qi, ci_inv, qj, cj_inv = data
-        (pi, mi) = G[i].leading(order)
-        (pj, mj) = G[j].leading(order)
+        (pi, mi) = LT[i][0]
+        (pj, mj) = LT[j][0]
         # product criterion (ideals only)
         if rank == 1 and mono_mul(mi, mj) == u:
             continue
@@ -287,7 +296,7 @@ def _buchberger_ext(gens: Sequence[Vec], order) -> _ExtGB:
         for l in range(len(G)):
             if l in (i, j):
                 continue
-            (pl, ml) = G[l].leading(order)
+            (pl, ml) = LT[l][0]
             if pl != pi or not mono_divides(ml, u):
                 continue
             a = (min(i, l), max(i, l))
@@ -298,17 +307,16 @@ def _buchberger_ext(gens: Sequence[Vec], order) -> _ExtGB:
         if skip:
             continue
         s_vec = G[i].term_mul(qi, ci_inv) - G[j].term_mul(qj, cj_inv)
-        rem, quots = _reduce_full(s_vec, G, order, want_quotients=True)
+        rem, quots = _reduce_full(s_vec, G, order, LT, want_quotients=True)
         if rem.is_zero():
             continue
-        rep = [zero] * k
-        for l in range(k):
-            acc = reps[i][l].term_mul(qi, ci_inv) - reps[j][l].term_mul(qj, cj_inv)
-            for q, r in zip(quots, reps):
-                if not q.is_zero() and not r[l].is_zero():
-                    acc = acc - q * r[l]
-            rep[l] = acc
+        rep = None
+        if track_reps:
+            rep = _add_combination(
+                [a.term_mul(qi, ci_inv) - b.term_mul(qj, cj_inv)
+                 for a, b in zip(reps[i], reps[j])], [-q for q in quots], reps)
         G.append(rem)
+        LT.append(_lead(rem, order))
         reps.append(rep)
         sugar = pair_sugar
         for q, s in zip(quots, sugars):
@@ -318,44 +326,37 @@ def _buchberger_ext(gens: Sequence[Vec], order) -> _ExtGB:
         push_pairs(len(G) - 1)
 
     # interreduce: drop redundant leading terms, then tail-reduce, then scale monic
-    order_keys = [order.key(g.leading(order)) for g in G]
-    idx_sorted = sorted(range(len(G)), key=lambda i: order_keys[i])
+    idx_sorted = sorted(range(len(G)), key=lambda i: order.key(LT[i][0]))
     kept: list[int] = []
     for i in idx_sorted:
-        (pi, mi) = G[i].leading(order)
-        if any(G[l].leading(order)[0] == pi and mono_divides(G[l].leading(order)[1], mi)
-               for l in kept):
+        (pi, mi) = LT[i][0]
+        if any(LT[l][0][0] == pi and mono_divides(LT[l][0][1], mi) for l in kept):
             continue
         kept.append(i)
     G2 = [G[i] for i in kept]
+    L2 = [LT[i] for i in kept]
     R2 = [reps[i] for i in kept]
     changed = True
     while changed:
         changed = False
         for i in range(len(G2)):
-            others = G2[:i] + G2[i + 1:]
-            rem, quots = _reduce_full(G2[i], others, order, want_quotients=True)
+            rem, quots = _reduce_full(G2[i], G2[:i] + G2[i + 1:], order, L2[:i] + L2[i + 1:],
+                                      want_quotients=track_reps)
             if rem == G2[i]:
                 continue
             changed = True
-            rep = list(R2[i])
-            other_reps = R2[:i] + R2[i + 1:]
-            for l in range(k):
-                acc = rep[l]
-                for q, r in zip(quots, other_reps):
-                    if not q.is_zero() and not r[l].is_zero():
-                        acc = acc - q * r[l]
-                rep[l] = acc
+            if track_reps:
+                R2[i] = _add_combination(R2[i], [-q for q in quots], R2[:i] + R2[i + 1:])
             G2[i] = rem
-            R2[i] = rep
+            L2[i] = _lead(rem, order)
     for i in range(len(G2)):
-        lc = G2[i].terms[G2[i].leading(order)]
-        inv = Fraction(1) / lc
+        inv = Fraction(1) / L2[i][1]
         G2[i] = G2[i].scale(inv)
-        R2[i] = [r * inv for r in R2[i]]
-    pairs = sorted(range(len(G2)), key=lambda i: order.key(G2[i].leading(order)))
+        if track_reps:
+            R2[i] = [r * inv for r in R2[i]]
+    pairs = sorted(range(len(G2)), key=lambda i: order.key(L2[i][0]))
     G2 = [G2[i] for i in pairs]
-    R2 = [R2[i] for i in pairs]
+    R2 = [R2[i] for i in pairs] if track_reps else None
     return _ExtGB(vars=vars, rank=rank, ngens=k, order=order, vecs=G2, reps=R2)
 
 
@@ -440,7 +441,7 @@ def buchberger(gens, order=None) -> GroebnerBasis:
     nonzero = [v for v in vecs if not v.is_zero()]
     if not nonzero:
         raise ValueError("all generators are zero")
-    return GroebnerBasis(_buchberger_ext(nonzero, order or GREVLEX), scalar)
+    return GroebnerBasis(_buchberger_ext(nonzero, order or GREVLEX, track_reps=False), scalar)
 
 
 def normal_form(x, gb: GroebnerBasis):
@@ -453,7 +454,7 @@ def make_lifter(gens):
     nonzero = [(i, v) for i, v in enumerate(vecs) if not v.is_zero()]
     if not nonzero:
         return lambda target: None
-    ext = _buchberger_ext([v for _, v in nonzero], GREVLEX)
+    ext = _buchberger_ext([v for _, v in nonzero], GREVLEX, track_reps=True)
     zero = Poly.zero(vars)
 
     def lift(target):
@@ -484,7 +485,7 @@ def reduce_with_certificate(target, gens):
     nonzero = [(i, v) for i, v in enumerate(vecs) if not v.is_zero()]
     if not nonzero:
         return target, [zero] * len(vecs)
-    ext = _buchberger_ext([v for _, v in nonzero], GREVLEX)
+    ext = _buchberger_ext([v for _, v in nonzero], GREVLEX, track_reps=True)
     tvec = Vec.from_polys([target]) if scalar else Vec.from_polys(tuple(target), rank)
     rem, coeffs = ext.reduce_certified(tvec)
     out = [zero] * len(vecs)
@@ -503,11 +504,10 @@ def _schreyer_sigmas(ext: _ExtGB) -> list[tuple[Poly, ...]]:
     """Generators of Syz(gb) from every same-position pair (no criteria)."""
     G = ext.vecs
     vars = ext.vars
-    zero = Poly.zero(vars)
     sigmas = []
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
-            data = _spair_data(G[i], G[j], ext.order)
+            data = _spair_data(ext.leads[i], ext.leads[j])
             if data is None:
                 continue
             u, qi, ci_inv, qj, cj_inv = data
@@ -515,25 +515,11 @@ def _schreyer_sigmas(ext: _ExtGB) -> list[tuple[Poly, ...]]:
             rem, quots = ext.reduce(s_vec, want_quotients=True)
             if not rem.is_zero():
                 raise InternalError("S-vector of a Groebner basis did not reduce to zero")
-            sigma = [zero] * len(G)
+            sigma = [-q for q in quots]
             sigma[i] = sigma[i] + Poly(vars, {qi: ci_inv})
             sigma[j] = sigma[j] - Poly(vars, {qj: cj_inv})
-            for l, q in enumerate(quots):
-                if not q.is_zero():
-                    sigma[l] = sigma[l] - q
             sigmas.append(tuple(sigma))
     return sigmas
-
-
-def schreyer_syzygy_basis(gens):
-    """(gb, sigmas, order): Syz(gb.generators) generators that form a Groebner
-    basis under the Schreyer order induced by gb's leading terms."""
-    vecs, rank, vars, scalar = _normalize_items(gens)
-    nonzero = [v for v in vecs if not v.is_zero()]
-    ext = _buchberger_ext(nonzero, GREVLEX)
-    sigmas = _schreyer_sigmas(ext)
-    order = SchreyerOrder([g.leading(ext.order)[1] for g in ext.vecs])
-    return GroebnerBasis(ext, scalar), sigmas, order
 
 
 def syzygy_generators(items) -> list[tuple[Poly, ...]]:
@@ -553,28 +539,19 @@ def syzygy_generators(items) -> list[tuple[Poly, ...]]:
     for zi in zero_idx:
         out.append(tuple(one if j == zi else zero for j in range(k)))
     if nz:
-        ext = _buchberger_ext([v for _, v in nz], GREVLEX)
+        ext = _buchberger_ext([v for _, v in nz], GREVLEX, track_reps=True)
         A = ext.reps  # gb[g] = sum A[g][l] * nz[l]
         nnz = len(nz)
         # syzygies of the gb, pushed down to the nonzero inputs
         for sigma in _schreyer_sigmas(ext):
-            w = [zero] * nnz
-            for g, coeff in enumerate(sigma):
-                if coeff.is_zero():
-                    continue
-                for l in range(nnz):
-                    if not A[g][l].is_zero():
-                        w[l] = w[l] + coeff * A[g][l]
-            out.append(_expand(w, nz, k, zero))
+            out.append(_expand(_add_combination([zero] * nnz, sigma, A), nz, k, zero))
         # completion rows: v_l - sum_g B[l][g] gb_g = 0
         for l, (orig, v) in enumerate(nz):
             quotsB = ext.lift(v)
             if quotsB is None:
                 raise InternalError("generator does not reduce to zero against its own basis")
-            w = [zero] * nnz
-            w[l] = one
-            for ll in range(nnz):
-                w[ll] = w[ll] - quotsB[ll]
+            w = [-q for q in quotsB]
+            w[l] = w[l] + one
             out.append(_expand(w, nz, k, zero))
     result = []
     seen = set()
@@ -589,14 +566,7 @@ def syzygy_generators(items) -> list[tuple[Poly, ...]]:
     # exactness check: every generator really is a syzygy
     originals = [v.to_polys() for v in vecs]
     for w in result:
-        acc = [zero] * rank
-        for wi, v in zip(w, originals):
-            if wi.is_zero():
-                continue
-            for pos in range(rank):
-                if not v[pos].is_zero():
-                    acc[pos] = acc[pos] + wi * v[pos]
-        if any(not a.is_zero() for a in acc):
+        if any(not a.is_zero() for a in _add_combination([zero] * rank, w, originals)):
             raise InternalError("computed vector is not a syzygy")
     return result
 
@@ -629,15 +599,10 @@ def integer_normalize(vec):
     return tuple(p * scale for p in vec)
 
 
-def module_membership_all(candidates, gens) -> bool:
-    """True when every candidate vector lies in the module generated by gens."""
-    gb = buchberger(gens)
-    return all(gb.contains(c) for c in candidates)
-
-
 def modules_equal(gens_a, gens_b) -> bool:
     """Double-inclusion equality of two submodules given by generators."""
-    return module_membership_all(gens_a, gens_b) and module_membership_all(gens_b, gens_a)
+    return all(all(map(buchberger(b).contains, a))
+               for a, b in ((gens_a, gens_b), (gens_b, gens_a)))
 
 
 # ---------------------------------------------------------------------------
@@ -748,13 +713,18 @@ class _GradedSpan:
         self.degree = None
         self.piece: dict = {}  # echelon form of the current degree
 
-    def add(self, vec: Vec, deg: int) -> bool:
-        """Keep vec unless the kept vectors generate it; True when kept."""
+    def rank(self, deg: int) -> int:
+        """Dimension of the degree-deg piece of the submodule."""
         if deg != self.degree:
             self.degree, self.piece = deg, {}
             for gdeg, g in self.kept:
                 for m in monomials_of_degree(len(g.vars), deg - gdeg):
                     _echelon_add(self.piece, g.term_mul(m, Fraction(1)).terms)
+        return len(self.piece)
+
+    def add(self, vec: Vec, deg: int) -> bool:
+        """Keep vec unless the kept vectors generate it; True when kept."""
+        self.rank(deg)
         if not _echelon_add(self.piece, vec.terms):
             return False
         self.kept.append((deg, vec))
@@ -762,21 +732,24 @@ class _GradedSpan:
 
 
 def _fraction_nullspace(rows, ncols):
-    """Right-nullspace basis of an exact rational matrix, given by sparse rows
-    ({column: value}), read off its reduced row echelon form."""
+    """(dimension, basis) of the right nullspace of an exact rational matrix
+    given by sparse rows ({column: value}); the basis is read off its reduced
+    row echelon form one vector at a time, as it is consumed."""
     ech: dict = {}
     for r in rows:
         _echelon_add(ech, {c: x for c, x in r.items() if x})
-    basis = []
-    for fc in range(ncols):
-        if fc in ech:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for pc, row in ech.items():
-            v[pc] = Fraction(-row.get(fc, 0), row[pc])
-        basis.append(v)
-    return basis
+
+    def basis():
+        for fc in range(ncols):
+            if fc in ech:
+                continue
+            v = [Fraction(0)] * ncols
+            v[fc] = Fraction(1)
+            for pc, row in ech.items():
+                v[pc] = Fraction(-row.get(fc, 0), row[pc])
+            yield v
+
+    return ncols - len(ech), basis()
 
 
 def graded_syzygy_space(vectors, degrees, row_shifts, k):
@@ -784,69 +757,91 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k):
 
     vectors[i] lives in ⊕_j S(-row_shifts[j]) and is homogeneous of degree
     degrees[i]; zero vectors are admitted (their coefficients are free, so
-    unit syzygies appear naturally).  Returns integer-normalized tuples.
+    unit syzygies appear naturally).  Returns (dimension, basis), the basis
+    built lazily as integer-normalized tuples.
     """
-    vars = None
-    for v in vectors:
-        for p in v:
-            vars = p.vars
-            break
-        break
-    nvars = len(vars)
-    cols = []  # (vector index, coefficient monomial)
-    for i, deg in enumerate(degrees):
-        cd = k - deg
-        if cd < 0:
-            continue
-        cols.extend((i, m) for m in monomials_of_degree(nvars, cd))
-    if not cols:
-        return []
-    eq_index = {}
-    for j, rho in enumerate(row_shifts):
-        for m in monomials_of_degree(nvars, k - rho) if k - rho >= 0 else []:
-            eq_index[(j, m)] = len(eq_index)
+    vars = next(p.vars for v in vectors for p in v)
+
+    def graded(shifts):  # (index, monomial of degree k - shift) pairs
+        return [(i, m) for i, sh in enumerate(shifts) if sh <= k
+                for m in monomials_of_degree(len(vars), k - sh)]
+
+    cols = graded(degrees)  # (vector index, coefficient monomial)
+    eq_index = {jm: n for n, jm in enumerate(graded(row_shifts))}
     rows = [dict() for _ in range(len(eq_index))]
     for ci, (i, mono) in enumerate(cols):
         for j, comp in enumerate(vectors[i]):
             for pm, c in comp.terms.items():
                 row = rows[eq_index[(j, mono_mul(pm, mono))]]
                 row[ci] = row.get(ci, 0) + c
-    out = []
+    dim, solutions = _fraction_nullspace(rows, len(cols))
     zero = Poly.zero(vars)
-    for sol in _fraction_nullspace(rows, len(cols)):
-        w = [dict() for _ in vectors]
-        for ci, (i, mono) in enumerate(cols):
-            if sol[ci]:
-                w[i][mono] = sol[ci]
-        out.append(integer_normalize(tuple(Poly(vars, t) if t else zero for t in w)))
-    return out
+
+    def basis():
+        for sol in solutions:
+            w = [dict() for _ in vectors]
+            for ci, (i, mono) in enumerate(cols):
+                if sol[ci]:
+                    w[i][mono] = sol[ci]
+            yield integer_normalize(tuple(Poly(vars, t) if t else zero for t in w))
+
+    return dim, basis()
 
 
-def _small_minimal_generators(vectors, degrees, row_shifts, target_degrees):
-    """Minimal generators with small integer coefficients.
+def _schreyer_degree_bound(vectors, degrees, row_shifts) -> int:
+    """A degree D such that Syz(vectors) is generated in degrees <= D.
 
-    Re-picks representatives degree by degree from exact nullspaces; the
-    multiset of degrees must reproduce target_degrees (graded Nakayama makes
-    it intrinsic), otherwise the caller's data was inconsistent.
+    For a Groebner basis g of the module the vectors generate, Schreyer's
+    theorem (Eisenbud, Commutative Algebra, Thm 15.10) says the S-pair
+    syzygies of same-position pairs generate Syz(g); the one of g_a, g_b
+    has degree |lcm(lm g_a, lm g_b)| + row_shifts[pos].  Pushed down to the
+    vectors, with the rows v_l - sum B_la g_a of degree deg v_l, they
+    generate Syz(vectors).  Only degrees are needed, not representations.
+    """
+    bound = max(degrees)
+    nonzero = [v for v in vectors if any(not p.is_zero() for p in v)]
+    if not nonzero:
+        return bound
+    leads = [pm for pm, _ in buchberger(nonzero)._ext.leads]
+    for a, (pa, ma) in enumerate(leads):
+        for pb, mb in leads[a + 1:]:
+            if pa == pb:
+                bound = max(bound, sum(mono_lcm(ma, mb)) + row_shifts[pa])
+    return bound
+
+
+def _minimal_syzygies(vectors, degrees, row_shifts):
+    """Minimal generators of Syz(vectors) with small integer coefficients,
+    and their degrees (vectors and degrees as in graded_syzygy_space).
+
+    Graded pieces are scanned in increasing degree up to the Schreyer bound.
+    In each, basis vectors are kept in order unless the kept ones generate
+    them, until the kept ones span the piece, checked exactly by dimension.
+    By graded Nakayama the kept vectors are minimal generators of every
+    piece up to the bound, and past it no new generator is needed.
     """
     span = _GradedSpan()
     kept: list = []
     degs: list[int] = []
-    for k in sorted(set(target_degrees)):
-        want = sum(1 for d in target_degrees if d == k)
-        space = graded_syzygy_space(vectors, degrees, row_shifts, k)
-        found = 0
+    for k in range(min(degrees), _schreyer_degree_bound(vectors, degrees, row_shifts) + 1):
+        dim, space = graded_syzygy_space(vectors, degrees, row_shifts, k)
         for v in space:
-            if found == want:
+            if span.rank(k) == dim:
                 break
-            if not span.add(Vec.from_polys(v), k):
-                continue
-            kept.append(v)
-            degs.append(k)
-            found += 1
-        if found != want:
-            raise InternalError("graded piece is short of minimal generators")
+            if span.add(Vec.from_polys(v), k):
+                kept.append(v)
+                degs.append(k)
+        if span.rank(k) != dim:
+            raise InternalError("kept syzygies do not span a graded piece")
     return kept, degs
+
+
+def _is_injective(m: PolyMatrix) -> bool:
+    """True when some maximal minor of m (at least as many rows as columns)
+    is nonzero, i.e. m has full column rank over the polynomial domain."""
+    cols = range(m.cols)
+    return any(not m.submatrix(rows, cols).det().is_zero()
+               for rows in combinations(range(m.rows), m.cols))
 
 
 @dataclass
@@ -909,7 +904,9 @@ def free_resolution(gens, fixed_first_map: bool) -> FreeResolution:
 
     With fixed_first_map the first map is the given generator row (possibly
     non-minimal); later maps are always chosen minimally.  Without it the
-    entire resolution is minimal.
+    entire resolution is minimal.  d1 and d2 are minimal syzygies read off
+    graded pieces (``_minimal_syzygies``), and a nonzero maximal minor of
+    d2 proves it injective, so the resolution stops at F2.
     """
     gens = list(gens)
     if not gens:
@@ -933,34 +930,12 @@ def free_resolution(gens, fixed_first_map: bool) -> FreeResolution:
         row = tuple(t[0] for t in kept)
         shifts0 = tuple(degs)
 
-    syz1 = syzygy_generators(list(row))
-    cols1, q = minimal_generators(syz1, shifts0)
-    if cols1:
-        # keep the module but choose small-coefficient representatives
-        deg0 = [int(g.degree) if not g.is_zero() else sh
-                for g, sh in zip(row, shifts0)]
-        nice1, q2 = _small_minimal_generators([(g,) for g in row], deg0, [0], q)
-        nice1 = [tuple(t) for t in nice1]
-        if sorted(q2) != sorted(q) or not modules_equal(nice1, cols1):
-            raise InternalError("small-representative syzygies disagree")
-        cols1, q = nice1, q2
+    cols1, q = _minimal_syzygies([(g,) for g in row], shifts0, [0])
     d1 = PolyMatrix.from_columns(cols1) if cols1 else None
-
-    cols2: list = []
-    p: list[int] = []
-    if cols1:
-        syz2 = syzygy_generators(cols1)
-        cols2, p = minimal_generators(syz2, q)
-        if cols2:
-            nice2, p2 = _small_minimal_generators(cols1, q, shifts0, p)
-            if sorted(p2) != sorted(p) or not modules_equal(nice2, cols2):
-                raise InternalError("small-representative syzygies disagree")
-            cols2, p = nice2, p2
+    cols2, p = _minimal_syzygies(cols1, q, shifts0) if cols1 else ([], [])
     d2 = PolyMatrix.from_columns(cols2) if cols2 else None
-    if cols2:
-        syz3 = [w for w in syzygy_generators(cols2) if any(not x.is_zero() for x in w)]
-        if syz3:
-            raise InternalError("resolution did not terminate at length two")
+    if d2 is not None and not _is_injective(d2):
+        raise InternalError("resolution did not terminate at length two")
 
     res = FreeResolution(vars=vars, target_degree=d, gens=row, shifts0=shifts0,
                          d1=d1, q=tuple(q), d2=d2, p=tuple(p),
@@ -1094,12 +1069,8 @@ def krull_dimension(gens) -> int:
     return best
 
 
-def _first_coordinates(syzygies, vars) -> list[Poly]:
-    out = []
-    for w in syzygies:
-        if not w[0].is_zero():
-            out.append(w[0])
-    return out
+def _first_coordinates(syzygies) -> list[Poly]:
+    return [w[0] for w in syzygies if not w[0].is_zero()]
 
 
 def _intersect_ideals(a_gens, b_gens, vars) -> list[Poly]:
@@ -1110,7 +1081,7 @@ def _intersect_ideals(a_gens, b_gens, vars) -> list[Poly]:
     items = [(one, one)]
     items += [(g, zero) for g in a_gens]
     items += [(zero, g) for g in b_gens]
-    firsts = _first_coordinates(syzygy_generators(items), vars)
+    firsts = _first_coordinates(syzygy_generators(items))
     if not firsts:
         return []
     return list(buchberger(firsts).generators)
@@ -1136,7 +1107,7 @@ def ideal_quotient(k_gens, j_gens) -> list[Poly]:
         if k_gb.contains(f):
             continue  # (K : f) = (1); intersecting with it changes nothing
         syz = syzygy_generators([f] + k_nz)
-        colon = _first_coordinates(syz, vars)
+        colon = _first_coordinates(syz)
         colon = list(buchberger(colon).generators) if colon else []
         result = colon if result is None else _intersect_ideals(result, colon, vars)
     if result is None:

@@ -5,13 +5,31 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mubasis import grobner
-from mubasis.arith import VARS_ST, VARS_STU, Poly, gcd_many, homogenize, monomials_of_degree
+from mubasis.arith import (
+    VARS_ST,
+    VARS_STU,
+    Poly,
+    PolyMatrix,
+    gcd_many,
+    grevlex_key,
+    homogenize,
+    mono_mul,
+    monomials_of_degree,
+)
 from mubasis.errors import InternalError
 from mubasis.grobner import (
+    GREVLEX,
+    GroebnerBasis,
     Vec,
+    _buchberger_ext,
     _fraction_nullspace,
     _GradedSpan,
-    _small_minimal_generators,
+    _is_injective,
+    _minimal_syzygies,
+    _normalize_items,
+    _reduce_full,
+    _schreyer_degree_bound,
+    _schreyer_sigmas,
     buchberger,
     free_resolution,
     graded_degree,
@@ -22,13 +40,13 @@ from mubasis.grobner import (
     integer_normalize,
     krull_dimension,
     lift_coefficients,
+    make_lifter,
     minimal_betti_table,
     minimal_generators,
     modules_equal,
     normal_form,
     regularity_from_resolution,
     resolution_invariants,
-    schreyer_syzygy_basis,
     syzygy_generators,
 )
 from helpers import (
@@ -160,6 +178,34 @@ class TestNormalForm:
         assert lift_coefficients(S2, [T2]) is None
 
 
+class SchreyerOrder:
+    """Order induced by the leading monomials of a Groebner basis.
+
+    (m, e_i) exceeds (m', e_j) when m * lm(g_i) exceeds m' * lm(g_j) in
+    grevlex, ties broken by position.
+    """
+
+    name = "schreyer"
+
+    def __init__(self, lead_monomials):
+        self.leads = list(lead_monomials)
+
+    def key(self, pm):
+        pos, mono = pm
+        return (grevlex_key(mono_mul(mono, self.leads[pos])), -pos)
+
+
+def schreyer_syzygy_basis(gens):
+    """(gb, sigmas, order): Syz(gb.generators) generators that form a Groebner
+    basis under the Schreyer order induced by gb's leading terms."""
+    vecs, rank, vars, scalar = _normalize_items(gens)
+    nonzero = [v for v in vecs if not v.is_zero()]
+    ext = _buchberger_ext(nonzero, GREVLEX, track_reps=False)
+    sigmas = _schreyer_sigmas(ext)
+    order = SchreyerOrder([g.leading(ext.order)[1] for g in ext.vecs])
+    return GroebnerBasis(ext, scalar), sigmas, order
+
+
 class TestSyzygies:
     def test_koszul_relation(self):
         syz = syzygy_generators([S2, T2])
@@ -211,8 +257,6 @@ class TestSyzygies:
         # every brute-force syzygy of the basis reduces to zero against the
         # Schreyer generators using their induced order, with no completion
         vecs = [Vec.from_polys(sig) for sig in sigmas]
-        from mubasis.grobner import _reduce_full
-
         brute = brute_force_syzygies(list(gb.generators), 4)
         for w in brute:
             rem, _ = _reduce_full(Vec.from_polys(w), vecs, order)
@@ -393,11 +437,13 @@ def reference_minimal_generators(vectors, shifts):
     return kept, degs, decisions
 
 
-def reference_small_minimal_generators(vectors, degrees, row_shifts, target_degrees):
+def reference_minimal_syzygies(vectors, degrees, row_shifts, target_degrees):
+    """Pick minimal syzygies from graded pieces by per-candidate Groebner
+    membership, stopping each degree once it has as many as target_degrees."""
     kept, degs = [], []
     for k in sorted(set(target_degrees)):
         want, found = list(target_degrees).count(k), 0
-        for v in graded_syzygy_space(vectors, degrees, row_shifts, k):
+        for v in graded_syzygy_space(vectors, degrees, row_shifts, k)[1]:
             if found == want:
                 break
             if kept and buchberger(kept).contains(v):
@@ -416,22 +462,49 @@ def assert_graded_agrees(vectors, shifts):
     assert minimal_generators(vectors, shifts) == (kept, degs)
 
 
-def assert_resolution_selections_agree(row):
-    """Every selection free_resolution(row, fixed_first_map=True) makes."""
+def assert_same_module(gens_a, gens_b):
+    """Double inclusion, each side through one Groebner basis."""
+    gb_a, gb_b = buchberger(gens_a), buchberger(gens_b)
+    assert all(gb_b.contains(v) for v in gens_a)
+    assert all(gb_a.contains(v) for v in gens_b)
+
+
+def assert_level_agrees(vectors, degrees, row_shifts, cols, col_degrees):
+    """One map of a resolution against the Buchberger/Schreyer route.
+
+    The oracle is minimal_generators(syzygy_generators(vectors)): the same
+    degree multiset, the same module, and the same picks as per-candidate
+    Groebner membership on graded pieces.  The Schreyer bound covers every
+    kept degree.
+    """
+    picked = _minimal_syzygies(vectors, degrees, row_shifts)
+    assert picked == (list(cols), list(col_degrees))
+    oracle, oracle_degs = minimal_generators(syzygy_generators(vectors), degrees)
+    assert sorted(col_degrees) == sorted(oracle_degs)
+    if not oracle:
+        return
+    assert_same_module(oracle, list(cols))
+    assert picked == reference_minimal_syzygies(vectors, degrees, row_shifts, oracle_degs)
+    assert _schreyer_degree_bound(vectors, degrees, row_shifts) >= max(col_degrees)
+
+
+def assert_resolution_selections_agree(row, fixed_first_map=True):
+    """Every selection free_resolution(row, fixed_first_map) makes."""
     nonzero = [g for g in row if not g.is_zero()]
-    d = max(int(g.degree) for g in nonzero)
-    shifts0 = [int(g.degree) if not g.is_zero() else d for g in row]
     assert_graded_agrees([(g,) for g in nonzero], [0])
-    assert_graded_agrees(syzygy_generators(row), shifts0)
-    res = free_resolution(row, fixed_first_map=True)
-    ones = [(g,) for g in row]
-    assert _small_minimal_generators(ones, shifts0, [0], res.q) == \
-        reference_small_minimal_generators(ones, shifts0, [0], res.q)
-    cols1 = [tuple(c) for c in res.d1.columns()]
+    res = free_resolution(row, fixed_first_map=fixed_first_map)
+    assert_graded_agrees(syzygy_generators(list(res.gens)), res.shifts0)
+    cols1 = [tuple(c) for c in res.d1.columns()] if res.d1 is not None else []
+    assert_level_agrees([(g,) for g in res.gens], res.shifts0, [0], cols1, res.q)
+    if not cols1:
+        return res
     assert_graded_agrees(syzygy_generators(cols1), res.q)
-    if res.p:
-        assert _small_minimal_generators(cols1, res.q, shifts0, res.p) == \
-            reference_small_minimal_generators(cols1, res.q, shifts0, res.p)
+    cols2 = [tuple(c) for c in res.d2.columns()] if res.d2 is not None else []
+    assert_level_agrees(cols1, res.q, res.shifts0, cols2, res.p)
+    if cols2:
+        assert _is_injective(res.d2)
+        assert all(x.is_zero() for w in syzygy_generators(cols2) for x in w)
+    return res
 
 
 def recipe_row(seed, d):
@@ -475,11 +548,33 @@ class TestGradedMinimalGenerators:
     def test_criterion_4_rows(self, index):
         assert_resolution_selections_agree(criterion_4_rows(4)[index])
 
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_recipe_d3_rows_whose_bound_is_tight(self, seed):
+        # the Schreyer bound of the second map is its top degree 7, so a
+        # scan that stopped one degree early would miss generators
+        row = recipe_row(seed, 3)
+        res = assert_resolution_selections_agree(row)
+        cols1 = [tuple(c) for c in res.d1.columns()]
+        assert _schreyer_degree_bound(cols1, res.q, res.shifts0) == max(res.p) == 7
+
     def test_row_with_zero_component(self):
         row = [S**2, T**2, ZERO3, S * T + U**2]
         assert_resolution_selections_agree(row)
         vectors = [(S, ZERO3), (ZERO3, ZERO3), (T * S, ZERO3), (ZERO3, U), (S, U)]
         assert_graded_agrees(vectors, [0, 0])
+
+    @pytest.mark.parametrize("row", [
+        [S**2 - T * U, T**2, U**2, ZERO3],
+        [S**2, T**2, S * T, S**2 + 2 * T**2],  # fourth generator is redundant
+        [S, T**2, S * T, U],  # s*t is generated by s
+    ])
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_zero_or_redundant_generator(self, row, fixed):
+        assert_resolution_selections_agree(row, fixed_first_map=fixed)
+
+    @pytest.mark.parametrize("index", [0, 2])
+    def test_minimal_first_map(self, index):
+        assert_resolution_selections_agree(criterion_4_rows(4)[index], fixed_first_map=False)
 
     def test_no_groebner_basis_per_candidate(self, monkeypatch):
         calls = []
@@ -495,9 +590,86 @@ class TestGradedMinimalGenerators:
             assert calls == []
             for fixed in (True, False):
                 free_resolution(row, fixed_first_map=fixed)
-                # only the two modules_equal cross-checks, two bases each
-                assert len(calls) <= 4
+                # one basis per map, for its Schreyer degree bound
+                assert len(calls) == 2
                 calls.clear()
+
+    def test_no_syzygy_generators_or_module_equality(self, monkeypatch):
+        calls = []
+        for name in ("syzygy_generators", "modules_equal"):
+            monkeypatch.setattr(grobner, name, lambda *a, name=name, **k: calls.append(name))
+        for row in (homogenized_reference_generators(), recipe_row(1, 3),
+                    [S**2, T**2, ZERO3, S * T + U**2]):
+            for fixed in (True, False):
+                free_resolution(row, fixed_first_map=fixed)
+        assert calls == []
+
+    def test_second_map_with_dependent_columns_is_rejected(self, monkeypatch):
+        real = grobner._minimal_syzygies
+
+        def dependent(vectors, degrees, row_shifts):
+            cols, degs = real(vectors, degrees, row_shifts)
+            if row_shifts != [0]:  # the second map: make its last column dependent
+                cols[-1] = tuple(2 * x for x in cols[0])
+            return cols, degs
+
+        row = recipe_row(2, 3)
+        res = free_resolution(row, fixed_first_map=True)
+        assert _is_injective(res.d2)
+        monkeypatch.setattr(grobner, "_minimal_syzygies", dependent)
+        with pytest.raises(InternalError, match="length two"):
+            free_resolution(row, fixed_first_map=True)
+
+    def test_unspanned_graded_piece_is_an_internal_error(self, monkeypatch):
+        real = grobner.graded_syzygy_space
+
+        def overstated(*args):
+            dim, basis = real(*args)
+            return dim + 1, basis
+
+        monkeypatch.setattr(grobner, "graded_syzygy_space", overstated)
+        with pytest.raises(InternalError, match="do not span"):
+            free_resolution([S, T], fixed_first_map=True)
+
+    def test_injectivity_by_maximal_minors(self):
+        assert _is_injective(PolyMatrix.from_columns([(S, T, U), (T, U, S)]))
+        assert not _is_injective(PolyMatrix.from_columns([(S, T, U), (S * T, T**2, T * U)]))
+        assert not _is_injective(PolyMatrix.from_columns([(S,), (T,)]))
+
+
+class TestRepresentations:
+    """Only lifting and syzygy callers track representations."""
+
+    def test_buchberger_builds_none(self, monkeypatch):
+        calls = []
+        real = grobner._add_combination
+        monkeypatch.setattr(grobner, "_add_combination",
+                            lambda *a: calls.append(1) or real(*a))
+        row = recipe_row(1, 3)
+        assert buchberger(row)._ext.reps is None
+        free_resolution(row, fixed_first_map=True)
+        assert calls == []
+        make_lifter(row)
+        assert calls
+
+    def test_lifts_and_syzygies_stay_exact(self):
+        rng = random.Random(59)
+        for _ in range(5):
+            gens = [random_form(rng, VARS_STU, 2, coeff_bound=3) for _ in range(3)]
+            gens = [g for g in gens if not g.is_zero()]
+            lift = make_lifter(gens)
+            for _ in range(3):
+                cofs = [random_form(rng, VARS_STU, 1, coeff_bound=3) for _ in gens]
+                target = sum((c * g for c, g in zip(cofs, gens)), ZERO3)
+                coeffs = lift(target)
+                assert coeffs is not None
+                assert sum((c * g for c, g in zip(coeffs, gens)), ZERO3) == target
+            syz = syzygy_generators(gens)
+            for w in syz:
+                assert sum((a * g for a, g in zip(w, gens)), ZERO3).is_zero()
+            syz_gb = buchberger(syz) if syz else None
+            for w in brute_force_syzygies(gens, 2):
+                assert syz_gb.contains(w)
 
 
 _COEFF = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
@@ -545,7 +717,9 @@ def test_graded_selection_matches_groebner_membership(case):
 def test_fraction_nullspace_matches_dense_elimination(case):
     rows, ncols = case
     sparse = [{c: x for c, x in enumerate(r)} for r in rows]
-    assert _fraction_nullspace(sparse, ncols) == nullspace(rows, ncols)
+    dim, basis = _fraction_nullspace(sparse, ncols)
+    expected = nullspace(rows, ncols)
+    assert list(basis) == expected and dim == len(expected)
 
 
 def assert_minimal_betti_matches_oracle(row):
@@ -618,3 +792,10 @@ def rows_with_redundant_component(draw):
 def test_minimal_betti_table_matches_minimal_resolution(row):
     assume(any(not g.is_zero() for g in row))
     assert_minimal_betti_matches_oracle(row)
+
+
+@settings(max_examples=40, deadline=30000)
+@given(rows_with_redundant_component(), st.booleans())
+def test_resolution_matches_buchberger_schreyer_route(row, fixed):
+    assume(any(not g.is_zero() for g in row))
+    assert_resolution_selections_agree(row, fixed_first_map=fixed)
