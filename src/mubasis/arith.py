@@ -4,11 +4,20 @@ Polynomials are dictionaries mapping exponent tuples to nonzero Fraction
 coefficients.  The two working rings are Q[s,t] and Q[s,t,u]; a ring is
 identified by its tuple of variable names.  All operations are pure and all
 values are immutable after construction.
+
+Data is validated at the boundary and trusted inside: ``Poly(vars, terms)``
+checks every term, and arithmetic builds its results with ``Poly._new``.
+Matrix products scale each row and column to integer coefficients,
+accumulate over Z and divide once per output term.  ``PolyMatrix.det``
+stays a memoized cofactor expansion, measured faster than fraction-free
+Bareiss elimination at the pipeline's sizes (at most 6x6, low degree).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalError
@@ -28,7 +37,7 @@ def grevlex_key(mono: Monomial):
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -43,6 +52,15 @@ def mono_div(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _accumulate(out: dict, t1: Mapping, t2: Mapping) -> None:
+    """Add the product of term dicts t1, t2 into out, zeros left to drop."""
+    get = out.get
+    for m1, c1 in t1.items():
+        for m2, c2 in t2.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = get(m, 0) + c1 * c2
 
 
 def monomials_of_degree(nvars: int, k: int) -> list[Monomial]:
@@ -77,8 +95,18 @@ class Poly:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _new(cls, vars: tuple[str, ...], terms: dict) -> "Poly":
+        """Trusted constructor: vars is a tuple and terms already maps int
+        exponent tuples of ring length to nonzero Fractions.  The dict is
+        taken over, not copied or checked."""
+        p = object.__new__(cls)
+        p.vars = vars
+        p.terms = terms
+        return p
+
+    @classmethod
     def zero(cls, vars: tuple[str, ...]) -> "Poly":
-        return cls(vars, {})
+        return cls._new(tuple(vars), {})
 
     @classmethod
     def const(cls, vars: tuple[str, ...], value) -> "Poly":
@@ -138,13 +166,17 @@ class Poly:
         other = self._coerce(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return Poly(self.vars, terms)
+            c += terms.get(m, 0)
+            if c:
+                terms[m] = c
+            else:
+                del terms[m]
+        return Poly._new(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.vars, {m: -c for m, c in self.terms.items()})
+        return Poly._new(self.vars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-self._coerce(other))
@@ -155,14 +187,12 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             c = Fraction(other)
-            return Poly(self.vars, {m: v * c for m, v in self.terms.items()})
-        other = self._coerce(other)
+            if not c:
+                return Poly.zero(self.vars)
+            return Poly._new(self.vars, {m: v * c for m, v in self.terms.items()})
         out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Poly(self.vars, out)
+        _accumulate(out, self.terms, self._coerce(other).terms)
+        return Poly._new(self.vars, {m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -180,9 +210,10 @@ class Poly:
 
     def term_mul(self, mono: Monomial, coeff: Fraction) -> "Poly":
         """Multiply by a single term coeff * x^mono."""
-        if coeff == 0:
+        coeff = Fraction(coeff)
+        if not coeff:
             return Poly.zero(self.vars)
-        return Poly(self.vars, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
+        return Poly._new(self.vars, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
 
     def monic(self) -> "Poly":
         """Scale so the grevlex leading coefficient is 1."""
@@ -520,6 +551,26 @@ def dehomogenize(p: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
+def _integer_scaled(polys: Sequence[Poly]) -> tuple[int, list[dict]]:
+    """(den, terms): den is the lcm of every coefficient denominator of the
+    polys, and terms[k] holds the integer coefficients of den * polys[k]."""
+    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return den, [{m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+                 for p in polys]
+
+
+def _scaled_dot(row, col, vars) -> Poly:
+    """sum_k row[k] * col[k] for two _integer_scaled sequences: one integer
+    accumulation, then one exact division per output term."""
+    (den_r, a), (den_c, b) = row, col
+    out: dict[Monomial, int] = {}
+    for x, y in zip(a, b):
+        if x and y:
+            _accumulate(out, x, y)
+    den = den_r * den_c
+    return Poly._new(vars, {m: Fraction(c, den) for m, c in out.items() if c})
+
+
 class PolyMatrix:
     """Rectangular matrix of Poly entries sharing one ring."""
 
@@ -584,34 +635,19 @@ class PolyMatrix:
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        zero = Poly.zero(self.vars)
-        out = []
-        for i in range(self.rows):
-            out_row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return PolyMatrix(out)
+        if other.vars != self.vars:
+            raise ValueError("mixed rings in matrix product")
+        cols = [_integer_scaled(other.column(j)) for j in range(other.cols)]
+        return PolyMatrix([[_scaled_dot(row, col, self.vars) for col in cols]
+                           for row in map(_integer_scaled, self.entries)])
 
     def mul_vector(self, vec: Sequence[Poly]) -> list[Poly]:
         if len(vec) != self.cols:
             raise ValueError("shape mismatch")
-        zero = Poly.zero(self.vars)
-        out = []
-        for i in range(self.rows):
-            acc = zero
-            for k in range(self.cols):
-                a = self.entries[i][k]
-                if not a.is_zero() and not vec[k].is_zero():
-                    acc = acc + a * vec[k]
-            out.append(acc)
-        return out
+        if any(p.vars != self.vars for p in vec):
+            raise ValueError("mixed rings in matrix product")
+        col = _integer_scaled(vec)
+        return [_scaled_dot(_integer_scaled(row), col, self.vars) for row in self.entries]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):

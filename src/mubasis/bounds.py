@@ -185,7 +185,7 @@ def _verdicts(res: FreeResolution, betti: BettiTable | None, d: int, m: int):
     out.append(Verdict("beta2 <= m*C(2d,2) (equal degrees)", eq_bound, beta2,
                        beta2 <= eq_bound, applicable=equal_degree))
     graded = sorted((p, n) for (i, p), n in betti.entries.items() if i == 2)
-    gb = buchberger(gens) if graded else None
+    gb = res.first_basis
     for p, count in graded:
         cap = hilbert_function(gb, p - 2) - hilbert_function(gb, p - 3)
         out.append(Verdict(f"graded beta2 in degree {p} <= H({p-2})-H({p-3})",

@@ -261,7 +261,7 @@ def _build_argparser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_argparser().parse_args(argv)
+    args = _build_argparser().parse_intermixed_args(argv)
     if args.input is not None and args.input_file is not None:
         print("error: give either a positional input or -i, not both", file=sys.stderr)
         return EXIT_INPUT

@@ -88,7 +88,7 @@ class Vec:
         buckets: list[dict] = [dict() for _ in range(self.rank)]
         for (pos, m), c in self.terms.items():
             buckets[pos][m] = c
-        return tuple(Poly(self.vars, b) for b in buckets)
+        return tuple(Poly._new(self.vars, b) for b in buckets)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -142,9 +142,10 @@ def _reduce_full(vec: Vec, basis: Sequence[Vec], order, leads=None, want_quotien
     vars = vec.vars
     quots = [dict() for _ in basis] if want_quotients else None
     work = dict(vec.terms)
+    keys = {pm: order.key(pm) for pm in work}  # each term's order key, once
     rem: dict = {}
     while work:
-        pm = max(work, key=order.key)
+        pm = max(work, key=keys.__getitem__)
         pos, mono = pm
         c = work[pm]
         hit = -1
@@ -159,17 +160,19 @@ def _reduce_full(vec: Vec, basis: Sequence[Vec], order, leads=None, want_quotien
         qmono = mono_div(mono, leads[hit][0][1])
         factor = c / leads[hit][1]
         if want_quotients:
-            quots[hit][qmono] = quots[hit].get(qmono, Fraction(0)) + factor
+            quots[hit][qmono] = quots[hit].get(qmono, 0) + factor
         for (bpos, bm), bc in basis[hit].terms.items():
-            key = (bpos, mono_mul(bm, qmono))
-            val = work.get(key, Fraction(0)) - bc * factor
+            term = (bpos, mono_mul(bm, qmono))
+            val = work.get(term, 0) - bc * factor
             if val:
-                work[key] = val
+                work[term] = val
+                if term not in keys:
+                    keys[term] = order.key(term)
             else:
-                work.pop(key, None)
+                work.pop(term, None)
     remainder = Vec(vec.vars, vec.rank, rem)
     if want_quotients:
-        return remainder, [Poly(vars, q) for q in quots]
+        return remainder, [Poly._new(vars, {m: c for m, c in q.items() if c}) for q in quots]
     return remainder, None
 
 
@@ -788,7 +791,7 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k):
     return dim, basis()
 
 
-def _schreyer_degree_bound(vectors, degrees, row_shifts) -> int:
+def _schreyer_degree_bound(vectors, degrees, row_shifts, basis=None) -> int:
     """A degree D such that Syz(vectors) is generated in degrees <= D.
 
     For a Groebner basis g of the module the vectors generate, Schreyer's
@@ -796,13 +799,16 @@ def _schreyer_degree_bound(vectors, degrees, row_shifts) -> int:
     syzygies of same-position pairs generate Syz(g); the one of g_a, g_b
     has degree |lcm(lm g_a, lm g_b)| + row_shifts[pos].  Pushed down to the
     vectors, with the rows v_l - sum B_la g_a of degree deg v_l, they
-    generate Syz(vectors).  Only degrees are needed, not representations.
+    generate Syz(vectors).  Only degrees are needed, not representations;
+    basis, when given, is that Groebner basis.
     """
     bound = max(degrees)
-    nonzero = [v for v in vectors if any(not p.is_zero() for p in v)]
-    if not nonzero:
-        return bound
-    leads = [pm for pm, _ in buchberger(nonzero)._ext.leads]
+    if basis is None:
+        nonzero = [v for v in vectors if any(not p.is_zero() for p in v)]
+        if not nonzero:
+            return bound
+        basis = buchberger(nonzero)
+    leads = [pm for pm, _ in basis._ext.leads]
     for a, (pa, ma) in enumerate(leads):
         for pb, mb in leads[a + 1:]:
             if pa == pb:
@@ -810,7 +816,7 @@ def _schreyer_degree_bound(vectors, degrees, row_shifts) -> int:
     return bound
 
 
-def _minimal_syzygies(vectors, degrees, row_shifts):
+def _minimal_syzygies(vectors, degrees, row_shifts, basis=None):
     """Minimal generators of Syz(vectors) with small integer coefficients,
     and their degrees (vectors and degrees as in graded_syzygy_space).
 
@@ -818,12 +824,13 @@ def _minimal_syzygies(vectors, degrees, row_shifts):
     In each, basis vectors are kept in order unless the kept ones generate
     them, until the kept ones span the piece, checked exactly by dimension.
     By graded Nakayama the kept vectors are minimal generators of every
-    piece up to the bound, and past it no new generator is needed.
+    piece up to the bound, and past it no new generator is needed.  basis
+    is handed to ``_schreyer_degree_bound``.
     """
     span = _GradedSpan()
     kept: list = []
     degs: list[int] = []
-    for k in range(min(degrees), _schreyer_degree_bound(vectors, degrees, row_shifts) + 1):
+    for k in range(min(degrees), _schreyer_degree_bound(vectors, degrees, row_shifts, basis) + 1):
         dim, space = graded_syzygy_space(vectors, degrees, row_shifts, k)
         for v in space:
             if span.rank(k) == dim:
@@ -862,6 +869,8 @@ class FreeResolution:
     d2: PolyMatrix | None
     p: tuple
     fixed_first_map: bool
+    #: reduced Groebner basis of the ideal, built for the first map's bound
+    first_basis: GroebnerBasis = field(compare=False, repr=False)
 
     @property
     def ranks(self) -> tuple[int, int, int]:
@@ -930,7 +939,8 @@ def free_resolution(gens, fixed_first_map: bool) -> FreeResolution:
         row = tuple(t[0] for t in kept)
         shifts0 = tuple(degs)
 
-    cols1, q = _minimal_syzygies([(g,) for g in row], shifts0, [0])
+    first_basis = buchberger([g for g in row if not g.is_zero()])
+    cols1, q = _minimal_syzygies([(g,) for g in row], shifts0, [0], first_basis)
     d1 = PolyMatrix.from_columns(cols1) if cols1 else None
     cols2, p = _minimal_syzygies(cols1, q, shifts0) if cols1 else ([], [])
     d2 = PolyMatrix.from_columns(cols2) if cols2 else None
@@ -939,7 +949,7 @@ def free_resolution(gens, fixed_first_map: bool) -> FreeResolution:
 
     res = FreeResolution(vars=vars, target_degree=d, gens=row, shifts0=shifts0,
                          d1=d1, q=tuple(q), d2=d2, p=tuple(p),
-                         fixed_first_map=fixed_first_map)
+                         fixed_first_map=fixed_first_map, first_basis=first_basis)
     res.validate()
     return res
 

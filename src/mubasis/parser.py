@@ -187,10 +187,5 @@ def parse_basis(text: str):
     return tuple(vectors)
 
 
-def poly_to_string(p: Poly) -> str:
-    """Canonical textual form (round-trips through parse_polynomial)."""
-    return str(p)
-
-
 def tuple_to_string(polys) -> str:
     return "(" + ", ".join(str(p) for p in polys) + ")"

@@ -307,9 +307,6 @@ class _TPoly:
                 power = power * b
         return out
 
-    def at_t_zero(self) -> _RatFunc:
-        return self.coeff(0)
-
 
 def _tp_identity(m: int) -> list[list[_TPoly]]:
     return [[_TPoly.one() if i == j else _TPoly.zero() for j in range(m)] for i in range(m)]

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubasis.arith import (
     NEG_INF,
@@ -273,3 +275,160 @@ class TestEuclidAgainstSympy:
             su, sv, sg = sp.gcdex(self.to_sympy(sp, a), self.to_sympy(sp, b), x)
             assert [self.to_sympy(sp, p) for p in (g, u, v)] == \
                 [sp.expand(e) for e in (sg, su, sv)]
+
+
+# ---------------------------------------------------------------------------
+# The trusted arithmetic path against references that rebuild every result
+# through the validating constructor Poly(vars, terms).
+# ---------------------------------------------------------------------------
+
+
+def ref_add(p, q):
+    terms = dict(p.terms)
+    for m, c in q.terms.items():
+        terms[m] = terms.get(m, 0) + c
+    return Poly(p.vars, terms)
+
+
+def ref_neg(p):
+    return Poly(p.vars, {m: -c for m, c in p.terms.items()})
+
+
+def ref_mul(p, q):
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return Poly(p.vars, out)
+
+
+def ref_term_mul(p, mono, c):
+    return Poly(p.vars, {tuple(x + y for x, y in zip(m, mono)): v * c
+                         for m, v in p.terms.items()})
+
+
+def ref_dot(row, col):
+    acc = Poly(row[0].vars, {})
+    for a, b in zip(row, col):
+        acc = ref_add(acc, ref_mul(a, b))
+    return acc
+
+
+def assert_valid(p, vars):
+    assert type(p) is Poly and type(p.vars) is tuple and p.vars == vars
+    for m, c in p.terms.items():
+        assert type(m) is tuple and len(m) == len(vars)
+        assert all(type(e) is int and e >= 0 for e in m)
+        assert type(c) is Fraction and c != 0
+
+
+# Large coprime denominators make every integer-scaled product nontrivial.
+coefficients = st.builds(Fraction, st.integers(-30, 30),
+                         st.sampled_from([1, 2, 3, 7, 10**9 + 7, 2**61 - 1, 998244353]))
+rings = st.sampled_from([VARS_ST, VARS_STU])
+
+
+def polys(vars):
+    monos = st.tuples(*[st.integers(0, 3)] * len(vars))
+    return st.one_of(
+        st.just(Poly.zero(vars)),
+        st.builds(lambda c: Poly.const(vars, c), coefficients),
+        st.dictionaries(monos, coefficients, max_size=6).map(lambda t: Poly(vars, t)))
+
+
+def matrices(vars, rows, cols):
+    return st.lists(st.lists(polys(vars), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(PolyMatrix)
+
+
+@st.composite
+def ring_operands(draw):
+    vars = draw(rings)
+    p, q = draw(polys(vars)), draw(polys(vars))
+    mono = draw(st.tuples(*[st.integers(0, 2)] * len(vars)))
+    return vars, p, q, draw(coefficients), mono
+
+
+@st.composite
+def matrix_operands(draw):
+    vars = draw(rings)
+    r, n, c = (draw(st.integers(1, 3)) for _ in range(3))
+    return vars, draw(matrices(vars, r, n)), draw(matrices(vars, n, c))
+
+
+class TestTrustedArithmetic:
+    @settings(max_examples=80, deadline=2000)
+    @given(ring_operands())
+    def test_poly_operations_match_validating_reference(self, operands):
+        vars, p, q, c, mono = operands
+        cases = [
+            (p + q, ref_add(p, q)),
+            (p - q, ref_add(p, ref_neg(q))),
+            (-p, ref_neg(p)),
+            (p * q, ref_mul(p, q)),
+            (p * c, Poly(vars, {m: v * c for m, v in p.terms.items()})),
+            (c * p, Poly(vars, {m: v * c for m, v in p.terms.items()})),
+            (p.term_mul(mono, c), ref_term_mul(p, mono, c)),
+            (p.term_mul(mono, 0), Poly(vars, {})),
+            (p + (-p), Poly(vars, {})),
+            (p * q - q * p, Poly(vars, {})),
+            # the cross terms p*q and q*p cancel inside one accumulation
+            ((p + q) * (p - q), ref_add(ref_mul(p, p), ref_neg(ref_mul(q, q)))),
+        ]
+        for got, want in cases:
+            assert_valid(got, vars)
+            assert got == want and got.terms == want.terms
+
+    @settings(max_examples=60, deadline=5000)
+    @given(matrix_operands())
+    def test_matrix_products_match_validating_reference(self, operands):
+        vars, a, b = operands
+        prod = a * b
+        assert (prod.rows, prod.cols) == (a.rows, b.cols)
+        for i in range(a.rows):
+            for j in range(b.cols):
+                assert_valid(prod[i, j], vars)
+                assert prod[i, j] == ref_dot(a.row(i), b.column(j))
+        vec = b.column(0)
+        for got, row in zip(a.mul_vector(vec), a.entries):
+            assert_valid(got, vars)
+            assert got == ref_dot(row, vec)
+        # u*v - v*u cancels inside one integer accumulation
+        u, v = a[0, 0], b[0, 0]
+        for got in ((PolyMatrix([[u, v]]) * PolyMatrix([[v], [-u]]))[0, 0],
+                    PolyMatrix([[u, v]]).mul_vector([v, -u])[0]):
+            assert_valid(got, vars)
+            assert got.is_zero()
+
+    @pytest.mark.parametrize("vars, terms", [
+        (VARS_ST, {(1,): 1}),
+        (VARS_ST, {(1, 0, 0): 1}),
+        (VARS_STU, {(0, -1, 2): Fraction(1, 2)}),
+    ])
+    def test_validating_constructor_rejects_bad_terms(self, vars, terms):
+        with pytest.raises(ValueError):
+            Poly(vars, terms)
+
+    def test_fast_path_makes_no_validating_construction(self, monkeypatch):
+        rng = random.Random(3)
+        p, q = (random_poly(rng, VARS_STU, 3, force_nonzero=True) for _ in range(2))
+        a = PolyMatrix([[random_poly(rng, VARS_STU, 2) * Fraction(1, 7) for _ in range(3)]
+                        for _ in range(3)])
+        vec = a.column(1)
+        calls = []
+        real = Poly.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Poly, "__init__", counting)
+        a * a
+        a.mul_vector(vec)
+        p + q
+        p * q
+        p.term_mul((1, 0, 2), Fraction(-3, 5))
+        assert calls == []
+        Poly(VARS_STU, {(1, 0, 0): 1})  # the boundary still validates
+        assert calls == [1]

@@ -170,6 +170,32 @@ class TestMain:
             assert f"{key}: {doc[key]}" in human
         assert f"alpha: {doc['alpha']}" in human
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", REFERENCE, "--json", "--seed", "3"],
+        ["compute", "--json", REFERENCE, "--seed", "3"],
+        ["compute", "--json", "--seed", "3", REFERENCE],
+        ["--json", "compute", "--seed", "3", REFERENCE],
+    ])
+    def test_flags_before_or_after_input(self, argv, capsys):
+        main(["compute", REFERENCE, "--json", "--seed", "3"])
+        expected = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode() == expected.encode()
+
+    def test_verify_flags_before_input(self, capsys):
+        main(["verify", REFERENCE, "--basis", REFERENCE_BASIS, "--json"])
+        expected = capsys.readouterr().out
+        assert main(["verify", "--json", "--basis", REFERENCE_BASIS, REFERENCE]) == 0
+        assert capsys.readouterr().out.encode() == expected.encode()
+
+    def test_input_file_flag_first(self, tmp_path, capsys):
+        path = tmp_path / "input.txt"
+        path.write_text(REFERENCE + "\n", encoding="utf-8")
+        main(["compute", REFERENCE, "--json"])
+        expected = capsys.readouterr().out
+        assert main(["--json", "-i", str(path), "compute"]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_input_file(self, tmp_path, capsys):
         path = tmp_path / "input.txt"
         path.write_text(REFERENCE + "\n", encoding="utf-8")

@@ -286,6 +286,14 @@ class TestFreeResolution:
         assert sorted(res.q) == [4, 4, 4]
         assert list(res.p) == [6]
 
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_first_basis_is_the_reduced_basis_of_the_ideal(self, fixed):
+        for row in (homogenized_reference_generators(), recipe_row(1, 3),
+                    [S**2, T**2, ZERO3, S * T + U**2]):
+            res = free_resolution(row, fixed_first_map=fixed)
+            nonzero = [g for g in row if not g.is_zero()]
+            assert res.first_basis.generators == buchberger(nonzero).generators
+
     def test_non_homogeneous_rejected(self):
         with pytest.raises(ValueError, match="homogeneous"):
             free_resolution([S + ONE3], fixed_first_map=False)
@@ -607,8 +615,8 @@ class TestGradedMinimalGenerators:
     def test_second_map_with_dependent_columns_is_rejected(self, monkeypatch):
         real = grobner._minimal_syzygies
 
-        def dependent(vectors, degrees, row_shifts):
-            cols, degs = real(vectors, degrees, row_shifts)
+        def dependent(vectors, degrees, row_shifts, *basis):
+            cols, degs = real(vectors, degrees, row_shifts, *basis)
             if row_shifts != [0]:  # the second map: make its last column dependent
                 cols[-1] = tuple(2 * x for x in cols[0])
             return cols, degs
