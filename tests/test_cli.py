@@ -171,7 +171,6 @@ class TestMain:
         assert f"alpha: {doc['alpha']}" in human
 
     @pytest.mark.parametrize("argv", [
-        ["compute", REFERENCE, "--json", "--seed", "3"],
         ["compute", "--json", REFERENCE, "--seed", "3"],
         ["compute", "--json", "--seed", "3", REFERENCE],
         ["--json", "compute", "--seed", "3", REFERENCE],
