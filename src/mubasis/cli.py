@@ -133,7 +133,7 @@ def run(command: str, spec: InputSpec, basis_text: str | None = None):
         doc["warnings"] = list(par.warnings)
         doc["d"] = par.d
         if command == "compute":
-            mb, report = compute_mu_basis(par, seed=spec.seed)
+            mb, report = compute_mu_basis(par)
             doc["branch"] = report.branch
             doc["basis"] = [[str(c) for c in v] for v in mb.vectors]
             doc["alpha"] = str(mb.alpha)
@@ -252,7 +252,8 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("-i", "--input-file", help="read the input tuple from a UTF-8 file")
     ap.add_argument("--basis", help="three basis tuples for the verify command")
     ap.add_argument("--json", action="store_true", help="emit a JSON document")
-    ap.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
+    ap.add_argument("--seed", type=int, default=0,
+                    help="seed recorded in the document; no command's result depends on it")
     ap.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
                     help="wall-clock limit in seconds")
     ap.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE,

@@ -70,7 +70,6 @@ class PipelineReport:
     mu: tuple | None
     completion: dict | None
     bounds: BoundsReport
-    seed: int
     warnings: tuple
     timings: dict
 
@@ -210,7 +209,7 @@ def _interreduce(basis):
     return tuple(vecs)
 
 
-def compute_mu_basis(par: Parametrization, seed: int = 0):
+def compute_mu_basis(par: Parametrization):
     """Run the full pipeline; returns (MuBasis, PipelineReport).
 
     The returned basis always passes verify_mu_basis; a verification
@@ -244,7 +243,7 @@ def compute_mu_basis(par: Parametrization, seed: int = 0):
             raise InternalError("presentation entries exceed the 2d-1 degree bound")
         if f_mat.degree != NEG_INF and f_mat.degree > 2 * d:
             raise InternalError("relation entries exceed the 2d degree bound")
-        cert = complete_columns(f_mat, seed=seed)
+        cert = complete_columns(f_mat)
         timings["completion"] = time.perf_counter() - t1
         n = res.ranks[2]
         basis = extract_basis(g_mat, cert.M_inv, n)
@@ -284,7 +283,6 @@ def compute_mu_basis(par: Parametrization, seed: int = 0):
         mu=mu,
         completion=completion,
         bounds=bounds_report,
-        seed=seed,
         warnings=par.warnings,
         timings=timings,
     )

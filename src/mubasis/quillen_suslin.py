@@ -4,27 +4,26 @@ complete_columns finds, for a unimodular m x n matrix F (m > n), a square
 unimodular M with M F = [I_n; 0], and returns it with its exact inverse as a
 certificate that is re-verified before being handed out.
 
-The strategy is layered.  Elementary paths (constant pivots, mutual
-reduction of entries against each other, Bezout for two surviving entries,
-a rank-one update built from a left inverse) dispatch almost every input.
-When they stall, the general route runs: make an entry monic in t by a
-linear change of variables, trivialize the row locally (a constructive
-Horrocks loop whose "units" are tracked by gcds against a squarefree
-modulus, splitting the modulus instead of factoring), patch the local
-solutions into a polynomial matrix along a Bezout partition of t, and
-finish over the principal ideal domain Q[s].
+The strategy is layered.  A constant maximal minor gives M at once;
+otherwise each row of F^T is made primitive and reduced (Bezout for a last
+pair) until a constant pivot appears.  When reduction stalls, the general
+route runs: make an entry monic in t by a linear change of variables,
+trivialize the row locally (a constructive Horrocks loop whose "units" are
+tracked by gcds against a squarefree modulus, splitting the modulus
+instead of factoring), patch the local solutions into a polynomial matrix
+along a Bezout partition of t, and finish over the principal ideal domain
+Q[s].  No step is randomized.
 
 Every step is an elementary operation with a known inverse, so M^-1 is
 built alongside M rather than recovered from an adjugate: column operations
-on M are mirrored by the inverse row operations on M^-1, each block or
-rank-one factor comes with its explicit inverse, and each patch factor
-E(b') E(b)^-1 is inverted as E(b) E^-1(b').  The certificate is then checked
-by multiplication alone (M F = [I_n; 0], M M^-1 = I and M^-1 M = I).
+on M are mirrored by the inverse row operations on M^-1, each block factor
+comes with its explicit inverse, and each patch factor E(b') E(b)^-1 is
+inverted as E(b) E^-1(b').  The certificate is checked by multiplication
+alone: M F = [I_n; 0] and M M^-1 = I (see CompletionCertificate).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -558,13 +557,12 @@ class _RowCompleter:
     """Builds E with row * E = e1 for a unimodular row over Q[s,t], and
     E^-1 alongside it."""
 
-    def __init__(self, row, rng: random.Random, use_heuristics=True):
+    def __init__(self, row, use_heuristics=True):
         self.vars = VARS_ST
         self.work = [p for p in row]
         self.m = len(row)
         self.E = PolyMatrix.identity(self.m, VARS_ST).entries
         self.Einv = PolyMatrix.identity(self.m, VARS_ST).entries
-        self.rng = rng
         self.use_heuristics = use_heuristics
 
     # column operations applied simultaneously to the working row and E;
@@ -629,7 +627,8 @@ class _RowCompleter:
             self.colscale(0, Fraction(1) / p.constant_value())
             return PolyMatrix(self.E), PolyMatrix(self.Einv)
         if self.use_heuristics:
-            self._heuristic_phase()
+            self._normalize_columns()
+            self._reduction_rounds()
         j = self.constant_index()
         if j is None:
             self._general_phase()
@@ -651,18 +650,6 @@ class _RowCompleter:
             if scale != 1:
                 self.colscale(j, scale)
 
-    def _heuristic_phase(self):
-        for attempt in range(4):
-            self._normalize_columns()
-            self._reduction_rounds()
-            if self.constant_index() is not None:
-                return
-            self._left_inverse_trick()
-            if self.constant_index() is not None:
-                return
-            if attempt < 3:
-                self._random_shear()
-
     def _reduction_rounds(self):
         for _ in range(40):
             if self.constant_index() is not None:
@@ -676,16 +663,6 @@ class _RowCompleter:
                 return
             if not self._mutual_reduction_pass(nz):
                 return
-
-    def _random_shear(self):
-        """Constant elementary operations to unstick mutual reduction."""
-        nz = [i for i, p in enumerate(self.work) if not p.is_zero()]
-        if len(nz) < 2:
-            return
-        for _ in range(3):
-            i, j = self.rng.sample(nz, 2)
-            c = self.rng.choice([1, -1, 2, -2])
-            self.colop(i, j, Poly.const(self.vars, c))
 
     def _bezout_pair(self, a, b) -> bool:
         one = Poly.const(self.vars, 1)
@@ -716,30 +693,6 @@ class _RowCompleter:
                 raise InternalError("mutual reduction bookkeeping drifted")
             changed = True
         return changed
-
-    def _left_inverse_trick(self):
-        one = Poly.const(self.vars, 1)
-        h = lift_coefficients(one, self.work)
-        if h is None:
-            raise CompletionError("completion failed (row is not unimodular)")
-        pivot = None
-        for i, hi in enumerate(h):
-            if not hi.is_zero() and hi.is_constant():
-                pivot = i
-                break
-        if pivot is None:
-            return
-        # rank-one update: B = I + h^T x with x = e_pivot - work; then
-        # work B = e_pivot because work h^T = 1, and x h^T = h_pivot - 1, so
-        # det B = h_pivot is a nonzero constant and B^-1 = I - h^T x / h_pivot
-        zero = Poly.zero(self.vars)
-        x = [(one if j == pivot else zero) - self.work[j] for j in range(self.m)]
-        hp_inv = Fraction(1) / h[pivot].constant_value()
-        b = [[(one if i == j else zero) + h[i] * x[j] for j in range(self.m)]
-             for i in range(self.m)]
-        b_inv = [[(one if i == j else zero) - h[i] * x[j] * hp_inv for j in range(self.m)]
-                 for i in range(self.m)]
-        self.apply_matrix(PolyMatrix(b), PolyMatrix(b_inv))
 
     # general layer -----------------------------------------------------
 
@@ -819,13 +772,13 @@ class _RowCompleter:
             raise CompletionError("completion failed (univariate row has a common factor)")
 
 
-def _complete_rows(f: PolyMatrix, rng, use_heuristics=True) -> tuple[PolyMatrix, PolyMatrix]:
+def _complete_rows(f: PolyMatrix, use_heuristics=True) -> tuple[PolyMatrix, PolyMatrix]:
     """(M, M^-1) with M (cols x cols, unimodular) and f M = [I_n, 0] for
     row-unimodular f."""
     n, m = f.rows, f.cols
     if n > m:
         raise ValueError("expected at least as many columns as rows")
-    e1, e1_inv = _RowCompleter(f.row(0), rng, use_heuristics).run()
+    e1, e1_inv = _RowCompleter(f.row(0), use_heuristics).run()
     if n == 1:
         return e1, e1_inv
     fe = f * e1
@@ -840,7 +793,7 @@ def _complete_rows(f: PolyMatrix, rng, use_heuristics=True) -> tuple[PolyMatrix,
                 e1.entries[i][j] = e1.entries[i][j] * scale
             e1_inv.entries[j] = [x * (1 / scale) for x in e1_inv.entries[j]]
     sub = fe.submatrix(range(1, n), range(1, m))
-    mp, mp_inv = _complete_rows(sub, rng, use_heuristics)
+    mp, mp_inv = _complete_rows(sub, use_heuristics)
     zero = Poly.zero(f.vars)
     one = Poly.const(f.vars, 1)
 
@@ -958,13 +911,14 @@ def _constant_minor_completion(f: PolyMatrix, rows) -> tuple[PolyMatrix, PolyMat
     return big, m_inv
 
 
-def complete_columns(f: PolyMatrix, seed: int = 0,
-                     use_heuristics: bool = True) -> CompletionCertificate:
+def complete_columns(f: PolyMatrix, use_heuristics: bool = True) -> CompletionCertificate:
     """Complete a unimodular m x n matrix (m > n) to M with M f = [I_n; 0].
 
-    The certificate (M inverse, constant determinant, exact product) is
-    verified before returning; failure raises CompletionError rather than
-    ever producing an unverified answer.
+    A constant maximal minor gives M directly; otherwise each row of f^T is
+    reduced to a constant pivot, or completed by the general route when
+    reduction stalls or use_heuristics is False.  M f = [I_n; 0] and
+    M M^-1 = I are checked exactly before returning; failure raises
+    CompletionError rather than ever producing an unverified answer.
     """
     m, n = f.rows, f.cols
     if m <= n:
@@ -976,7 +930,7 @@ def complete_columns(f: PolyMatrix, seed: int = 0,
     if use_heuristics and const_rows is not None:
         big, inv = _constant_minor_completion(f, const_rows)
     else:
-        mt, mt_inv = _complete_rows(f.transpose(), random.Random(seed), use_heuristics)
+        mt, mt_inv = _complete_rows(f.transpose(), use_heuristics)
         big, inv = mt.transpose(), mt_inv.transpose()
     if big * f != _target_block(n, m, f.vars):
         raise CompletionError("completion failed (certificate product check)")
@@ -992,7 +946,7 @@ def complete_columns(f: PolyMatrix, seed: int = 0,
                                  bound=bound, within_bound=deg_m <= bound)
 
 
-def variable_elimination_step(f: PolyMatrix, var: str, seed: int = 0) -> PolyMatrix:
+def variable_elimination_step(f: PolyMatrix, var: str) -> PolyMatrix:
     """For row-unimodular f (n x m, n <= m): unimodular M with f M = f|_{var:=0}."""
     if var not in f.vars:
         raise ValueError(f"unknown variable {var!r}")
@@ -1020,9 +974,8 @@ def variable_elimination_step(f: PolyMatrix, var: str, seed: int = 0) -> PolyMat
                     out_inv.entries[const_j][i] = -out.entries[const_j][i]
             _check_elimination(f, out, out_inv, specialized)
             return out
-    rng = random.Random(seed)
-    m1, m1_inv = _complete_rows(f, rng)
-    m2, m2_inv = _complete_rows(specialized, rng)
+    m1, m1_inv = _complete_rows(f)
+    m2, m2_inv = _complete_rows(specialized)
     out = m1 * m2_inv
     _check_elimination(f, out, m2 * m1_inv, specialized)
     return out

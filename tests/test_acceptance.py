@@ -130,7 +130,7 @@ def test_criterion_4_randomized_theorem_suite(capsys):
     branch_counts = {}
     for k in range(runs):
         par = validate(_random_parametrization(rng))
-        mb, report = compute_mu_basis(par, seed=k)
+        mb, report = compute_mu_basis(par)
         assert len(mb.vectors) == 3
         assert mb.alpha != 0
         failed = [v for v in report.bounds.verdicts if v.applicable and not v.passed]
@@ -163,7 +163,7 @@ def test_criterion_5_completion_certificates(capsys):
         else:
             f = random_unimodular_column(rng, rng.randint(2, 5))
         n = f.cols
-        cert = complete_columns(f, seed=k)
+        cert = complete_columns(f)
         ident = PolyMatrix.identity(f.rows, VARS_ST)
         target = PolyMatrix([[ONE2 if i == j else ZERO2 for j in range(n)]
                              for i in range(f.rows)])

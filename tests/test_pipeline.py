@@ -189,7 +189,7 @@ class TestExtractBasis:
 class TestComputeMuBasis:
     def test_reference_end_to_end(self):
         par = validate(reference_input())
-        mb, report = compute_mu_basis(par, seed=0)
+        mb, report = compute_mu_basis(par)
         assert report.branch == "pd2"
         assert mb.alpha != 0
         assert report.beta2 == 1
@@ -198,7 +198,7 @@ class TestComputeMuBasis:
 
     def test_bilinear_patch(self):
         par = validate([ONE, S, T, S * T])
-        mb, report = compute_mu_basis(par, seed=0)
+        mb, report = compute_mu_basis(par)
         assert max(mb.degrees) <= 1
         expected = [
             (-S, ONE, ZERO, ZERO),
@@ -209,7 +209,7 @@ class TestComputeMuBasis:
 
     def test_unit_component(self):
         par = validate([ONE, ZERO, ZERO, ZERO])
-        mb, report = compute_mu_basis(par, seed=0)
+        mb, report = compute_mu_basis(par)
         assert report.branch == "pd1"
         assert abs(mb.alpha) == 1
         e = [tuple(ONE if i == j else ZERO for j in range(4)) for i in range(4)]
@@ -219,14 +219,14 @@ class TestComputeMuBasis:
         # four coprime binary cubics: the homogenized ideal is perfect of
         # height 2, so its syzygy module is free and mu degrees sum to d
         par = validate([S**3, S**2 * T, S * T**2, T**3])
-        mb, report = compute_mu_basis(par, seed=0)
+        mb, report = compute_mu_basis(par)
         assert report.branch == "pd1"
         assert report.mu is not None and sum(report.mu) == 3
         assert max(mb.degrees) <= 3
 
     def test_scaling_invariance_of_alpha(self):
         par = validate(reference_input())
-        mb, _ = compute_mu_basis(par, seed=0)
+        mb, _ = compute_mu_basis(par)
         scaled = (tuple(3 * x for x in mb.p), mb.q, mb.r)
         assert verify_mu_basis(scaled, par) == 3 * mb.alpha
 
@@ -242,7 +242,7 @@ class TestComputeMuBasis:
             if max(int(p.degree) for p in nz) < 1:
                 continue
             par = validate(polys)
-            mb, report = compute_mu_basis(par, seed=done)
+            mb, report = compute_mu_basis(par)
             assert len(mb.vectors) == 3
             assert mb.alpha != 0
             if report.branch == "pd1":

@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from mubasis import arith, quillen_suslin
+from mubasis import arith, cli, quillen_suslin
 from mubasis.arith import VARS_ST, Poly, PolyMatrix, mat_inverse
 from mubasis.quillen_suslin import (
     _eliminate_t_monic,
@@ -134,7 +135,7 @@ class TestCompleteColumns:
         for _ in range(20):
             m = rng.randint(2, 5)
             f = random_unimodular_column(rng, m)
-            cert = complete_columns(f, seed=1)
+            cert = complete_columns(f)
             assert cert.M * f == target_block(1, m)
             assert cert.M * cert.M_inv == PolyMatrix.identity(m, VARS_ST)
 
@@ -144,15 +145,15 @@ class TestCompleteColumns:
             n = rng.randint(1, 2)
             m = n + rng.randint(1, 2)
             f = random_unimodular_matrix(rng, m, n)
-            cert = complete_columns(f, seed=2)
+            cert = complete_columns(f)
             assert cert.M * f == target_block(n, m)
             assert cert.det != 0
 
-    def test_seed_reproducibility(self):
+    def test_repeated_calls_agree(self):
         rng = random.Random(43)
         f = random_unimodular_column(rng, 4)
-        a = complete_columns(f, seed=5)
-        b = complete_columns(f, seed=5)
+        a = complete_columns(f)
+        b = complete_columns(f)
         assert a.M == b.M and a.M_inv == b.M_inv
 
 
@@ -217,12 +218,8 @@ class TestVariableElimination:
         assert f * m == PolyMatrix([[ONE, ZERO]])
 
     def test_general_matrix(self):
-        rng = random.Random(47)
-        for _ in range(5):
-            n = rng.randint(1, 2)
-            m = n + rng.randint(1, 2)
-            f = random_unimodular_matrix(rng, m, n).transpose()
-            out = variable_elimination_step(f, "t", seed=3)
+        for f in _elimination_inputs():
+            out = variable_elimination_step(f, "t")
             assert f * out == f.map_entries(lambda p: p.set_var("t", 0))
 
     def test_precondition(self):
@@ -230,8 +227,17 @@ class TestVariableElimination:
             variable_elimination_step(PolyMatrix([[S, T]]), "t")
 
 
+def _elimination_inputs():
+    """Five row-unimodular matrices for variable_elimination_step."""
+    rng = random.Random(47)
+    for _ in range(5):
+        n = rng.randint(1, 2)
+        m = n + rng.randint(1, 2)
+        yield random_unimodular_matrix(rng, m, n).transpose()
+
+
 def _certificate_cases():
-    """(f, seed, use_heuristics) covering every route through completion:
+    """(f, use_heuristics) covering every route through completion:
     the acceptance criterion 5 stream, the reference column, a constant
     minor, and the general route without heuristics."""
     rng = random.Random(77)
@@ -241,13 +247,13 @@ def _certificate_cases():
             f = random_unimodular_matrix(rng, n + rng.randint(1, 2), n)
         else:
             f = random_unimodular_column(rng, rng.randint(2, 5))
-        yield f, k, True
-    yield reference_column(), 0, True
-    yield PolyMatrix([[S, T], [ONE, S], [T, ONE + S * T]]), 0, True
+        yield f, True
+    yield reference_column(), True
+    yield PolyMatrix([[S, T], [ONE, S], [T, ONE + S * T]]), True
     for row in GENERAL_ROUTE_ROWS:
         f = PolyMatrix([[p] for p in row])
         if is_unimodular(f):
-            yield f, 0, False
+            yield f, False
 
 
 class TestCarriedInverse:
@@ -255,8 +261,8 @@ class TestCarriedInverse:
     route, which stays the reference implementation."""
 
     def test_matches_mat_inverse(self):
-        for f, seed, heur in _certificate_cases():
-            cert = complete_columns(f, seed=seed, use_heuristics=heur)
+        for f, heur in _certificate_cases():
+            cert = complete_columns(f, use_heuristics=heur)
             assert (cert.M_inv, cert.det) == mat_inverse(cert.M)
             # the constant-minor path inverts its block this way; M is larger
             assert quillen_suslin._leverrier_inverse(cert.M) == cert.M_inv
@@ -279,14 +285,131 @@ class TestCarriedInverse:
         monkeypatch.setattr(PolyMatrix, "adjugate", boom)
         monkeypatch.setattr(arith, "mat_inverse", boom)
         monkeypatch.setattr(quillen_suslin, "mat_inverse", boom, raising=False)
-        for f, seed, heur in _certificate_cases():
-            cert = complete_columns(f, seed=seed, use_heuristics=heur)
+        for f, heur in _certificate_cases():
+            cert = complete_columns(f, use_heuristics=heur)
             assert cert.M * cert.M_inv == PolyMatrix.identity(f.rows, VARS_ST)
-        rng = random.Random(47)
-        for _ in range(5):
-            n = rng.randint(1, 2)
-            f = random_unimodular_matrix(rng, n + rng.randint(1, 2), n).transpose()
-            out = variable_elimination_step(f, "t", seed=3)
+        for f in _elimination_inputs():
+            out = variable_elimination_step(f, "t")
             assert f * out == f.map_entries(lambda p: p.set_var("t", 0))
         assert variable_elimination_step(PolyMatrix([[T, ONE]]), "t") == \
             PolyMatrix([[ONE, ZERO], [-T, ONE]])
+
+
+class TestStalledReduction:
+    """A row on which mutual reduction makes no progress goes straight to the
+    general route, with no Groebner lift tried first."""
+
+    def test_goes_straight_to_the_general_route(self, monkeypatch):
+        monkeypatch.setattr(quillen_suslin._RowCompleter, "_mutual_reduction_pass",
+                            lambda self, nz: False)
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(quillen_suslin, "lift_coefficients",
+                            counted("lift", quillen_suslin.lift_coefficients))
+        monkeypatch.setattr(quillen_suslin, "_eliminate_t_monic",
+                            counted("eliminate", quillen_suslin._eliminate_t_monic))
+        for row in GENERAL_ROUTE_ROWS:
+            calls.update(lift=0, eliminate=0)
+            f = PolyMatrix([[p] for p in row])
+            cert = complete_columns(f)
+            assert calls == {"lift": 0, "eliminate": 1}, row
+            assert cert.M * f == target_block(1, len(row))
+            assert cert.M * cert.M_inv == PolyMatrix.identity(len(row), VARS_ST)
+
+
+class TestNoRandomness:
+    def test_completion_and_compute_draw_no_random_numbers(self, monkeypatch):
+        cases = list(_certificate_cases())
+        eliminations = list(_elimination_inputs())
+
+        def boom(*args, **kwargs):
+            raise AssertionError("random number drawn")
+
+        for name in ("Random", "random", "choice", "sample"):
+            monkeypatch.setattr(random, name, boom)
+        for f, heur in cases:
+            complete_columns(f, use_heuristics=heur)
+        for f in eliminations:
+            variable_elimination_step(f, "t")
+        docs = []
+        for seed in (0, 7):
+            doc, code, _ = cli.run("compute", cli.parse_parametrization(
+                "(s^2, t^2, s^2-1, s^2+1)", seed=seed))
+            assert code == 0
+            assert doc.pop("seed") == seed
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
+
+def _digest(*parts) -> str:
+    return hashlib.sha256("|".join(map(str, parts)).encode()).hexdigest()
+
+
+# sha256 of "repr(M)|repr(M_inv)|det|deg_M" for each _certificate_cases() case,
+# and of repr(M) for each _elimination_inputs() matrix, pinned while the
+# completion heuristics still included a left-inverse update and random
+# shears: the routes that remain build exactly the same matrices
+CERTIFICATE_DIGESTS = [
+    "02a83e4b0002d0dfdea14ec76be42da594364ba964bc594ed39eab4919da1b9c",
+    "0bb1a2f7d81b6d340bad8d6780a8759575ed2f1ea6ce6caa298fb00f088480fd",
+    "636c8c95e9218ee95e2b6a9480d591f7d9d4abf8d367585fe6dd73627ee44fb0",
+    "bc69ac851509721958b4ebbacf23ef76b0388191ffd576f9dc8acdfc7b222917",
+    "90bbfb7b364016e36f80240860fb7d69e059f758f74f4870e6bedf422b64aee7",
+    "44e7b8dc34331bbab7b7b155d78211cdabb3272e84262f4bbeee9ddd512971d9",
+    "f100ff85a4f285d31ad0d70e1061ec540f36357a8b548bf5f1f1a360c02bdd54",
+    "51c5ffe30495ee1fc914df2b62defc5afdbed035548c0efd13bd27e6e098a3e9",
+    "5226d1e9b5e98d2f58ccfea1ce58d166b91332e89abda8efd4acdf4eba36190d",
+    "267bdb8d6ec46600c8aed3bd1c805fb0240c6cf867fb5852d5331ee38d67b49b",
+    "f100ff85a4f285d31ad0d70e1061ec540f36357a8b548bf5f1f1a360c02bdd54",
+    "0ac8dc62c89f37cb445ca86de2bd735b3e529fd4b0905ee98df80e94f095ac36",
+    "0371d1f549a8fcb0c80162f5e1f392d207a6e29dfdbbe7b89b2e03fb9f1ab66e",
+    "31f205026bee4ec7dbe3dea6253160a18eefd1762220c2012e45aadbb8c9475f",
+    "2dce6c2b985550c3192ea3e411ae31ae283f2c8273b2032f4a6d901f2921b660",
+    "791382f13c5d0fc9687b1ebb318d0f5026b3c6e8c317ed3049fc60890e7e88b5",
+    "949d09e7a413d934c0e17b808ea7cfb9f988a673cbc566447499bba1b6825059",
+    "af7b725fbc08bc6f505d845631d4994712cb68fd46bc7f0c86bc405d9eed1847",
+    "bea36f2ef8862fd7a13cc7635ced5de88eb3919b56bf3b149cf3b812d19a973e",
+    "791382f13c5d0fc9687b1ebb318d0f5026b3c6e8c317ed3049fc60890e7e88b5",
+    "34bb2087793c6fc99709e4262e60caaa1c9015964b4721ed2c1d53edc407cb6f",
+    "4974f4bcbbb5007cbb5a4613c697e9939990698d23773d80407ab10d15483004",
+    "f100ff85a4f285d31ad0d70e1061ec540f36357a8b548bf5f1f1a360c02bdd54",
+    "62b04d1c822a3072d33720dcfbf15dde70c224803201ae23b4eb3f7058c3e348",
+    "c5db24d74b3d2ee74655a0393fa2f74f287e41912460b910d9b24cd66dfcb463",
+    "791382f13c5d0fc9687b1ebb318d0f5026b3c6e8c317ed3049fc60890e7e88b5",
+    "bff80b79d19b55e064133ced1c17617e324080c5afe058047eae684222c7b784",
+    "22f568563676e84148141a8d36ddd7c01b57c394057eaa5bd06fcedab8788cf1",
+    "0ac8dc62c89f37cb445ca86de2bd735b3e529fd4b0905ee98df80e94f095ac36",
+    "347240a5e40c2995cd95d28f2b03f4172e6a6fb8faa2f492d4db22f8bf177e1b",
+    "b7f823ff14fb0149004c42e7e6f08fe4e483e1c589930888039c9c55c968e48d",
+    "879b8aee137381ac87a1f3bbd1b0eea97d1ad1e2e5077a6af0e984ba72c86087",
+    "dd5fcd560aea638665ae20d1ccb0582ffdd6ae127ac37a6f9d78b2b7b3f726b6",
+    "f84285817e7ce0b02e6e91866c96785f8a8eca6f147fcb2c04a23c22063ccc3f",
+    "25df5a1d3502c62b60e530f07a67f17d6737a7ec54bfc9961e64577fc01695d0",
+]
+
+ELIMINATION_DIGESTS = [
+    "b2fb487edcc8bcd5b8ed44825d489b9d39f7a43e4433945cf2ef0473a337b202",
+    "85bbcfbb5938d53314d216ee576d04262d83c9ce4e345f747e4488b83a266e35",
+    "376b81b1597406472fd8365ca702d4371404f3acc32cfb075f2ba3bca1f16643",
+    "1134dc073298c7de3c2360761c65d67a5a9c68f0cb5936e0b475f023edc2f331",
+    "85bbcfbb5938d53314d216ee576d04262d83c9ce4e345f747e4488b83a266e35",
+]
+
+
+class TestPinnedOutputs:
+    def test_completion_certificates(self):
+        got = [_digest(repr(c.M), repr(c.M_inv), c.det, c.deg_M)
+               for c in (complete_columns(f, use_heuristics=heur)
+                         for f, heur in _certificate_cases())]
+        assert got == CERTIFICATE_DIGESTS
+
+    def test_variable_elimination(self):
+        got = [_digest(repr(variable_elimination_step(f, "t")))
+               for f in _elimination_inputs()]
+        assert got == ELIMINATION_DIGESTS
