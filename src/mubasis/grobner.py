@@ -10,7 +10,8 @@ ideal quotients.
 Free resolutions are built by exact linear algebra on one graded piece at a
 time (graded Nakayama), with one echelon routine that yields both the
 graded syzygy spaces and the minimal generators; a Groebner basis only
-supplies the Schreyer degree bound that ends the scan.  The Buchberger and
+supplies the degree bound that ends the scan, that of the Schreyer
+syzygies left by the strict chain criterion.  The Buchberger and
 Schreyer route of ``syzygy_generators`` stays independent of it and serves
 verification.
 """
@@ -794,13 +795,27 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k):
 def _schreyer_degree_bound(vectors, degrees, row_shifts, basis=None) -> int:
     """A degree D such that Syz(vectors) is generated in degrees <= D.
 
-    For a Groebner basis g of the module the vectors generate, Schreyer's
-    theorem (Eisenbud, Commutative Algebra, Thm 15.10) says the S-pair
-    syzygies of same-position pairs generate Syz(g); the one of g_a, g_b
-    has degree |lcm(lm g_a, lm g_b)| + row_shifts[pos].  Pushed down to the
+    Let g be a reduced Groebner basis of the module the vectors generate
+    (basis, when given) with leading monomials m_a.  A same-position pair
+    gives the syzygy sigma_ab = (L/m_a) e_a - (L/m_b) e_b of the leading
+    terms, L = lcm(m_a, m_b), of degree |L| + row_shifts[pos].  The pair
+    counts unless a third lead m_c in that position divides L with
+    lcm(m_a, m_c) != L and lcm(m_b, m_c) != L: the chain criterion in its
+    strict form (Gebauer and Moeller, J. Symbolic Comput. 6, 1988).  A
+    pruned sigma_ab is (L/L_ac) sigma_ac - (L/L_bc) sigma_bc with L_ac and
+    L_bc proper divisors of L, so by induction on L under divisibility the
+    counted sigma generate Syz(lt g) in degrees up to their maximum.  Their
+    lifts generate Syz(g) in the same degrees (Schreyer; Eisenbud,
+    Commutative Algebra, Thm 15.10 and its proof), and pushed down to the
     vectors, with the rows v_l - sum B_la g_a of degree deg v_l, they
-    generate Syz(vectors).  Only degrees are needed, not representations;
-    basis, when given, is that Groebner basis.
+    generate Syz(vectors).
+
+    The test must stay strict: with equal lcms (s*t, s*u, t*u) a non-strict
+    one prunes the pairs in a cycle and loses the degree of every one.  The
+    product criterion does not apply: it says an S-polynomial reduces to
+    zero, not that the Koszul syzygy of coprime leads is redundant (the
+    syzygy of s and t is one).  Only degrees are needed, not
+    representations.
     """
     bound = max(degrees)
     if basis is None:
@@ -811,8 +826,12 @@ def _schreyer_degree_bound(vectors, degrees, row_shifts, basis=None) -> int:
     leads = [pm for pm, _ in basis._ext.leads]
     for a, (pa, ma) in enumerate(leads):
         for pb, mb in leads[a + 1:]:
-            if pa == pb:
-                bound = max(bound, sum(mono_lcm(ma, mb)) + row_shifts[pa])
+            if pa != pb:
+                continue
+            u = mono_lcm(ma, mb)
+            if not any(pc == pa and mono_divides(mc, u) and mono_lcm(ma, mc) != u
+                       and mono_lcm(mb, mc) != u for pc, mc in leads):
+                bound = max(bound, sum(u) + row_shifts[pa])
     return bound
 
 
@@ -820,9 +839,11 @@ def _minimal_syzygies(vectors, degrees, row_shifts, basis=None):
     """Minimal generators of Syz(vectors) with small integer coefficients,
     and their degrees (vectors and degrees as in graded_syzygy_space).
 
-    Graded pieces are scanned in increasing degree up to the Schreyer bound.
-    In each, basis vectors are kept in order unless the kept ones generate
-    them, until the kept ones span the piece, checked exactly by dimension.
+    Graded pieces are scanned in increasing degree up to the bound of
+    ``_schreyer_degree_bound`` (Schreyer syzygies left by the strict chain
+    criterion).  In each, basis vectors are kept in order unless the kept
+    ones generate them, until the kept ones span the piece, checked exactly
+    by dimension.
     By graded Nakayama the kept vectors are minimal generators of every
     piece up to the bound, and past it no new generator is needed.  basis
     is handed to ``_schreyer_degree_bound``.

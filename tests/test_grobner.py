@@ -556,14 +556,38 @@ class TestGradedMinimalGenerators:
     def test_criterion_4_rows(self, index):
         assert_resolution_selections_agree(criterion_4_rows(4)[index])
 
-    @pytest.mark.parametrize("seed", [2, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_recipe_d3_rows_whose_bound_is_tight(self, seed):
-        # the Schreyer bound of the second map is its top degree 7, so a
+        # the Schreyer bound of each map is its top degree (6, then 7), so a
         # scan that stopped one degree early would miss generators
         row = recipe_row(seed, 3)
         res = assert_resolution_selections_agree(row)
+        assert _schreyer_degree_bound([(g,) for g in row], res.shifts0, [0]) == max(res.q) == 6
         cols1 = [tuple(c) for c in res.d1.columns()]
         assert _schreyer_degree_bound(cols1, res.q, res.shifts0) == max(res.p) == 7
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_recipe_d3_scan_stops_at_the_top_degrees(self, seed, monkeypatch):
+        # degrees 3..6 for the first map and 5..7 for the second, nothing above
+        calls = []
+        real = grobner.graded_syzygy_space
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(grobner, "graded_syzygy_space", counting)
+        free_resolution(recipe_row(seed, 3), fixed_first_map=True)
+        assert calls == [3, 4, 5, 6, 5, 6, 7]
+
+    @pytest.mark.parametrize("row", [
+        [S * T, S * U, T * U],  # pairwise lcms all equal s*t*u
+        [S * T, S * U, T * U, S * T * U],
+    ])
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_rows_with_equal_pairwise_lcms(self, row, fixed):
+        # no lead prunes a pair whose lcm it shares, so the degree 3 pairs count
+        assert_resolution_selections_agree(row, fixed_first_map=fixed)
 
     def test_row_with_zero_component(self):
         row = [S**2, T**2, ZERO3, S * T + U**2]
@@ -805,5 +829,25 @@ def test_minimal_betti_table_matches_minimal_resolution(row):
 @settings(max_examples=40, deadline=30000)
 @given(rows_with_redundant_component(), st.booleans())
 def test_resolution_matches_buchberger_schreyer_route(row, fixed):
+    assume(any(not g.is_zero() for g in row))
+    assert_resolution_selections_agree(row, fixed_first_map=fixed)
+
+
+@st.composite
+def monomial_or_binomial_rows(draw):
+    """Two to four entries in s, t, u, each zero, a monomial or a binomial
+    of degree 1 to 3: rows whose leading terms share many lcms."""
+    row = []
+    for _ in range(draw(st.integers(2, 4))):
+        monos = monomials_of_degree(3, draw(st.integers(1, 3)))
+        n = draw(st.integers(0, 2))
+        picked = draw(st.lists(st.sampled_from(monos), min_size=n, max_size=n, unique=True))
+        row.append(Poly(VARS_STU, {m: draw(st.sampled_from([1, -1, 2, -3])) for m in picked}))
+    return row
+
+
+@settings(max_examples=40, deadline=30000)
+@given(monomial_or_binomial_rows(), st.booleans())
+def test_resolution_of_monomial_and_binomial_rows(row, fixed):
     assume(any(not g.is_zero() for g in row))
     assert_resolution_selections_agree(row, fixed_first_map=fixed)
