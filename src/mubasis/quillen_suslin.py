@@ -33,6 +33,7 @@ from .arith import (
     VARS_ST,
     Poly,
     PolyMatrix,
+    _as_univar,
     _uni_coeffs,
     _uni_from_coeffs,
     _uni_xgcd,
@@ -145,41 +146,34 @@ def _squarefree_part(g: Poly, vi: int) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Rational functions over Q[s] and polynomials in t above them
+# Fractions: elements of Q(s)[t]
 # ---------------------------------------------------------------------------
 
 _S = 0  # variable indices into VARS_ST
 _T = 1
+_ONE = Poly.const(VARS_ST, 1)
 
 
-class _RatFunc:
-    """num/den with num, den in Q[s]; den monic, gcd-reduced."""
+class _Frac:
+    """num/den in Q(s)[t]: num in Q[s,t]; den monic in Q[s] and coprime to
+    the t-coefficients of num.  All arithmetic is Poly arithmetic, and each
+    result is normalized once, by one gcd when den is not constant."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly | None = None):
-        if den is None:
-            den = Poly.const(VARS_ST, 1)
+    def __init__(self, num: Poly, den: Poly = _ONE):
         if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
+            raise ZeroDivisionError("fraction with zero denominator")
         if num.is_zero():
-            self.num = num
-            self.den = Poly.const(VARS_ST, 1)
-            return
-        g = gcd_many([num, den])
-        if not g.is_constant():
-            num = exact_div(num, g)
-            den = exact_div(den, g)
+            den = _ONE
+        elif not den.is_constant():
+            g = gcd_many([den, *_as_univar(num, _T).values()])
+            if not g.is_constant():
+                num, den = exact_div(num, g), exact_div(den, g)
         lc = den.leading_coefficient()
         if lc != 1:
-            inv = Fraction(1) / lc
-            num, den = num * inv, den * inv
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def const(cls, c) -> "_RatFunc":
-        return cls(Poly.const(VARS_ST, c))
+            num, den = num * (1 / lc), den * (1 / lc)
+        self.num, self.den = num, den
 
     def is_zero(self):
         return self.num.is_zero()
@@ -187,145 +181,63 @@ class _RatFunc:
     def is_one(self):
         return self.num == self.den
 
-    def is_polynomial(self):
-        return self.den.is_constant()
-
-    def __add__(self, o):
-        return _RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def __sub__(self, o):
-        return _RatFunc(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __mul__(self, o):
-        return _RatFunc(self.num * o.num, self.den * o.den)
-
-    def __neg__(self):
-        return _RatFunc(-self.num, self.den)
-
-    def inv(self):
-        if self.is_zero():
-            raise ZeroDivisionError
-        return _RatFunc(self.den, self.num)
-
-    def __eq__(self, o):
-        return isinstance(o, _RatFunc) and self.num == o.num and self.den == o.den
-
-
-class _TPoly:
-    """Polynomial in t with _RatFunc coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict):
-        self.coeffs = {e: c for e, c in coeffs.items() if not c.is_zero()}
-
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
-    def one(cls):
-        return cls({0: _RatFunc.const(1)})
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "_TPoly":
-        buckets: dict[int, dict] = {}
-        for (a, b), c in p.terms.items():
-            buckets.setdefault(b, {})[(a, 0)] = c
-        return cls({e: _RatFunc(Poly(VARS_ST, t)) for e, t in buckets.items()})
-
-    def to_poly(self) -> Poly | None:
-        """Back to Q[s,t]; None when a denominator survives."""
-        acc = Poly.zero(VARS_ST)
-        t = Poly.variable(VARS_ST, "t")
-        for e, c in self.coeffs.items():
-            if not c.is_polynomial():
-                return None
-            scaled = c.num * (Fraction(1) / c.den.constant_value())
-            acc = acc + scaled * t**e
-        return acc
-
-    def is_zero(self):
-        return not self.coeffs
-
     @property
     def deg(self):
-        return max(self.coeffs) if self.coeffs else -1
+        """Degree in t; -1 for zero."""
+        return max((b for _, b in self.num.terms), default=-1)
 
-    def coeff(self, e: int) -> _RatFunc:
-        return self.coeffs.get(e, _RatFunc.const(0))
+    def coeff(self, e: int) -> "_Frac":
+        return _Frac(_as_univar(self.num, _T).get(e, Poly.zero(VARS_ST)), self.den)
 
     def __add__(self, o):
-        out = dict(self.coeffs)
-        for e, c in o.coeffs.items():
-            out[e] = out[e] + c if e in out else c
-        return _TPoly(out)
+        return _Frac(self.num * o.den + o.num * self.den, self.den * o.den)
 
     def __sub__(self, o):
-        out = dict(self.coeffs)
-        for e, c in o.coeffs.items():
-            out[e] = out[e] - c if e in out else -c
-        return _TPoly(out)
+        return _Frac(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __mul__(self, o):
-        out: dict[int, _RatFunc] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in o.coeffs.items():
-                e = e1 + e2
-                p = c1 * c2
-                out[e] = out[e] + p if e in out else p
-        return _TPoly(out)
+        return _Frac(self.num * o.num, self.den * o.den)
 
-    def scale(self, c: _RatFunc):
-        return _TPoly({e: v * c for e, v in self.coeffs.items()})
+    def __neg__(self):
+        return _Frac(-self.num, self.den)
+
+    def inv(self):
+        """1/self for self free of t."""
+        if _uses_var(self.num, _T):
+            raise ValueError("only an element of Q(s) is inverted")
+        return _Frac(self.den, self.num)
 
     def shift(self, k: int):
-        return _TPoly({e + k: v for e, v in self.coeffs.items()})
+        return _Frac(self.num.term_mul((0, k), 1), self.den)
 
-    def divmod_monic(self, g: "_TPoly"):
+    def divmod_monic(self, g: "_Frac"):
         """(q, r) with self = q g + r, deg r < deg g; g has lead coeff 1."""
-        q = _TPoly.zero()
+        q = _Frac(Poly.zero(VARS_ST))
         r = self
-        dg = g.deg
-        while not r.is_zero() and r.deg >= dg:
-            e = r.deg
-            c = r.coeff(e)
-            term = _TPoly({e - dg: c})
+        while not r.is_zero() and r.deg >= g.deg:
+            term = r.coeff(r.deg).shift(r.deg - g.deg)
             q = q + term
             r = r - term * g
         return q, r
 
-    def subst_t(self, b: "_TPoly") -> "_TPoly":
-        out = _TPoly.zero()
-        power = _TPoly.one()
-        for e in range(self.deg + 1):
-            c = self.coeff(e)
-            if not c.is_zero():
-                out = out + power.scale(c)
-            if e < self.deg:
-                power = power * b
-        return out
+
+def _at_t(a: PolyMatrix, b: Poly) -> PolyMatrix:
+    return a.map_entries(lambda p: p.substitute({"t": b}))
 
 
-def _tp_identity(m: int) -> list[list[_TPoly]]:
-    return [[_TPoly.one() if i == j else _TPoly.zero() for j in range(m)] for i in range(m)]
+def _exact_quotient(a: PolyMatrix, d: Poly) -> PolyMatrix | None:
+    """a / d entrywise, or None when d does not divide some entry."""
+    rows = [[exact_div(p, d) for p in row] for row in a.entries]
+    return None if any(None in row for row in rows) else PolyMatrix(rows)
 
 
-def _tp_mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[_TPoly.zero() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for l in range(k):
-            if a[i][l].is_zero():
-                continue
-            for j in range(m):
-                if not b[l][j].is_zero():
-                    out[i][j] = out[i][j] + a[i][l] * b[l][j]
-    return out
-
-
-def _tp_subst_matrix(a, b: _TPoly):
-    return [[x.subst_t(b) for x in row] for row in a]
+def _over_common_den(a) -> tuple[PolyMatrix, Poly]:
+    """(N, d) with a = N / d for a matrix a of fractions, d their lcm."""
+    d = _ONE
+    for x in (x for row in a for x in row):
+        if exact_div(d, x.den) is None:
+            d = d * exact_div(x.den, gcd_many([d, x.den]))
+    return PolyMatrix([[x.num * exact_div(d, x.den) for x in row] for row in a]), d
 
 
 # ---------------------------------------------------------------------------
@@ -340,34 +252,34 @@ def _horrocks_local(row_polys: list[Poly], gamma: Poly | None):
     gamma: squarefree monic modulus describing the chart V(gamma), or None
     for the dense chart where any nonzero element counts as a unit.
 
-    Returns (E, E_inv, denom, spawned, gamma_final): a matrix over
-    Q[s]_denom[t] with row * E = e1 and its inverse, the accumulated
-    denominator, split-off moduli that still need their own charts, and the
-    possibly shrunken modulus.
+    Returns (E, E_inv, denom, spawned, gamma_final): E, with row * E = e1,
+    and its inverse as lists of rows of _Frac entries whose denominators are
+    units on the chart, the accumulated denominator, split-off moduli that
+    still need their own charts, and the possibly shrunken modulus.
     """
     m = len(row_polys)
     if m < 3:
         raise InternalError("local trivialization needs at least three entries")
-    h = [_TPoly.from_poly(p) for p in row_polys]
-    E = _tp_identity(m)
-    Einv = _tp_identity(m)
+    h = [_Frac(p) for p in row_polys]
+    E = [[_Frac(_ONE if i == j else Poly.zero(VARS_ST)) for j in range(m)] for i in range(m)]
+    Einv = [row[:] for row in E]
     denom = Poly.const(VARS_ST, 1)
     spawned: list[Poly] = []
 
     # each column operation on E is undone by the inverse row operation,
     # applied on the left of Einv
-    def colop(i, j, factor: _TPoly):
+    def colop(i, j, factor: _Frac):
         h[i] = h[i] + factor * h[j]
         for r in range(m):
             E[r][i] = E[r][i] + factor * E[r][j]
         Einv[j] = [x - factor * y for x, y in zip(Einv[j], Einv[i])]
 
-    def colscale(i, c: _RatFunc):
-        h[i] = h[i].scale(c)
+    def colscale(i, c: _Frac):
+        h[i] = h[i] * c
         for r in range(m):
-            E[r][i] = E[r][i].scale(c)
+            E[r][i] = E[r][i] * c
         cinv = c.inv()
-        Einv[i] = [x.scale(cinv) for x in Einv[i]]
+        Einv[i] = [x * cinv for x in Einv[i]]
 
     def colswap(i, j):
         h[i], h[j] = h[j], h[i]
@@ -375,7 +287,7 @@ def _horrocks_local(row_polys: list[Poly], gamma: Poly | None):
             E[r][i], E[r][j] = E[r][j], E[r][i]
         Einv[i], Einv[j] = Einv[j], Einv[i]
 
-    def residue_class(x: _RatFunc) -> str:
+    def residue_class(x: _Frac) -> str:
         """'unit', 'zero', or 'split' relative to the current chart."""
         nonlocal gamma
         if x.is_zero():
@@ -406,13 +318,13 @@ def _horrocks_local(row_polys: list[Poly], gamma: Poly | None):
         if D == 0:
             for i in range(1, m):
                 if not h[i].is_zero():
-                    colop(i, 0, _TPoly.zero() - h[i])
+                    colop(i, 0, -h[i])
             break
         for i in range(1, m):
             if h[i].is_zero() or h[i].deg < D:
                 continue
             q, r = h[i].divmod_monic(h[0])
-            colop(i, 0, _TPoly.zero() - q)
+            colop(i, 0, -q)
         # pick a coefficient that is a unit on (a shrunken piece of) the chart
         pick = None
         for i in range(1, m):
@@ -440,7 +352,7 @@ def _horrocks_local(row_polys: list[Poly], gamma: Poly | None):
         limit = 3 if gamma is None else max(mo[0] for mo in gamma.terms) + 2
         chosen = None
         for cval in range(1, limit + 2):
-            cand = h[target].coeff(D - 1) + _RatFunc.const(cval) * lead
+            cand = h[target].coeff(D - 1) + _Frac(Poly.const(VARS_ST, cval)) * lead
             if cand.is_zero():
                 continue
             if gamma is None or gcd_many([cand.num, gamma]).is_constant():
@@ -448,25 +360,14 @@ def _horrocks_local(row_polys: list[Poly], gamma: Poly | None):
                 break
         if chosen is None:
             raise InternalError("no scalar kept the new lead coefficient invertible")
-        cpoly = _TPoly({shift: _RatFunc.const(chosen)})
-        colop(target, i0, cpoly)
+        cpoly = _Frac(Poly.const(VARS_ST, chosen))
+        colop(target, i0, cpoly.shift(shift))
         if not qw.is_zero():
-            colop(target, 0, _TPoly.zero() - qw.scale(_RatFunc.const(chosen)))
+            colop(target, 0, -(qw * cpoly))
         if h[target].deg != D - 1:
             raise InternalError("pivot construction produced the wrong degree")
         colswap(0, target)
     return E, Einv, denom, spawned, gamma
-
-
-def _tp_to_polymatrix(a) -> PolyMatrix | None:
-    """Back to a matrix over Q[s,t]; None when a denominator survives."""
-    rows = []
-    for row in a:
-        out_row = [x.to_poly() for x in row]
-        if any(p is None for p in out_row):
-            return None
-        rows.append(out_row)
-    return PolyMatrix(rows)
 
 
 def _eliminate_t_monic(row_polys: list[Poly]) -> tuple[PolyMatrix, PolyMatrix]:
@@ -495,22 +396,24 @@ def _eliminate_t_monic(row_polys: list[Poly]) -> tuple[PolyMatrix, PolyMatrix]:
         raise CompletionError("completion failed (charts do not cover the line)")
 
     t_var = Poly.variable(VARS_ST, "t")
+    mats = [(den, _over_common_den(E), _over_common_den(Einv)) for den, E, Einv in charts]
     for e in (1, 2, 4, 8, 16, 32):
         weights = _bezout_powers(dens, e)
         if weights is None:
             continue
         factors = []
-        b_prev = _TPoly.zero()
-        for (den, emat, einv), w in zip(charts, weights):
+        b_prev = Poly.zero(VARS_ST)
+        for (den, (emat, d_e), (einv, d_inv)), w in zip(mats, weights):
             # row(x) E(x) = e1 for every substitution x, so the patch
             # E(b_next) E(b_prev)^-1 carries row(b_next) to row(b_prev);
-            # its inverse is E(b_prev) E^-1(b_next)
-            delta = _TPoly.from_poly(t_var * w * den**e)
-            b_next = b_prev + delta
-            patch = _tp_to_polymatrix(_tp_mat_mul(_tp_subst_matrix(emat, b_next),
-                                                  _tp_subst_matrix(einv, b_prev)))
-            patch_inv = _tp_to_polymatrix(_tp_mat_mul(_tp_subst_matrix(emat, b_prev),
-                                                      _tp_subst_matrix(einv, b_next)))
+            # its inverse is E(b_prev) E^-1(b_next); over the common
+            # denominators d_e and d_inv, each is a product of numerators
+            # divided by d_e d_inv, and a failed division means that a
+            # denominator survives
+            b_next = b_prev + t_var * w * den**e
+            d = d_e * d_inv
+            patch = _exact_quotient(_at_t(emat, b_next) * _at_t(einv, b_prev), d)
+            patch_inv = _exact_quotient(_at_t(emat, b_prev) * _at_t(einv, b_next), d)
             if patch is None or patch_inv is None:
                 break
             factors.append((patch, patch_inv))
@@ -557,13 +460,12 @@ class _RowCompleter:
     """Builds E with row * E = e1 for a unimodular row over Q[s,t], and
     E^-1 alongside it."""
 
-    def __init__(self, row, use_heuristics=True):
+    def __init__(self, row):
         self.vars = VARS_ST
         self.work = [p for p in row]
         self.m = len(row)
         self.E = PolyMatrix.identity(self.m, VARS_ST).entries
         self.Einv = PolyMatrix.identity(self.m, VARS_ST).entries
-        self.use_heuristics = use_heuristics
 
     # column operations applied simultaneously to the working row and E;
     # each is undone by the inverse row operation on the left of Einv
@@ -626,9 +528,8 @@ class _RowCompleter:
                 raise CompletionError("completion failed (length-one row is not a unit)")
             self.colscale(0, Fraction(1) / p.constant_value())
             return PolyMatrix(self.E), PolyMatrix(self.Einv)
-        if self.use_heuristics:
-            self._normalize_columns()
-            self._reduction_rounds()
+        self._normalize_columns()
+        self._reduction_rounds()
         j = self.constant_index()
         if j is None:
             self._general_phase()
@@ -772,13 +673,13 @@ class _RowCompleter:
             raise CompletionError("completion failed (univariate row has a common factor)")
 
 
-def _complete_rows(f: PolyMatrix, use_heuristics=True) -> tuple[PolyMatrix, PolyMatrix]:
+def _complete_rows(f: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
     """(M, M^-1) with M (cols x cols, unimodular) and f M = [I_n, 0] for
     row-unimodular f."""
     n, m = f.rows, f.cols
     if n > m:
         raise ValueError("expected at least as many columns as rows")
-    e1, e1_inv = _RowCompleter(f.row(0), use_heuristics).run()
+    e1, e1_inv = _RowCompleter(f.row(0)).run()
     if n == 1:
         return e1, e1_inv
     fe = f * e1
@@ -793,7 +694,7 @@ def _complete_rows(f: PolyMatrix, use_heuristics=True) -> tuple[PolyMatrix, Poly
                 e1.entries[i][j] = e1.entries[i][j] * scale
             e1_inv.entries[j] = [x * (1 / scale) for x in e1_inv.entries[j]]
     sub = fe.submatrix(range(1, n), range(1, m))
-    mp, mp_inv = _complete_rows(sub, use_heuristics)
+    mp, mp_inv = _complete_rows(sub)
     zero = Poly.zero(f.vars)
     one = Poly.const(f.vars, 1)
 
@@ -911,12 +812,12 @@ def _constant_minor_completion(f: PolyMatrix, rows) -> tuple[PolyMatrix, PolyMat
     return big, m_inv
 
 
-def complete_columns(f: PolyMatrix, use_heuristics: bool = True) -> CompletionCertificate:
+def complete_columns(f: PolyMatrix) -> CompletionCertificate:
     """Complete a unimodular m x n matrix (m > n) to M with M f = [I_n; 0].
 
     A constant maximal minor gives M directly; otherwise each row of f^T is
     reduced to a constant pivot, or completed by the general route when
-    reduction stalls or use_heuristics is False.  M f = [I_n; 0] and
+    reduction stalls.  M f = [I_n; 0] and
     M M^-1 = I are checked exactly before returning; failure raises
     CompletionError rather than ever producing an unverified answer.
     """
@@ -927,10 +828,10 @@ def complete_columns(f: PolyMatrix, use_heuristics: bool = True) -> CompletionCe
     if not _minors_generate_unit_ideal(minors):
         raise ValueError("matrix is not unimodular")
     const_rows = next((rows for rows, d in minors if d.is_constant()), None)
-    if use_heuristics and const_rows is not None:
+    if const_rows is not None:
         big, inv = _constant_minor_completion(f, const_rows)
     else:
-        mt, mt_inv = _complete_rows(f.transpose(), use_heuristics)
+        mt, mt_inv = _complete_rows(f.transpose())
         big, inv = mt.transpose(), mt_inv.transpose()
     if big * f != _target_block(n, m, f.vars):
         raise CompletionError("completion failed (certificate product check)")

@@ -1,7 +1,10 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubasis import arith, cli, quillen_suslin
 from mubasis.arith import VARS_ST, Poly, PolyMatrix, mat_inverse
@@ -165,6 +168,23 @@ GENERAL_ROUTE_ROWS = [
 ]
 
 
+def _force_general_route(monkeypatch):
+    """Turn off the heuristic layer of _RowCompleter, so a row without a
+    constant entry goes to the general route."""
+    monkeypatch.setattr(quillen_suslin._RowCompleter, "_normalize_columns",
+                        lambda self: None)
+    monkeypatch.setattr(quillen_suslin._RowCompleter, "_reduction_rounds",
+                        lambda self: None)
+
+
+def _complete(f, general, monkeypatch):
+    """complete_columns(f), forced onto the general route when ``general``."""
+    with monkeypatch.context() as patched:
+        if general:
+            _force_general_route(patched)
+        return complete_columns(f)
+
+
 class TestGeneralRoute:
     """Exercise the Horrocks/patching machinery directly."""
 
@@ -186,18 +206,32 @@ class TestGeneralRoute:
         assert got == [p.set_var("t", 0) for p in row]
         assert mat_inverse(m)[0] == m_inv
 
-    def test_complete_columns_without_heuristics(self):
+    def test_complete_columns_without_heuristics(self, monkeypatch):
+        _force_general_route(monkeypatch)
         for row in GENERAL_ROUTE_ROWS:
             f = PolyMatrix([[p] for p in row])
             if not is_unimodular(f):
                 continue
-            cert = complete_columns(f, use_heuristics=False)
+            cert = complete_columns(f)
             assert cert.M * f == target_block(1, len(row))
 
-    def test_univariate_row(self):
+    def test_univariate_row(self, monkeypatch):
+        _force_general_route(monkeypatch)
         f = PolyMatrix([[S**2], [S + 1], [ZERO]])
-        cert = complete_columns(f, use_heuristics=False)
+        cert = complete_columns(f)
         assert cert.M * f == target_block(1, 3)
+
+    def test_gcd_calls_on_the_general_route(self, monkeypatch):
+        # one gcd per fraction, not one per coefficient of every operation
+        _force_general_route(monkeypatch)
+        calls = []
+        gcd_many = quillen_suslin.gcd_many
+        monkeypatch.setattr(quillen_suslin, "gcd_many",
+                            lambda ps: calls.append(1) or gcd_many(ps))
+        for row in GENERAL_ROUTE_ROWS:
+            f = PolyMatrix([[p] for p in row])
+            assert complete_columns(f).M * f == target_block(1, len(row))
+        assert len(calls) < 1000
 
 
 class TestVariableElimination:
@@ -237,9 +271,9 @@ def _elimination_inputs():
 
 
 def _certificate_cases():
-    """(f, use_heuristics) covering every route through completion:
-    the acceptance criterion 5 stream, the reference column, a constant
-    minor, and the general route without heuristics."""
+    """(f, general) covering every route through completion: the
+    acceptance criterion 5 stream, the reference column, a constant minor,
+    and, with ``general`` set, the general route without heuristics."""
     rng = random.Random(77)
     for k in range(30):
         if k % 3 == 2:
@@ -247,22 +281,22 @@ def _certificate_cases():
             f = random_unimodular_matrix(rng, n + rng.randint(1, 2), n)
         else:
             f = random_unimodular_column(rng, rng.randint(2, 5))
-        yield f, True
-    yield reference_column(), True
-    yield PolyMatrix([[S, T], [ONE, S], [T, ONE + S * T]]), True
+        yield f, False
+    yield reference_column(), False
+    yield PolyMatrix([[S, T], [ONE, S], [T, ONE + S * T]]), False
     for row in GENERAL_ROUTE_ROWS:
         f = PolyMatrix([[p] for p in row])
         if is_unimodular(f):
-            yield f, False
+            yield f, True
 
 
 class TestCarriedInverse:
     """The inverse and determinant built alongside M match the adjugate
     route, which stays the reference implementation."""
 
-    def test_matches_mat_inverse(self):
-        for f, heur in _certificate_cases():
-            cert = complete_columns(f, use_heuristics=heur)
+    def test_matches_mat_inverse(self, monkeypatch):
+        for f, general in _certificate_cases():
+            cert = _complete(f, general, monkeypatch)
             assert (cert.M_inv, cert.det) == mat_inverse(cert.M)
             # the constant-minor path inverts its block this way; M is larger
             assert quillen_suslin._leverrier_inverse(cert.M) == cert.M_inv
@@ -285,8 +319,8 @@ class TestCarriedInverse:
         monkeypatch.setattr(PolyMatrix, "adjugate", boom)
         monkeypatch.setattr(arith, "mat_inverse", boom)
         monkeypatch.setattr(quillen_suslin, "mat_inverse", boom, raising=False)
-        for f, heur in _certificate_cases():
-            cert = complete_columns(f, use_heuristics=heur)
+        for f, general in _certificate_cases():
+            cert = _complete(f, general, monkeypatch)
             assert cert.M * cert.M_inv == PolyMatrix.identity(f.rows, VARS_ST)
         for f in _elimination_inputs():
             out = variable_elimination_step(f, "t")
@@ -333,8 +367,8 @@ class TestNoRandomness:
 
         for name in ("Random", "random", "choice", "sample"):
             monkeypatch.setattr(random, name, boom)
-        for f, heur in cases:
-            complete_columns(f, use_heuristics=heur)
+        for f, general in cases:
+            _complete(f, general, monkeypatch)
         for f in eliminations:
             variable_elimination_step(f, "t")
         docs = []
@@ -403,13 +437,94 @@ ELIMINATION_DIGESTS = [
 
 
 class TestPinnedOutputs:
-    def test_completion_certificates(self):
+    def test_completion_certificates(self, monkeypatch):
         got = [_digest(repr(c.M), repr(c.M_inv), c.det, c.deg_M)
-               for c in (complete_columns(f, use_heuristics=heur)
-                         for f, heur in _certificate_cases())]
+               for c in (_complete(f, general, monkeypatch)
+                         for f, general in _certificate_cases())]
         assert got == CERTIFICATE_DIGESTS
 
     def test_variable_elimination(self):
         got = [_digest(repr(variable_elimination_step(f, "t")))
                for f in _elimination_inputs()]
         assert got == ELIMINATION_DIGESTS
+
+    def test_general_route_eliminations(self):
+        got = [_digest(*map(repr, _eliminate_t_monic(row))) for row in PINNED_GENERAL_ROWS]
+        assert got == GENERAL_ROUTE_DIGESTS
+
+
+# rows with integer coefficients whose pivots are not monic; each needs
+# three Horrocks charts.  The digests of "repr(M)|repr(M_inv)" from
+# _eliminate_t_monic were pinned while Q(s)[t] still had its own
+# coefficient-wise arithmetic, separate from Poly.
+PINNED_GENERAL_ROWS = [
+    [T**2 - S + 3, -3 * S**2 - S * T - S - T, S**2 - 3 * S + 1],
+    [T**2, S * T + S + 1, S**2],
+]
+
+GENERAL_ROUTE_DIGESTS = [
+    "5ad8ab02f42981e0eb61db6294e29daaa3b3f3115d17eb82ba28c082f58e90c0",
+    "bd5fc5e70b162a52b715a75c81d50406ab59e21b43ad5b011753bfd562defb35",
+]
+
+
+# ---------------------------------------------------------------------------
+# The Q(s)[t] fractions of the Horrocks loop against sympy
+# ---------------------------------------------------------------------------
+
+small = st.integers(-4, 4).map(Fraction)
+
+
+def s_polys(max_deg):
+    return st.lists(small, min_size=1, max_size=max_deg + 1).map(
+        lambda cs: Poly(VARS_ST, {(k, 0): c for k, c in enumerate(cs)}))
+
+
+st_polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), small,
+                           max_size=5).map(lambda terms: Poly(VARS_ST, terms))
+
+
+@st.composite
+def fractions(draw):
+    """num/den with a common factor in s, so normalization has work to do."""
+    common = draw(s_polys(1).filter(lambda p: not p.is_zero()))
+    den = draw(s_polys(2).filter(lambda p: not p.is_zero()))
+    return quillen_suslin._Frac(common * draw(st_polys), common * den)
+
+
+def to_sympy(sp, p):
+    return sp.sympify(str(p).replace("^", "**"))
+
+
+def assert_normalized(sp, x):
+    t_ = sp.symbols("t")
+    assert x.den.leading_coefficient() == 1
+    assert not quillen_suslin._uses_var(x.den, 1)
+    coeffs = sp.Poly(to_sympy(sp, x.num), t_).all_coeffs()
+    assert sp.gcd_list([to_sympy(sp, x.den)] + coeffs).is_number
+
+
+class TestFractionsAgainstSympy:
+    @settings(max_examples=60, deadline=10000)
+    @given(fractions(), fractions())
+    def test_field_operations_and_division(self, x, y):
+        sp = pytest.importorskip("sympy")
+
+        def value(z):
+            return to_sympy(sp, z.num) / to_sympy(sp, z.den)
+
+        for got, want in [(x + y, value(x) + value(y)), (x - y, value(x) - value(y)),
+                          (x * y, value(x) * value(y))]:
+            assert_normalized(sp, got)
+            assert sp.cancel(value(got) - want) == 0
+        assert_normalized(sp, x)
+        if y.is_zero():
+            return
+        lead = y.coeff(y.deg)
+        assert_normalized(sp, lead.inv())
+        assert sp.cancel(value(lead.inv()) - 1 / value(lead)) == 0
+        g = y * lead.inv()
+        q, r = x.divmod_monic(g)
+        back = q * g + r
+        assert (back.num, back.den) == (x.num, x.den)
+        assert r.deg < g.deg
