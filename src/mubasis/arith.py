@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, le, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalError
@@ -42,16 +42,16 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True when a divides b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """Exponent vector of a/b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _accumulate(out: dict, t1: Mapping, t2: Mapping) -> None:
@@ -204,8 +204,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def term_mul(self, mono: Monomial, coeff: Fraction) -> "Poly":
@@ -223,17 +224,22 @@ class Poly:
         return self * (Fraction(1) / lc)
 
     def substitute(self, mapping: Mapping[str, "Poly"]) -> "Poly":
-        """Substitute polynomials (of the same ring) for variables."""
+        """Substitute polynomials (of the same ring) for variables.
+
+        Each power of a substituted value is computed once per call."""
         values = []
         for v in self.vars:
             img = mapping.get(v)
             values.append(self._coerce(img) if img is not None else Poly.variable(self.vars, v))
+        powers: dict = {}  # (variable index, exponent) -> value**exponent
         out = Poly.zero(self.vars)
         for mono, c in self.terms.items():
             term = Poly.const(self.vars, c)
-            for val, e in zip(values, mono):
+            for i, e in enumerate(mono):
                 if e:
-                    term = term * val**e
+                    if (i, e) not in powers:
+                        powers[i, e] = values[i]**e
+                    term = term * powers[i, e]
             out = out + term
         return out
 

@@ -7,6 +7,14 @@ representations of basis elements in terms of the input generators, which
 powers syzygy computation (Schreyer's construction), membership lifting and
 ideal quotients.
 
+The engine is fraction-free.  Buchberger keeps its basis as primitive
+integer vectors with positive leading coefficients, forms S-vectors with
+integer multipliers and reduces on ints with one running multiplier
+(_reduce_int); every vector is a rational multiple of the one division over
+Q would give, so the reduction path is that of the rational algorithm.
+Fractions appear only at the boundary: the monic reduced basis with its
+representations, and the remainders and quotients returned by _reduce_full.
+
 Free resolutions are built by exact linear algebra on one graded piece at a
 time (graded Nakayama), with one echelon routine that yields both the
 graded syzygy spaces and the minimal generators; a Groebner basis only
@@ -94,35 +102,8 @@ class Vec:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def copy(self) -> "Vec":
-        return Vec(self.vars, self.rank, dict(self.terms))
-
     def leading(self, order):
         return max(self.terms, key=order.key)
-
-    def scale(self, c: Fraction) -> "Vec":
-        if c == 0:
-            return Vec(self.vars, self.rank, {})
-        return Vec(self.vars, self.rank, {pm: v * c for pm, v in self.terms.items()})
-
-    def term_mul(self, mono: Monomial, c: Fraction) -> "Vec":
-        if c == 0:
-            return Vec(self.vars, self.rank, {})
-        return Vec(self.vars, self.rank,
-                   {(pos, mono_mul(m, mono)): v * c for (pos, m), v in self.terms.items()})
-
-    def __sub__(self, other: "Vec") -> "Vec":
-        terms = dict(self.terms)
-        for pm, c in other.terms.items():
-            val = terms.get(pm, Fraction(0)) - c
-            if val:
-                terms[pm] = val
-            else:
-                terms.pop(pm, None)
-        return Vec(self.vars, self.rank, terms)
-
-    def __eq__(self, other):
-        return isinstance(other, Vec) and self.rank == other.rank and self.terms == other.terms
 
 
 def _lead(g: Vec, order):
@@ -131,71 +112,150 @@ def _lead(g: Vec, order):
     return pm, g.terms[pm]
 
 
-def _reduce_full(vec: Vec, basis: Sequence[Vec], order, leads=None, want_quotients=False):
-    """Full normal form of vec against basis; optionally track quotients.
+def _primitive(terms: dict, vars, rank, order):
+    """(c, v, lead): v = c * terms as a Vec of coprime integers with a
+    positive leading coefficient, and lead = _lead(v, order)."""
+    c, ints = _integral(terms)
+    pm = max(ints, key=order.key)
+    if ints[pm] < 0:
+        c, ints = -c, {k: -x for k, x in ints.items()}
+    return c, Vec(vars, rank, ints), (pm, ints[pm])
 
-    Returns (remainder, quotients) where quotients[i] is the Poly q_i with
-    vec = sum q_i basis_i + remainder.  leads, when given, holds _lead of
-    every basis element.
+
+def _spair(gi: Vec, lead_i, gj: Vec, lead_j):
+    """S-vector (lc_j/h) x^qi gi - (lc_i/h) x^qj gj of two integer vectors
+    whose leads share a position, h = gcd(lc_i, lc_j), x^qi and x^qj the
+    cofactors of the leads in their lcm.  Returns (terms, qi, fi, qj, fj)
+    with fi = lc_j/h and fj = lc_i/h."""
+    ((_, mi), ci), ((_, mj), cj) = lead_i, lead_j
+    u = mono_lcm(mi, mj)
+    qi, qj = mono_div(u, mi), mono_div(u, mj)
+    h = gcd(ci, cj)
+    fi, fj = cj // h, ci // h
+    terms = {(pos, mono_mul(m, qi)): fi * c for (pos, m), c in gi.terms.items()}
+    for (pos, m), c in gj.terms.items():
+        pm = (pos, mono_mul(m, qj))
+        val = terms.get(pm, 0) - fj * c
+        if val:
+            terms[pm] = val
+        else:
+            del terms[pm]
+    return terms, qi, fi, qj, fj
+
+
+def _reduce_int(work: dict, basis: Sequence[Vec], leads, order, want_quotients: bool):
+    """Full reduction of an integer vector against integer vectors, on ints.
+
+    work ({(position, monomial): int}) is consumed, and every lead in leads
+    (_lead of each basis element) is positive.  A step takes the greatest
+    term c x^m, the first lead l x^n dividing it and g = gcd(c, l), and sets
+    work to (l/g) work - (c/g) x^(m/n) basis_i: the terms and reducers of
+    division over Q.  Returns (K, rem, quots), K the product of the factors
+    l/g, with K * work = sum_i quots[i] * basis[i] + rem; rem has no term
+    divisible by a lead, and quots[i] is {monomial: int} (quots is None
+    unless want_quotients).
     """
-    if leads is None:
-        leads = [_lead(g, order) for g in basis]
-    vars = vec.vars
-    quots = [dict() for _ in basis] if want_quotients else None
-    work = dict(vec.terms)
     keys = {pm: order.key(pm) for pm in work}  # each term's order key, once
-    rem: dict = {}
+    rem: dict = {}  # rem and quots hold (coefficient, K at its step), scaled at the end
+    quots = [dict() for _ in basis] if want_quotients else None
+    K = 1
     while work:
         pm = max(work, key=keys.__getitem__)
         pos, mono = pm
         c = work[pm]
-        hit = -1
-        for gi, ((gpos, gmono), glc) in enumerate(leads):
+        for hit, ((gpos, gmono), glc) in enumerate(leads):
             if gpos == pos and mono_divides(gmono, mono):
-                hit = gi
                 break
-        if hit < 0:
-            rem[pm] = c
+        else:
+            rem[pm] = (c, K)
             del work[pm]
             continue
-        qmono = mono_div(mono, leads[hit][0][1])
-        factor = c / leads[hit][1]
+        qmono = mono_div(mono, gmono)
+        g = gcd(c, glc)
+        mult, f = glc // g, c // g
+        if mult != 1:
+            K *= mult
+            for term in work:
+                work[term] *= mult
         if want_quotients:
-            quots[hit][qmono] = quots[hit].get(qmono, 0) + factor
+            quots[hit][qmono] = (f, K)
         for (bpos, bm), bc in basis[hit].terms.items():
             term = (bpos, mono_mul(bm, qmono))
-            val = work.get(term, 0) - bc * factor
+            val = work.get(term, 0) - bc * f
             if val:
                 work[term] = val
                 if term not in keys:
                     keys[term] = order.key(term)
             else:
                 work.pop(term, None)
-    remainder = Vec(vec.vars, vec.rank, rem)
+    rem = {pm: c * (K // k) for pm, (c, k) in rem.items()}
     if want_quotients:
-        return remainder, [Poly._new(vars, {m: c for m, c in q.items() if c}) for q in quots]
-    return remainder, None
+        quots = [{m: c * (K // k) for m, (c, k) in q.items()} for q in quots]
+    return K, rem, quots
+
+
+def _rational_quotients(quots, scales, d, vars) -> list[Poly]:
+    """The Poly quots[i] * scales[i] / d over Q for each integer quotient
+    dict (d a nonzero rational): quotients over rational basis vectors
+    b_i whose integer forms are scales[i] * b_i."""
+    out = []
+    for q, s in zip(quots, scales):
+        r = Fraction(s) / d
+        n, m = r.numerator, r.denominator
+        out.append(Poly._new(vars, {mono: Fraction(c * n, m) for mono, c in q.items()}))
+    return out
+
+
+def _reduce_full(vec: Vec, basis: Sequence[Vec], order, want_quotients=False, forms=None):
+    """Full normal form of vec against basis over Q; optionally with quotients.
+
+    Returns (remainder, quotients) where quotients[i] is the Poly q_i with
+    vec = sum q_i basis_i + remainder (None unless want_quotients).  The
+    reduction runs on integers (_reduce_int), against the integer forms
+    (scales, ints, leads) of the basis, ints[i] = scales[i] * basis[i] as
+    made by _primitive; forms passes them in when cached.  Only the results
+    are divided out over Q.
+    """
+    if forms is None:
+        forms = list(zip(*[_primitive(g.terms, g.vars, g.rank, order) for g in basis]))
+    scales, ints, leads = forms or ((), (), ())
+    mu, terms = _integral(vec.terms)
+    K, rem, quots = _reduce_int(terms, ints, leads, order, want_quotients)
+    d = mu * K  # K * mu * vec = sum quots_i * ints_i + rem
+    n, m = d.denominator, d.numerator
+    remainder = Vec(vec.vars, vec.rank, {pm: Fraction(c * n, m) for pm, c in rem.items()})
+    if not want_quotients:
+        return remainder, None
+    return remainder, _rational_quotients(quots, scales, d, vec.vars)
 
 
 @dataclass
 class _ExtGB:
     """Reduced Groebner basis, with representations over the input generators
-    when they were tracked (reps is None otherwise)."""
+    when they were tracked (reps is None otherwise).
+
+    ints holds the elements as primitive integer vectors with positive
+    leading coefficients and leads their _lead; vecs holds the monic
+    elements over Q, and reps[i] expresses vecs[i] over the generators.
+    """
 
     vars: tuple
     rank: int
     ngens: int
     order: object
-    vecs: list          # reduced GB elements
+    ints: list
     reps: list | None   # reps[i]: list of Poly, vecs[i] = sum reps[i][j] * gen_j
-    leads: list = field(default_factory=list)
+    leads: list = field(init=False)
+    vecs: list = field(init=False)
 
     def __post_init__(self):
-        if not self.leads:
-            self.leads = [_lead(g, self.order) for g in self.vecs]
+        self.leads = [_lead(g, self.order) for g in self.ints]
+        self.vecs = [Vec(self.vars, self.rank, {pm: Fraction(c, lc) for pm, c in g.terms.items()})
+                     for g, (_, lc) in zip(self.ints, self.leads)]
+        self._forms = ([lc for _, lc in self.leads], self.ints, self.leads)
 
     def reduce(self, vec: Vec, want_quotients=False):
-        return _reduce_full(vec, self.vecs, self.order, self.leads, want_quotients)
+        return _reduce_full(vec, self.vecs, self.order, want_quotients, self._forms)
 
     def reduce_certified(self, vec: Vec):
         """(remainder, coeffs) with vec = sum coeffs_i gen_i + remainder."""
@@ -216,17 +276,6 @@ class _ExtGB:
         return coeffs
 
 
-def _spair_data(lead_i, lead_j):
-    """S-pair multipliers from two leads ((position, monomial), coefficient);
-    None when the positions differ."""
-    (pi, mi), ci = lead_i
-    (pj, mj), cj = lead_j
-    if pi != pj:
-        return None
-    u = mono_lcm(mi, mj)
-    return u, mono_div(u, mi), Fraction(1) / ci, mono_div(u, mj), Fraction(1) / cj
-
-
 def _add_combination(base, coeffs, vectors):
     """base + sum_g coeffs[g] * vectors[g], entry by entry (lists of Poly)."""
     out = list(base)
@@ -243,11 +292,20 @@ def _buchberger_ext(gens: Sequence[Vec], order, track_reps: bool) -> _ExtGB:
     """Buchberger with sugar selection and both classical criteria; finishes
     with interreduction to the reduced basis.  With track_reps every basis
     element carries its representation over gens, which only lifting and
-    syzygy callers read."""
+    syzygy callers read.
+
+    The engine is fraction-free.  Every basis element is kept as a primitive
+    integer vector with a positive leading coefficient (_primitive), the
+    S-vector of a pair is formed with integer multipliers (_spair) and
+    reduced on integers (_reduce_int), and each remainder is made primitive
+    again.  Every vector is a nonzero rational multiple of the one division
+    over Q would give, so the terms, reducers, pairs and sugars are those of
+    the rational algorithm; representations are scaled by the same factors.
+    Only the reduced basis becomes monic over Q, in _ExtGB.
+    """
     vars = gens[0].vars
     rank = gens[0].rank
     k = len(gens)
-    one = Poly.const(vars, 1)
     zero = Poly.zero(vars)
 
     G: list[Vec] = []
@@ -257,10 +315,15 @@ def _buchberger_ext(gens: Sequence[Vec], order, track_reps: bool) -> _ExtGB:
     for idx, g in enumerate(gens):
         if g.is_zero():
             continue
-        G.append(g.copy())
-        LT.append(_lead(g, order))
-        reps.append([one if j == idx else zero for j in range(k)] if track_reps else None)
+        c, v, lead = _primitive(g.terms, vars, rank, order)
+        G.append(v)
+        LT.append(lead)
+        reps.append([Poly.const(vars, c) if j == idx else zero for j in range(k)]
+                    if track_reps else None)
         sugars.append(max(sum(m) for _, m in g.terms))
+
+    def negated(quots):
+        return _rational_quotients(quots, [1] * len(quots), -1, vars)
 
     pending: set[tuple[int, int]] = set()
     heap: list[tuple[int, int, int, int]] = []
@@ -286,12 +349,8 @@ def _buchberger_ext(gens: Sequence[Vec], order, track_reps: bool) -> _ExtGB:
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        data = _spair_data(LT[i], LT[j])
-        if data is None:
-            continue
-        u, qi, ci_inv, qj, cj_inv = data
-        (pi, mi) = LT[i][0]
-        (pj, mj) = LT[j][0]
+        (pi, mi), (_, mj) = LT[i][0], LT[j][0]
+        u = mono_lcm(mi, mj)
         # product criterion (ideals only)
         if rank == 1 and mono_mul(mi, mj) == u:
             continue
@@ -310,22 +369,25 @@ def _buchberger_ext(gens: Sequence[Vec], order, track_reps: bool) -> _ExtGB:
                 break
         if skip:
             continue
-        s_vec = G[i].term_mul(qi, ci_inv) - G[j].term_mul(qj, cj_inv)
-        rem, quots = _reduce_full(s_vec, G, order, LT, want_quotients=True)
-        if rem.is_zero():
+        s_terms, qi, fi, qj, fj = _spair(G[i], LT[i], G[j], LT[j])
+        K, rem, quots = _reduce_int(s_terms, G, LT, order, want_quotients=True)
+        if not rem:
             continue
+        c, new, lead = _primitive(rem, vars, rank, order)
         rep = None
         if track_reps:
+            # rem = K * s - sum quots_l * G_l, and new = c * rem
             rep = _add_combination(
-                [a.term_mul(qi, ci_inv) - b.term_mul(qj, cj_inv)
-                 for a, b in zip(reps[i], reps[j])], [-q for q in quots], reps)
-        G.append(rem)
-        LT.append(_lead(rem, order))
+                [a.term_mul(qi, K * fi) - b.term_mul(qj, K * fj)
+                 for a, b in zip(reps[i], reps[j])], negated(quots), reps)
+            rep = [r * c for r in rep]
+        G.append(new)
+        LT.append(lead)
         reps.append(rep)
         sugar = pair_sugar
         for q, s in zip(quots, sugars):
-            if not q.is_zero():
-                sugar = max(sugar, s + int(q.degree))
+            if q:
+                sugar = max(sugar, s + max(sum(m) for m in q))
         sugars.append(sugar)
         push_pairs(len(G) - 1)
 
@@ -344,24 +406,22 @@ def _buchberger_ext(gens: Sequence[Vec], order, track_reps: bool) -> _ExtGB:
     while changed:
         changed = False
         for i in range(len(G2)):
-            rem, quots = _reduce_full(G2[i], G2[:i] + G2[i + 1:], order, L2[:i] + L2[i + 1:],
-                                      want_quotients=track_reps)
-            if rem == G2[i]:
+            K, rem, quots = _reduce_int(dict(G2[i].terms), G2[:i] + G2[i + 1:],
+                                        L2[:i] + L2[i + 1:], order, track_reps)
+            if rem == G2[i].terms:
                 continue
             changed = True
+            c, G2[i], L2[i] = _primitive(rem, vars, rank, order)
             if track_reps:
-                R2[i] = _add_combination(R2[i], [-q for q in quots], R2[:i] + R2[i + 1:])
-            G2[i] = rem
-            L2[i] = _lead(rem, order)
-    for i in range(len(G2)):
-        inv = Fraction(1) / L2[i][1]
-        G2[i] = G2[i].scale(inv)
-        if track_reps:
-            R2[i] = [r * inv for r in R2[i]]
+                # rem = K * G2[i] - sum quots_l * (the others), and the new G2[i] = c * rem
+                R2[i] = [r * c for r in _add_combination(
+                    [r * K for r in R2[i]], negated(quots), R2[:i] + R2[i + 1:])]
     pairs = sorted(range(len(G2)), key=lambda i: order.key(L2[i][0]))
-    G2 = [G2[i] for i in pairs]
-    R2 = [R2[i] for i in pairs] if track_reps else None
-    return _ExtGB(vars=vars, rank=rank, ngens=k, order=order, vecs=G2, reps=R2)
+    reps_out = None
+    if track_reps:
+        reps_out = [[r * Fraction(1, L2[i][1]) for r in R2[i]] for i in pairs]
+    return _ExtGB(vars=vars, rank=rank, ngens=k, order=order,
+                  ints=[G2[i] for i in pairs], reps=reps_out)
 
 
 # ---------------------------------------------------------------------------
@@ -506,22 +566,21 @@ def reduce_with_certificate(target, gens):
 
 def _schreyer_sigmas(ext: _ExtGB) -> list[tuple[Poly, ...]]:
     """Generators of Syz(gb) from every same-position pair (no criteria)."""
-    G = ext.vecs
-    vars = ext.vars
+    G, L = ext.ints, ext.leads
+    scales = [lc for _, lc in L]
     sigmas = []
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
-            data = _spair_data(ext.leads[i], ext.leads[j])
-            if data is None:
+            if L[i][0][0] != L[j][0][0]:
                 continue
-            u, qi, ci_inv, qj, cj_inv = data
-            s_vec = G[i].term_mul(qi, ci_inv) - G[j].term_mul(qj, cj_inv)
-            rem, quots = ext.reduce(s_vec, want_quotients=True)
-            if not rem.is_zero():
+            s_terms, qi, fi, qj, _ = _spair(G[i], L[i], G[j], L[j])
+            K, rem, quots = _reduce_int(s_terms, G, L, ext.order, want_quotients=True)
+            if rem:
                 raise InternalError("S-vector of a Groebner basis did not reduce to zero")
-            sigma = [-q for q in quots]
-            sigma[i] = sigma[i] + Poly(vars, {qi: ci_inv})
-            sigma[j] = sigma[j] - Poly(vars, {qj: cj_inv})
+            # the S-vector is fi * lc_i * (x^qi vecs_i - x^qj vecs_j), and G_l = lc_l * vecs_l
+            sigma = _rational_quotients(quots, scales, -K * fi * L[i][1], ext.vars)
+            sigma[i] = sigma[i] + Poly._new(ext.vars, {qi: Fraction(1)})
+            sigma[j] = sigma[j] - Poly._new(ext.vars, {qj: Fraction(1)})
             sigmas.append(tuple(sigma))
     return sigmas
 
@@ -655,11 +714,12 @@ def minimal_generators(vectors, shifts):
     return kept, degs
 
 
-def _integral(vec: dict) -> dict:
-    """Integer multiple of a {column: Fraction} vector with coprime entries."""
+def _integral(vec: dict) -> tuple[Fraction, dict]:
+    """(c, c * vec), c the positive rational that turns a {key: rational}
+    vector into coprime integers."""
     scale = primitive_scale(vec.values())
-    return {c: x.numerator * (scale.numerator // x.denominator) // scale.denominator
-            for c, x in vec.items()}
+    n, d = scale.numerator, scale.denominator
+    return scale, {c: x.numerator * (n // x.denominator) // d for c, x in vec.items()}
 
 
 def _eliminate(target: dict, c, row: dict) -> dict:
@@ -688,7 +748,7 @@ def _echelon_add(rows: dict, vec: dict) -> bool:
     pivot is the least column of its reduced row, which makes the rows,
     scaled to 1 at their pivots, the unique reduced echelon form.
     """
-    row = _integral(vec)
+    _, row = _integral(vec)
     for c in [c for c in row if c in rows]:
         row = _eliminate(row, c, rows[c])
     if not row:
@@ -723,7 +783,8 @@ class _GradedSpan:
             self.degree, self.piece = deg, {}
             for gdeg, g in self.kept:
                 for m in monomials_of_degree(len(g.vars), deg - gdeg):
-                    _echelon_add(self.piece, g.term_mul(m, Fraction(1)).terms)
+                    _echelon_add(self.piece, {(pos, mono_mul(gm, m)): c
+                                              for (pos, gm), c in g.terms.items()})
         return len(self.piece)
 
     def add(self, vec: Vec, deg: int) -> bool:

@@ -401,6 +401,46 @@ class TestTrustedArithmetic:
             assert_valid(got, vars)
             assert got.is_zero()
 
+    @settings(max_examples=60, deadline=5000)
+    @given(st.data())
+    def test_substitute_and_powers_match_term_by_term_expansion(self, data):
+        vars = data.draw(rings)
+        p = data.draw(polys(vars))
+        mapping = {v: data.draw(polys(vars)) for v in vars if data.draw(st.booleans())}
+
+        def ref_pow(q, e):
+            out = Poly.const(vars, 1)
+            for _ in range(e):
+                out = ref_mul(out, q)
+            return out
+
+        values = [mapping.get(v, Poly.variable(vars, v)) for v in vars]
+        want = Poly(vars, {})
+        for mono, c in p.terms.items():
+            term = Poly.const(vars, c)
+            for val, e in zip(values, mono):
+                term = ref_mul(term, ref_pow(val, e))
+            want = ref_add(want, term)
+        got = p.substitute(mapping)
+        assert_valid(got, vars)
+        assert got == want
+        for e in range(6):
+            power = p ** e
+            assert_valid(power, vars)
+            assert power == ref_pow(p, e)
+
+    def test_substitute_computes_each_power_once(self, monkeypatch):
+        p = Poly(VARS_ST, {(a, b): a - b + 5 for a in range(4) for b in range(4)})
+        b = S * S - 3 * T + 1
+        calls = []
+        real = Poly.__pow__
+        monkeypatch.setattr(Poly, "__pow__", lambda q, n: calls.append(n) or real(q, n))
+        got = p.substitute({"t": b})
+        assert sorted(calls) == [1, 1, 2, 2, 3, 3]  # s^1..s^3 and b^1..b^3
+        monkeypatch.undo()
+        assert got == sum((Poly.const(VARS_ST, c) * S**i * b**j
+                           for (i, j), c in p.terms.items()), Poly.zero(VARS_ST))
+
     @pytest.mark.parametrize("vars, terms", [
         (VARS_ST, {(1,): 1}),
         (VARS_ST, {(1, 0, 0): 1}),

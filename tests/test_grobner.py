@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -45,6 +46,7 @@ from mubasis.grobner import (
     minimal_generators,
     modules_equal,
     normal_form,
+    reduce_with_certificate,
     regularity_from_resolution,
     resolution_invariants,
     syzygy_generators,
@@ -851,3 +853,129 @@ def monomial_or_binomial_rows(draw):
 def test_resolution_of_monomial_and_binomial_rows(row, fixed):
     assume(any(not g.is_zero() for g in row))
     assert_resolution_selections_agree(row, fixed_first_map=fixed)
+
+
+# ---------------------------------------------------------------------------
+# The fraction-free engine: sympy's reduced Groebner bases, certificate
+# invariants of module reduction, and integer coefficients inside the loop.
+# ---------------------------------------------------------------------------
+
+_RATIONALS = st.builds(Fraction,
+                       st.one_of(st.integers(-9, 9), st.integers(-10**6, 10**6)),
+                       st.sampled_from([1, 1, 2, 3, 7, 1000]))
+
+
+def _draw_poly(draw, vars, max_deg, max_terms, coeffs=_RATIONALS):
+    monos = [m for k in range(max_deg + 1) for m in monomials_of_degree(len(vars), k)]
+    chosen = draw(st.lists(st.sampled_from(monos), max_size=max_terms, unique=True))
+    return Poly(vars, {m: draw(coeffs) for m in chosen})
+
+
+@st.composite
+def rational_ideals(draw):
+    """1-3 nonzero, generally non-monic generators in Q[s,t] (degree <= 3)
+    or Q[s,t,u] (degree <= 2), coefficients up to about 10^6."""
+    vars = draw(st.sampled_from([VARS_ST, VARS_STU]))
+    max_deg = 3 if vars == VARS_ST else 2
+    gens = [_draw_poly(draw, vars, max_deg, 4) for _ in range(draw(st.integers(1, 3)))]
+    gens = [g for g in gens if not g.is_zero()]
+    assume(gens)
+    return vars, gens
+
+
+def _monic_term_set(terms):
+    """The polynomial {monomial: Fraction} scaled monic in grevlex, as a set."""
+    lc = terms[max(terms, key=grevlex_key)]
+    return frozenset((m, c / lc) for m, c in terms.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_ideals())
+def test_buchberger_matches_sympy_groebner(case):
+    sp = pytest.importorskip("sympy")
+    vars, gens = case
+    syms = sp.symbols(vars)
+    exprs = [sum(sp.Rational(c.numerator, c.denominator)
+                 * sp.Mul(*[x**e for x, e in zip(syms, m)]) for m, c in g.terms.items())
+             for g in gens]
+    theirs = sp.groebner(exprs, *syms, order="grevlex", domain="QQ")
+    want = {_monic_term_set({m: Fraction(int(c.numerator), int(c.denominator))
+                             for m, c in sp.Poly(e, *syms, domain="QQ").terms()})
+            for e in theirs.exprs}
+    ours = buchberger(gens).generators
+    assert all(g.leading_coefficient() == 1 for g in ours)
+    assert {frozenset(g.terms.items()) for g in ours} == want
+
+
+@st.composite
+def rational_modules(draw):
+    """2-3 nonzero generator vectors of rank 2-4 with rational, non-monic
+    entries, in Q[s,t] (degree <= 2) or Q[s,t,u] (degree <= 1), a target
+    vector and cofactors for a member of the module."""
+    vars = draw(st.sampled_from([VARS_ST, VARS_STU]))
+    max_deg = 2 if vars == VARS_ST else 1
+    rank = draw(st.integers(2, 4))
+    coeffs = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5]))
+
+    def vector(terms):
+        return tuple(_draw_poly(draw, vars, max_deg, terms, coeffs) for _ in range(rank))
+
+    gens = [vector(2) for _ in range(draw(st.integers(2, 3)))]
+    assume(all(any(not p.is_zero() for p in g) for g in gens))
+    cofactors = [_draw_poly(draw, vars, 1, 2, coeffs) for _ in gens]
+    return vars, rank, gens, vector(3), cofactors
+
+
+def _combination(coeffs, gens, vars, rank):
+    out = [Poly.zero(vars)] * rank
+    for c, g in zip(coeffs, gens):
+        out = [a + c * b for a, b in zip(out, g)]
+    return tuple(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_modules())
+def test_module_reduction_certificates(case):
+    vars, rank, gens, target, cofactors = case
+    # an exact certificate target = sum c_i g_i + rem
+    rem, coeffs = reduce_with_certificate(target, gens)
+    assert tuple(a + b for a, b in zip(_combination(coeffs, gens, vars, rank), rem)) == target
+    # rem is fully reduced: no term is divisible by a lead of the reduced basis
+    gb = buchberger(gens)
+    leads = [pm for pm, _ in gb._ext.leads]
+    for pos, p in enumerate(rem):
+        for m in p.terms:
+            assert not any(lp == pos and all(x <= y for x, y in zip(lm, m))
+                           for lp, lm in leads)
+    assert gb.normal_form(target) == rem
+    # members lift back to themselves
+    member = _combination(cofactors, gens, vars, rank)
+    lifted = make_lifter(gens)(member)
+    assert lifted is not None and _combination(lifted, gens, vars, rank) == member
+    # Schreyer: every syzygy of the basis reduces to zero against the
+    # Schreyer generators under the induced order
+    gb, sigmas, order = schreyer_syzygy_basis(gens)
+    vecs = [Vec.from_polys(sig) for sig in sigmas]
+    for w in brute_force_syzygies(list(gb.generators), 2 if vars == VARS_ST else 1):
+        rem_w, _ = _reduce_full(Vec.from_polys(w), vecs, order)
+        assert rem_w.is_zero()
+
+
+def test_inner_reduction_sees_only_ints(monkeypatch):
+    syz = syzygy_generators(homogenized_reference_generators())
+    calls = []
+    real = grobner._reduce_int
+
+    def checked(work, basis, leads, order, want_quotients):
+        coefficients = [*work.values(), *(lc for _, lc in leads),
+                        *(c for g in basis for c in g.terms.values())]
+        assert all(type(c) is int for c in coefficients)
+        calls.append(len(work))
+        K, rem, quots = real(work, basis, leads, order, want_quotients)
+        assert type(K) is int and all(type(c) is int for c in rem.values())
+        assert all(type(c) is int for q in quots or () for c in q.values())
+        return K, rem, quots
+
+    monkeypatch.setattr(grobner, "_reduce_int", checked)
+    gb = buchberger(syz)
+    assert calls and gb.contains(syz[0])
