@@ -1,22 +1,28 @@
 """Sparse multivariate polynomial and polynomial-matrix arithmetic over Q.
 
-Polynomials are dictionaries mapping exponent tuples to nonzero Fraction
-coefficients.  The two working rings are Q[s,t] and Q[s,t,u]; a ring is
-identified by its tuple of variable names.  All operations are pure and all
-values are immutable after construction.
+A polynomial is stored as integer numerators over one denominator: ``num``
+maps exponent tuples to nonzero ints, and ``den`` is a positive int coprime
+to the content of ``num`` (1 for the zero polynomial), so every value has
+exactly one form.  ``terms`` is a read-only {exponent tuple: Fraction} view
+for printing and for callers that want rationals.  The two working rings are
+Q[s,t] and Q[s,t,u]; a ring is identified by its tuple of variable names.
+All operations are pure and all values are immutable after construction.
 
 Data is validated at the boundary and trusted inside: ``Poly(vars, terms)``
-checks every term, and arithmetic builds its results with ``Poly._new``.
-Matrix products scale each row and column to integer coefficients,
-accumulate over Z and divide once per output term.  ``PolyMatrix.det``
+checks every term, and arithmetic builds its results with ``Poly._new``
+(already canonical) or ``Poly._reduced`` (one gcd pass, which stops as soon
+as the gcd reaches 1).  Sums, products and exact quotients are integer dict
+loops.  Matrix products bring each row and column to one denominator,
+accumulate over Z and reduce once per output entry.  ``PolyMatrix.det``
 stays a memoized cofactor expansion, measured faster than fraction-free
-Bareiss elimination at the pipeline's sizes (at most 6x6, low degree).
+Bareiss elimination at the pipeline's sizes (at most 6x6, low degree); on
+integer entries it never leaves Z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add, le, sub
 from typing import Iterable, Mapping, Sequence
 
@@ -63,6 +69,28 @@ def _accumulate(out: dict, t1: Mapping, t2: Mapping) -> None:
             out[m] = get(m, 0) + c1 * c2
 
 
+def _content(num: Mapping, g: int = 0) -> int:
+    """gcd of g and every value of num, stopping as soon as it is 1."""
+    for c in num.values():
+        g = gcd(g, c)
+        if g == 1:
+            break
+    return g
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of a rational scalar."""
+    x = x if isinstance(x, (int, Fraction)) else Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _common_denominator(terms: Mapping) -> tuple[dict, int]:
+    """(num, den) of nonzero Fraction terms: den the lcm of their
+    denominators and num the integer terms of den * terms, a canonical pair."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
 def monomials_of_degree(nvars: int, k: int) -> list[Monomial]:
     """All exponent tuples in nvars variables of total degree exactly k."""
     if nvars == 1:
@@ -74,9 +102,10 @@ def monomials_of_degree(nvars: int, k: int) -> list[Monomial]:
 
 
 class Poly:
-    """A polynomial over Q, stored as {exponent tuple: nonzero Fraction}."""
+    """A polynomial over Q, num / den: num maps exponent tuples to nonzero
+    ints, den > 0 is coprime to the content of num, and zero has den 1."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "num", "den")
 
     def __init__(self, vars: tuple[str, ...], terms: Mapping[Monomial, Fraction]):
         self.vars = tuple(vars)
@@ -89,20 +118,33 @@ class Poly:
             mono = tuple(int(e) for e in mono)
             if len(mono) != n or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent tuple {mono} for ring {self.vars}")
-            clean[mono] = clean.get(mono, Fraction(0)) + c
-        self.terms = {m: c for m, c in clean.items() if c != 0}
+            clean[mono] = clean.get(mono, 0) + c
+        self.num, self.den = _common_denominator({m: c for m, c in clean.items() if c})
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _new(cls, vars: tuple[str, ...], terms: dict) -> "Poly":
-        """Trusted constructor: vars is a tuple and terms already maps int
-        exponent tuples of ring length to nonzero Fractions.  The dict is
-        taken over, not copied or checked."""
+    def _new(cls, vars: tuple[str, ...], num: dict, den: int = 1) -> "Poly":
+        """Trusted constructor of a canonical pair: vars is a tuple, num maps
+        int exponent tuples of ring length to nonzero ints, and den > 0 is
+        coprime to their content.  The dict is taken over, not copied."""
         p = object.__new__(cls)
         p.vars = vars
-        p.terms = terms
+        p.num = num
+        p.den = den
         return p
+
+    @classmethod
+    def _reduced(cls, vars: tuple[str, ...], num: dict, den: int, g: int | None = None) -> "Poly":
+        """Trusted constructor of num / den (nonzero int terms, den > 0),
+        divided by gcd(content(num), den).  g, when given, is a divisor of den
+        that the gcd divides; g = 1 skips the pass."""
+        if num and g != 1:
+            g = _content(num, den if g is None else g)
+            if g != 1:
+                num = {m: c // g for m, c in num.items()}
+                den //= g
+        return cls._new(vars, num, den if num else 1)
 
     @classmethod
     def zero(cls, vars: tuple[str, ...]) -> "Poly":
@@ -110,47 +152,53 @@ class Poly:
 
     @classmethod
     def const(cls, vars: tuple[str, ...], value) -> "Poly":
-        return cls(vars, {(0,) * len(vars): Fraction(value)})
+        n, d = _ratio(value)
+        return cls._new(tuple(vars), {(0,) * len(vars): n} if n else {}, d)
 
     @classmethod
     def variable(cls, vars: tuple[str, ...], name: str) -> "Poly":
         if name not in vars:
             raise ValueError(f"variable {name!r} not in ring {vars}")
-        mono = tuple(1 if v == name else 0 for v in vars)
-        return cls(vars, {mono: Fraction(1)})
+        return cls._new(tuple(vars), {tuple(1 if v == name else 0 for v in vars): 1})
 
     # -- predicates and views -----------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: Fraction}, built afresh on every access."""
+        den = self.den
+        return {m: Fraction(c, den) for m, c in self.num.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
+        return all(sum(m) == 0 for m in self.num)
 
     def constant_value(self) -> Fraction:
         """The coefficient of the constant term (0 for the zero polynomial)."""
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return Fraction(self.num.get((0,) * len(self.vars), 0), self.den)
 
     @property
     def degree(self):
         """Total degree; NEG_INF for the zero polynomial."""
-        if not self.terms:
+        if not self.num:
             return NEG_INF
-        return max(sum(m) for m in self.terms)
+        return max(sum(m) for m in self.num)
 
     def leading_monomial(self) -> Monomial:
-        if not self.terms:
+        if not self.num:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=grevlex_key)
+        return max(self.num, key=grevlex_key)
 
     def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
+        return Fraction(self.num[self.leading_monomial()], self.den)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+        return Fraction(self.num.get(tuple(mono), 0), self.den)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
+        degs = {sum(m) for m in self.num}
         return len(degs) <= 1
 
     # -- arithmetic ----------------------------------------------------
@@ -162,39 +210,64 @@ class Poly:
             return other
         return Poly.const(self.vars, other)
 
-    def __add__(self, other) -> "Poly":
+    def _plus(self, other, sign: int) -> "Poly":
+        """self + sign * other, over lcm(den, other.den).  Only a common
+        factor g of the two denominators can divide the sum's content and
+        its denominator, so the gcd pass runs against g."""
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            c += terms.get(m, 0)
+        da, db = self.den, other.den
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        num = dict(self.num) if fa == 1 else {m: c * fa for m, c in self.num.items()}
+        get = num.get
+        for m, c in other.num.items():
+            c = get(m, 0) + c * fb
             if c:
-                terms[m] = c
+                num[m] = c
             else:
-                del terms[m]
-        return Poly._new(self.vars, terms)
+                del num[m]
+        return Poly._reduced(self.vars, num, da * fa, g)
+
+    def __add__(self, other) -> "Poly":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._new(self.vars, {m: -c for m, c in self.terms.items()})
+        return Poly._new(self.vars, {m: -c for m, c in self.num.items()}, self.den)
 
     def __sub__(self, other) -> "Poly":
-        return self + (-self._coerce(other))
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "Poly":
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            c = Fraction(other)
-            if not c:
-                return Poly.zero(self.vars)
-            return Poly._new(self.vars, {m: v * c for m, v in self.terms.items()})
-        out: dict[Monomial, Fraction] = {}
-        _accumulate(out, self.terms, self._coerce(other).terms)
-        return Poly._new(self.vars, {m: c for m, c in out.items() if c})
+            return self._times(*_ratio(other))
+        other = self._coerce(other)
+        out: dict[Monomial, int] = {}
+        _accumulate(out, self.num, other.num)
+        return Poly._reduced(self.vars, {m: c for m, c in out.items() if c},
+                             self.den * other.den)
 
     __rmul__ = __mul__
+
+    def _times(self, n: int, d: int = 1, shift: Monomial | None = None) -> "Poly":
+        """self * (n/d) * x^shift for coprime n, d with d > 0.  The new
+        denominator's common factors with the content are those of d with
+        the content and of n with den, so each is one gcd."""
+        if not n or not self.num:
+            return Poly.zero(self.vars)
+        g1 = _content(self.num, d) if d != 1 else 1
+        g2 = gcd(n, self.den)
+        n //= g2
+        den = self.den // g2 * (d // g1)
+        if shift is None:
+            num = {m: c // g1 * n for m, c in self.num.items()}
+        else:
+            num = {tuple(map(add, m, shift)): c // g1 * n for m, c in self.num.items()}
+        return Poly._new(self.vars, num, den)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -209,12 +282,9 @@ class Poly:
                 base = base * base
         return result
 
-    def term_mul(self, mono: Monomial, coeff: Fraction) -> "Poly":
+    def term_mul(self, mono: Monomial, coeff) -> "Poly":
         """Multiply by a single term coeff * x^mono."""
-        coeff = Fraction(coeff)
-        if not coeff:
-            return Poly.zero(self.vars)
-        return Poly._new(self.vars, {mono_mul(m, mono): c * coeff for m, c in self.terms.items()})
+        return self._times(*_ratio(coeff), mono)
 
     def monic(self) -> "Poly":
         """Scale so the grevlex leading coefficient is 1."""
@@ -232,30 +302,35 @@ class Poly:
             img = mapping.get(v)
             values.append(self._coerce(img) if img is not None else Poly.variable(self.vars, v))
         powers: dict = {}  # (variable index, exponent) -> value**exponent
+        one = (0,) * len(self.vars)
         out = Poly.zero(self.vars)
-        for mono, c in self.terms.items():
-            term = Poly.const(self.vars, c)
+        for mono, c in self.num.items():
+            term = Poly._new(self.vars, {one: c})
             for i, e in enumerate(mono):
                 if e:
                     if (i, e) not in powers:
                         powers[i, e] = values[i]**e
                     term = term * powers[i, e]
             out = out + term
-        return out
+        return out._times(1, self.den)
 
     def set_var(self, name: str, value) -> "Poly":
-        """Specialize one variable to a rational constant (same ring)."""
+        """Specialize one variable to a rational constant a/b (same ring):
+        over den * b^top, top the largest exponent of the variable, a term
+        of exponent e gains the factor a^e b^(top - e), computed once per e."""
         i = self.vars.index(name)
-        value = Fraction(value)
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in self.terms.items():
+        a, b = _ratio(value)
+        top = max((m[i] for m in self.num), default=0)
+        factors: dict[int, int] = {}
+        out: dict[Monomial, int] = {}
+        for mono, c in self.num.items():
             e = mono[i]
-            scaled = c * value**e
-            if scaled == 0:
-                continue
+            f = factors.get(e)
+            if f is None:
+                f = factors[e] = a**e * b**(top - e)
             m = mono[:i] + (0,) + mono[i + 1:]
-            out[m] = out.get(m, Fraction(0)) + scaled
-        return Poly(self.vars, out)
+            out[m] = out.get(m, 0) + c * f
+        return Poly._reduced(self.vars, {m: c for m, c in out.items() if c}, self.den * b**top)
 
     # -- comparison / hashing / printing -------------------------------
 
@@ -264,18 +339,19 @@ class Poly:
             other = Poly.const(self.vars, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self.num.items())))
 
     def __str__(self) -> str:
         """Canonical form: grevlex-descending terms, lowest-term coefficients."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for mono in sorted(self.terms, key=grevlex_key, reverse=True):
-            c = self.terms[mono]
+        for mono in sorted(terms, key=grevlex_key, reverse=True):
+            c = terms[mono]
             factors = []
             for v, e in zip(self.vars, mono):
                 if e == 1:
@@ -301,26 +377,45 @@ class Poly:
 
 
 def exact_div(f: Poly, g: Poly) -> Poly | None:
-    """Return f/g when g divides f exactly, else None."""
+    """Return f/g when g divides f exactly, else None.
+
+    Divides num(f) by the primitive part G of num(g) on ints, in one loop
+    over a working dict.  When G divides num(f) over Q the quotient has
+    integer coefficients (Gauss's lemma), so every step divides exactly by
+    lc(G), and a step that does not proves g does not divide f."""
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if f.is_zero():
         return Poly.zero(f.vars)
     if f.vars != g.vars:
         raise ValueError("mixed rings")
-    q: dict[Monomial, Fraction] = {}
-    rem = f
+    cg = _content(g.num)
+    gnum = g.num if cg == 1 else {m: c // cg for m, c in g.num.items()}
     g_lm = g.leading_monomial()
-    g_lc = g.leading_coefficient()
-    while not rem.is_zero():
-        lm = rem.leading_monomial()
+    g_lc = gnum[g_lm]
+    work = dict(f.num)
+    keys = {m: grevlex_key(m) for m in work}
+    q: dict[Monomial, int] = {}
+    while work:
+        lm = max(work, key=keys.__getitem__)
         if not mono_divides(g_lm, lm):
             return None
+        c, r = divmod(work[lm], g_lc)
+        if r:
+            return None
         mono = mono_div(lm, g_lm)
-        coeff = rem.terms[lm] / g_lc
-        q[mono] = coeff
-        rem = rem - g.term_mul(mono, coeff)
-    return Poly(f.vars, q)
+        q[mono] = c
+        for m, b in gnum.items():
+            m = tuple(map(add, m, mono))
+            val = work.get(m, 0) - b * c
+            if val:
+                work[m] = val
+                if m not in keys:
+                    keys[m] = grevlex_key(m)
+            else:
+                del work[m]
+    # f / g = (q * G / den f) / (cg * G / den g)
+    return Poly._new(f.vars, q, f.den)._times(g.den, cg)
 
 
 def divides(g: Poly, f: Poly) -> bool:
@@ -335,23 +430,21 @@ def divides(g: Poly, f: Poly) -> bool:
 
 def _as_univar(p: Poly, i: int) -> dict[int, Poly]:
     """View p as a polynomial in vars[i] with coefficients in the other vars."""
-    out: dict[int, Poly] = {}
-    for mono, c in p.terms.items():
-        e = mono[i]
-        m = mono[:i] + (0,) + mono[i + 1:]
-        coeff = out.get(e)
-        add = Poly(p.vars, {m: c})
-        out[e] = add if coeff is None else coeff + add
-    return {e: c for e, c in out.items() if not c.is_zero()}
+    parts: dict[int, dict] = {}
+    for mono, c in p.num.items():
+        parts.setdefault(mono[i], {})[mono[:i] + (0,) + mono[i + 1:]] = c
+    return {e: Poly._reduced(p.vars, num, p.den) for e, num in parts.items()}
 
 
 def _from_univar(coeffs: dict[int, Poly], i: int, vars: tuple[str, ...]) -> Poly:
-    terms: dict[Monomial, Fraction] = {}
-    for e, cp in coeffs.items():
-        for mono, c in cp.terms.items():
-            m = mono[:i] + (mono[i] + e,) + mono[i + 1:]
-            terms[m] = terms.get(m, Fraction(0)) + c
-    return Poly(vars, terms)
+    """Inverse of _as_univar: coefficients free of vars[i], over one
+    denominator (their lcm, which keeps the pair canonical)."""
+    den, nums = _integer_scaled(list(coeffs.values()))
+    terms: dict[Monomial, int] = {}
+    for e, num in zip(coeffs, nums):
+        for mono, c in num.items():
+            terms[mono[:i] + (mono[i] + e,) + mono[i + 1:]] = c
+    return Poly._new(vars, terms, den)
 
 
 def _prem(f: dict[int, Poly], g: dict[int, Poly], vars) -> dict[int, Poly]:
@@ -382,11 +475,11 @@ def _uni_coeffs(p: Poly, vi: int) -> list[Fraction]:
     """Dense coefficient list, constant term first, of p univariate in x_vi."""
     if p.is_zero():
         return []
-    out = [Fraction(0)] * (max(m[vi] for m in p.terms) + 1)
-    for m, c in p.terms.items():
+    out = [Fraction(0)] * (max(m[vi] for m in p.num) + 1)
+    for m, c in p.num.items():
         if sum(m) != m[vi]:
             raise ValueError("polynomial is not univariate in the requested variable")
-        out[m[vi]] += c
+        out[m[vi]] = Fraction(c, p.den)
     return out
 
 
@@ -397,7 +490,7 @@ def _uni_from_coeffs(cs, vi: int, vars) -> Poly:
             mono = [0] * len(vars)
             mono[vi] = k
             terms[tuple(mono)] = c
-    return Poly(vars, terms)
+    return Poly._new(vars, *_common_denominator(terms))
 
 
 def _uni_divmod(a: list[Fraction], b: list[Fraction]):
@@ -455,7 +548,7 @@ def _poly_gcd(f: Poly, g: Poly) -> Poly:
         return Poly.const(f.vars, 1)
     # main variable: last variable occurring in either operand
     occupied = [i for i in range(len(f.vars))
-                if any(m[i] for m in f.terms) or any(m[i] for m in g.terms)]
+                if any(m[i] for m in f.num) or any(m[i] for m in g.num)]
     if len(occupied) == 1:
         return _euclid_univar(f, g, occupied[0])
     i = occupied[-1]
@@ -536,20 +629,17 @@ def homogenize(p: Poly, d: int) -> Poly:
         raise ValueError("homogenize expects a polynomial in (s, t)")
     if not p.is_zero() and p.degree > d:
         raise ValueError(f"degree {p.degree} exceeds target degree {d}")
-    terms = {}
-    for (a, b), c in p.terms.items():
-        terms[(a, b, d - a - b)] = c
-    return Poly(VARS_STU, terms)
+    return Poly._new(VARS_STU, {(a, b, d - a - b): c for (a, b), c in p.num.items()}, p.den)
 
 
 def dehomogenize(p: Poly) -> Poly:
     """Specialize u := 1, landing back in Q[s,t]."""
     if p.vars != VARS_STU:
         raise ValueError("dehomogenize expects a polynomial in (s, t, u)")
-    terms: dict[Monomial, Fraction] = {}
-    for (a, b, _), c in p.terms.items():
-        terms[(a, b)] = terms.get((a, b), Fraction(0)) + c
-    return Poly(VARS_ST, terms)
+    num: dict[Monomial, int] = {}
+    for (a, b, _), c in p.num.items():
+        num[(a, b)] = num.get((a, b), 0) + c
+    return Poly._reduced(VARS_ST, {m: c for m, c in num.items() if c}, p.den)
 
 
 # ---------------------------------------------------------------------------
@@ -558,23 +648,35 @@ def dehomogenize(p: Poly) -> Poly:
 
 
 def _integer_scaled(polys: Sequence[Poly]) -> tuple[int, list[dict]]:
-    """(den, terms): den is the lcm of every coefficient denominator of the
-    polys, and terms[k] holds the integer coefficients of den * polys[k]."""
-    den = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    return den, [{m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+    """(den, nums): den the lcm of the denominators of polys, and nums[k]
+    the integer terms of den * polys[k]."""
+    den = lcm(*(p.den for p in polys))
+    return den, [p.num if p.den == den else {m: c * (den // p.den) for m, c in p.num.items()}
                  for p in polys]
 
 
 def _scaled_dot(row, col, vars) -> Poly:
     """sum_k row[k] * col[k] for two _integer_scaled sequences: one integer
-    accumulation, then one exact division per output term."""
+    accumulation, then one gcd pass."""
     (den_r, a), (den_c, b) = row, col
     out: dict[Monomial, int] = {}
     for x, y in zip(a, b):
         if x and y:
             _accumulate(out, x, y)
-    den = den_r * den_c
-    return Poly._new(vars, {m: Fraction(c, den) for m, c in out.items() if c})
+    return Poly._reduced(vars, {m: c for m, c in out.items() if c}, den_r * den_c)
+
+
+def primitive_scale(polys: Iterable[Poly]) -> Fraction:
+    """Constant c > 0 making c times the given polynomials coprime integer
+    polynomials (1 when every one is zero)."""
+    polys = [p for p in polys if p.num]
+    den = lcm(*(p.den for p in polys))
+    g = 0
+    for p in polys:
+        g = gcd(g, _content(p.num) * (den // p.den))
+        if g == 1:
+            break
+    return Fraction(den, g or 1)
 
 
 class PolyMatrix:

@@ -12,8 +12,10 @@ integer vectors with positive leading coefficients, forms S-vectors with
 integer multipliers and reduces on ints with one running multiplier
 (_reduce_int); every vector is a rational multiple of the one division over
 Q would give, so the reduction path is that of the rational algorithm.
-Fractions appear only at the boundary: the monic reduced basis with its
-representations, and the remainders and quotients returned by _reduce_full.
+Rational values appear only at the boundary, as integer terms over one
+denominator (``Poly.num``/``Poly.den``, ``Vec.terms``/``Vec.den``): the input
+vectors, the monic reduced basis with its representations, and the
+remainders and quotients returned by _reduce_full.
 
 Free resolutions are built by exact linear algebra on one graded piece at a
 time (graded Nakayama), with one echelon routine that yields both the
@@ -38,12 +40,16 @@ from .arith import (
     Monomial,
     Poly,
     PolyMatrix,
+    _common_denominator,
+    _content,
+    _integer_scaled,
     grevlex_key,
     mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
     monomials_of_degree,
+    primitive_scale,
 )
 from .errors import InternalError
 
@@ -74,30 +80,30 @@ GREVLEX = TermOverPosition()
 
 
 class Vec:
-    """Element of a free module R^rank, sparse over (position, monomial)."""
+    """Element of a free module R^rank, sparse over (position, monomial):
+    terms / den, with nonzero int terms and den > 0 (not kept coprime to
+    the content; to_polys reduces each component)."""
 
-    __slots__ = ("vars", "rank", "terms")
+    __slots__ = ("vars", "rank", "terms", "den")
 
-    def __init__(self, vars, rank, terms):
+    def __init__(self, vars, rank, terms, den=1):
         self.vars = vars
         self.rank = rank
-        self.terms = {pm: c for pm, c in terms.items() if c != 0}
+        self.terms = terms
+        self.den = den
 
     @classmethod
     def from_polys(cls, polys: Sequence[Poly], rank=None) -> "Vec":
         rank = len(polys) if rank is None else rank
-        vars = polys[0].vars
-        terms = {}
-        for pos, p in enumerate(polys):
-            for m, c in p.terms.items():
-                terms[(pos, m)] = c
-        return cls(vars, rank, terms)
+        den, nums = _integer_scaled(polys)
+        terms = {(pos, m): c for pos, num in enumerate(nums) for m, c in num.items()}
+        return cls(polys[0].vars, rank, terms, den)
 
     def to_polys(self) -> tuple[Poly, ...]:
         buckets: list[dict] = [dict() for _ in range(self.rank)]
         for (pos, m), c in self.terms.items():
             buckets[pos][m] = c
-        return tuple(Poly._new(self.vars, b) for b in buckets)
+        return tuple(Poly._reduced(self.vars, b, self.den) for b in buckets)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -112,14 +118,14 @@ def _lead(g: Vec, order):
     return pm, g.terms[pm]
 
 
-def _primitive(terms: dict, vars, rank, order):
-    """(c, v, lead): v = c * terms as a Vec of coprime integers with a
-    positive leading coefficient, and lead = _lead(v, order)."""
-    c, ints = _integral(terms)
+def _primitive(terms: dict, vars, rank, order, den=1):
+    """(c, v, lead): v = c * terms / den as a Vec of coprime integers with
+    a positive leading coefficient (c rational), and lead = _lead(v, order)."""
+    g, ints = _integral(terms)
     pm = max(ints, key=order.key)
     if ints[pm] < 0:
-        c, ints = -c, {k: -x for k, x in ints.items()}
-    return c, Vec(vars, rank, ints), (pm, ints[pm])
+        g, ints = -g, {k: -x for k, x in ints.items()}
+    return Fraction(den, g), Vec(vars, rank, ints), (pm, ints[pm])
 
 
 def _spair(gi: Vec, lead_i, gj: Vec, lead_j):
@@ -196,13 +202,14 @@ def _reduce_int(work: dict, basis: Sequence[Vec], leads, order, want_quotients: 
 
 def _rational_quotients(quots, scales, d, vars) -> list[Poly]:
     """The Poly quots[i] * scales[i] / d over Q for each integer quotient
-    dict (d a nonzero rational): quotients over rational basis vectors
-    b_i whose integer forms are scales[i] * b_i."""
+    dict (d a nonzero int, scales[i] nonzero rationals): quotients over
+    rational basis vectors b_i whose integer forms are scales[i] * b_i."""
     out = []
     for q, s in zip(quots, scales):
-        r = Fraction(s) / d
-        n, m = r.numerator, r.denominator
-        out.append(Poly._new(vars, {mono: Fraction(c * n, m) for mono, c in q.items()}))
+        a, b = s.numerator, s.denominator * d
+        if b < 0:
+            a, b = -a, -b
+        out.append(Poly._reduced(vars, {mono: c * a for mono, c in q.items()}, b))
     return out
 
 
@@ -217,13 +224,11 @@ def _reduce_full(vec: Vec, basis: Sequence[Vec], order, want_quotients=False, fo
     are divided out over Q.
     """
     if forms is None:
-        forms = list(zip(*[_primitive(g.terms, g.vars, g.rank, order) for g in basis]))
+        forms = list(zip(*[_primitive(g.terms, g.vars, g.rank, order, g.den) for g in basis]))
     scales, ints, leads = forms or ((), (), ())
-    mu, terms = _integral(vec.terms)
-    K, rem, quots = _reduce_int(terms, ints, leads, order, want_quotients)
-    d = mu * K  # K * mu * vec = sum quots_i * ints_i + rem
-    n, m = d.denominator, d.numerator
-    remainder = Vec(vec.vars, vec.rank, {pm: Fraction(c * n, m) for pm, c in rem.items()})
+    K, rem, quots = _reduce_int(dict(vec.terms), ints, leads, order, want_quotients)
+    d = K * vec.den  # K * den * vec = sum quots_i * ints_i + rem
+    remainder = Vec(vec.vars, vec.rank, rem, d)
     if not want_quotients:
         return remainder, None
     return remainder, _rational_quotients(quots, scales, d, vec.vars)
@@ -250,7 +255,7 @@ class _ExtGB:
 
     def __post_init__(self):
         self.leads = [_lead(g, self.order) for g in self.ints]
-        self.vecs = [Vec(self.vars, self.rank, {pm: Fraction(c, lc) for pm, c in g.terms.items()})
+        self.vecs = [Vec(self.vars, self.rank, g.terms, lc)
                      for g, (_, lc) in zip(self.ints, self.leads)]
         self._forms = ([lc for _, lc in self.leads], self.ints, self.leads)
 
@@ -315,7 +320,7 @@ def _buchberger_ext(gens: Sequence[Vec], order, track_reps: bool) -> _ExtGB:
     for idx, g in enumerate(gens):
         if g.is_zero():
             continue
-        c, v, lead = _primitive(g.terms, vars, rank, order)
+        c, v, lead = _primitive(g.terms, vars, rank, order, g.den)
         G.append(v)
         LT.append(lead)
         reps.append([Poly.const(vars, c) if j == idx else zero for j in range(k)]
@@ -579,8 +584,8 @@ def _schreyer_sigmas(ext: _ExtGB) -> list[tuple[Poly, ...]]:
                 raise InternalError("S-vector of a Groebner basis did not reduce to zero")
             # the S-vector is fi * lc_i * (x^qi vecs_i - x^qj vecs_j), and G_l = lc_l * vecs_l
             sigma = _rational_quotients(quots, scales, -K * fi * L[i][1], ext.vars)
-            sigma[i] = sigma[i] + Poly._new(ext.vars, {qi: Fraction(1)})
-            sigma[j] = sigma[j] - Poly._new(ext.vars, {qj: Fraction(1)})
+            sigma[i] = sigma[i] + Poly._new(ext.vars, {qi: 1})
+            sigma[j] = sigma[j] - Poly._new(ext.vars, {qj: 1})
             sigmas.append(tuple(sigma))
     return sigmas
 
@@ -621,10 +626,9 @@ def syzygy_generators(items) -> list[tuple[Poly, ...]]:
     for w in out:
         if all(p.is_zero() for p in w):
             continue
-        key = tuple(frozenset(p.terms.items()) for p in w)
-        if key in seen:
+        if w in seen:
             continue
-        seen.add(key)
+        seen.add(w)
         result.append(w)
     # exactness check: every generator really is a syzygy
     originals = [v.to_polys() for v in vecs]
@@ -641,23 +645,12 @@ def _expand(w, nz, k, zero):
     return tuple(full)
 
 
-def primitive_scale(coeffs) -> Fraction:
-    """Constant c > 0 making c times the given rationals coprime integers."""
-    coeffs = list(coeffs)
-    den = lcm(*(c.denominator for c in coeffs))
-    return Fraction(den, gcd(*(c.numerator for c in coeffs)) or 1)
-
-
 def integer_normalize(vec):
     """Scale a vector by a constant so coefficients are coprime integers
     with a positive leading coefficient (keeps spans and syzygies intact)."""
-    scale = primitive_scale(c for p in vec for c in p.terms.values())
-    lead = None
-    for p in vec:
-        if not p.is_zero():
-            lead = p.leading_coefficient()
-            break
-    if lead is not None and lead * scale < 0:
+    scale = primitive_scale(vec)
+    lead = next((p for p in vec if p.num), None)
+    if lead is not None and lead.num[lead.leading_monomial()] < 0:
         scale = -scale
     return tuple(p * scale for p in vec)
 
@@ -714,12 +707,11 @@ def minimal_generators(vectors, shifts):
     return kept, degs
 
 
-def _integral(vec: dict) -> tuple[Fraction, dict]:
-    """(c, c * vec), c the positive rational that turns a {key: rational}
-    vector into coprime integers."""
-    scale = primitive_scale(vec.values())
-    n, d = scale.numerator, scale.denominator
-    return scale, {c: x.numerator * (n // x.denominator) // d for c, x in vec.items()}
+def _integral(vec: dict) -> tuple[int, dict]:
+    """(g, vec / g) for a nonzero {key: int} vector, g > 0 the gcd of its
+    entries; the returned dict is new."""
+    g = _content(vec)
+    return g, {c: x // g for c, x in vec.items()}
 
 
 def _eliminate(target: dict, c, row: dict) -> dict:
@@ -738,7 +730,7 @@ def _eliminate(target: dict, c, row: dict) -> dict:
 
 
 def _echelon_add(rows: dict, vec: dict) -> bool:
-    """Insert a {column: Fraction} vector into an echelon form; False when
+    """Insert a nonzero {column: int} vector into an echelon form; False when
     the rows already span it.
 
     rows maps each pivot column to a {column: int} row with coprime entries,
@@ -798,11 +790,14 @@ class _GradedSpan:
 
 def _fraction_nullspace(rows, ncols):
     """(dimension, basis) of the right nullspace of an exact rational matrix
-    given by sparse rows ({column: value}); the basis is read off its reduced
-    row echelon form one vector at a time, as it is consumed."""
+    given by sparse rows ({column: int or Fraction}); the basis is read off
+    its reduced row echelon form one vector at a time, as it is consumed."""
     ech: dict = {}
     for r in rows:
-        _echelon_add(ech, {c: x for c, x in r.items() if x})
+        den = lcm(*(x.denominator for x in r.values()))
+        row = {c: x.numerator * (den // x.denominator) for c, x in r.items() if x}
+        if row:
+            _echelon_add(ech, row)
 
     def basis():
         for fc in range(ncols):
@@ -834,13 +829,14 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k):
     cols = graded(degrees)  # (vector index, coefficient monomial)
     eq_index = {jm: n for n, jm in enumerate(graded(row_shifts))}
     rows = [dict() for _ in range(len(eq_index))]
+    den = lcm(*(p.den for v in vectors for p in v))  # scales every equation alike
     for ci, (i, mono) in enumerate(cols):
         for j, comp in enumerate(vectors[i]):
-            for pm, c in comp.terms.items():
+            f = den // comp.den
+            for pm, c in comp.num.items():
                 row = rows[eq_index[(j, mono_mul(pm, mono))]]
-                row[ci] = row.get(ci, 0) + c
+                row[ci] = row.get(ci, 0) + c * f
     dim, solutions = _fraction_nullspace(rows, len(cols))
-    zero = Poly.zero(vars)
 
     def basis():
         for sol in solutions:
@@ -848,7 +844,7 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k):
             for ci, (i, mono) in enumerate(cols):
                 if sol[ci]:
                     w[i][mono] = sol[ci]
-            yield integer_normalize(tuple(Poly(vars, t) if t else zero for t in w))
+            yield integer_normalize(tuple(Poly._new(vars, *_common_denominator(t)) for t in w))
 
     return dim, basis()
 

@@ -39,13 +39,13 @@ from .arith import (
     _uni_xgcd,
     exact_div,
     gcd_many,
+    primitive_scale,
 )
 from .errors import CompletionError, InternalError
 from .grobner import (
     buchberger,
     lift_coefficients,
     make_lifter,
-    primitive_scale,
     reduce_with_certificate,
 )
 
@@ -131,7 +131,7 @@ def left_inverse(f: PolyMatrix) -> PolyMatrix:
 
 
 def _uses_var(p: Poly, vi: int) -> bool:
-    return any(m[vi] for m in p.terms)
+    return any(m[vi] for m in p.num)
 
 
 def _squarefree_part(g: Poly, vi: int) -> Poly:
@@ -184,7 +184,7 @@ class _Frac:
     @property
     def deg(self):
         """Degree in t; -1 for zero."""
-        return max((b for _, b in self.num.terms), default=-1)
+        return max((b for _, b in self.num.num), default=-1)
 
     def coeff(self, e: int) -> "_Frac":
         return _Frac(_as_univar(self.num, _T).get(e, Poly.zero(VARS_ST)), self.den)
@@ -349,7 +349,7 @@ def _horrocks_local(row_polys: list[Poly], gamma: Poly | None):
         if residue_class(lead) != "unit":
             raise InternalError("reduced pivot candidate lost its unit coefficient")
         target = next(j for j in range(1, m) if j != i0)
-        limit = 3 if gamma is None else max(mo[0] for mo in gamma.terms) + 2
+        limit = 3 if gamma is None else max(mo[0] for mo in gamma.num) + 2
         chosen = None
         for cval in range(1, limit + 2):
             cand = h[target].coeff(D - 1) + _Frac(Poly.const(VARS_ST, cval)) * lead
@@ -547,7 +547,7 @@ class _RowCompleter:
         for j, p in enumerate(self.work):
             if p.is_zero():
                 continue
-            scale = primitive_scale(p.terms.values())
+            scale = primitive_scale([p])
             if scale != 1:
                 self.colscale(j, scale)
 
@@ -629,7 +629,8 @@ class _RowCompleter:
                 if p.is_zero() or p.is_constant():
                     continue
                 d = int(p.degree)
-                top = Poly(self.vars, {m: c for m, c in p.terms.items() if sum(m) == d})
+                top = Poly._reduced(self.vars, {m: c for m, c in p.num.items() if sum(m) == d},
+                                    p.den)
                 val = top.set_var("s", lam).set_var("t", 1)
                 if not val.is_zero():
                     if lam:
@@ -686,7 +687,7 @@ def _complete_rows(f: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
     # rescale the untouched columns to primitive integer content; the scales
     # are units, so e1 stays unimodular and row 0 of fe stays (1, 0, ..., 0)
     for j in range(1, m):
-        scale = primitive_scale(c for i in range(n) for c in fe[i, j].terms.values())
+        scale = primitive_scale(fe[i, j] for i in range(n))
         if scale != 1:
             for i in range(n):
                 fe.entries[i][j] = fe.entries[i][j] * scale

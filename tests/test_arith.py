@@ -1,16 +1,20 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mubasis import arith
 from mubasis.arith import (
     NEG_INF,
     VARS_ST,
     VARS_STU,
     Poly,
     PolyMatrix,
+    _as_univar,
+    _from_univar,
     _uni_xgcd,
     dehomogenize,
     divides,
@@ -19,6 +23,7 @@ from mubasis.arith import (
     homogenize,
     mat_inverse,
 )
+from mubasis.grobner import Vec
 from helpers import random_poly, stu
 
 
@@ -157,6 +162,13 @@ class TestExactDivision:
 
     def test_inexact(self):
         assert exact_div(S**2 + 1, S) is None
+
+    def test_inexact_by_a_coefficient(self):
+        # each lead divides, but the first two quotients are not integral over
+        # the primitive 2s + 1
+        assert exact_div(S + 1, 2 * S + 1) is None
+        assert exact_div(3 * S * T + T, 2 * S + 1) is None
+        assert exact_div(4 * S * T + 2 * T, 2 * S + 1) == 2 * T
 
 
 def reference_completion_matrix():
@@ -469,6 +481,195 @@ class TestTrustedArithmetic:
         p + q
         p * q
         p.term_mul((1, 0, 2), Fraction(-3, 5))
+        p.set_var("t", Fraction(-2, 3))
         assert calls == []
         Poly(VARS_STU, {(1, 0, 0): 1})  # the boundary still validates
         assert calls == [1]
+
+
+# ---------------------------------------------------------------------------
+# The representation: integer numerators over one denominator.
+# ---------------------------------------------------------------------------
+
+
+def assert_canonical(p, vars):
+    """num maps exponent tuples to nonzero ints, den > 0 is coprime to their
+    content (so zero has den 1), and terms is the matching Fraction view."""
+    assert type(p) is Poly and p.vars == vars
+    assert type(p.den) is int and p.den > 0
+    for m, c in p.num.items():
+        assert type(m) is tuple and len(m) == len(vars)
+        assert all(type(e) is int and e >= 0 for e in m)
+        assert type(c) is int and c != 0
+    assert gcd(p.den, *p.num.values()) == 1
+    assert p.terms == {m: Fraction(c, p.den) for m, c in p.num.items()}
+
+
+@st.composite
+def canonical_cases(draw):
+    """(vars, [(route name, result)]) over every operation and constructor;
+    EQUAL_ROUTES names the routes that must give equal values."""
+    vars = draw(rings)
+    p, q = draw(polys(vars)), draw(polys(vars))
+    c = draw(coefficients)
+    mono = draw(st.tuples(*[st.integers(0, 2)] * len(vars)))
+    k = draw(st.integers(2, 10**6))
+    name = draw(st.sampled_from(vars))
+    zero_mono = (0,) * len(vars)
+    out = [
+        ("validated", Poly(vars, p.terms)),
+        ("reduced", Poly._reduced(vars, {m: n * k for m, n in p.num.items()}, p.den * k)),
+        ("term sum", sum((Poly(vars, {m: t}) for m, t in p.terms.items()), Poly.zero(vars))),
+        ("zero", Poly.zero(vars)),
+        ("const", Poly.const(vars, c)),
+        ("variable", Poly.variable(vars, name)),
+        ("p+q", p + q), ("q+p", q + p), ("p-q", p - q), ("p+(-q)", p + (-q)),
+        ("p*q", p * q), ("q*p", q * p), ("p*c", p * c), ("c*p", c * p),
+        ("p+c", p + c), ("c-p", c - p),
+        ("term_mul", p.term_mul(mono, c)),
+        ("term_mul via product", p * Poly(vars, {mono: c})),
+        ("p*(1/c)", p * (1 / c) if c else p), ("p/c", exact_div(p, Poly.const(vars, c)) if c else p),
+        ("monic", p.monic()), ("p**3", p**3), ("p*p*p", p * p * p),
+        ("set_var", p.set_var(name, c)),
+        ("substitute const", p.substitute({name: Poly.const(vars, c)})),
+        ("substitute", p.substitute({name: q})),
+        ("matrix", (PolyMatrix([[p, q]]) * PolyMatrix([[q], [c * p]]))[0, 0]),
+        ("mul_vector", PolyMatrix([[p, q]]).mul_vector([q, c * p])[0]),
+        ("dot", p * q + q * (c * p)),
+        ("det", PolyMatrix([[p, q], [-q, p]]).det()), ("p*p+q*q", p * p + q * q),
+        ("from_univar", _from_univar(_as_univar(p, 0), 0, vars)),
+        ("vec", Vec.from_polys([p, q]).to_polys()[0]),
+        ("constant", Poly.const(vars, p.constant_value())),
+        ("constant term", Poly(vars, {zero_mono: p.coefficient(zero_mono)})),
+    ]
+    if not q.is_zero():
+        out += [("exact_div", exact_div(p * q, q)), ("gcd", gcd_many([p * q, q]))]
+        out += [("gcd via monic", q.monic())]
+    if vars == VARS_ST and (p.is_zero() or p.degree <= 6):
+        out.append(("homogenize", dehomogenize(homogenize(p, 6))))
+    return vars, out
+
+
+EQUAL_ROUTES = [("validated", "reduced"), ("validated", "term sum"), ("p+q", "q+p"),
+                ("p-q", "p+(-q)"), ("p*q", "q*p"), ("p*c", "c*p"), ("term_mul", "term_mul via product"),
+                ("p*(1/c)", "p/c"), ("p**3", "p*p*p"), ("set_var", "substitute const"),
+                ("matrix", "mul_vector"), ("matrix", "dot"), ("det", "p*p+q*q"),
+                ("validated", "from_univar"), ("validated", "vec"), ("constant", "constant term"),
+                ("validated", "exact_div"), ("gcd", "gcd via monic"), ("validated", "homogenize")]
+
+
+class TestCanonicalForm:
+    @settings(max_examples=100, deadline=None)
+    @given(canonical_cases())
+    def test_every_result_is_canonical_and_equality_matches_hash(self, case):
+        vars, results = case
+        for route, r in results:
+            assert_canonical(r, vars)
+        named = dict(results)
+        for a, b in EQUAL_ROUTES:
+            if a in named and b in named:
+                assert named[a] == named[b], (a, b)
+        for _, a in results:
+            for _, b in results:
+                if a == b:
+                    assert hash(a) == hash(b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_set_var_matches_substituting_a_constant(self, data):
+        vars = data.draw(rings)
+        p = data.draw(polys(vars))
+        name = data.draw(st.sampled_from(vars))
+        value = data.draw(st.one_of(coefficients, st.fractions(max_denominator=2**64)))
+        got = p.set_var(name, value)
+        assert_canonical(got, vars)
+        assert got == p.substitute({name: Poly.const(vars, value)})
+        assert not any(m[vars.index(name)] for m in got.num)
+
+    def test_poly_operands_construct_no_fraction(self, monkeypatch):
+        rng = random.Random(11)
+        ps = [random_poly(rng, VARS_STU, 2, force_nonzero=True) * Fraction(rng.randint(1, 9), 7 * k)
+              for k in range(1, 10)]
+        a, b = PolyMatrix([ps[:3], ps[3:6], ps[6:]]), PolyMatrix([ps[6:], ps[:3], ps[3:6]])
+        calls = []
+        real = arith.Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(arith.Fraction, "__new__", counting)
+        results = {}
+        for name, op in [("Poly.__mul__", lambda: [p * q for p, q in zip(ps, ps[1:])]),
+                         ("Poly.__add__", lambda: [p + q for p, q in zip(ps, ps[1:])]),
+                         ("Poly.__sub__", lambda: [p - q for p, q in zip(ps, ps[2:])]),
+                         ("PolyMatrix.__mul__", lambda: a * b),
+                         ("PolyMatrix.det", a.det)]:
+            results[name] = op()
+            assert calls == [], name
+        monkeypatch.undo()
+        assert results["Poly.__mul__"][0] == ref_mul(ps[0], ps[1])
+        assert results["Poly.__add__"][0] == ref_add(ps[0], ps[1])
+        assert results["PolyMatrix.__mul__"][1, 2] == ref_dot(a.row(1), b.column(2))
+        assert not results["PolyMatrix.det"].is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Big coefficients against sympy (test-only oracle).
+# ---------------------------------------------------------------------------
+
+
+big_coefficients = st.builds(Fraction, st.integers(-2**200, 2**200), st.integers(1, 2**64))
+
+
+def big_polys(vars, max_terms=4, max_degree=3):
+    monos = st.tuples(*[st.integers(0, max_degree)] * len(vars))
+    return st.dictionaries(monos, big_coefficients, max_size=max_terms).map(lambda t: Poly(vars, t))
+
+
+@st.composite
+def big_cases(draw):
+    vars = draw(rings)
+    p = draw(big_polys(vars))
+    q = draw(big_polys(vars).filter(lambda q: not q.is_constant()))
+    mapping = {v: draw(big_polys(vars, 3, 1)) for v in vars if draw(st.booleans())}
+    entries = [[draw(big_polys(vars, 3, 1)) for _ in range(3)] for _ in range(3)]
+    return vars, p, q, mapping, PolyMatrix(entries)
+
+
+class TestBigCoefficientsAgainstSympy:
+    @settings(max_examples=60, deadline=None)
+    @given(big_cases())
+    def test_operations_match_sympy(self, case):
+        sp = pytest.importorskip("sympy")
+        vars, p, q, mapping, m = case
+        syms = sp.symbols(" ".join(vars))
+
+        def expr(f):
+            return sp.Add(*[sp.Rational(c.numerator, c.denominator)
+                            * sp.Mul(*[x**e for x, e in zip(syms, mono)])
+                            for mono, c in f.terms.items()])
+
+        def poly(f):
+            return sp.Poly(expr(f), *syms, domain="QQ")
+
+        P, Q = poly(p), poly(q)
+        for ours, theirs in [(p * q, P * Q), (p + q, P + Q), (p - q, P - Q)]:
+            assert_canonical(ours, vars)
+            assert poly(ours) == theirs
+        quotient = exact_div(p * q, q)
+        assert quotient == p and poly(quotient) == sp.exquo(P * Q, Q)
+        assert exact_div(p * q + 1, q) is None and sp.rem(P * Q + 1, Q) != 0
+        want, rem = sp.div(P * Q, Q + 1)  # q + 1 divides p * q only by chance
+        got = exact_div(p * q, q + 1)
+        assert (got is None) == (rem != 0) and (got is None or poly(got) == want)
+        sub = p.substitute(mapping)
+        assert_canonical(sub, vars)
+        want = expr(p).subs({x: expr(mapping[v]) for x, v in zip(syms, vars) if v in mapping},
+                            simultaneous=True)
+        assert poly(sub) == sp.Poly(sp.expand(want), *syms, domain="QQ")
+        det = m.det()
+        assert_canonical(det, vars)
+        want = sp.Matrix(3, 3, [expr(m[i, j]) for i in range(3) for j in range(3)]).det(
+            method="berkowitz")
+        assert poly(det) == sp.Poly(sp.expand(want), *syms, domain="QQ")
