@@ -40,7 +40,6 @@ from .arith import (
     Monomial,
     Poly,
     PolyMatrix,
-    _common_denominator,
     _content,
     _integer_scaled,
     grevlex_key,
@@ -791,7 +790,9 @@ class _GradedSpan:
 def _fraction_nullspace(rows, ncols):
     """(dimension, basis) of the right nullspace of an exact rational matrix
     given by sparse rows ({column: int or Fraction}); the basis is read off
-    its reduced row echelon form one vector at a time, as it is consumed."""
+    its reduced row echelon form one integer vector at a time, as it is
+    consumed: for each free column fc, L times the rational basis vector
+    that is 1 at fc, with L the lcm of the pivots of the rows that meet fc."""
     ech: dict = {}
     for r in rows:
         den = lcm(*(x.denominator for x in r.values()))
@@ -803,10 +804,12 @@ def _fraction_nullspace(rows, ncols):
         for fc in range(ncols):
             if fc in ech:
                 continue
-            v = [Fraction(0)] * ncols
-            v[fc] = Fraction(1)
-            for pc, row in ech.items():
-                v[pc] = Fraction(-row.get(fc, 0), row[pc])
+            meets = [(pc, row) for pc, row in ech.items() if row.get(fc)]
+            mult = lcm(*(row[pc] for pc, row in meets))
+            v = [0] * ncols
+            v[fc] = mult
+            for pc, row in meets:
+                v[pc] = -row[fc] * (mult // row[pc])
             yield v
 
     return ncols - len(ech), basis()
@@ -844,7 +847,7 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k):
             for ci, (i, mono) in enumerate(cols):
                 if sol[ci]:
                     w[i][mono] = sol[ci]
-            yield integer_normalize(tuple(Poly._new(vars, *_common_denominator(t)) for t in w))
+            yield integer_normalize(tuple(Poly._new(vars, t) for t in w))
 
     return dim, basis()
 

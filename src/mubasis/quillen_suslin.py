@@ -8,11 +8,10 @@ The strategy is layered.  A constant maximal minor gives M at once;
 otherwise each row of F^T is made primitive and reduced (Bezout for a last
 pair) until a constant pivot appears.  When reduction stalls, the general
 route runs: make an entry monic in t by a linear change of variables,
-trivialize the row locally (a constructive Horrocks loop whose "units" are
-tracked by gcds against a squarefree modulus, splitting the modulus
-instead of factoring), patch the local solutions into a polynomial matrix
-along a Bezout partition of t, and finish over the principal ideal domain
-Q[s].  No step is randomized.
+trivialize the row over Q[s]_a[t] for a few divisors a of resultants
+Res_t(v1, w) that generate Q[s] (Suslin's lemma), patch these charts into
+a polynomial matrix along a Bezout partition of t, and finish over the
+principal ideal domain Q[s].  No step is randomized.
 
 Every step is an elementary operation with a known inverse, so M^-1 is
 built alongside M rather than recovered from an adjugate: column operations
@@ -34,8 +33,6 @@ from .arith import (
     Poly,
     PolyMatrix,
     _as_univar,
-    _uni_coeffs,
-    _uni_from_coeffs,
     _uni_xgcd,
     exact_div,
     gcd_many,
@@ -125,100 +122,121 @@ def left_inverse(f: PolyMatrix) -> PolyMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Univariate helpers over Q[s] (elements are VARS_ST polys free of the
-# other variable)
+# Resultant charts over Q[s] (elements of Q[s] are VARS_ST polys free of t)
 # ---------------------------------------------------------------------------
+
+_S = 0  # variable indices into VARS_ST
+_T = 1
+_ONE = Poly.const(VARS_ST, 1)
+_ZERO = Poly.zero(VARS_ST)
 
 
 def _uses_var(p: Poly, vi: int) -> bool:
     return any(m[vi] for m in p.num)
 
 
-def _squarefree_part(g: Poly, vi: int) -> Poly:
-    """g / gcd(g, g'), monic; g univariate in x_vi."""
-    cs = _uni_coeffs(g, vi)
-    if len(cs) <= 1:
-        return Poly.const(g.vars, 1)
-    deriv = _uni_from_coeffs([c * k for k, c in enumerate(cs)][1:], vi, g.vars)
-    common = gcd_many([g, deriv])
-    out = exact_div(g, common)
-    return out.monic()
+def _t_degree(p: Poly) -> int:
+    return max((m[_T] for m in p.num), default=-1)
 
 
-# ---------------------------------------------------------------------------
-# Fractions: elements of Q(s)[t]
-# ---------------------------------------------------------------------------
+def _resultant_bezout(v1: Poly, w: Poly) -> tuple[Poly, Poly, Poly]:
+    """(a, p, q) with p v1 + q w = a, where a in Q[s] divides Res_t(v1, w)
+    and is 0 exactly when that resultant is; v1 has a constant t-lead
+    coefficient and t-degree d >= 1.
 
-_S = 0  # variable indices into VARS_ST
-_T = 1
-_ONE = Poly.const(VARS_ST, 1)
+    Column j of the d x d matrix A of multiplication by w on Q[s][t]/(v1)
+    is t^j w mod v1 in the basis 1, t, ..., t^(d-1), and det A is the
+    resultant up to a constant.  The first column of adj A, the cofactors of
+    row 0, gives q with q w = det A mod v1; dividing q by the gcd of its
+    coefficients divides det A alike, and v1 divides a - q w exactly."""
+    d = _t_degree(v1)
+    monic = v1 * (1 / _as_univar(v1, _T)[d].constant_value())
+
+    def reduce(r):
+        while (e := _t_degree(r)) >= d:
+            r = r - monic * _as_univar(r, _T)[e].term_mul((0, e - d), 1)
+        return r
+
+    cols = [reduce(w)]
+    for _ in range(1, d):
+        cols.append(reduce(cols[-1].term_mul((0, 1), 1)))
+    a_mat = [[_as_univar(c, _T).get(i, _ZERO) for c in cols] for i in range(d)]
+    if d == 1:
+        cof = [_ONE]
+    else:
+        cof = [PolyMatrix([r[:j] + r[j + 1:] for r in a_mat[1:]]).det() * (-1) ** j
+               for j in range(d)]
+    if all(c.is_zero() for c in cof):
+        return _ZERO, _ZERO, _ZERO
+    g = gcd_many(cof)
+    cof = [exact_div(c, g) for c in cof]
+    a = sum((x * c for x, c in zip(a_mat[0], cof)), _ZERO)
+    q = sum((c.term_mul((0, j), 1) for j, c in enumerate(cof)), _ZERO)
+    p = exact_div(a - q * w, v1)
+    if p is None:
+        raise InternalError("resultant Bezout identity failed")
+    return a, p, q
 
 
-class _Frac:
-    """num/den in Q(s)[t]: num in Q[s,t]; den monic in Q[s] and coprime to
-    the t-coefficients of num.  All arithmetic is Poly arithmetic, and each
-    result is normalized once, by one gcd when den is not constant."""
+def _scaled_identity(m: int, diag: Poly, entries: dict, sign: int = 1) -> PolyMatrix:
+    """diag * I_m with sign * value put in at each (i, j) of entries."""
+    out = PolyMatrix([[diag if i == j else _ZERO for j in range(m)] for i in range(m)])
+    for (i, j), x in entries.items():
+        out.entries[i][j] = x if sign > 0 else -x
+    return out
 
-    __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly = _ONE):
-        if den.is_zero():
-            raise ZeroDivisionError("fraction with zero denominator")
-        if num.is_zero():
-            den = _ONE
-        elif not den.is_constant():
-            g = gcd_many([den, *_as_univar(num, _T).values()])
-            if not g.is_constant():
-                num, den = exact_div(num, g), exact_div(den, g)
-        lc = den.leading_coefficient()
-        if lc != 1:
-            num, den = num * (1 / lc), den * (1 / lc)
-        self.num, self.den = num, den
+def _resultant_charts(row: list[Poly]) -> list[tuple[Poly, PolyMatrix, PolyMatrix]]:
+    """Charts (a, N, N') with row N = a e1 and N N' = a^2 I, whose a generate
+    Q[s]; row is unimodular, m >= 3 entries, row[0] with a constant t-lead
+    coefficient and t-degree d >= 1.
 
-    def is_zero(self):
-        return self.num.is_zero()
+    Each weight vector y (y_0 = 0, y_j = 1) gives w = sum y_i row_i and
+    a = p row_0 + q w from _resultant_bezout.  Over Q[s]_a[t], E = N / a is:
+    add sum y_i col_i to column j; add (1 - row_k) (p col_0 + q col_j) / a to
+    a third column k, which makes it 1; clear every other column with it;
+    swap columns 0 and k.  Only the middle factor divides by a.
 
-    def is_one(self):
-        return self.num == self.den
-
-    @property
-    def deg(self):
-        """Degree in t; -1 for zero."""
-        return max((b for _, b in self.num.num), default=-1)
-
-    def coeff(self, e: int) -> "_Frac":
-        return _Frac(_as_univar(self.num, _T).get(e, Poly.zero(VARS_ST)), self.den)
-
-    def __add__(self, o):
-        return _Frac(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def __sub__(self, o):
-        return _Frac(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __mul__(self, o):
-        return _Frac(self.num * o.num, self.den * o.den)
-
-    def __neg__(self):
-        return _Frac(-self.num, self.den)
-
-    def inv(self):
-        """1/self for self free of t."""
-        if _uses_var(self.num, _T):
-            raise ValueError("only an element of Q(s) is inverted")
-        return _Frac(self.den, self.num)
-
-    def shift(self, k: int):
-        return _Frac(self.num.term_mul((0, k), 1), self.den)
-
-    def divmod_monic(self, g: "_Frac"):
-        """(q, r) with self = q g + r, deg r < deg g; g has lead coeff 1."""
-        q = _Frac(Poly.zero(VARS_ST))
-        r = self
-        while not r.is_zero() and r.deg >= g.deg:
-            term = r.coeff(r.deg).shift(r.deg - g.deg)
-            q = q + term
-            r = r - term * g
-        return q, r
+    The single entries are tried first, then the Kronecker points
+    y = (0, 1, k, k^b, k^(b^2), ...), b = d + 1, k = 1 .. b^(m-2).
+    Res_t(row_0, sum y_i row_i) is a form of degree d in y whose
+    coefficients generate Q[s] (Suslin's lemma); at these points it is a
+    polynomial in k of degree < b^(m-2) with those same coefficients, so
+    its values there generate Q[s] too.  A chart is kept only when its a
+    lowers the gcd of the kept ones, and the search stops at gcd 1.
+    """
+    m = len(row)
+    b = _t_degree(row[0]) + 1
+    points = [[int(i == j) for i in range(m)] for j in range(1, m)]
+    points += [[0, 1] + [k ** (b ** i) for i in range(m - 2)]
+               for k in range(1, b ** (m - 2) + 1)]
+    charts = []
+    common = None
+    for y in points:
+        j = y.index(1)
+        w = sum((row[i] * y[i] for i in range(m) if y[i]), _ZERO)
+        a, p, q = _resultant_bezout(row[0], w)
+        if a.is_zero():
+            continue
+        lowered = a if common is None else gcd_many([common, a])
+        if common is not None and lowered.degree == common.degree:
+            continue
+        common = lowered
+        k = next(i for i in range(1, m) if i != j)
+        shear = {(i, j): Poly.const(VARS_ST, y[i]) for i in range(m) if i != j and y[i]}
+        c = _ONE - row[k]
+        bezout = {(0, k): c * p, (j, k): c * q}
+        clear = {(k, i): (w if i == j else row[i]) for i in range(m) if i != k}
+        swap = _scaled_identity(m, _ONE, {(0, 0): _ZERO, (k, k): _ZERO,
+                                          (0, k): _ONE, (k, 0): _ONE})
+        n = (_scaled_identity(m, _ONE, shear) * _scaled_identity(m, a, bezout)
+             * _scaled_identity(m, _ONE, clear, -1) * swap)
+        n_inv = (swap * _scaled_identity(m, _ONE, clear) * _scaled_identity(m, a, bezout, -1)
+                 * _scaled_identity(m, _ONE, shear, -1))
+        charts.append((a, n, n_inv))
+        if common.is_constant():
+            return charts
+    raise CompletionError("completion failed (resultants of the row share a root)")
 
 
 def _at_t(a: PolyMatrix, b: Poly) -> PolyMatrix:
@@ -231,222 +249,51 @@ def _exact_quotient(a: PolyMatrix, d: Poly) -> PolyMatrix | None:
     return None if any(None in row for row in rows) else PolyMatrix(rows)
 
 
-def _over_common_den(a) -> tuple[PolyMatrix, Poly]:
-    """(N, d) with a = N / d for a matrix a of fractions, d their lcm."""
-    d = _ONE
-    for x in (x for row in a for x in row):
-        if exact_div(d, x.den) is None:
-            d = d * exact_div(x.den, gcd_many([d, x.den]))
-    return PolyMatrix([[x.num * exact_div(d, x.den) for x in row] for row in a]), d
+def _eliminate_t_monic(row_polys: list[Poly]) -> tuple[PolyMatrix, PolyMatrix]:
+    """For a unimodular row whose first entry has a constant t-lead
+    coefficient, build a polynomial M with row * M = row(t := 0), together
+    with M^-1.
 
-
-# ---------------------------------------------------------------------------
-# Local Horrocks loop
-# ---------------------------------------------------------------------------
-
-
-def _horrocks_local(row_polys: list[Poly], gamma: Poly | None):
-    """Trivialize a unimodular row over a chart of Spec Q[s].
-
-    row_polys: length >= 3, entry 0 monic in t with constant lead coefficient.
-    gamma: squarefree monic modulus describing the chart V(gamma), or None
-    for the dense chart where any nonzero element counts as a unit.
-
-    Returns (E, E_inv, denom, spawned, gamma_final): E, with row * E = e1,
-    and its inverse as lists of rows of _Frac entries whose denominators are
-    units on the chart, the accumulated denominator, split-off moduli that
-    still need their own charts, and the possibly shrunken modulus.
+    The resultant charts (a_k, N_k, N'_k) trivialize the row over
+    Q[s]_(a_k)[t] with E_k = N_k / a_k.  Weights with sum w_k a_k^2 = 1 split
+    t into b_k = b_(k-1) + t w_k a_k^2 from b_0 = 0 to b_K = t.  Since
+    row(x) E_k(x) = e1 for every x, the patch E_k(b_k) E_k(b_(k-1))^-1
+    carries row(b_k) to row(b_(k-1)), and E_k(b_(k-1)) E_k^-1(b_k) undoes
+    it.  Each is a product of N_k and N'_k at two points over a_k^2, a
+    polynomial because N_k(b + y) - N_k(b) is a multiple of y and
+    N_k N'_k = a_k^2 I; the product of the patches is M.
     """
     m = len(row_polys)
-    if m < 3:
-        raise InternalError("local trivialization needs at least three entries")
-    h = [_Frac(p) for p in row_polys]
-    E = [[_Frac(_ONE if i == j else Poly.zero(VARS_ST)) for j in range(m)] for i in range(m)]
-    Einv = [row[:] for row in E]
-    denom = Poly.const(VARS_ST, 1)
-    spawned: list[Poly] = []
-
-    # each column operation on E is undone by the inverse row operation,
-    # applied on the left of Einv
-    def colop(i, j, factor: _Frac):
-        h[i] = h[i] + factor * h[j]
-        for r in range(m):
-            E[r][i] = E[r][i] + factor * E[r][j]
-        Einv[j] = [x - factor * y for x, y in zip(Einv[j], Einv[i])]
-
-    def colscale(i, c: _Frac):
-        h[i] = h[i] * c
-        for r in range(m):
-            E[r][i] = E[r][i] * c
-        cinv = c.inv()
-        Einv[i] = [x * cinv for x in Einv[i]]
-
-    def colswap(i, j):
-        h[i], h[j] = h[j], h[i]
-        for r in range(m):
-            E[r][i], E[r][j] = E[r][j], E[r][i]
-        Einv[i], Einv[j] = Einv[j], Einv[i]
-
-    def residue_class(x: _Frac) -> str:
-        """'unit', 'zero', or 'split' relative to the current chart."""
-        nonlocal gamma
-        if x.is_zero():
-            return "zero"
-        if gamma is None:
-            return "unit"
-        g = gcd_many([x.num, gamma])
-        if g.is_constant():
-            return "unit"
-        if exact_div(gamma, g).is_constant():
-            return "zero"
-        spawned.append(g)
-        gamma = exact_div(gamma, g).monic()
-        return "unit"
-
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 200:
-            raise InternalError("local trivialization did not terminate")
-        lc = h[0].coeff(h[0].deg)
-        if residue_class(lc) != "unit":
-            raise InternalError("pivot column lost its unit lead coefficient")
-        if not lc.is_one():
-            colscale(0, lc.inv())
-            denom = (denom * lc.num).monic()
-        D = h[0].deg
-        if D == 0:
-            for i in range(1, m):
-                if not h[i].is_zero():
-                    colop(i, 0, -h[i])
-            break
-        for i in range(1, m):
-            if h[i].is_zero() or h[i].deg < D:
-                continue
-            q, r = h[i].divmod_monic(h[0])
-            colop(i, 0, -q)
-        # pick a coefficient that is a unit on (a shrunken piece of) the chart
-        pick = None
-        for i in range(1, m):
-            if h[i].is_zero():
-                continue
-            for e in range(h[i].deg, -1, -1):
-                c = h[i].coeff(e)
-                if c.is_zero():
-                    continue
-                if residue_class(c) == "unit":
-                    pick = (i, e)
-                    break
-            if pick:
-                break
-        if pick is None:
-            raise CompletionError("completion failed (row is not unimodular on a chart)")
-        i0, ebar = pick
-        shift = D - 1 - ebar
-        w = h[i0].shift(shift)
-        qw, w_red = w.divmod_monic(h[0])
-        lead = w_red.coeff(D - 1)
-        if residue_class(lead) != "unit":
-            raise InternalError("reduced pivot candidate lost its unit coefficient")
-        target = next(j for j in range(1, m) if j != i0)
-        limit = 3 if gamma is None else max(mo[0] for mo in gamma.num) + 2
-        chosen = None
-        for cval in range(1, limit + 2):
-            cand = h[target].coeff(D - 1) + _Frac(Poly.const(VARS_ST, cval)) * lead
-            if cand.is_zero():
-                continue
-            if gamma is None or gcd_many([cand.num, gamma]).is_constant():
-                chosen = cval
-                break
-        if chosen is None:
-            raise InternalError("no scalar kept the new lead coefficient invertible")
-        cpoly = _Frac(Poly.const(VARS_ST, chosen))
-        colop(target, i0, cpoly.shift(shift))
-        if not qw.is_zero():
-            colop(target, 0, -(qw * cpoly))
-        if h[target].deg != D - 1:
-            raise InternalError("pivot construction produced the wrong degree")
-        colswap(0, target)
-    return E, Einv, denom, spawned, gamma
-
-
-def _eliminate_t_monic(row_polys: list[Poly]) -> tuple[PolyMatrix, PolyMatrix]:
-    """For a unimodular row whose first entry is monic in t (constant lead
-    coefficient), build a polynomial M with row * M = row(t := 0), together
-    with M^-1."""
-    m = len(row_polys)
-    charts = []  # (denominator, E, E^-1) with row(t) * E(t) = e1 over Q[s]_den[t]
-    worklist: list[Poly | None] = [None]
-    seen_guard = 0
-    while worklist:
-        seen_guard += 1
-        if seen_guard > 60:
-            raise CompletionError("completion failed (chart splitting did not stop)")
-        gamma = worklist.pop()
-        if gamma is not None and gamma.is_constant():
-            continue
-        E, Einv, denom, spawned, _ = _horrocks_local(row_polys, gamma)
-        worklist.extend(spawned)
-        if gamma is None and not denom.is_constant():
-            # the dense chart misses V(denom); cover it with its own charts
-            worklist.append(_squarefree_part(denom, _S))
-        charts.append((denom, E, Einv))
-    dens = [c for c, _, _ in charts]
-    if not gcd_many(dens).is_constant():
-        raise CompletionError("completion failed (charts do not cover the line)")
-
+    charts = _resultant_charts(row_polys)
+    weights = _bezout_powers([a for a, _, _ in charts])
     t_var = Poly.variable(VARS_ST, "t")
-    mats = [(den, _over_common_den(E), _over_common_den(Einv)) for den, E, Einv in charts]
-    for e in (1, 2, 4, 8, 16, 32):
-        weights = _bezout_powers(dens, e)
-        if weights is None:
-            continue
-        factors = []
-        b_prev = Poly.zero(VARS_ST)
-        for (den, (emat, d_e), (einv, d_inv)), w in zip(mats, weights):
-            # row(x) E(x) = e1 for every substitution x, so the patch
-            # E(b_next) E(b_prev)^-1 carries row(b_next) to row(b_prev);
-            # its inverse is E(b_prev) E^-1(b_next); over the common
-            # denominators d_e and d_inv, each is a product of numerators
-            # divided by d_e d_inv, and a failed division means that a
-            # denominator survives
-            b_next = b_prev + t_var * w * den**e
-            d = d_e * d_inv
-            patch = _exact_quotient(_at_t(emat, b_next) * _at_t(einv, b_prev), d)
-            patch_inv = _exact_quotient(_at_t(emat, b_prev) * _at_t(einv, b_next), d)
-            if patch is None or patch_inv is None:
-                break
-            factors.append((patch, patch_inv))
-            b_prev = b_next
-        else:
-            total, total_inv = factors[-1]
-            for f, f_inv in reversed(factors[:-1]):
-                total = total * f
-                total_inv = f_inv * total_inv
-            expected = [p.set_var("t", 0) for p in row_polys]
-            got = [Poly.zero(VARS_ST)] * m
-            for j in range(m):
-                acc = Poly.zero(VARS_ST)
-                for i in range(m):
-                    acc = acc + row_polys[i] * total[i, j]
-                got[j] = acc
-            if got == expected:
-                return total, total_inv
-            raise InternalError("patched elimination matrix failed verification")
-    raise CompletionError("completion failed (no denominator exponent cleared the patch)")
+    total = total_inv = PolyMatrix.identity(m, VARS_ST)
+    b_prev = _ZERO
+    for (a, n, n_inv), w in zip(charts, weights):
+        square = a * a
+        b_next = b_prev + t_var * w * square
+        patch = _exact_quotient(_at_t(n, b_next) * _at_t(n_inv, b_prev), square)
+        patch_inv = _exact_quotient(_at_t(n, b_prev) * _at_t(n_inv, b_next), square)
+        if patch is None or patch_inv is None:
+            raise InternalError("a patch is not divisible by its squared resultant")
+        total, total_inv = patch * total, total_inv * patch_inv
+        b_prev = b_next
+    got = [sum((row_polys[i] * total[i, j] for i in range(m)), _ZERO) for j in range(m)]
+    if got != [p.set_var("t", 0) for p in row_polys]:
+        raise InternalError("patched elimination matrix failed verification")
+    return total, total_inv
 
 
-def _bezout_powers(dens: list[Poly], e: int):
-    """Weights w_k with sum w_k den_k^e = 1, or None when gcd is not 1."""
-    powers = [d**e for d in dens]
-    g = powers[0]
-    coeffs = [Poly.const(VARS_ST, 1)]
-    for nxt in powers[1:]:
-        gg, u, v = _uni_xgcd(g, nxt, _S)
+def _bezout_powers(dens: list[Poly]) -> list[Poly]:
+    """Weights w_k with sum w_k den_k^2 = 1 for dens that generate Q[s]."""
+    squares = [d * d for d in dens]
+    g = squares[0]
+    coeffs = [_ONE]
+    for nxt in squares[1:]:
+        g, u, v = _uni_xgcd(g, nxt, _S)
         coeffs = [c * u for c in coeffs] + [v]
-        g = gg
     if not g.is_constant() or g.is_zero():
-        return None
+        raise InternalError("the resultants of the charts do not generate Q[s]")
     inv = Fraction(1) / g.constant_value()
     return [c * inv for c in coeffs]
 
@@ -618,13 +465,16 @@ class _RowCompleter:
 
     def _monicize(self) -> Fraction:
         """Apply s -> s + lam*t so some entry gets a constant t-lead coefficient,
-        and move that entry to position 0.  Returns lam."""
+        and move that entry to position 0.  Returns lam.
+
+        lam runs through 0, 1, -1, 2, -2, ...  The top form of an entry of
+        least degree d, at (lam, 1), is a nonzero polynomial in lam of degree
+        at most d, so one of the first d + 1 values works."""
         s = Poly.variable(self.vars, "s")
         t = Poly.variable(self.vars, "t")
-        pool = [0]
-        for k in range(1, 40):
-            pool.extend([k, -k])
-        for lam in pool:
+        d_min = min(int(p.degree) for p in self.work if not p.is_constant())
+        for i in range(d_min + 1):
+            lam = (i + 1) // 2 * (1 if i % 2 else -1)
             for idx, p in enumerate(self.work):
                 if p.is_zero() or p.is_constant():
                     continue
@@ -637,7 +487,7 @@ class _RowCompleter:
                         self._substitute({"s": s + t * Fraction(lam)})
                     self.colswap(0, idx)
                     return Fraction(lam)
-        raise CompletionError("completion failed (no change of variables made a monic entry)")
+        raise InternalError("no change of variables made a monic entry")
 
     def _unsubstitute(self, lam: Fraction):
         if lam == 0:

@@ -753,7 +753,32 @@ def test_fraction_nullspace_matches_dense_elimination(case):
     sparse = [{c: x for c, x in enumerate(r)} for r in rows]
     dim, basis = _fraction_nullspace(sparse, ncols)
     expected = nullspace(rows, ncols)
-    assert list(basis) == expected and dim == len(expected)
+    got = list(basis)
+    assert dim == len(expected) == len(got)
+    for v, want in zip(got, expected):
+        assert all(type(x) is int for x in v)
+        free = max(j for j, x in enumerate(v) if x)  # the free column comes last
+        assert [Fraction(x, v[free]) for x in v] == want
+
+
+def test_fraction_nullspace_of_integer_rows_constructs_no_fraction(monkeypatch):
+    rng = random.Random(5)
+    rows = [{c: rng.randint(-9, 9) for c in range(7) if rng.random() < 0.7} for _ in range(4)]
+    calls = []
+    real = grobner.Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(grobner.Fraction, "__new__", counting)
+    dim, basis = _fraction_nullspace(rows, 7)
+    got = list(basis)
+    assert calls == []
+    monkeypatch.undo()
+    assert dim == len(got) >= 3
+    for v in got:
+        assert all(sum(c * v[j] for j, c in r.items()) == 0 for r in rows)
 
 
 def assert_minimal_betti_matches_oracle(row):

@@ -1,13 +1,13 @@
 import hashlib
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mubasis import arith, cli, quillen_suslin
-from mubasis.arith import VARS_ST, Poly, PolyMatrix, mat_inverse
+from mubasis.arith import VARS_ST, Poly, PolyMatrix, gcd_many, mat_inverse
+from mubasis.errors import CompletionError
 from mubasis.quillen_suslin import (
     _eliminate_t_monic,
     complete_columns,
@@ -160,7 +160,7 @@ class TestCompleteColumns:
         assert a.M == b.M and a.M_inv == b.M_inv
 
 
-# rows completed without heuristics; they reach the Horrocks/patching path
+# rows completed without heuristics; they reach the resultant-chart route
 GENERAL_ROUTE_ROWS = [
     [T**2 - S, S * T + S**2, S + 1],
     [T**2, T + 1, S],
@@ -186,7 +186,7 @@ def _complete(f, general, monkeypatch):
 
 
 class TestGeneralRoute:
-    """Exercise the Horrocks/patching machinery directly."""
+    """Exercise the resultant charts and their patching directly."""
 
     def test_monic_elimination_simple(self):
         row = [T**2, T + 1, S]
@@ -197,8 +197,9 @@ class TestGeneralRoute:
         assert mat_inverse(m)[0] == m_inv  # must be unimodular
 
     def test_monic_elimination_with_charts(self):
-        # the dense chart must invert the nonconstant coefficient s, forcing
-        # a second chart along s = 0 and a genuine patch
+        # no resultant of t^2 - s against the other entries is a constant:
+        # the charts are a = s^3 - s^2 and a = s + 1, so the elimination
+        # patches two of them
         row = [T**2 - S, S * T + S**2, S + 1]
         assert is_unimodular(PolyMatrix([[p] for p in row]))
         m, m_inv = _eliminate_t_monic(row)
@@ -231,7 +232,52 @@ class TestGeneralRoute:
         for row in GENERAL_ROUTE_ROWS:
             f = PolyMatrix([[p] for p in row])
             assert complete_columns(f).M * f == target_block(1, len(row))
-        assert len(calls) < 1000
+        assert len(calls) < 50
+
+    def test_chart_identities(self):
+        for row in GENERAL_ROUTE_ROWS + PINNED_GENERAL_ROWS:
+            m = len(row)
+            charts = quillen_suslin._resultant_charts(row)
+            assert gcd_many([a for a, _, _ in charts]) == ONE
+            for a, n, n_inv in charts:
+                assert [sum((row[i] * n[i, j] for i in range(m)), ZERO)
+                        for j in range(m)] == [a] + [ZERO] * (m - 1)
+                assert n * n_inv == PolyMatrix.identity(m, VARS_ST).map_entries(
+                    lambda p: p * a * a)
+
+    def test_non_unimodular_row_uses_up_the_finite_list(self, monkeypatch):
+        # t divides every entry: all resultants vanish, after the 2 single
+        # entries and the b^(m-2) = 3 Kronecker points
+        calls = []
+        bezout = quillen_suslin._resultant_bezout
+        monkeypatch.setattr(quillen_suslin, "_resultant_bezout",
+                            lambda v1, w: calls.append(w) or bezout(v1, w))
+        with pytest.raises(CompletionError):
+            _eliminate_t_monic([T**2, S * T, T])
+        assert len(calls) == 5
+
+    def test_length_four_row_with_a_zero_entry(self, monkeypatch):
+        # the shape of the row that full-degree d = 3 inputs send here
+        _force_general_route(monkeypatch)
+        calls = []
+        eliminate = quillen_suslin._eliminate_t_monic
+        monkeypatch.setattr(quillen_suslin, "_eliminate_t_monic",
+                            lambda row: calls.append(len(row)) or eliminate(row))
+        f = PolyMatrix([[T**2 + S], [S * T + 1], [ZERO], [S**2]])
+        assert is_unimodular(f)
+        cert = complete_columns(f)
+        assert calls == [4]
+        assert cert.M * f == target_block(1, 4)
+        assert cert.M * cert.M_inv == PolyMatrix.identity(4, VARS_ST)
+
+    def test_monicize_needs_degree_plus_one_values(self):
+        # every top form is s^3 - s t^2 = s (s - t)(s + t), which vanishes at
+        # (lam, 1) for lam = 0, 1, -1: the fourth value, 2, is the first to work
+        row = [S**3 - S * T**2 + ONE, S**3 - S * T**2 + T, 2 * (S**3 - S * T**2) + S]
+        completer = quillen_suslin._RowCompleter(row)
+        assert completer._monicize() == 2
+        lead = arith._as_univar(completer.work[0], 1)[3]
+        assert lead.is_constant() and not lead.is_zero()
 
 
 class TestVariableElimination:
@@ -388,7 +434,9 @@ def _digest(*parts) -> str:
 # sha256 of "repr(M)|repr(M_inv)|det|deg_M" for each _certificate_cases() case,
 # and of repr(M) for each _elimination_inputs() matrix, pinned while the
 # completion heuristics still included a left-inverse update and random
-# shears: the routes that remain build exactly the same matrices
+# shears: the routes that remain build exactly the same matrices.  The last
+# three, the GENERAL_ROUTE_ROWS on the general route, were re-pinned when
+# resultant charts replaced the Horrocks loop of _eliminate_t_monic
 CERTIFICATE_DIGESTS = [
     "02a83e4b0002d0dfdea14ec76be42da594364ba964bc594ed39eab4919da1b9c",
     "0bb1a2f7d81b6d340bad8d6780a8759575ed2f1ea6ce6caa298fb00f088480fd",
@@ -422,9 +470,9 @@ CERTIFICATE_DIGESTS = [
     "347240a5e40c2995cd95d28f2b03f4172e6a6fb8faa2f492d4db22f8bf177e1b",
     "b7f823ff14fb0149004c42e7e6f08fe4e483e1c589930888039c9c55c968e48d",
     "879b8aee137381ac87a1f3bbd1b0eea97d1ad1e2e5077a6af0e984ba72c86087",
-    "dd5fcd560aea638665ae20d1ccb0582ffdd6ae127ac37a6f9d78b2b7b3f726b6",
-    "f84285817e7ce0b02e6e91866c96785f8a8eca6f147fcb2c04a23c22063ccc3f",
-    "25df5a1d3502c62b60e530f07a67f17d6737a7ec54bfc9961e64577fc01695d0",
+    "c8f19cc713414e7264d0accd23aa6cb9dc27934ac7767d73c092e79847132e0e",
+    "cb9b4d4ee9a37ad956f4b320aeacd0bb60e71b8e06205fba7af98334957b2f6e",
+    "ad9a38559280e3342b5c7936b47366ba73fd8625cb36326ca00a79d3a34dd70d",
 ]
 
 ELIMINATION_DIGESTS = [
@@ -453,26 +501,27 @@ class TestPinnedOutputs:
         assert got == GENERAL_ROUTE_DIGESTS
 
 
-# rows with integer coefficients whose pivots are not monic; each needs
-# three Horrocks charts.  The digests of "repr(M)|repr(M_inv)" from
-# _eliminate_t_monic were pinned while Q(s)[t] still had its own
-# coefficient-wise arithmetic, separate from Poly.
+# rows with integer coefficients; each needs two resultant charts, with
+# a = 9s^4 + 5s^3 + 2s^2 + 5s + 3 and s^2 - 3s + 1 for the first and
+# a = (s + 1)^2 and s^2 for the second.  The digests of "repr(M)|repr(M_inv)"
+# from _eliminate_t_monic were pinned when resultant charts replaced the
+# Horrocks loop.
 PINNED_GENERAL_ROWS = [
     [T**2 - S + 3, -3 * S**2 - S * T - S - T, S**2 - 3 * S + 1],
     [T**2, S * T + S + 1, S**2],
 ]
 
 GENERAL_ROUTE_DIGESTS = [
-    "5ad8ab02f42981e0eb61db6294e29daaa3b3f3115d17eb82ba28c082f58e90c0",
-    "bd5fc5e70b162a52b715a75c81d50406ab59e21b43ad5b011753bfd562defb35",
+    "228aa7d5f3bb695c0bc2c51f8d367ce13d1b0199595dd94a1dcf6996d65d391e",
+    "edbcb883fa050913a63426a2b02959ecb176a4d600b7fbd66435c5607cac085b",
 ]
 
 
 # ---------------------------------------------------------------------------
-# The Q(s)[t] fractions of the Horrocks loop against sympy
+# The resultant Bezout identity against sympy
 # ---------------------------------------------------------------------------
 
-small = st.integers(-4, 4).map(Fraction)
+small = st.integers(-4, 4)
 
 
 def s_polys(max_deg):
@@ -480,51 +529,46 @@ def s_polys(max_deg):
         lambda cs: Poly(VARS_ST, {(k, 0): c for k, c in enumerate(cs)}))
 
 
-st_polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), small,
-                           max_size=5).map(lambda terms: Poly(VARS_ST, terms))
+def t_polys(max_t_deg, lead=None):
+    """sum c_k(s) t^k for k <= max_t_deg; with ``lead``, that constant is the
+    coefficient of t^max_t_deg."""
+    coeffs = st.lists(s_polys(2), min_size=max_t_deg + 1, max_size=max_t_deg + 1)
+
+    def build(cs):
+        if lead is not None:
+            cs[-1] = Poly.const(VARS_ST, lead)
+        return sum((c * T**k for k, c in enumerate(cs)), ZERO)
+
+    return coeffs.map(build)
 
 
 @st.composite
-def fractions(draw):
-    """num/den with a common factor in s, so normalization has work to do."""
-    common = draw(s_polys(1).filter(lambda p: not p.is_zero()))
-    den = draw(s_polys(2).filter(lambda p: not p.is_zero()))
-    return quillen_suslin._Frac(common * draw(st_polys), common * den)
+def resultant_cases(draw):
+    """(v1, w): v1 of t-degree 1..3 with a constant t-lead coefficient, and
+    w of t-degree 0..3; with a planted root t = r(s), both vanish there."""
+    d = draw(st.integers(1, 3))
+    lead = draw(st.sampled_from([1, 1, 2, -3]))
+    if draw(st.booleans()):
+        root = T - draw(s_polys(1))
+        return root * draw(t_polys(d - 1, lead)), root * draw(t_polys(draw(st.integers(0, 2))))
+    return draw(t_polys(d, lead)), draw(t_polys(draw(st.integers(0, 3))))
 
 
 def to_sympy(sp, p):
     return sp.sympify(str(p).replace("^", "**"))
 
 
-def assert_normalized(sp, x):
-    t_ = sp.symbols("t")
-    assert x.den.leading_coefficient() == 1
-    assert not quillen_suslin._uses_var(x.den, 1)
-    coeffs = sp.Poly(to_sympy(sp, x.num), t_).all_coeffs()
-    assert sp.gcd_list([to_sympy(sp, x.den)] + coeffs).is_number
-
-
-class TestFractionsAgainstSympy:
+class TestResultantAgainstSympy:
     @settings(max_examples=60, deadline=10000)
-    @given(fractions(), fractions())
-    def test_field_operations_and_division(self, x, y):
+    @given(resultant_cases())
+    def test_bezout_identity_and_resultant(self, case):
         sp = pytest.importorskip("sympy")
-
-        def value(z):
-            return to_sympy(sp, z.num) / to_sympy(sp, z.den)
-
-        for got, want in [(x + y, value(x) + value(y)), (x - y, value(x) - value(y)),
-                          (x * y, value(x) * value(y))]:
-            assert_normalized(sp, got)
-            assert sp.cancel(value(got) - want) == 0
-        assert_normalized(sp, x)
-        if y.is_zero():
-            return
-        lead = y.coeff(y.deg)
-        assert_normalized(sp, lead.inv())
-        assert sp.cancel(value(lead.inv()) - 1 / value(lead)) == 0
-        g = y * lead.inv()
-        q, r = x.divmod_monic(g)
-        back = q * g + r
-        assert (back.num, back.den) == (x.num, x.den)
-        assert r.deg < g.deg
+        v1, w = case
+        a, p, q = quillen_suslin._resultant_bezout(v1, w)
+        assert p * v1 + q * w == a
+        assert not quillen_suslin._uses_var(a, 1)
+        s_, t_ = sp.symbols("s t")
+        res = sp.resultant(to_sympy(sp, v1), to_sympy(sp, w), t_)
+        assert a.is_zero() == (sp.expand(res) == 0)
+        if not a.is_zero():
+            assert sp.rem(sp.expand(res), to_sympy(sp, a), s_, domain=sp.QQ) == 0
