@@ -290,8 +290,9 @@ class Poly:
         """Scale so the grevlex leading coefficient is 1."""
         if self.is_zero():
             return self
-        lc = self.leading_coefficient()
-        return self * (Fraction(1) / lc)
+        lc = self.num[self.leading_monomial()]
+        sign = 1 if lc > 0 else -1
+        return Poly._reduced(self.vars, {m: sign * c for m, c in self.num.items()}, sign * lc)
 
     def substitute(self, mapping: Mapping[str, "Poly"]) -> "Poly":
         """Substitute polynomials (of the same ring) for variables.
@@ -423,8 +424,9 @@ def divides(g: Poly, f: Poly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Multivariate gcd: content/primitive-part recursion over a main variable,
-# subresultant pseudo-remainder sequence for the univariate step.
+# Gcd: a primitive pseudo-remainder sequence over Z for univariate operands;
+# otherwise content/primitive-part recursion over a main variable with a
+# subresultant pseudo-remainder sequence over the other variables.
 # ---------------------------------------------------------------------------
 
 
@@ -471,71 +473,39 @@ def _prem(f: dict[int, Poly], g: dict[int, Poly], vars) -> dict[int, Poly]:
     return r
 
 
-def _uni_coeffs(p: Poly, vi: int) -> list[Fraction]:
-    """Dense coefficient list, constant term first, of p univariate in x_vi."""
-    if p.is_zero():
-        return []
-    out = [Fraction(0)] * (max(m[vi] for m in p.num) + 1)
-    for m, c in p.num.items():
-        if sum(m) != m[vi]:
-            raise ValueError("polynomial is not univariate in the requested variable")
-        out[m[vi]] = Fraction(c, p.den)
-    return out
-
-
-def _uni_from_coeffs(cs, vi: int, vars) -> Poly:
-    terms = {}
-    for k, c in enumerate(cs):
-        if c:
-            mono = [0] * len(vars)
-            mono[vi] = k
-            terms[tuple(mono)] = c
-    return Poly._new(vars, *_common_denominator(terms))
-
-
-def _uni_divmod(a: list[Fraction], b: list[Fraction]):
-    """Quotient and remainder of coefficient lists; b has a nonzero top."""
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b) and a:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        k = len(a) - len(b)
-        f = a[-1] / b[-1]
-        q[k] = f
-        for i, bc in enumerate(b):
-            a[i + k] -= f * bc
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a
-
-
-def _euclid_univar(f: Poly, g: Poly, i: int) -> Poly:
-    """Monic Euclidean gcd for polynomials univariate in variable i."""
-    a, b = _uni_coeffs(f, i), _uni_coeffs(g, i)
-    while b:
-        a, b = b, _uni_divmod(a, b)[1]
-    return _uni_from_coeffs([c / a[-1] for c in a], i, f.vars)
-
-
-def _uni_xgcd(a: Poly, b: Poly, vi: int):
-    """(g, u, v) with u a + v b = g, g monic (or constant 1), over Q[x_vi]."""
-    r0, r1 = _uni_coeffs(a, vi), _uni_coeffs(b, vi)
-    s0, s1 = Poly.const(a.vars, 1), Poly.zero(a.vars)
-    t0, t1 = s1, s0
-    while r1:
-        q, r = _uni_divmod(r0, r1)
-        q = _uni_from_coeffs(q, vi, a.vars)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if not r0:
-        raise ValueError("xgcd of zero polynomials")
-    inv = 1 / r0[-1]
-    return _uni_from_coeffs([c * inv for c in r0], vi, a.vars), s0 * inv, t0 * inv
+def _uni_gcd(f: Poly, g: Poly, i: int) -> Poly:
+    """gcd of f, g univariate in variable i, as a primitive polynomial over
+    Z, by the primitive pseudo-remainder sequence on dense coefficient lists
+    (constant term first).  Each step pseudo-divides by the primitive
+    divisor b, scaling by lc(b)/gcd(lc(b), top) so the top term cancels, and
+    makes the remainder primitive; the last nonzero remainder is the gcd."""
+    seqs = []
+    for p in (f, g):
+        dense = [0] * (max(m[i] for m in p.num) + 1)
+        for m, c in p.num.items():
+            dense[m[i]] = c
+        content = gcd(*dense)
+        seqs.append([c // content for c in dense])
+    a, b = sorted(seqs, key=len, reverse=True)
+    while len(b) > 1:
+        lc, n = b[-1], len(b) - 1
+        r = a
+        while len(r) > n:
+            h = gcd(lc, r[-1])
+            x, y, k = lc // h, r[-1] // h, len(r) - 1 - n
+            r = r[:-1] if x == 1 else [c * x for c in r[:-1]]
+            for j in range(n):
+                r[k + j] -= y * b[j]
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            break
+        content = gcd(*r)
+        a, b = b, [c // content for c in r]
+    else:
+        return Poly.const(f.vars, 1)
+    zero = (0,) * len(f.vars)
+    return Poly._new(f.vars, {zero[:i] + (e,) + zero[i + 1:]: c for e, c in enumerate(b) if c})
 
 
 def _poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -550,7 +520,7 @@ def _poly_gcd(f: Poly, g: Poly) -> Poly:
     occupied = [i for i in range(len(f.vars))
                 if any(m[i] for m in f.num) or any(m[i] for m in g.num)]
     if len(occupied) == 1:
-        return _euclid_univar(f, g, occupied[0])
+        return _uni_gcd(f, g, occupied[0])
     i = occupied[-1]
     fu, gu = _as_univar(f, i), _as_univar(g, i)
     cont_f = _gcd_many_raw(list(fu.values()))

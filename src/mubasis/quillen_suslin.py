@@ -11,7 +11,9 @@ route runs: make an entry monic in t by a linear change of variables,
 trivialize the row over Q[s]_a[t] for a few divisors a of resultants
 Res_t(v1, w) that generate Q[s] (Suslin's lemma), patch these charts into
 a polynomial matrix along a Bezout partition of t, and finish over the
-principal ideal domain Q[s].  No step is randomized.
+principal ideal domain Q[s].  Every Bezout identity on the way (a last pair,
+the partition of t, the steps over Q[s]) comes from a certified Groebner
+lift.  No step is randomized.
 
 Every step is an elementary operation with a known inverse, so M^-1 is
 built alongside M rather than recovered from an adjugate: column operations
@@ -33,7 +35,6 @@ from .arith import (
     Poly,
     PolyMatrix,
     _as_univar,
-    _uni_xgcd,
     exact_div,
     gcd_many,
     primitive_scale,
@@ -43,6 +44,7 @@ from .grobner import (
     buchberger,
     lift_coefficients,
     make_lifter,
+    normal_form,
     reduce_with_certificate,
 )
 
@@ -285,17 +287,24 @@ def _eliminate_t_monic(row_polys: list[Poly]) -> tuple[PolyMatrix, PolyMatrix]:
 
 
 def _bezout_powers(dens: list[Poly]) -> list[Poly]:
-    """Weights w_k with sum w_k den_k^2 = 1 for dens that generate Q[s]."""
-    squares = [d * d for d in dens]
-    g = squares[0]
-    coeffs = [_ONE]
-    for nxt in squares[1:]:
-        g, u, v = _uni_xgcd(g, nxt, _S)
-        coeffs = [c * u for c in coeffs] + [v]
-    if not g.is_constant() or g.is_zero():
+    """Weights w_k with sum w_k den_k^2 = 1 for dens that generate Q[s],
+    by one certified Groebner lift of 1 over the squares."""
+    weights = lift_coefficients(_ONE, [d * d for d in dens])
+    if weights is None:
         raise InternalError("the resultants of the charts do not generate Q[s]")
-    inv = Fraction(1) / g.constant_value()
-    return [c * inv for c in coeffs]
+    return weights
+
+
+def _xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
+    """(g, u, v) with u a + v b = g = gcd(a, b) monic, for nonzero a, b
+    univariate in one variable: the pair of the extended Euclidean
+    algorithm.  The Groebner lift of g over (a, b) gives some u; reducing
+    it modulo b/g gives the unique u of degree < deg(b/g) (0 when b/g is a
+    constant), and then v = (g - u a)/b."""
+    g = gcd_many([a, b])
+    u = lift_coefficients(g, [a, b])[0]
+    u = normal_form(u, buchberger([exact_div(b, g)]))
+    return g, u, exact_div(g - u * a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +464,11 @@ class _RowCompleter:
         uses_s = any(_uses_var(p, _S) for p in self.work)
         uses_t = any(_uses_var(p, _T) for p in self.work)
         if not (uses_s and uses_t):
-            vi = _S if uses_s else _T
-            self._pid_phase(vi)
+            self._pid_phase()
             return
         lam = self._monicize()
         self.apply_matrix(*_eliminate_t_monic(self.work))
-        self._pid_phase(_S)
+        self._pid_phase()
         self._unsubstitute(lam)
 
     def _monicize(self) -> Fraction:
@@ -502,7 +510,7 @@ class _RowCompleter:
         self.E = [[x.substitute(sub) for x in row] for row in self.E]
         self.Einv = [[x.substitute(sub) for x in row] for row in self.Einv]
 
-    def _pid_phase(self, vi: int):
+    def _pid_phase(self):
         """Completion of a univariate unimodular row by a Bezout chain."""
         nz = [i for i, p in enumerate(self.work) if not p.is_zero()]
         if not nz:
@@ -514,7 +522,7 @@ class _RowCompleter:
             if self.work[i].is_zero():
                 continue
             a, b = self.work[0], self.work[i]
-            g, u, v = _uni_xgcd(a, b, vi)
+            g, u, v = _xgcd(a, b)
             qa = exact_div(a, g)
             qb = exact_div(b, g)
             # det [[u, -qb], [v, qa]] = (u a + v b) / g = 1

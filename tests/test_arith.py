@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mubasis import arith
@@ -15,7 +15,6 @@ from mubasis.arith import (
     PolyMatrix,
     _as_univar,
     _from_univar,
-    _uni_xgcd,
     dehomogenize,
     divides,
     exact_div,
@@ -24,6 +23,7 @@ from mubasis.arith import (
     mat_inverse,
 )
 from mubasis.grobner import Vec
+from mubasis.quillen_suslin import _bezout_powers, _xgcd
 from helpers import random_poly, stu
 
 
@@ -245,8 +245,8 @@ def _univariate(rng, vi, max_deg):
 
 
 class TestEuclidAgainstSympy:
-    """gcd_many and the univariate extended Euclid against sympy (test-only
-    oracle; skipped when sympy is not installed)."""
+    """gcd_many and the univariate Bezout cofactors of the PID phase against
+    sympy (test-only oracle; skipped when sympy is not installed)."""
 
     @pytest.fixture
     def sp(self):
@@ -282,7 +282,7 @@ class TestEuclidAgainstSympy:
             common = _univariate(rng, vi, 2)
             a = common * _univariate(rng, vi, 4)
             b = common * _univariate(rng, vi, 4)
-            g, u, v = _uni_xgcd(a, b, vi)
+            g, u, v = _xgcd(a, b)
             assert u * a + v * b == g
             su, sv, sg = sp.gcdex(self.to_sympy(sp, a), self.to_sympy(sp, b), x)
             assert [self.to_sympy(sp, p) for p in (g, u, v)] == \
@@ -613,6 +613,27 @@ class TestCanonicalForm:
         assert results["PolyMatrix.__mul__"][1, 2] == ref_dot(a.row(1), b.column(2))
         assert not results["PolyMatrix.det"].is_zero()
 
+    def test_univariate_gcd_constructs_no_fraction(self, monkeypatch):
+        rng = random.Random(12)
+        cases = []
+        for vi in (0, 1):
+            x = Poly.variable(VARS_ST, "st"[vi])
+            for _ in range(5):
+                common = _univariate(rng, vi, 3) * rng.randint(1, 9)
+                cases.append((common, [common * (x**2 + 1), common * (x**3 - 2)]))
+        calls = []
+        real = arith.Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls.append(args)
+            return real(cls, *args, **kwargs)
+
+        monkeypatch.setattr(arith.Fraction, "__new__", counting)
+        got = [gcd_many(ps) for _, ps in cases]
+        assert calls == []
+        monkeypatch.undo()
+        assert got == [common.monic() for common, _ in cases]
+
 
 # ---------------------------------------------------------------------------
 # Big coefficients against sympy (test-only oracle).
@@ -673,3 +694,72 @@ class TestBigCoefficientsAgainstSympy:
         want = sp.Matrix(3, 3, [expr(m[i, j]) for i in range(3) for j in range(3)]).det(
             method="berkowitz")
         assert poly(det) == sp.Poly(sp.expand(want), *syms, domain="QQ")
+
+
+# ---------------------------------------------------------------------------
+# Univariate gcd and Bezout cofactors with coefficients up to 2^2000.
+# ---------------------------------------------------------------------------
+
+
+def big_univariate(vi, max_degree=3):
+    """A nonzero polynomial of Q[s,t] in variable vi only, over one
+    denominator."""
+    coeffs = st.lists(st.integers(-2**2000, 2**2000), min_size=1, max_size=max_degree + 1)
+    return st.builds(
+        lambda cs, den: Poly(VARS_ST, {tuple(k if j == vi else 0 for j in range(2)): Fraction(c, den)
+                                       for k, c in enumerate(cs) if c}),
+        coeffs.filter(any), st.integers(1, 2**64))
+
+
+@st.composite
+def planted_pairs(draw):
+    """(vi, a, b): a common factor planted in both, or one operand dividing
+    the other, or a constant operand."""
+    vi = draw(st.sampled_from([0, 1]))
+    common = draw(big_univariate(vi, 2))
+    a = draw(big_univariate(vi))
+    kind = draw(st.sampled_from(["planted", "divides", "constant"]))
+    if kind == "planted":
+        a, b = common * a, common * draw(big_univariate(vi))
+    elif kind == "divides":
+        b = a * common
+    else:
+        b = Poly.const(VARS_ST, draw(st.integers(1, 2**2000)))
+    return (vi, a, b) if draw(st.booleans()) else (vi, b, a)
+
+
+class TestBigUnivariateAgainstSympy:
+    """ROADMAP item 2's oracle: the integer gcd, the PID phase's cofactors
+    and the Bezout weights of the patching, univariate in s and in t."""
+
+    @staticmethod
+    def expr(sp, p, x, vi):
+        return sp.Add(*[sp.Rational(c.numerator, c.denominator) * x**m[vi]
+                        for m, c in p.terms.items()])
+
+    @settings(max_examples=60, deadline=None)
+    @given(planted_pairs())
+    def test_gcd_and_cofactors_match_sympy(self, case):
+        sp = pytest.importorskip("sympy")
+        vi, a, b = case
+        x = sp.symbols("st"[vi])
+        A, B = (self.expr(sp, p, x, vi) for p in (a, b))
+        g = gcd_many([a, b])
+        assert g.leading_coefficient() == 1
+        assert sp.Poly(self.expr(sp, g, x, vi), x, domain="QQ") == \
+            sp.Poly(sp.gcd(A, B), x, domain="QQ").monic()
+        g2, u, v = _xgcd(a, b)
+        assert g2 == g and u * a + v * b == g
+        su, sv, sg = sp.gcdex(A, B, x)
+        assert [self.expr(sp, p, x, vi) for p in (g, u, v)] == [sp.expand(e) for e in (sg, su, sv)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_bezout_weights_of_squares(self, data):
+        sp = pytest.importorskip("sympy")
+        vi = data.draw(st.sampled_from([0, 1]))
+        dens = data.draw(st.lists(big_univariate(vi, 2), min_size=2, max_size=4))
+        x = sp.symbols("st"[vi])
+        assume(sp.gcd_list([self.expr(sp, d, x, vi) for d in dens]) == 1)
+        weights = _bezout_powers(dens)
+        assert sum((w * d * d for w, d in zip(weights, dens)), Poly.zero(VARS_ST)) == ONE

@@ -390,8 +390,10 @@ class TestStalledReduction:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(quillen_suslin, "lift_coefficients",
-                            counted("lift", quillen_suslin.lift_coefficients))
+        # the Bezout steps after the elimination lift legitimately; only the
+        # pair lift that reduction would try first is counted
+        monkeypatch.setattr(quillen_suslin._RowCompleter, "_bezout_pair",
+                            counted("lift", quillen_suslin._RowCompleter._bezout_pair))
         monkeypatch.setattr(quillen_suslin, "_eliminate_t_monic",
                             counted("eliminate", quillen_suslin._eliminate_t_monic))
         for row in GENERAL_ROUTE_ROWS:

@@ -1,0 +1,57 @@
+"""Guards for the tooling around the library.
+
+``perfbench/tracing.py`` wraps library functions by (module, attribute), so
+a rename in ``mubasis`` would silently drop a span; it is loaded here by
+path, without writing bytecode next to it.  The arithmetic base layer
+imports no higher layer: ``mubasis.grobner`` and ``mubasis.quillen_suslin``
+import it, so an import back would be a cycle.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(code: str) -> str:
+    out = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
+                         timeout=120, cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+def test_tracing_targets_resolve_on_a_fresh_import():
+    missing = _run(f"""
+import importlib.util
+spec = importlib.util.spec_from_file_location("tracing", {str(ROOT / "perfbench" / "tracing.py")!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+import mubasis
+missing = []
+for module, attr, _ in tracing.TARGETS + tracing.CALL_SITES:
+    obj = importlib.import_module(module)
+    for part in attr.split("."):
+        obj = getattr(obj, part, None)
+    if obj is None:
+        missing.append((module, attr))
+print(missing)
+""")
+    assert missing == "[]"
+
+
+def test_arith_imports_no_higher_layer():
+    # the package __init__ imports every layer, so a bare package stands in
+    # for it; the gcd runs too, to catch an import made inside a function
+    loaded = _run(f"""
+import sys, types
+pkg = types.ModuleType("mubasis")
+pkg.__path__ = [{str(ROOT / "src" / "mubasis")!r}]
+sys.modules["mubasis"] = pkg
+from mubasis.arith import VARS_ST, Poly, gcd_many
+s = Poly.variable(VARS_ST, "s")
+assert gcd_many([s * s - 1, s * s + 2 * s + 1]) == s + 1
+print(sorted(m for m in sys.modules if m.startswith("mubasis")))
+""")
+    assert loaded == "['mubasis', 'mubasis.arith', 'mubasis.errors']", loaded
