@@ -43,7 +43,6 @@ from .errors import (
     VerificationError,
 )
 from .grobner import (
-    GREVLEX,
     BettiTable,
     FreeResolution,
     GroebnerBasis,

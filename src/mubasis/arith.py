@@ -12,21 +12,26 @@ Data is validated at the boundary and trusted inside: ``Poly(vars, terms)``
 checks every term, and arithmetic builds its results with ``Poly._new``
 (already canonical) or ``Poly._reduced`` (one gcd pass, which stops as soon
 as the gcd reaches 1).  Sums, products and exact quotients are integer dict
-loops.  Matrix products bring each row and column to one denominator,
+loops.  Exact quotients and matrix products key terms by packed ints
+(``Packing``), where a monomial product is a sum of ints; Poly products
+keep tuples, as most have operands of 1-3 terms, too few to repay packing.
+Matrix products bring each row and column to one denominator, pack it,
 accumulate over Z and reduce once per output entry.  ``PolyMatrix.det``
 stays a memoized cofactor expansion, measured faster than fraction-free
-Bareiss elimination at the pipeline's sizes (at most 6x6, low degree); on
-integer entries it never leaves Z.
+Bareiss elimination at the pipeline's sizes; on integer entries it never
+leaves Z.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import add, le, mul
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InternalError
+from .errors import InternalError, ResourceLimitError
 
 VARS_ST = ("s", "t")
 VARS_STU = ("s", "t", "u")
@@ -51,22 +56,77 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(map(le, a, b))
 
 
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """Exponent vector of a/b; caller guarantees divisibility."""
-    return tuple(map(sub, a, b))
-
-
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 
 
-def _accumulate(out: dict, t1: Mapping, t2: Mapping) -> None:
-    """Add the product of term dicts t1, t2 into out, zeros left to drop."""
-    get = out.get
-    for m1, c1 in t1.items():
-        for m2, c2 in t2.items():
-            m = tuple(map(add, m1, m2))
-            out[m] = get(m, 0) + c1 * c2
+MAX_PACKED_DEGREE = (1 << 15) - 1  # largest total degree of a packed monomial
+
+
+class Packing:
+    """Terms (position, monomial) over n variables packed into one int each
+    (Monagan and Pearce, J. Symbolic Comput. 46, 2011).  From the high bits
+    down, 16-bit fields with a zero top (guard) bit hold the degree S_n, the
+    partial sums S_(n-1), ..., S_1 (S_k = e_1 + ... + e_k), P - pos (P =
+    2^15 - 1; 0 in a monomial key) and e_n, ..., e_1.  So comparing keys is
+    grevlex (s > t > u), ties broken by position (e_1 > e_2 > ...), and a
+    product is a sum of keys; a lead l divides a term t of its position when
+    (t + guard) - l keeps every guard bit and has a zero position field, and
+    t - l is then the quotient.  Keys are exact up to MAX_PACKED_DEGREE and
+    an overflow carries into the degree, so ``check`` (key < limit) guards
+    every packed result."""
+
+    def __init__(self, n: int):
+        self.weights = [(1 << 16 * i) + sum(1 << 16 * f for f in range(n + i + 1, 2 * n + 1))
+                        for i in range(n)]  # e_(i+1) in field i and in S_(i+1), ..., S_n
+        self.pos_shift, self.top = 16 * n, 32 * n
+        self.guard, self.pos_mask = sum(1 << 16 * i + 15 for i in range(n)), 0xFFFF << 16 * n
+        self.div_mask = self.guard | self.pos_mask
+        self.limit = (MAX_PACKED_DEGREE + 1) << self.top
+        self._size, self._words = 4 * n + 2, struct.Struct(f"<{n}H").unpack_from
+
+    def check(self, key: int) -> int:
+        if key >= self.limit:
+            raise ResourceLimitError(f"a monomial degree exceeds {MAX_PACKED_DEGREE}")
+        return key
+
+    def pack_terms(self, num: Mapping, pos: int | None = None) -> dict:
+        """{key: c} of {exponent tuple: c}: monomials, or terms at position pos."""
+        if pos is not None and not 0 <= pos < 0x8000:
+            raise ResourceLimitError(f"module position {pos} exceeds {0x7FFF}")
+        shift, weights = 0 if pos is None else 0x7FFF - pos << self.pos_shift, self.weights
+        out = {sum(map(mul, m, weights)) + shift: c for m, c in num.items()}
+        self.check(max(out, default=0))
+        return out
+
+    def pack(self, mono: Monomial, pos: int | None = None) -> int:
+        return next(iter(self.pack_terms({mono: 1}, pos)))
+
+    def unpack(self, key: int) -> Monomial:
+        return self._words(key.to_bytes(self._size, "little"))
+
+    def unpack_terms(self, terms: Mapping) -> dict:
+        """{exponent tuple: c} of the nonzero terms of {key: c}."""
+        self.check(max(terms, default=0))
+        words, size = self._words, self._size
+        return {words(k.to_bytes(size, "little")): c for k, c in terms.items() if c}
+
+    def position(self, key: int) -> int:
+        return 0x7FFF - (key >> self.pos_shift & 0x7FFF)
+
+    def degree(self, key: int) -> int:
+        return key >> self.top
+
+    def divides(self, lead: int, key: int) -> bool:
+        return (key + self.guard - lead) & self.div_mask == self.guard
+
+    def lcm(self, a: int, b: int) -> int:
+        """Key of the lcm of the terms a and b, at the position of a."""
+        mono = map(max, self.unpack(a), self.unpack(b))
+        return self.check(sum(map(mul, mono, self.weights)) + (a & self.pos_mask))
+
+
+packing = cache(Packing)  # packing(n): the one Packing of n variables, built on first use
 
 
 def _content(num: Mapping, g: int = 0) -> int:
@@ -247,7 +307,11 @@ class Poly:
             return self._times(*_ratio(other))
         other = self._coerce(other)
         out: dict[Monomial, int] = {}
-        _accumulate(out, self.num, other.num)
+        get = out.get
+        for m1, c1 in self.num.items():
+            for m2, c2 in other.num.items():
+                m = tuple(map(add, m1, m2))
+                out[m] = get(m, 0) + c1 * c2
         return Poly._reduced(self.vars, {m: c for m, c in out.items() if c},
                              self.den * other.den)
 
@@ -380,10 +444,10 @@ class Poly:
 def exact_div(f: Poly, g: Poly) -> Poly | None:
     """Return f/g when g divides f exactly, else None.
 
-    Divides num(f) by the primitive part G of num(g) on ints, in one loop
-    over a working dict.  When G divides num(f) over Q the quotient has
-    integer coefficients (Gauss's lemma), so every step divides exactly by
-    lc(G), and a step that does not proves g does not divide f."""
+    Divides num(f) by the primitive part G of num(g) on ints and packed keys,
+    in one loop over a working dict.  When G divides num(f) over Q the
+    quotient has integer coefficients (Gauss's lemma), so every step divides
+    exactly by lc(G), and a step that does not proves g does not divide f."""
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if f.is_zero():
@@ -391,32 +455,30 @@ def exact_div(f: Poly, g: Poly) -> Poly | None:
     if f.vars != g.vars:
         raise ValueError("mixed rings")
     cg = _content(g.num)
-    gnum = g.num if cg == 1 else {m: c // cg for m, c in g.num.items()}
-    g_lm = g.leading_monomial()
+    pk = packing(len(f.vars))
+    gnum = pk.pack_terms(g.num if cg == 1 else {m: c // cg for m, c in g.num.items()})
+    g_lm = max(gnum)
     g_lc = gnum[g_lm]
-    work = dict(f.num)
-    keys = {m: grevlex_key(m) for m in work}
-    q: dict[Monomial, int] = {}
+    work = pk.pack_terms(f.num)
+    q: dict[int, int] = {}
     while work:
-        lm = max(work, key=keys.__getitem__)
-        if not mono_divides(g_lm, lm):
+        lm = max(work)
+        if not pk.divides(g_lm, lm):
             return None
         c, r = divmod(work[lm], g_lc)
         if r:
             return None
-        mono = mono_div(lm, g_lm)
+        mono = lm - g_lm
         q[mono] = c
         for m, b in gnum.items():
-            m = tuple(map(add, m, mono))
+            m += mono
             val = work.get(m, 0) - b * c
             if val:
                 work[m] = val
-                if m not in keys:
-                    keys[m] = grevlex_key(m)
             else:
                 del work[m]
     # f / g = (q * G / den f) / (cg * G / den g)
-    return Poly._new(f.vars, q, f.den)._times(g.den, cg)
+    return Poly._new(f.vars, pk.unpack_terms(q), f.den)._times(g.den, cg)
 
 
 def divides(g: Poly, f: Poly) -> bool:
@@ -473,12 +535,37 @@ def _prem(f: dict[int, Poly], g: dict[int, Poly], vars) -> dict[int, Poly]:
     return r
 
 
+_GCD_PRIMES = (2147483647, 2147483629, 2147483587)  # for _coprime_image, in order
+
+
+def _coprime_image(a: list[int], b: list[int]) -> bool:
+    """True when the images of the primitive dense polynomials a, b modulo
+    the first p of _GCD_PRIMES not dividing both leading coefficients have a
+    constant gcd (Euclid over F_p).  That proves gcd(a, b) = 1: p does not
+    divide lc(gcd), so the gcd's image keeps its degree and divides both."""
+    p = next((p for p in _GCD_PRIMES if a[-1] % p or b[-1] % p), None)
+    if p is None:
+        return False
+    u, v = ([c % p for c in w] for w in (a, b))
+    while any(v):
+        while not v[-1]:
+            v.pop()
+        inv = pow(v[-1], -1, p)
+        while len(u) >= len(v):  # u mod v, top term first
+            x, k = u.pop() * inv % p, len(u) + 1 - len(v)
+            for j in range(len(v) - 1):
+                u[k + j] = (u[k + j] - x * v[j]) % p
+        u, v = v, u
+    return len(u) == 1
+
+
 def _uni_gcd(f: Poly, g: Poly, i: int) -> Poly:
     """gcd of f, g univariate in variable i, as a primitive polynomial over
     Z, by the primitive pseudo-remainder sequence on dense coefficient lists
     (constant term first).  Each step pseudo-divides by the primitive
     divisor b, scaling by lc(b)/gcd(lc(b), top) so the top term cancels, and
-    makes the remainder primitive; the last nonzero remainder is the gcd."""
+    makes the remainder primitive; the last nonzero remainder is the gcd.
+    Coprime operands are settled first by _coprime_image."""
     seqs = []
     for p in (f, g):
         dense = [0] * (max(m[i] for m in p.num) + 1)
@@ -487,6 +574,8 @@ def _uni_gcd(f: Poly, g: Poly, i: int) -> Poly:
         content = gcd(*dense)
         seqs.append([c // content for c in dense])
     a, b = sorted(seqs, key=len, reverse=True)
+    if _coprime_image(a, b):
+        return Poly.const(f.vars, 1)
     while len(b) > 1:
         lc, n = b[-1], len(b) - 1
         r = a
@@ -625,15 +714,19 @@ def _integer_scaled(polys: Sequence[Poly]) -> tuple[int, list[dict]]:
                  for p in polys]
 
 
-def _scaled_dot(row, col, vars) -> Poly:
-    """sum_k row[k] * col[k] for two _integer_scaled sequences: one integer
-    accumulation, then one gcd pass."""
+def _scaled_dot(row, col, vars, pk: Packing) -> Poly:
+    """sum_k row[k] * col[k] for two _integer_scaled sequences with numerators
+    packed by pk: one integer accumulation, where a monomial product is a sum
+    of keys, then one gcd pass."""
     (den_r, a), (den_c, b) = row, col
-    out: dict[Monomial, int] = {}
+    out: dict[int, int] = {}
+    get = out.get
     for x, y in zip(a, b):
-        if x and y:
-            _accumulate(out, x, y)
-    return Poly._reduced(vars, {m: c for m, c in out.items() if c}, den_r * den_c)
+        for m1, c1 in x.items():
+            for m2, c2 in y.items():
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
+    return Poly._reduced(vars, pk.unpack_terms(out), den_r * den_c)
 
 
 def primitive_scale(polys: Iterable[Poly]) -> Fraction:
@@ -715,17 +808,16 @@ class PolyMatrix:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         if other.vars != self.vars:
             raise ValueError("mixed rings in matrix product")
-        cols = [_integer_scaled(other.column(j)) for j in range(other.cols)]
-        return PolyMatrix([[_scaled_dot(row, col, self.vars) for col in cols]
-                           for row in map(_integer_scaled, self.entries)])
+        pk = packing(len(self.vars))  # each entry is packed once
+        rows, cols = ([(den, [pk.pack_terms(num) for num in nums]) for den, nums in
+                       map(_integer_scaled, polys)] for polys in (self.entries, other.columns()))
+        return PolyMatrix([[_scaled_dot(row, col, self.vars, pk) for col in cols]
+                           for row in rows])
 
     def mul_vector(self, vec: Sequence[Poly]) -> list[Poly]:
         if len(vec) != self.cols:
             raise ValueError("shape mismatch")
-        if any(p.vars != self.vars for p in vec):
-            raise ValueError("mixed rings in matrix product")
-        col = _integer_scaled(vec)
-        return [_scaled_dot(_integer_scaled(row), col, self.vars) for row in self.entries]
+        return (self * PolyMatrix.from_columns([vec])).column(0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):

@@ -1,21 +1,21 @@
 """Groebner bases for ideals and submodules of free modules over Q[s,t(,u)].
 
-Groebner bases run through one engine operating on sparse module vectors
-({(position, monomial): coefficient} dictionaries); an ideal is the rank-1
-case.  For the callers that need them, Buchberger's algorithm tracks
-representations of basis elements in terms of the input generators, which
-powers syzygy computation (Schreyer's construction), membership lifting and
-ideal quotients.
+Groebner bases run through one engine on sparse module vectors, an ideal
+being the rank-1 case.  A vector maps packed int keys (arith.Packing), one
+per (position, monomial), to coefficients; the one term order, grevlex with
+ties broken by position, is int comparison, and products, divisibility and
+quotients are int arithmetic.  For the callers that need them, Buchberger
+tracks representations over the input generators, which power Schreyer
+syzygies, membership lifting and ideal quotients.
 
 The engine is fraction-free.  Buchberger keeps its basis as primitive
 integer vectors with positive leading coefficients, forms S-vectors with
 integer multipliers and reduces on ints with one running multiplier
 (_reduce_int); every vector is a rational multiple of the one division over
 Q would give, so the reduction path is that of the rational algorithm.
-Rational values appear only at the boundary, as integer terms over one
-denominator (``Poly.num``/``Poly.den``, ``Vec.terms``/``Vec.den``): the input
-vectors, the monic reduced basis with its representations, and the
-remainders and quotients returned by _reduce_full.
+Rational values and tuple monomials appear only at the boundary
+(``Poly.num``/``Poly.den``): the input vectors, the monic reduced basis with
+its representations, and the remainders and quotients of _reduce_full.
 
 Free resolutions are built by exact linear algebra on one graded piece at a
 time (graded Nakayama), with one echelon routine that yields both the
@@ -42,36 +42,14 @@ from .arith import (
     PolyMatrix,
     _content,
     _integer_scaled,
-    grevlex_key,
-    mono_div,
     mono_divides,
     mono_lcm,
     mono_mul,
     monomials_of_degree,
+    packing,
     primitive_scale,
 )
 from .errors import InternalError
-
-# ---------------------------------------------------------------------------
-# Orders
-# ---------------------------------------------------------------------------
-
-
-class TermOverPosition:
-    """Grevlex on monomials, ties broken by position (e_1 > e_2 > ...).
-
-    For rank-1 vectors this is plain grevlex on the ring.
-    """
-
-    name = "grevlex"
-
-    def key(self, pm):
-        pos, mono = pm
-        return (grevlex_key(mono), -pos)
-
-
-GREVLEX = TermOverPosition()
-
 
 # ---------------------------------------------------------------------------
 # Sparse module vectors
@@ -79,9 +57,9 @@ GREVLEX = TermOverPosition()
 
 
 class Vec:
-    """Element of a free module R^rank, sparse over (position, monomial):
-    terms / den, with nonzero int terms and den > 0 (not kept coprime to
-    the content; to_polys reduces each component)."""
+    """Element of a free module R^rank: terms / den, with terms {key: nonzero
+    int} over keys packing (position, monomial) as in arith.Packing and
+    den > 0 (not kept coprime to the content; to_polys reduces each one)."""
 
     __slots__ = ("vars", "rank", "terms", "den")
 
@@ -95,87 +73,88 @@ class Vec:
     def from_polys(cls, polys: Sequence[Poly], rank=None) -> "Vec":
         rank = len(polys) if rank is None else rank
         den, nums = _integer_scaled(polys)
-        terms = {(pos, m): c for pos, num in enumerate(nums) for m, c in num.items()}
+        pk = packing(len(polys[0].vars))
+        terms = {k: c for pos, num in enumerate(nums) for k, c in pk.pack_terms(num, pos).items()}
         return cls(polys[0].vars, rank, terms, den)
 
     def to_polys(self) -> tuple[Poly, ...]:
+        pk = packing(len(self.vars))
         buckets: list[dict] = [dict() for _ in range(self.rank)]
-        for (pos, m), c in self.terms.items():
-            buckets[pos][m] = c
+        for key, c in self.terms.items():
+            buckets[pk.position(key)][pk.unpack(key)] = c
         return tuple(Poly._reduced(self.vars, b, self.den) for b in buckets)
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def leading(self, order):
-        return max(self.terms, key=order.key)
+
+def _lead(g: Vec):
+    """(key, coefficient) of the leading term of g."""
+    key = max(g.terms)
+    return key, g.terms[key]
 
 
-def _lead(g: Vec, order):
-    """((position, monomial), coefficient) of the leading term of g."""
-    pm = g.leading(order)
-    return pm, g.terms[pm]
-
-
-def _primitive(terms: dict, vars, rank, order, den=1):
+def _primitive(terms: dict, vars, rank, den=1):
     """(c, v, lead): v = c * terms / den as a Vec of coprime integers with
-    a positive leading coefficient (c rational), and lead = _lead(v, order)."""
+    a positive leading coefficient (c rational), and lead = _lead(v)."""
     g, ints = _integral(terms)
-    pm = max(ints, key=order.key)
-    if ints[pm] < 0:
+    key = max(ints)
+    if ints[key] < 0:
         g, ints = -g, {k: -x for k, x in ints.items()}
-    return Fraction(den, g), Vec(vars, rank, ints), (pm, ints[pm])
+    return Fraction(den, g), Vec(vars, rank, ints), (key, ints[key])
 
 
 def _spair(gi: Vec, lead_i, gj: Vec, lead_j):
     """S-vector (lc_j/h) x^qi gi - (lc_i/h) x^qj gj of two integer vectors
     whose leads share a position, h = gcd(lc_i, lc_j), x^qi and x^qj the
     cofactors of the leads in their lcm.  Returns (terms, qi, fi, qj, fj)
-    with fi = lc_j/h and fj = lc_i/h."""
-    ((_, mi), ci), ((_, mj), cj) = lead_i, lead_j
-    u = mono_lcm(mi, mj)
-    qi, qj = mono_div(u, mi), mono_div(u, mj)
+    with fi = lc_j/h and fj = lc_i/h, qi and qj as monomial keys."""
+    (ki, ci), (kj, cj) = lead_i, lead_j
+    u = packing(len(gi.vars)).lcm(ki, kj)
+    qi, qj = u - ki, u - kj
     h = gcd(ci, cj)
     fi, fj = cj // h, ci // h
-    terms = {(pos, mono_mul(m, qi)): fi * c for (pos, m), c in gi.terms.items()}
-    for (pos, m), c in gj.terms.items():
-        pm = (pos, mono_mul(m, qj))
-        val = terms.get(pm, 0) - fj * c
+    terms = {k + qi: fi * c for k, c in gi.terms.items()}
+    for k, c in gj.terms.items():
+        k += qj
+        val = terms.get(k, 0) - fj * c
         if val:
-            terms[pm] = val
+            terms[k] = val
         else:
-            del terms[pm]
+            del terms[k]
     return terms, qi, fi, qj, fj
 
 
-def _reduce_int(work: dict, basis: Sequence[Vec], leads, order, want_quotients: bool):
+def _reduce_int(work: dict, basis: Sequence[Vec], leads, want_quotients: bool):
     """Full reduction of an integer vector against integer vectors, on ints.
 
-    work ({(position, monomial): int}) is consumed, and every lead in leads
-    (_lead of each basis element) is positive.  A step takes the greatest
-    term c x^m, the first lead l x^n dividing it and g = gcd(c, l), and sets
-    work to (l/g) work - (c/g) x^(m/n) basis_i: the terms and reducers of
-    division over Q.  Returns (K, rem, quots), K the product of the factors
-    l/g, with K * work = sum_i quots[i] * basis[i] + rem; rem has no term
-    divisible by a lead, and quots[i] is {monomial: int} (quots is None
-    unless want_quotients).
+    work ({key: int}) is consumed, and every lead in leads (_lead of each
+    basis element) is positive.  A step takes the greatest term c x^t
+    (max(work)), the first lead l x^n dividing it (the guard-bit test of
+    arith.Packing) and g = gcd(c, l), and sets work to (l/g) work -
+    (c/g) x^(t-n) basis_i: the terms and reducers of division over Q.
+    Returns (K, rem, quots), K the product of the factors l/g, with
+    K * work = sum_i quots[i] * basis[i] + rem; rem has no term divisible
+    by a lead, and quots[i] is {monomial key: int} (None unless
+    want_quotients).
     """
-    keys = {pm: order.key(pm) for pm in work}  # each term's order key, once
+    pk = packing(len(basis[0].vars)) if basis else None
+    guard, mask = (pk.guard, pk.div_mask) if pk else (0, 0)
     rem: dict = {}  # rem and quots hold (coefficient, K at its step), scaled at the end
     quots = [dict() for _ in basis] if want_quotients else None
     K = 1
     while work:
-        pm = max(work, key=keys.__getitem__)
-        pos, mono = pm
-        c = work[pm]
-        for hit, ((gpos, gmono), glc) in enumerate(leads):
-            if gpos == pos and mono_divides(gmono, mono):
+        t = max(work)
+        c = work[t]
+        tg = t + guard
+        for hit, (lead, glc) in enumerate(leads):
+            if (tg - lead) & mask == guard:
                 break
         else:
-            rem[pm] = (c, K)
-            del work[pm]
+            rem[t] = (c, K)
+            del work[t]
             continue
-        qmono = mono_div(mono, gmono)
+        q = t - lead
         g = gcd(c, glc)
         mult, f = glc // g, c // g
         if mult != 1:
@@ -183,36 +162,35 @@ def _reduce_int(work: dict, basis: Sequence[Vec], leads, order, want_quotients: 
             for term in work:
                 work[term] *= mult
         if want_quotients:
-            quots[hit][qmono] = (f, K)
-        for (bpos, bm), bc in basis[hit].terms.items():
-            term = (bpos, mono_mul(bm, qmono))
+            quots[hit][q] = (f, K)
+        for b, bc in basis[hit].terms.items():
+            term = b + q
             val = work.get(term, 0) - bc * f
             if val:
                 work[term] = val
-                if term not in keys:
-                    keys[term] = order.key(term)
             else:
                 work.pop(term, None)
-    rem = {pm: c * (K // k) for pm, (c, k) in rem.items()}
+    rem = {t: c * (K // k) for t, (c, k) in rem.items()}
     if want_quotients:
-        quots = [{m: c * (K // k) for m, (c, k) in q.items()} for q in quots]
+        quots = [{q: c * (K // k) for q, (c, k) in qs.items()} for qs in quots]
     return K, rem, quots
 
 
 def _rational_quotients(quots, scales, d, vars) -> list[Poly]:
-    """The Poly quots[i] * scales[i] / d over Q for each integer quotient
+    """The Poly quots[i] * scales[i] / d over Q for each {monomial key: int}
     dict (d a nonzero int, scales[i] nonzero rationals): quotients over
     rational basis vectors b_i whose integer forms are scales[i] * b_i."""
+    unpack = packing(len(vars)).unpack
     out = []
     for q, s in zip(quots, scales):
         a, b = s.numerator, s.denominator * d
         if b < 0:
             a, b = -a, -b
-        out.append(Poly._reduced(vars, {mono: c * a for mono, c in q.items()}, b))
+        out.append(Poly._reduced(vars, {unpack(m): c * a for m, c in q.items()}, b))
     return out
 
 
-def _reduce_full(vec: Vec, basis: Sequence[Vec], order, want_quotients=False, forms=None):
+def _reduce_full(vec: Vec, basis: Sequence[Vec], want_quotients=False, forms=None):
     """Full normal form of vec against basis over Q; optionally with quotients.
 
     Returns (remainder, quotients) where quotients[i] is the Poly q_i with
@@ -223,9 +201,9 @@ def _reduce_full(vec: Vec, basis: Sequence[Vec], order, want_quotients=False, fo
     are divided out over Q.
     """
     if forms is None:
-        forms = list(zip(*[_primitive(g.terms, g.vars, g.rank, order, g.den) for g in basis]))
+        forms = list(zip(*[_primitive(g.terms, g.vars, g.rank, g.den) for g in basis]))
     scales, ints, leads = forms or ((), (), ())
-    K, rem, quots = _reduce_int(dict(vec.terms), ints, leads, order, want_quotients)
+    K, rem, quots = _reduce_int(dict(vec.terms), ints, leads, want_quotients)
     d = K * vec.den  # K * den * vec = sum quots_i * ints_i + rem
     remainder = Vec(vec.vars, vec.rank, rem, d)
     if not want_quotients:
@@ -239,27 +217,31 @@ class _ExtGB:
     when they were tracked (reps is None otherwise).
 
     ints holds the elements as primitive integer vectors with positive
-    leading coefficients and leads their _lead; vecs holds the monic
+    leading coefficients and lead_terms their _lead; vecs holds the monic
     elements over Q, and reps[i] expresses vecs[i] over the generators.
     """
 
     vars: tuple
     rank: int
     ngens: int
-    order: object
     ints: list
     reps: list | None   # reps[i]: list of Poly, vecs[i] = sum reps[i][j] * gen_j
-    leads: list = field(init=False)
+    lead_terms: list = field(init=False)
     vecs: list = field(init=False)
 
     def __post_init__(self):
-        self.leads = [_lead(g, self.order) for g in self.ints]
+        self.lead_terms = [_lead(g) for g in self.ints]
         self.vecs = [Vec(self.vars, self.rank, g.terms, lc)
-                     for g, (_, lc) in zip(self.ints, self.leads)]
-        self._forms = ([lc for _, lc in self.leads], self.ints, self.leads)
+                     for g, (_, lc) in zip(self.ints, self.lead_terms)]
+        self._forms = ([lc for _, lc in self.lead_terms], self.ints, self.lead_terms)
+
+    @property
+    def leads(self) -> list:  # ((position, monomial), coefficient) of every leading term
+        pk = packing(len(self.vars))
+        return [((pk.position(k), pk.unpack(k)), lc) for k, lc in self.lead_terms]
 
     def reduce(self, vec: Vec, want_quotients=False):
-        return _reduce_full(vec, self.vecs, self.order, want_quotients, self._forms)
+        return _reduce_full(vec, self.vecs, want_quotients, self._forms)
 
     def reduce_certified(self, vec: Vec):
         """(remainder, coeffs) with vec = sum coeffs_i gen_i + remainder."""
@@ -292,7 +274,7 @@ def _add_combination(base, coeffs, vectors):
     return out
 
 
-def _buchberger_ext(gens: Sequence[Vec], order, track_reps: bool) -> _ExtGB:
+def _buchberger_ext(gens: Sequence[Vec], track_reps: bool) -> _ExtGB:
     """Buchberger with sugar selection and both classical criteria; finishes
     with interreduction to the reduced basis.  With track_reps every basis
     element carries its representation over gens, which only lifting and
@@ -307,10 +289,10 @@ def _buchberger_ext(gens: Sequence[Vec], order, track_reps: bool) -> _ExtGB:
     the rational algorithm; representations are scaled by the same factors.
     Only the reduced basis becomes monic over Q, in _ExtGB.
     """
-    vars = gens[0].vars
-    rank = gens[0].rank
-    k = len(gens)
+    vars, rank, k = gens[0].vars, gens[0].rank, len(gens)
     zero = Poly.zero(vars)
+    pk = packing(len(vars))
+    degree, divides = pk.degree, pk.divides
 
     G: list[Vec] = []
     LT: list = []  # _lead of every element of G
@@ -319,70 +301,57 @@ def _buchberger_ext(gens: Sequence[Vec], order, track_reps: bool) -> _ExtGB:
     for idx, g in enumerate(gens):
         if g.is_zero():
             continue
-        c, v, lead = _primitive(g.terms, vars, rank, order, g.den)
+        c, v, lead = _primitive(g.terms, vars, rank, g.den)
         G.append(v)
         LT.append(lead)
         reps.append([Poly.const(vars, c) if j == idx else zero for j in range(k)]
                     if track_reps else None)
-        sugars.append(max(sum(m) for _, m in g.terms))
+        sugars.append(degree(lead[0]))
 
     def negated(quots):
         return _rational_quotients(quots, [1] * len(quots), -1, vars)
 
     pending: set[tuple[int, int]] = set()
-    heap: list[tuple[int, int, int, int]] = []
+    heap: list[tuple[int, int, int, int, int]] = []  # (sugar, deg lcm, i, j, lcm)
 
     def push_pairs(new_idx: int):
-        pn, mn = LT[new_idx][0]
+        kn = LT[new_idx][0]
         for i in range(new_idx):
-            pi, mi = LT[i][0]
-            if pi != pn:
+            ki = LT[i][0]
+            if pk.position(ki) != pk.position(kn):
                 continue
-            u = mono_lcm(mi, mn)
-            sugar = max(sugars[i] + sum(u) - sum(mi),
-                        sugars[new_idx] + sum(u) - sum(mn))
-            pair = (i, new_idx)
-            pending.add(pair)
-            heapq.heappush(heap, (sugar, sum(u), pair[0], pair[1]))
+            u = pk.lcm(ki, kn)
+            du = degree(u)
+            sugar = max(sugars[i] + du - degree(ki), sugars[new_idx] + du - degree(kn))
+            pending.add((i, new_idx))
+            heapq.heappush(heap, (sugar, du, i, new_idx, u))
 
     for i in range(len(G)):
         push_pairs(i)
 
     while heap:
-        pair_sugar, _, i, j = heapq.heappop(heap)
+        pair_sugar, du, i, j, u = heapq.heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        (pi, mi), (_, mj) = LT[i][0], LT[j][0]
-        u = mono_lcm(mi, mj)
-        # product criterion (ideals only)
-        if rank == 1 and mono_mul(mi, mj) == u:
+        # product criterion (ideals only): coprime leads
+        if rank == 1 and du == degree(LT[i][0]) + degree(LT[j][0]):
             continue
-        # chain criterion
-        skip = False
-        for l in range(len(G)):
-            if l in (i, j):
-                continue
-            (pl, ml) = LT[l][0]
-            if pl != pi or not mono_divides(ml, u):
-                continue
-            a = (min(i, l), max(i, l))
-            b = (min(j, l), max(j, l))
-            if a not in pending and b not in pending:
-                skip = True
-                break
-        if skip:
+        # chain criterion: a third lead divides the lcm, and both its pairs are done
+        if any(l != i and l != j and divides(LT[l][0], u) and (min(i, l), max(i, l))
+               not in pending and (min(j, l), max(j, l)) not in pending for l in range(len(G))):
             continue
         s_terms, qi, fi, qj, fj = _spair(G[i], LT[i], G[j], LT[j])
-        K, rem, quots = _reduce_int(s_terms, G, LT, order, want_quotients=True)
+        K, rem, quots = _reduce_int(s_terms, G, LT, want_quotients=True)
         if not rem:
             continue
-        c, new, lead = _primitive(rem, vars, rank, order)
+        c, new, lead = _primitive(rem, vars, rank)
         rep = None
         if track_reps:
             # rem = K * s - sum quots_l * G_l, and new = c * rem
+            mi, mj = pk.unpack(qi), pk.unpack(qj)
             rep = _add_combination(
-                [a.term_mul(qi, K * fi) - b.term_mul(qj, K * fj)
+                [a.term_mul(mi, K * fi) - b.term_mul(mj, K * fj)
                  for a, b in zip(reps[i], reps[j])], negated(quots), reps)
             rep = [r * c for r in rep]
         G.append(new)
@@ -391,18 +360,15 @@ def _buchberger_ext(gens: Sequence[Vec], order, track_reps: bool) -> _ExtGB:
         sugar = pair_sugar
         for q, s in zip(quots, sugars):
             if q:
-                sugar = max(sugar, s + max(sum(m) for m in q))
+                sugar = max(sugar, s + degree(max(q)))
         sugars.append(sugar)
         push_pairs(len(G) - 1)
 
     # interreduce: drop redundant leading terms, then tail-reduce, then scale monic
-    idx_sorted = sorted(range(len(G)), key=lambda i: order.key(LT[i][0]))
     kept: list[int] = []
-    for i in idx_sorted:
-        (pi, mi) = LT[i][0]
-        if any(LT[l][0][0] == pi and mono_divides(LT[l][0][1], mi) for l in kept):
-            continue
-        kept.append(i)
+    for i in sorted(range(len(G)), key=lambda i: LT[i][0]):
+        if not any(divides(LT[l][0], LT[i][0]) for l in kept):
+            kept.append(i)
     G2 = [G[i] for i in kept]
     L2 = [LT[i] for i in kept]
     R2 = [reps[i] for i in kept]
@@ -411,21 +377,20 @@ def _buchberger_ext(gens: Sequence[Vec], order, track_reps: bool) -> _ExtGB:
         changed = False
         for i in range(len(G2)):
             K, rem, quots = _reduce_int(dict(G2[i].terms), G2[:i] + G2[i + 1:],
-                                        L2[:i] + L2[i + 1:], order, track_reps)
+                                        L2[:i] + L2[i + 1:], track_reps)
             if rem == G2[i].terms:
                 continue
             changed = True
-            c, G2[i], L2[i] = _primitive(rem, vars, rank, order)
+            c, G2[i], L2[i] = _primitive(rem, vars, rank)
             if track_reps:
                 # rem = K * G2[i] - sum quots_l * (the others), and the new G2[i] = c * rem
                 R2[i] = [r * c for r in _add_combination(
                     [r * K for r in R2[i]], negated(quots), R2[:i] + R2[i + 1:])]
-    pairs = sorted(range(len(G2)), key=lambda i: order.key(L2[i][0]))
+    pairs = sorted(range(len(G2)), key=lambda i: L2[i][0])
     reps_out = None
     if track_reps:
         reps_out = [[r * Fraction(1, L2[i][1]) for r in R2[i]] for i in pairs]
-    return _ExtGB(vars=vars, rank=rank, ngens=k, order=order,
-                  ints=[G2[i] for i in pairs], reps=reps_out)
+    return _ExtGB(vars=vars, rank=rank, ngens=k, ints=[G2[i] for i in pairs], reps=reps_out)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +430,6 @@ class GroebnerBasis:
     def __init__(self, ext: _ExtGB, scalar: bool):
         self._ext = ext
         self._scalar = scalar
-        self.order = ext.order
         self.reduced = True
         if scalar:
             self.generators = [g.to_polys()[0] for g in ext.vecs]
@@ -503,13 +467,13 @@ class GroebnerBasis:
             self.generators[0].is_constant() and not self.generators[0].is_zero()
 
 
-def buchberger(gens, order=None) -> GroebnerBasis:
+def buchberger(gens) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal/submodule generated by gens."""
     vecs, rank, vars, scalar = _normalize_items(gens)
     nonzero = [v for v in vecs if not v.is_zero()]
     if not nonzero:
         raise ValueError("all generators are zero")
-    return GroebnerBasis(_buchberger_ext(nonzero, order or GREVLEX, track_reps=False), scalar)
+    return GroebnerBasis(_buchberger_ext(nonzero, track_reps=False), scalar)
 
 
 def normal_form(x, gb: GroebnerBasis):
@@ -522,7 +486,7 @@ def make_lifter(gens):
     nonzero = [(i, v) for i, v in enumerate(vecs) if not v.is_zero()]
     if not nonzero:
         return lambda target: None
-    ext = _buchberger_ext([v for _, v in nonzero], GREVLEX, track_reps=True)
+    ext = _buchberger_ext([v for _, v in nonzero], track_reps=True)
     zero = Poly.zero(vars)
 
     def lift(target):
@@ -553,7 +517,7 @@ def reduce_with_certificate(target, gens):
     nonzero = [(i, v) for i, v in enumerate(vecs) if not v.is_zero()]
     if not nonzero:
         return target, [zero] * len(vecs)
-    ext = _buchberger_ext([v for _, v in nonzero], GREVLEX, track_reps=True)
+    ext = _buchberger_ext([v for _, v in nonzero], track_reps=True)
     tvec = Vec.from_polys([target]) if scalar else Vec.from_polys(tuple(target), rank)
     rem, coeffs = ext.reduce_certified(tvec)
     out = [zero] * len(vecs)
@@ -570,21 +534,22 @@ def reduce_with_certificate(target, gens):
 
 def _schreyer_sigmas(ext: _ExtGB) -> list[tuple[Poly, ...]]:
     """Generators of Syz(gb) from every same-position pair (no criteria)."""
-    G, L = ext.ints, ext.leads
+    G, L = ext.ints, ext.lead_terms
+    pk = packing(len(ext.vars))
     scales = [lc for _, lc in L]
     sigmas = []
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
-            if L[i][0][0] != L[j][0][0]:
+            if pk.position(L[i][0]) != pk.position(L[j][0]):
                 continue
             s_terms, qi, fi, qj, _ = _spair(G[i], L[i], G[j], L[j])
-            K, rem, quots = _reduce_int(s_terms, G, L, ext.order, want_quotients=True)
+            K, rem, quots = _reduce_int(s_terms, G, L, want_quotients=True)
             if rem:
                 raise InternalError("S-vector of a Groebner basis did not reduce to zero")
             # the S-vector is fi * lc_i * (x^qi vecs_i - x^qj vecs_j), and G_l = lc_l * vecs_l
             sigma = _rational_quotients(quots, scales, -K * fi * L[i][1], ext.vars)
-            sigma[i] = sigma[i] + Poly._new(ext.vars, {qi: 1})
-            sigma[j] = sigma[j] - Poly._new(ext.vars, {qj: 1})
+            sigma[i] = sigma[i] + Poly._new(ext.vars, {pk.unpack(qi): 1})
+            sigma[j] = sigma[j] - Poly._new(ext.vars, {pk.unpack(qj): 1})
             sigmas.append(tuple(sigma))
     return sigmas
 
@@ -606,7 +571,7 @@ def syzygy_generators(items) -> list[tuple[Poly, ...]]:
     for zi in zero_idx:
         out.append(tuple(one if j == zi else zero for j in range(k)))
     if nz:
-        ext = _buchberger_ext([v for _, v in nz], GREVLEX, track_reps=True)
+        ext = _buchberger_ext([v for _, v in nz], track_reps=True)
         A = ext.reps  # gb[g] = sum A[g][l] * nz[l]
         nnz = len(nz)
         # syzygies of the gb, pushed down to the nonzero inputs
@@ -773,9 +738,10 @@ class _GradedSpan:
         if deg != self.degree:
             self.degree, self.piece = deg, {}
             for gdeg, g in self.kept:
+                pk, top = packing(len(g.vars)), max(g.terms)
                 for m in monomials_of_degree(len(g.vars), deg - gdeg):
-                    _echelon_add(self.piece, {(pos, mono_mul(gm, m)): c
-                                              for (pos, gm), c in g.terms.items()})
+                    q = pk.check(top + pk.pack(m)) - top  # checks the greatest product
+                    _echelon_add(self.piece, {k + q: c for k, c in g.terms.items()})
         return len(self.piece)
 
     def add(self, vec: Vec, deg: int) -> bool:

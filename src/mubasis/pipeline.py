@@ -193,12 +193,14 @@ def _interreduce(basis):
     alpha) are unchanged; a vector is replaced only when its degree drops.
     """
     vecs = [tuple(v) for v in basis]
+    bases = {}
     for _ in range(4):
         changed = False
         for i in range(3):
-            others = [vecs[j] for j in range(3) if j != i]
-            gb = buchberger(others)
-            nf = tuple(gb.normal_form(vecs[i]))
+            others = tuple(vecs[j] for j in range(3) if j != i)
+            if others not in bases:
+                bases[others] = buchberger(others)
+            nf = tuple(bases[others].normal_form(vecs[i]))
             if all(p.is_zero() for p in nf):
                 continue
             if _vector_degree(nf) < _vector_degree(vecs[i]):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mubasis import arith
 from mubasis.arith import (
+    MAX_PACKED_DEGREE,
     NEG_INF,
     VARS_ST,
     VARS_STU,
@@ -19,10 +20,16 @@ from mubasis.arith import (
     divides,
     exact_div,
     gcd_many,
+    grevlex_key,
     homogenize,
     mat_inverse,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    packing,
 )
-from mubasis.grobner import Vec
+from mubasis.errors import ResourceLimitError
+from mubasis.grobner import Vec, buchberger
 from mubasis.quillen_suslin import _bezout_powers, _xgcd
 from helpers import random_poly, stu
 
@@ -753,6 +760,17 @@ class TestBigUnivariateAgainstSympy:
         su, sv, sg = sp.gcdex(A, B, x)
         assert [self.expr(sp, p, x, vi) for p in (g, u, v)] == [sp.expand(e) for e in (sg, su, sv)]
 
+    def test_prime_dividing_both_leading_coefficients_is_skipped(self):
+        # modulo the first prime, p*x + 1 becomes 1 and the images of a and b
+        # are coprime, although a and b share the factor p*x + 1
+        sp = pytest.importorskip("sympy")
+        p = arith._GCD_PRIMES[0]
+        for vi, x in enumerate((S, T)):
+            a, b = (x * p + 1) * (x + 2), (x * p + 1) * (x + 3)
+            assert gcd_many([a, b]) == x + Fraction(1, p)
+            y = sp.symbols("st"[vi])
+            assert sp.gcd(self.expr(sp, a, y, vi), self.expr(sp, b, y, vi)) == p * y + 1
+
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_bezout_weights_of_squares(self, data):
@@ -763,3 +781,65 @@ class TestBigUnivariateAgainstSympy:
         assume(sp.gcd_list([self.expr(sp, d, x, vi) for d in dens]) == 1)
         weights = _bezout_powers(dens)
         assert sum((w * d * d for w, d in zip(weights, dens)), Poly.zero(VARS_ST)) == ONE
+
+
+# ---------------------------------------------------------------------------
+# Packed monomials: one int per (position, monomial) term.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def packed_cases(draw):
+    """(packing, rank, terms, monomial): terms at positions below rank, and
+    exponents small enough that every product stays inside the packing."""
+    n = draw(st.sampled_from([2, 3]))
+    rank = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, MAX_PACKED_DEGREE // (2 * n))] * n)
+    terms = draw(st.lists(st.tuples(st.integers(0, rank - 1), exps), min_size=2, max_size=6))
+    return packing(n), rank, terms, draw(exps)
+
+
+class TestPacking:
+    @settings(max_examples=200, deadline=None)
+    @given(packed_cases())
+    def test_keys_realize_the_order_and_the_monomial_operations(self, case):
+        pk, rank, terms, q = case
+        keys = [pk.pack(m, pos) for pos, m in terms]
+        for (pos, m), key in zip(terms, keys):
+            assert pk.unpack(key) == m and pk.position(key) == pos
+            assert pk.degree(key) == sum(m)
+            assert key + pk.pack(q) == pk.pack(mono_mul(m, q), pos)
+            for (pos2, m2), key2 in zip(terms, keys):
+                assert (key < key2) == ((grevlex_key(m), -pos) < (grevlex_key(m2), -pos2))
+                assert pk.divides(key, key2) == (pos == pos2 and mono_divides(m, m2))
+                if pos == pos2:
+                    assert pk.lcm(key, key2) == pk.pack(mono_lcm(m, m2), pos)
+                if pk.divides(key, key2):
+                    assert key + (key2 - key) == key2
+                    assert pk.unpack(key2 - key) == tuple(b - a for a, b in zip(m, m2))
+
+    def test_degree_past_the_field_width_raises(self):
+        top = MAX_PACKED_DEGREE
+        for vars in (VARS_ST, VARS_STU):
+            pk = packing(len(vars))
+            edge = (top,) + (0,) * (len(vars) - 1)
+            assert pk.unpack(pk.pack(edge, 3)) == edge
+            with pytest.raises(ResourceLimitError):
+                pk.pack((top + 1,) + (0,) * (len(vars) - 1))
+            with pytest.raises(ResourceLimitError):
+                pk.pack((top // 2 + 1,) * 2 + (0,) * (len(vars) - 2))
+        s, t = (Poly.variable(VARS_ST, v) for v in VARS_ST)
+        # at the packing boundary
+        with pytest.raises(ResourceLimitError):
+            buchberger([s**(top + 1)])
+        # at the S-pair lcm, from leads each inside the packing
+        with pytest.raises(ResourceLimitError):
+            buchberger([s**(top - 1) * t, s * t**(top - 1)])
+        # in a matrix product on keys
+        big = PolyMatrix([[s**top]])
+        with pytest.raises(ResourceLimitError):
+            big * big
+        with pytest.raises(ResourceLimitError):
+            big.mul_vector([s])
+        # Poly products keep tuple keys and stay exact
+        assert (s**top * s).num == {(top + 1, 0): 1}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mubasis import grobner
+from mubasis import arith, grobner
 from mubasis.arith import (
     VARS_ST,
     VARS_STU,
@@ -14,12 +14,12 @@ from mubasis.arith import (
     gcd_many,
     grevlex_key,
     homogenize,
+    mono_divides,
     mono_mul,
     monomials_of_degree,
 )
 from mubasis.errors import InternalError
 from mubasis.grobner import (
-    GREVLEX,
     GroebnerBasis,
     Vec,
     _buchberger_ext,
@@ -28,7 +28,6 @@ from mubasis.grobner import (
     _is_injective,
     _minimal_syzygies,
     _normalize_items,
-    _reduce_full,
     _schreyer_degree_bound,
     _schreyer_sigmas,
     buchberger,
@@ -202,10 +201,52 @@ def schreyer_syzygy_basis(gens):
     basis under the Schreyer order induced by gb's leading terms."""
     vecs, rank, vars, scalar = _normalize_items(gens)
     nonzero = [v for v in vecs if not v.is_zero()]
-    ext = _buchberger_ext(nonzero, GREVLEX, track_reps=False)
+    ext = _buchberger_ext(nonzero, track_reps=False)
     sigmas = _schreyer_sigmas(ext)
-    order = SchreyerOrder([g.leading(ext.order)[1] for g in ext.vecs])
+    order = SchreyerOrder([mono for (_, mono), _ in ext.leads])
     return GroebnerBasis(ext, scalar), sigmas, order
+
+
+def _tuple_terms(vec):
+    """{(position, monomial): Fraction} of a tuple of Polys."""
+    return {(pos, m): c for pos, p in enumerate(vec) for m, c in p.terms.items()}
+
+
+def reference_remainder(vec, divisors, order):
+    """Remainder of the full division of vec by divisors over Q under order,
+    a key on (position, monomial) pairs such as SchreyerOrder.
+
+    Each step takes the greatest term and the first divisor whose leading
+    term divides it, on tuple-keyed terms: the division the library ran
+    before its terms were packed, kept as a reference for orders other
+    than the library's one term order.
+    """
+    work = _tuple_terms(vec)
+    divs = []
+    for d in divisors:
+        terms = _tuple_terms(d)
+        if terms:
+            divs.append((max(terms, key=order.key), terms))
+    rem = {}
+    while work:
+        pm = max(work, key=order.key)
+        pos, mono = pm
+        for (lpos, lmono), terms in divs:
+            if lpos == pos and mono_divides(lmono, mono):
+                break
+        else:
+            rem[pm] = work.pop(pm)
+            continue
+        q = tuple(e - f for e, f in zip(mono, lmono))
+        f = work[pm] / terms[lpos, lmono]
+        for (bpos, bm), bc in terms.items():
+            term = (bpos, mono_mul(bm, q))
+            val = work.get(term, 0) - bc * f
+            if val:
+                work[term] = val
+            else:
+                work.pop(term, None)
+    return rem
 
 
 class TestSyzygies:
@@ -258,11 +299,9 @@ class TestSyzygies:
         gb, sigmas, order = schreyer_syzygy_basis(gens)
         # every brute-force syzygy of the basis reduces to zero against the
         # Schreyer generators using their induced order, with no completion
-        vecs = [Vec.from_polys(sig) for sig in sigmas]
         brute = brute_force_syzygies(list(gb.generators), 4)
         for w in brute:
-            rem, _ = _reduce_full(Vec.from_polys(w), vecs, order)
-            assert rem.is_zero()
+            assert not reference_remainder(w, sigmas, order)
 
 
 class TestFreeResolution:
@@ -980,10 +1019,8 @@ def test_module_reduction_certificates(case):
     # Schreyer: every syzygy of the basis reduces to zero against the
     # Schreyer generators under the induced order
     gb, sigmas, order = schreyer_syzygy_basis(gens)
-    vecs = [Vec.from_polys(sig) for sig in sigmas]
     for w in brute_force_syzygies(list(gb.generators), 2 if vars == VARS_ST else 1):
-        rem_w, _ = _reduce_full(Vec.from_polys(w), vecs, order)
-        assert rem_w.is_zero()
+        assert not reference_remainder(w, sigmas, order)
 
 
 def test_inner_reduction_sees_only_ints(monkeypatch):
@@ -991,12 +1028,12 @@ def test_inner_reduction_sees_only_ints(monkeypatch):
     calls = []
     real = grobner._reduce_int
 
-    def checked(work, basis, leads, order, want_quotients):
+    def checked(work, basis, leads, want_quotients):
         coefficients = [*work.values(), *(lc for _, lc in leads),
                         *(c for g in basis for c in g.terms.values())]
         assert all(type(c) is int for c in coefficients)
         calls.append(len(work))
-        K, rem, quots = real(work, basis, leads, order, want_quotients)
+        K, rem, quots = real(work, basis, leads, want_quotients)
         assert type(K) is int and all(type(c) is int for c in rem.values())
         assert all(type(c) is int for q in quots or () for c in q.values())
         return K, rem, quots
@@ -1004,3 +1041,35 @@ def test_inner_reduction_sees_only_ints(monkeypatch):
     monkeypatch.setattr(grobner, "_reduce_int", checked)
     gb = buchberger(syz)
     assert calls and gb.contains(syz[0])
+
+
+def test_reduction_loop_builds_no_tuple_monomials(monkeypatch):
+    """_reduce_int orders, divides and multiplies terms on packed keys: it
+    calls none of the tuple monomial helpers."""
+    syz = syzygy_generators(homogenized_reference_generators())
+    depth, entered, calls = [0], [], []
+    real = grobner._reduce_int
+
+    def reduce(*args, **kwargs):
+        depth[0] += 1
+        entered.append(True)
+        try:
+            return real(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def spy(name, fn):
+        def wrapped(*args):
+            if depth[0]:
+                calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    for name in ("mono_mul", "mono_divides", "mono_div", "grevlex_key"):
+        for module in (arith, grobner):
+            if hasattr(module, name):  # mono_div went with the tuple-keyed engine
+                monkeypatch.setattr(module, name, spy(name, getattr(arith, name)))
+    monkeypatch.setattr(grobner, "_reduce_int", reduce)
+    gb = buchberger(syz)
+    assert entered and not calls
+    assert gb.contains(syz[0])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mubasis import pipeline
 from mubasis.arith import VARS_ST, Poly, PolyMatrix, gcd_many
 from mubasis.errors import ValidationError, VerificationError
 from mubasis.grobner import modules_equal
@@ -248,3 +249,21 @@ class TestComputeMuBasis:
             if report.branch == "pd1":
                 assert max(mb.degrees) <= par.d
             done += 1
+
+
+class TestInterreduce:
+    def test_builds_each_pair_basis_once(self, monkeypatch):
+        # the third vector drops to degree 0 in the first round, so the
+        # second round meets the pair (e1, e2) again
+        e1, e2 = (ONE, ZERO, ZERO, ZERO), (ZERO, ONE, ZERO, ZERO)
+        v = (S**2, T**2, ONE, ZERO)
+        seen = []
+        real = pipeline.buchberger
+
+        def counting(gens):
+            seen.append(tuple(gens))
+            return real(gens)
+
+        monkeypatch.setattr(pipeline, "buchberger", counting)
+        assert pipeline._interreduce((e1, e2, v)) == (e1, e2, (ZERO, ZERO, ONE, ZERO))
+        assert (e1, e2) in seen and len(seen) == len(set(seen))
