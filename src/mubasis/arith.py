@@ -27,6 +27,7 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from math import gcd, lcm
 from operator import add, le, mul
 from typing import Iterable, Mapping, Sequence
@@ -832,6 +833,15 @@ class PolyMatrix:
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "PolyMatrix":
         return PolyMatrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
+
+    def maximal_minors(self):
+        """Yield (rows, minor) for every maximal minor of an m x n matrix,
+        m >= n, row subsets in lexicographic order, each computed when asked."""
+        if self.rows < self.cols:
+            raise ValueError("expected at least as many rows as columns")
+        cols = range(self.cols)
+        for rows in combinations(range(self.rows), self.cols):
+            yield rows, self.submatrix(rows, cols).det()
 
     def det(self) -> Poly:
         """Determinant by minor expansion with memoization on row subsets."""

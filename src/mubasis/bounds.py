@@ -5,7 +5,7 @@ proved inequality are reported as failed verdicts; the test suite treats a
 failed verdict on valid input as a library bug.
 
 Observed regularity, Betti numbers, generic-ACI shape and height come from
-the minimal Betti table read off the fixed-first-map resolution
+the minimal Betti table read off the resolution of the given row
 (``minimal_betti_table``); no second resolution is built.
 """
 
@@ -31,7 +31,6 @@ from .grobner import (
     minimal_generators,
     modules_equal,
     normal_form,
-    resolution_invariants,
 )
 from .grobner import free_resolution  # noqa: F401  perfbench/tracing.py wraps this binding
 from .quillen_suslin import degree_bound_for_D
@@ -155,7 +154,7 @@ def evaluate_bounds(d: int, m: int, case: str, beta2: int | None = None,
 
 
 def check_resolution_bounds(res: FreeResolution, d: int, m: int) -> list[Verdict]:
-    """Evaluate every proved inequality against a fixed-first-map resolution.
+    """Evaluate every proved inequality against a resolution of the ideal.
 
     The true (minimal) Betti numbers and the regularity are read off the
     resolution by ``minimal_betti_table``.  Failures are verdicts, not
@@ -458,11 +457,9 @@ def expected_general_aci_shape(d: int):
 
 
 def general_aci_shape_check(res: FreeResolution, d: int) -> bool:
-    """True when a minimal resolution has the generic shape for four
-    degree-d forms."""
-    if res.fixed_first_map:
-        raise ValueError("expects a minimal resolution")
-    return _general_aci_shape(resolution_invariants(res)[0], d)
+    """True when the ideal's minimal resolution (``minimal_betti_table``)
+    has the generic shape for four degree-d forms."""
+    return _general_aci_shape(minimal_betti_table(res), d)
 
 
 def _general_aci_shape(betti: BettiTable, d: int) -> bool:
@@ -471,7 +468,7 @@ def _general_aci_shape(betti: BettiTable, d: int) -> bool:
 
 def report_for_resolution(res: FreeResolution, d: int, m: int) -> BoundsReport:
     """Assemble a BoundsReport (formulas + verdicts + observations) for a
-    fixed-first-map resolution of the homogenized ideal."""
+    resolution of the homogenized ideal over its given generator row."""
     betti = minimal_betti_table(res) if d >= 1 else None
     verdicts = _verdicts(res, betti, d, m)
     case = classify_surface_case(res, betti, d) if betti is not None else "pd1"

@@ -50,16 +50,14 @@ class InputSpec:
     polys: tuple
     seed: int = 0
     max_degree: int = DEFAULT_MAX_DEGREE
-    timeout: float = DEFAULT_TIMEOUT
 
 
 def parse_parametrization(text: str, seed: int = 0,
-                          max_degree: int = DEFAULT_MAX_DEGREE,
-                          timeout: float = DEFAULT_TIMEOUT) -> InputSpec:
+                          max_degree: int = DEFAULT_MAX_DEGREE) -> InputSpec:
     """Parse "(e1, e2, e3, e4)" into an InputSpec with canonical echoes."""
     polys = parse_tuple(text)
     return InputSpec(expressions=tuple(str(p) for p in polys), polys=polys,
-                     seed=seed, max_degree=max_degree, timeout=timeout)
+                     seed=seed, max_degree=max_degree)
 
 
 def _jsonify(obj):
@@ -152,7 +150,7 @@ def run(command: str, spec: InputSpec, basis_text: str | None = None):
             return doc, EXIT_OK, report.timings
         if command == "resolve":
             b, d = homogenize_ideal(par)
-            res = free_resolution(list(b), fixed_first_map=True)
+            res = free_resolution(list(b))
             table, inv = resolution_invariants(res)
             doc["generators"] = [str(x) for x in b]
             doc["ranks"] = list(res.ranks)
@@ -168,7 +166,7 @@ def run(command: str, spec: InputSpec, basis_text: str | None = None):
             from .bounds import report_for_resolution
 
             b, d = homogenize_ideal(par)
-            res = free_resolution(list(b), fixed_first_map=True)
+            res = free_resolution(list(b))
             report = report_for_resolution(res, d, 4)
             doc["bounds"] = _bounds_doc(report)
             return doc, EXIT_OK, {}
@@ -281,9 +279,7 @@ def main(argv=None) -> int:
 
     base_doc = {"command": args.command, "input": text, "seed": args.seed}
     try:
-        spec = parse_parametrization(text, seed=args.seed,
-                                     max_degree=args.max_degree,
-                                     timeout=args.timeout)
+        spec = parse_parametrization(text, seed=args.seed, max_degree=args.max_degree)
     except InputError as exc:
         doc, code = _error_doc(base_doc, EXIT_INPUT, str(exc)), EXIT_INPUT
         _emit(doc, args.json)

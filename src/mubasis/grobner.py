@@ -19,11 +19,12 @@ its representations, and the remainders and quotients of _reduce_full.
 
 Free resolutions are built by exact linear algebra on one graded piece at a
 time (graded Nakayama), with one echelon routine that yields both the
-graded syzygy spaces and the minimal generators; a Groebner basis only
-supplies the degree bound that ends the scan, that of the Schreyer
-syzygies left by the strict chain criterion.  The Buchberger and
-Schreyer route of ``syzygy_generators`` stays independent of it and serves
-verification.
+graded syzygy spaces and the minimal generators.  One Groebner basis, of
+the ideal, ends both scans: the first map's at the degree of the Schreyer
+syzygies left by the strict chain criterion, the second's once it has kept
+the rank of the free module ker d1, under a cap read off the leads.  The
+Buchberger and Schreyer route of ``syzygy_generators`` stays independent of
+it and serves verification.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
@@ -818,11 +818,12 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k):
     return dim, basis()
 
 
-def _schreyer_degree_bound(vectors, degrees, row_shifts, basis=None) -> int:
-    """A degree D such that Syz(vectors) is generated in degrees <= D.
+def _schreyer_degree_bound(basis: GroebnerBasis, degrees, row_shifts) -> int:
+    """A degree D such that Syz(vectors) is generated in degrees <= D, for
+    homogeneous vectors of the given degrees that generate the module of
+    which basis is the reduced Groebner basis.
 
-    Let g be a reduced Groebner basis of the module the vectors generate
-    (basis, when given) with leading monomials m_a.  A same-position pair
+    Let g be that basis, with leading monomials m_a.  A same-position pair
     gives the syzygy sigma_ab = (L/m_a) e_a - (L/m_b) e_b of the leading
     terms, L = lcm(m_a, m_b), of degree |L| + row_shifts[pos].  The pair
     counts unless a third lead m_c in that position divides L with
@@ -844,11 +845,6 @@ def _schreyer_degree_bound(vectors, degrees, row_shifts, basis=None) -> int:
     representations.
     """
     bound = max(degrees)
-    if basis is None:
-        nonzero = [v for v in vectors if any(not p.is_zero() for p in v)]
-        if not nonzero:
-            return bound
-        basis = buchberger(nonzero)
     leads = [pm for pm, _ in basis._ext.leads]
     for a, (pa, ma) in enumerate(leads):
         for pb, mb in leads[a + 1:]:
@@ -861,23 +857,28 @@ def _schreyer_degree_bound(vectors, degrees, row_shifts, basis=None) -> int:
     return bound
 
 
-def _minimal_syzygies(vectors, degrees, row_shifts, basis=None):
+def _minimal_syzygies(vectors, degrees, row_shifts, top: int, count: int | None = None):
     """Minimal generators of Syz(vectors) with small integer coefficients,
     and their degrees (vectors and degrees as in graded_syzygy_space).
 
-    Graded pieces are scanned in increasing degree up to the bound of
-    ``_schreyer_degree_bound`` (Schreyer syzygies left by the strict chain
-    criterion).  In each, basis vectors are kept in order unless the kept
-    ones generate them, until the kept ones span the piece, checked exactly
-    by dimension.
-    By graded Nakayama the kept vectors are minimal generators of every
-    piece up to the bound, and past it no new generator is needed.  basis
-    is handed to ``_schreyer_degree_bound``.
+    Graded pieces are scanned in increasing degree up to top, a degree up
+    to which Syz(vectors) is generated.  In each, basis vectors are kept in
+    order unless the kept ones generate them, until the kept ones span the
+    piece, checked exactly by dimension.  By graded Nakayama the kept
+    vectors are minimal generators of every piece up to top, and past it no
+    new generator is needed.
+
+    count, when given, is the number of minimal generators, known when
+    Syz(vectors) is free of that rank: the scan ends once it has kept count
+    vectors, which are then all of them, and top is only a cap.  Reaching
+    the cap short of count is an InternalError.
     """
     span = _GradedSpan()
     kept: list = []
     degs: list[int] = []
-    for k in range(min(degrees), _schreyer_degree_bound(vectors, degrees, row_shifts, basis) + 1):
+    for k in range(min(degrees), top + 1):
+        if count is not None and len(kept) >= count:
+            break
         dim, space = graded_syzygy_space(vectors, degrees, row_shifts, k)
         for v in space:
             if span.rank(k) == dim:
@@ -887,15 +888,17 @@ def _minimal_syzygies(vectors, degrees, row_shifts, basis=None):
                 degs.append(k)
         if span.rank(k) != dim:
             raise InternalError("kept syzygies do not span a graded piece")
+    if count is not None and len(kept) != count:
+        raise InternalError(f"kept {len(kept)} syzygies by degree {top}, "
+                            f"not the rank {count} of a free module")
     return kept, degs
 
 
 def _is_injective(m: PolyMatrix) -> bool:
-    """True when some maximal minor of m (at least as many rows as columns)
-    is nonzero, i.e. m has full column rank over the polynomial domain."""
-    cols = range(m.cols)
-    return any(not m.submatrix(rows, cols).det().is_zero()
-               for rows in combinations(range(m.rows), m.cols))
+    """True when m has full column rank over the polynomial domain: at least
+    as many rows as columns and a nonzero maximal minor, the minors computed
+    only up to the first nonzero one."""
+    return m.rows >= m.cols and any(not d.is_zero() for _, d in m.maximal_minors())
 
 
 @dataclass
@@ -908,15 +911,13 @@ class FreeResolution:
     """
 
     vars: tuple
-    target_degree: int
     gens: tuple
     shifts0: tuple
     d1: PolyMatrix | None
     q: tuple
     d2: PolyMatrix | None
     p: tuple
-    fixed_first_map: bool
-    #: reduced Groebner basis of the ideal, built for the first map's bound
+    #: reduced Groebner basis of the ideal, which ends the scans of both maps
     first_basis: GroebnerBasis = field(compare=False, repr=False)
 
     @property
@@ -955,14 +956,23 @@ def _check_entry_degrees(col, row_shifts, col_degree):
             raise InternalError("matrix entry degree does not match the grading")
 
 
-def free_resolution(gens, fixed_first_map: bool) -> FreeResolution:
-    """Graded free resolution of the ideal generated by homogeneous gens.
+def free_resolution(gens) -> FreeResolution:
+    """Graded free resolution of the ideal generated by homogeneous gens,
+    over the row as given (possibly non-minimal, zero entries included).
 
-    With fixed_first_map the first map is the given generator row (possibly
-    non-minimal); later maps are always chosen minimally.  Without it the
-    entire resolution is minimal.  d1 and d2 are minimal syzygies read off
-    graded pieces (``_minimal_syzygies``), and a nonzero maximal minor of
-    d2 proves it injective, so the resolution stops at F2.
+    d1 and d2 are minimal syzygies read off graded pieces
+    (``_minimal_syzygies``), and one reduced Groebner basis of the ideal,
+    first_basis, ends both scans.  The scan of d1 ends at its Schreyer
+    bound (``_schreyer_degree_bound``).  Over Q[s,t,u] the ideal has
+    projective dimension at most 2 (Hilbert's syzygy theorem), so ker d1 is
+    free, and the ranks along the resolution make its rank r1 - r0 + 1
+    (Schanuel's lemma; Eisenbud, Commutative Algebra, Ch. 19).  The scan of
+    d2 ends once it has kept that many columns, so a row with free
+    syzygies scans nothing.  It is capped at 3 times the largest degree in
+    first_basis: beta_2j(I) <= beta_2j(in I) (Herzog and Hibi, Monomial
+    Ideals, Thm 3.3.4), and the Taylor resolution of in(I) puts every second
+    syzygy at the degree of an lcm of three leads.  A nonzero maximal minor
+    of d2 proves it injective, so the resolution stops at F2.
     """
     gens = list(gens)
     if not gens:
@@ -977,26 +987,22 @@ def free_resolution(gens, fixed_first_map: bool) -> FreeResolution:
     if not nonzero:
         raise ValueError("zero ideal has no finite free resolution of an ideal")
     d = max(int(g.degree) for g in nonzero)
+    row = tuple(gens)
+    shifts0 = tuple(int(g.degree) if not g.is_zero() else d for g in gens)
 
-    if fixed_first_map:
-        row = tuple(gens)
-        shifts0 = tuple(int(g.degree) if not g.is_zero() else d for g in gens)
-    else:
-        kept, degs = minimal_generators([(g,) for g in nonzero], [0])
-        row = tuple(t[0] for t in kept)
-        shifts0 = tuple(degs)
-
-    first_basis = buchberger([g for g in row if not g.is_zero()])
-    cols1, q = _minimal_syzygies([(g,) for g in row], shifts0, [0], first_basis)
+    first_basis = buchberger(nonzero)
+    cols1, q = _minimal_syzygies([(g,) for g in row], shifts0, [0],
+                                 _schreyer_degree_bound(first_basis, shifts0, [0]))
     d1 = PolyMatrix.from_columns(cols1) if cols1 else None
-    cols2, p = _minimal_syzygies(cols1, q, shifts0) if cols1 else ([], [])
+    cap = 3 * max(int(g.degree) for g in first_basis)
+    cols2, p = _minimal_syzygies(cols1, q, shifts0, cap, count=len(cols1) - len(row) + 1) \
+        if cols1 else ([], [])
     d2 = PolyMatrix.from_columns(cols2) if cols2 else None
     if d2 is not None and not _is_injective(d2):
         raise InternalError("resolution did not terminate at length two")
 
-    res = FreeResolution(vars=vars, target_degree=d, gens=row, shifts0=shifts0,
-                         d1=d1, q=tuple(q), d2=d2, p=tuple(p),
-                         fixed_first_map=fixed_first_map, first_basis=first_basis)
+    res = FreeResolution(vars=vars, gens=row, shifts0=shifts0, d1=d1, q=tuple(q),
+                         d2=d2, p=tuple(p), first_basis=first_basis)
     res.validate()
     return res
 
@@ -1011,8 +1017,8 @@ class BettiTable:
 
 
 def regularity_from_resolution(res: FreeResolution) -> int:
-    """Castelnuovo-Mumford regularity of the ideal, from a minimal resolution."""
-    return _betti_table((res.shifts0, res.q, res.p), True).regularity
+    """Castelnuovo-Mumford regularity of the ideal (``minimal_betti_table``)."""
+    return minimal_betti_table(res).regularity
 
 
 def _betti_table(levels, minimal: bool) -> BettiTable:
@@ -1027,10 +1033,10 @@ def resolution_invariants(res: FreeResolution):
     """BettiTable plus the presentation data {a, gamma1, gamma2}.
 
     a is the rank of the last module; gamma_i are the entry-degree maxima of
-    the two maps.  The Betti table carries a regularity value only when the
-    resolution is minimal.
+    the two maps.  The Betti table counts the shifts of this resolution and
+    carries no regularity; ``minimal_betti_table`` gives the minimal one.
     """
-    table = _betti_table((res.shifts0, res.q, res.p), not res.fixed_first_map)
+    table = _betti_table((res.shifts0, res.q, res.p), False)
     inv = {
         "a": res.ranks[2],
         "gamma1": int(res.d1.degree) if res.d1 is not None else None,
@@ -1041,7 +1047,7 @@ def resolution_invariants(res: FreeResolution):
 
 def minimal_betti_table(res: FreeResolution) -> BettiTable:
     """Minimal graded Betti numbers (with regularity) of the ideal, read off
-    a fixed-first-map resolution without building the minimal one.
+    a resolution of any generator row without building the minimal one.
 
     beta_ij = dim Tor_i(I, Q)_j can be computed from any graded free
     resolution, and every graded free resolution is the minimal one plus
@@ -1051,7 +1057,7 @@ def minimal_betti_table(res: FreeResolution) -> BettiTable:
     homological degrees 0 and 1, one for each generator that
     ``minimal_generators`` drops (zero, or generated by the others).
     Removing their degrees from shifts0 and from q leaves the minimal
-    table; p is already minimal.
+    table; p is already minimal.  On a minimal row nothing is removed.
     """
     nonzero = [(g,) for g in res.gens if not g.is_zero()]
     _, first = minimal_generators(nonzero, [0])

@@ -108,15 +108,12 @@ def homogenize_ideal(par: Parametrization):
 
 def outer_product(p, q, r):
     """Signed 3x3-determinant 4-vector of three 4-vectors (signs +,-,+,-)."""
-    rows = [tuple(p), tuple(q), tuple(r)]
-    if any(len(v) != 4 for v in rows):
+    cols = [tuple(p), tuple(q), tuple(r)]
+    if any(len(v) != 4 for v in cols):
         raise ValueError("outer product needs three 4-vectors")
-    comps = []
-    for k in range(4):
-        cols = [j for j in range(4) if j != k]
-        det = PolyMatrix([[rows[i][j] for j in cols] for i in range(3)]).det()
-        comps.append(det if k % 2 == 0 else -det)
-    return tuple(comps)
+    # lexicographic order lists the minor without row k at index 3 - k
+    minors = [d for _, d in PolyMatrix.from_columns(cols).maximal_minors()][::-1]
+    return tuple(d if k % 2 == 0 else -d for k, d in enumerate(minors))
 
 
 def verify_mu_basis(basis, par: Parametrization) -> Fraction:
@@ -221,7 +218,7 @@ def compute_mu_basis(par: Parametrization):
     t0 = time.perf_counter()
     b, d = homogenize_ideal(par)
     t_res = time.perf_counter()
-    res = free_resolution(list(b), fixed_first_map=True)
+    res = free_resolution(list(b))
     timings["resolution"] = time.perf_counter() - t_res
 
     completion = None

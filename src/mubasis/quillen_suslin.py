@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .arith import (
     NEG_INF,
@@ -74,18 +73,10 @@ def qs_degree_bound(n_or_m: int, deg_f: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _maximal_minors(f: PolyMatrix) -> list[tuple[tuple[int, ...], Poly]]:
+def _nonzero_minors(f: PolyMatrix) -> list[tuple[tuple[int, ...], Poly]]:
     """(rows, minor) for every nonzero maximal minor of f (m x n, m >= n),
     with the row subsets in lexicographic order."""
-    m, n = f.rows, f.cols
-    if m < n:
-        raise ValueError("expected at least as many rows as columns")
-    out = []
-    for rows in combinations(range(m), n):
-        d = f.submatrix(rows, range(n)).det()
-        if not d.is_zero():
-            out.append((rows, d))
-    return out
+    return [(rows, d) for rows, d in f.maximal_minors() if not d.is_zero()]
 
 
 def _minors_generate_unit_ideal(minors) -> bool:
@@ -98,7 +89,7 @@ def _minors_generate_unit_ideal(minors) -> bool:
 
 def is_unimodular(f: PolyMatrix) -> bool:
     """True when the ideal of maximal minors of f (m x n, m >= n) is (1)."""
-    return _minors_generate_unit_ideal(_maximal_minors(f))
+    return _minors_generate_unit_ideal(_nonzero_minors(f))
 
 
 def left_inverse(f: PolyMatrix) -> PolyMatrix:
@@ -683,7 +674,7 @@ def complete_columns(f: PolyMatrix) -> CompletionCertificate:
     m, n = f.rows, f.cols
     if m <= n:
         raise ValueError("expected strictly more rows than columns")
-    minors = _maximal_minors(f)
+    minors = _nonzero_minors(f)
     if not _minors_generate_unit_ideal(minors):
         raise ValueError("matrix is not unimodular")
     const_rows = next((rows for rows, d in minors if d.is_constant()), None)

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's Groebner machinery: ranks
 and syzygies are found by dense linear algebra over Fraction on graded or
-degree-truncated coefficient spaces.
+degree-truncated coefficient spaces.  minimal_row and minimal_resolution
+are conveniences built on the library, not oracles.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from mubasis.arith import (
     Poly,
     monomials_of_degree,
 )
+from mubasis.grobner import free_resolution, minimal_generators
 
 
 def P(vars, text_terms):
@@ -243,3 +245,16 @@ def brute_force_syzygies(vecs, bound: int):
             w.append(Poly(vars, terms))
         out.append(tuple(w))
     return out
+
+
+def minimal_row(gens):
+    """The minimal generators of the nonzero entries of a homogeneous row,
+    as minimal_generators picks them."""
+    kept, _ = minimal_generators([(g,) for g in gens if not g.is_zero()], [0])
+    return [t[0] for t in kept]
+
+
+def minimal_resolution(gens):
+    """The minimal graded free resolution of the ideal gens generate: the
+    resolution of its minimal generators."""
+    return free_resolution(minimal_row(gens))

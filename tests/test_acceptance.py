@@ -94,13 +94,13 @@ def test_criterion_2_published_basis_verification(capsys):
 
 def test_criterion_3_koszul_regressions(capsys):
     s, t, u = (Poly.variable(VARS_STU, v) for v in "stu")
-    res1 = free_resolution([s, t, u], fixed_first_map=False)
+    res1 = free_resolution([s, t, u])
     assert sorted(res1.shifts0) == [1, 1, 1]
     assert sorted(res1.q) == [2, 2, 2]
     assert list(res1.p) == [3]
     assert regularity_from_resolution(res1) == 1
 
-    res2 = free_resolution([s**2, t**2, u**2], fixed_first_map=False)
+    res2 = free_resolution([s**2, t**2, u**2])
     assert sorted(res2.shifts0) == [2, 2, 2]
     assert sorted(res2.q) == [4, 4, 4]
     assert list(res2.p) == [6]
@@ -204,7 +204,7 @@ def test_criterion_6_liaison_checks(capsys):
             gens = [random_form(rng, VARS_STU, d, coeff_bound=5, density=1.0)
                     for _ in range(4)]
             try:
-                res = free_resolution(gens, fixed_first_map=False)
+                res = free_resolution(gens)
             except Exception:
                 continue
             if general_aci_shape_check(res, d):

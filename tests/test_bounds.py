@@ -23,7 +23,7 @@ from mubasis.bounds import (
 )
 from mubasis.errors import ValidationError
 from mubasis.grobner import free_resolution, krull_dimension, minimal_betti_table
-from helpers import random_form
+from helpers import minimal_resolution, random_form
 
 S = Poly.variable(VARS_STU, "s")
 T = Poly.variable(VARS_STU, "t")
@@ -70,7 +70,7 @@ class TestFormulas:
 
 def reference_resolution():
     gens = [S**2, T**2, S**2 - U**2, S**2 + U**2]
-    return free_resolution(gens, fixed_first_map=True)
+    return free_resolution(gens)
 
 
 class TestResolutionVerdicts:
@@ -87,7 +87,7 @@ class TestResolutionVerdicts:
     def test_linear_generators(self):
         t3 = Poly.variable(VARS_STU, "t")
         gens = [S, t3, U, U]
-        res = free_resolution(gens, fixed_first_map=True)
+        res = free_resolution(gens)
         verdicts = check_resolution_bounds(res, 1, 4)
         by_name = {v.name: v for v in verdicts}
         qv = by_name["max q_i <= 3d-1"]
@@ -118,7 +118,7 @@ class TestResolutionVerdicts:
                 monkeypatch.setattr(module, name, counting)
         for gens in ([S**2, T**2, S**2 - U**2, S**2 + U**2],
                      [S**2 - T * U, T**2, U**2, Poly.zero(VARS_STU)]):
-            res = free_resolution(gens, fixed_first_map=True)
+            res = free_resolution(gens)
             calls.update(free_resolution=0, buchberger=0)
             rep = report_for_resolution(res, 2, 4)
             assert rep.case == "height3" and rep.all_passed()
@@ -134,7 +134,7 @@ class TestResolutionVerdicts:
     ] + [[random_form(rng, VARS_STU, 2, coeff_bound=3, density=0.4) for _ in range(4)]
          for rng in map(random.Random, range(4))])
     def test_height_from_betti_table_matches_krull_dimension(self, gens):
-        table = minimal_betti_table(free_resolution(gens, fixed_first_map=True))
+        table = minimal_betti_table(free_resolution(gens))
         nonzero = [g for g in gens if not g.is_zero()]
         assert _artinian(table, 3) == (krull_dimension(nonzero) == 0)
 
@@ -236,7 +236,7 @@ class TestGeneralAciShape:
             gens = [random_form(rng, VARS_STU, 2, coeff_bound=5, density=1.0)
                     for _ in range(4)]
             try:
-                res = free_resolution(gens, fixed_first_map=False)
+                res = free_resolution(gens)
             except Exception:
                 continue
             if general_aci_shape_check(res, 2):
@@ -246,10 +246,12 @@ class TestGeneralAciShape:
 
     def test_reference_ideal_is_not_generic(self):
         gens = [S**2, T**2, S**2 - U**2, S**2 + U**2]
-        res = free_resolution(gens, fixed_first_map=False)
+        res = minimal_resolution(gens)
         assert not general_aci_shape_check(res, 2)
 
-    def test_requires_minimal_resolution(self):
-        res = reference_resolution()
-        with pytest.raises(ValueError, match="minimal"):
-            general_aci_shape_check(res, 2)
+    def test_reads_the_minimal_table_of_any_resolution(self):
+        # the reference row has a redundant fourth generator
+        assert not general_aci_shape_check(reference_resolution(), 2)
+        rng = random.Random(13)
+        gens = [random_form(rng, VARS_STU, 2, coeff_bound=5, density=1.0) for _ in range(4)]
+        assert general_aci_shape_check(free_resolution(gens), 2)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mubasis import arith, grobner
@@ -54,6 +54,8 @@ from helpers import (
     random_form,
     brute_force_syzygies,
     hilbert_by_linear_algebra,
+    minimal_resolution,
+    minimal_row,
     nullspace,
     random_poly,
 )
@@ -180,20 +182,22 @@ class TestNormalForm:
 
 
 class SchreyerOrder:
-    """Order induced by the leading monomials of a Groebner basis.
+    """Order induced by the leading terms of a Groebner basis.
 
-    (m, e_i) exceeds (m', e_j) when m * lm(g_i) exceeds m' * lm(g_j) in
-    grevlex, ties broken by position.
+    (m, e_i) exceeds (m', e_j) when m * lt(g_i) exceeds m' * lt(g_j) in the
+    basis's order (grevlex, ties broken by the leads' module positions),
+    remaining ties broken by i.
     """
 
     name = "schreyer"
 
-    def __init__(self, lead_monomials):
-        self.leads = list(lead_monomials)
+    def __init__(self, leads):
+        self.leads = list(leads)  # (position, monomial) of each leading term
 
     def key(self, pm):
-        pos, mono = pm
-        return (grevlex_key(mono_mul(mono, self.leads[pos])), -pos)
+        i, mono = pm
+        pos, lead = self.leads[i]
+        return (grevlex_key(mono_mul(mono, lead)), -pos, -i)
 
 
 def schreyer_syzygy_basis(gens):
@@ -203,7 +207,7 @@ def schreyer_syzygy_basis(gens):
     nonzero = [v for v in vecs if not v.is_zero()]
     ext = _buchberger_ext(nonzero, track_reps=False)
     sigmas = _schreyer_sigmas(ext)
-    order = SchreyerOrder([mono for (_, mono), _ in ext.leads])
+    order = SchreyerOrder([pm for pm, _ in ext.leads])
     return GroebnerBasis(ext, scalar), sigmas, order
 
 
@@ -306,14 +310,14 @@ class TestSyzygies:
 
 class TestFreeResolution:
     def test_koszul_two_linear(self):
-        res = free_resolution([S, T], fixed_first_map=False)
+        res = free_resolution([S, T])
         assert res.ranks == (2, 1, 0)
         assert sorted(res.shifts0) == [1, 1]
         assert list(res.q) == [2]
 
     def test_reference_fixed_first_map(self):
         gens = homogenized_reference_generators()
-        res = free_resolution(gens, fixed_first_map=True)
+        res = free_resolution(gens)
         assert res.ranks == (4, 4, 1)
         assert sorted(res.q) == [2, 4, 4, 4]
         assert list(res.p) == [6]
@@ -321,39 +325,38 @@ class TestFreeResolution:
         assert modules_equal(res.d1.columns(), reference_presentation_columns())
 
     def test_koszul_complete_intersection(self):
-        res = free_resolution([S**2, T**2, U**2], fixed_first_map=False)
+        res = free_resolution([S**2, T**2, U**2])
         assert res.ranks == (3, 3, 1)
         assert sorted(res.shifts0) == [2, 2, 2]
         assert sorted(res.q) == [4, 4, 4]
         assert list(res.p) == [6]
 
-    @pytest.mark.parametrize("fixed", [True, False])
-    def test_first_basis_is_the_reduced_basis_of_the_ideal(self, fixed):
+    @pytest.mark.parametrize("as_given", [True, False])
+    def test_first_basis_is_the_reduced_basis_of_the_ideal(self, as_given):
         for row in (homogenized_reference_generators(), recipe_row(1, 3),
                     [S**2, T**2, ZERO3, S * T + U**2]):
-            res = free_resolution(row, fixed_first_map=fixed)
+            res = free_resolution(row) if as_given else minimal_resolution(row)
             nonzero = [g for g in row if not g.is_zero()]
             assert res.first_basis.generators == buchberger(nonzero).generators
 
     def test_non_homogeneous_rejected(self):
         with pytest.raises(ValueError, match="homogeneous"):
-            free_resolution([S + ONE3], fixed_first_map=False)
+            free_resolution([S + ONE3])
 
     def test_invariants_koszul_linear(self):
-        res = free_resolution([S, T, U], fixed_first_map=False)
+        res = free_resolution([S, T, U])
         table, inv = resolution_invariants(res)
         assert table.totals == {0: 3, 1: 3, 2: 1}
-        assert table.regularity == 1
+        assert regularity_from_resolution(res) == 1
         assert inv["a"] == 1 and inv["gamma1"] == 1 and inv["gamma2"] == 1
 
     def test_invariants_koszul_quadrics(self):
-        res = free_resolution([S**2, T**2, U**2], fixed_first_map=False)
-        table, _ = resolution_invariants(res)
+        res = free_resolution([S**2, T**2, U**2])
         # oracle: max(2-0, 4-1, 6-2) over the Koszul shifts
-        assert table.regularity == 4
+        assert regularity_from_resolution(res) == 4
 
     def test_invariants_reference(self):
-        res = free_resolution(homogenized_reference_generators(), fixed_first_map=True)
+        res = free_resolution(homogenized_reference_generators())
         table, inv = resolution_invariants(res)
         assert inv == {"a": 1, "gamma1": 2, "gamma2": 2}
         assert table.regularity is None
@@ -373,8 +376,8 @@ class TestFreeResolution:
             if dd < 1:
                 continue
             hom = [homogenize(f, dd) for f in fam]
-            res = free_resolution(hom, fixed_first_map=True)
-            minres = free_resolution(hom, fixed_first_map=False)
+            res = free_resolution(hom)
+            minres = minimal_resolution(hom)
             assert max(res.q) <= 3 * dd - 1
             assert not res.p or max(res.p) <= 3 * dd
             assert res.ranks[2] == minres.ranks[2]  # a = beta_2
@@ -523,10 +526,12 @@ def assert_level_agrees(vectors, degrees, row_shifts, cols, col_degrees):
 
     The oracle is minimal_generators(syzygy_generators(vectors)): the same
     degree multiset, the same module, and the same picks as per-candidate
-    Groebner membership on graded pieces.  The Schreyer bound covers every
-    kept degree.
+    Groebner membership on graded pieces.  The scan up to the Schreyer
+    bound of a Groebner basis of the vectors makes the resolution's picks,
+    and the bound covers every kept degree.
     """
-    picked = _minimal_syzygies(vectors, degrees, row_shifts)
+    bound = _schreyer_degree_bound(buchberger(vectors), degrees, row_shifts)
+    picked = _minimal_syzygies(vectors, degrees, row_shifts, bound)
     assert picked == (list(cols), list(col_degrees))
     oracle, oracle_degs = minimal_generators(syzygy_generators(vectors), degrees)
     assert sorted(col_degrees) == sorted(oracle_degs)
@@ -534,14 +539,14 @@ def assert_level_agrees(vectors, degrees, row_shifts, cols, col_degrees):
         return
     assert_same_module(oracle, list(cols))
     assert picked == reference_minimal_syzygies(vectors, degrees, row_shifts, oracle_degs)
-    assert _schreyer_degree_bound(vectors, degrees, row_shifts) >= max(col_degrees)
+    assert bound >= max(col_degrees)
 
 
-def assert_resolution_selections_agree(row, fixed_first_map=True):
-    """Every selection free_resolution(row, fixed_first_map) makes."""
+def assert_resolution_selections_agree(row):
+    """Every selection free_resolution(row) makes."""
     nonzero = [g for g in row if not g.is_zero()]
     assert_graded_agrees([(g,) for g in nonzero], [0])
-    res = free_resolution(row, fixed_first_map=fixed_first_map)
+    res = free_resolution(row)
     assert_graded_agrees(syzygy_generators(list(res.gens)), res.shifts0)
     cols1 = [tuple(c) for c in res.d1.columns()] if res.d1 is not None else []
     assert_level_agrees([(g,) for g in res.gens], res.shifts0, [0], cols1, res.q)
@@ -600,16 +605,17 @@ class TestGradedMinimalGenerators:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_recipe_d3_rows_whose_bound_is_tight(self, seed):
         # the Schreyer bound of each map is its top degree (6, then 7), so a
-        # scan that stopped one degree early would miss generators
+        # scan to a bound that stopped one degree early would miss generators
         row = recipe_row(seed, 3)
         res = assert_resolution_selections_agree(row)
-        assert _schreyer_degree_bound([(g,) for g in row], res.shifts0, [0]) == max(res.q) == 6
+        assert _schreyer_degree_bound(res.first_basis, res.shifts0, [0]) == max(res.q) == 6
         cols1 = [tuple(c) for c in res.d1.columns()]
-        assert _schreyer_degree_bound(cols1, res.q, res.shifts0) == max(res.p) == 7
+        assert _schreyer_degree_bound(buchberger(cols1), res.q, res.shifts0) == max(res.p) == 7
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_recipe_d3_scan_stops_at_the_top_degrees(self, seed, monkeypatch):
-        # degrees 3..6 for the first map and 5..7 for the second, nothing above
+        # degrees 3..6 for the first map (its Schreyer bound) and 5..7 for
+        # the second, which stops at its rank in degree 7
         calls = []
         real = grobner.graded_syzygy_space
 
@@ -618,17 +624,17 @@ class TestGradedMinimalGenerators:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(grobner, "graded_syzygy_space", counting)
-        free_resolution(recipe_row(seed, 3), fixed_first_map=True)
+        free_resolution(recipe_row(seed, 3))
         assert calls == [3, 4, 5, 6, 5, 6, 7]
 
     @pytest.mark.parametrize("row", [
         [S * T, S * U, T * U],  # pairwise lcms all equal s*t*u
         [S * T, S * U, T * U, S * T * U],
     ])
-    @pytest.mark.parametrize("fixed", [True, False])
-    def test_rows_with_equal_pairwise_lcms(self, row, fixed):
+    @pytest.mark.parametrize("as_given", [True, False])
+    def test_rows_with_equal_pairwise_lcms(self, row, as_given):
         # no lead prunes a pair whose lcm it shares, so the degree 3 pairs count
-        assert_resolution_selections_agree(row, fixed_first_map=fixed)
+        assert_resolution_selections_agree(row if as_given else minimal_row(row))
 
     def test_row_with_zero_component(self):
         row = [S**2, T**2, ZERO3, S * T + U**2]
@@ -641,13 +647,13 @@ class TestGradedMinimalGenerators:
         [S**2, T**2, S * T, S**2 + 2 * T**2],  # fourth generator is redundant
         [S, T**2, S * T, U],  # s*t is generated by s
     ])
-    @pytest.mark.parametrize("fixed", [True, False])
-    def test_zero_or_redundant_generator(self, row, fixed):
-        assert_resolution_selections_agree(row, fixed_first_map=fixed)
+    @pytest.mark.parametrize("as_given", [True, False])
+    def test_zero_or_redundant_generator(self, row, as_given):
+        assert_resolution_selections_agree(row if as_given else minimal_row(row))
 
     @pytest.mark.parametrize("index", [0, 2])
     def test_minimal_first_map(self, index):
-        assert_resolution_selections_agree(criterion_4_rows(4)[index], fixed_first_map=False)
+        assert_resolution_selections_agree(minimal_row(criterion_4_rows(4)[index]))
 
     def test_no_groebner_basis_per_candidate(self, monkeypatch):
         calls = []
@@ -661,10 +667,10 @@ class TestGradedMinimalGenerators:
         for row in (homogenized_reference_generators(), recipe_row(1, 3)):
             minimal_generators(syzygy_generators(row), [int(g.degree) for g in row])
             assert calls == []
-            for fixed in (True, False):
-                free_resolution(row, fixed_first_map=fixed)
-                # one basis per map, for its Schreyer degree bound
-                assert len(calls) == 2
+            for r in (row, minimal_row(row)):
+                free_resolution(r)
+                # one basis of the ideal; the second map stops at its rank
+                assert len(calls) == 1
                 calls.clear()
 
     def test_no_syzygy_generators_or_module_equality(self, monkeypatch):
@@ -673,25 +679,49 @@ class TestGradedMinimalGenerators:
             monkeypatch.setattr(grobner, name, lambda *a, name=name, **k: calls.append(name))
         for row in (homogenized_reference_generators(), recipe_row(1, 3),
                     [S**2, T**2, ZERO3, S * T + U**2]):
-            for fixed in (True, False):
-                free_resolution(row, fixed_first_map=fixed)
+            for r in (row, minimal_row(row)):
+                free_resolution(r)
         assert calls == []
 
     def test_second_map_with_dependent_columns_is_rejected(self, monkeypatch):
         real = grobner._minimal_syzygies
 
-        def dependent(vectors, degrees, row_shifts, *basis):
-            cols, degs = real(vectors, degrees, row_shifts, *basis)
+        def dependent(vectors, degrees, row_shifts, *args, **kwargs):
+            cols, degs = real(vectors, degrees, row_shifts, *args, **kwargs)
             if row_shifts != [0]:  # the second map: make its last column dependent
                 cols[-1] = tuple(2 * x for x in cols[0])
             return cols, degs
 
         row = recipe_row(2, 3)
-        res = free_resolution(row, fixed_first_map=True)
+        res = free_resolution(row)
         assert _is_injective(res.d2)
         monkeypatch.setattr(grobner, "_minimal_syzygies", dependent)
         with pytest.raises(InternalError, match="length two"):
-            free_resolution(row, fixed_first_map=True)
+            free_resolution(row)
+
+    @pytest.mark.parametrize("row", [[S * T, S * U, T * U], [S, T, ZERO3]])
+    def test_pd1_row_scans_no_piece_for_its_second_map(self, row, monkeypatch):
+        # ker d1 is free of rank r1 - r0 + 1 = 0, so its scan ends before a piece
+        shifts = []
+        real = grobner.graded_syzygy_space
+
+        def recording(*args, **kwargs):
+            shifts.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(grobner, "graded_syzygy_space", recording)
+        res = free_resolution(row)
+        assert res.ranks[1] == len(row) - 1 and res.ranks[2] == 0
+        assert shifts and all(sh == [0] for sh in shifts)  # first-map pieces only
+
+    def test_second_map_short_of_its_rank_is_an_internal_error(self):
+        res = free_resolution([S**2, T**2, U**2])
+        cols1 = [tuple(c) for c in res.d1.columns()]
+        cap = 3 * max(int(g.degree) for g in res.first_basis)
+        assert _minimal_syzygies(cols1, res.q, res.shifts0, cap, count=1) == \
+            ([tuple(c) for c in res.d2.columns()], [6])
+        with pytest.raises(InternalError, match="rank 2"):
+            _minimal_syzygies(cols1, res.q, res.shifts0, cap, count=2)
 
     def test_unspanned_graded_piece_is_an_internal_error(self, monkeypatch):
         real = grobner.graded_syzygy_space
@@ -702,7 +732,7 @@ class TestGradedMinimalGenerators:
 
         monkeypatch.setattr(grobner, "graded_syzygy_space", overstated)
         with pytest.raises(InternalError, match="do not span"):
-            free_resolution([S, T], fixed_first_map=True)
+            free_resolution([S, T])
 
     def test_injectivity_by_maximal_minors(self):
         assert _is_injective(PolyMatrix.from_columns([(S, T, U), (T, U, S)]))
@@ -720,7 +750,7 @@ class TestRepresentations:
                             lambda *a: calls.append(1) or real(*a))
         row = recipe_row(1, 3)
         assert buchberger(row)._ext.reps is None
-        free_resolution(row, fixed_first_map=True)
+        free_resolution(row)
         assert calls == []
         make_lifter(row)
         assert calls
@@ -821,14 +851,15 @@ def test_fraction_nullspace_of_integer_rows_constructs_no_fraction(monkeypatch):
 
 
 def assert_minimal_betti_matches_oracle(row):
-    """The table read off the fixed-first-map resolution equals the one of a
-    separately built minimal resolution of the nonzero generators."""
-    table = minimal_betti_table(free_resolution(row, fixed_first_map=True))
-    minres = free_resolution([g for g in row if not g.is_zero()], fixed_first_map=False)
+    """The table read off the resolution of the row equals the shifts of a
+    separately built resolution of its minimal generators."""
+    table = minimal_betti_table(free_resolution(row))
+    minres = minimal_resolution(row)
     oracle, _ = resolution_invariants(minres)
     assert table.entries == oracle.entries
     assert table.totals == oracle.totals
-    assert table.regularity == oracle.regularity == regularity_from_resolution(minres)
+    regularity = max(sh - i for i, sh in oracle.entries)
+    assert table.regularity == regularity == regularity_from_resolution(minres)
     return table
 
 
@@ -837,7 +868,7 @@ class TestMinimalBettiTable:
         row = homogenized_reference_generators()
         table = assert_minimal_betti_matches_oracle(row)
         assert table.totals == {0: 3, 1: 3, 2: 1} and table.regularity == 4
-        fixed, _ = resolution_invariants(free_resolution(row, fixed_first_map=True))
+        fixed, _ = resolution_invariants(free_resolution(row))
         assert fixed.totals == {0: 4, 1: 4, 2: 1} and fixed.regularity is None
 
     def test_scalar_multiple_component(self):
@@ -857,12 +888,14 @@ class TestMinimalBettiTable:
         assert_minimal_betti_matches_oracle(recipe_row(seed, d))
 
     def test_already_minimal_resolution_is_unchanged(self):
-        minres = free_resolution([S**2, T**2, U**2], fixed_first_map=False)
+        minres = free_resolution([S**2, T**2, U**2])
         table, _ = resolution_invariants(minres)
-        assert minimal_betti_table(minres) == table
+        minimal = minimal_betti_table(minres)
+        assert (minimal.entries, minimal.totals) == (table.entries, table.totals)
+        assert minimal.regularity == 4
 
     def test_missing_trivial_summand_is_an_internal_error(self):
-        res = free_resolution(homogenized_reference_generators(), fixed_first_map=True)
+        res = free_resolution(homogenized_reference_generators())
         res.q = tuple(x for x in res.q if x != 2)
         with pytest.raises(InternalError, match="trivial summand"):
             minimal_betti_table(res)
@@ -894,9 +927,9 @@ def test_minimal_betti_table_matches_minimal_resolution(row):
 
 @settings(max_examples=40, deadline=30000)
 @given(rows_with_redundant_component(), st.booleans())
-def test_resolution_matches_buchberger_schreyer_route(row, fixed):
+def test_resolution_matches_buchberger_schreyer_route(row, as_given):
     assume(any(not g.is_zero() for g in row))
-    assert_resolution_selections_agree(row, fixed_first_map=fixed)
+    assert_resolution_selections_agree(row if as_given else minimal_row(row))
 
 
 @st.composite
@@ -914,9 +947,9 @@ def monomial_or_binomial_rows(draw):
 
 @settings(max_examples=40, deadline=30000)
 @given(monomial_or_binomial_rows(), st.booleans())
-def test_resolution_of_monomial_and_binomial_rows(row, fixed):
+def test_resolution_of_monomial_and_binomial_rows(row, as_given):
     assume(any(not g.is_zero() for g in row))
-    assert_resolution_selections_agree(row, fixed_first_map=fixed)
+    assert_resolution_selections_agree(row if as_given else minimal_row(row))
 
 
 # ---------------------------------------------------------------------------
@@ -999,6 +1032,8 @@ def _combination(coeffs, gens, vars, rank):
 
 @settings(max_examples=40, deadline=None)
 @given(rational_modules())
+@example((VARS_ST, 2, [(Poly.zero(VARS_ST), S2 + T2), (S2**2 + 1, Poly.zero(VARS_ST)),
+                       (S2 * T2, T2**2)], (S2, T2), [Poly.const(VARS_ST, 1), S2, T2]))
 def test_module_reduction_certificates(case):
     vars, rank, gens, target, cofactors = case
     # an exact certificate target = sum c_i g_i + rem
