@@ -152,14 +152,14 @@ def _common_denominator(terms: Mapping) -> tuple[dict, int]:
     return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
 
-def monomials_of_degree(nvars: int, k: int) -> list[Monomial]:
-    """All exponent tuples in nvars variables of total degree exactly k."""
+@cache
+def monomials_of_degree(nvars: int, k: int) -> tuple[Monomial, ...]:
+    """All exponent tuples in nvars variables of total degree exactly k, by
+    increasing first exponent; memoized, so the result is an immutable tuple."""
     if nvars == 1:
-        return [(k,)]
-    out = []
-    for e in range(k + 1):
-        out.extend((e,) + rest for rest in monomials_of_degree(nvars - 1, k - e))
-    return out
+        return ((k,),)
+    return tuple((e,) + rest for e in range(k + 1)
+                 for rest in monomials_of_degree(nvars - 1, k - e))
 
 
 class Poly:

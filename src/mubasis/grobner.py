@@ -22,9 +22,12 @@ time (graded Nakayama), with one echelon routine that yields both the
 graded syzygy spaces and the minimal generators.  One Groebner basis, of
 the ideal, ends both scans: the first map's at the degree of the Schreyer
 syzygies left by the strict chain criterion, the second's once it has kept
-the rank of the free module ker d1, under a cap read off the leads.  The
-Buchberger and Schreyer route of ``syzygy_generators`` stays independent of
-it and serves verification.
+the rank of the free module ker d1, under a cap read off the leads.  Its
+Hilbert function gives the dimension of every graded piece of both maps
+beforehand, so a piece the kept syzygies already span is skipped unbuilt,
+and a built piece must have exactly that dimension.  The Buchberger and
+Schreyer route of ``syzygy_generators`` stays independent of it and serves
+verification.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from math import gcd, lcm
 from typing import Sequence
 
@@ -758,13 +762,24 @@ def _fraction_nullspace(rows, ncols):
     given by sparse rows ({column: int or Fraction}); the basis is read off
     its reduced row echelon form one integer vector at a time, as it is
     consumed: for each free column fc, L times the rational basis vector
-    that is 1 at fc, with L the lcm of the pivots of the rows that meet fc."""
-    ech: dict = {}
+    that is 1 at fc, with L the lcm of the pivots of the rows that meet fc.
+
+    The integer rows go in by descending least column, ties to fewer
+    entries.  Every row held has no column left of its pivot, and every
+    pivot is at least the least column of its row, so a row whose least
+    column is not yet a pivot keeps it as its pivot, and no held row meets
+    it: no back-substitution.  The reduced echelon form is unique, so the
+    order leaves the basis unchanged.
+    """
+    ints = []
     for r in rows:
         den = lcm(*(x.denominator for x in r.values()))
         row = {c: x.numerator * (den // x.denominator) for c, x in r.items() if x}
         if row:
-            _echelon_add(ech, row)
+            ints.append(row)
+    ech: dict = {}
+    for row in sorted(ints, key=lambda r: (-min(r), len(r))):
+        _echelon_add(ech, row)
 
     def basis():
         for fc in range(ncols):
@@ -857,16 +872,19 @@ def _schreyer_degree_bound(basis: GroebnerBasis, degrees, row_shifts) -> int:
     return bound
 
 
-def _minimal_syzygies(vectors, degrees, row_shifts, top: int, count: int | None = None):
+def _minimal_syzygies(vectors, degrees, row_shifts, dims, top: int, count: int | None = None):
     """Minimal generators of Syz(vectors) with small integer coefficients,
     and their degrees (vectors and degrees as in graded_syzygy_space).
 
-    Graded pieces are scanned in increasing degree up to top, a degree up
-    to which Syz(vectors) is generated.  In each, basis vectors are kept in
-    order unless the kept ones generate them, until the kept ones span the
-    piece, checked exactly by dimension.  By graded Nakayama the kept
-    vectors are minimal generators of every piece up to top, and past it no
-    new generator is needed.
+    dims(k) is the dimension of the degree-k piece of Syz(vectors), known
+    beforehand (``_piece_dimensions``).  Graded pieces are scanned in
+    increasing degree up to top, a degree up to which Syz(vectors) is
+    generated.  A piece that the kept vectors already span, by dimension,
+    is skipped unbuilt.  Any other is built, its exact nullspace dimension
+    must equal dims(k), and its basis vectors are kept in order unless the
+    kept ones generate them, until the kept ones span the piece.  By graded
+    Nakayama the kept vectors are minimal generators of every piece up to
+    top, and past it no new generator is needed.
 
     count, when given, is the number of minimal generators, known when
     Syz(vectors) is free of that rank: the scan ends once it has kept count
@@ -879,7 +897,13 @@ def _minimal_syzygies(vectors, degrees, row_shifts, top: int, count: int | None 
     for k in range(min(degrees), top + 1):
         if count is not None and len(kept) >= count:
             break
-        dim, space = graded_syzygy_space(vectors, degrees, row_shifts, k)
+        dim = dims(k)
+        if span.rank(k) == dim:
+            continue
+        built, space = graded_syzygy_space(vectors, degrees, row_shifts, k)
+        if built != dim:
+            raise InternalError(f"degree-{k} syzygies have dimension {built}, "
+                                f"not {dim} as the Hilbert function gives")
         for v in space:
             if span.rank(k) == dim:
                 break
@@ -892,6 +916,33 @@ def _minimal_syzygies(vectors, degrees, row_shifts, top: int, count: int | None 
         raise InternalError(f"kept {len(kept)} syzygies by degree {top}, "
                             f"not the rank {count} of a free module")
     return kept, degs
+
+
+def _piece_dimensions(first_basis: GroebnerBasis, shifts0):
+    """Dimensions of the graded pieces of both syzygy modules of a row of
+    shifts0 generating the ideal with reduced Groebner basis first_basis.
+
+    Returns (first, second).  The row maps ⊕S(-shifts0_i) onto the ideal I,
+    so first(k) = dim Syz(row)_k = sum_i dim S_{k-shifts0_i} - dim I_k, and
+    dim I_k is the number of degree-k monomials in in(I) (Macaulay's basis
+    theorem; Eisenbud, Commutative Algebra, Thm 15.3).  The columns of d1,
+    of degrees q, generate Syz(row), so second(q, k) = dim (ker d1)_k =
+    sum_l dim S_{k-q_l} - first(k).  dim I_k is computed once per degree
+    for both.
+    """
+    nvars = len(first_basis.generators[0].vars)
+    ideal = cache(partial(hilbert_function, first_basis))
+
+    def free(shifts, k):
+        return sum(len(monomials_of_degree(nvars, k - sh)) for sh in shifts if sh <= k)
+
+    def first(k):
+        return free(shifts0, k) - ideal(k)
+
+    def second(q, k):
+        return free(q, k) - first(k)
+
+    return first, second
 
 
 def _is_injective(m: PolyMatrix) -> bool:
@@ -962,7 +1013,9 @@ def free_resolution(gens) -> FreeResolution:
 
     d1 and d2 are minimal syzygies read off graded pieces
     (``_minimal_syzygies``), and one reduced Groebner basis of the ideal,
-    first_basis, ends both scans.  The scan of d1 ends at its Schreyer
+    first_basis, ends both scans.  Its Hilbert function gives the dimension
+    of each piece of both maps (``_piece_dimensions``), so only the pieces
+    that keep a generator are built.  The scan of d1 ends at its Schreyer
     bound (``_schreyer_degree_bound``).  Over Q[s,t,u] the ideal has
     projective dimension at most 2 (Hilbert's syzygy theorem), so ker d1 is
     free, and the ranks along the resolution make its rank r1 - r0 + 1
@@ -991,12 +1044,13 @@ def free_resolution(gens) -> FreeResolution:
     shifts0 = tuple(int(g.degree) if not g.is_zero() else d for g in gens)
 
     first_basis = buchberger(nonzero)
-    cols1, q = _minimal_syzygies([(g,) for g in row], shifts0, [0],
+    first, second = _piece_dimensions(first_basis, shifts0)
+    cols1, q = _minimal_syzygies([(g,) for g in row], shifts0, [0], first,
                                  _schreyer_degree_bound(first_basis, shifts0, [0]))
     d1 = PolyMatrix.from_columns(cols1) if cols1 else None
     cap = 3 * max(int(g.degree) for g in first_basis)
-    cols2, p = _minimal_syzygies(cols1, q, shifts0, cap, count=len(cols1) - len(row) + 1) \
-        if cols1 else ([], [])
+    cols2, p = _minimal_syzygies(cols1, q, shifts0, partial(second, q), cap,
+                                 count=len(cols1) - len(row) + 1) if cols1 else ([], [])
     d2 = PolyMatrix.from_columns(cols2) if cols2 else None
     if d2 is not None and not _is_injective(d2):
         raise InternalError("resolution did not terminate at length two")

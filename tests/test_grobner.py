@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -28,6 +29,7 @@ from mubasis.grobner import (
     _is_injective,
     _minimal_syzygies,
     _normalize_items,
+    _piece_dimensions,
     _schreyer_degree_bound,
     _schreyer_sigmas,
     buchberger,
@@ -527,11 +529,14 @@ def assert_level_agrees(vectors, degrees, row_shifts, cols, col_degrees):
     The oracle is minimal_generators(syzygy_generators(vectors)): the same
     degree multiset, the same module, and the same picks as per-candidate
     Groebner membership on graded pieces.  The scan up to the Schreyer
-    bound of a Groebner basis of the vectors makes the resolution's picks,
-    and the bound covers every kept degree.
+    bound of a Groebner basis of the vectors, with piece dimensions taken
+    from the nullspaces themselves, makes the resolution's picks, and the
+    bound covers every kept degree.
     """
     bound = _schreyer_degree_bound(buchberger(vectors), degrees, row_shifts)
-    picked = _minimal_syzygies(vectors, degrees, row_shifts, bound)
+    picked = _minimal_syzygies(vectors, degrees, row_shifts,
+                               lambda k: graded_syzygy_space(vectors, degrees, row_shifts, k)[0],
+                               bound)
     assert picked == (list(cols), list(col_degrees))
     oracle, oracle_degs = minimal_generators(syzygy_generators(vectors), degrees)
     assert sorted(col_degrees) == sorted(oracle_degs)
@@ -559,6 +564,17 @@ def assert_resolution_selections_agree(row):
         assert _is_injective(res.d2)
         assert all(x.is_zero() for w in syzygy_generators(cols2) for x in w)
     return res
+
+
+def overstate_nullspaces(monkeypatch):
+    """Make graded_syzygy_space report one dimension more than its basis has."""
+    real = grobner.graded_syzygy_space
+
+    def overstated(*args):
+        dim, basis = real(*args)
+        return dim + 1, basis
+
+    monkeypatch.setattr(grobner, "graded_syzygy_space", overstated)
 
 
 def recipe_row(seed, d):
@@ -614,8 +630,9 @@ class TestGradedMinimalGenerators:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_recipe_d3_scan_stops_at_the_top_degrees(self, seed, monkeypatch):
-        # degrees 3..6 for the first map (its Schreyer bound) and 5..7 for
-        # the second, which stops at its rank in degree 7
+        # the first map scans degrees 3..6 (its Schreyer bound) and the
+        # second 5..7, where it stops at its rank; only the pieces that keep
+        # a generator are built, degrees 5, 6 for the first and 7 for the second
         calls = []
         real = grobner.graded_syzygy_space
 
@@ -625,7 +642,7 @@ class TestGradedMinimalGenerators:
 
         monkeypatch.setattr(grobner, "graded_syzygy_space", counting)
         free_resolution(recipe_row(seed, 3))
-        assert calls == [3, 4, 5, 6, 5, 6, 7]
+        assert calls == [5, 6, 7]
 
     @pytest.mark.parametrize("row", [
         [S * T, S * U, T * U],  # pairwise lcms all equal s*t*u
@@ -718,21 +735,26 @@ class TestGradedMinimalGenerators:
         res = free_resolution([S**2, T**2, U**2])
         cols1 = [tuple(c) for c in res.d1.columns()]
         cap = 3 * max(int(g.degree) for g in res.first_basis)
-        assert _minimal_syzygies(cols1, res.q, res.shifts0, cap, count=1) == \
+        _, second = _piece_dimensions(res.first_basis, res.shifts0)
+        dims = partial(second, res.q)
+        assert _minimal_syzygies(cols1, res.q, res.shifts0, dims, cap, count=1) == \
             ([tuple(c) for c in res.d2.columns()], [6])
         with pytest.raises(InternalError, match="rank 2"):
-            _minimal_syzygies(cols1, res.q, res.shifts0, cap, count=2)
+            _minimal_syzygies(cols1, res.q, res.shifts0, dims, cap, count=2)
+
+    def test_nullspace_off_the_hilbert_function_is_an_internal_error(self, monkeypatch):
+        overstate_nullspaces(monkeypatch)
+        with pytest.raises(InternalError, match="not 1 as the Hilbert function gives"):
+            free_resolution([S, T])
 
     def test_unspanned_graded_piece_is_an_internal_error(self, monkeypatch):
-        real = grobner.graded_syzygy_space
-
-        def overstated(*args):
-            dim, basis = real(*args)
-            return dim + 1, basis
-
-        monkeypatch.setattr(grobner, "graded_syzygy_space", overstated)
+        # a Hilbert-function dimension overstated like the nullspace's passes
+        # the dimension check, and the kept syzygies then fall short of it
+        row = [(S,), (T,)]
+        first, _ = _piece_dimensions(buchberger([S, T]), [1, 1])
+        overstate_nullspaces(monkeypatch)
         with pytest.raises(InternalError, match="do not span"):
-            free_resolution([S, T])
+            _minimal_syzygies(row, [1, 1], [0], lambda k: first(k) + 1, 2)
 
     def test_injectivity_by_maximal_minors(self):
         assert _is_injective(PolyMatrix.from_columns([(S, T, U), (T, U, S)]))
@@ -816,8 +838,8 @@ def test_graded_selection_matches_groebner_membership(case):
 @settings(max_examples=60, deadline=2000)
 @given(st.integers(1, 5).flatmap(lambda n: st.lists(
     st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=n, max_size=n),
-    min_size=0, max_size=5).map(lambda rows: (rows, n))))
-def test_fraction_nullspace_matches_dense_elimination(case):
+    min_size=0, max_size=5).map(lambda rows: (rows, n))), st.randoms(use_true_random=False))
+def test_fraction_nullspace_matches_dense_elimination(case, rng):
     rows, ncols = case
     sparse = [{c: x for c, x in enumerate(r)} for r in rows]
     dim, basis = _fraction_nullspace(sparse, ncols)
@@ -828,6 +850,44 @@ def test_fraction_nullspace_matches_dense_elimination(case):
         assert all(type(x) is int for x in v)
         free = max(j for j, x in enumerate(v) if x)  # the free column comes last
         assert [Fraction(x, v[free]) for x in v] == want
+    rng.shuffle(sparse)  # the reduced echelon form, hence the basis, is unique
+    assert list(_fraction_nullspace(sparse, ncols)[1]) == got
+
+
+@st.composite
+def homogeneous_rows(draw):
+    """One to four forms in s, t, u of degrees 0 to 2, some of them zero
+    and some combinations of the others, in a drawn order."""
+    row = [_draw_form(draw, draw(st.sampled_from([0, 1, 2, 2])))
+           for _ in range(draw(st.integers(1, 4)))]
+    nonzero = [g for g in row if not g.is_zero()]
+    if nonzero and draw(st.booleans()):
+        a, b = draw(st.sampled_from(nonzero)), draw(st.sampled_from(nonzero))
+        deg = max(int(a.degree), int(b.degree)) + draw(st.integers(0, 1))
+        ma = _draw_form(draw, deg - int(a.degree))
+        mb = _draw_form(draw, deg - int(b.degree))
+        row.append(ma * a + mb * b)
+    row = draw(st.permutations(row))
+    assume(any(not g.is_zero() for g in row))
+    return row
+
+
+@settings(max_examples=200, deadline=None)
+@given(homogeneous_rows())
+def test_piece_dimensions_match_the_nullspaces(row):
+    # for both maps and every degree up to its Schreyer bound
+    res = free_resolution(row)
+    first, second = _piece_dimensions(res.first_basis, res.shifts0)
+    vectors = [(g,) for g in res.gens]
+    top = _schreyer_degree_bound(res.first_basis, res.shifts0, [0])
+    for k in range(top + 1):
+        assert first(k) == graded_syzygy_space(vectors, res.shifts0, [0], k)[0]
+    if res.d1 is None:
+        return
+    cols1 = [tuple(c) for c in res.d1.columns()]
+    top = _schreyer_degree_bound(buchberger(cols1), res.q, res.shifts0)
+    for k in range(top + 1):
+        assert second(res.q, k) == graded_syzygy_space(cols1, res.q, res.shifts0, k)[0]
 
 
 def test_fraction_nullspace_of_integer_rows_constructs_no_fraction(monkeypatch):

@@ -4,7 +4,8 @@
 a rename in ``mubasis`` would silently drop a span; it is loaded here by
 path, without writing bytecode next to it.  The arithmetic base layer
 imports no higher layer: ``mubasis.grobner`` and ``mubasis.quillen_suslin``
-import it, so an import back would be a cycle.
+import it, so an import back would be a cycle.  The library has no
+dependencies; sympy, hypothesis and numpy serve only the tests.
 """
 
 import os
@@ -55,3 +56,14 @@ assert gcd_many([s * s - 1, s * s + 2 * s + 1]) == s + 1
 print(sorted(m for m in sys.modules if m.startswith("mubasis")))
 """)
     assert loaded == "['mubasis', 'mubasis.arith', 'mubasis.errors']", loaded
+
+
+def test_compute_loads_no_test_only_package():
+    loaded = _run("""
+import contextlib, io, sys
+from mubasis.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert main(["compute", "(s^2, t^2, s^2-1, s^2+1)", "--json"]) == 0
+print(sorted({m.split(".")[0] for m in sys.modules} & {"sympy", "hypothesis", "numpy"}))
+""")
+    assert loaded == "[]", loaded
