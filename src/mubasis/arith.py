@@ -836,40 +836,45 @@ class PolyMatrix:
 
     def maximal_minors(self):
         """Yield (rows, minor) for every maximal minor of an m x n matrix,
-        m >= n, row subsets in lexicographic order, each computed when asked."""
+        m >= n, row subsets in lexicographic order, each computed when asked.
+        All minors share one memoized expansion, so a smaller minor on the
+        trailing columns is computed once however many minors contain it."""
         if self.rows < self.cols:
             raise ValueError("expected at least as many rows as columns")
-        cols = range(self.cols)
+        minor = self._minor_expansion()
         for rows in combinations(range(self.rows), self.cols):
-            yield rows, self.submatrix(rows, cols).det()
+            yield rows, minor(rows)
 
     def det(self) -> Poly:
-        """Determinant by minor expansion with memoization on row subsets."""
+        """Determinant by the memoized minor expansion."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        zero = Poly.zero(self.vars)
-        memo: dict[tuple[int, ...], Poly] = {}
+        return self._minor_expansion()(tuple(range(self.rows)))
 
-        def rec(rows: tuple[int, ...]) -> Poly:
-            col = n - len(rows)
-            if not rows:
-                return Poly.const(self.vars, 1)
+    def _minor_expansion(self):
+        """minor(rows): the minor on the ascending row subset rows and the
+        last len(rows) columns, expanded along its first column and memoized
+        on row subsets."""
+        n = self.cols
+        zero = Poly.zero(self.vars)
+        memo: dict[tuple[int, ...], Poly] = {(): Poly.const(self.vars, 1)}
+
+        def minor(rows: tuple[int, ...]) -> Poly:
             cached = memo.get(rows)
             if cached is not None:
                 return cached
+            col = n - len(rows)
             acc = zero
             for pos, i in enumerate(rows):
                 a = self.entries[i][col]
                 if a.is_zero():
                     continue
-                sub = rec(rows[:pos] + rows[pos + 1:])
-                term = a * sub
+                term = a * minor(rows[:pos] + rows[pos + 1:])
                 acc = acc + term if pos % 2 == 0 else acc - term
             memo[rows] = acc
             return acc
 
-        return rec(tuple(range(n)))
+        return minor
 
     def adjugate(self) -> "PolyMatrix":
         if self.rows != self.cols:

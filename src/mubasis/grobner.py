@@ -36,7 +36,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from math import gcd, lcm
 from typing import Sequence
 
@@ -464,6 +464,11 @@ class GroebnerBasis:
     def contains(self, x) -> bool:
         rem, _ = self._ext.reduce(self._to_vec(x))
         return rem.is_zero()
+
+    @cached_property
+    def leading_monomials(self) -> tuple[Monomial, ...]:
+        """Leading monomials of the generators (rank-1 only), built once."""
+        return tuple(g.leading_monomial() for g in self.generators)
 
     def contains_constant(self) -> bool:
         """True when the ideal is the unit ideal (rank-1 only)."""
@@ -1127,7 +1132,7 @@ def minimal_betti_table(res: FreeResolution) -> BettiTable:
 # ---------------------------------------------------------------------------
 
 
-def _leading_monomials(gens) -> tuple[list[Monomial], int]:
+def _leading_monomials(gens) -> tuple[Sequence[Monomial], int]:
     if isinstance(gens, GroebnerBasis):
         gb = gens
     else:
@@ -1136,7 +1141,7 @@ def _leading_monomials(gens) -> tuple[list[Monomial], int]:
             return [], 0
         gb = buchberger(gens)
     nvars = len(gb.generators[0].vars)
-    return [g.leading_monomial() for g in gb.generators], nvars
+    return gb.leading_monomials, nvars
 
 
 def hilbert_function(gens, k: int) -> int:

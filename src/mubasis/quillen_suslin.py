@@ -20,7 +20,18 @@ built alongside M rather than recovered from an adjugate: column operations
 on M are mirrored by the inverse row operations on M^-1, each block factor
 comes with its explicit inverse, and each patch factor E(b') E(b)^-1 is
 inverted as E(b) E^-1(b').  The certificate is checked by multiplication
-alone: M F = [I_n; 0] and M M^-1 = I (see CompletionCertificate).
+alone: M F = [I_n; 0] and M M^-1 = I (see CompletionCertificate).  The
+recursion over the rows of F^T multiplies only blocks: diag(1, mp) and the
+clearing of column 0 are applied to e1 as a block product and column
+operations, and to e1^-1 as a block product and row operations.
+
+Unimodularity of F is decided by the completion itself wherever it
+succeeds: a constant minor proves it, and so does a checked certificate,
+since M F = [I_n; 0] gives F a left inverse.  The Groebner basis of the
+maximal minors is built only when the row route fails, to tell a matrix
+that is not unimodular (ValueError) from a failed completion.  The general
+route assumes a unimodular row and checks it with a basis of the row's
+entries before it runs.
 """
 
 from __future__ import annotations
@@ -321,9 +332,11 @@ class _RowCompleter:
         if factor.is_zero():
             return
         self.work[i] = self.work[i] + factor * self.work[j]
-        for r in range(self.m):
-            self.E[r][i] = self.E[r][i] + factor * self.E[r][j]
-        self.Einv[j] = [x - factor * y for x, y in zip(self.Einv[j], self.Einv[i])]
+        for row in self.E:
+            if not row[j].is_zero():
+                row[i] = row[i] + factor * row[j]
+        self.Einv[j] = [x if y.is_zero() else x - factor * y
+                        for x, y in zip(self.Einv[j], self.Einv[i])]
 
     def colscale(self, i, c: Fraction):
         self.work[i] = self.work[i] * c
@@ -457,6 +470,10 @@ class _RowCompleter:
         if not (uses_s and uses_t):
             self._pid_phase()
             return
+        # the charts assume a unimodular row, and a matrix that is not
+        # unimodular reaches here with one; a basis of the row rules it out
+        if not buchberger([self.work[i] for i in nz]).contains_constant():
+            raise CompletionError("completion failed (row is not unimodular)")
         lam = self._monicize()
         self.apply_matrix(*_eliminate_t_monic(self.work))
         self._pid_phase()
@@ -525,47 +542,54 @@ class _RowCompleter:
 
 def _complete_rows(f: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
     """(M, M^-1) with M (cols x cols, unimodular) and f M = [I_n, 0] for
-    row-unimodular f."""
+    row-unimodular f.
+
+    Row 0 is completed to e1 with f[0] e1 = (1, 0, ..., 0), the rest of
+    f e1 is completed to mp recursively, and M = e1 diag(1, mp) Y, where Y
+    clears column 0 below row 0 with the column operations
+    col_0 -= (f e1)[i, 0] col_i.  Only e1[:, 1:] mp and its inverse's
+    counterpart are matrix products; Y and Y^-1 are applied as column and
+    row operations.  f M = [I_n, 0] is checked exactly at every level.
+    Nothing here decides unimodularity: a row that is not unimodular ends
+    in CompletionError, and complete_columns tells the two causes apart."""
     n, m = f.rows, f.cols
     if n > m:
         raise ValueError("expected at least as many columns as rows")
     e1, e1_inv = _RowCompleter(f.row(0)).run()
     if n == 1:
         return e1, e1_inv
-    fe = f * e1
+    # rows 1 .. n-1 of f e1; row 0 is (1, 0, ..., 0) by construction
+    fe = PolyMatrix(f.entries[1:]) * e1
     # rescale the untouched columns to primitive integer content; the scales
-    # are units, so e1 stays unimodular and row 0 of fe stays (1, 0, ..., 0)
+    # are units, so e1 stays unimodular
     for j in range(1, m):
-        scale = primitive_scale(fe[i, j] for i in range(n))
+        scale = primitive_scale(fe[i, j] for i in range(n - 1))
         if scale != 1:
-            for i in range(n):
+            for i in range(n - 1):
                 fe.entries[i][j] = fe.entries[i][j] * scale
             for i in range(m):
                 e1.entries[i][j] = e1.entries[i][j] * scale
             e1_inv.entries[j] = [x * (1 / scale) for x in e1_inv.entries[j]]
-    sub = fe.submatrix(range(1, n), range(1, m))
-    mp, mp_inv = _complete_rows(sub)
-    zero = Poly.zero(f.vars)
-    one = Poly.const(f.vars, 1)
-
-    def diag(block):
-        return PolyMatrix([[one if (i == 0 and j == 0) else
-                            (block[i - 1, j - 1] if i > 0 and j > 0 else zero)
-                            for j in range(m)] for i in range(m)])
-
-    # Y carries the row-clearing matrix L = [[1,0],[-c,I]] in its leading
-    # block; its inverse is [[1,0],[c,I]]
-    y = PolyMatrix.identity(m, f.vars)
-    y_inv = PolyMatrix.identity(m, f.vars)
-    for i in range(1, n):
-        y.entries[i][0] = -fe[i, 0]
-        y_inv.entries[i][0] = fe[i, 0]
-    total = e1 * diag(mp) * y
-    check = f * total
-    expected = PolyMatrix([[one if i == j else zero for j in range(m)] for i in range(n)])
-    if check != expected:
+    mp, mp_inv = _complete_rows(fe.submatrix(range(n - 1), range(1, m)))
+    # the nonzero (f e1)[i, 0], i > 0, that Y clears
+    clear = [(i, fe[i - 1, 0]) for i in range(1, n) if not fe[i - 1, 0].is_zero()]
+    # e1 diag(1, mp) = [e1[:, 0] | e1[:, 1:] mp], then Y's column operations
+    block = PolyMatrix([row[1:] for row in e1.entries]) * mp
+    total = [[row[0]] + brow for row, brow in zip(e1.entries, block.entries)]
+    for row in total:
+        for i, c in clear:
+            if not row[i].is_zero():
+                row[0] = row[0] - c * row[i]
+    total = PolyMatrix(total)
+    if f * total != _target_block(m, n, f.vars):
         raise InternalError("row completion product check failed")
-    return total, y_inv * diag(mp_inv) * e1_inv
+    # diag(1, mp^-1) e1^-1 = [e1^-1[0, :]; mp^-1 e1^-1[1:, :]], then the
+    # row operations row_i += (f e1)[i, 0] row_0 of Y^-1
+    head = e1_inv.entries[0]
+    inv = [head] + (mp_inv * PolyMatrix(e1_inv.entries[1:])).entries
+    for i, c in clear:
+        inv[i] = [x if y.is_zero() else x + c * y for x, y in zip(inv[i], head)]
+    return total, PolyMatrix(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -670,18 +694,27 @@ def complete_columns(f: PolyMatrix) -> CompletionCertificate:
     reduction stalls.  M f = [I_n; 0] and
     M M^-1 = I are checked exactly before returning; failure raises
     CompletionError rather than ever producing an unverified answer.
+
+    Unimodularity is decided where it is needed.  A constant minor proves
+    it, and so does a completed row route, whose checked f^T M^T = [I_n, 0]
+    gives f a left inverse.  Only when the row route fails is the Groebner
+    basis of the minors built: f that is not unimodular raises ValueError,
+    and any other failure is raised as it came.
     """
     m, n = f.rows, f.cols
     if m <= n:
         raise ValueError("expected strictly more rows than columns")
     minors = _nonzero_minors(f)
-    if not _minors_generate_unit_ideal(minors):
-        raise ValueError("matrix is not unimodular")
     const_rows = next((rows for rows, d in minors if d.is_constant()), None)
     if const_rows is not None:
         big, inv = _constant_minor_completion(f, const_rows)
     else:
-        mt, mt_inv = _complete_rows(f.transpose())
+        try:
+            mt, mt_inv = _complete_rows(f.transpose())
+        except (CompletionError, InternalError):
+            if not _minors_generate_unit_ideal(minors):
+                raise ValueError("matrix is not unimodular") from None
+            raise
         big, inv = mt.transpose(), mt_inv.transpose()
     if big * f != _target_block(n, m, f.vars):
         raise CompletionError("completion failed (certificate product check)")

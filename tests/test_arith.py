@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -241,6 +242,35 @@ class TestMatrixBasics:
         m = PolyMatrix.from_columns([[S, T], [ONE, ONE]])
         assert m.rows == 2 and m.cols == 2
         assert m.column(0) == [S, T]
+
+    def test_outer_product_minors_share_their_two_by_two_minors(self, monkeypatch):
+        # 4 minors of order 1, 6 of order 2 and 4 of order 3 on a dense 4 x 3
+        # matrix: 4 + 6 * 2 + 4 * 3 = 28 products, against 4 * 12 = 48 when
+        # each 3 x 3 minor is expanded on its own
+        calls = []
+        mul = Poly.__mul__
+        monkeypatch.setattr(Poly, "__mul__", lambda p, q: calls.append(1) or mul(p, q))
+        rng = random.Random(5)
+        m = PolyMatrix([[S + rng.randint(1, 9) * T + rng.randint(1, 9) for _ in range(3)]
+                        for _ in range(4)])
+        minors = list(m.maximal_minors())
+        assert len(calls) == 28
+        monkeypatch.setattr(Poly, "__mul__", mul)
+        assert minors == [(rows, m.submatrix(rows, range(3)).det())
+                          for rows in combinations(range(4), 3)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_maximal_minors_match_each_submatrix_determinant(self, data):
+        vars = data.draw(rings)
+        n = data.draw(st.integers(1, 3))
+        m = data.draw(st.integers(n, 6))
+        a = data.draw(matrices(vars, m, n))
+        got = list(a.maximal_minors())
+        assert [rows for rows, _ in got] == list(combinations(range(m), n))
+        for rows, minor in got:
+            assert_valid(minor, vars)
+            assert minor == a.submatrix(rows, range(n)).det()
 
 
 def _univariate(rng, vi, max_deg):

@@ -412,6 +412,18 @@ class TestHilbert:
             total = len([1 for _ in range(1)]) and (k + 2) * (k + 1) // 2
             assert hilbert_function(gens, k) + hilbert_quotient(gens, k) == total
 
+    def test_leading_monomials_are_read_once_per_basis(self, monkeypatch):
+        gens = homogenized_reference_generators()
+        gb = buchberger(gens)
+        calls = []
+        lead = Poly.leading_monomial
+        monkeypatch.setattr(Poly, "leading_monomial", lambda p: calls.append(1) or lead(p))
+        got = [(hilbert_function(gb, k), hilbert_quotient(gb, k)) for k in range(7)]
+        assert len(calls) == len(gb)
+        monkeypatch.setattr(Poly, "leading_monomial", lead)
+        assert got == [(hilbert_function(gens, k), hilbert_quotient(gens, k)) for k in range(7)]
+        assert [h for h, _ in got] == [hilbert_by_linear_algebra(gens, k) for k in range(7)]
+
 
 class TestKrullDimension:
     def test_irrelevant_ideal(self):

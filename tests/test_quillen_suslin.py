@@ -2,12 +2,12 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mubasis import arith, cli, quillen_suslin
 from mubasis.arith import VARS_ST, Poly, PolyMatrix, gcd_many, mat_inverse
-from mubasis.errors import CompletionError
+from mubasis.errors import CompletionError, InternalError
 from mubasis.quillen_suslin import (
     _eliminate_t_monic,
     complete_columns,
@@ -373,6 +373,101 @@ class TestCarriedInverse:
             assert f * out == f.map_entries(lambda p: p.set_var("t", 0))
         assert variable_elimination_step(PolyMatrix([[T, ONE]]), "t") == \
             PolyMatrix([[ONE, ZERO], [-T, ONE]])
+
+
+nonzero_small_polys = st.dictionaries(
+    st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+    st.integers(-3, 3).filter(bool), min_size=1, max_size=4).map(lambda t: Poly(VARS_ST, t))
+# zero one time in five, else a nonzero entry of degree <= 2
+small_polys = st.one_of(st.just(ZERO), *[nonzero_small_polys] * 4)
+
+
+@st.composite
+def non_unimodular_cases(draw):
+    """(f, general): f is m x n with small entries, and then either one
+    column is multiplied by a nonconstant factor, which then divides every
+    maximal minor, or every entry is shifted to vanish at one integer
+    point."""
+    n = draw(st.integers(1, 2))
+    m = n + draw(st.integers(1, 2))
+    rows = [[draw(small_polys) for _ in range(n)] for _ in range(m)]
+    if draw(st.booleans()):
+        factor = draw(st.sampled_from([S, T, S + 1, T - 2, S + T, S * T + 1, S**2 + T]))
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = row[j] * factor
+    else:
+        point = {"s": draw(st.integers(-2, 2)), "t": draw(st.integers(-2, 2))}
+        rows = [[p - p.set_var("s", point["s"]).set_var("t", point["t"]) for p in row]
+                for row in rows]
+    # a zero column fails at once; keep to matrices the routes have to work on
+    assume(all(any(not row[j].is_zero() for row in rows) for j in range(n)))
+    return PolyMatrix(rows), draw(st.booleans())
+
+
+class TestUnimodularityOnFailure:
+    """complete_columns builds the Groebner basis of the minors only when the
+    row route fails, and still rejects every F that is not unimodular."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(non_unimodular_cases())
+    def test_non_unimodular_matrices_raise_value_error(self, case):
+        f, general = case
+        with pytest.MonkeyPatch.context() as patched:
+            if general:
+                _force_general_route(patched)
+            with pytest.raises(ValueError, match="not unimodular"):
+                complete_columns(f)
+
+    def test_row_route_never_builds_the_unimodularity_basis(self, monkeypatch):
+        cases = [(f, general) for f, general in _certificate_cases()
+                 if not any(d.is_constant() for _, d in quillen_suslin._nonzero_minors(f))]
+        # the 5 row-route cases of the stream and the 3 general-route rows
+        assert [general for _, general in cases].count(False) == 5
+        assert [general for _, general in cases].count(True) == 3
+
+        def boom(*args, **kwargs):
+            raise AssertionError("unimodularity basis built after a completion")
+
+        monkeypatch.setattr(quillen_suslin, "_minors_generate_unit_ideal", boom)
+        for f, general in cases:
+            cert = _complete(f, general, monkeypatch)
+            assert cert.M * f == target_block(f.cols, f.rows)
+
+    @pytest.mark.parametrize("error", [CompletionError, InternalError])
+    def test_failures_on_unimodular_matrices_are_raised_as_they_came(self, error, monkeypatch):
+        def fail(self):
+            raise error("row completion stub")
+
+        monkeypatch.setattr(quillen_suslin._RowCompleter, "run", fail)
+        with pytest.raises(error, match="stub"):
+            complete_columns(PolyMatrix([[S], [ONE - S], [T]]))
+
+
+class TestRowLevelProducts:
+    def test_one_level_uses_block_products(self, monkeypatch):
+        # a 2 x 5 row-route matrix (no constant minor) whose two rows each
+        # reach a constant by column operations alone, so every product is
+        # one of _complete_rows: f e1 for row 1, e1[:, 1:] mp, the product
+        # check, and mp^-1 e1^-1[1:, :].  None is a 5 x 5 by 5 x 5 product:
+        # diag(1, mp) and Y enter only as blocks and column or row operations
+        f = PolyMatrix([[T, ONE + S * T, S, ZERO, ZERO], [ZERO, ZERO, S, ZERO, ONE + S * T]])
+        assert is_unimodular(f.transpose())
+        assert not any(d.is_constant() for _, d in quillen_suslin._nonzero_minors(f.transpose()))
+        shapes = []
+        mul = PolyMatrix.__mul__
+
+        def counted(a, b):
+            shapes.append(((a.rows, a.cols), (b.rows, b.cols)))
+            return mul(a, b)
+
+        monkeypatch.setattr(PolyMatrix, "__mul__", counted)
+        m, m_inv = quillen_suslin._complete_rows(f)
+        monkeypatch.setattr(PolyMatrix, "__mul__", mul)
+        assert shapes == [((1, 5), (5, 5)), ((5, 4), (4, 4)), ((2, 5), (5, 5)),
+                          ((4, 4), (4, 5))]
+        assert f * m == target_block(2, 5).transpose()
+        assert m * m_inv == PolyMatrix.identity(5, VARS_ST)
 
 
 class TestStalledReduction:
