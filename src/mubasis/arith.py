@@ -1,25 +1,27 @@
 """Sparse multivariate polynomial and polynomial-matrix arithmetic over Q.
 
 A polynomial is stored as integer numerators over one denominator: ``num``
-maps exponent tuples to nonzero ints, and ``den`` is a positive int coprime
-to the content of ``num`` (1 for the zero polynomial), so every value has
-exactly one form.  ``terms`` is a read-only {exponent tuple: Fraction} view
-for printing and for callers that want rationals.  The two working rings are
-Q[s,t] and Q[s,t,u]; a ring is identified by its tuple of variable names.
-All operations are pure and all values are immutable after construction.
+maps packed monomial keys (``Packing``: one int per monomial, compared in
+grevlex order, and a monomial product is a sum of keys) to nonzero ints,
+and ``den`` is a positive int coprime to the content of ``num`` (1 for the
+zero polynomial), so every value has exactly one form.  ``terms`` is a
+read-only {exponent tuple: Fraction} view for printing and for callers that
+want rationals.  The two working rings are Q[s,t] and Q[s,t,u]; a ring is
+identified by its tuple of variable names.  All operations are pure and all
+values are immutable after construction.  A total degree past
+MAX_PACKED_DEGREE (32767) raises ResourceLimitError.
 
 Data is validated at the boundary and trusted inside: ``Poly(vars, terms)``
-checks every term, and arithmetic builds its results with ``Poly._new``
-(already canonical) or ``Poly._reduced`` (one gcd pass, which stops as soon
-as the gcd reaches 1).  Sums, products and exact quotients are integer dict
-loops.  Exact quotients and matrix products key terms by packed ints
-(``Packing``), where a monomial product is a sum of ints; Poly products
-keep tuples, as most have operands of 1-3 terms, too few to repay packing.
-Matrix products bring each row and column to one denominator, pack it,
-accumulate over Z and reduce once per output entry.  ``PolyMatrix.det``
-stays a memoized cofactor expansion, measured faster than fraction-free
-Bareiss elimination at the pipeline's sizes; on integer entries it never
-leaves Z.
+checks every term and packs it once, and arithmetic builds its results with
+``Poly._new`` (already canonical) or ``Poly._reduced`` (one gcd pass, which
+stops as soon as the gcd reaches 1).  Sums, products, exact quotients and
+matrix products are integer dict loops on the keys as stored; exponent
+tuples appear only in ``terms``, ``str`` and ``leading_monomial`` and in the
+few walks that change single variables.  Matrix products bring each row and
+column to one denominator, accumulate over Z and reduce once per output
+entry.  ``PolyMatrix.det`` stays a memoized cofactor expansion, measured
+faster than fraction-free Bareiss elimination at the pipeline's sizes; on
+integer entries it never leaves Z.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import gcd, lcm
-from operator import add, le, mul
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalError, ResourceLimitError
@@ -42,25 +44,6 @@ NEG_INF = float("-inf")
 
 Monomial = tuple  # exponent tuple, one entry per ring variable
 
-
-def grevlex_key(mono: Monomial):
-    """Sort key realizing graded reverse lexicographic order (s > t > u)."""
-    return (sum(mono), tuple(-e for e in reversed(mono)))
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
-
-
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True when a divides b."""
-    return all(map(le, a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
 MAX_PACKED_DEGREE = (1 << 15) - 1  # largest total degree of a packed monomial
 
 
@@ -69,9 +52,10 @@ class Packing:
     (Monagan and Pearce, J. Symbolic Comput. 46, 2011).  From the high bits
     down, 16-bit fields with a zero top (guard) bit hold the degree S_n, the
     partial sums S_(n-1), ..., S_1 (S_k = e_1 + ... + e_k), P - pos (P =
-    2^15 - 1; 0 in a monomial key) and e_n, ..., e_1.  So comparing keys is
-    grevlex (s > t > u), ties broken by position (e_1 > e_2 > ...), and a
-    product is a sum of keys; a lead l divides a term t of its position when
+    2^15 - 1; 0 in a monomial key, the keys of ``Poly.num``) and e_n, ...,
+    e_1.  So comparing keys is grevlex (s > t > u), ties broken by position
+    (e_1 > e_2 > ...), and a product is a sum of keys; weights[i] is the key
+    of the i-th variable.  A lead l divides a term t of its position when
     (t + guard) - l keeps every guard bit and has a zero position field, and
     t - l is then the quotient.  Keys are exact up to MAX_PACKED_DEGREE and
     an overflow carries into the degree, so ``check`` (key < limit) guards
@@ -91,11 +75,15 @@ class Packing:
             raise ResourceLimitError(f"a monomial degree exceeds {MAX_PACKED_DEGREE}")
         return key
 
+    def shift(self, pos: int) -> int:
+        """What turns a monomial key into the key of its term at position pos."""
+        if not 0 <= pos < 0x8000:
+            raise ResourceLimitError(f"module position {pos} exceeds {0x7FFF}")
+        return 0x7FFF - pos << self.pos_shift
+
     def pack_terms(self, num: Mapping, pos: int | None = None) -> dict:
         """{key: c} of {exponent tuple: c}: monomials, or terms at position pos."""
-        if pos is not None and not 0 <= pos < 0x8000:
-            raise ResourceLimitError(f"module position {pos} exceeds {0x7FFF}")
-        shift, weights = 0 if pos is None else 0x7FFF - pos << self.pos_shift, self.weights
+        shift, weights = 0 if pos is None else self.shift(pos), self.weights
         out = {sum(map(mul, m, weights)) + shift: c for m, c in num.items()}
         self.check(max(out, default=0))
         return out
@@ -118,12 +106,16 @@ class Packing:
     def degree(self, key: int) -> int:
         return key >> self.top
 
+    def exponent(self, key: int, i: int) -> int:  # of the i-th variable
+        return key >> 16 * i & 0x7FFF
+
     def divides(self, lead: int, key: int) -> bool:
         return (key + self.guard - lead) & self.div_mask == self.guard
 
     def lcm(self, a: int, b: int) -> int:
         """Key of the lcm of the terms a and b, at the position of a."""
-        mono = map(max, self.unpack(a), self.unpack(b))
+        words, size = self._words, self._size
+        mono = map(max, words(a.to_bytes(size, "little")), words(b.to_bytes(size, "little")))
         return self.check(sum(map(mul, mono, self.weights)) + (a & self.pos_mask))
 
 
@@ -162,9 +154,16 @@ def monomials_of_degree(nvars: int, k: int) -> tuple[Monomial, ...]:
                  for rest in monomials_of_degree(nvars - 1, k - e))
 
 
+@cache
+def monomial_keys(nvars: int, k: int) -> tuple[int, ...]:
+    """The packed keys of monomials_of_degree(nvars, k), in its order."""
+    return tuple(packing(nvars).pack_terms(dict.fromkeys(monomials_of_degree(nvars, k), 1)))
+
+
 class Poly:
-    """A polynomial over Q, num / den: num maps exponent tuples to nonzero
-    ints, den > 0 is coprime to the content of num, and zero has den 1."""
+    """A polynomial over Q, num / den: num maps packed monomial keys of
+    packing(len(vars)) to nonzero ints, den > 0 is coprime to the content of
+    num, and zero has den 1.  Total degrees are at most MAX_PACKED_DEGREE."""
 
     __slots__ = ("vars", "num", "den")
 
@@ -180,14 +179,15 @@ class Poly:
             if len(mono) != n or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent tuple {mono} for ring {self.vars}")
             clean[mono] = clean.get(mono, 0) + c
-        self.num, self.den = _common_denominator({m: c for m, c in clean.items() if c})
+        num, self.den = _common_denominator({m: c for m, c in clean.items() if c})
+        self.num = packing(n).pack_terms(num)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def _new(cls, vars: tuple[str, ...], num: dict, den: int = 1) -> "Poly":
         """Trusted constructor of a canonical pair: vars is a tuple, num maps
-        int exponent tuples of ring length to nonzero ints, and den > 0 is
+        monomial keys of packing(len(vars)) to nonzero ints, and den > 0 is
         coprime to their content.  The dict is taken over, not copied."""
         p = object.__new__(cls)
         p.vars = vars
@@ -214,53 +214,53 @@ class Poly:
     @classmethod
     def const(cls, vars: tuple[str, ...], value) -> "Poly":
         n, d = _ratio(value)
-        return cls._new(tuple(vars), {(0,) * len(vars): n} if n else {}, d)
+        return cls._new(tuple(vars), {0: n} if n else {}, d)
 
     @classmethod
     def variable(cls, vars: tuple[str, ...], name: str) -> "Poly":
         if name not in vars:
             raise ValueError(f"variable {name!r} not in ring {vars}")
-        return cls._new(tuple(vars), {tuple(1 if v == name else 0 for v in vars): 1})
+        return cls._new(tuple(vars), {packing(len(vars)).weights[vars.index(name)]: 1})
 
     # -- predicates and views -----------------------------------------
 
     @property
     def terms(self) -> dict:
         """{exponent tuple: Fraction}, built afresh on every access."""
-        den = self.den
-        return {m: Fraction(c, den) for m, c in self.num.items()}
+        den, unpack = self.den, packing(len(self.vars)).unpack
+        return {unpack(m): Fraction(c, den) for m, c in self.num.items()}
 
     def is_zero(self) -> bool:
         return not self.num
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.num)
+        return self.num.keys() <= {0}
 
     def constant_value(self) -> Fraction:
         """The coefficient of the constant term (0 for the zero polynomial)."""
-        return Fraction(self.num.get((0,) * len(self.vars), 0), self.den)
+        return Fraction(self.num.get(0, 0), self.den)
 
     @property
     def degree(self):
         """Total degree; NEG_INF for the zero polynomial."""
         if not self.num:
             return NEG_INF
-        return max(sum(m) for m in self.num)
+        return packing(len(self.vars)).degree(max(self.num))
 
     def leading_monomial(self) -> Monomial:
         if not self.num:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.num, key=grevlex_key)
+        return packing(len(self.vars)).unpack(max(self.num))
 
     def leading_coefficient(self) -> Fraction:
-        return Fraction(self.num[self.leading_monomial()], self.den)
+        return Fraction(self.num[max(self.num)], self.den)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return Fraction(self.num.get(tuple(mono), 0), self.den)
+        return Fraction(self.num.get(packing(len(self.vars)).pack(tuple(mono)), 0), self.den)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.num}
-        return len(degs) <= 1
+        top = packing(len(self.vars)).top
+        return len({m >> top for m in self.num}) <= 1
 
     # -- arithmetic ----------------------------------------------------
 
@@ -304,35 +304,35 @@ class Poly:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Poly":
+        """Product on keys; the leading key, checked, is the sum of the operands'."""
         if not isinstance(other, Poly):
             return self._times(*_ratio(other))
-        other = self._coerce(other)
-        out: dict[Monomial, int] = {}
+        a, b = self.num, self._coerce(other).num
+        packing(len(self.vars)).check(max(a, default=0) + max(b, default=0))
+        out: dict[int, int] = {}
         get = out.get
-        for m1, c1 in self.num.items():
-            for m2, c2 in other.num.items():
-                m = tuple(map(add, m1, m2))
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = m1 + m2
                 out[m] = get(m, 0) + c1 * c2
         return Poly._reduced(self.vars, {m: c for m, c in out.items() if c},
                              self.den * other.den)
 
     __rmul__ = __mul__
 
-    def _times(self, n: int, d: int = 1, shift: Monomial | None = None) -> "Poly":
-        """self * (n/d) * x^shift for coprime n, d with d > 0.  The new
-        denominator's common factors with the content are those of d with
-        the content and of n with den, so each is one gcd."""
+    def _times(self, n: int, d: int = 1, shift: int = 0) -> "Poly":
+        """self * (n/d) * x^shift for coprime n, d with d > 0, shift a monomial
+        key.  The new denominator's common factors with the content are those
+        of d with the content and of n with den: one gcd each."""
         if not n or not self.num:
             return Poly.zero(self.vars)
         g1 = _content(self.num, d) if d != 1 else 1
         g2 = gcd(n, self.den)
         n //= g2
         den = self.den // g2 * (d // g1)
-        if shift is None:
-            num = {m: c // g1 * n for m, c in self.num.items()}
-        else:
-            num = {tuple(map(add, m, shift)): c // g1 * n for m, c in self.num.items()}
-        return Poly._new(self.vars, num, den)
+        if shift:
+            packing(len(self.vars)).check(max(self.num) + shift)
+        return Poly._new(self.vars, {m + shift: c // g1 * n for m, c in self.num.items()}, den)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -349,13 +349,13 @@ class Poly:
 
     def term_mul(self, mono: Monomial, coeff) -> "Poly":
         """Multiply by a single term coeff * x^mono."""
-        return self._times(*_ratio(coeff), mono)
+        return self._times(*_ratio(coeff), packing(len(self.vars)).pack(tuple(mono)))
 
     def monic(self) -> "Poly":
         """Scale so the grevlex leading coefficient is 1."""
         if self.is_zero():
             return self
-        lc = self.num[self.leading_monomial()]
+        lc = self.num[max(self.num)]
         sign = 1 if lc > 0 else -1
         return Poly._reduced(self.vars, {m: sign * c for m, c in self.num.items()}, sign * lc)
 
@@ -368,11 +368,11 @@ class Poly:
             img = mapping.get(v)
             values.append(self._coerce(img) if img is not None else Poly.variable(self.vars, v))
         powers: dict = {}  # (variable index, exponent) -> value**exponent
-        one = (0,) * len(self.vars)
+        unpack = packing(len(self.vars)).unpack
         out = Poly.zero(self.vars)
-        for mono, c in self.num.items():
-            term = Poly._new(self.vars, {one: c})
-            for i, e in enumerate(mono):
+        for key, c in self.num.items():
+            term = Poly._new(self.vars, {0: c})
+            for i, e in enumerate(unpack(key)):
                 if e:
                     if (i, e) not in powers:
                         powers[i, e] = values[i]**e
@@ -385,16 +385,18 @@ class Poly:
         over den * b^top, top the largest exponent of the variable, a term
         of exponent e gains the factor a^e b^(top - e), computed once per e."""
         i = self.vars.index(name)
+        pk = packing(len(self.vars))
+        w = pk.weights[i]
         a, b = _ratio(value)
-        top = max((m[i] for m in self.num), default=0)
+        top = max((pk.exponent(m, i) for m in self.num), default=0)
         factors: dict[int, int] = {}
-        out: dict[Monomial, int] = {}
-        for mono, c in self.num.items():
-            e = mono[i]
+        out: dict[int, int] = {}
+        for key, c in self.num.items():
+            e = pk.exponent(key, i)
             f = factors.get(e)
             if f is None:
                 f = factors[e] = a**e * b**(top - e)
-            m = mono[:i] + (0,) + mono[i + 1:]
+            m = key - e * w
             out[m] = out.get(m, 0) + c * f
         return Poly._reduced(self.vars, {m: c for m, c in out.items() if c}, self.den * b**top)
 
@@ -412,14 +414,14 @@ class Poly:
 
     def __str__(self) -> str:
         """Canonical form: grevlex-descending terms, lowest-term coefficients."""
-        terms = self.terms
-        if not terms:
+        if not self.num:
             return "0"
+        unpack = packing(len(self.vars)).unpack
         parts = []
-        for mono in sorted(terms, key=grevlex_key, reverse=True):
-            c = terms[mono]
+        for key in sorted(self.num, reverse=True):
+            c = Fraction(self.num[key], self.den)
             factors = []
-            for v, e in zip(self.vars, mono):
+            for v, e in zip(self.vars, unpack(key)):
                 if e == 1:
                     factors.append(v)
                 elif e >= 2:
@@ -445,8 +447,8 @@ class Poly:
 def exact_div(f: Poly, g: Poly) -> Poly | None:
     """Return f/g when g divides f exactly, else None.
 
-    Divides num(f) by the primitive part G of num(g) on ints and packed keys,
-    in one loop over a working dict.  When G divides num(f) over Q the
+    Divides num(f) by the primitive part G of num(g) on ints and keys, in
+    one loop over a working dict.  When G divides num(f) over Q the
     quotient has integer coefficients (Gauss's lemma), so every step divides
     exactly by lc(G), and a step that does not proves g does not divide f."""
     if g.is_zero():
@@ -456,15 +458,15 @@ def exact_div(f: Poly, g: Poly) -> Poly | None:
     if f.vars != g.vars:
         raise ValueError("mixed rings")
     cg = _content(g.num)
-    pk = packing(len(f.vars))
-    gnum = pk.pack_terms(g.num if cg == 1 else {m: c // cg for m, c in g.num.items()})
+    gnum = g.num if cg == 1 else {m: c // cg for m, c in g.num.items()}
     g_lm = max(gnum)
     g_lc = gnum[g_lm]
-    work = pk.pack_terms(f.num)
+    divides = packing(len(f.vars)).divides
+    work = dict(f.num)
     q: dict[int, int] = {}
     while work:
         lm = max(work)
-        if not pk.divides(g_lm, lm):
+        if not divides(g_lm, lm):
             return None
         c, r = divmod(work[lm], g_lc)
         if r:
@@ -479,7 +481,7 @@ def exact_div(f: Poly, g: Poly) -> Poly | None:
             else:
                 del work[m]
     # f / g = (q * G / den f) / (cg * G / den g)
-    return Poly._new(f.vars, pk.unpack_terms(q), f.den)._times(g.den, cg)
+    return Poly._new(f.vars, q, f.den)._times(g.den, cg)
 
 
 def divides(g: Poly, f: Poly) -> bool:
@@ -495,9 +497,11 @@ def divides(g: Poly, f: Poly) -> bool:
 
 def _as_univar(p: Poly, i: int) -> dict[int, Poly]:
     """View p as a polynomial in vars[i] with coefficients in the other vars."""
+    pk = packing(len(p.vars))
     parts: dict[int, dict] = {}
-    for mono, c in p.num.items():
-        parts.setdefault(mono[i], {})[mono[:i] + (0,) + mono[i + 1:]] = c
+    for key, c in p.num.items():
+        e = pk.exponent(key, i)
+        parts.setdefault(e, {})[key - e * pk.weights[i]] = c
     return {e: Poly._reduced(p.vars, num, p.den) for e, num in parts.items()}
 
 
@@ -505,10 +509,11 @@ def _from_univar(coeffs: dict[int, Poly], i: int, vars: tuple[str, ...]) -> Poly
     """Inverse of _as_univar: coefficients free of vars[i], over one
     denominator (their lcm, which keeps the pair canonical)."""
     den, nums = _integer_scaled(list(coeffs.values()))
-    terms: dict[Monomial, int] = {}
+    w = packing(len(vars)).weights[i]
+    terms: dict[int, int] = {}
     for e, num in zip(coeffs, nums):
-        for mono, c in num.items():
-            terms[mono[:i] + (mono[i] + e,) + mono[i + 1:]] = c
+        for key, c in num.items():
+            terms[key + e * w] = c
     return Poly._new(vars, terms, den)
 
 
@@ -567,11 +572,12 @@ def _uni_gcd(f: Poly, g: Poly, i: int) -> Poly:
     divisor b, scaling by lc(b)/gcd(lc(b), top) so the top term cancels, and
     makes the remainder primitive; the last nonzero remainder is the gcd.
     Coprime operands are settled first by _coprime_image."""
+    pk = packing(len(f.vars))
     seqs = []
     for p in (f, g):
-        dense = [0] * (max(m[i] for m in p.num) + 1)
+        dense = [0] * (pk.degree(max(p.num)) + 1)
         for m, c in p.num.items():
-            dense[m[i]] = c
+            dense[pk.exponent(m, i)] = c
         content = gcd(*dense)
         seqs.append([c // content for c in dense])
     a, b = sorted(seqs, key=len, reverse=True)
@@ -594,8 +600,7 @@ def _uni_gcd(f: Poly, g: Poly, i: int) -> Poly:
         a, b = b, [c // content for c in r]
     else:
         return Poly.const(f.vars, 1)
-    zero = (0,) * len(f.vars)
-    return Poly._new(f.vars, {zero[:i] + (e,) + zero[i + 1:]: c for e, c in enumerate(b) if c})
+    return Poly._new(f.vars, {e * pk.weights[i]: c for e, c in enumerate(b) if c})
 
 
 def _poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -607,8 +612,9 @@ def _poly_gcd(f: Poly, g: Poly) -> Poly:
     if f.is_constant() or g.is_constant():
         return Poly.const(f.vars, 1)
     # main variable: last variable occurring in either operand
+    exponent = packing(len(f.vars)).exponent
     occupied = [i for i in range(len(f.vars))
-                if any(m[i] for m in f.num) or any(m[i] for m in g.num)]
+                if any(exponent(m, i) for m in f.num) or any(exponent(m, i) for m in g.num)]
     if len(occupied) == 1:
         return _uni_gcd(f, g, occupied[0])
     i = occupied[-1]
@@ -689,17 +695,17 @@ def homogenize(p: Poly, d: int) -> Poly:
         raise ValueError("homogenize expects a polynomial in (s, t)")
     if not p.is_zero() and p.degree > d:
         raise ValueError(f"degree {p.degree} exceeds target degree {d}")
-    return Poly._new(VARS_STU, {(a, b, d - a - b): c for (a, b), c in p.num.items()}, p.den)
+    terms = {(a, b, d - a - b): c for (a, b), c in packing(2).unpack_terms(p.num).items()}
+    return Poly._new(VARS_STU, packing(3).pack_terms(terms), p.den)
 
 
 def dehomogenize(p: Poly) -> Poly:
     """Specialize u := 1, landing back in Q[s,t]."""
     if p.vars != VARS_STU:
         raise ValueError("dehomogenize expects a polynomial in (s, t, u)")
-    num: dict[Monomial, int] = {}
-    for (a, b, _), c in p.num.items():
-        num[(a, b)] = num.get((a, b), 0) + c
-    return Poly._reduced(VARS_ST, {m: c for m, c in num.items() if c}, p.den)
+    p = p.set_var("u", 1)
+    terms = {m[:2]: c for m, c in packing(3).unpack_terms(p.num).items()}
+    return Poly._new(VARS_ST, packing(2).pack_terms(terms), p.den)
 
 
 # ---------------------------------------------------------------------------
@@ -716,9 +722,9 @@ def _integer_scaled(polys: Sequence[Poly]) -> tuple[int, list[dict]]:
 
 
 def _scaled_dot(row, col, vars, pk: Packing) -> Poly:
-    """sum_k row[k] * col[k] for two _integer_scaled sequences with numerators
-    packed by pk: one integer accumulation, where a monomial product is a sum
-    of keys, then one gcd pass."""
+    """sum_k row[k] * col[k] for two _integer_scaled sequences of the ring of
+    pk: one integer accumulation, where a monomial product is a sum of keys,
+    then one gcd pass."""
     (den_r, a), (den_c, b) = row, col
     out: dict[int, int] = {}
     get = out.get
@@ -727,7 +733,8 @@ def _scaled_dot(row, col, vars, pk: Packing) -> Poly:
             for m2, c2 in y.items():
                 m = m1 + m2
                 out[m] = get(m, 0) + c1 * c2
-    return Poly._reduced(vars, pk.unpack_terms(out), den_r * den_c)
+    pk.check(max(out, default=0))
+    return Poly._reduced(vars, {m: c for m, c in out.items() if c}, den_r * den_c)
 
 
 def primitive_scale(polys: Iterable[Poly]) -> Fraction:
@@ -809,9 +816,9 @@ class PolyMatrix:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         if other.vars != self.vars:
             raise ValueError("mixed rings in matrix product")
-        pk = packing(len(self.vars))  # each entry is packed once
-        rows, cols = ([(den, [pk.pack_terms(num) for num in nums]) for den, nums in
-                       map(_integer_scaled, polys)] for polys in (self.entries, other.columns()))
+        pk = packing(len(self.vars))
+        rows = list(map(_integer_scaled, self.entries))
+        cols = list(map(_integer_scaled, other.columns()))
         return PolyMatrix([[_scaled_dot(row, col, self.vars, pk) for col in cols]
                            for row in rows])
 

@@ -280,9 +280,9 @@ def main(argv=None) -> int:
     base_doc = {"command": args.command, "input": text, "seed": args.seed}
     try:
         spec = parse_parametrization(text, seed=args.seed, max_degree=args.max_degree)
-    except InputError as exc:
-        doc, code = _error_doc(base_doc, EXIT_INPUT, str(exc)), EXIT_INPUT
-        _emit(doc, args.json)
+    except (InputError, ResourceLimitError) as exc:  # a term past the packed degree limit
+        code = EXIT_LIMIT if isinstance(exc, ResourceLimitError) else EXIT_INPUT
+        _emit(_error_doc(base_doc, code, str(exc)), args.json)
         return code
     except Exception as exc:  # a defect in the parser; keep the exit contract
         _emit(_error_doc(base_doc, EXIT_INTERNAL, _unexpected(exc)), args.json)

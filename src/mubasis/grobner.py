@@ -13,9 +13,10 @@ integer vectors with positive leading coefficients, forms S-vectors with
 integer multipliers and reduces on ints with one running multiplier
 (_reduce_int); every vector is a rational multiple of the one division over
 Q would give, so the reduction path is that of the rational algorithm.
-Rational values and tuple monomials appear only at the boundary
-(``Poly.num``/``Poly.den``): the input vectors, the monic reduced basis with
-its representations, and the remainders and quotients of _reduce_full.
+Rational values appear only at the boundary (``Poly.num``/``Poly.den``,
+whose monomial keys a vector takes over with a position added): the input
+vectors, the monic reduced basis with its representations, and the
+remainders and quotients of _reduce_full.
 
 Free resolutions are built by exact linear algebra on one graded piece at a
 time (graded Nakayama), with one echelon routine that yields both the
@@ -41,14 +42,11 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .arith import (
-    Monomial,
     Poly,
     PolyMatrix,
     _content,
     _integer_scaled,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
+    monomial_keys,
     monomials_of_degree,
     packing,
     primitive_scale,
@@ -63,7 +61,8 @@ from .errors import InternalError
 class Vec:
     """Element of a free module R^rank: terms / den, with terms {key: nonzero
     int} over keys packing (position, monomial) as in arith.Packing and
-    den > 0 (not kept coprime to the content; to_polys reduces each one)."""
+    den > 0 (not kept coprime to the content; to_polys reduces each one).
+    A key is the monomial key of its Poly entry plus packing.shift(pos)."""
 
     __slots__ = ("vars", "rank", "terms", "den")
 
@@ -77,15 +76,17 @@ class Vec:
     def from_polys(cls, polys: Sequence[Poly], rank=None) -> "Vec":
         rank = len(polys) if rank is None else rank
         den, nums = _integer_scaled(polys)
-        pk = packing(len(polys[0].vars))
-        terms = {k: c for pos, num in enumerate(nums) for k, c in pk.pack_terms(num, pos).items()}
+        shift = packing(len(polys[0].vars)).shift
+        terms = {k + sh: c for pos, num in enumerate(nums) for sh in (shift(pos),)
+                 for k, c in num.items()}
         return cls(polys[0].vars, rank, terms, den)
 
     def to_polys(self) -> tuple[Poly, ...]:
         pk = packing(len(self.vars))
+        mono = ~pk.pos_mask  # clears the position field
         buckets: list[dict] = [dict() for _ in range(self.rank)]
         for key, c in self.terms.items():
-            buckets[pk.position(key)][pk.unpack(key)] = c
+            buckets[pk.position(key)][key & mono] = c
         return tuple(Poly._reduced(self.vars, b, self.den) for b in buckets)
 
     def is_zero(self) -> bool:
@@ -184,13 +185,12 @@ def _rational_quotients(quots, scales, d, vars) -> list[Poly]:
     """The Poly quots[i] * scales[i] / d over Q for each {monomial key: int}
     dict (d a nonzero int, scales[i] nonzero rationals): quotients over
     rational basis vectors b_i whose integer forms are scales[i] * b_i."""
-    unpack = packing(len(vars)).unpack
     out = []
     for q, s in zip(quots, scales):
         a, b = s.numerator, s.denominator * d
         if b < 0:
             a, b = -a, -b
-        out.append(Poly._reduced(vars, {unpack(m): c * a for m, c in q.items()}, b))
+        out.append(Poly._reduced(vars, {m: c * a for m, c in q.items()}, b))
     return out
 
 
@@ -238,11 +238,6 @@ class _ExtGB:
         self.vecs = [Vec(self.vars, self.rank, g.terms, lc)
                      for g, (_, lc) in zip(self.ints, self.lead_terms)]
         self._forms = ([lc for _, lc in self.lead_terms], self.ints, self.lead_terms)
-
-    @property
-    def leads(self) -> list:  # ((position, monomial), coefficient) of every leading term
-        pk = packing(len(self.vars))
-        return [((pk.position(k), pk.unpack(k)), lc) for k, lc in self.lead_terms]
 
     def reduce(self, vec: Vec, want_quotients=False):
         return _reduce_full(vec, self.vecs, want_quotients, self._forms)
@@ -353,9 +348,8 @@ def _buchberger_ext(gens: Sequence[Vec], track_reps: bool) -> _ExtGB:
         rep = None
         if track_reps:
             # rem = K * s - sum quots_l * G_l, and new = c * rem
-            mi, mj = pk.unpack(qi), pk.unpack(qj)
             rep = _add_combination(
-                [a.term_mul(mi, K * fi) - b.term_mul(mj, K * fj)
+                [a._times(K * fi, 1, qi) - b._times(K * fj, 1, qj)
                  for a, b in zip(reps[i], reps[j])], negated(quots), reps)
             rep = [r * c for r in rep]
         G.append(new)
@@ -466,9 +460,9 @@ class GroebnerBasis:
         return rem.is_zero()
 
     @cached_property
-    def leading_monomials(self) -> tuple[Monomial, ...]:
-        """Leading monomials of the generators (rank-1 only), built once."""
-        return tuple(g.leading_monomial() for g in self.generators)
+    def leading_keys(self) -> tuple[int, ...]:
+        """Keys of the leading monomials of the generators (rank-1 only), built once."""
+        return tuple(max(g.num) for g in self.generators)
 
     def contains_constant(self) -> bool:
         """True when the ideal is the unit ideal (rank-1 only)."""
@@ -557,8 +551,8 @@ def _schreyer_sigmas(ext: _ExtGB) -> list[tuple[Poly, ...]]:
                 raise InternalError("S-vector of a Groebner basis did not reduce to zero")
             # the S-vector is fi * lc_i * (x^qi vecs_i - x^qj vecs_j), and G_l = lc_l * vecs_l
             sigma = _rational_quotients(quots, scales, -K * fi * L[i][1], ext.vars)
-            sigma[i] = sigma[i] + Poly._new(ext.vars, {pk.unpack(qi): 1})
-            sigma[j] = sigma[j] - Poly._new(ext.vars, {pk.unpack(qj): 1})
+            sigma[i] = sigma[i] + Poly._new(ext.vars, {qi: 1})
+            sigma[j] = sigma[j] - Poly._new(ext.vars, {qj: 1})
             sigmas.append(tuple(sigma))
     return sigmas
 
@@ -623,7 +617,7 @@ def integer_normalize(vec):
     with a positive leading coefficient (keeps spans and syzygies intact)."""
     scale = primitive_scale(vec)
     lead = next((p for p in vec if p.num), None)
-    if lead is not None and lead.num[lead.leading_monomial()] < 0:
+    if lead is not None and lead.num[max(lead.num)] < 0:
         scale = -scale
     return tuple(p * scale for p in vec)
 
@@ -748,8 +742,8 @@ class _GradedSpan:
             self.degree, self.piece = deg, {}
             for gdeg, g in self.kept:
                 pk, top = packing(len(g.vars)), max(g.terms)
-                for m in monomials_of_degree(len(g.vars), deg - gdeg):
-                    q = pk.check(top + pk.pack(m)) - top  # checks the greatest product
+                for q in monomial_keys(len(g.vars), deg - gdeg):
+                    pk.check(top + q)  # checks the greatest product
                     _echelon_add(self.piece, {k + q: c for k, c in g.terms.items()})
         return len(self.piece)
 
@@ -811,11 +805,11 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k):
     """
     vars = next(p.vars for v in vectors for p in v)
 
-    def graded(shifts):  # (index, monomial of degree k - shift) pairs
+    def graded(shifts):  # (index, monomial key of degree k - shift) pairs
         return [(i, m) for i, sh in enumerate(shifts) if sh <= k
-                for m in monomials_of_degree(len(vars), k - sh)]
+                for m in monomial_keys(len(vars), k - sh)]
 
-    cols = graded(degrees)  # (vector index, coefficient monomial)
+    cols = graded(degrees)  # (vector index, coefficient monomial key)
     eq_index = {jm: n for n, jm in enumerate(graded(row_shifts))}
     rows = [dict() for _ in range(len(eq_index))]
     den = lcm(*(p.den for v in vectors for p in v))  # scales every equation alike
@@ -823,7 +817,7 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k):
         for j, comp in enumerate(vectors[i]):
             f = den // comp.den
             for pm, c in comp.num.items():
-                row = rows[eq_index[(j, mono_mul(pm, mono))]]
+                row = rows[eq_index[(j, pm + mono)]]
                 row[ci] = row.get(ci, 0) + c * f
     dim, solutions = _fraction_nullspace(rows, len(cols))
 
@@ -865,15 +859,16 @@ def _schreyer_degree_bound(basis: GroebnerBasis, degrees, row_shifts) -> int:
     representations.
     """
     bound = max(degrees)
-    leads = [pm for pm, _ in basis._ext.leads]
-    for a, (pa, ma) in enumerate(leads):
-        for pb, mb in leads[a + 1:]:
-            if pa != pb:
+    pk = packing(len(basis._ext.vars))
+    leads = [k for k, _ in basis._ext.lead_terms]
+    for a, ka in enumerate(leads):
+        for kb in leads[a + 1:]:
+            if pk.position(ka) != pk.position(kb):
                 continue
-            u = mono_lcm(ma, mb)
-            if not any(pc == pa and mono_divides(mc, u) and mono_lcm(ma, mc) != u
-                       and mono_lcm(mb, mc) != u for pc, mc in leads):
-                bound = max(bound, sum(u) + row_shifts[pa])
+            u = pk.lcm(ka, kb)
+            if not any(pk.divides(kc, u) and pk.lcm(ka, kc) != u and pk.lcm(kb, kc) != u
+                       for kc in leads):
+                bound = max(bound, pk.degree(u) + row_shifts[pk.position(ka)])
     return bound
 
 
@@ -1132,7 +1127,8 @@ def minimal_betti_table(res: FreeResolution) -> BettiTable:
 # ---------------------------------------------------------------------------
 
 
-def _leading_monomials(gens) -> tuple[Sequence[Monomial], int]:
+def _leading_keys(gens) -> tuple[Sequence[int], int]:
+    """(lead keys of the ideal's reduced Groebner basis, number of variables)."""
     if isinstance(gens, GroebnerBasis):
         gb = gens
     else:
@@ -1140,32 +1136,26 @@ def _leading_monomials(gens) -> tuple[Sequence[Monomial], int]:
         if not gens:
             return [], 0
         gb = buchberger(gens)
-    nvars = len(gb.generators[0].vars)
-    return gb.leading_monomials, nvars
+    return gb.leading_keys, len(gb._ext.vars)
 
 
 def hilbert_function(gens, k: int) -> int:
     """Dimension of the degree-k graded piece of the ideal."""
     if k < 0:
         return 0
-    leads, nvars = _leading_monomials(gens)
+    leads, nvars = _leading_keys(gens)
     if not leads:
         return 0
-    return sum(1 for m in monomials_of_degree(nvars, k)
-               if any(mono_divides(lm, m) for lm in leads))
+    divides = packing(nvars).divides
+    return sum(1 for m in monomial_keys(nvars, k) if any(divides(lm, m) for lm in leads))
 
 
 def hilbert_quotient(gens, k: int) -> int:
     """Hilbert function of the quotient ring in degree k."""
     if k < 0:
         return 0
-    leads, nvars = _leading_monomials(gens)
-    if not leads:
-        gens = list(gens)
-        nvars = len(gens[0].vars)
-        return len(monomials_of_degree(nvars, k))
-    return sum(1 for m in monomials_of_degree(nvars, k)
-               if not any(mono_divides(lm, m) for lm in leads))
+    gens = gens if isinstance(gens, GroebnerBasis) else list(gens)
+    return len(monomials_of_degree(len(next(iter(gens)).vars), k)) - hilbert_function(gens, k)
 
 
 def krull_dimension(gens) -> int:
@@ -1174,14 +1164,15 @@ def krull_dimension(gens) -> int:
     The zero ideal gives the ambient dimension; the unit ideal gives -1.
     """
     if isinstance(gens, GroebnerBasis):
-        leads, nvars = _leading_monomials(gens)
+        leads, nvars = _leading_keys(gens)
     else:
         gens = list(gens)
         nvars = len(gens[0].vars)
-        leads, _ = _leading_monomials(gens)
+        leads, _ = _leading_keys(gens)
     if not leads:
         return nvars
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in leads]
+    exponent = packing(nvars).exponent
+    supports = [frozenset(i for i in range(nvars) if exponent(m, i)) for m in leads]
     best = -1
     for mask in range(1 << nvars):
         subset = frozenset(i for i in range(nvars) if mask >> i & 1)

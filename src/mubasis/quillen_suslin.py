@@ -47,6 +47,7 @@ from .arith import (
     _as_univar,
     exact_div,
     gcd_many,
+    packing,
     primitive_scale,
 )
 from .errors import CompletionError, InternalError
@@ -133,14 +134,15 @@ _S = 0  # variable indices into VARS_ST
 _T = 1
 _ONE = Poly.const(VARS_ST, 1)
 _ZERO = Poly.zero(VARS_ST)
+_PK = packing(len(VARS_ST))
 
 
 def _uses_var(p: Poly, vi: int) -> bool:
-    return any(m[vi] for m in p.num)
+    return any(_PK.exponent(m, vi) for m in p.num)
 
 
 def _t_degree(p: Poly) -> int:
-    return max((m[_T] for m in p.num), default=-1)
+    return max((_PK.exponent(m, _T) for m in p.num), default=-1)
 
 
 def _resultant_bezout(v1: Poly, w: Poly) -> tuple[Poly, Poly, Poly]:
@@ -495,9 +497,8 @@ class _RowCompleter:
                 if p.is_zero() or p.is_constant():
                     continue
                 d = int(p.degree)
-                top = Poly._reduced(self.vars, {m: c for m, c in p.num.items() if sum(m) == d},
-                                    p.den)
-                val = top.set_var("s", lam).set_var("t", 1)
+                top = {m: c for m, c in p.num.items() if _PK.degree(m) == d}
+                val = Poly._reduced(self.vars, top, p.den).set_var("s", lam).set_var("t", 1)
                 if not val.is_zero():
                     if lam:
                         self._substitute({"s": s + t * Fraction(lam)})

@@ -1,8 +1,9 @@
 """Shared test utilities: polynomial builders and independent oracles.
 
-The oracles here deliberately avoid the library's Groebner machinery: ranks
-and syzygies are found by dense linear algebra over Fraction on graded or
-degree-truncated coefficient spaces.  minimal_row and minimal_resolution
+The oracles here deliberately avoid the library's Groebner machinery and its
+packed monomials: monomials are exponent tuples, and ranks and syzygies are
+found by dense linear algebra over Fraction on graded or degree-truncated
+coefficient spaces.  minimal_row and minimal_resolution
 are conveniences built on the library, not oracles.
 """
 
@@ -14,10 +15,55 @@ from fractions import Fraction
 from mubasis.arith import (
     VARS_ST,
     VARS_STU,
+    Packing,
     Poly,
     monomials_of_degree,
 )
 from mubasis.grobner import free_resolution, minimal_generators
+
+
+# Exponent-tuple monomial operations: an oracle for the packed keys of
+# arith.Packing, which the library uses for every monomial.
+
+
+def grevlex_key(mono):
+    """Sort key realizing graded reverse lexicographic order (s > t > u)."""
+    return (sum(mono), tuple(-e for e in reversed(mono)))
+
+
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_divides(a, b):
+    """True when a divides b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def count_conversions(monkeypatch, targets):
+    """Patch the Packing conversions (pack_terms, unpack_terms, unpack) to
+    log their names while one of targets, (owner, attribute) pairs naming
+    functions, runs; returns the log, which fills as the test goes on."""
+    depth, calls = [0], []
+    for owner, name in targets:
+        def entered(*args, _real=getattr(owner, name), **kwargs):
+            depth[0] += 1
+            try:
+                return _real(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(owner, name, entered)
+    for name in ("pack_terms", "unpack_terms", "unpack"):
+        def counted(self, *args, _real=getattr(Packing, name), _name=name):
+            if depth[0]:
+                calls.append(_name)
+            return _real(self, *args)
+        monkeypatch.setattr(Packing, name, counted)
+    return calls
 
 
 def P(vars, text_terms):

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -21,18 +22,16 @@ from mubasis.arith import (
     divides,
     exact_div,
     gcd_many,
-    grevlex_key,
     homogenize,
     mat_inverse,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
     packing,
 )
 from mubasis.errors import ResourceLimitError
 from mubasis.grobner import Vec, buchberger
+from mubasis.parser import parse_polynomial
 from mubasis.quillen_suslin import _bezout_powers, _xgcd
-from helpers import random_poly, stu
+from helpers import (count_conversions, grevlex_key, mono_divides, mono_lcm, mono_mul,
+                     random_poly, stu)
 
 
 S = Poly.variable(VARS_ST, "s")
@@ -530,16 +529,20 @@ class TestTrustedArithmetic:
 
 
 def assert_canonical(p, vars):
-    """num maps exponent tuples to nonzero ints, den > 0 is coprime to their
-    content (so zero has den 1), and terms is the matching Fraction view."""
+    """num maps packed monomial keys (position field zero) to nonzero ints,
+    den > 0 is coprime to their content (so zero has den 1), and terms is
+    the matching Fraction view on int exponent tuples of ring length."""
     assert type(p) is Poly and p.vars == vars
     assert type(p.den) is int and p.den > 0
+    pk = packing(len(vars))
     for m, c in p.num.items():
-        assert type(m) is tuple and len(m) == len(vars)
-        assert all(type(e) is int and e >= 0 for e in m)
+        assert type(m) is int and 0 <= m < pk.limit and not m & pk.pos_mask
         assert type(c) is int and c != 0
     assert gcd(p.den, *p.num.values()) == 1
-    assert p.terms == {m: Fraction(c, p.den) for m, c in p.num.items()}
+    for m in p.terms:
+        assert type(m) is tuple and len(m) == len(vars)
+        assert all(type(e) is int and e >= 0 for e in m)
+    assert p.terms == {pk.unpack(m): Fraction(c, p.den) for m, c in p.num.items()}
 
 
 @st.composite
@@ -621,7 +624,7 @@ class TestCanonicalForm:
         got = p.set_var(name, value)
         assert_canonical(got, vars)
         assert got == p.substitute({name: Poly.const(vars, value)})
-        assert not any(m[vars.index(name)] for m in got.num)
+        assert not any(m[vars.index(name)] for m in got.terms)
 
     def test_poly_operands_construct_no_fraction(self, monkeypatch):
         rng = random.Random(11)
@@ -649,6 +652,27 @@ class TestCanonicalForm:
         assert results["Poly.__add__"][0] == ref_add(ps[0], ps[1])
         assert results["PolyMatrix.__mul__"][1, 2] == ref_dot(a.row(1), b.column(2))
         assert not results["PolyMatrix.det"].is_zero()
+
+    def test_products_quotients_and_vectors_convert_no_monomial(self, monkeypatch):
+        """Products, exact quotients and module vectors take the keys of
+        Poly.num as they are: none packs or unpacks a monomial."""
+        rng = random.Random(13)
+        ps = [random_poly(rng, VARS_STU, 2, force_nonzero=True) * Fraction(rng.randint(1, 9), 7 * k)
+              for k in range(1, 10)]
+        a, b = PolyMatrix([ps[:3], ps[3:6], ps[6:]]), PolyMatrix([ps[6:], ps[:3], ps[3:6]])
+        calls = count_conversions(monkeypatch, [(Poly, "__mul__"), (PolyMatrix, "__mul__"),
+                                                (arith, "exact_div"), (Vec, "from_polys")])
+        products = [p * q for p, q in zip(ps, ps[1:])]
+        quotients = [arith.exact_div(pq, q) for pq, q in zip(products, ps[1:])]
+        inexact = arith.exact_div(ps[0] + 1, ps[1]) if ps[1].degree > 0 else None
+        prod = a * b
+        vecs = [Vec.from_polys(ps[i:i + 3]) for i in range(0, 9, 3)]
+        assert calls == []
+        monkeypatch.undo()
+        assert products[0] == ref_mul(ps[0], ps[1]) and quotients == ps[:-1]
+        assert inexact is None
+        assert prod[1, 2] == ref_dot(a.row(1), b.column(2))
+        assert [v.to_polys() for v in vecs] == [tuple(ps[i:i + 3]) for i in range(0, 9, 3)]
 
     def test_univariate_gcd_constructs_no_fraction(self, monkeypatch):
         rng = random.Random(12)
@@ -680,6 +704,13 @@ class TestCanonicalForm:
 big_coefficients = st.builds(Fraction, st.integers(-2**200, 2**200), st.integers(1, 2**64))
 
 
+def sympy_expr(sp, syms, f):
+    """f as a sympy expression in the symbols syms, built from its terms."""
+    return sp.Add(*[sp.Rational(c.numerator, c.denominator)
+                    * sp.Mul(*[x**e for x, e in zip(syms, mono)])
+                    for mono, c in f.terms.items()])
+
+
 def big_polys(vars, max_terms=4, max_degree=3):
     monos = st.tuples(*[st.integers(0, max_degree)] * len(vars))
     return st.dictionaries(monos, big_coefficients, max_size=max_terms).map(lambda t: Poly(vars, t))
@@ -704,9 +735,7 @@ class TestBigCoefficientsAgainstSympy:
         syms = sp.symbols(" ".join(vars))
 
         def expr(f):
-            return sp.Add(*[sp.Rational(c.numerator, c.denominator)
-                            * sp.Mul(*[x**e for x, e in zip(syms, mono)])
-                            for mono, c in f.terms.items()])
+            return sympy_expr(sp, syms, f)
 
         def poly(f):
             return sp.Poly(expr(f), *syms, domain="QQ")
@@ -731,6 +760,93 @@ class TestBigCoefficientsAgainstSympy:
         want = sp.Matrix(3, 3, [expr(m[i, j]) for i in range(3) for j in range(3)]).det(
             method="berkowitz")
         assert poly(det) == sp.Poly(sp.expand(want), *syms, domain="QQ")
+
+
+# ---------------------------------------------------------------------------
+# Packed-key polynomials against sympy: degrees up to 6, rationals up to 2^64
+# (test-only oracle).
+# ---------------------------------------------------------------------------
+
+
+rationals_64 = st.builds(Fraction, st.integers(-2**64, 2**64), st.integers(1, 2**64))
+
+
+def polys_up_to(vars, max_degree, max_terms=5):
+    monos = st.sampled_from([m for k in range(max_degree + 1)
+                             for m in arith.monomials_of_degree(len(vars), k)])
+    return st.dictionaries(monos, rationals_64, max_size=max_terms).map(lambda t: Poly(vars, t))
+
+
+@st.composite
+def sympy_cases(draw):
+    vars = draw(rings)
+    p, q = draw(polys_up_to(vars, 6)), draw(polys_up_to(vars, 6))
+    g = draw(polys_up_to(vars, 2, 3).filter(lambda g: not g.is_zero()))
+    mapping = {v: draw(polys_up_to(vars, 1, 3)) for v in vars if draw(st.booleans())}
+    return vars, p, q, g, mapping, draw(rationals_64), draw(st.sampled_from(vars))
+
+
+def printed_monomials(text, vars):
+    """Exponent tuples of the terms of a canonical string, in printed order."""
+    out = []
+    for body in re.split(r" [+-] ", text.removeprefix("-")):
+        exps = dict.fromkeys(vars, 0)
+        for v, e in re.findall(r"([a-z])(?:\^(\d+))?", body):
+            exps[v] = int(e or 1)
+        out.append(tuple(exps[v] for v in vars))
+    return out
+
+
+class TestPackedKeysAgainstSympy:
+    @settings(max_examples=60, deadline=None)
+    @given(sympy_cases())
+    def test_operations_match_sympy(self, case):
+        sp = pytest.importorskip("sympy")
+        vars, p, q, g, mapping, c, name = case
+        syms = sp.symbols(" ".join(vars))
+
+        def expr(f):
+            return sympy_expr(sp, syms, f)
+
+        def poly(f):
+            return sp.Poly(expr(f), *syms, domain="QQ")
+
+        P, Q, G = poly(p), poly(q), poly(g)
+        for ours, theirs in [(p + q, P + Q), (p - q, P - Q), (p * q, P * Q), (q**2, Q**2),
+                             (p * c, P * sp.Rational(c.numerator, c.denominator))]:
+            assert_canonical(ours, vars)
+            assert poly(ours) == theirs
+        assert exact_div(p * g, g) == p
+        want, rem = sp.div(P, G)
+        got = exact_div(p, g)
+        assert (got is None) == (not rem.is_zero) and (got is None or poly(got) == want)
+        sub = p.substitute(mapping)
+        assert_canonical(sub, vars)
+        want = expr(p).subs({x: expr(mapping[v]) for x, v in zip(syms, vars) if v in mapping},
+                            simultaneous=True)
+        assert poly(sub) == sp.Poly(sp.expand(want), *syms, domain="QQ")
+        x, value = syms[vars.index(name)], sp.Rational(c.numerator, c.denominator)
+        assert poly(p.set_var(name, c)) == sp.Poly(expr(p).subs(x, value), *syms, domain="QQ")
+        if not q.is_zero():
+            ours = gcd_many([p * g, q * g])
+            theirs = sp.gcd(poly(p * g), poly(q * g))
+            assert poly(ours).monic() == theirs.monic() and ours.leading_coefficient() == 1
+        if vars == VARS_ST:
+            u = sp.Symbol("u")
+            h = homogenize(p, 6)
+            assert_canonical(h, VARS_STU)
+            want = sp.expand(u**6 * expr(p).subs({syms[0]: syms[0] / u, syms[1]: syms[1] / u},
+                                                 simultaneous=True))
+            assert sympy_expr(sp, (*syms, u), h) == want and dehomogenize(h) == p
+            assert parse_polynomial(str(p)) == p
+        else:
+            d = dehomogenize(p)
+            assert_canonical(d, VARS_ST)
+            assert sympy_expr(sp, syms[:2], d) == sp.expand(expr(p).subs(syms[2], 1))
+        text = str(p)
+        assert sp.sympify(text.replace("^", "**"), locals=dict(zip(vars, syms))) == expr(p)
+        if not p.is_zero():
+            assert printed_monomials(text, vars) == sorted(p.terms, key=grevlex_key, reverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -871,5 +987,11 @@ class TestPacking:
             big * big
         with pytest.raises(ResourceLimitError):
             big.mul_vector([s])
-        # Poly products keep tuple keys and stay exact
-        assert (s**top * s).num == {(top + 1, 0): 1}
+        # Poly products share the packing's limit
+        assert (s**top).degree == top
+        with pytest.raises(ResourceLimitError):
+            s**top * s
+        with pytest.raises(ResourceLimitError):
+            s.term_mul((top, 0), 1)
+        with pytest.raises(ResourceLimitError):
+            Poly(VARS_ST, {(top // 2 + 1, top // 2 + 1): 1})

@@ -208,6 +208,17 @@ class TestMain:
         assert code == 4
         assert "exceeds" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("command", ["compute", "resolve", "bounds"])
+    @pytest.mark.parametrize("text", ["(s^40000, t, 1, s)", "(s, t, 1, s^20000*t^20000)"])
+    def test_term_past_the_packed_degree_exit_four(self, command, text, capsys):
+        """The parser packs every term, so a total degree past 32767 stops
+        parsing: a resource limit (exit 4), not a parser defect (exit 3)."""
+        code = main([command, text, "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 4
+        assert doc == {"command": command, "input": text, "seed": 0,
+                       "error": {"code": 4, "message": "a monomial degree exceeds 32767"}}
+
     def test_missing_input(self, capsys):
         code = main(["compute", "--json"])
         assert code == 2

@@ -13,10 +13,7 @@ from mubasis.arith import (
     Poly,
     PolyMatrix,
     gcd_many,
-    grevlex_key,
     homogenize,
-    mono_divides,
-    mono_mul,
     monomials_of_degree,
 )
 from mubasis.errors import InternalError
@@ -55,9 +52,13 @@ from mubasis.grobner import (
 from helpers import (
     random_form,
     brute_force_syzygies,
+    count_conversions,
+    grevlex_key,
     hilbert_by_linear_algebra,
     minimal_resolution,
     minimal_row,
+    mono_divides,
+    mono_mul,
     nullspace,
     random_poly,
 )
@@ -121,8 +122,6 @@ class TestBuchberger:
                 for mono in g.terms:
                     for j, lm in enumerate(leads):
                         if j != i:
-                            from mubasis.arith import mono_divides
-
                             assert not mono_divides(lm, mono)
 
     def test_module_basis_directly(self):
@@ -202,6 +201,12 @@ class SchreyerOrder:
         return (grevlex_key(mono_mul(mono, lead)), -pos, -i)
 
 
+def lead_positions(ext):
+    """(position, exponent tuple) of every leading term of an _ExtGB."""
+    pk = arith.packing(len(ext.vars))
+    return [(pk.position(k), pk.unpack(k)) for k, _ in ext.lead_terms]
+
+
 def schreyer_syzygy_basis(gens):
     """(gb, sigmas, order): Syz(gb.generators) generators that form a Groebner
     basis under the Schreyer order induced by gb's leading terms."""
@@ -209,7 +214,7 @@ def schreyer_syzygy_basis(gens):
     nonzero = [v for v in vecs if not v.is_zero()]
     ext = _buchberger_ext(nonzero, track_reps=False)
     sigmas = _schreyer_sigmas(ext)
-    order = SchreyerOrder([pm for pm, _ in ext.leads])
+    order = SchreyerOrder(lead_positions(ext))
     return GroebnerBasis(ext, scalar), sigmas, order
 
 
@@ -412,15 +417,14 @@ class TestHilbert:
             total = len([1 for _ in range(1)]) and (k + 2) * (k + 1) // 2
             assert hilbert_function(gens, k) + hilbert_quotient(gens, k) == total
 
-    def test_leading_monomials_are_read_once_per_basis(self, monkeypatch):
+    def test_leading_monomials_are_read_once_per_basis(self):
         gens = homogenized_reference_generators()
         gb = buchberger(gens)
-        calls = []
-        lead = Poly.leading_monomial
-        monkeypatch.setattr(Poly, "leading_monomial", lambda p: calls.append(1) or lead(p))
-        got = [(hilbert_function(gb, k), hilbert_quotient(gb, k)) for k in range(7)]
-        assert len(calls) == len(gb)
-        monkeypatch.setattr(Poly, "leading_monomial", lead)
+        got = [(hilbert_function(gb, 0), hilbert_quotient(gb, 0))]
+        # the lead keys are cached on the basis: a zero generator has no lead,
+        # so a later call that read the generators again would raise
+        gb.generators = [ZERO3]
+        got += [(hilbert_function(gb, k), hilbert_quotient(gb, k)) for k in range(1, 7)]
         assert got == [(hilbert_function(gens, k), hilbert_quotient(gens, k)) for k in range(7)]
         assert [h for h, _ in got] == [hilbert_by_linear_algebra(gens, k) for k in range(7)]
 
@@ -1113,7 +1117,7 @@ def test_module_reduction_certificates(case):
     assert tuple(a + b for a, b in zip(_combination(coeffs, gens, vars, rank), rem)) == target
     # rem is fully reduced: no term is divisible by a lead of the reduced basis
     gb = buchberger(gens)
-    leads = [pm for pm, _ in gb._ext.leads]
+    leads = lead_positions(gb._ext)
     for pos, p in enumerate(rem):
         for m in p.terms:
             assert not any(lp == pos and all(x <= y for x, y in zip(lm, m))
@@ -1151,32 +1155,14 @@ def test_inner_reduction_sees_only_ints(monkeypatch):
 
 
 def test_reduction_loop_builds_no_tuple_monomials(monkeypatch):
-    """_reduce_int orders, divides and multiplies terms on packed keys: it
-    calls none of the tuple monomial helpers."""
+    """Buchberger and _reduce_int order, divide and multiply terms on the
+    keys they are given: no call inside them packs or unpacks a monomial,
+    representations over the generators included."""
     syz = syzygy_generators(homogenized_reference_generators())
-    depth, entered, calls = [0], [], []
-    real = grobner._reduce_int
-
-    def reduce(*args, **kwargs):
-        depth[0] += 1
-        entered.append(True)
-        try:
-            return real(*args, **kwargs)
-        finally:
-            depth[0] -= 1
-
-    def spy(name, fn):
-        def wrapped(*args):
-            if depth[0]:
-                calls.append(name)
-            return fn(*args)
-        return wrapped
-
-    for name in ("mono_mul", "mono_divides", "mono_div", "grevlex_key"):
-        for module in (arith, grobner):
-            if hasattr(module, name):  # mono_div went with the tuple-keyed engine
-                monkeypatch.setattr(module, name, spy(name, getattr(arith, name)))
-    monkeypatch.setattr(grobner, "_reduce_int", reduce)
+    calls = count_conversions(monkeypatch, [(grobner, "_buchberger_ext"),
+                                            (grobner, "_reduce_int"), (Poly, "__str__")])
     gb = buchberger(syz)
-    assert entered and not calls
-    assert gb.contains(syz[0])
+    assert gb.contains(syz[0]) and make_lifter(syz)(syz[0]) is not None
+    assert calls == []
+    str(syz[0][0])  # the spy sees the unpacking of the boundary view
+    assert calls and set(calls) == {"unpack"}
