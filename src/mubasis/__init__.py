@@ -77,9 +77,7 @@ from .quillen_suslin import (
     CompletionCertificate,
     complete_columns,
     is_unimodular,
-    left_inverse,
     qs_degree_bound,
-    variable_elimination_step,
 )
 
 __version__ = "0.1.0"

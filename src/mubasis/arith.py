@@ -359,27 +359,6 @@ class Poly:
         sign = 1 if lc > 0 else -1
         return Poly._reduced(self.vars, {m: sign * c for m, c in self.num.items()}, sign * lc)
 
-    def substitute(self, mapping: Mapping[str, "Poly"]) -> "Poly":
-        """Substitute polynomials (of the same ring) for variables.
-
-        Each power of a substituted value is computed once per call."""
-        values = []
-        for v in self.vars:
-            img = mapping.get(v)
-            values.append(self._coerce(img) if img is not None else Poly.variable(self.vars, v))
-        powers: dict = {}  # (variable index, exponent) -> value**exponent
-        unpack = packing(len(self.vars)).unpack
-        out = Poly.zero(self.vars)
-        for key, c in self.num.items():
-            term = Poly._new(self.vars, {0: c})
-            for i, e in enumerate(unpack(key)):
-                if e:
-                    if (i, e) not in powers:
-                        powers[i, e] = values[i]**e
-                    term = term * powers[i, e]
-            out = out + term
-        return out._times(1, self.den)
-
     def set_var(self, name: str, value) -> "Poly":
         """Specialize one variable to a rational constant a/b (same ring):
         over den * b^top, top the largest exponent of the variable, a term
@@ -703,9 +682,12 @@ def dehomogenize(p: Poly) -> Poly:
     """Specialize u := 1, landing back in Q[s,t]."""
     if p.vars != VARS_STU:
         raise ValueError("dehomogenize expects a polynomial in (s, t, u)")
-    p = p.set_var("u", 1)
-    terms = {m[:2]: c for m, c in packing(3).unpack_terms(p.num).items()}
-    return Poly._new(VARS_ST, packing(2).pack_terms(terms), p.den)
+    pk, (ws, wt) = packing(3), packing(2).weights
+    out: dict[int, int] = {}
+    for key, c in p.num.items():
+        m = pk.exponent(key, 0) * ws + pk.exponent(key, 1) * wt
+        out[m] = out.get(m, 0) + c
+    return Poly._reduced(VARS_ST, {m: c for m, c in out.items() if c}, p.den)
 
 
 # ---------------------------------------------------------------------------

@@ -6,32 +6,29 @@ certificate that is re-verified before being handed out.
 
 The strategy is layered.  A constant maximal minor gives M at once;
 otherwise each row of F^T is made primitive and reduced (Bezout for a last
-pair) until a constant pivot appears.  When reduction stalls, the general
-route runs: make an entry monic in t by a linear change of variables,
-trivialize the row over Q[s]_a[t] for a few divisors a of resultants
-Res_t(v1, w) that generate Q[s] (Suslin's lemma), patch these charts into
-a polynomial matrix along a Bezout partition of t, and finish over the
-principal ideal domain Q[s].  Every Bezout identity on the way (a last pair,
-the partition of t, the steps over Q[s]) comes from a certified Groebner
-lift.  No step is randomized.
+pair) until a constant pivot appears.  When reduction stalls, one
+stable-range step finishes the row: Q[s,t] has stable range at most 3, so
+constant column operations shorten a unimodular row of length >= 4 to three
+entries that are still unimodular, and one certified Groebner lift of 1 over
+them puts a 1 into a fourth slot (see _RowCompleter._stable_range_step).
+The pipeline's F is (n + 3) x n, so every row it completes has length >= 4.
+No step is randomized.
 
 Every step is an elementary operation with a known inverse, so M^-1 is
 built alongside M rather than recovered from an adjugate: column operations
-on M are mirrored by the inverse row operations on M^-1, each block factor
-comes with its explicit inverse, and each patch factor E(b') E(b)^-1 is
-inverted as E(b) E^-1(b').  The certificate is checked by multiplication
-alone: M F = [I_n; 0] and M M^-1 = I (see CompletionCertificate).  The
-recursion over the rows of F^T multiplies only blocks: diag(1, mp) and the
-clearing of column 0 are applied to e1 as a block product and column
-operations, and to e1^-1 as a block product and row operations.
+on M are mirrored by the inverse row operations on M^-1, and each block
+factor comes with its explicit inverse.  The certificate is checked by
+multiplication alone: M F = [I_n; 0] and M M^-1 = I (see
+CompletionCertificate).  The recursion over the rows of F^T multiplies only
+blocks: diag(1, mp) and the clearing of column 0 are applied to e1 as a
+block product and column operations, and to e1^-1 as a block product and
+row operations.
 
 Unimodularity of F is decided by the completion itself wherever it
 succeeds: a constant minor proves it, and so does a checked certificate,
 since M F = [I_n; 0] gives F a left inverse.  The Groebner basis of the
 maximal minors is built only when the row route fails, to tell a matrix
-that is not unimodular (ValueError) from a failed completion.  The general
-route assumes a unimodular row and checks it with a basis of the row's
-entries before it runs.
+that is not unimodular (ValueError) from a failed completion.
 """
 
 from __future__ import annotations
@@ -39,25 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import (
-    NEG_INF,
-    VARS_ST,
-    Poly,
-    PolyMatrix,
-    _as_univar,
-    exact_div,
-    gcd_many,
-    packing,
-    primitive_scale,
-)
+from .arith import NEG_INF, VARS_ST, Poly, PolyMatrix, primitive_scale
 from .errors import CompletionError, InternalError
-from .grobner import (
-    buchberger,
-    lift_coefficients,
-    make_lifter,
-    normal_form,
-    reduce_with_certificate,
-)
+from .grobner import buchberger, lift_coefficients, reduce_with_certificate
 
 # ---------------------------------------------------------------------------
 # Degree bound
@@ -81,7 +62,7 @@ def qs_degree_bound(n_or_m: int, deg_f: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Unimodularity and left inverses
+# Unimodularity
 # ---------------------------------------------------------------------------
 
 
@@ -102,213 +83,6 @@ def _minors_generate_unit_ideal(minors) -> bool:
 def is_unimodular(f: PolyMatrix) -> bool:
     """True when the ideal of maximal minors of f (m x n, m >= n) is (1)."""
     return _minors_generate_unit_ideal(_nonzero_minors(f))
-
-
-def left_inverse(f: PolyMatrix) -> PolyMatrix:
-    """An n x m matrix H with H f = I_n, for unimodular f."""
-    if not is_unimodular(f):
-        raise ValueError("matrix is not unimodular")
-    m, n = f.rows, f.cols
-    rows = [tuple(f.row(i)) for i in range(m)]
-    lifter = make_lifter(rows)
-    zero = Poly.zero(f.vars)
-    one = Poly.const(f.vars, 1)
-    h_rows = []
-    for i in range(n):
-        target = tuple(one if j == i else zero for j in range(n))
-        coeffs = lifter(target)
-        if coeffs is None:
-            raise InternalError("unimodular matrix rows failed to generate a unit vector")
-        h_rows.append(coeffs)
-    h = PolyMatrix(h_rows)
-    if h * f != PolyMatrix.identity(n, f.vars):
-        raise InternalError("left inverse verification failed")
-    return h
-
-
-# ---------------------------------------------------------------------------
-# Resultant charts over Q[s] (elements of Q[s] are VARS_ST polys free of t)
-# ---------------------------------------------------------------------------
-
-_S = 0  # variable indices into VARS_ST
-_T = 1
-_ONE = Poly.const(VARS_ST, 1)
-_ZERO = Poly.zero(VARS_ST)
-_PK = packing(len(VARS_ST))
-
-
-def _uses_var(p: Poly, vi: int) -> bool:
-    return any(_PK.exponent(m, vi) for m in p.num)
-
-
-def _t_degree(p: Poly) -> int:
-    return max((_PK.exponent(m, _T) for m in p.num), default=-1)
-
-
-def _resultant_bezout(v1: Poly, w: Poly) -> tuple[Poly, Poly, Poly]:
-    """(a, p, q) with p v1 + q w = a, where a in Q[s] divides Res_t(v1, w)
-    and is 0 exactly when that resultant is; v1 has a constant t-lead
-    coefficient and t-degree d >= 1.
-
-    Column j of the d x d matrix A of multiplication by w on Q[s][t]/(v1)
-    is t^j w mod v1 in the basis 1, t, ..., t^(d-1), and det A is the
-    resultant up to a constant.  The first column of adj A, the cofactors of
-    row 0, gives q with q w = det A mod v1; dividing q by the gcd of its
-    coefficients divides det A alike, and v1 divides a - q w exactly."""
-    d = _t_degree(v1)
-    monic = v1 * (1 / _as_univar(v1, _T)[d].constant_value())
-
-    def reduce(r):
-        while (e := _t_degree(r)) >= d:
-            r = r - monic * _as_univar(r, _T)[e].term_mul((0, e - d), 1)
-        return r
-
-    cols = [reduce(w)]
-    for _ in range(1, d):
-        cols.append(reduce(cols[-1].term_mul((0, 1), 1)))
-    a_mat = [[_as_univar(c, _T).get(i, _ZERO) for c in cols] for i in range(d)]
-    if d == 1:
-        cof = [_ONE]
-    else:
-        cof = [PolyMatrix([r[:j] + r[j + 1:] for r in a_mat[1:]]).det() * (-1) ** j
-               for j in range(d)]
-    if all(c.is_zero() for c in cof):
-        return _ZERO, _ZERO, _ZERO
-    g = gcd_many(cof)
-    cof = [exact_div(c, g) for c in cof]
-    a = sum((x * c for x, c in zip(a_mat[0], cof)), _ZERO)
-    q = sum((c.term_mul((0, j), 1) for j, c in enumerate(cof)), _ZERO)
-    p = exact_div(a - q * w, v1)
-    if p is None:
-        raise InternalError("resultant Bezout identity failed")
-    return a, p, q
-
-
-def _scaled_identity(m: int, diag: Poly, entries: dict, sign: int = 1) -> PolyMatrix:
-    """diag * I_m with sign * value put in at each (i, j) of entries."""
-    out = PolyMatrix([[diag if i == j else _ZERO for j in range(m)] for i in range(m)])
-    for (i, j), x in entries.items():
-        out.entries[i][j] = x if sign > 0 else -x
-    return out
-
-
-def _resultant_charts(row: list[Poly]) -> list[tuple[Poly, PolyMatrix, PolyMatrix]]:
-    """Charts (a, N, N') with row N = a e1 and N N' = a^2 I, whose a generate
-    Q[s]; row is unimodular, m >= 3 entries, row[0] with a constant t-lead
-    coefficient and t-degree d >= 1.
-
-    Each weight vector y (y_0 = 0, y_j = 1) gives w = sum y_i row_i and
-    a = p row_0 + q w from _resultant_bezout.  Over Q[s]_a[t], E = N / a is:
-    add sum y_i col_i to column j; add (1 - row_k) (p col_0 + q col_j) / a to
-    a third column k, which makes it 1; clear every other column with it;
-    swap columns 0 and k.  Only the middle factor divides by a.
-
-    The single entries are tried first, then the Kronecker points
-    y = (0, 1, k, k^b, k^(b^2), ...), b = d + 1, k = 1 .. b^(m-2).
-    Res_t(row_0, sum y_i row_i) is a form of degree d in y whose
-    coefficients generate Q[s] (Suslin's lemma); at these points it is a
-    polynomial in k of degree < b^(m-2) with those same coefficients, so
-    its values there generate Q[s] too.  A chart is kept only when its a
-    lowers the gcd of the kept ones, and the search stops at gcd 1.
-    """
-    m = len(row)
-    b = _t_degree(row[0]) + 1
-    points = [[int(i == j) for i in range(m)] for j in range(1, m)]
-    points += [[0, 1] + [k ** (b ** i) for i in range(m - 2)]
-               for k in range(1, b ** (m - 2) + 1)]
-    charts = []
-    common = None
-    for y in points:
-        j = y.index(1)
-        w = sum((row[i] * y[i] for i in range(m) if y[i]), _ZERO)
-        a, p, q = _resultant_bezout(row[0], w)
-        if a.is_zero():
-            continue
-        lowered = a if common is None else gcd_many([common, a])
-        if common is not None and lowered.degree == common.degree:
-            continue
-        common = lowered
-        k = next(i for i in range(1, m) if i != j)
-        shear = {(i, j): Poly.const(VARS_ST, y[i]) for i in range(m) if i != j and y[i]}
-        c = _ONE - row[k]
-        bezout = {(0, k): c * p, (j, k): c * q}
-        clear = {(k, i): (w if i == j else row[i]) for i in range(m) if i != k}
-        swap = _scaled_identity(m, _ONE, {(0, 0): _ZERO, (k, k): _ZERO,
-                                          (0, k): _ONE, (k, 0): _ONE})
-        n = (_scaled_identity(m, _ONE, shear) * _scaled_identity(m, a, bezout)
-             * _scaled_identity(m, _ONE, clear, -1) * swap)
-        n_inv = (swap * _scaled_identity(m, _ONE, clear) * _scaled_identity(m, a, bezout, -1)
-                 * _scaled_identity(m, _ONE, shear, -1))
-        charts.append((a, n, n_inv))
-        if common.is_constant():
-            return charts
-    raise CompletionError("completion failed (resultants of the row share a root)")
-
-
-def _at_t(a: PolyMatrix, b: Poly) -> PolyMatrix:
-    return a.map_entries(lambda p: p.substitute({"t": b}))
-
-
-def _exact_quotient(a: PolyMatrix, d: Poly) -> PolyMatrix | None:
-    """a / d entrywise, or None when d does not divide some entry."""
-    rows = [[exact_div(p, d) for p in row] for row in a.entries]
-    return None if any(None in row for row in rows) else PolyMatrix(rows)
-
-
-def _eliminate_t_monic(row_polys: list[Poly]) -> tuple[PolyMatrix, PolyMatrix]:
-    """For a unimodular row whose first entry has a constant t-lead
-    coefficient, build a polynomial M with row * M = row(t := 0), together
-    with M^-1.
-
-    The resultant charts (a_k, N_k, N'_k) trivialize the row over
-    Q[s]_(a_k)[t] with E_k = N_k / a_k.  Weights with sum w_k a_k^2 = 1 split
-    t into b_k = b_(k-1) + t w_k a_k^2 from b_0 = 0 to b_K = t.  Since
-    row(x) E_k(x) = e1 for every x, the patch E_k(b_k) E_k(b_(k-1))^-1
-    carries row(b_k) to row(b_(k-1)), and E_k(b_(k-1)) E_k^-1(b_k) undoes
-    it.  Each is a product of N_k and N'_k at two points over a_k^2, a
-    polynomial because N_k(b + y) - N_k(b) is a multiple of y and
-    N_k N'_k = a_k^2 I; the product of the patches is M.
-    """
-    m = len(row_polys)
-    charts = _resultant_charts(row_polys)
-    weights = _bezout_powers([a for a, _, _ in charts])
-    t_var = Poly.variable(VARS_ST, "t")
-    total = total_inv = PolyMatrix.identity(m, VARS_ST)
-    b_prev = _ZERO
-    for (a, n, n_inv), w in zip(charts, weights):
-        square = a * a
-        b_next = b_prev + t_var * w * square
-        patch = _exact_quotient(_at_t(n, b_next) * _at_t(n_inv, b_prev), square)
-        patch_inv = _exact_quotient(_at_t(n, b_prev) * _at_t(n_inv, b_next), square)
-        if patch is None or patch_inv is None:
-            raise InternalError("a patch is not divisible by its squared resultant")
-        total, total_inv = patch * total, total_inv * patch_inv
-        b_prev = b_next
-    got = [sum((row_polys[i] * total[i, j] for i in range(m)), _ZERO) for j in range(m)]
-    if got != [p.set_var("t", 0) for p in row_polys]:
-        raise InternalError("patched elimination matrix failed verification")
-    return total, total_inv
-
-
-def _bezout_powers(dens: list[Poly]) -> list[Poly]:
-    """Weights w_k with sum w_k den_k^2 = 1 for dens that generate Q[s],
-    by one certified Groebner lift of 1 over the squares."""
-    weights = lift_coefficients(_ONE, [d * d for d in dens])
-    if weights is None:
-        raise InternalError("the resultants of the charts do not generate Q[s]")
-    return weights
-
-
-def _xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, u, v) with u a + v b = g = gcd(a, b) monic, for nonzero a, b
-    univariate in one variable: the pair of the extended Euclidean
-    algorithm.  The Groebner lift of g over (a, b) gives some u; reducing
-    it modulo b/g gives the unique u of degree < deg(b/g) (0 when b/g is a
-    constant), and then v = (g - u a)/b."""
-    g = gcd_many([a, b])
-    u = lift_coefficients(g, [a, b])[0]
-    u = normal_form(u, buchberger([exact_div(b, g)]))
-    return g, u, exact_div(g - u * a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +168,7 @@ class _RowCompleter:
         self._reduction_rounds()
         j = self.constant_index()
         if j is None:
-            self._general_phase()
-            j = self.constant_index()
-            if j is None:
-                raise CompletionError("completion failed")
+            j = self._stable_range_step()
         self.finish_with_pivot(j)
         if self.work != [Poly.const(self.vars, 1)] + [Poly.zero(self.vars)] * (self.m - 1):
             raise InternalError("row completion did not reach a unit vector")
@@ -457,88 +228,66 @@ class _RowCompleter:
             changed = True
         return changed
 
-    # general layer -----------------------------------------------------
+    # stable-range layer ------------------------------------------------
 
-    def _general_phase(self):
-        nz = [i for i, p in enumerate(self.work) if not p.is_zero()]
-        if len(nz) == 2:
-            if not self._bezout_pair(*nz):
-                raise CompletionError("completion failed (pair is not unimodular)")
-            return
-        if len(nz) < 2:
-            raise CompletionError("completion failed (row is not unimodular)")
-        uses_s = any(_uses_var(p, _S) for p in self.work)
-        uses_t = any(_uses_var(p, _T) for p in self.work)
-        if not (uses_s and uses_t):
-            self._pid_phase()
-            return
-        # the charts assume a unimodular row, and a matrix that is not
-        # unimodular reaches here with one; a basis of the row rules it out
-        if not buchberger([self.work[i] for i in nz]).contains_constant():
-            raise CompletionError("completion failed (row is not unimodular)")
-        lam = self._monicize()
-        self.apply_matrix(*_eliminate_t_monic(self.work))
-        self._pid_phase()
-        self._unsubstitute(lam)
+    def _stable_range_step(self) -> int:
+        """Put a 1 into a row on which reduction stalled; returns its slot.
 
-    def _monicize(self) -> Fraction:
-        """Apply s -> s + lam*t so some entry gets a constant t-lead coefficient,
-        and move that entry to position 0.  Returns lam.
+        Q[s,t] has stable range at most 3 (H. Bass, Publ. IHES 22, 1964;
+        L. N. Vaserstein, Funct. Anal. Appl. 5, 1971): a unimodular row v of
+        length m >= 4 has three slots A = (a0, a1, a2) and constants c with
+        w_i = v_i + sum_j c_ij v_j, j over the r = m - 3 other slots B, still
+        unimodular.  One certified lift sum u_i w_i = 1 then makes a fourth
+        slot k equal to v_k + (1 - v_k) sum u_i w_i = 1.  Every step is a
+        column operation.
 
-        lam runs through 0, 1, -1, 2, -2, ...  The top form of an entry of
-        least degree d, at (lam, 1), is a nonzero polynomial in lam of degree
-        at most d, so one of the first d + 1 values works."""
-        s = Poly.variable(self.vars, "s")
-        t = Poly.variable(self.vars, "t")
-        d_min = min(int(p.degree) for p in self.work if not p.is_constant())
-        for i in range(d_min + 1):
-            lam = (i + 1) // 2 * (1 if i % 2 else -1)
-            for idx, p in enumerate(self.work):
-                if p.is_zero() or p.is_constant():
-                    continue
-                d = int(p.degree)
-                top = {m: c for m, c in p.num.items() if _PK.degree(m) == d}
-                val = Poly._reduced(self.vars, top, p.den).set_var("s", lam).set_var("t", 1)
-                if not val.is_zero():
-                    if lam:
-                        self._substitute({"s": s + t * Fraction(lam)})
-                    self.colswap(0, idx)
-                    return Fraction(lam)
-        raise InternalError("no change of variables made a monic entry")
-
-    def _unsubstitute(self, lam: Fraction):
-        if lam == 0:
-            return
-        s = Poly.variable(self.vars, "s")
-        t = Poly.variable(self.vars, "t")
-        self._substitute({"s": s - t * lam})
-
-    def _substitute(self, sub):
-        """Apply a ring automorphism to the working row, E and Einv."""
-        self.work = [w.substitute(sub) for w in self.work]
-        self.E = [[x.substitute(sub) for x in row] for row in self.E]
-        self.Einv = [[x.substitute(sub) for x in row] for row in self.Einv]
-
-    def _pid_phase(self):
-        """Completion of a univariate unimodular row by a Bezout chain."""
-        nz = [i for i, p in enumerate(self.work) if not p.is_zero()]
-        if not nz:
-            raise CompletionError("completion failed (zero row)")
-        lead = nz[0]
-        if lead != 0:
-            self.colswap(0, lead)
-        for i in range(1, self.m):
-            if self.work[i].is_zero():
-                continue
-            a, b = self.work[0], self.work[i]
-            g, u, v = _xgcd(a, b)
-            qa = exact_div(a, g)
-            qb = exact_div(b, g)
-            # det [[u, -qb], [v, qa]] = (u a + v b) / g = 1
-            self.apply_matrix(self._block(0, i, ((u, -qb), (v, qa))),
-                              self._block(0, i, ((qa, qb), (-v, u))))
-        if not self.work[0].is_constant() or self.work[0].is_zero():
-            raise CompletionError("completion failed (univariate row has a common factor)")
+        a0, a1, a2 are the first nonzero slots and k the slot of B of least
+        degree.  c_a0 = 0, and c_a1 and c_a2 run through the points
+        (x, x^2, ..., x^r), x in 0..r d for a1 and in 0..r d^2 for a2, d the
+        largest degree in v, by increasing sum of the two x from c = 0.  This
+        finite list holds a good c for every unimodular v; over the algebraic
+        closure:
+        - w_a1 vanishes on a component G of the curve v_a0 = 0 (at most d of
+          them) only for c_a1 on an affine hyperplane a + b.c = 0 with b != 0,
+          or for every c_a1 when v_a1 and v_B vanish on G; then v_a2 has no
+          zero on G, since v has none.  Such a hyperplane holds at most r of
+          the points, so some x of the r d + 1 leaves in the zeros of
+          (w_a0, w_a1) only components of the second kind and at most d^2
+          isolated points (Bezout);
+        - at each of those points, w_a2 = 0 is again a hyperplane in c_a2, or
+          v_B vanishes there and w_a2 = v_a2 does not, so some x of the
+          r d^2 + 1 misses them all.
+        When every point fails, v is not unimodular, and the step raises
+        CompletionError, as it does for a row shorter than 4.
+        """
+        if self.m < 4:
+            raise CompletionError("completion failed (stalled row shorter than 4)")
+        v, zero, one = list(self.work), Poly.zero(self.vars), Poly.const(self.vars, 1)
+        slots = sorted(range(self.m), key=lambda i: v[i].is_zero())
+        a, rest = slots[:3], slots[3:]
+        k = min(rest, key=lambda j: v[j].degree)
+        r = len(rest)
+        d = max((int(p.degree) for p in v if not p.is_zero()), default=0)
+        grid = sorted(((x, y) for x in range(r * d + 1) for y in range(r * d * d + 1)), key=sum)
+        for point in grid:
+            weights = {i: [x**e for e in range(1, r + 1)] for i, x in zip(a[1:], point)}
+            w = [v[a[0]]] + [v[i] + sum((v[j] * c for j, c in zip(rest, weights[i]) if c), zero)
+                             for i in a[1:]]
+            u = lift_coefficients(one, w)
+            if u is not None:
+                break
+        else:
+            raise CompletionError("completion failed (no weights give a unimodular triple)")
+        for i in a[1:]:
+            for j, c in zip(rest, weights[i]):
+                if c:
+                    self.colop(i, j, Poly.const(self.vars, c))
+        factor = one - v[k]
+        for i, ui in zip(a, u):
+            self.colop(k, i, factor * ui)
+        if self.work[k] != one:
+            raise InternalError("stable-range lift failed verification")
+        return k
 
 
 def _complete_rows(f: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
@@ -691,10 +440,11 @@ def complete_columns(f: PolyMatrix) -> CompletionCertificate:
     """Complete a unimodular m x n matrix (m > n) to M with M f = [I_n; 0].
 
     A constant maximal minor gives M directly; otherwise each row of f^T is
-    reduced to a constant pivot, or completed by the general route when
-    reduction stalls.  M f = [I_n; 0] and
-    M M^-1 = I are checked exactly before returning; failure raises
-    CompletionError rather than ever producing an unverified answer.
+    reduced to a constant pivot, or finished by the stable-range step when
+    reduction stalls, which needs a row of length >= 4 (m >= n + 3 keeps
+    every level there).  M f = [I_n; 0] and M M^-1 = I are checked exactly
+    before returning; failure raises CompletionError rather than ever
+    producing an unverified answer.
 
     Unimodularity is decided where it is needed.  A constant minor proves
     it, and so does a completed row route, whose checked f^T M^T = [I_n, 0]
@@ -729,46 +479,3 @@ def complete_columns(f: PolyMatrix) -> CompletionCertificate:
     deg_m = 0 if big.degree == NEG_INF else int(big.degree)
     return CompletionCertificate(M=big, M_inv=inv, det=det.constant_value(), deg_M=deg_m,
                                  bound=bound, within_bound=deg_m <= bound)
-
-
-def variable_elimination_step(f: PolyMatrix, var: str) -> PolyMatrix:
-    """For row-unimodular f (n x m, n <= m): unimodular M with f M = f|_{var:=0}."""
-    if var not in f.vars:
-        raise ValueError(f"unknown variable {var!r}")
-    if not is_unimodular(f.transpose()):
-        raise ValueError("matrix is not unimodular")
-    n, m = f.rows, f.cols
-    specialized = f.map_entries(lambda p: p.set_var(var, 0))
-    if specialized == f:
-        return PolyMatrix.identity(m, f.vars)
-    if n == 1:
-        row = f.row(0)
-        const_j = next((j for j, p in enumerate(row)
-                        if not p.is_zero() and p.is_constant()), None)
-        if const_j is not None:
-            # I + e_j x with x_j = 0 is undone by I - e_j x
-            c = row[const_j].constant_value()
-            out = PolyMatrix.identity(m, f.vars)
-            out_inv = PolyMatrix.identity(m, f.vars)
-            for i in range(m):
-                if i == const_j:
-                    continue
-                diff = row[i].set_var(var, 0) - row[i]
-                if not diff.is_zero():
-                    out.entries[const_j][i] = diff * (Fraction(1) / c)
-                    out_inv.entries[const_j][i] = -out.entries[const_j][i]
-            _check_elimination(f, out, out_inv, specialized)
-            return out
-    m1, m1_inv = _complete_rows(f)
-    m2, m2_inv = _complete_rows(specialized)
-    out = m1 * m2_inv
-    _check_elimination(f, out, m2 * m1_inv, specialized)
-    return out
-
-
-def _check_elimination(f, m, m_inv, specialized):
-    if f * m != specialized:
-        raise InternalError("variable elimination product check failed")
-    ident = PolyMatrix.identity(m.rows, m.vars)
-    if m * m_inv != ident:
-        raise InternalError("variable elimination inverse check failed")

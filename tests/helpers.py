@@ -66,6 +66,19 @@ def count_conversions(monkeypatch, targets):
     return calls
 
 
+def substitute(p, mapping):
+    """p with mapping's polynomials (of p's ring) put in for its variables,
+    expanded term by term from the exponent tuples: an oracle for set_var."""
+    values = [mapping.get(v, Poly.variable(p.vars, v)) for v in p.vars]
+    out = Poly.zero(p.vars)
+    for mono, c in p.terms.items():
+        term = Poly.const(p.vars, c)
+        for value, e in zip(values, mono):
+            term = term * value**e
+        out = out + term
+    return out
+
+
 def P(vars, text_terms):
     """Build a Poly from {exponent tuple: coefficient}."""
     return Poly(vars, {tuple(m): Fraction(c) for m, c in text_terms.items()})

@@ -6,16 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mubasis import arith, cli, quillen_suslin
-from mubasis.arith import VARS_ST, Poly, PolyMatrix, gcd_many, mat_inverse
+from mubasis.arith import VARS_ST, Poly, PolyMatrix, mat_inverse
 from mubasis.errors import CompletionError, InternalError
-from mubasis.quillen_suslin import (
-    _eliminate_t_monic,
-    complete_columns,
-    is_unimodular,
-    left_inverse,
-    qs_degree_bound,
-    variable_elimination_step,
-)
+from mubasis.parser import parse_polynomial
+from mubasis.quillen_suslin import complete_columns, is_unimodular, qs_degree_bound
 from helpers import random_unimodular_column, random_unimodular_matrix
 
 S = Poly.variable(VARS_ST, "s")
@@ -68,37 +62,6 @@ class TestIsUnimodular:
 
     def test_zero_matrix(self):
         assert not is_unimodular(PolyMatrix([[ZERO], [ZERO]]))
-
-
-class TestLeftInverse:
-    def test_reference_column(self):
-        f = reference_column()
-        h = left_inverse(f)
-        assert h * f == PolyMatrix.identity(1, VARS_ST)
-        # the unit entry -1 makes the lift trivial
-        assert h.row(0) == [ZERO, ZERO, -ONE, ZERO]
-
-    def test_unit_vector(self):
-        f = PolyMatrix([[ONE], [ZERO], [ZERO]])
-        h = left_inverse(f)
-        assert h * f == PolyMatrix.identity(1, VARS_ST)
-
-    def test_partition_of_unity(self):
-        f = PolyMatrix([[S], [ONE - S]])
-        h = left_inverse(f)
-        assert h * f == PolyMatrix.identity(1, VARS_ST)
-
-    def test_not_unimodular(self):
-        with pytest.raises(ValueError, match="not unimodular"):
-            left_inverse(PolyMatrix([[S], [T]]))
-
-    def test_randomized(self):
-        rng = random.Random(17)
-        for _ in range(30):
-            m = rng.randint(2, 4)
-            f = random_unimodular_column(rng, m)
-            h = left_inverse(f)
-            assert h * f == PolyMatrix.identity(1, VARS_ST)
 
 
 class TestCompleteColumns:
@@ -160,17 +123,19 @@ class TestCompleteColumns:
         assert a.M == b.M and a.M_inv == b.M_inv
 
 
-# rows completed without heuristics; they reach the resultant-chart route
+# rows completed without heuristics; they reach the stable-range step.  The
+# first three entries were the resultant-chart route's rows of length 3;
+# S**2 + T made them as long as the rows the pipeline builds
 GENERAL_ROUTE_ROWS = [
-    [T**2 - S, S * T + S**2, S + 1],
-    [T**2, T + 1, S],
-    [T**2 + S, S * T + 1, S**2],
+    [T**2 - S, S * T + S**2, S + 1, S**2 + T],
+    [T**2, T + 1, S, S**2 + T],
+    [T**2 + S, S * T + 1, S**2, S**2 + T],
 ]
 
 
 def _force_general_route(monkeypatch):
     """Turn off the heuristic layer of _RowCompleter, so a row without a
-    constant entry goes to the general route."""
+    constant entry goes to the stable-range step."""
     monkeypatch.setattr(quillen_suslin._RowCompleter, "_normalize_columns",
                         lambda self: None)
     monkeypatch.setattr(quillen_suslin._RowCompleter, "_reduction_rounds",
@@ -178,148 +143,146 @@ def _force_general_route(monkeypatch):
 
 
 def _complete(f, general, monkeypatch):
-    """complete_columns(f), forced onto the general route when ``general``."""
+    """complete_columns(f), forced onto the stable-range step when ``general``."""
     with monkeypatch.context() as patched:
         if general:
             _force_general_route(patched)
         return complete_columns(f)
 
 
+def _counted(monkeypatch, owner, name):
+    """Patch owner.name to log its calls; returns the log."""
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 class TestGeneralRoute:
-    """Exercise the resultant charts and their patching directly."""
-
-    def test_monic_elimination_simple(self):
-        row = [T**2, T + 1, S]
-        assert is_unimodular(PolyMatrix([[p] for p in row]))
-        m, m_inv = _eliminate_t_monic(row)
-        got = [sum((row[i] * m[i, j] for i in range(3)), ZERO) for j in range(3)]
-        assert got == [p.set_var("t", 0) for p in row]
-        assert mat_inverse(m)[0] == m_inv  # must be unimodular
-
-    def test_monic_elimination_with_charts(self):
-        # no resultant of t^2 - s against the other entries is a constant:
-        # the charts are a = s^3 - s^2 and a = s + 1, so the elimination
-        # patches two of them
-        row = [T**2 - S, S * T + S**2, S + 1]
-        assert is_unimodular(PolyMatrix([[p] for p in row]))
-        m, m_inv = _eliminate_t_monic(row)
-        got = [sum((row[i] * m[i, j] for i in range(3)), ZERO) for j in range(3)]
-        assert got == [p.set_var("t", 0) for p in row]
-        assert mat_inverse(m)[0] == m_inv
+    """Exercise the stable-range step directly."""
 
     def test_complete_columns_without_heuristics(self, monkeypatch):
         _force_general_route(monkeypatch)
         for row in GENERAL_ROUTE_ROWS:
             f = PolyMatrix([[p] for p in row])
-            if not is_unimodular(f):
-                continue
+            assert is_unimodular(f)
             cert = complete_columns(f)
             assert cert.M * f == target_block(1, len(row))
 
     def test_univariate_row(self, monkeypatch):
         _force_general_route(monkeypatch)
-        f = PolyMatrix([[S**2], [S + 1], [ZERO]])
+        f = PolyMatrix([[S**2], [S + 1], [ZERO], [ZERO]])
         cert = complete_columns(f)
-        assert cert.M * f == target_block(1, 3)
-
-    def test_gcd_calls_on_the_general_route(self, monkeypatch):
-        # one gcd per fraction, not one per coefficient of every operation
-        _force_general_route(monkeypatch)
-        calls = []
-        gcd_many = quillen_suslin.gcd_many
-        monkeypatch.setattr(quillen_suslin, "gcd_many",
-                            lambda ps: calls.append(1) or gcd_many(ps))
-        for row in GENERAL_ROUTE_ROWS:
-            f = PolyMatrix([[p] for p in row])
-            assert complete_columns(f).M * f == target_block(1, len(row))
-        assert len(calls) < 50
-
-    def test_chart_identities(self):
-        for row in GENERAL_ROUTE_ROWS + PINNED_GENERAL_ROWS:
-            m = len(row)
-            charts = quillen_suslin._resultant_charts(row)
-            assert gcd_many([a for a, _, _ in charts]) == ONE
-            for a, n, n_inv in charts:
-                assert [sum((row[i] * n[i, j] for i in range(m)), ZERO)
-                        for j in range(m)] == [a] + [ZERO] * (m - 1)
-                assert n * n_inv == PolyMatrix.identity(m, VARS_ST).map_entries(
-                    lambda p: p * a * a)
+        assert cert.M * f == target_block(1, 4)
 
     def test_non_unimodular_row_uses_up_the_finite_list(self, monkeypatch):
-        # t divides every entry: all resultants vanish, after the 2 single
-        # entries and the b^(m-2) = 3 Kronecker points
-        calls = []
-        bezout = quillen_suslin._resultant_bezout
-        monkeypatch.setattr(quillen_suslin, "_resultant_bezout",
-                            lambda v1, w: calls.append(w) or bezout(v1, w))
-        with pytest.raises(CompletionError):
-            _eliminate_t_monic([T**2, S * T, T])
-        assert len(calls) == 5
+        # t divides every entry, so no weights work: r = 1 slot outside the
+        # triple and degree d = 3 give (r d + 1)(r d^2 + 1) = 4 * 10 lifts
+        calls = _counted(monkeypatch, quillen_suslin, "lift_coefficients")
+        completer = quillen_suslin._RowCompleter([T**2, S * T, T, S * T**2])
+        with pytest.raises(CompletionError, match="no weights"):
+            completer._stable_range_step()
+        assert len(calls) == 40
 
     def test_length_four_row_with_a_zero_entry(self, monkeypatch):
-        # the shape of the row that full-degree d = 3 inputs send here
+        # the shape of the row that full-degree d = 3 inputs send here; the
+        # zero slot takes the 1, and the first weights already work
         _force_general_route(monkeypatch)
-        calls = []
-        eliminate = quillen_suslin._eliminate_t_monic
-        monkeypatch.setattr(quillen_suslin, "_eliminate_t_monic",
-                            lambda row: calls.append(len(row)) or eliminate(row))
+        steps = _counted(monkeypatch, quillen_suslin._RowCompleter, "_stable_range_step")
+        lifts = _counted(monkeypatch, quillen_suslin, "lift_coefficients")
         f = PolyMatrix([[T**2 + S], [S * T + 1], [ZERO], [S**2]])
         assert is_unimodular(f)
         cert = complete_columns(f)
-        assert calls == [4]
+        assert [completer.m for completer, in steps] == [4] and len(lifts) == 1
         assert cert.M * f == target_block(1, 4)
         assert cert.M * cert.M_inv == PolyMatrix.identity(4, VARS_ST)
 
-    def test_monicize_needs_degree_plus_one_values(self):
-        # every top form is s^3 - s t^2 = s (s - t)(s + t), which vanishes at
-        # (lam, 1) for lam = 0, 1, -1: the fourth value, 2, is the first to work
-        row = [S**3 - S * T**2 + ONE, S**3 - S * T**2 + T, 2 * (S**3 - S * T**2) + S]
+    def test_weights_when_the_first_triple_is_not_unimodular(self, monkeypatch):
+        # (t, t + s t, s t) vanishes on t = 0, where the fourth entry 1 + t
+        # does not: the weights must add it to a second slot
+        lifts = _counted(monkeypatch, quillen_suslin, "lift_coefficients")
+        row = [T, T + S * T, S * T, ONE + T]
         completer = quillen_suslin._RowCompleter(row)
-        assert completer._monicize() == 2
-        lead = arith._as_univar(completer.work[0], 1)[3]
-        assert lead.is_constant() and not lead.is_zero()
+        k = completer._stable_range_step()
+        assert len(lifts) > 1
+        assert completer.work[k] == ONE
+        e = PolyMatrix(completer.E)
+        assert PolyMatrix([row]) * e == PolyMatrix([completer.work])
+        assert e * PolyMatrix(completer.Einv) == PolyMatrix.identity(4, VARS_ST)
+
+    def test_short_rows_are_refused(self):
+        with pytest.raises(CompletionError, match="shorter than 4"):
+            quillen_suslin._RowCompleter([T**2, T + 1, S])._stable_range_step()
 
 
-class TestVariableElimination:
-    def test_independent_of_var(self):
-        f = PolyMatrix([[S, ONE]])
-        assert variable_elimination_step(f, "t") == PolyMatrix.identity(2, VARS_ST)
-
-    def test_unit_second_entry(self):
-        f = PolyMatrix([[T, ONE]])
-        m = variable_elimination_step(f, "t")
-        assert m == PolyMatrix([[ONE, ZERO], [-T, ONE]])
-        assert f * m == PolyMatrix([[ZERO, ONE]])
-
-    def test_unit_first_entry(self):
-        f = PolyMatrix([[ONE, T]])
-        m = variable_elimination_step(f, "t")
-        assert m == PolyMatrix([[ONE, -T], [ZERO, ONE]])
-        assert f * m == PolyMatrix([[ONE, ZERO]])
-
-    def test_general_matrix(self):
-        for f in _elimination_inputs():
-            out = variable_elimination_step(f, "t")
-            assert f * out == f.map_entries(lambda p: p.set_var("t", 0))
-
-    def test_precondition(self):
-        with pytest.raises(ValueError):
-            variable_elimination_step(PolyMatrix([[S, T]]), "t")
+@st.composite
+def stalled_rows(draw):
+    """e1 E for a drawn product E of elementary column operations with
+    nonconstant factors, in drawn order: a unimodular row of length 4 to 6.
+    The first two operations make entries 1 and 0 nonconstant, and rows with
+    a nonzero constant entry left by cancellation are dropped."""
+    m = draw(st.integers(4, 6))
+    factors = st.sampled_from([S, T, S + 1, T - 1, S + T, S * T, S**2 - T, 2 * T + 3])
+    row = [ONE] + [ZERO] * (m - 1)
+    row[1] = draw(factors)
+    row[0] = row[0] + draw(factors) * row[1]
+    for _ in range(draw(st.integers(1, 5))):
+        i, j = draw(st.permutations(range(m)))[:2]
+        row[j] = row[j] + draw(factors) * row[i]
+    assume(not any(p.is_constant() and not p.is_zero() for p in row))
+    return draw(st.permutations(row))
 
 
-def _elimination_inputs():
-    """Five row-unimodular matrices for variable_elimination_step."""
-    rng = random.Random(47)
-    for _ in range(5):
-        n = rng.randint(1, 2)
-        m = n + rng.randint(1, 2)
-        yield random_unimodular_matrix(rng, m, n).transpose()
+class TestStableRangeStep:
+    @settings(max_examples=150, deadline=None)
+    @given(stalled_rows())
+    def test_drawn_rows_complete_with_checked_certificates(self, row):
+        f = PolyMatrix([[p] for p in row])
+
+        def boom(*args, **kwargs):
+            raise AssertionError("random number drawn")
+
+        with pytest.MonkeyPatch.context() as patched:
+            _force_general_route(patched)
+            steps = _counted(patched, quillen_suslin._RowCompleter, "_stable_range_step")
+            for name in ("Random", "random", "choice", "sample"):
+                patched.setattr(random, name, boom)
+            cert = complete_columns(f)
+        assert len(steps) == 1
+        assert cert.M * f == target_block(1, len(row))
+        assert cert.M * cert.M_inv == PolyMatrix.identity(len(row), VARS_ST)
+
+    def test_full_degree_d3_seed_5(self):
+        # F = d2 dehomogenized for perfbench.corpus._full_degree_member(5, 3):
+        # no constant entry, and its second column stalls reduction; the
+        # resultant-chart route did not finish on it
+        f = PolyMatrix([[parse_polynomial(p) for p in row] for row in D3_SEED5_F])
+        with pytest.MonkeyPatch.context() as patched:
+            steps = _counted(patched, quillen_suslin._RowCompleter, "_stable_range_step")
+            cert = complete_columns(f)
+        assert [completer.m for completer, in steps] == [4]
+        assert cert.M * f == target_block(2, 5)
+        assert cert.M * cert.M_inv == PolyMatrix.identity(5, VARS_ST)
+        assert cert.deg_M == 17
+
+
+D3_SEED5_F = [
+    ["1503310*s*t - 4377100*t^2 + 2841230*s + 9082020*t - 2175600",
+     "367040*s^2 - 686350*s*t + 102860*t^2 + 639730*s + 304140*t - 621600"],
+    ["-695*s^2 + 7345*s*t + 10416*t^2 - 423*s - 5016*t + 504",
+     "-265*s^2 + 1111*s*t - 81*s - 1008*t + 144"],
+    ["4865*s^2 + 16695*s*t + 1488*t^2 + 2127*s + 12888*t - 4536",
+     "1855*s^2 - 159*s*t + 249*s - 144*t - 1296"],
+    ["-19460*s*t - 68448*t^2 - 4170*s + 38064*t - 5040",
+     "-7420*s*t - 1590*s + 6624*t - 1440"],
+    ["-1651680*t - 1394900", "-183520*s + 56980"],
+]
 
 
 def _certificate_cases():
     """(f, general) covering every route through completion: the
     acceptance criterion 5 stream, the reference column, a constant minor,
-    and, with ``general`` set, the general route without heuristics."""
+    and, with ``general`` set, the stable-range step without heuristics."""
     rng = random.Random(77)
     for k in range(30):
         if k % 3 == 2:
@@ -368,11 +331,6 @@ class TestCarriedInverse:
         for f, general in _certificate_cases():
             cert = _complete(f, general, monkeypatch)
             assert cert.M * cert.M_inv == PolyMatrix.identity(f.rows, VARS_ST)
-        for f in _elimination_inputs():
-            out = variable_elimination_step(f, "t")
-            assert f * out == f.map_entries(lambda p: p.set_var("t", 0))
-        assert variable_elimination_step(PolyMatrix([[T, ONE]]), "t") == \
-            PolyMatrix([[ONE, ZERO], [-T, ONE]])
 
 
 nonzero_small_polys = st.dictionaries(
@@ -472,30 +430,19 @@ class TestRowLevelProducts:
 
 class TestStalledReduction:
     """A row on which mutual reduction makes no progress goes straight to the
-    general route, with no Groebner lift tried first."""
+    stable-range step, with no Groebner lift of a pair tried first."""
 
     def test_goes_straight_to_the_general_route(self, monkeypatch):
         monkeypatch.setattr(quillen_suslin._RowCompleter, "_mutual_reduction_pass",
                             lambda self, nz: False)
-        calls = {}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        # the Bezout steps after the elimination lift legitimately; only the
-        # pair lift that reduction would try first is counted
-        monkeypatch.setattr(quillen_suslin._RowCompleter, "_bezout_pair",
-                            counted("lift", quillen_suslin._RowCompleter._bezout_pair))
-        monkeypatch.setattr(quillen_suslin, "_eliminate_t_monic",
-                            counted("eliminate", quillen_suslin._eliminate_t_monic))
+        pairs = _counted(monkeypatch, quillen_suslin._RowCompleter, "_bezout_pair")
+        steps = _counted(monkeypatch, quillen_suslin._RowCompleter, "_stable_range_step")
         for row in GENERAL_ROUTE_ROWS:
-            calls.update(lift=0, eliminate=0)
+            pairs.clear()
+            steps.clear()
             f = PolyMatrix([[p] for p in row])
             cert = complete_columns(f)
-            assert calls == {"lift": 0, "eliminate": 1}, row
+            assert (len(pairs), len(steps)) == (0, 1), row
             assert cert.M * f == target_block(1, len(row))
             assert cert.M * cert.M_inv == PolyMatrix.identity(len(row), VARS_ST)
 
@@ -503,7 +450,6 @@ class TestStalledReduction:
 class TestNoRandomness:
     def test_completion_and_compute_draw_no_random_numbers(self, monkeypatch):
         cases = list(_certificate_cases())
-        eliminations = list(_elimination_inputs())
 
         def boom(*args, **kwargs):
             raise AssertionError("random number drawn")
@@ -512,8 +458,6 @@ class TestNoRandomness:
             monkeypatch.setattr(random, name, boom)
         for f, general in cases:
             _complete(f, general, monkeypatch)
-        for f in eliminations:
-            variable_elimination_step(f, "t")
         docs = []
         for seed in (0, 7):
             doc, code, _ = cli.run("compute", cli.parse_parametrization(
@@ -529,11 +473,11 @@ def _digest(*parts) -> str:
 
 
 # sha256 of "repr(M)|repr(M_inv)|det|deg_M" for each _certificate_cases() case,
-# and of repr(M) for each _elimination_inputs() matrix, pinned while the
-# completion heuristics still included a left-inverse update and random
-# shears: the routes that remain build exactly the same matrices.  The last
-# three, the GENERAL_ROUTE_ROWS on the general route, were re-pinned when
-# resultant charts replaced the Horrocks loop of _eliminate_t_monic
+# pinned while the completion heuristics still included a left-inverse update
+# and random shears: the routes that remain build exactly the same matrices.
+# The last three, the GENERAL_ROUTE_ROWS on the general route, were re-pinned
+# when they grew to length 4 and the stable-range step replaced the
+# resultant charts
 CERTIFICATE_DIGESTS = [
     "02a83e4b0002d0dfdea14ec76be42da594364ba964bc594ed39eab4919da1b9c",
     "0bb1a2f7d81b6d340bad8d6780a8759575ed2f1ea6ce6caa298fb00f088480fd",
@@ -567,19 +511,10 @@ CERTIFICATE_DIGESTS = [
     "347240a5e40c2995cd95d28f2b03f4172e6a6fb8faa2f492d4db22f8bf177e1b",
     "b7f823ff14fb0149004c42e7e6f08fe4e483e1c589930888039c9c55c968e48d",
     "879b8aee137381ac87a1f3bbd1b0eea97d1ad1e2e5077a6af0e984ba72c86087",
-    "c8f19cc713414e7264d0accd23aa6cb9dc27934ac7767d73c092e79847132e0e",
-    "cb9b4d4ee9a37ad956f4b320aeacd0bb60e71b8e06205fba7af98334957b2f6e",
-    "ad9a38559280e3342b5c7936b47366ba73fd8625cb36326ca00a79d3a34dd70d",
+    "484456449b85bde1c6eece0a06236a113b1f8c3186481e92b068be2f10053eb5",
+    "45aeb5d73d71d63f9e0ffb83772b91f80dac4dfbe2dd33b0db2e9b5180c99264",
+    "36c6f54614479c084583ab1d9403f58dec59a8cb508a9b58c0ec6933ffdca3cf",
 ]
-
-ELIMINATION_DIGESTS = [
-    "b2fb487edcc8bcd5b8ed44825d489b9d39f7a43e4433945cf2ef0473a337b202",
-    "85bbcfbb5938d53314d216ee576d04262d83c9ce4e345f747e4488b83a266e35",
-    "376b81b1597406472fd8365ca702d4371404f3acc32cfb075f2ba3bca1f16643",
-    "1134dc073298c7de3c2360761c65d67a5a9c68f0cb5936e0b475f023edc2f331",
-    "85bbcfbb5938d53314d216ee576d04262d83c9ce4e345f747e4488b83a266e35",
-]
-
 
 class TestPinnedOutputs:
     def test_completion_certificates(self, monkeypatch):
@@ -587,85 +522,3 @@ class TestPinnedOutputs:
                for c in (_complete(f, general, monkeypatch)
                          for f, general in _certificate_cases())]
         assert got == CERTIFICATE_DIGESTS
-
-    def test_variable_elimination(self):
-        got = [_digest(repr(variable_elimination_step(f, "t")))
-               for f in _elimination_inputs()]
-        assert got == ELIMINATION_DIGESTS
-
-    def test_general_route_eliminations(self):
-        got = [_digest(*map(repr, _eliminate_t_monic(row))) for row in PINNED_GENERAL_ROWS]
-        assert got == GENERAL_ROUTE_DIGESTS
-
-
-# rows with integer coefficients; each needs two resultant charts, with
-# a = 9s^4 + 5s^3 + 2s^2 + 5s + 3 and s^2 - 3s + 1 for the first and
-# a = (s + 1)^2 and s^2 for the second.  The digests of "repr(M)|repr(M_inv)"
-# from _eliminate_t_monic were pinned when resultant charts replaced the
-# Horrocks loop.
-PINNED_GENERAL_ROWS = [
-    [T**2 - S + 3, -3 * S**2 - S * T - S - T, S**2 - 3 * S + 1],
-    [T**2, S * T + S + 1, S**2],
-]
-
-GENERAL_ROUTE_DIGESTS = [
-    "228aa7d5f3bb695c0bc2c51f8d367ce13d1b0199595dd94a1dcf6996d65d391e",
-    "edbcb883fa050913a63426a2b02959ecb176a4d600b7fbd66435c5607cac085b",
-]
-
-
-# ---------------------------------------------------------------------------
-# The resultant Bezout identity against sympy
-# ---------------------------------------------------------------------------
-
-small = st.integers(-4, 4)
-
-
-def s_polys(max_deg):
-    return st.lists(small, min_size=1, max_size=max_deg + 1).map(
-        lambda cs: Poly(VARS_ST, {(k, 0): c for k, c in enumerate(cs)}))
-
-
-def t_polys(max_t_deg, lead=None):
-    """sum c_k(s) t^k for k <= max_t_deg; with ``lead``, that constant is the
-    coefficient of t^max_t_deg."""
-    coeffs = st.lists(s_polys(2), min_size=max_t_deg + 1, max_size=max_t_deg + 1)
-
-    def build(cs):
-        if lead is not None:
-            cs[-1] = Poly.const(VARS_ST, lead)
-        return sum((c * T**k for k, c in enumerate(cs)), ZERO)
-
-    return coeffs.map(build)
-
-
-@st.composite
-def resultant_cases(draw):
-    """(v1, w): v1 of t-degree 1..3 with a constant t-lead coefficient, and
-    w of t-degree 0..3; with a planted root t = r(s), both vanish there."""
-    d = draw(st.integers(1, 3))
-    lead = draw(st.sampled_from([1, 1, 2, -3]))
-    if draw(st.booleans()):
-        root = T - draw(s_polys(1))
-        return root * draw(t_polys(d - 1, lead)), root * draw(t_polys(draw(st.integers(0, 2))))
-    return draw(t_polys(d, lead)), draw(t_polys(draw(st.integers(0, 3))))
-
-
-def to_sympy(sp, p):
-    return sp.sympify(str(p).replace("^", "**"))
-
-
-class TestResultantAgainstSympy:
-    @settings(max_examples=60, deadline=10000)
-    @given(resultant_cases())
-    def test_bezout_identity_and_resultant(self, case):
-        sp = pytest.importorskip("sympy")
-        v1, w = case
-        a, p, q = quillen_suslin._resultant_bezout(v1, w)
-        assert p * v1 + q * w == a
-        assert not quillen_suslin._uses_var(a, 1)
-        s_, t_ = sp.symbols("s t")
-        res = sp.resultant(to_sympy(sp, v1), to_sympy(sp, w), t_)
-        assert a.is_zero() == (sp.expand(res) == 0)
-        if not a.is_zero():
-            assert sp.rem(sp.expand(res), to_sympy(sp, a), s_, domain=sp.QQ) == 0

@@ -5,13 +5,17 @@ a rename in ``mubasis`` would silently drop a span; it is loaded here by
 path, without writing bytecode next to it.  The arithmetic base layer
 imports no higher layer: ``mubasis.grobner`` and ``mubasis.quillen_suslin``
 import it, so an import back would be a cycle.  The library has no
-dependencies; sympy, hypothesis and numpy serve only the tests.
+dependencies; sympy, hypothesis and numpy serve only the tests.  Every
+name README.md lists as exported is an attribute of the package.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import mubasis
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,3 +71,14 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(sorted({m.split(".")[0] for m in sys.modules} & {"sympy", "hypothesis", "numpy"}))
 """)
     assert loaded == "[]", loaded
+
+
+def test_readme_exported_names_exist():
+    # the paragraph lists the exported lower-level pieces; a deleted or
+    # renamed export must leave it too
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    start = text.index("Lower-level pieces are exported")
+    paragraph = text[start:text.index("\n\n", start)]
+    names = re.findall(r"`([^`]+)`", paragraph)
+    assert len(names) >= 20, names
+    assert [n for n in names if not hasattr(mubasis, n)] == []
