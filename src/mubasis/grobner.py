@@ -16,7 +16,8 @@ Q would give, so the reduction path is that of the rational algorithm.
 Rational values appear only at the boundary (``Poly.num``/``Poly.den``,
 whose monomial keys a vector takes over with a position added): the input
 vectors, the monic reduced basis with its representations, and the
-remainders and quotients of _reduce_full.
+remainders and quotients of _reduce_full.  No reduction is done twice, and
+a GroebnerBasis builds its Polys only when its generators are read.
 
 Free resolutions are built by exact linear algebra on one graded piece at a
 time (graded Nakayama), with one echelon routine that yields both the
@@ -137,7 +138,8 @@ def _reduce_int(work: dict, basis: Sequence[Vec], leads, want_quotients: bool):
     basis element) is positive.  A step takes the greatest term c x^t
     (max(work)), the first lead l x^n dividing it (the guard-bit test of
     arith.Packing) and g = gcd(c, l), and sets work to (l/g) work -
-    (c/g) x^(t-n) basis_i: the terms and reducers of division over Q.
+    (c/g) x^(t-n) basis_i: the terms and reducers of division over Q.  A
+    lead dividing x^t is at most t, so below the least lead work is rem.
     Returns (K, rem, quots), K the product of the factors l/g, with
     K * work = sum_i quots[i] * basis[i] + rem; rem has no term divisible
     by a lead, and quots[i] is {monomial key: int} (None unless
@@ -145,11 +147,15 @@ def _reduce_int(work: dict, basis: Sequence[Vec], leads, want_quotients: bool):
     """
     pk = packing(len(basis[0].vars)) if basis else None
     guard, mask = (pk.guard, pk.div_mask) if pk else (0, 0)
+    least = min((lead for lead, _ in leads), default=float("inf"))
     rem: dict = {}  # rem and quots hold (coefficient, K at its step), scaled at the end
     quots = [dict() for _ in basis] if want_quotients else None
     K = 1
     while work:
         t = max(work)
+        if t < least:
+            rem.update((term, (c, K)) for term, c in work.items())
+            break
         c = work[t]
         tg = t + guard
         for hit, (lead, glc) in enumerate(leads):
@@ -275,9 +281,11 @@ def _add_combination(base, coeffs, vectors):
 
 def _buchberger_ext(gens: Sequence[Vec], track_reps: bool) -> _ExtGB:
     """Buchberger with sugar selection and both classical criteria; finishes
-    with interreduction to the reduced basis.  With track_reps every basis
-    element carries its representation over gens, which only lifting and
-    syzygy callers read.
+    with interreduction to the reduced basis in one sweep in increasing lead
+    order, each element reduced only against the smaller leads: a larger
+    lead divides none of its terms (Becker-Weispfenning 1993, 5.2).  With
+    track_reps every basis element carries its representation over gens,
+    which only lifting and syzygy callers read.
 
     The engine is fraction-free.  Every basis element is kept as a primitive
     integer vector with a positive leading coefficient (_primitive), the
@@ -370,25 +378,19 @@ def _buchberger_ext(gens: Sequence[Vec], track_reps: bool) -> _ExtGB:
     G2 = [G[i] for i in kept]
     L2 = [LT[i] for i in kept]
     R2 = [reps[i] for i in kept]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(G2)):
-            K, rem, quots = _reduce_int(dict(G2[i].terms), G2[:i] + G2[i + 1:],
-                                        L2[:i] + L2[i + 1:], track_reps)
-            if rem == G2[i].terms:
-                continue
-            changed = True
-            c, G2[i], L2[i] = _primitive(rem, vars, rank)
-            if track_reps:
-                # rem = K * G2[i] - sum quots_l * (the others), and the new G2[i] = c * rem
-                R2[i] = [r * c for r in _add_combination(
-                    [r * K for r in R2[i]], negated(quots), R2[:i] + R2[i + 1:])]
-    pairs = sorted(range(len(G2)), key=lambda i: L2[i][0])
+    for i in range(1, len(G2)):
+        K, rem, quots = _reduce_int(dict(G2[i].terms), G2[:i], L2[:i], track_reps)
+        if rem == G2[i].terms:
+            continue
+        c, G2[i], L2[i] = _primitive(rem, vars, rank)
+        if track_reps:
+            # rem = K * G2[i] - sum quots_l * G2[l] (l < i), and the new G2[i] = c * rem
+            R2[i] = [r * c for r in _add_combination(
+                [r * K for r in R2[i]], negated(quots), R2[:i])]
     reps_out = None
     if track_reps:
-        reps_out = [[r * Fraction(1, L2[i][1]) for r in R2[i]] for i in pairs]
-    return _ExtGB(vars=vars, rank=rank, ngens=k, ints=[G2[i] for i in pairs], reps=reps_out)
+        reps_out = [[r * Fraction(1, lc) for r in rep] for rep, (_, lc) in zip(R2, L2)]
+    return _ExtGB(vars=vars, rank=rank, ngens=k, ints=G2, reps=reps_out)
 
 
 # ---------------------------------------------------------------------------
@@ -423,19 +425,22 @@ def _normalize_items(items):
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis of an ideal or submodule."""
+    """A reduced Groebner basis of an ideal or submodule; its generators are
+    built on first use, as contains and normal_form never read them."""
 
     def __init__(self, ext: _ExtGB, scalar: bool):
         self._ext = ext
         self._scalar = scalar
         self.reduced = True
-        if scalar:
-            self.generators = [g.to_polys()[0] for g in ext.vecs]
-        else:
-            self.generators = [g.to_polys() for g in ext.vecs]
+
+    @cached_property
+    def generators(self) -> list:
+        if self._scalar:
+            return [g.to_polys()[0] for g in self._ext.vecs]
+        return [g.to_polys() for g in self._ext.vecs]
 
     def __len__(self):
-        return len(self.generators)
+        return len(self._ext.vecs)
 
     def __iter__(self):
         return iter(self.generators)

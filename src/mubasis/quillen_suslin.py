@@ -18,7 +18,7 @@ Every step is an elementary operation with a known inverse, so M^-1 is
 built alongside M rather than recovered from an adjugate: column operations
 on M are mirrored by the inverse row operations on M^-1, and each block
 factor comes with its explicit inverse.  The certificate is checked by
-multiplication alone: M F = [I_n; 0] and M M^-1 = I (see
+multiplication alone: M F = [I_n; 0], once, and M M^-1 = I (see
 CompletionCertificate).  The recursion over the rows of F^T multiplies only
 blocks: diag(1, mp) and the clearing of column 0 are applied to e1 as a
 block product and column operations, and to e1^-1 as a block product and
@@ -299,7 +299,8 @@ def _complete_rows(f: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
     clears column 0 below row 0 with the column operations
     col_0 -= (f e1)[i, 0] col_i.  Only e1[:, 1:] mp and its inverse's
     counterpart are matrix products; Y and Y^-1 are applied as column and
-    row operations.  f M = [I_n, 0] is checked exactly at every level.
+    row operations.  f M = [I_n, 0] is checked exactly at every level, the
+    last included; at the top it is complete_columns' check of M F.
     Nothing here decides unimodularity: a row that is not unimodular ends
     in CompletionError, and complete_columns tells the two causes apart."""
     n, m = f.rows, f.cols
@@ -307,6 +308,8 @@ def _complete_rows(f: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
         raise ValueError("expected at least as many columns as rows")
     e1, e1_inv = _RowCompleter(f.row(0)).run()
     if n == 1:
+        if f * e1 != _target_block(m, n, f.vars):
+            raise InternalError("row completion product check failed")
         return e1, e1_inv
     # rows 1 .. n-1 of f e1; row 0 is (1, 0, ..., 0) by construction
     fe = PolyMatrix(f.entries[1:]) * e1
@@ -351,8 +354,10 @@ def _complete_rows(f: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
 class CompletionCertificate:
     """Verified completion data: M unimodular, M * f = [I_n; 0].
 
-    M_inv is built alongside M, step by step, and M M_inv = I is checked
-    exactly.  That alone proves M_inv M = I: over a commutative ring it gives
+    M * f = [I_n; 0] is checked exactly once: as f^T M^T = (M f)^T on the
+    row route, or as M f on the constant-minor route.  M_inv is built
+    alongside M, step by step, and M M_inv = I is checked exactly.  That
+    alone proves M_inv M = I: over a commutative ring it gives
     det M det M_inv = 1, so M is invertible and M_inv is its inverse.  It
     also makes det M a nonzero constant, so det is read off the
     constant-term matrix M(0, 0).
@@ -442,9 +447,9 @@ def complete_columns(f: PolyMatrix) -> CompletionCertificate:
     A constant maximal minor gives M directly; otherwise each row of f^T is
     reduced to a constant pivot, or finished by the stable-range step when
     reduction stalls, which needs a row of length >= 4 (m >= n + 3 keeps
-    every level there).  M f = [I_n; 0] and M M^-1 = I are checked exactly
-    before returning; failure raises CompletionError rather than ever
-    producing an unverified answer.
+    every level there).  M f = [I_n; 0] (on the row route, its transpose)
+    and M M^-1 = I are checked exactly, once each, before returning; failure
+    raises rather than ever producing an unverified answer.
 
     Unimodularity is decided where it is needed.  A constant minor proves
     it, and so does a completed row route, whose checked f^T M^T = [I_n, 0]
@@ -459,6 +464,8 @@ def complete_columns(f: PolyMatrix) -> CompletionCertificate:
     const_rows = next((rows for rows, d in minors if d.is_constant()), None)
     if const_rows is not None:
         big, inv = _constant_minor_completion(f, const_rows)
+        if big * f != _target_block(n, m, f.vars):
+            raise CompletionError("completion failed (certificate product check)")
     else:
         try:
             mt, mt_inv = _complete_rows(f.transpose())
@@ -467,8 +474,6 @@ def complete_columns(f: PolyMatrix) -> CompletionCertificate:
                 raise ValueError("matrix is not unimodular") from None
             raise
         big, inv = mt.transpose(), mt_inv.transpose()
-    if big * f != _target_block(n, m, f.vars):
-        raise CompletionError("completion failed (certificate product check)")
     ident = PolyMatrix.identity(m, f.vars)
     if big * inv != ident:
         raise InternalError("completion inverse verification failed")

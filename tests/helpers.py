@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from mubasis.arith import (
     VARS_ST,
@@ -64,6 +65,47 @@ def count_conversions(monkeypatch, targets):
             return _real(self, *args)
         monkeypatch.setattr(Packing, name, counted)
     return calls
+
+
+def plain_reduce_int(work, basis, leads, want_quotients):
+    """grobner._reduce_int by a plain scan: an oracle for its cutoff.
+
+    Every term of work, down to the last, is tested against every lead on
+    exponent tuples, products are packed from tuples, and rem and the
+    quotients are rescaled at each step rather than once at the end.
+    Returns (K, rem, quots) in the library's packed keys."""
+    pk = Packing(len(basis[0].vars)) if basis else None
+
+    def divides(lead, t):
+        return pk.position(lead) == pk.position(t) and mono_divides(pk.unpack(lead),
+                                                                    pk.unpack(t))
+
+    work, rem, K = dict(work), {}, 1
+    quots = [dict() for _ in basis] if want_quotients else None
+    while work:
+        t = max(work)
+        hit = next((i for i, (lead, _) in enumerate(leads) if divides(lead, t)), None)
+        if hit is None:
+            rem[t] = work.pop(t)
+            continue
+        lead, lc = leads[hit]
+        g = gcd(work[t], lc)
+        mult, f = lc // g, work[t] // g
+        K *= mult
+        for terms in (work, rem, *(quots or ())):
+            for key in terms:
+                terms[key] *= mult
+        q = tuple(a - b for a, b in zip(pk.unpack(t), pk.unpack(lead)))
+        if want_quotients:
+            quots[hit][pk.pack(q)] = f
+        for b, bc in basis[hit].terms.items():
+            term = pk.pack(mono_mul(pk.unpack(b), q), pk.position(b))
+            val = work.get(term, 0) - bc * f
+            if val:
+                work[term] = val
+            else:
+                del work[term]
+    return K, rem, quots
 
 
 def substitute(p, mapping):

@@ -60,6 +60,7 @@ from helpers import (
     mono_divides,
     mono_mul,
     nullspace,
+    plain_reduce_int,
     random_poly,
 )
 
@@ -1166,3 +1167,135 @@ def test_reduction_loop_builds_no_tuple_monomials(monkeypatch):
     assert calls == []
     str(syz[0][0])  # the spy sees the unpacking of the boundary view
     assert calls and set(calls) == {"unpack"}
+
+
+# ---------------------------------------------------------------------------
+# Work done once: the least-lead cutoff of _reduce_int, the one-sweep finish
+# of _buchberger_ext, and generators built on demand.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def integer_reductions(draw):
+    """(work, basis, leads) as _reduce_int takes them: integer vectors of rank
+    1-3 in 2 or 3 variables (degree <= 3), 0-4 basis vectors with positive
+    leading coefficients, and leads their _lead."""
+    vars = draw(st.sampled_from([VARS_ST, VARS_STU]))
+    rank = draw(st.integers(1, 3))
+    pk = arith.packing(len(vars))
+    keys = [pk.pack(m, pos) for pos in range(rank) for k in range(4)
+            for m in monomials_of_degree(len(vars), k)]
+    coeffs = st.integers(-30, 30).filter(bool)
+
+    def terms(min_size, max_size):
+        chosen = draw(st.lists(st.sampled_from(keys), min_size=min_size,
+                               max_size=max_size, unique=True))
+        return {key: draw(coeffs) for key in chosen}
+
+    basis = []
+    for _ in range(draw(st.integers(0, 4))):
+        g = terms(1, 4)
+        g[max(g)] = abs(g[max(g)])
+        basis.append(Vec(vars, rank, g))
+    return terms(0, 8), basis, [grobner._lead(g) for g in basis]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_reductions())
+@example(({3: 2, 1: 5}, [], []))
+def test_reduce_int_matches_a_plain_scan(case):
+    """The cutoff at the least lead changes no step: K, rem and the
+    quotients equal those of a scan that tests every term against every
+    lead."""
+    work, basis, leads = case
+    for want_quotients in (False, True):
+        assert (grobner._reduce_int(dict(work), basis, leads, want_quotients)
+                == plain_reduce_int(work, basis, leads, want_quotients))
+
+
+def _ext_with_call_counts(gens, track_reps):
+    """(_buchberger_ext of the nonzero vectors of gens, those vectors as
+    tuples of Polys, the number of _reduce_int calls of its finish).  Each
+    S-vector the main loop forms is reduced by one call, so the finish
+    makes the calls beyond the _spair calls."""
+    vecs, _, _, _ = _normalize_items(gens)
+    vecs = [v for v in vecs if not v.is_zero()]
+    calls = {"_reduce_int": 0, "_spair": 0}
+    with pytest.MonkeyPatch.context() as patched:
+        for name in calls:
+            def counted(*args, _real=getattr(grobner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            patched.setattr(grobner, name, counted)
+        ext = _buchberger_ext(vecs, track_reps)
+    return ext, [v.to_polys() for v in vecs], calls["_reduce_int"] - calls["_spair"]
+
+
+def assert_reduced_in_one_sweep(gens):
+    for track_reps in (False, True):
+        ext, vectors, finish_calls = _ext_with_call_counts(gens, track_reps)
+        leads = lead_positions(ext)
+        keys = [key for key, _ in ext.lead_terms]
+        assert keys == sorted(set(keys))  # strictly ascending
+        for i, v in enumerate(ext.vecs):
+            for pos, p in enumerate(v.to_polys()):
+                for m in p.terms:
+                    assert not any(j != i and lp == pos and mono_divides(lm, m)
+                                   for j, (lp, lm) in enumerate(leads))
+        assert finish_calls == len(ext.ints) - 1
+        if track_reps:
+            for v, rep in zip(ext.vecs, ext.reps):
+                assert _combination(rep, vectors, ext.vars, ext.rank) == v.to_polys()
+        else:
+            assert ext.reps is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_ideals())
+def test_one_sweep_finish_reduces_ideal_bases(case):
+    _, gens = case
+    assert_reduced_in_one_sweep(gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_modules())
+def test_one_sweep_finish_reduces_module_bases(case):
+    _, _, gens, _, _ = case
+    assert_reduced_in_one_sweep(gens)
+
+
+class TestGeneratorsOnDemand:
+    """contains and normal_form reduce on the engine's vectors; the Poly
+    generators are built only when read."""
+
+    @pytest.mark.parametrize("module", [False, True], ids=["ideal", "module"])
+    def test_membership_builds_no_generators(self, module, monkeypatch):
+        gens = homogenized_reference_generators()
+        if module:
+            gens = syzygy_generators(gens)
+            member, outside = tuple(p * S for p in gens[1]), (S,) + (ZERO3,) * (len(gens[0]) - 1)
+        else:
+            member, outside = gens[1] * T, S * T * U
+        calls = []
+        real = Vec.to_polys
+        monkeypatch.setattr(Vec, "to_polys", lambda self: calls.append(1) or real(self))
+        gb = buchberger(gens)
+        assert calls == []
+        assert gb.contains(member) and not gb.contains(outside)
+        assert calls == []
+        nf = gb.normal_form(outside)
+        assert len(calls) == 1
+        assert gb.contains(tuple(a - b for a, b in zip(outside, nf)) if module else outside - nf)
+        assert len(calls) == 1 and "generators" not in gb.__dict__
+        assert len(gb) == len(gb._ext.ints)
+        assert len(gb.generators) == len(gb) and len(calls) == 1 + len(gb)
+        assert gb.generators is gb.generators and len(calls) == 1 + len(gb)
+
+    def test_first_basis_generators_and_leading_keys(self):
+        row = homogenized_reference_generators()
+        first_basis = free_resolution(row).first_basis
+        assert first_basis.generators == buchberger(row).generators
+        pk = arith.packing(3)
+        assert [pk.unpack(k) for k in first_basis.leading_keys] == [
+            max(g.terms, key=grevlex_key) for g in first_basis.generators]
+        assert list(first_basis.leading_keys) == sorted(first_basis.leading_keys)

@@ -406,9 +406,10 @@ class TestRowLevelProducts:
     def test_one_level_uses_block_products(self, monkeypatch):
         # a 2 x 5 row-route matrix (no constant minor) whose two rows each
         # reach a constant by column operations alone, so every product is
-        # one of _complete_rows: f e1 for row 1, e1[:, 1:] mp, the product
-        # check, and mp^-1 e1^-1[1:, :].  None is a 5 x 5 by 5 x 5 product:
-        # diag(1, mp) and Y enter only as blocks and column or row operations
+        # one of _complete_rows: f e1 for row 1, the product check of the
+        # last level (row 1 times mp), e1[:, 1:] mp, the product check, and
+        # mp^-1 e1^-1[1:, :].  None is a 5 x 5 by 5 x 5 product: diag(1, mp)
+        # and Y enter only as blocks and column or row operations
         f = PolyMatrix([[T, ONE + S * T, S, ZERO, ZERO], [ZERO, ZERO, S, ZERO, ONE + S * T]])
         assert is_unimodular(f.transpose())
         assert not any(d.is_constant() for _, d in quillen_suslin._nonzero_minors(f.transpose()))
@@ -422,10 +423,35 @@ class TestRowLevelProducts:
         monkeypatch.setattr(PolyMatrix, "__mul__", counted)
         m, m_inv = quillen_suslin._complete_rows(f)
         monkeypatch.setattr(PolyMatrix, "__mul__", mul)
-        assert shapes == [((1, 5), (5, 5)), ((5, 4), (4, 4)), ((2, 5), (5, 5)),
+        assert shapes == [((1, 5), (5, 5)), ((1, 4), (4, 4)), ((5, 4), (4, 4)), ((2, 5), (5, 5)),
                           ((4, 4), (4, 5))]
         assert f * m == target_block(2, 5).transpose()
         assert m * m_inv == PolyMatrix.identity(5, VARS_ST)
+
+    @pytest.mark.parametrize("f", [
+        PolyMatrix([[S], [ONE - S], [T]]),
+        PolyMatrix([[T, ZERO], [ONE + S * T, ZERO], [S, S], [ZERO, ZERO], [ZERO, ONE + S * T]]),
+        PolyMatrix([[S, T], [ONE, S], [T, ONE + S * T]]),
+        reference_column(),
+    ], ids=["row-route-n1", "row-route-n2", "constant-minor-n2", "constant-minor-n1"])
+    def test_one_m_f_product_per_completion(self, f, monkeypatch):
+        # M F = [I_n; 0] is checked once: as F^T M^T at the top level of the
+        # row route, or as M F after a constant-minor completion
+        m, n = f.rows, f.cols
+        shapes = []
+        mul = PolyMatrix.__mul__
+
+        def counted(a, b):
+            shapes.append(((a.rows, a.cols), (b.rows, b.cols)))
+            return mul(a, b)
+
+        monkeypatch.setattr(PolyMatrix, "__mul__", counted)
+        cert = complete_columns(f)
+        monkeypatch.setattr(PolyMatrix, "__mul__", mul)
+        m_f_sized = [((m, m), (m, n)), ((n, m), (m, m))]
+        assert sum(shape in m_f_sized for shape in shapes) == 1
+        assert shapes.count(((m, m), (m, m))) == 1  # M M^-1 = I
+        assert cert.M * f == target_block(n, m)
 
 
 class TestStalledReduction:
