@@ -865,37 +865,33 @@ class PolyMatrix:
 
         return minor
 
-    def adjugate(self) -> "PolyMatrix":
-        if self.rows != self.cols:
-            raise ValueError("adjugate of a non-square matrix")
-        n = self.rows
-        if n == 1:
-            return PolyMatrix([[Poly.const(self.vars, 1)]])
-        idx = list(range(n))
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = self.submatrix([r for r in idx if r != j],
-                                       [c for c in idx if c != i])
-                cof = minor.det()
-                out[i][j] = cof if (i + j) % 2 == 0 else -cof
-        return PolyMatrix(out)
-
 
 def mat_inverse(m: PolyMatrix) -> tuple[PolyMatrix, Fraction]:
     """Invert a square matrix whose determinant is a nonzero constant.
 
-    Returns (inverse, det).  The product with the input is re-checked
-    exactly; a mismatch indicates a bug and raises InternalError.
+    Faddeev-LeVerrier on A = m: with M_1 = I, c_(n-k) = -tr(A M_k) / k and
+    M_(k+1) = A M_k + c_(n-k) I, Cayley-Hamilton gives A M_n = -c_0 I, so
+    A^-1 = -M_n / c_0 and det A = (-1)^n c_0.  Only n products and divisions
+    by integers are needed, no cofactors.  Returns (A^-1, det A).  The
+    product A A^-1 = I is checked exactly, which over a commutative ring
+    gives A^-1 A = I too; a mismatch indicates a bug and raises
+    InternalError.
     """
     if m.rows != m.cols:
         raise ValueError("cannot invert a non-square matrix")
-    det = m.det()
-    if det.is_zero() or not det.is_constant():
+    n = m.rows
+    mk = PolyMatrix.identity(n, m.vars)
+    for k in range(1, n + 1):
+        amk = m * mk
+        c = sum((amk[i, i] for i in range(n)), Poly.zero(m.vars)) * Fraction(-1, k)
+        if k < n:
+            for i in range(n):
+                amk.entries[i][i] = amk.entries[i][i] + c
+            mk = amk
+    if c.is_zero() or not c.is_constant():
         raise ValueError("not invertible over the polynomial ring")
-    d = det.constant_value()
-    inv = m.adjugate().map_entries(lambda p: p * (Fraction(1) / d))
-    ident = PolyMatrix.identity(m.rows, m.vars)
-    if inv * m != ident or m * inv != ident:
+    c0 = c.constant_value()
+    inv = mk.map_entries(lambda p: p * (-1 / c0))
+    if m * inv != PolyMatrix.identity(n, m.vars):
         raise InternalError("matrix inverse verification failed")
-    return inv, d
+    return inv, c0 if n % 2 == 0 else -c0

@@ -488,33 +488,6 @@ def normal_form(x, gb: GroebnerBasis):
     return gb.normal_form(x)
 
 
-def make_lifter(gens):
-    """Callable expressing targets over gens (None when not a member)."""
-    vecs, rank, vars, scalar = _normalize_items(gens)
-    nonzero = [(i, v) for i, v in enumerate(vecs) if not v.is_zero()]
-    if not nonzero:
-        return lambda target: None
-    ext = _buchberger_ext([v for _, v in nonzero], track_reps=True)
-    zero = Poly.zero(vars)
-
-    def lift(target):
-        tvec = Vec.from_polys([target]) if scalar else Vec.from_polys(tuple(target), rank)
-        coeffs = ext.lift(tvec)
-        if coeffs is None:
-            return None
-        out = [zero] * len(vecs)
-        for (orig, _), c in zip(nonzero, coeffs):
-            out[orig] = c
-        return out
-
-    return lift
-
-
-def lift_coefficients(target, gens):
-    """Express target as a combination of gens, or None if not a member."""
-    return make_lifter(gens)(target)
-
-
 def reduce_with_certificate(target, gens):
     """Full normal form with an exact certificate over the given generators.
 
@@ -533,6 +506,22 @@ def reduce_with_certificate(target, gens):
         out[orig] = c
     polys = rem.to_polys()
     return (polys[0] if scalar else polys), out
+
+
+def _is_zero(x) -> bool:
+    """True for the zero Poly and for a vector of zero Polys."""
+    return x.is_zero() if isinstance(x, Poly) else all(p.is_zero() for p in x)
+
+
+def lift_coefficients(target, gens):
+    """Express target as a combination of gens: reduce_with_certificate with
+    a zero remainder.  None when target is not a member, and when every
+    generator is zero."""
+    gens = list(gens)
+    rem, coeffs = reduce_with_certificate(target, gens)
+    if not _is_zero(rem) or all(map(_is_zero, gens)):
+        return None
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

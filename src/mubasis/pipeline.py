@@ -28,7 +28,7 @@ from .arith import (
 )
 from .bounds import BoundsReport, report_for_resolution
 from .errors import InternalError, ValidationError, VerificationError
-from .grobner import buchberger, free_resolution, syzygy_generators
+from .grobner import buchberger, free_resolution, modules_equal, syzygy_generators
 from .quillen_suslin import complete_columns
 
 
@@ -121,7 +121,7 @@ def verify_mu_basis(basis, par: Parametrization) -> Fraction:
 
     (1) each vector is a moving plane; (2) the outer product is a nonzero
     constant multiple alpha of the parametrization; (3) the vectors generate
-    the full syzygy module (double Groebner reduction).
+    the full syzygy module (double inclusion, modules_equal).
     """
     basis = [tuple(v) for v in basis]
     if len(basis) != 3 or any(len(v) != 4 for v in basis):
@@ -150,15 +150,8 @@ def verify_mu_basis(basis, par: Parametrization) -> Fraction:
     for oc, ai in zip(outer, par.a):
         if oc != ai * alpha:
             raise VerificationError("outer product not proportional")
-    syz = syzygy_generators(list(par.a))
-    basis_gb = buchberger(basis)
-    for w in syz:
-        if not basis_gb.contains(w):
-            raise VerificationError("does not generate Syz")
-    syz_gb = buchberger(syz)
-    for v in basis:
-        if not syz_gb.contains(v):
-            raise VerificationError("does not generate Syz")
+    if not modules_equal(syzygy_generators(list(par.a)), basis):
+        raise VerificationError("does not generate Syz")
     return alpha
 
 

@@ -14,15 +14,17 @@ them puts a 1 into a fourth slot (see _RowCompleter._stable_range_step).
 The pipeline's F is (n + 3) x n, so every row it completes has length >= 4.
 No step is randomized.
 
-Every step is an elementary operation with a known inverse, so M^-1 is
-built alongside M rather than recovered from an adjugate: column operations
-on M are mirrored by the inverse row operations on M^-1, and each block
-factor comes with its explicit inverse.  The certificate is checked by
-multiplication alone: M F = [I_n; 0], once, and M M^-1 = I (see
-CompletionCertificate).  The recursion over the rows of F^T multiplies only
-blocks: diag(1, mp) and the clearing of column 0 are applied to e1 as a
-block product and column operations, and to e1^-1 as a block product and
-row operations.
+No m x m matrix is inverted.  On the row route every step is an
+elementary operation with a known inverse, so M^-1 is built alongside M:
+column operations on M are mirrored by the inverse row operations on M^-1,
+and each block factor comes with its explicit inverse.  On the
+constant-minor route M^-1 is F bordered by unit columns, and M needs only
+the inverse of the minor's n x n block (arith.mat_inverse).  The
+certificate is checked by multiplication alone: M F = [I_n; 0], once, and
+M M^-1 = I (see CompletionCertificate).  The recursion over the rows of F^T
+multiplies only blocks: diag(1, mp) and the clearing of column 0 are
+applied to e1 as a block product and column operations, and to e1^-1 as a
+block product and row operations.
 
 Unimodularity of F is decided by the completion itself wherever it
 succeeds: a constant minor proves it, and so does a checked certificate,
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import NEG_INF, VARS_ST, Poly, PolyMatrix, primitive_scale
+from .arith import NEG_INF, VARS_ST, Poly, PolyMatrix, mat_inverse, primitive_scale
 from .errors import CompletionError, InternalError
 from .grobner import buchberger, lift_coefficients, reduce_with_certificate
 
@@ -376,37 +378,14 @@ def _target_block(n: int, m: int, vars) -> PolyMatrix:
     return PolyMatrix([[one if i == j else zero for j in range(n)] for i in range(m)])
 
 
-def _leverrier_inverse(a: PolyMatrix) -> PolyMatrix:
-    """Inverse of a square matrix whose determinant is a nonzero constant.
-
-    Faddeev-LeVerrier: with M_1 = I, c_(n-k) = -tr(A M_k) / k and
-    M_(k+1) = A M_k + c_(n-k) I, Cayley-Hamilton gives A M_n = -c_0 I, so
-    A^-1 = -M_n / c_0.  Only n products and divisions by integers are
-    needed, no cofactors.
-    """
-    n = a.rows
-    mk = PolyMatrix.identity(n, a.vars)
-    for k in range(1, n + 1):
-        amk = a * mk
-        c = sum((amk[i, i] for i in range(n)), Poly.zero(a.vars)) * Fraction(-1, k)
-        if k < n:
-            for i in range(n):
-                amk.entries[i][i] = amk.entries[i][i] + c
-            mk = amk
-    if c.is_zero() or not c.is_constant():
-        raise ValueError("not invertible over the polynomial ring")
-    scale = Fraction(-1) / c.constant_value()
-    return mk.map_entries(lambda p: p * scale)
-
-
 def _constant_minor_completion(f: PolyMatrix, rows) -> tuple[PolyMatrix, PolyMatrix]:
     """Fast path for a maximal minor of f on ``rows`` that is a nonzero
     constant: N = [f | unit columns on the complementary rows] is invertible,
     M = N^-1 is a completion and M^-1 = N.
 
-    Only the block A = f[rows, :] is inverted.  The columns of M indexed by
-    ``rows`` are ([I_n; 0] - sum_i e_slot(i) f[i, :]) A^-1 over the
-    complementary rows i, and column i of M is e_slot(i).
+    Only the block A = f[rows, :] is inverted, by mat_inverse.  The columns
+    of M indexed by ``rows`` are ([I_n; 0] - sum_i e_slot(i) f[i, :]) A^-1
+    over the complementary rows i, and column i of M is e_slot(i).
     """
     m, n = f.rows, f.cols
     zero = Poly.zero(f.vars)
@@ -431,7 +410,7 @@ def _constant_minor_completion(f: PolyMatrix, rows) -> tuple[PolyMatrix, PolyMat
     lead = _target_block(n, m, f.vars)
     for i, slot in placement.items():
         lead.entries[slot] = [-x for x in f.row(i)]
-    c = lead * _leverrier_inverse(f.submatrix(rows, range(n)))
+    c = lead * mat_inverse(f.submatrix(rows, range(n)))[0]
     big = PolyMatrix.zero(m, m, f.vars)
     for k, r in enumerate(rows):
         for i in range(m):

@@ -26,7 +26,7 @@ from mubasis.arith import (
     mat_inverse,
     packing,
 )
-from mubasis.errors import ResourceLimitError
+from mubasis.errors import InternalError, ResourceLimitError
 from mubasis.grobner import Vec, buchberger, lift_coefficients
 from mubasis.parser import parse_polynomial
 from helpers import (count_conversions, grevlex_key, mono_divides, mono_lcm, mono_mul,
@@ -225,6 +225,42 @@ class TestMatrixInverse:
     def test_not_invertible(self):
         with pytest.raises(ValueError, match="not invertible"):
             mat_inverse(PolyMatrix([[S]]))
+
+    @pytest.mark.parametrize("entries", [
+        [[ONE, S], [S, ONE]],                                  # det 1 - s^2
+        [[S, T], [S, T]],                                      # det 0
+        [[ONE, S, T], [Poly.zero(VARS_ST), T, ONE], [S, ONE, ONE]],
+    ])
+    def test_non_constant_determinant(self, entries):
+        with pytest.raises(ValueError, match="not invertible"):
+            mat_inverse(PolyMatrix(entries))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="non-square"):
+            mat_inverse(PolyMatrix([[S, ONE]]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_determinant_minus_one(self, n):
+        # det = (-1)^n c_0 with c_0 the last characteristic coefficient, so
+        # det -1 needs c_0 = 1 for odd n and c_0 = -1 for even n
+        z = Poly.zero(VARS_ST)
+        m = {1: [[-ONE]],
+             2: [[S, ONE], [ONE, z]],
+             3: [[T, ONE, z], [ONE, z, z], [S * T, S, ONE]]}[n]
+        m = PolyMatrix(m)
+        inv, det = mat_inverse(m)
+        assert det == -1 and m.det() == Poly.const(VARS_ST, -1)
+        assert inv * m == PolyMatrix.identity(n, VARS_ST)
+        if n == 2:
+            assert inv == PolyMatrix([[z, ONE], [ONE, -S]])
+
+    def test_checks_the_product(self, monkeypatch):
+        # a corrupted inverse is caught by the exact m * inverse = I check
+        real = PolyMatrix.map_entries
+        monkeypatch.setattr(PolyMatrix, "map_entries",
+                            lambda self, fn: real(real(self, fn), lambda p: p * 2))
+        with pytest.raises(InternalError, match="inverse verification"):
+            mat_inverse(PolyMatrix([[ONE, S], [Poly.zero(VARS_ST), ONE]]))
 
     def test_random_products_of_elementaries(self):
         rng = random.Random(5)

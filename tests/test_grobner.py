@@ -39,7 +39,6 @@ from mubasis.grobner import (
     integer_normalize,
     krull_dimension,
     lift_coefficients,
-    make_lifter,
     minimal_betti_table,
     minimal_generators,
     modules_equal,
@@ -181,6 +180,19 @@ class TestNormalForm:
             acc = acc + c * g
         assert acc == target
         assert lift_coefficients(S2, [T2]) is None
+
+    def test_lift_over_zero_generators_is_none(self):
+        # no generator to combine, so even the zero target has no lift
+        zero, one = Poly.zero(VARS_ST), Poly.const(VARS_ST, 1)
+        assert lift_coefficients(zero, [zero, zero]) is None
+        assert lift_coefficients(S2, [zero]) is None
+        assert lift_coefficients((zero, zero), [(zero, zero)]) is None
+        # a zero generator among nonzero ones gets a zero coefficient
+        assert lift_coefficients(zero, [zero, T2]) == [zero, zero]
+        assert lift_coefficients(S2 * T2, [zero, T2]) == [zero, S2]
+        assert lift_coefficients((T2, zero), [(zero, zero), (one, zero)]) == [zero, T2]
+        with pytest.raises(ValueError, match="empty"):
+            lift_coefficients(S2, [])
 
 
 class SchreyerOrder:
@@ -791,7 +803,7 @@ class TestRepresentations:
         assert buchberger(row)._ext.reps is None
         free_resolution(row)
         assert calls == []
-        make_lifter(row)
+        lift_coefficients(row[0], row)
         assert calls
 
     def test_lifts_and_syzygies_stay_exact(self):
@@ -799,11 +811,10 @@ class TestRepresentations:
         for _ in range(5):
             gens = [random_form(rng, VARS_STU, 2, coeff_bound=3) for _ in range(3)]
             gens = [g for g in gens if not g.is_zero()]
-            lift = make_lifter(gens)
             for _ in range(3):
                 cofs = [random_form(rng, VARS_STU, 1, coeff_bound=3) for _ in gens]
                 target = sum((c * g for c, g in zip(cofs, gens)), ZERO3)
-                coeffs = lift(target)
+                coeffs = lift_coefficients(target, gens)
                 assert coeffs is not None
                 assert sum((c * g for c, g in zip(coeffs, gens)), ZERO3) == target
             syz = syzygy_generators(gens)
@@ -1126,7 +1137,7 @@ def test_module_reduction_certificates(case):
     assert gb.normal_form(target) == rem
     # members lift back to themselves
     member = _combination(cofactors, gens, vars, rank)
-    lifted = make_lifter(gens)(member)
+    lifted = lift_coefficients(member, gens)
     assert lifted is not None and _combination(lifted, gens, vars, rank) == member
     # Schreyer: every syzygy of the basis reduces to zero against the
     # Schreyer generators under the induced order
@@ -1163,7 +1174,7 @@ def test_reduction_loop_builds_no_tuple_monomials(monkeypatch):
     calls = count_conversions(monkeypatch, [(grobner, "_buchberger_ext"),
                                             (grobner, "_reduce_int"), (Poly, "__str__")])
     gb = buchberger(syz)
-    assert gb.contains(syz[0]) and make_lifter(syz)(syz[0]) is not None
+    assert gb.contains(syz[0]) and lift_coefficients(syz[0], syz) is not None
     assert calls == []
     str(syz[0][0])  # the spy sees the unpacking of the boundary view
     assert calls and set(calls) == {"unpack"}

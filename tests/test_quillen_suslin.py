@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mubasis import arith, cli, quillen_suslin
-from mubasis.arith import VARS_ST, Poly, PolyMatrix, mat_inverse
+from mubasis import cli, quillen_suslin
+from mubasis.arith import VARS_ST, Poly, PolyMatrix
 from mubasis.errors import CompletionError, InternalError
 from mubasis.parser import parse_polynomial
 from mubasis.quillen_suslin import complete_columns, is_unimodular, qs_degree_bound
@@ -299,16 +299,21 @@ def _certificate_cases():
             yield f, True
 
 
-class TestCarriedInverse:
-    """The inverse and determinant built alongside M match the adjugate
-    route, which stays the reference implementation."""
+def _to_sympy(sp, m):
+    return sp.Matrix([[sp.sympify(str(p).replace("^", "**")) for p in row]
+                      for row in m.entries])
 
-    def test_matches_mat_inverse(self, monkeypatch):
+
+class TestCarriedInverse:
+    """The inverse and determinant built alongside M match sympy's."""
+
+    def test_matches_sympy_inverse(self, monkeypatch):
+        sp = pytest.importorskip("sympy")
         for f, general in _certificate_cases():
             cert = _complete(f, general, monkeypatch)
-            assert (cert.M_inv, cert.det) == mat_inverse(cert.M)
-            # the constant-minor path inverts its block this way; M is larger
-            assert quillen_suslin._leverrier_inverse(cert.M) == cert.M_inv
+            big = _to_sympy(sp, cert.M)
+            assert (big.inv(method="DM") - _to_sympy(sp, cert.M_inv)).expand().is_zero_matrix
+            assert big.det(method="berkowitz").expand() == cert.det
 
     def test_constant_minor_needs_no_groebner_basis(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -321,16 +326,23 @@ class TestCarriedInverse:
         assert cert.M * f == target_block(2, 3)
         assert cert.M_inv.column(0) == f.column(0)
 
-    def test_no_adjugate_on_the_completion_path(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise AssertionError("adjugate route used")
-
-        monkeypatch.setattr(PolyMatrix, "adjugate", boom)
-        monkeypatch.setattr(arith, "mat_inverse", boom)
-        monkeypatch.setattr(quillen_suslin, "mat_inverse", boom, raising=False)
+    def test_one_block_inverse_per_constant_minor_completion(self, monkeypatch):
+        # the constant-minor route inverts the n x n block of its minor once;
+        # the row route builds M^-1 step by step and inverts nothing
+        routes = []
         for f, general in _certificate_cases():
+            calls = _counted(monkeypatch, quillen_suslin, "mat_inverse")
             cert = _complete(f, general, monkeypatch)
+            monkeypatch.undo()
+            const_rows = next((rows for rows, d in quillen_suslin._nonzero_minors(f)
+                               if d.is_constant()), None)
+            routes.append(const_rows is not None)
+            if const_rows is None:
+                assert calls == []
+            else:
+                assert [args for args, in calls] == [f.submatrix(const_rows, range(f.cols))]
             assert cert.M * cert.M_inv == PolyMatrix.identity(f.rows, VARS_ST)
+        assert any(routes) and not all(routes)
 
 
 nonzero_small_polys = st.dictionaries(

@@ -46,6 +46,32 @@ print(missing)
     assert missing == "[]"
 
 
+def test_tracing_records_one_block_inverse_per_constant_minor_completion():
+    # the harness's arith.mat_inverse_calls and _max_n read these spans: a
+    # constant-minor completion inverts its n x n block once, by mat_inverse
+    totals = _run(f"""
+import importlib.util
+spec = importlib.util.spec_from_file_location("tracing", {str(ROOT / "perfbench" / "tracing.py")!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+from mubasis import quillen_suslin
+from mubasis.arith import VARS_ST, Poly, PolyMatrix
+s, t, one = Poly.variable(VARS_ST, "s"), Poly.variable(VARS_ST, "t"), Poly.const(VARS_ST, 1)
+f = PolyMatrix([[s, t], [one, s], [t, one + s * t]])  # minor on rows 1, 2 is 1
+tracer = tracing.Tracer()
+handle = tracing.install(tracer)
+try:
+    quillen_suslin.complete_columns(f)
+finally:
+    handle.restore()
+totals = tracing.layer_totals(tracer)
+print([(name, totals[name]["calls"], totals[name]["attrs"])
+       for name in ("quillen_suslin.complete_columns", "arith.mat_inverse")])
+""")
+    assert totals == ("[('quillen_suslin.complete_columns', 1, [{'deg_M': 3}]), "
+                      "('arith.mat_inverse', 1, [{'n': 2}])]"), totals
+
+
 def test_arith_imports_no_higher_layer():
     # the package __init__ imports every layer, so a bare package stands in
     # for it; the gcd runs too, to catch an import made inside a function
