@@ -133,7 +133,7 @@ def evaluate_bounds(d: int, m: int, case: str, beta2: int | None = None,
         D = beta2 * (1 + gamma2)
         qs = degree_bound_for_D(D)
         if gamma1 is not None:
-            basis = gamma1 * (beta2 + 2) * qs
+            basis = basis_degree_bound(gamma1, beta2, gamma2)
     return BoundsReport(
         d=d,
         m=m,
@@ -270,17 +270,14 @@ def _coprime_stream(f_list):
         if q is None:
             raise InternalError("gcd does not divide its family")
         fprime.append(q)
-    if all(p.is_constant() for p in fprime):
-        sub = _coprime_stream([Poly.const(vars, 1)])
-    else:
-        sub = _coprime_stream(fprime)
+    base = [Poly.const(vars, 1)] if all(p.is_constant() for p in fprime) else fprime
+    sub = _coprime_stream(base)
     f_m = f_list[-1]
     members = [f_m]
     yield f_m
     h_prod = f_m
     g_k = g
-    search = _coprime_stream(fprime) if not all(p.is_constant() for p in fprime) \
-        else _coprime_stream([Poly.const(vars, 1)])
+    search = _coprime_stream(base)
     while True:
         new_h = None
         for _ in range(25):
@@ -404,15 +401,14 @@ def socle_check(gens, seed: int = 0) -> SocleReport:
                            attempts=attempts)
     if not modules_equal(gens, h):
         raise InternalError("triangular transformation changed the ideal")
-    k_gb = buchberger(h[:3])
-    if normal_form(h[3], k_gb).is_zero():
+    gb_k = buchberger(h[:3])
+    if normal_form(h[3], gb_k).is_zero():
         return SocleReport(False, reason="fourth generator lies in the complete intersection",
                            attempts=attempts)
 
     g_ideal = ideal_quotient(h[:3], h)
     top = 3 * d - 3
     gb_g = buchberger(g_ideal)
-    gb_k = buchberger(h[:3])
     gb_j = buchberger(h)
     hilb_g = tuple(hilbert_quotient(gb_g, k) for k in range(top + 2))
     artinian = krull_dimension(gb_g) == 0
@@ -472,8 +468,7 @@ def report_for_resolution(res: FreeResolution, d: int, m: int) -> BoundsReport:
     betti = minimal_betti_table(res) if d >= 1 else None
     verdicts = _verdicts(res, betti, d, m)
     case = classify_surface_case(res, betti, d) if betti is not None else "pd1"
-    gamma1 = int(res.d1.degree) if res.d1 is not None else None
-    gamma2 = int(res.d2.degree) if res.d2 is not None else None
+    gamma1, gamma2 = res.gammas
     beta2 = res.ranks[2]
     report = evaluate_bounds(d, m, case, beta2=beta2 or None,
                              gamma1=gamma1, gamma2=gamma2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Poly
-from .bounds import BoundsReport
+from .bounds import BoundsReport, report_for_resolution
 from .errors import (
     CompletionError,
     InputError,
@@ -29,9 +29,9 @@ from .errors import (
     ResourceLimitError,
     VerificationError,
 )
-from .grobner import free_resolution, resolution_invariants
+from .grobner import FreeResolution, resolution_invariants
 from .parser import parse_basis, parse_tuple
-from .pipeline import compute_mu_basis, homogenize_ideal, validate, verify_mu_basis
+from .pipeline import compute_mu_basis, resolve, validate, verify_mu_basis
 
 DEFAULT_MAX_DEGREE = 20
 DEFAULT_TIMEOUT = 300.0
@@ -61,19 +61,18 @@ def parse_parametrization(text: str, seed: int = 0,
 
 
 def _jsonify(obj):
-    if isinstance(obj, Poly):
+    if isinstance(obj, (Poly, Fraction)):
         return str(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, BoundsReport):
-        return _jsonify(obj.__dict__)
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonify(x) for x in obj]
-    if isinstance(obj, float):
-        return obj
     return obj
+
+
+_BOUND_VALUES = ("reg_bound", "beta2_bound", "beta2_bound_equal", "beta1_bound",
+                 "height3_beta1_bound", "height3_beta2_bound", "lazard", "D", "qs_bound",
+                 "basis_bound")
 
 
 def _bounds_doc(report: BoundsReport) -> dict:
@@ -81,18 +80,7 @@ def _bounds_doc(report: BoundsReport) -> dict:
         "case": report.case,
         "case_value": report.case_value,
         "case_values": _jsonify(report.case_values),
-        "values": {
-            "reg_bound": report.reg_bound,
-            "beta2_bound": report.beta2_bound,
-            "beta2_bound_equal": report.beta2_bound_equal,
-            "beta1_bound": report.beta1_bound,
-            "height3_beta1_bound": report.height3_beta1_bound,
-            "height3_beta2_bound": report.height3_beta2_bound,
-            "lazard": report.lazard,
-            "D": report.D,
-            "qs_bound": report.qs_bound,
-            "basis_bound": report.basis_bound,
-        },
+        "values": {k: getattr(report, k) for k in _BOUND_VALUES},
         "observed": _jsonify(report.observed),
         "verdicts": [
             {
@@ -108,14 +96,14 @@ def _bounds_doc(report: BoundsReport) -> dict:
     }
 
 
-def _resolution_doc(report) -> dict:
+def _resolution_doc(res: FreeResolution) -> dict:
+    """Ranks and (negated) shifts of the three free modules."""
     return {
-        "ranks": [len(report.shifts_first), len(report.shifts_middle),
-                  len(report.shifts_last)],
+        "ranks": list(res.ranks),
         "shifts": {
-            "first": [-s for s in report.shifts_first],
-            "middle": [-s for s in report.shifts_middle],
-            "last": [-s for s in report.shifts_last],
+            "first": [-s for s in res.shifts0],
+            "middle": [-s for s in res.q],
+            "last": [-s for s in res.p],
         },
     }
 
@@ -138,36 +126,28 @@ def run(command: str, spec: InputSpec, basis_text: str | None = None):
             doc["degrees"] = list(mb.degrees)
             doc["degree_sum"] = mb.degree_sum
             doc["mu"] = list(report.mu) if report.mu is not None else None
-            doc["resolution"] = _resolution_doc(report)
+            res = report.resolution
+            gamma1, gamma2 = res.gammas
+            doc["resolution"] = _resolution_doc(res)
             doc["invariants"] = {
-                "a": report.beta2,
-                "beta2": report.beta2,
-                "gamma1": report.gamma1,
-                "gamma2": report.gamma2,
+                "a": res.ranks[2],
+                "beta2": res.ranks[2],
+                "gamma1": gamma1,
+                "gamma2": gamma2,
             }
             doc["completion"] = _jsonify(report.completion)
             doc["bounds"] = _bounds_doc(report.bounds)
             return doc, EXIT_OK, report.timings
         if command == "resolve":
-            b, d = homogenize_ideal(par)
-            res = free_resolution(list(b))
+            res = resolve(par)
             table, inv = resolution_invariants(res)
-            doc["generators"] = [str(x) for x in b]
-            doc["ranks"] = list(res.ranks)
-            doc["shifts"] = {
-                "first": [-s for s in res.shifts0],
-                "middle": [-s for s in res.q],
-                "last": [-s for s in res.p],
-            }
+            doc["generators"] = [str(x) for x in res.gens]
+            doc.update(_resolution_doc(res))
             doc["invariants"] = _jsonify(inv)
             doc["betti"] = {f"{i},{p}": v for (i, p), v in sorted(table.entries.items())}
             return doc, EXIT_OK, {}
         if command == "bounds":
-            from .bounds import report_for_resolution
-
-            b, d = homogenize_ideal(par)
-            res = free_resolution(list(b))
-            report = report_for_resolution(res, d, 4)
+            report = report_for_resolution(resolve(par), par.d, 4)
             doc["bounds"] = _bounds_doc(report)
             return doc, EXIT_OK, {}
         if command == "verify":

@@ -969,6 +969,12 @@ class FreeResolution:
     def ranks(self) -> tuple[int, int, int]:
         return (len(self.shifts0), len(self.q), len(self.p))
 
+    @property
+    def gammas(self) -> tuple[int | None, int | None]:
+        """(gamma1, gamma2): the entry-degree maxima of d1 and d2, None for
+        a map that vanishes."""
+        return tuple(None if m is None else int(m.degree) for m in (self.d1, self.d2))
+
     def validate(self):
         r0, r1, r2 = self.ranks
         if r0 - r1 + r2 != 1:
@@ -1085,12 +1091,8 @@ def resolution_invariants(res: FreeResolution):
     carries no regularity; ``minimal_betti_table`` gives the minimal one.
     """
     table = _betti_table((res.shifts0, res.q, res.p), False)
-    inv = {
-        "a": res.ranks[2],
-        "gamma1": int(res.d1.degree) if res.d1 is not None else None,
-        "gamma2": int(res.d2.degree) if res.d2 is not None else None,
-    }
-    return table, inv
+    gamma1, gamma2 = res.gammas
+    return table, {"a": res.ranks[2], "gamma1": gamma1, "gamma2": gamma2}
 
 
 def minimal_betti_table(res: FreeResolution) -> BettiTable:

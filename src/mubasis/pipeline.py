@@ -1,13 +1,13 @@
 """End-to-end computation of a mu-basis for P(s,t) = (a1, a2, a3, a4).
 
-The pipeline homogenizes the parametrization, builds the graded free
-resolution of the homogenized ideal keeping the four given generators as
-the first map, and then branches: when the syzygy module of the homogenized
-ideal is free its dehomogenized minimal generators already form a basis;
-otherwise the dehomogenized presentation is split by a certified unimodular
-completion and the basis is read off the last three columns.  Every result
-is verified (moving-plane identities, outer-product proportionality, module
-equality with the full syzygy module) before being returned.
+The pipeline resolves the homogenized ideal over its four given generators
+(``resolve``), dehomogenizes the presentation G = d1 with n = beta2
+relations, and reads the basis off the last three columns of G N
+(``extract_basis``).  N is the identity when the syzygy module is free
+(n = 0), and otherwise the inverse of a certified unimodular completion of
+the relations.  Every result is verified (moving-plane identities,
+outer-product proportionality, module equality with the full syzygy
+module) before being returned.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .arith import (
 )
 from .bounds import BoundsReport, report_for_resolution
 from .errors import InternalError, ValidationError, VerificationError
-from .grobner import buchberger, free_resolution, modules_equal, syzygy_generators
+from .grobner import FreeResolution, buchberger, free_resolution, modules_equal, syzygy_generators
 from .quillen_suslin import complete_columns
 
 
@@ -59,14 +59,12 @@ class MuBasis:
 
 @dataclass
 class PipelineReport:
+    """The run's one resolution (beta2 = ranks[2], its gammas and shifts),
+    the free branch's mu or the pd2 completion summary (None otherwise)."""
+
     branch: str
     d: int
-    beta2: int
-    gamma1: int | None
-    gamma2: int | None
-    shifts_first: tuple
-    shifts_middle: tuple
-    shifts_last: tuple
+    resolution: FreeResolution
     mu: tuple | None
     completion: dict | None
     bounds: BoundsReport
@@ -104,6 +102,13 @@ def homogenize_ideal(par: Parametrization):
     if not gcd_many(nonzero).is_constant():
         raise InternalError("homogenized generators acquired a common factor")
     return b, par.d
+
+
+def resolve(par: Parametrization) -> FreeResolution:
+    """Graded free resolution of the homogenized ideal over its four
+    generators, the row as given."""
+    b, _ = homogenize_ideal(par)
+    return free_resolution(list(b))
 
 
 def outer_product(p, q, r):
@@ -209,27 +214,24 @@ def compute_mu_basis(par: Parametrization):
     """
     timings = {}
     t0 = time.perf_counter()
-    b, d = homogenize_ideal(par)
-    t_res = time.perf_counter()
-    res = free_resolution(list(b))
-    timings["resolution"] = time.perf_counter() - t_res
+    d = par.d
+    res = resolve(par)
+    timings["resolution"] = time.perf_counter() - t0
 
-    completion = None
-    mu = None
-    if res.ranks[2] == 0:
+    n = res.ranks[2]
+    if n == 0 and res.ranks[1] != 3:
+        raise InternalError("free syzygy module does not have rank 3")
+    g_mat = res.d1.map_entries(dehomogenize)
+    completion = mu = None
+    if n == 0:
         branch = "pd1"
-        if res.ranks[1] != 3:
-            raise InternalError("free syzygy module does not have rank 3")
-        basis = tuple(tuple(dehomogenize(e) for e in col) for col in res.d1.columns())
         mu = tuple(qi - d for qi in res.q)
         if sum(mu) != d:
             raise InternalError("free-branch shifts do not sum to the input degree")
-        if any(_vector_degree(v) > d for v in basis):
-            raise InternalError("free-branch basis exceeds the degree-d bound")
+        n_mat = PolyMatrix.identity(3, VARS_ST)
     else:
         branch = "pd2"
         t1 = time.perf_counter()
-        g_mat = res.d1.map_entries(dehomogenize)
         f_mat = res.d2.map_entries(dehomogenize)
         if g_mat.degree != NEG_INF and g_mat.degree > 2 * d - 1:
             raise InternalError("presentation entries exceed the 2d-1 degree bound")
@@ -237,14 +239,11 @@ def compute_mu_basis(par: Parametrization):
             raise InternalError("relation entries exceed the 2d degree bound")
         cert = complete_columns(f_mat)
         timings["completion"] = time.perf_counter() - t1
-        n = res.ranks[2]
-        basis = extract_basis(g_mat, cert.M_inv, n)
-        completion = {
-            "deg_M": cert.deg_M,
-            "bound": cert.bound,
-            "within_bound": cert.within_bound,
-            "det": cert.det,
-        }
+        n_mat = cert.M_inv
+        completion = {k: getattr(cert, k) for k in ("deg_M", "bound", "within_bound", "det")}
+    basis = extract_basis(g_mat, n_mat, n)
+    if n == 0 and any(_vector_degree(v) > d for v in basis):
+        raise InternalError("free-branch basis exceeds the degree-d bound")
     t2 = time.perf_counter()
     basis = _interreduce(basis)
     try:
@@ -266,12 +265,7 @@ def compute_mu_basis(par: Parametrization):
     report = PipelineReport(
         branch=branch,
         d=d,
-        beta2=res.ranks[2],
-        gamma1=int(res.d1.degree) if res.d1 is not None else None,
-        gamma2=int(res.d2.degree) if res.d2 is not None else None,
-        shifts_first=tuple(res.shifts0),
-        shifts_middle=tuple(res.q),
-        shifts_last=tuple(res.p),
+        resolution=res,
         mu=mu,
         completion=completion,
         bounds=bounds_report,

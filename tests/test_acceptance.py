@@ -137,8 +137,8 @@ def test_criterion_4_randomized_theorem_suite(capsys):
         assert not failed, f"run {k}: {[v.name for v in failed]}"
         if report.branch == "pd2":
             d = par.d
-            assert report.gamma1 <= 2 * d - 1
-            assert report.gamma2 <= 2 * d
+            gamma1, gamma2 = report.resolution.gammas
+            assert gamma1 <= 2 * d - 1 and gamma2 <= 2 * d
         case_value = case_degree_bound(report.bounds.case, par.d)
         assert max(mb.degrees) <= case_value
         branch_counts[report.branch] = branch_counts.get(report.branch, 0) + 1

@@ -1,9 +1,11 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from mubasis import grobner
 from mubasis.arith import VARS_ST, Poly
 from mubasis.cli import main, parse_parametrization, run
 from mubasis.errors import ParseError
@@ -120,6 +122,22 @@ class TestRun:
         assert code == 0
         assert doc["bounds"]["values"]["reg_bound"] == 4
         assert doc["bounds"]["all_passed"] is True
+
+    @pytest.mark.parametrize("command", ["compute", "resolve", "bounds"])
+    def test_one_resolution_per_command(self, command, monkeypatch):
+        # every binding of free_resolution in the library counts
+        real = grobner.free_resolution
+        calls = []
+
+        def counting(gens):
+            calls.append(len(gens))
+            return real(gens)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "mubasis" and getattr(module, "free_resolution", None) is real:
+                monkeypatch.setattr(module, "free_resolution", counting)
+        _, code, _ = run(command, parse_parametrization(REFERENCE))
+        assert code == 0 and calls == [4]
 
     def test_max_degree_limit(self):
         spec = parse_parametrization(REFERENCE, max_degree=1)

@@ -146,6 +146,15 @@ class TestVerify:
         with pytest.raises(VerificationError):
             verify_mu_basis(scaled, par)
 
+    def test_basis_must_lie_in_the_syzygy_generators(self, monkeypatch):
+        # cut to its first generator, Syz still lies in the basis's span, so
+        # only the inclusion of the basis in the generators' span can fail
+        par = validate(reference_input())
+        real = pipeline.syzygy_generators
+        monkeypatch.setattr(pipeline, "syzygy_generators", lambda a: real(a)[:1])
+        with pytest.raises(VerificationError, match="does not generate Syz"):
+            verify_mu_basis(reference_basis(), par)
+
 
 class TestExtractBasis:
     def test_reference_matrices_give_published_basis(self):
@@ -193,8 +202,8 @@ class TestComputeMuBasis:
         mb, report = compute_mu_basis(par)
         assert report.branch == "pd2"
         assert mb.alpha != 0
-        assert report.beta2 == 1
-        assert report.gamma1 == 2 and report.gamma2 == 2
+        assert report.resolution.ranks[2] == 1
+        assert report.resolution.gammas == (2, 2)
         assert modules_equal(list(mb.vectors), list(reference_basis()))
 
     def test_bilinear_patch(self):
@@ -249,6 +258,39 @@ class TestComputeMuBasis:
             if report.branch == "pd1":
                 assert max(mb.degrees) <= par.d
             done += 1
+
+
+class TestOneRoute:
+    # the free branch is completion with n = 0 and N = I: both branches read
+    # the basis off G N once, and the report keeps the one resolution built
+    @pytest.mark.parametrize("polys, branch", [
+        ([S**3, S**2 * T, S * T**2, T**3], "pd1"),
+        (reference_input(), "pd2"),
+    ])
+    def test_each_branch_extracts_the_basis_once(self, polys, branch, monkeypatch):
+        calls = []
+        real = pipeline.extract_basis
+
+        def counting(g_mat, n_mat, n):
+            calls.append((g_mat.cols, n_mat.rows, n))
+            return real(g_mat, n_mat, n)
+
+        monkeypatch.setattr(pipeline, "extract_basis", counting)
+        _, report = compute_mu_basis(validate(polys))
+        n = report.resolution.ranks[2]
+        assert report.branch == branch and calls == [(n + 3, n + 3, n)]
+
+    def test_report_holds_the_resolution_the_bounds_read(self, monkeypatch):
+        seen = []
+        real = pipeline.report_for_resolution
+
+        def recording(res, d, m):
+            seen.append(res)
+            return real(res, d, m)
+
+        monkeypatch.setattr(pipeline, "report_for_resolution", recording)
+        _, report = compute_mu_basis(validate(reference_input()))
+        assert len(seen) == 1 and seen[0] is report.resolution
 
 
 class TestInterreduce:

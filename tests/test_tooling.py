@@ -72,6 +72,31 @@ print([(name, totals[name]["calls"], totals[name]["attrs"])
                       "('arith.mat_inverse', 1, [{'n': 2}])]"), totals
 
 
+def test_tracing_records_one_resolution_and_one_report_per_command():
+    # compute and bounds both resolve once, through pipeline.resolve, and
+    # hand that resolution to one bounds report
+    counts = _run(f"""
+import importlib.util
+spec = importlib.util.spec_from_file_location("tracing", {str(ROOT / "perfbench" / "tracing.py")!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+from mubasis import cli
+out = []
+for command in ("compute", "bounds"):
+    tracer = tracing.Tracer()
+    handle = tracing.install(tracer)
+    try:
+        _, code, _ = cli.run(command, cli.parse_parametrization("(s^2, t^2, s^2-1, s^2+1)"))
+    finally:
+        handle.restore()
+    totals = tracing.layer_totals(tracer)
+    out.append((command, code, totals["grobner.free_resolution"]["calls"],
+                totals["bounds.report_for_resolution"]["calls"]))
+print(out)
+""")
+    assert counts == "[('compute', 0, 1, 1), ('bounds', 0, 1, 1)]", counts
+
+
 def test_arith_imports_no_higher_layer():
     # the package __init__ imports every layer, so a bare package stands in
     # for it; the gcd runs too, to catch an import made inside a function
