@@ -4,22 +4,21 @@ Every formula is evaluated in exact integer arithmetic.  Violations of any
 proved inequality are reported as failed verdicts; the test suite treats a
 failed verdict on valid input as a library bug.
 
-Observed regularity, Betti numbers, generic-ACI shape and height come from
-the minimal Betti table read off the resolution of the given row
-(``minimal_betti_table``); no second resolution is built.
+Observed regularity, Betti numbers and generic-ACI shape are the Tor
+dimensions ``FreeResolution.betti`` reads off the resolution of the given
+row; height 3 is read off the leads of its ``first_basis``.  No second
+resolution and no Groebner basis is built.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 
 from .arith import Poly, exact_div, gcd_many
 from .errors import InternalError, ValidationError
 from .grobner import (
-    BettiTable,
     FreeResolution,
     _betti_table,
     buchberger,
@@ -27,7 +26,6 @@ from .grobner import (
     hilbert_quotient,
     ideal_quotient,
     krull_dimension,
-    minimal_betti_table,
     minimal_generators,
     modules_equal,
     normal_form,
@@ -157,20 +155,16 @@ def check_resolution_bounds(res: FreeResolution, d: int, m: int) -> list[Verdict
     """Evaluate every proved inequality against a resolution of the ideal.
 
     The true (minimal) Betti numbers and the regularity are read off the
-    resolution by ``minimal_betti_table``.  Failures are verdicts, not
+    resolution (``FreeResolution.betti``).  Failures are verdicts, not
     exceptions.
     """
-    return _verdicts(res, minimal_betti_table(res) if d >= 1 else None, d, m)
-
-
-def _verdicts(res: FreeResolution, betti: BettiTable | None, d: int, m: int):
     if d < 1:
         return [Verdict("degenerate input (d = 0): bound theorems not applicable",
                         None, None, True, applicable=False)]
+    betti = res.betti
     gens = [g for g in res.gens if not g.is_zero()]
     reg = betti.regularity
-    beta1 = betti.totals[1]
-    beta2 = betti.totals[2]
+    beta1, beta2 = betti.totals[1], betti.totals[2]
     out = [
         Verdict("reg(ideal) <= 3d-2", regularity_bound(d), reg,
                 reg <= regularity_bound(d)),
@@ -197,7 +191,7 @@ def _verdicts(res: FreeResolution, betti: BettiTable | None, d: int, m: int):
                            max(res.p) <= 3 * d))
     out.append(Verdict("last rank of fixed resolution = beta2", beta2,
                        res.ranks[2], res.ranks[2] == beta2))
-    applicable = equal_degree and _artinian(betti, len(res.vars))
+    applicable = equal_degree and krull_dimension(gb) == 0
     out.append(Verdict("beta1 <= 2d+2 (height 3, equal degrees)", 2 * d + 2,
                        beta1, beta1 <= 2 * d + 2, applicable=applicable))
     out.append(Verdict("beta2 <= 2d-1 (height 3, equal degrees)", 2 * d - 1,
@@ -205,27 +199,16 @@ def _verdicts(res: FreeResolution, betti: BettiTable | None, d: int, m: int):
     return out
 
 
-def _artinian(betti: BettiTable, nvars: int) -> bool:
-    """True when R/I has Krull dimension 0.  Its Hilbert series is
-    K(t)/(1-t)^nvars with K(t) = 1 - sum_ij (-1)^i beta_ij t^j, a polynomial
-    exactly when the moments sum_j K_j j^k vanish for k < nvars; K = 0 is the
-    unit ideal."""
-    K = Counter({0: 1})
-    for (i, j), n in betti.entries.items():
-        K[j] += (-1) ** (i + 1) * n
-    return any(K.values()) and not any(
-        sum(c * j**k for j, c in K.items()) for k in range(nvars))
-
-
-def classify_surface_case(res: FreeResolution, betti: BettiTable, d: int) -> str:
-    """Tightest applicable regime for the basis-degree theorem, given the
-    minimal Betti table of the ideal (``minimal_betti_table``)."""
+def classify_surface_case(res: FreeResolution, d: int) -> str:
+    """Tightest applicable regime for the basis-degree theorem, read off a
+    resolution of the ideal; height 3 means R/I is Artinian, which the
+    leads of ``first_basis`` decide (``krull_dimension``)."""
     if res.ranks[2] == 0:
         return "pd1"
-    if _general_aci_shape(betti, d):
+    if general_aci_shape_check(res, d):
         return "general_aci"
     gens = [g for g in res.gens if not g.is_zero()]
-    if all(int(g.degree) == d for g in gens) and _artinian(betti, len(res.vars)):
+    if all(int(g.degree) == d for g in gens) and krull_dimension(res.first_basis) == 0:
         return "height3"
     return "general"
 
@@ -453,21 +436,16 @@ def expected_general_aci_shape(d: int):
 
 
 def general_aci_shape_check(res: FreeResolution, d: int) -> bool:
-    """True when the ideal's minimal resolution (``minimal_betti_table``)
+    """True when the ideal's minimal resolution (``FreeResolution.betti``)
     has the generic shape for four degree-d forms."""
-    return _general_aci_shape(minimal_betti_table(res), d)
-
-
-def _general_aci_shape(betti: BettiTable, d: int) -> bool:
-    return betti.entries == _betti_table(expected_general_aci_shape(d), False).entries
+    return res.betti.entries == _betti_table(expected_general_aci_shape(d), False).entries
 
 
 def report_for_resolution(res: FreeResolution, d: int, m: int) -> BoundsReport:
     """Assemble a BoundsReport (formulas + verdicts + observations) for a
     resolution of the homogenized ideal over its given generator row."""
-    betti = minimal_betti_table(res) if d >= 1 else None
-    verdicts = _verdicts(res, betti, d, m)
-    case = classify_surface_case(res, betti, d) if betti is not None else "pd1"
+    verdicts = check_resolution_bounds(res, d, m)
+    case = classify_surface_case(res, d) if d >= 1 else "pd1"
     gamma1, gamma2 = res.gammas
     beta2 = res.ranks[2]
     report = evaluate_bounds(d, m, case, beta2=beta2 or None,
@@ -481,8 +459,7 @@ def report_for_resolution(res: FreeResolution, d: int, m: int) -> BoundsReport:
         "max_q": max(res.q) if res.q else None,
         "max_p": max(res.p) if res.p else None,
     }
-    if betti is not None:
-        report.observed["beta1"] = betti.totals[1]
-        report.observed["beta2"] = betti.totals[2]
-        report.observed["regularity"] = betti.regularity
+    if d >= 1:
+        report.observed.update(beta1=res.betti.totals[1], beta2=res.betti.totals[2],
+                               regularity=res.betti.regularity)
     return report

@@ -20,12 +20,14 @@ remainders and quotients of _reduce_full.  No reduction is done twice, and
 a GroebnerBasis builds its Polys only when its generators are read.
 
 Free resolutions are built by exact linear algebra on one graded piece at a
-time (graded Nakayama), with one echelon routine that yields both the
-graded syzygy spaces and the minimal generators.  One Groebner basis, of
-the ideal, ends both scans: the first map's at the degree of the Schreyer
-syzygies left by the strict chain criterion, the second's once it has kept
-the rank of the free module ker d1, under a cap read off the leads.  Its
-Hilbert function gives the dimension of every graded piece of both maps
+time (graded Nakayama), with one echelon routine that yields the graded
+syzygy spaces, the minimal generators and the rank of each constant block
+of d1, from which ``FreeResolution.betti`` reads the minimal Betti numbers
+as Tor.  One Groebner basis, of the ideal, ends both scans: the first map's
+at the degree of the Schreyer syzygies left by the strict chain criterion,
+the second's once it has kept the rank of the free module ker d1, under a
+cap read off the leads, which also decide the height (``krull_dimension``).
+Its Hilbert function gives the dimension of every graded piece of both maps
 beforehand, so a piece the kept syzygies already span is skipped unbuilt,
 and a built piece must have exactly that dimension.  The Buchberger and
 Schreyer route of ``syzygy_generators`` stays independent of it and serves
@@ -975,6 +977,27 @@ class FreeResolution:
         a map that vanishes."""
         return tuple(None if m is None else int(m.degree) for m in (self.d1, self.d2))
 
+    @cached_property
+    def betti(self) -> BettiTable:
+        """Minimal graded Betti numbers beta_ij = dim Tor_i(I, Q)_j, with the
+        regularity, read off this resolution of any row (Eisenbud, The
+        Geometry of Syzygies, ch. 1).  Tensored with Q, d2 vanishes, as
+        ``validate`` forbids unit entries, and d1 keeps its constant block,
+        the entries with q[c] == shifts0[i]; beta_0 and beta_1 in degree k
+        each drop by its rank there, and beta_2 is p."""
+        cols = self.d1.columns() if self.d1 is not None else []
+        if len(cols) != len(self.q):
+            raise InternalError(f"d1 has {len(cols)} columns but q has {len(self.q)} degrees")
+        blocks: dict[int, dict] = {}  # degree k -> echelon form of its block
+        for col, k in zip(cols, self.q):
+            _, nums = _integer_scaled([c for c, sh in zip(col, self.shifts0) if sh == k])
+            vec = {i: x for i, num in enumerate(nums) for x in num.values()}
+            if vec:
+                _echelon_add(blocks.setdefault(k, {}), vec)
+        units = Counter({k: len(rows) for k, rows in blocks.items()})
+        return _betti_table([list((Counter(level) - units).elements())
+                             for level in (self.shifts0, self.q)] + [self.p], True)
+
     def validate(self):
         r0, r1, r2 = self.ranks
         if r0 - r1 + r2 != 1:
@@ -1071,8 +1094,8 @@ class BettiTable:
 
 
 def regularity_from_resolution(res: FreeResolution) -> int:
-    """Castelnuovo-Mumford regularity of the ideal (``minimal_betti_table``)."""
-    return minimal_betti_table(res).regularity
+    """Castelnuovo-Mumford regularity of the ideal (``FreeResolution.betti``)."""
+    return res.betti.regularity
 
 
 def _betti_table(levels, minimal: bool) -> BettiTable:
@@ -1088,7 +1111,7 @@ def resolution_invariants(res: FreeResolution):
 
     a is the rank of the last module; gamma_i are the entry-degree maxima of
     the two maps.  The Betti table counts the shifts of this resolution and
-    carries no regularity; ``minimal_betti_table`` gives the minimal one.
+    carries no regularity; ``FreeResolution.betti`` gives the minimal one.
     """
     table = _betti_table((res.shifts0, res.q, res.p), False)
     gamma1, gamma2 = res.gammas
@@ -1096,26 +1119,8 @@ def resolution_invariants(res: FreeResolution):
 
 
 def minimal_betti_table(res: FreeResolution) -> BettiTable:
-    """Minimal graded Betti numbers (with regularity) of the ideal, read off
-    a resolution of any generator row without building the minimal one.
-
-    beta_ij = dim Tor_i(I, Q)_j can be computed from any graded free
-    resolution, and every graded free resolution is the minimal one plus
-    trivial complexes R(-j) -> R(-j) (Eisenbud, The Geometry of Syzygies,
-    ch. 1).  Here d2 has no unit entries (``FreeResolution.validate``) and
-    the resolution stops at F2, so every trivial summand sits in
-    homological degrees 0 and 1, one for each generator that
-    ``minimal_generators`` drops (zero, or generated by the others).
-    Removing their degrees from shifts0 and from q leaves the minimal
-    table; p is already minimal.  On a minimal row nothing is removed.
-    """
-    nonzero = [(g,) for g in res.gens if not g.is_zero()]
-    _, first = minimal_generators(nonzero, [0])
-    trivial = Counter(res.shifts0) - Counter(first)
-    middle = Counter(res.q)
-    if trivial - middle:
-        raise InternalError("first syzygies lack a trivial summand of the generators")
-    return _betti_table((first, list((middle - trivial).elements()), res.p), True)
+    """Minimal graded Betti numbers of the ideal (``FreeResolution.betti``)."""
+    return res.betti
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,19 @@
 The oracles here deliberately avoid the library's Groebner machinery and its
 packed monomials: monomials are exponent tuples, and ranks and syzygies are
 found by dense linear algebra over Fraction on graded or degree-truncated
-coefficient spaces.  minimal_row and minimal_resolution
+coefficient spaces, or, for the height of an ideal, by the moments of a
+Betti table.  minimal_row, minimal_resolution and the hypothesis strategies
 are conveniences built on the library, not oracles.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
+
+from hypothesis import strategies
 
 from mubasis.arith import (
     VARS_ST,
@@ -359,3 +363,45 @@ def minimal_resolution(gens):
     """The minimal graded free resolution of the ideal gens generate: the
     resolution of its minimal generators."""
     return free_resolution(minimal_row(gens))
+
+
+def artinian_from_betti(table, nvars: int) -> bool:
+    """True when R/I has Krull dimension 0, read off the Betti table of any
+    graded free resolution of I, minimal or not.  The Hilbert series of R/I
+    is K(t)/(1-t)^nvars with K(t) = 1 - sum_ij (-1)^i beta_ij t^j, a
+    polynomial exactly when the moments sum_j K_j j^k vanish for k < nvars;
+    K = 0 is the unit ideal."""
+    K = Counter({0: 1})
+    for (i, j), n in table.entries.items():
+        K[j] += (-1) ** (i + 1) * n
+    return any(K.values()) and not any(
+        sum(c * j**k for j, c in K.items()) for k in range(nvars))
+
+
+COEFF = strategies.sampled_from([0, 0, 0, 1, -1, 2, -3])
+
+
+def draw_form(draw, deg):
+    """A form of degree deg in s, t, u with coefficients drawn from COEFF;
+    zero for a negative degree."""
+    if deg < 0:
+        return Poly.zero(VARS_STU)
+    terms = {m: draw(COEFF) for m in monomials_of_degree(3, deg)}
+    return Poly(VARS_STU, terms)
+
+
+@strategies.composite
+def rows_with_redundant_component(draw):
+    """Three random forms of degree 1 or 2 and, at a drawn position, a fourth
+    that is zero or a Q-combination of forms of its degree."""
+    degs = draw(strategies.lists(strategies.integers(1, 2), min_size=3, max_size=3))
+    base = [draw_form(draw, k) for k in degs]
+    if draw(strategies.booleans()):
+        extra = Poly.zero(VARS_STU)
+    else:
+        i = draw(strategies.integers(0, 2))
+        j = draw(strategies.sampled_from([j for j in range(3) if degs[j] == degs[i]]))
+        extra = draw(COEFF) * base[i] + draw(COEFF) * base[j]
+    row = list(base)
+    row.insert(draw(strategies.integers(0, 3)), extra)
+    return row

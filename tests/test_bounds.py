@@ -1,11 +1,11 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
 
 from mubasis.arith import VARS_ST, VARS_STU, Poly, gcd_many
 from mubasis import bounds, grobner
 from mubasis.bounds import (
-    _artinian,
     basis_degree_bound,
     beta2_bound_equal_degree,
     beta2_bound_total,
@@ -22,8 +22,13 @@ from mubasis.bounds import (
     socle_check,
 )
 from mubasis.errors import ValidationError
-from mubasis.grobner import free_resolution, krull_dimension, minimal_betti_table
-from helpers import minimal_resolution, random_form
+from mubasis.grobner import free_resolution, krull_dimension, resolution_invariants
+from helpers import (
+    artinian_from_betti,
+    minimal_resolution,
+    random_form,
+    rows_with_redundant_component,
+)
 
 S = Poly.variable(VARS_STU, "s")
 T = Poly.variable(VARS_STU, "t")
@@ -97,7 +102,7 @@ class TestResolutionVerdicts:
     def test_classification(self):
         res = reference_resolution()
         # Artinian equal-degree but not the generic shape (Koszul on 3 gens)
-        assert classify_surface_case(res, minimal_betti_table(res), 2) == "height3"
+        assert classify_surface_case(res, 2) == "height3"
 
     def test_report_for_resolution(self):
         res = reference_resolution()
@@ -134,9 +139,28 @@ class TestResolutionVerdicts:
     ] + [[random_form(rng, VARS_STU, 2, coeff_bound=3, density=0.4) for _ in range(4)]
          for rng in map(random.Random, range(4))])
     def test_height_from_betti_table_matches_krull_dimension(self, gens):
-        table = minimal_betti_table(free_resolution(gens))
+        res = free_resolution(gens)
         nonzero = [g for g in gens if not g.is_zero()]
-        assert _artinian(table, 3) == (krull_dimension(nonzero) == 0)
+        height3 = krull_dimension(nonzero) == 0
+        assert artinian_from_betti(res.betti, 3) == height3
+        assert (krull_dimension(res.first_basis) == 0) == height3
+
+
+@settings(max_examples=60, deadline=20000)
+@given(rows_with_redundant_component())
+def test_height3_regime_matches_the_betti_moment_oracle(row):
+    """The regime and the height-3 verdicts, decided from first_basis, agree
+    with the Hilbert-series moments of the row's own (non-minimal) table."""
+    assume(any(not g.is_zero() for g in row))
+    res = free_resolution(row)
+    d = max(int(g.degree) for g in row if not g.is_zero())
+    equal_degree = all(int(g.degree) == d for g in row if not g.is_zero())
+    expected = equal_degree and artinian_from_betti(resolution_invariants(res)[0], 3)
+    assert (classify_surface_case(res, d) == "height3") == expected
+    verdicts = {v.name: v for v in check_resolution_bounds(res, d, len(row))}
+    for name in ("beta1 <= 2d+2 (height 3, equal degrees)",
+                 "beta2 <= 2d-1 (height 3, equal degrees)"):
+        assert verdicts[name].applicable == expected
 
 
 class TestCoprimeSequence:

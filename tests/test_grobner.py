@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from functools import partial
@@ -49,9 +50,11 @@ from mubasis.grobner import (
     syzygy_generators,
 )
 from helpers import (
+    COEFF,
     random_form,
     brute_force_syzygies,
     count_conversions,
+    draw_form,
     grevlex_key,
     hilbert_by_linear_algebra,
     minimal_resolution,
@@ -61,6 +64,7 @@ from helpers import (
     nullspace,
     plain_reduce_int,
     random_poly,
+    rows_with_redundant_component,
 )
 
 
@@ -825,16 +829,6 @@ class TestRepresentations:
                 assert syz_gb.contains(w)
 
 
-_COEFF = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
-
-
-def _draw_form(draw, deg):
-    if deg < 0:
-        return ZERO3
-    terms = {m: draw(_COEFF) for m in monomials_of_degree(3, deg)}
-    return Poly(VARS_STU, terms)
-
-
 @st.composite
 def graded_candidates(draw):
     """Homogeneous vectors of rank <= 3 over Q[s,t,u], some of them
@@ -844,14 +838,14 @@ def graded_candidates(draw):
     base = []
     for _ in range(draw(st.integers(1, 3))):
         deg = max(shifts) + draw(st.integers(0, 1))
-        base.append((deg, tuple(_draw_form(draw, deg - sh) for sh in shifts)))
+        base.append((deg, tuple(draw_form(draw, deg - sh) for sh in shifts)))
     derived = []
     for _ in range(draw(st.integers(0, 3))):
         (di, gi), (dj, gj) = draw(st.sampled_from(base)), draw(st.sampled_from(base))
         deg = max(di, dj) + draw(st.integers(0, 1))
         mi = Poly(VARS_STU, {draw(st.sampled_from(monomials_of_degree(3, deg - di))): 1})
         mj = Poly(VARS_STU, {draw(st.sampled_from(monomials_of_degree(3, deg - dj))): 1})
-        c = draw(_COEFF)
+        c = draw(COEFF)
         derived.append(tuple(mi * a + mj * b * c for a, b in zip(gi, gj)))
     vectors = draw(st.permutations([g for _, g in base] + derived))
     return vectors, shifts
@@ -886,14 +880,14 @@ def test_fraction_nullspace_matches_dense_elimination(case, rng):
 def homogeneous_rows(draw):
     """One to four forms in s, t, u of degrees 0 to 2, some of them zero
     and some combinations of the others, in a drawn order."""
-    row = [_draw_form(draw, draw(st.sampled_from([0, 1, 2, 2])))
+    row = [draw_form(draw, draw(st.sampled_from([0, 1, 2, 2])))
            for _ in range(draw(st.integers(1, 4)))]
     nonzero = [g for g in row if not g.is_zero()]
     if nonzero and draw(st.booleans()):
         a, b = draw(st.sampled_from(nonzero)), draw(st.sampled_from(nonzero))
         deg = max(int(a.degree), int(b.degree)) + draw(st.integers(0, 1))
-        ma = _draw_form(draw, deg - int(a.degree))
-        mb = _draw_form(draw, deg - int(b.degree))
+        ma = draw_form(draw, deg - int(a.degree))
+        mb = draw_form(draw, deg - int(b.degree))
         row.append(ma * a + mb * b)
     row = draw(st.permutations(row))
     assume(any(not g.is_zero() for g in row))
@@ -982,28 +976,32 @@ class TestMinimalBettiTable:
         assert (minimal.entries, minimal.totals) == (table.entries, table.totals)
         assert minimal.regularity == 4
 
+    @pytest.mark.parametrize("row", [
+        [S, 2 * S, 3 * S, T],  # rank 2 in degree 1
+        [S, 2 * S, -S, T, U],
+        [S, 2 * S, T**2, -(T**2), U],  # dependent in degrees 1 and 2
+        [S, ZERO3, S * T, 3 * S * T + U**2, -S, T**2],
+        [S + T, S - T, 2 * S, U**2, S * U, T * U - U**2],
+    ])
+    def test_dependent_generators_in_one_or_two_degrees(self, row):
+        assert_minimal_betti_matches_oracle(row)
+
+    def test_dependent_constant_block_counts_its_rank(self):
+        # (t, -s, 0) + (u, 0, -1) and (u, 0, -1) also resolve (s, t, su),
+        # with two constant entries in degree 2 but a block of rank 1
+        row = [S, T, S * U]
+        res = dataclasses.replace(free_resolution(row), d1=PolyMatrix.from_columns(
+            [(T + U, -S, -ONE3), (U, ZERO3, -ONE3)]))
+        res.validate()
+        oracle, _ = resolution_invariants(minimal_resolution(row))
+        assert (res.betti.entries, res.betti.totals) == (oracle.entries, oracle.totals)
+
     def test_missing_trivial_summand_is_an_internal_error(self):
+        # shape guard: d1 keeps its trivial column while q loses its degree
         res = free_resolution(homogenized_reference_generators())
         res.q = tuple(x for x in res.q if x != 2)
-        with pytest.raises(InternalError, match="trivial summand"):
+        with pytest.raises(InternalError, match="d1 has 4 columns but q has 3 degrees"):
             minimal_betti_table(res)
-
-
-@st.composite
-def rows_with_redundant_component(draw):
-    """Three random forms of degree 1 or 2 and, at a drawn position, a fourth
-    that is zero or a Q-combination of forms of its degree."""
-    degs = draw(st.lists(st.integers(1, 2), min_size=3, max_size=3))
-    base = [_draw_form(draw, k) for k in degs]
-    if draw(st.booleans()):
-        extra = ZERO3
-    else:
-        i = draw(st.integers(0, 2))
-        j = draw(st.sampled_from([j for j in range(3) if degs[j] == degs[i]]))
-        extra = draw(_COEFF) * base[i] + draw(_COEFF) * base[j]
-    row = list(base)
-    row.insert(draw(st.integers(0, 3)), extra)
-    return row
 
 
 @settings(max_examples=60, deadline=20000)
