@@ -704,14 +704,15 @@ def _integer_scaled(polys: Sequence[Poly]) -> tuple[int, list[dict]]:
 
 
 def _scaled_dot(row, col, vars, pk: Packing) -> Poly:
-    """sum_k row[k] * col[k] for two _integer_scaled sequences of the ring of
-    pk: one integer accumulation, where a monomial product is a sum of keys,
-    then one gcd pass."""
+    """sum_k row[k] * col[k] for a _integer_scaled row and a column given as
+    (den, the (k, terms) of its nonzero entries), in the ring of pk: one
+    integer accumulation over the pairs with both entries nonzero, where a
+    monomial product is a sum of keys, then one gcd pass."""
     (den_r, a), (den_c, b) = row, col
     out: dict[int, int] = {}
     get = out.get
-    for x, y in zip(a, b):
-        for m1, c1 in x.items():
+    for k, y in b:
+        for m1, c1 in a[k].items():
             for m2, c2 in y.items():
                 m = m1 + m2
                 out[m] = get(m, 0) + c1 * c2
@@ -800,7 +801,8 @@ class PolyMatrix:
             raise ValueError("mixed rings in matrix product")
         pk = packing(len(self.vars))
         rows = list(map(_integer_scaled, self.entries))
-        cols = list(map(_integer_scaled, other.columns()))
+        cols = [(den, [(k, y) for k, y in enumerate(nums) if y])
+                for den, nums in map(_integer_scaled, other.columns())]
         return PolyMatrix([[_scaled_dot(row, col, self.vars, pk) for col in cols]
                            for row in rows])
 

@@ -1,13 +1,16 @@
 """End-to-end computation of a mu-basis for P(s,t) = (a1, a2, a3, a4).
 
 The pipeline resolves the homogenized ideal over its four given generators
-(``resolve``), dehomogenizes the presentation G = d1 with n = beta2
-relations, and reads the basis off the last three columns of G N
-(``extract_basis``).  N is the identity when the syzygy module is free
-(n = 0), and otherwise the inverse of a certified unimodular completion of
-the relations.  Every result is verified (moving-plane identities,
-outer-product proportionality, module equality with the full syzygy
-module) before being returned.
+(``resolve``) and reads the basis off the last three columns of G N
+(``extract_basis``).  When the syzygy module is free (n = beta2 = 0), G is
+the dehomogenized d1 and N the identity.  Otherwise the affine generating
+set of Syz(a) is pruned first, by exact membership; three generators left
+are a basis of that free rank-3 module, so they are G with N the identity
+and n = 0, and no completion runs.  With more left, G = d1 and the n
+relations d2 are dehomogenized, and N is the inverse of a certified
+unimodular completion of the relations.  Every result is verified
+(moving-plane identities, outer-product proportionality, module equality
+with the full syzygy module) before being returned.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import (
     NEG_INF,
@@ -40,6 +44,12 @@ class Parametrization:
     d: int
     warnings: tuple = ()
 
+    @cached_property
+    def syzygies(self) -> tuple:
+        """syzygy_generators(a), built once: the pd2 prune and stage 3 of
+        verify_mu_basis both read it."""
+        return tuple(syzygy_generators(list(self.a)))
+
 
 @dataclass
 class MuBasis:
@@ -60,7 +70,9 @@ class MuBasis:
 @dataclass
 class PipelineReport:
     """The run's one resolution (beta2 = ranks[2], its gammas and shifts),
-    the free branch's mu or the pd2 completion summary (None otherwise)."""
+    the free branch's mu and the pd2 completion summary (each None when
+    absent: a pd2 run whose three pruned syzygy generators are its basis
+    has no completion)."""
 
     branch: str
     d: int
@@ -155,7 +167,7 @@ def verify_mu_basis(basis, par: Parametrization) -> Fraction:
     for oc, ai in zip(outer, par.a):
         if oc != ai * alpha:
             raise VerificationError("outer product not proportional")
-    if not modules_equal(syzygy_generators(list(par.a)), basis):
+    if not modules_equal(par.syzygies, basis):
         raise VerificationError("does not generate Syz")
     return alpha
 
@@ -206,11 +218,29 @@ def _interreduce(basis):
     return tuple(vecs)
 
 
+def _pruned_syzygies(gens):
+    """Drop each generator, highest degree first with ties by index, that
+    the others generate, while at least three others remain.  Each drop is
+    an exact Groebner membership test."""
+    kept = list(range(len(gens)))
+    for i in sorted(kept, key=lambda i: -_vector_degree(gens[i])):
+        if len(kept) == 3:
+            break
+        others = [j for j in kept if j != i]
+        if buchberger([gens[j] for j in others]).contains(gens[i]):
+            kept = others
+    return [gens[j] for j in kept]
+
+
 def compute_mu_basis(par: Parametrization):
     """Run the full pipeline; returns (MuBasis, PipelineReport).
 
-    The returned basis always passes verify_mu_basis; a verification
-    failure downstream of a successful completion is an internal error.
+    pd1 reads the basis off the dehomogenized d1.  pd2 prunes the syzygy
+    generators of the input and, when three remain, returns them with no
+    completion (``completion`` is None); otherwise it completes the graded
+    relations d2.  The returned basis always passes verify_mu_basis; a
+    verification failure downstream of a successful completion is an
+    internal error.
     """
     timings = {}
     t0 = time.perf_counter()
@@ -221,28 +251,35 @@ def compute_mu_basis(par: Parametrization):
     n = res.ranks[2]
     if n == 0 and res.ranks[1] != 3:
         raise InternalError("free syzygy module does not have rank 3")
-    g_mat = res.d1.map_entries(dehomogenize)
     completion = mu = None
     if n == 0:
         branch = "pd1"
         mu = tuple(qi - d for qi in res.q)
         if sum(mu) != d:
             raise InternalError("free-branch shifts do not sum to the input degree")
-        n_mat = PolyMatrix.identity(3, VARS_ST)
+        g_mat = res.d1.map_entries(dehomogenize)
     else:
         branch = "pd2"
         t1 = time.perf_counter()
-        f_mat = res.d2.map_entries(dehomogenize)
-        if g_mat.degree != NEG_INF and g_mat.degree > 2 * d - 1:
-            raise InternalError("presentation entries exceed the 2d-1 degree bound")
-        if f_mat.degree != NEG_INF and f_mat.degree > 2 * d:
-            raise InternalError("relation entries exceed the 2d degree bound")
-        cert = complete_columns(f_mat)
+        kept = _pruned_syzygies(par.syzygies)
+        if len(kept) == 3:
+            # three generators of the free rank-3 module Syz(a) are a basis
+            n, g_mat = 0, PolyMatrix.from_columns(kept)
+        else:
+            g_mat = res.d1.map_entries(dehomogenize)
+            f_mat = res.d2.map_entries(dehomogenize)
+            if g_mat.degree != NEG_INF and g_mat.degree > 2 * d - 1:
+                raise InternalError("presentation entries exceed the 2d-1 degree bound")
+            if f_mat.degree != NEG_INF and f_mat.degree > 2 * d:
+                raise InternalError("relation entries exceed the 2d degree bound")
+            cert = complete_columns(f_mat)
+            n_mat = cert.M_inv
+            completion = {k: getattr(cert, k) for k in ("deg_M", "bound", "within_bound", "det")}
         timings["completion"] = time.perf_counter() - t1
-        n_mat = cert.M_inv
-        completion = {k: getattr(cert, k) for k in ("deg_M", "bound", "within_bound", "det")}
+    if n == 0:
+        n_mat = PolyMatrix.identity(3, VARS_ST)
     basis = extract_basis(g_mat, n_mat, n)
-    if n == 0 and any(_vector_degree(v) > d for v in basis):
+    if branch == "pd1" and any(_vector_degree(v) > d for v in basis):
         raise InternalError("free-branch basis exceeds the degree-d bound")
     t2 = time.perf_counter()
     basis = _interreduce(basis)

@@ -308,6 +308,23 @@ class TestMatrixBasics:
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
+    def test_sparse_product_matches_the_entrywise_sum(self, data):
+        # the product skips zero entries: most entries here are zero, so
+        # zero rows, zero columns and single nonzero pairs all occur
+        vars = data.draw(rings)
+        m, k, n = (data.draw(st.integers(1, 4)) for _ in range(3))
+        zero = Poly.zero(vars)
+        sparse = st.one_of(st.just(zero), st.just(zero), polys(vars))
+        a, b = data.draw(matrices(vars, m, k, sparse)), data.draw(matrices(vars, k, n, sparse))
+        got = a * b
+        for i in range(m):
+            for j in range(n):
+                assert_valid(got[i, j], vars)
+                assert got[i, j] == sum((a[i, l] * b[l, j] for l in range(k)), zero)
+        assert a * PolyMatrix.identity(k, vars) == a == PolyMatrix.identity(m, vars) * a
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
     def test_maximal_minors_match_each_submatrix_determinant(self, data):
         vars = data.draw(rings)
         n = data.draw(st.integers(1, 3))
@@ -419,8 +436,9 @@ def polys(vars):
         st.dictionaries(monos, coefficients, max_size=6).map(lambda t: Poly(vars, t)))
 
 
-def matrices(vars, rows, cols):
-    return st.lists(st.lists(polys(vars), min_size=cols, max_size=cols),
+def matrices(vars, rows, cols, entries=None):
+    entries = polys(vars) if entries is None else entries
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols),
                     min_size=rows, max_size=rows).map(PolyMatrix)
 
 

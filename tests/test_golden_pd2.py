@@ -1,10 +1,15 @@
 """Golden documents pinning the exact ``--json`` bytes of the cli.
 
-The compute tuples follow the ROADMAP baseline recipe (``random.Random(i)``,
-``random_poly`` with coeff_bound 3 and density 0.5, every component of exact
-degree 2) for i = 1 (deg_M 2) and i = 8 (deg_M 4), both on the pd2 branch, so
+The first two compute tuples follow the ROADMAP baseline recipe
+(``random.Random(i)``, ``random_poly`` with coeff_bound 3 and density 0.5,
+every component of exact degree 2) for i = 1 and i = 8, both on the pd2
+branch: three pruned syzygy generators already form their basis, so they
+pin the route without completion (``completion`` is null).  The other two
+are draws 18 and 19 of the acceptance suite's criterion 4, whose pruned
+generators number five and four: they pin the graded completion route, so
 any change to how the completion matrix, its inverse or its determinant is
-obtained must leave the basis unchanged.  The bounds tuple is the same recipe
+obtained, or a shortcut extended to more than three generators, must leave
+their documents unchanged.  The bounds tuple is the same recipe
 at d = 3 for i = 1, and the resolve tuple is the reference tuple of the
 acceptance suite: both pin the graded minimal free resolution (ranks, shifts,
 entry degrees), so any change to how minimal generators are selected must
@@ -38,9 +43,10 @@ from mubasis.cli import parse_parametrization, run
 
 GOLDEN = {
     "(s*t + 2, -t^2 + 2, -s*t, -2*s*t)":
-        {'alpha': '2',
-         'basis': [['0', '0', '2', '-1'], ['s*t + t^2 - 2', '2', 's*t + t^2', '0'],
-                   ['t^2 - 2', '2', 't^2 - 2', '0']],
+        {'alpha': '1/2',
+         'basis': [['1/2*t^2 - 1', '1', '1/2*t^2 - 1', '0'],
+                   ['0', '0', '1', '-1/2'],
+                   ['s*t', '0', 's*t', '1']],
          'bounds': {'all_passed': True,
                     'case': 'general',
                     'case_value': 1219376494053317606400,
@@ -49,7 +55,7 @@ GOLDEN = {
                                     'height3': 46283666227200,
                                     'pd1': 2},
                     'observed': {'basis_degree_max': 2,
-                                 'basis_degrees': [0, 2, 2],
+                                 'basis_degrees': [2, 0, 2],
                                  'beta1': 3,
                                  'beta2': 1,
                                  'beta2_fixed': 1,
@@ -121,10 +127,10 @@ GOLDEN = {
                                   'passed': True}]},
          'branch': 'pd2',
          'command': 'compute',
-         'completion': {'bound': 881664, 'deg_M': 2, 'det': '1/2', 'within_bound': True},
+         'completion': None,
          'd': 2,
          'degree_sum': 4,
-         'degrees': [0, 2, 2],
+         'degrees': [2, 0, 2],
          'input': ['s*t + 2', '-t^2 + 2', '-s*t', '-2*s*t'],
          'invariants': {'a': 1, 'beta2': 1, 'gamma1': 2, 'gamma2': 2},
          'mu': None,
@@ -135,12 +141,13 @@ GOLDEN = {
          'seed': 0,
          'warnings': []},
     "(2*s*t + t^2 - 2*s + 2*t, -3*s*t, s^2 + 3*s*t, 3*s^2 + 2*t^2 + 2*s - 3*t)":
-        {'alpha': '28',
-         'basis': [['s*t + 7/3*s', '-7/3*s*t + t^2 - 31/9*s + 8*t - 7/9', '-3*s*t - 7*s + 6*t',
-                    's*t + 7/3*s'],
-                   ['3*s', '2*s + t + 8', '6', '0'],
-                   ['9*s*t + 12*t^2 - 18*t', '6*s*t + 29*t^2 + 36*t + 4', '18*t^2 + 54*t',
-                    '-6*t^2 - 12*t']],
+        {'alpha': '6/7',
+         'basis': [['6/25*s', '13/25*s + 1', '9/25*s + 18/25', '-3/25*s'],
+                   ['0', '-425/28*s + 625/42*t - 75/4', '-75/4*s + 75/7*t - 25/2', '25/4*s'],
+                   ['-3*s*t - 12/7*t^2 + 9/2*s + 18/7*t',
+                    '-13/2*s*t - 26/7*t^2 - 3*s - 12/7*t + 17/7',
+                    '-9/2*s*t - 18/7*t^2 - 9*s - 36/7*t + 3',
+                    '3/2*s*t + 6/7*t^2 + 3*s + 12/7*t']],
          'bounds': {'all_passed': True,
                     'case': 'general',
                     'case_value': 1219376494053317606400,
@@ -149,7 +156,7 @@ GOLDEN = {
                                     'height3': 46283666227200,
                                     'pd1': 2},
                     'observed': {'basis_degree_max': 2,
-                                 'basis_degrees': [2, 1, 2],
+                                 'basis_degrees': [1, 1, 2],
                                  'beta1': 4,
                                  'beta2': 1,
                                  'beta2_fixed': 1,
@@ -221,11 +228,14 @@ GOLDEN = {
                                   'passed': True}]},
          'branch': 'pd2',
          'command': 'compute',
-         'completion': {'bound': 881664, 'deg_M': 4, 'det': '9/28', 'within_bound': True},
+         'completion': None,
          'd': 2,
-         'degree_sum': 5,
-         'degrees': [2, 1, 2],
-         'input': ['2*s*t + t^2 - 2*s + 2*t', '-3*s*t', 's^2 + 3*s*t', '3*s^2 + 2*t^2 + 2*s - 3*t'],
+         'degree_sum': 4,
+         'degrees': [1, 1, 2],
+         'input': ['2*s*t + t^2 - 2*s + 2*t',
+                   '-3*s*t',
+                   's^2 + 3*s*t',
+                   '3*s^2 + 2*t^2 + 2*s - 3*t'],
          'invariants': {'a': 1, 'beta2': 1, 'gamma1': 2, 'gamma2': 2},
          'mu': None,
          'resolution': {'ranks': [4, 4, 1],
@@ -234,6 +244,290 @@ GOLDEN = {
                                    'middle': [-3, -3, -3, -4]}},
          'seed': 0,
          'warnings': []},
+    # criterion-4 draws whose pruned syzygy generators number five and four:
+    # they keep the graded completion route
+    "(0, -2*s^3 - s*t^2 - 3*t^3 + s*t, 2*s^2 + 3*s*t + t, s^2*t - s^2 - 2*s*t + 3*s - t)":
+        {'alpha': '114950/729',
+         'basis': [['0',
+                    '1352/177147*s^2*t^3 + 754/59049*s^2*t^2 - 676/177147*s*t^3 - 454/19683*s^2*t '
+                    '- 377/19683*s*t^2 - 676/177147*t^3 - 10/729*s^2 + 65/2187*s*t - '
+                    '1079/59049*t^2 + 95/6561*s + 101/19683*t + 1/27',
+                    '-19604/1948617*s^5*t^5 + 60463/5845851*s^5*t^4 + 196040/5845851*s^4*t^5 + '
+                    '343478/5845851*s^5*t^3 - 845/72171*s^4*t^4 + 107653/5845851*s^3*t^5 - '
+                    '180596/1948617*s^5*t^2 - 135116/531441*s^4*t^3 + 234689/23383404*s^3*t^4 - '
+                    '681577/5845851*s^2*t^5 + 1871/649539*s^5*t + 244363/649539*s^4*t^2 + '
+                    '547145/5845851*s^3*t^3 - 4248569/23383404*s^2*t^4 + 2197/72171*s*t^5 + '
+                    '740/24057*s^5 - 2692/72171*s^4*t - 710291/1948617*s^3*t^2 + '
+                    '1903115/2598156*s^2*t^3 + 3034265/23383404*s*t^4 + 258739/5845851*t^5 - '
+                    '26335/216513*s^4 + 563381/2598156*s^3*t + 53939/866052*s^2*t^2 - '
+                    '1044449/1948617*s*t^3 + 1019213/7794468*t^4 + 3217/144342*s^3 - '
+                    '139124/216513*s^2*t - 13031/1299078*s*t^2 - 170069/866052*t^3 + '
+                    '2021/16038*s^2 + 127679/288684*s*t - 6091/78732*t^2 + 4111/24057*s - '
+                    '5002/72171*t',
+                    '39208/1948617*s^5*t^4 + 19604/649539*s^4*t^5 - 3302/5845851*s^5*t^3 - '
+                    '161785/5845851*s^4*t^4 - 19604/649539*s^3*t^5 - 230086/1948617*s^5*t^2 - '
+                    '1414805/5845851*s^4*t^3 - 89284/531441*s^3*t^4 - 695435/5845851*s^2*t^5 + '
+                    '43702/649539*s^5*t + 201389/649539*s^4*t^2 + 1336649/11691702*s^3*t^3 - '
+                    '4146311/23383404*s^2*t^4 + 369772/5845851*s*t^5 + 1480/24057*s^5 + '
+                    '8180/216513*s^4*t + 524275/3897234*s^3*t^2 + 5067685/7794468*s^2*t^3 + '
+                    '2217254/5845851*s*t^4 + 325663/5845851*t^5 - 12710/216513*s^4 + '
+                    '24895/118098*s^3*t + 37819/288684*s^2*t^2 - 855623/3897234*s*t^3 + '
+                    '1446497/7794468*t^4 - 683/6561*s^3 - 127586/216513*s^2*t - '
+                    '736987/1299078*s*t^2 - 183401/866052*t^3 - 6440/72171*s^2 - 97153/433026*s*t '
+                    '- 14839/78732*t^2 - 5002/72171*t'],
+                   ['1', '0', '0', '0'],
+                   ['0',
+                    '-92950/6561*s^3*t^2 - 2416700/177147*s^2*t^3 + 1240525/4374*s^3*t + '
+                    '16080350/59049*s^2*t^2 + 1208350/177147*s*t^3 + 159775/162*s^3 + '
+                    '77881375/78732*s^2*t - 1347775/13122*s*t^2 + 1208350/177147*t^3 - '
+                    '159775/324*s^2 - 7793500/6561*s*t - 13152425/118098*t^2 - 20185825/13122*s - '
+                    '78017225/78732*t - 159775/108',
+                    '122525/6561*s^6*t^4 + 3185650/177147*s^5*t^5 - 33405775/78732*s^6*t^3 - '
+                    '489411325/1062882*s^5*t^4 - 31856500/531441*s^4*t^5 - 5087525/19683*s^6*t^2 '
+                    '+ 943244575/1062882*s^5*t^3 + 295830275/236196*s^4*t^4 - '
+                    '34987225/1062882*s^3*t^5 + 75470425/26244*s^6*t + 799352350/177147*s^5*t^2 + '
+                    '28077201425/8503056*s^4*t^3 + 3798929875/4251528*s^3*t^4 + '
+                    '221512525/1062882*s^2*t^5 - 537425/243*s^6 - 2672153875/236196*s^5*t - '
+                    '1270338475/157464*s^4*t^2 - 2908607975/1062882*s^3*t^3 - '
+                    '17568745675/4251528*s^2*t^4 - 714025/13122*s*t^5 + 7306075/972*s^5 + '
+                    '2076366025/314928*s^4*t - 26291210225/2834352*s^3*t^2 - '
+                    '2536026025/157464*s^2*t^3 + 3549485875/4251528*s*t^4 - 84090175/1062882*t^5 '
+                    '- 88611725/157464*s^4 + 12966359075/944784*s^3*t + 4785673525/314928*s^2*t^2 '
+                    '+ 1722769750/177147*s*t^3 + 2036217625/1417176*t^4 + 29362475/26244*s^3 + '
+                    '3743230375/314928*s^2*t - 472248025/944784*s*t^2 + 2731645475/314928*t^3 - '
+                    '109135675/5832*s^2 - 2951527075/104976*s*t + 1622133925/314928*t^2 + '
+                    '52019125/8748*s - 19538675/13122*t',
+                    '-245050/6561*s^6*t^3 - 16295825/177147*s^5*t^4 - 3185650/59049*s^4*t^5 + '
+                    '31935475/39366*s^6*t^2 + 4309170775/2125764*s^5*t^3 + '
+                    '1322919325/1062882*s^4*t^4 + 3185650/59049*s^3*t^5 + 17428525/13122*s^6*t + '
+                    '1957256825/708588*s^5*t^2 + 1688977225/2125764*s^4*t^3 - '
+                    '1313784875/2125764*s^3*t^4 + 226016375/1062882*s^2*t^5 - 1074850/243*s^6 - '
+                    '1732150225/118098*s^5*t - 2965652675/157464*s^4*t^2 - '
+                    '113229982775/8503056*s^3*t^3 - 18241331875/4251528*s^2*t^4 - '
+                    '60087950/531441*s*t^5 + 856975/486*s^5 - 1252714975/157464*s^4*t - '
+                    '72189823975/2834352*s^3*t^2 - 42845797475/2834352*s^2*t^3 + '
+                    '3414083075/2125764*s*t^4 - 105840475/1062882*t^5 + 172576825/78732*s^4 + '
+                    '5236028975/472392*s^3*t + 2464523375/104976*s^2*t^2 + '
+                    '60791002025/2834352*s*t^3 + 2509704925/1417176*t^4 + 257185325/26244*s^3 + '
+                    '5737653125/157464*s^2*t + 34209678625/944784*s*t^2 + 3667852175/314928*t^3 - '
+                    '32480450/6561*s^2 - 55068775/157464*s*t + 3019845625/314928*t^2 - '
+                    '19538675/13122*t']],
+         'bounds': {'all_passed': True,
+                    'case': 'general',
+                    'case_value': 799023888130072930931667600,
+                    'case_values': {'general': 799023888130072930931667600,
+                                    'general_aci': 336630600000,
+                                    'height3': 438436702721203200,
+                                    'pd1': 3},
+                    'observed': {'basis_degree_max': 10,
+                                 'basis_degrees': [10, 0, 10],
+                                 'beta1': 4,
+                                 'beta2': 2,
+                                 'beta2_fixed': 2,
+                                 'gamma1': 4,
+                                 'gamma2': 2,
+                                 'max_p': 8,
+                                 'max_q': 7,
+                                 'ranks': [4, 5, 2],
+                                 'regularity': 6},
+                    'values': {'D': 6,
+                               'basis_bound': 7772786112,
+                               'beta1_bound': 5,
+                               'beta2_bound': 36,
+                               'beta2_bound_equal': 60,
+                               'height3_beta1_bound': 8,
+                               'height3_beta2_bound': 5,
+                               'lazard': 4,
+                               'qs_bound': 485799132,
+                               'reg_bound': 7},
+                    'verdicts': [{'applicable': True,
+                                  'bound': 7,
+                                  'name': 'reg(ideal) <= 3d-2',
+                                  'observed': 6,
+                                  'passed': True},
+                                 {'applicable': True,
+                                  'bound': 36,
+                                  'name': 'beta2 <= C(3d,2)',
+                                  'observed': 2,
+                                  'passed': True},
+                                 {'applicable': True,
+                                  'bound': 5,
+                                  'name': 'beta1 <= beta2 + m - 1',
+                                  'observed': 4,
+                                  'passed': True},
+                                 {'applicable': True,
+                                  'bound': 45,
+                                  'name': 'beta2 <= m*C(2d,2) (equal degrees)',
+                                  'observed': 2,
+                                  'passed': True},
+                                 {'applicable': True,
+                                  'bound': 9,
+                                  'name': 'graded beta2 in degree 8 <= H(6)-H(5)',
+                                  'observed': 2,
+                                  'passed': True},
+                                 {'applicable': True,
+                                  'bound': 8,
+                                  'name': 'max q_i <= 3d-1',
+                                  'observed': 7,
+                                  'passed': True},
+                                 {'applicable': True,
+                                  'bound': 9,
+                                  'name': 'max p_i <= 3d',
+                                  'observed': 8,
+                                  'passed': True},
+                                 {'applicable': True,
+                                  'bound': 2,
+                                  'name': 'last rank of fixed resolution = beta2',
+                                  'observed': 2,
+                                  'passed': True},
+                                 {'applicable': False,
+                                  'bound': 8,
+                                  'name': 'beta1 <= 2d+2 (height 3, equal degrees)',
+                                  'observed': 4,
+                                  'passed': True},
+                                 {'applicable': False,
+                                  'bound': 5,
+                                  'name': 'beta2 <= 2d-1 (height 3, equal degrees)',
+                                  'observed': 2,
+                                  'passed': True}]},
+         'branch': 'pd2',
+         'command': 'compute',
+         'completion': {'bound': 485799132,
+                        'deg_M': 11,
+                        'det': '-729/1264450',
+                        'within_bound': True},
+         'd': 3,
+         'degree_sum': 20,
+         'degrees': [10, 0, 10],
+         'input': ['0',
+                   '-2*s^3 - s*t^2 - 3*t^3 + s*t',
+                   '2*s^2 + 3*s*t + t',
+                   's^2*t - s^2 - 2*s*t + 3*s - t'],
+         'invariants': {'a': 2, 'beta2': 2, 'gamma1': 4, 'gamma2': 2},
+         'mu': None,
+         'resolution': {'ranks': [4, 5, 2],
+                        'shifts': {'first': [-3, -3, -3, -3],
+                                   'last': [-8, -8],
+                                   'middle': [-3, -6, -6, -6, -7]}},
+         'seed': 0,
+         'warnings': ['some components are zero (degenerate geometry)']},
+    "(-3*s^2*t - 3*s^2, 3*s*t + t^2 + 2*s + 1, 0, "
+    "-2*s^3 - s^2*t + s*t^2 - t^3 + s^2 + 2*s*t - 2*s - t)":
+        {'alpha': '234/25',
+         'basis': [['6/5*s^2*t^2 + 14/5*s*t^3 + 4/5*t^4 + 36/25*s^2*t + 49/25*s*t^2 + 104/25*t^3 '
+                    '+ 84/25*s^2 + 204/25*s*t + 87/25*t^2 + 96/25*s - 126/25*t + 87/25',
+                    '6/5*s^3*t^2 + 12/5*s^2*t^3 + 36/25*s^3*t + 42/25*s^2*t^2 + 21/5*s*t^3 - '
+                    '6/5*t^4 + 84/25*s^3 + 192/25*s^2*t + 66/25*s*t^2 + 9/25*t^3 + 132/25*s^2 - '
+                    '138/25*s*t - 6/5*t^2 + 18/25*s + 9/25*t',
+                    '0',
+                    '-3/5*s*t^2 - 6/5*t^3 - 18/25*s*t + 9/25*t^2 - 42/25*s - 6/5*t + 9/25'],
+                   ['-6*s*t^3 - 2*t^4 - 6*s*t^2 - 13*t^3 - 6*s*t - 23*t^2 - 6*s - 3*t + 3',
+                    '-6*s^2*t^3 - 6*s^2*t^2 - 12*s*t^3 + 3*t^4 - 6*s^2*t - 24*s*t^2 + 3*t^3 - '
+                    '6*s^2 - 6*s*t + 3*t^2 + 6*s + 3*t',
+                    '0',
+                    '3*t^3 + 3*t^2 + 3*t + 3'],
+                   ['0', '0', '1', '0']],
+         'bounds': {'all_passed': True,
+                    'case': 'general',
+                    'case_value': 799023888130072930931667600,
+                    'case_values': {'general': 799023888130072930931667600,
+                                    'general_aci': 336630600000,
+                                    'height3': 438436702721203200,
+                                    'pd1': 3},
+                    'observed': {'basis_degree_max': 5,
+                                 'basis_degrees': [5, 5, 0],
+                                 'beta1': 4,
+                                 'beta2': 2,
+                                 'beta2_fixed': 2,
+                                 'gamma1': 3,
+                                 'gamma2': 2,
+                                 'max_p': 8,
+                                 'max_q': 6,
+                                 'ranks': [4, 5, 2],
+                                 'regularity': 6},
+                    'values': {'D': 6,
+                               'basis_bound': 5829589584,
+                               'beta1_bound': 5,
+                               'beta2_bound': 36,
+                               'beta2_bound_equal': 60,
+                               'height3_beta1_bound': 8,
+                               'height3_beta2_bound': 5,
+                               'lazard': 4,
+                               'qs_bound': 485799132,
+                               'reg_bound': 7},
+                    'verdicts': [{'applicable': True,
+                                  'bound': 7,
+                                  'name': 'reg(ideal) <= 3d-2',
+                                  'observed': 6,
+                                  'passed': True},
+                                 {'applicable': True,
+                                  'bound': 36,
+                                  'name': 'beta2 <= C(3d,2)',
+                                  'observed': 2,
+                                  'passed': True},
+                                 {'applicable': True,
+                                  'bound': 5,
+                                  'name': 'beta1 <= beta2 + m - 1',
+                                  'observed': 4,
+                                  'passed': True},
+                                 {'applicable': True,
+                                  'bound': 45,
+                                  'name': 'beta2 <= m*C(2d,2) (equal degrees)',
+                                  'observed': 2,
+                                  'passed': True},
+                                 {'applicable': True,
+                                  'bound': 9,
+                                  'name': 'graded beta2 in degree 7 <= H(5)-H(4)',
+                                  'observed': 1,
+                                  'passed': True},
+                                 {'applicable': True,
+                                  'bound': 8,
+                                  'name': 'graded beta2 in degree 8 <= H(6)-H(5)',
+                                  'observed': 1,
+                                  'passed': True},
+                                 {'applicable': True,
+                                  'bound': 8,
+                                  'name': 'max q_i <= 3d-1',
+                                  'observed': 6,
+                                  'passed': True},
+                                 {'applicable': True,
+                                  'bound': 9,
+                                  'name': 'max p_i <= 3d',
+                                  'observed': 8,
+                                  'passed': True},
+                                 {'applicable': True,
+                                  'bound': 2,
+                                  'name': 'last rank of fixed resolution = beta2',
+                                  'observed': 2,
+                                  'passed': True},
+                                 {'applicable': False,
+                                  'bound': 8,
+                                  'name': 'beta1 <= 2d+2 (height 3, equal degrees)',
+                                  'observed': 4,
+                                  'passed': True},
+                                 {'applicable': False,
+                                  'bound': 5,
+                                  'name': 'beta2 <= 2d-1 (height 3, equal degrees)',
+                                  'observed': 2,
+                                  'passed': True}]},
+         'branch': 'pd2',
+         'command': 'compute',
+         'completion': {'bound': 485799132, 'deg_M': 5, 'det': '25/78', 'within_bound': True},
+         'd': 3,
+         'degree_sum': 10,
+         'degrees': [5, 5, 0],
+         'input': ['-3*s^2*t - 3*s^2',
+                   '3*s*t + t^2 + 2*s + 1',
+                   '0',
+                   '-2*s^3 - s^2*t + s*t^2 - t^3 + s^2 + 2*s*t - 2*s - t'],
+         'invariants': {'a': 2, 'beta2': 2, 'gamma1': 3, 'gamma2': 2},
+         'mu': None,
+         'resolution': {'ranks': [4, 5, 2],
+                        'shifts': {'first': [-3, -3, -3, -3],
+                                   'last': [-7, -8],
+                                   'middle': [-3, -6, -6, -6, -6]}},
+         'seed': 0,
+         'warnings': ['some components are zero (degenerate geometry)']},
 }
 
 
@@ -500,14 +794,14 @@ CORPUS_DIGESTS = {  # one digest per seed, seeds 1-3
         "c778947ce3e20fab8e94623a48b3fd7a98dece73f65ceaf3518144a4eca1d884",
     ),
     ("compute", "full_d2"): (
-        "f62826503006e615ce6bcbe2f3b8237606afe2a49a887f0cda13d5c4cd0bb38d",
-        "3ee31df109e386413500fc88813cf52de86aea3068a7037b08351c66e3a8a9ec",
-        "bac2ce6ed17f223b8708632239b76a64ef647d81932b02d31b26a9c43e046da0",
+        "3ef2d247b76f0c140c6d924525590f81d8bc9b6b08af0d6141d277d6cb0f1c13",
+        "705bf046dadca1ee4c5754cced45f5557c7bb79bc793f9c24afc7a43448a82d1",
+        "922bdf4d0945e08fa60d54f70d4726df55b64074d83e586ad9ba73f2aae2c275",
     ),
     ("compute", "mixed"): (
-        "75b523f8787f713fed1293e1b6f73f480006aefc756701373fccf2a3bd1112b7",
-        "0498c33506c4b6e2c5976162ac093b84994b7c51ca808a91bf49cba03c55b500",
-        "073ccd4423c95b623fe31b40b5074b521ca16dbd1941ac70beea2a7e4b03e4f8",
+        "d07e2e3598b65922923e43d1a04b0a8e602197f8aebe375177e2c5095698fea5",
+        "db97b10049c84e94d6aee3436e47ae7bd913a9642d6ab4f42097ea237a96761e",
+        "c2845d811fdc8e50ce4747aafb6ee066f746ac3409bad2f2815a98016bc90b3a",
     ),
     ("resolve", "bounds_d3"): (
         "b7c9ed85cd194eb759eff8c3ecf09ff54208a702ea3668474e721942a4269e40",

@@ -7,6 +7,7 @@ from mubasis import pipeline
 from mubasis.arith import VARS_ST, Poly, PolyMatrix, gcd_many
 from mubasis.errors import ValidationError, VerificationError
 from mubasis.grobner import modules_equal
+from mubasis.parser import parse_tuple
 from mubasis.pipeline import (
     compute_mu_basis,
     extract_basis,
@@ -260,14 +261,22 @@ class TestComputeMuBasis:
             done += 1
 
 
+# criterion-4 draw 19: its pruned syzygy generators number four, so it
+# keeps the graded completion of (d1, d2), with two relations
+GRADED_INPUT = "(-3*s^2*t - 3*s^2, 3*s*t + t^2 + 2*s + 1, 0, " \
+    "-2*s^3 - s^2*t + s*t^2 - t^3 + s^2 + 2*s*t - 2*s - t)"
+
+
 class TestOneRoute:
-    # the free branch is completion with n = 0 and N = I: both branches read
-    # the basis off G N once, and the report keeps the one resolution built
-    @pytest.mark.parametrize("polys, branch", [
-        ([S**3, S**2 * T, S * T**2, T**3], "pd1"),
-        (reference_input(), "pd2"),
+    # the free branch and three pruned syzygy generators are N = I with
+    # n = 0, the graded route N = M^-1 with n = beta2: each branch reads the
+    # basis off G N once, and the report keeps the one resolution built
+    @pytest.mark.parametrize("polys, branch, n", [
+        pytest.param([S**3, S**2 * T, S * T**2, T**3], "pd1", 0, id="polys0-pd1"),
+        pytest.param(reference_input(), "pd2", 0, id="polys1-pd2"),
+        pytest.param(list(parse_tuple(GRADED_INPUT)), "pd2", 2, id="polys2-pd2"),
     ])
-    def test_each_branch_extracts_the_basis_once(self, polys, branch, monkeypatch):
+    def test_each_branch_extracts_the_basis_once(self, polys, branch, n, monkeypatch):
         calls = []
         real = pipeline.extract_basis
 
@@ -277,8 +286,45 @@ class TestOneRoute:
 
         monkeypatch.setattr(pipeline, "extract_basis", counting)
         _, report = compute_mu_basis(validate(polys))
-        n = report.resolution.ranks[2]
         assert report.branch == branch and calls == [(n + 3, n + 3, n)]
+        assert (report.completion is None) == (n == 0)
+
+    def test_three_generators_need_no_completion(self, monkeypatch):
+        calls = []
+        real = pipeline.complete_columns
+        monkeypatch.setattr(pipeline, "complete_columns",
+                            lambda f: calls.append(f) or real(f))
+        mb, report = compute_mu_basis(validate(reference_input()))
+        assert report.branch == "pd2" and report.completion is None and calls == []
+        assert modules_equal(mb.vectors, reference_basis())
+
+    def test_pruned_basis_may_exceed_the_input_degree(self):
+        # the degree-d check holds on the free branch only: this d = 2 pd2
+        # input's three pruned generators have degrees 2, 3 and 3
+        par = validate(parse_tuple("(-2*s*t - t^2, -3*s*t + 2*t^2 + s + 2, "
+                                   "-2*s*t + 2*s + 2, t^2 + 3*s + 2*t + 1)"))
+        mb, report = compute_mu_basis(par)
+        assert report.completion is None and mb.degrees == (2, 3, 3) and par.d == 2
+
+    def test_dropped_generators_lie_in_the_span_of_the_kept(self):
+        par = validate(list(parse_tuple(GRADED_INPUT)))
+        kept = pipeline._pruned_syzygies(par.syzygies)
+        assert len(kept) == 4 and set(kept) <= set(par.syzygies)
+        assert modules_equal(kept, par.syzygies)
+
+    @pytest.mark.parametrize("polys", [[S**3, S**2 * T, S * T**2, T**3], reference_input()],
+                             ids=["pd1", "pd2"])
+    def test_one_syzygy_generating_set_per_parametrization(self, polys, monkeypatch):
+        # compute builds Syz(a)'s generators once, and a later verification
+        # of the same parametrization reads them again
+        calls = []
+        real = pipeline.syzygy_generators
+        monkeypatch.setattr(pipeline, "syzygy_generators", lambda a: calls.append(a) or real(a))
+        par = validate(polys)
+        mb, _ = compute_mu_basis(par)
+        assert len(calls) == 1
+        verify_mu_basis(mb.vectors, par)
+        assert len(calls) == 1
 
     def test_report_holds_the_resolution_the_bounds_read(self, monkeypatch):
         seen = []
