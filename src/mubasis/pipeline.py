@@ -4,13 +4,14 @@ The pipeline resolves the homogenized ideal over its four given generators
 (``resolve``) and reads the basis off the last three columns of G N
 (``extract_basis``).  When the syzygy module is free (n = beta2 = 0), G is
 the dehomogenized d1 and N the identity.  Otherwise the affine generating
-set of Syz(a) is pruned first, by exact membership; three generators left
+set of Syz(a) is pruned by exact membership, unless outer products at two
+points show that no three generators can be a basis; three generators left
 are a basis of that free rank-3 module, so they are G with N the identity
-and n = 0, and no completion runs.  With more left, G = d1 and the n
-relations d2 are dehomogenized, and N is the inverse of a certified
-unimodular completion of the relations.  Every result is verified
-(moving-plane identities, outer-product proportionality, module equality
-with the full syzygy module) before being returned.
+and n = 0.  With more left, G = d1 and the n relations d2 are
+dehomogenized, and N is the inverse of a certified unimodular completion
+of the relations.  Every result is verified (moving-plane identities,
+outer-product proportionality, module equality with the full syzygy
+module) before being returned.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
+from math import lcm
 
 from .arith import (
     NEG_INF,
@@ -218,6 +221,44 @@ def _interreduce(basis):
     return tuple(vecs)
 
 
+# any points would do: a basis passes the test below at every point
+_SAMPLE_POINTS = ((2, 3), (-3, 5))
+
+
+def _sample_values(vec):
+    """vec at each sample point in turn, times one integer for all points."""
+    vals = [p.at(pt) for pt in _SAMPLE_POINTS for p in vec]
+    scale = lcm(*(x.denominator for x in vals))
+    return [x.numerator * (scale // x.denominator) for x in vals]
+
+
+def _det3(rows) -> int:
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _may_hold_a_basis(gens, a) -> bool:
+    """False when no three generators can be a basis of Syz(a).
+
+    Three syzygies are a basis only if their outer product is a nonzero
+    constant multiple c a (stage 2 of verify_mu_basis), so also at every
+    point, and scaling a vector only rescales c.  Each triple is tested in
+    integers at the sample points; a triple that fails is not a basis, and
+    when every triple fails the prune cannot end with three.
+    """
+    a_vals = _sample_values(a)
+    j = next((j for j, x in enumerate(a_vals) if x), None)
+    if j is None:
+        return True  # a vanishes at every sample point: nothing is ruled out
+    for tri in combinations(map(_sample_values, gens), 3):
+        rows = [[v[i] for v in tri] for i in range(len(a_vals))]
+        outer = [(-1)**k * _det3(rows[b:b + k] + rows[b + k + 1:b + 4])
+                 for b in range(0, len(rows), 4) for k in range(4)]
+        if outer[j] and all(o * a_vals[j] == outer[j] * x for o, x in zip(outer, a_vals)):
+            return True
+    return False
+
+
 def _pruned_syzygies(gens):
     """Drop each generator, highest degree first with ties by index, that
     the others generate, while at least three others remain.  Each drop is
@@ -235,12 +276,11 @@ def _pruned_syzygies(gens):
 def compute_mu_basis(par: Parametrization):
     """Run the full pipeline; returns (MuBasis, PipelineReport).
 
-    pd1 reads the basis off the dehomogenized d1.  pd2 prunes the syzygy
-    generators of the input and, when three remain, returns them with no
-    completion (``completion`` is None); otherwise it completes the graded
-    relations d2.  The returned basis always passes verify_mu_basis; a
-    verification failure downstream of a successful completion is an
-    internal error.
+    pd1 reads the basis off the dehomogenized d1.  pd2 returns three
+    pruned syzygy generators of the input with no completion when it can
+    (``completion`` is None); otherwise it completes the graded relations
+    d2.  The returned basis always passes verify_mu_basis; a verification
+    failure downstream of a successful completion is an internal error.
     """
     timings = {}
     t0 = time.perf_counter()
@@ -248,23 +288,25 @@ def compute_mu_basis(par: Parametrization):
     res = resolve(par)
     timings["resolution"] = time.perf_counter() - t0
 
-    n = res.ranks[2]
-    if n == 0 and res.ranks[1] != 3:
+    beta2 = res.ranks[2]
+    if beta2 == 0 and res.ranks[1] != 3:
         raise InternalError("free syzygy module does not have rank 3")
     completion = mu = None
-    if n == 0:
+    if beta2 == 0:
         branch = "pd1"
         mu = tuple(qi - d for qi in res.q)
         if sum(mu) != d:
             raise InternalError("free-branch shifts do not sum to the input degree")
         g_mat = res.d1.map_entries(dehomogenize)
+        n, n_mat = 0, PolyMatrix.identity(3, VARS_ST)
     else:
         branch = "pd2"
         t1 = time.perf_counter()
-        kept = _pruned_syzygies(par.syzygies)
+        gens = par.syzygies
+        kept = _pruned_syzygies(gens) if _may_hold_a_basis(gens, par.a) else gens
         if len(kept) == 3:
             # three generators of the free rank-3 module Syz(a) are a basis
-            n, g_mat = 0, PolyMatrix.from_columns(kept)
+            g_mat, n, n_mat = PolyMatrix.from_columns(kept), 0, PolyMatrix.identity(3, VARS_ST)
         else:
             g_mat = res.d1.map_entries(dehomogenize)
             f_mat = res.d2.map_entries(dehomogenize)
@@ -273,11 +315,9 @@ def compute_mu_basis(par: Parametrization):
             if f_mat.degree != NEG_INF and f_mat.degree > 2 * d:
                 raise InternalError("relation entries exceed the 2d degree bound")
             cert = complete_columns(f_mat)
-            n_mat = cert.M_inv
+            n, n_mat = beta2, cert.M_inv
             completion = {k: getattr(cert, k) for k in ("deg_M", "bound", "within_bound", "det")}
         timings["completion"] = time.perf_counter() - t1
-    if n == 0:
-        n_mat = PolyMatrix.identity(3, VARS_ST)
     basis = extract_basis(g_mat, n_mat, n)
     if branch == "pd1" and any(_vector_degree(v) > d for v in basis):
         raise InternalError("free-branch basis exceeds the degree-d bound")

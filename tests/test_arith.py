@@ -648,6 +648,18 @@ class TestCanonicalForm:
         assert got == substitute(p, {name: Poly.const(vars, value)})
         assert not any(m[vars.index(name)] for m in got.terms)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_at_matches_setting_every_variable(self, data):
+        vars = data.draw(rings)
+        p = data.draw(polys(vars))
+        point = data.draw(st.lists(st.one_of(coefficients, st.fractions(max_denominator=99)),
+                                   min_size=len(vars), max_size=len(vars)))
+        q = p
+        for name, value in zip(vars, point):
+            q = q.set_var(name, value)
+        assert p.at(point) == q.constant_value() and q.is_constant()
+
     def test_poly_operands_construct_no_fraction(self, monkeypatch):
         rng = random.Random(11)
         ps = [random_poly(rng, VARS_STU, 2, force_nonzero=True) * Fraction(rng.randint(1, 9), 7 * k)

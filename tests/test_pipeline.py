@@ -300,11 +300,54 @@ class TestOneRoute:
 
     def test_pruned_basis_may_exceed_the_input_degree(self):
         # the degree-d check holds on the free branch only: this d = 2 pd2
-        # input's three pruned generators have degrees 2, 3 and 3
+        # input's three pruned generators include one of degree above d
         par = validate(parse_tuple("(-2*s*t - t^2, -3*s*t + 2*t^2 + s + 2, "
                                    "-2*s*t + 2*s + 2, t^2 + 3*s + 2*t + 1)"))
         mb, report = compute_mu_basis(par)
-        assert report.completion is None and mb.degrees == (2, 3, 3) and par.d == 2
+        assert report.branch == "pd2" and report.completion is None
+        assert max(mb.degrees) > par.d
+
+    def test_no_prune_when_no_three_generators_can_be_a_basis(self, monkeypatch):
+        calls = []
+        real = pipeline._pruned_syzygies
+        monkeypatch.setattr(pipeline, "_pruned_syzygies", lambda g: calls.append(g) or real(g))
+        par = validate(list(parse_tuple(GRADED_INPUT)))
+        assert not pipeline._may_hold_a_basis(par.syzygies, par.a)
+        _, report = compute_mu_basis(par)
+        assert calls == [] and report.completion is not None
+        compute_mu_basis(validate(reference_input()))
+        assert len(calls) == 1
+
+    def test_sample_point_test_passes_bases_and_rejects_non_constant_outer_products(self):
+        a = reference_input()
+        basis = reference_basis()
+        scaled = (tuple(Fraction(3, 7) * x for x in basis[0]),) + basis[1:]
+        assert pipeline._may_hold_a_basis(scaled, a)
+        # (s + 1) p, q, r: outer product (s + 1) alpha a, not constant
+        assert not pipeline._may_hold_a_basis(
+            (tuple((S + 1) * x for x in basis[0]),) + basis[1:], a)
+        # a dependent triple fails; the basis among four generators passes
+        doubled = tuple(2 * x for x in basis[1])
+        assert not pipeline._may_hold_a_basis((basis[0], basis[1], doubled), a)
+        assert pipeline._may_hold_a_basis((basis[0], basis[1], doubled, basis[2]), a)
+
+    def test_the_prune_reaches_three_only_where_the_sample_test_allows(self):
+        # skipping the prune is sound: a three-generator prune implies a
+        # passing triple, on pd2 draws until the test has ruled one out
+        rng = random.Random(20240 + 1)
+        ruled_out = False
+        while not ruled_out:
+            polys = [random_poly(rng, VARS_ST, rng.randint(0, 3), coeff_bound=3, density=0.5)
+                     for _ in range(4)]
+            nz = [p for p in polys if not p.is_zero()]
+            if not nz or not gcd_many(nz).is_constant() or max(int(p.degree) for p in nz) < 1:
+                continue
+            par = validate(polys)
+            if pipeline.resolve(par).ranks[2] == 0:
+                continue
+            may = pipeline._may_hold_a_basis(par.syzygies, par.a)
+            assert may or len(pipeline._pruned_syzygies(par.syzygies)) > 3
+            ruled_out = not may
 
     def test_dropped_generators_lie_in_the_span_of_the_kept(self):
         par = validate(list(parse_tuple(GRADED_INPUT)))
