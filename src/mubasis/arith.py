@@ -379,16 +379,6 @@ class Poly:
             out[m] = out.get(m, 0) + c * f
         return Poly._reduced(self.vars, {m: c for m, c in out.items() if c}, self.den * b**top)
 
-    def at(self, point) -> Fraction:
-        """Value at a point given as one rational coordinate per variable."""
-        unpack = packing(len(self.vars)).unpack
-        total = 0
-        for key, c in self.num.items():
-            for e, x in zip(unpack(key), point):
-                c *= x**e
-            total += c
-        return Fraction(total, self.den)
-
     # -- comparison / hashing / printing -------------------------------
 
     def __eq__(self, other) -> bool:

@@ -3,15 +3,16 @@
 The pipeline resolves the homogenized ideal over its four given generators
 (``resolve``) and reads the basis off the last three columns of G N
 (``extract_basis``).  When the syzygy module is free (n = beta2 = 0), G is
-the dehomogenized d1 and N the identity.  Otherwise the affine generating
-set of Syz(a) is pruned by exact membership, unless outer products at two
-points show that no three generators can be a basis; three generators left
-are a basis of that free rank-3 module, so they are G with N the identity
-and n = 0.  With more left, G = d1 and the n relations d2 are
-dehomogenized, and N is the inverse of a certified unimodular completion
-of the relations.  Every result is verified (moving-plane identities,
-outer-product proportionality, module equality with the full syzygy
-module) before being returned.
+the dehomogenized d1 and N the identity.  Otherwise three syzygies are a
+basis of Syz(a) exactly when their outer product is a nonzero constant
+multiple c a (Chen-Cox-Liu); the outer product of B T is det(T) c a for a
+basis B, so the test picks out the unimodular T.  When three of the affine
+generators of Syz(a) pass it, they are G with N the identity and n = 0.
+Otherwise G = d1 and the n relations d2 are dehomogenized, and N is the
+inverse of a certified unimodular completion of the relations.  Every
+result is verified (moving-plane identities, outer-product
+proportionality, module equality with the full syzygy module) before
+being returned.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
 
 from .arith import (
     NEG_INF,
@@ -49,8 +49,8 @@ class Parametrization:
 
     @cached_property
     def syzygies(self) -> tuple:
-        """syzygy_generators(a), built once: the pd2 prune and stage 3 of
-        verify_mu_basis both read it."""
+        """syzygy_generators(a), built once: the pd2 basis triple and stage
+        3 of verify_mu_basis both read it."""
         return tuple(syzygy_generators(list(self.a)))
 
 
@@ -74,8 +74,8 @@ class MuBasis:
 class PipelineReport:
     """The run's one resolution (beta2 = ranks[2], its gammas and shifts),
     the free branch's mu and the pd2 completion summary (each None when
-    absent: a pd2 run whose three pruned syzygy generators are its basis
-    has no completion)."""
+    absent: a pd2 run whose basis is three of its syzygy generators has no
+    completion)."""
 
     branch: str
     d: int
@@ -136,6 +136,16 @@ def outer_product(p, q, r):
     return tuple(d if k % 2 == 0 else -d for k, d in enumerate(minors))
 
 
+def _proportionality(outer, a):
+    """The nonzero constant alpha with outer = alpha a, or None."""
+    j = next((j for j, ai in enumerate(a) if not ai.is_zero()), None)
+    quot = None if j is None else exact_div(outer[j], a[j])
+    if quot is None or not quot.is_constant() or quot.is_zero():
+        return None
+    alpha = quot.constant_value()
+    return alpha if all(oc == ai * alpha for oc, ai in zip(outer, a)) else None
+
+
 def verify_mu_basis(basis, par: Parametrization) -> Fraction:
     """Three-stage verification; returns the proportionality constant alpha.
 
@@ -156,20 +166,9 @@ def verify_mu_basis(basis, par: Parametrization) -> Fraction:
     outer = outer_product(*basis)
     if all(c.is_zero() for c in outer):
         raise VerificationError("alpha = 0 (degenerate triple)")
-    alpha = None
-    for oc, ai in zip(outer, par.a):
-        if ai.is_zero():
-            continue
-        quot = exact_div(oc, ai)
-        if quot is None or not quot.is_constant():
-            raise VerificationError("outer product not proportional")
-        alpha = quot.constant_value()
-        break
-    if alpha is None or alpha == 0:
+    alpha = _proportionality(outer, par.a)
+    if alpha is None:
         raise VerificationError("outer product not proportional")
-    for oc, ai in zip(outer, par.a):
-        if oc != ai * alpha:
-            raise VerificationError("outer product not proportional")
     if not modules_equal(par.syzygies, basis):
         raise VerificationError("does not generate Syz")
     return alpha
@@ -221,66 +220,27 @@ def _interreduce(basis):
     return tuple(vecs)
 
 
-# any points would do: a basis passes the test below at every point
-_SAMPLE_POINTS = ((2, 3), (-3, 5))
-
-
-def _sample_values(vec):
-    """vec at each sample point in turn, times one integer for all points."""
-    vals = [p.at(pt) for pt in _SAMPLE_POINTS for p in vec]
-    scale = lcm(*(x.denominator for x in vals))
-    return [x.numerator * (scale // x.denominator) for x in vals]
-
-
-def _det3(rows) -> int:
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def _may_hold_a_basis(gens, a) -> bool:
-    """False when no three generators can be a basis of Syz(a).
-
-    Three syzygies are a basis only if their outer product is a nonzero
-    constant multiple c a (stage 2 of verify_mu_basis), so also at every
-    point, and scaling a vector only rescales c.  Each triple is tested in
-    integers at the sample points; a triple that fails is not a basis, and
-    when every triple fails the prune cannot end with three.
-    """
-    a_vals = _sample_values(a)
-    j = next((j for j, x in enumerate(a_vals) if x), None)
-    if j is None:
-        return True  # a vanishes at every sample point: nothing is ruled out
-    for tri in combinations(map(_sample_values, gens), 3):
-        rows = [[v[i] for v in tri] for i in range(len(a_vals))]
-        outer = [(-1)**k * _det3(rows[b:b + k] + rows[b + k + 1:b + 4])
-                 for b in range(0, len(rows), 4) for k in range(4)]
-        if outer[j] and all(o * a_vals[j] == outer[j] * x for o, x in zip(outer, a_vals)):
-            return True
-    return False
-
-
-def _pruned_syzygies(gens):
-    """Drop each generator, highest degree first with ties by index, that
-    the others generate, while at least three others remain.  Each drop is
-    an exact Groebner membership test."""
-    kept = list(range(len(gens)))
-    for i in sorted(kept, key=lambda i: -_vector_degree(gens[i])):
-        if len(kept) == 3:
-            break
-        others = [j for j in kept if j != i]
-        if buchberger([gens[j] for j in others]).contains(gens[i]):
-            kept = others
-    return [gens[j] for j in kept]
+def _basis_triple(gens, a):
+    """The first three of gens whose outer product passes stage 2 of
+    verify_mu_basis, so a basis of Syz(a), or None.  The generators left
+    out are tried highest degree first, ties by index."""
+    order = sorted(range(len(gens)), key=lambda i: -_vector_degree(gens[i]))
+    for left_out in combinations(order, len(gens) - 3):
+        tri = [g for i, g in enumerate(gens) if i not in left_out]
+        if _proportionality(outer_product(*tri), a) is not None:
+            return tri
+    return None
 
 
 def compute_mu_basis(par: Parametrization):
     """Run the full pipeline; returns (MuBasis, PipelineReport).
 
     pd1 reads the basis off the dehomogenized d1.  pd2 returns three
-    pruned syzygy generators of the input with no completion when it can
-    (``completion`` is None); otherwise it completes the graded relations
-    d2.  The returned basis always passes verify_mu_basis; a verification
-    failure downstream of a successful completion is an internal error.
+    syzygy generators of the input that are a basis (``_basis_triple``)
+    with no completion when there are such (``completion`` is None);
+    otherwise it completes the graded relations d2.  The returned basis
+    always passes verify_mu_basis; a verification failure downstream of a
+    successful completion is an internal error.
     """
     timings = {}
     t0 = time.perf_counter()
@@ -302,11 +262,9 @@ def compute_mu_basis(par: Parametrization):
     else:
         branch = "pd2"
         t1 = time.perf_counter()
-        gens = par.syzygies
-        kept = _pruned_syzygies(gens) if _may_hold_a_basis(gens, par.a) else gens
-        if len(kept) == 3:
-            # three generators of the free rank-3 module Syz(a) are a basis
-            g_mat, n, n_mat = PolyMatrix.from_columns(kept), 0, PolyMatrix.identity(3, VARS_ST)
+        tri = _basis_triple(par.syzygies, par.a)
+        if tri is not None:
+            g_mat, n, n_mat = PolyMatrix.from_columns(tri), 0, PolyMatrix.identity(3, VARS_ST)
         else:
             g_mat = res.d1.map_entries(dehomogenize)
             f_mat = res.d2.map_entries(dehomogenize)

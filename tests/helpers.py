@@ -4,8 +4,8 @@ The oracles here deliberately avoid the library's Groebner machinery and its
 packed monomials: monomials are exponent tuples, and ranks and syzygies are
 found by dense linear algebra over Fraction on graded or degree-truncated
 coefficient spaces, or, for the height of an ideal, by the moments of a
-Betti table.  minimal_row, minimal_resolution and the hypothesis strategies
-are conveniences built on the library, not oracles.
+Betti table.  minimal_row, minimal_resolution, greedy_prune and the
+hypothesis strategies are conveniences built on the library, not oracles.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from mubasis.arith import (
     Poly,
     monomials_of_degree,
 )
-from mubasis.grobner import free_resolution, minimal_generators
+from mubasis.grobner import buchberger, free_resolution, minimal_generators
+from mubasis.pipeline import _vector_degree
 
 
 # Exponent-tuple monomial operations: an oracle for the packed keys of
@@ -363,6 +364,20 @@ def minimal_resolution(gens):
     """The minimal graded free resolution of the ideal gens generate: the
     resolution of its minimal generators."""
     return free_resolution(minimal_row(gens))
+
+
+def greedy_prune(gens):
+    """Drop each generator, highest degree first with ties by index, that
+    the others generate, while at least three others remain; each drop is a
+    Groebner membership test.  The kept generators, in index order."""
+    kept = list(range(len(gens)))
+    for i in sorted(kept, key=lambda i: -_vector_degree(gens[i])):
+        if len(kept) == 3:
+            break
+        others = [j for j in kept if j != i]
+        if buchberger([gens[j] for j in others]).contains(gens[i]):
+            kept = others
+    return [gens[j] for j in kept]
 
 
 def artinian_from_betti(table, nvars: int) -> bool:

@@ -3,10 +3,10 @@
 The first two compute tuples follow the ROADMAP baseline recipe
 (``random.Random(i)``, ``random_poly`` with coeff_bound 3 and density 0.5,
 every component of exact degree 2) for i = 1 and i = 8, both on the pd2
-branch: three pruned syzygy generators already form their basis, so they
+branch: three of their syzygy generators already form their basis, so they
 pin the route without completion (``completion`` is null).  The other two
-are draws 18 and 19 of the acceptance suite's criterion 4, whose pruned
-generators number five and four: they pin the graded completion route, so
+are draws 18 and 19 of the acceptance suite's criterion 4, where no three
+of five syzygy generators are a basis: they pin the graded completion route, so
 any change to how the completion matrix, its inverse or its determinant is
 obtained, or a shortcut extended to more than three generators, must leave
 their documents unchanged.  The bounds tuple is the same recipe
@@ -244,8 +244,8 @@ GOLDEN = {
                                    'middle': [-3, -3, -3, -4]}},
          'seed': 0,
          'warnings': []},
-    # criterion-4 draws whose pruned syzygy generators number five and four:
-    # they keep the graded completion route
+    # criterion-4 draws where no three of the five syzygy generators are a
+    # basis: they keep the graded completion route
     "(0, -2*s^3 - s*t^2 - 3*t^3 + s*t, 2*s^2 + 3*s*t + t, s^2*t - s^2 - 2*s*t + 3*s - t)":
         {'alpha': '114950/729',
          'basis': [['0',

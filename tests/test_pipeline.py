@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubasis import pipeline
 from mubasis.arith import VARS_ST, Poly, PolyMatrix, gcd_many
@@ -16,7 +18,7 @@ from mubasis.pipeline import (
     validate,
     verify_mu_basis,
 )
-from helpers import random_poly
+from helpers import greedy_prune, random_poly
 
 S = Poly.variable(VARS_ST, "s")
 T = Poly.variable(VARS_ST, "t")
@@ -261,14 +263,47 @@ class TestComputeMuBasis:
             done += 1
 
 
-# criterion-4 draw 19: its pruned syzygy generators number four, so it
-# keeps the graded completion of (d1, d2), with two relations
+# criterion-4 draw 19: no three of its five syzygy generators are a basis,
+# so it keeps the graded completion of (d1, d2), with two relations
 GRADED_INPUT = "(-3*s^2*t - 3*s^2, 3*s*t + t^2 + 2*s + 1, 0, " \
     "-2*s^3 - s^2*t + s*t^2 - t^3 + s^2 + 2*s*t - 2*s - t)"
+# full_d2/1 of the benchmark corpus, seed 1: three of its four syzygy
+# generators are a basis
+FULL_D2_1 = "(-2*s*t - t^2, -3*s*t + 2*t^2 + s + 2, -2*s*t + 2*s + 2, t^2 + 3*s + 2*t + 1)"
+
+
+def _criterion_4_draw(rng):
+    """The acceptance suite's criterion 4 recipe: one coprime, not all
+    constant draw of degree at most 3."""
+    while True:
+        polys = [random_poly(rng, VARS_ST, rng.randint(0, 3), coeff_bound=3, density=0.5)
+                 for _ in range(4)]
+        nz = [p for p in polys if not p.is_zero()]
+        if nz and gcd_many(nz).is_constant() and max(int(p.degree) for p in nz) >= 1:
+            return polys
+
+
+ENTRIES = st.sampled_from([ZERO, ONE, -ONE, 2 * ONE, S, T, S + ONE, T * T])
+
+
+@st.composite
+def changes_of_basis(draw):
+    """A random 3 x 3 matrix, or elementary operations on a diagonal of
+    constants, so that both singular and unimodular T are drawn."""
+    if draw(st.booleans()):
+        return PolyMatrix([[draw(ENTRIES) for _ in range(3)] for _ in range(3)])
+    diag = [draw(st.sampled_from([0, 1, -1, 2, Fraction(1, 3)])) for _ in range(3)]
+    t_mat = PolyMatrix([[Poly.const(VARS_ST, diag[i] if i == j else 0) for j in range(3)]
+                        for i in range(3)])
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.permutations(range(3)))[:2]
+        t_mat = t_mat * PolyMatrix([[draw(ENTRIES) if (r, c) == (i, j) else ONE if r == c else ZERO
+                                     for c in range(3)] for r in range(3)])
+    return t_mat
 
 
 class TestOneRoute:
-    # the free branch and three pruned syzygy generators are N = I with
+    # the free branch and a basis triple of syzygy generators are N = I with
     # n = 0, the graded route N = M^-1 with n = beta2: each branch reads the
     # basis off G N once, and the report keeps the one resolution built
     @pytest.mark.parametrize("polys, branch, n", [
@@ -300,60 +335,77 @@ class TestOneRoute:
 
     def test_pruned_basis_may_exceed_the_input_degree(self):
         # the degree-d check holds on the free branch only: this d = 2 pd2
-        # input's three pruned generators include one of degree above d
-        par = validate(parse_tuple("(-2*s*t - t^2, -3*s*t + 2*t^2 + s + 2, "
-                                   "-2*s*t + 2*s + 2, t^2 + 3*s + 2*t + 1)"))
+        # input's basis triple includes a generator of degree above d
+        par = validate(parse_tuple(FULL_D2_1))
         mb, report = compute_mu_basis(par)
         assert report.branch == "pd2" and report.completion is None
         assert max(mb.degrees) > par.d
 
-    def test_no_prune_when_no_three_generators_can_be_a_basis(self, monkeypatch):
-        calls = []
-        real = pipeline._pruned_syzygies
-        monkeypatch.setattr(pipeline, "_pruned_syzygies", lambda g: calls.append(g) or real(g))
+    def test_no_basis_triple_keeps_the_graded_completion(self):
         par = validate(list(parse_tuple(GRADED_INPUT)))
-        assert not pipeline._may_hold_a_basis(par.syzygies, par.a)
+        assert pipeline._basis_triple(par.syzygies, par.a) is None
         _, report = compute_mu_basis(par)
-        assert calls == [] and report.completion is not None
-        compute_mu_basis(validate(reference_input()))
-        assert len(calls) == 1
+        assert report.completion is not None
 
-    def test_sample_point_test_passes_bases_and_rejects_non_constant_outer_products(self):
+    def test_basis_triple_passes_bases_rejects_non_constant_outer_products(self):
         a = reference_input()
-        basis = reference_basis()
-        scaled = (tuple(Fraction(3, 7) * x for x in basis[0]),) + basis[1:]
-        assert pipeline._may_hold_a_basis(scaled, a)
+        b = reference_basis()
+        scaled = (tuple(Fraction(3, 7) * x for x in b[0]),) + b[1:]
+        assert pipeline._basis_triple(scaled, a) == list(scaled)
         # (s + 1) p, q, r: outer product (s + 1) alpha a, not constant
-        assert not pipeline._may_hold_a_basis(
-            (tuple((S + 1) * x for x in basis[0]),) + basis[1:], a)
-        # a dependent triple fails; the basis among four generators passes
-        doubled = tuple(2 * x for x in basis[1])
-        assert not pipeline._may_hold_a_basis((basis[0], basis[1], doubled), a)
-        assert pipeline._may_hold_a_basis((basis[0], basis[1], doubled, basis[2]), a)
+        assert pipeline._basis_triple((tuple((S + 1) * x for x in b[0]),) + b[1:], a) is None
+        assert pipeline._basis_triple((b[0], b[1], tuple(2 * x for x in b[1])), a) is None
+        # the two triples tried first hold both b[1] and s b[1]
+        assert pipeline._basis_triple(b + (tuple(S * x for x in b[1]),), a) == list(b)
 
-    def test_the_prune_reaches_three_only_where_the_sample_test_allows(self):
-        # skipping the prune is sound: a three-generator prune implies a
-        # passing triple, on pd2 draws until the test has ruled one out
-        rng = random.Random(20240 + 1)
-        ruled_out = False
-        while not ruled_out:
-            polys = [random_poly(rng, VARS_ST, rng.randint(0, 3), coeff_bound=3, density=0.5)
-                     for _ in range(4)]
-            nz = [p for p in polys if not p.is_zero()]
-            if not nz or not gcd_many(nz).is_constant() or max(int(p.degree) for p in nz) < 1:
-                continue
+    def test_proportionality_reads_every_component(self):
+        # three syzygies have outer product h a, so one component settles h;
+        # stage 2 still checks all four
+        a = reference_input()
+        assert pipeline._proportionality(tuple(Fraction(-2, 3) * x for x in a), a) == Fraction(-2, 3)
+        assert pipeline._proportionality(tuple(a[:3]) + (2 * a[3],), a) is None
+        assert pipeline._proportionality((ZERO,) * 4, a) is None
+
+    def test_basis_triple_generates_the_syzygy_module(self):
+        for polys in (reference_input(), list(parse_tuple(FULL_D2_1))):
             par = validate(polys)
+            tri = pipeline._basis_triple(par.syzygies, par.a)
+            assert set(tri) <= set(par.syzygies) and modules_equal(tri, par.syzygies)
+
+    def test_basis_triple_builds_no_groebner_basis(self, monkeypatch):
+        par = validate(list(parse_tuple(FULL_D2_1)))
+        assert len(par.syzygies) == 4
+        calls = []
+        real = pipeline.buchberger
+        monkeypatch.setattr(pipeline, "buchberger", lambda g: calls.append(g) or real(g))
+        assert pipeline._basis_triple(par.syzygies, par.a) is not None and calls == []
+
+    def test_basis_triple_is_the_greedy_prune_where_it_keeps_three(self):
+        # the pd2 documents are pinned on the triple the membership prune
+        # kept; draws 18 and 19 have five raw generators and keep more
+        rng = random.Random(20240 + 1)
+        raw = []
+        for _ in range(50):
+            par = validate(_criterion_4_draw(rng))
             if pipeline.resolve(par).ranks[2] == 0:
                 continue
-            may = pipeline._may_hold_a_basis(par.syzygies, par.a)
-            assert may or len(pipeline._pruned_syzygies(par.syzygies)) > 3
-            ruled_out = not may
+            kept = greedy_prune(par.syzygies)
+            assert pipeline._basis_triple(par.syzygies, par.a) == (kept if len(kept) == 3 else None)
+            raw.append(len(par.syzygies))
+        assert len(raw) == 37 and raw.count(5) == 2
 
-    def test_dropped_generators_lie_in_the_span_of_the_kept(self):
-        par = validate(list(parse_tuple(GRADED_INPUT)))
-        kept = pipeline._pruned_syzygies(par.syzygies)
-        assert len(kept) == 4 and set(kept) <= set(par.syzygies)
-        assert modules_equal(kept, par.syzygies)
+    @settings(max_examples=60, deadline=None)
+    @given(changes_of_basis())
+    def test_proportional_exactly_when_the_change_of_basis_is_unimodular(self, t_mat):
+        # the outer product of B T is det(T) times that of B, here -a
+        b_mat = PolyMatrix.from_columns(reference_basis())
+        outer = outer_product(*(b_mat * t_mat).columns())
+        det = t_mat.det()
+        alpha = pipeline._proportionality(outer, reference_input())
+        if det.is_constant() and not det.is_zero():
+            assert alpha == -det.constant_value()
+        else:
+            assert alpha is None
 
     @pytest.mark.parametrize("polys", [[S**3, S**2 * T, S * T**2, T**3], reference_input()],
                              ids=["pd1", "pd2"])

@@ -96,9 +96,33 @@ for command in ("compute", "bounds"):
 print(out)
 """)
     # the Betti numbers are read off d1, with no minimal-generator pass; the
-    # reference tuple's three pruned syzygy generators are its basis, so
-    # compute runs no completion and builds the generators once
+    # reference tuple's three syzygy generators are its basis, so compute
+    # runs no completion and builds the generators once
     assert counts == "[('compute', 0, 1, 1, 0, 0, 1), ('bounds', 0, 1, 1, 0, 0, 0)]", counts
+
+
+def test_tracing_records_no_groebner_basis_for_the_basis_triple():
+    # the harness's grobner.buchberger_calls reads these spans: on full_d2/1
+    # of the benchmark corpus (seed 1), three of four syzygy generators are
+    # the basis, found by outer products; the six bases are the
+    # resolution's one, interreduction's three and modules_equal's two
+    calls = _run(f"""
+import importlib.util
+spec = importlib.util.spec_from_file_location("tracing", {str(ROOT / "perfbench" / "tracing.py")!r})
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+from mubasis import cli
+tracer = tracing.Tracer()
+handle = tracing.install(tracer)
+try:
+    _, code, _ = cli.run("compute", cli.parse_parametrization(
+        "(-2*s*t - t^2, -3*s*t + 2*t^2 + s + 2, -2*s*t + 2*s + 2, t^2 + 3*s + 2*t + 1)"))
+finally:
+    handle.restore()
+totals = tracing.layer_totals(tracer)
+print((code, totals["grobner.buchberger"]["calls"], totals.get("quillen_suslin.complete_columns")))
+""")
+    assert calls == "(0, 6, None)", calls
 
 
 def test_arith_imports_no_higher_layer():
