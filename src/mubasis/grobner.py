@@ -29,9 +29,10 @@ the second's once it has kept the rank of the free module ker d1, under a
 cap read off the leads, which also decide the height (``krull_dimension``).
 Its Hilbert function gives the dimension of every graded piece of both maps
 beforehand, so a piece the kept syzygies already span is skipped unbuilt,
-and a built piece must have exactly that dimension.  The Buchberger and
-Schreyer route of ``syzygy_generators`` stays independent of it and serves
-verification.
+and a built piece is eliminated only up to the rank that gives, its other
+rows certified by dot products, and must have exactly that dimension.  The
+Buchberger and Schreyer route of ``syzygy_generators`` stays independent
+of it and serves verification.
 """
 
 from __future__ import annotations
@@ -679,8 +680,10 @@ def _integral(vec: dict) -> tuple[int, dict]:
 
 def _eliminate(target: dict, c, row: dict) -> dict:
     """row[c] * target - target[c] * row, divided by its content: a multiple
-    of target with column c cleared, computed fraction-free."""
-    a, b = row[c], target[c]
+    of target with column c cleared, computed fraction-free with both
+    multipliers first divided by their gcd."""
+    g = gcd(row[c], target[c])
+    a, b = row[c] // g, target[c] // g
     out = {col: a * x for col, x in target.items()}
     for col, x in row.items():
         val = out.get(col, 0) - b * x
@@ -752,19 +755,20 @@ class _GradedSpan:
         return True
 
 
-def _fraction_nullspace(rows, ncols):
+def _fraction_nullspace(rows, ncols, rank=None):
     """(dimension, basis) of the right nullspace of an exact rational matrix
-    given by sparse rows ({column: int or Fraction}); the basis is read off
-    its reduced row echelon form one integer vector at a time, as it is
-    consumed: for each free column fc, L times the rational basis vector
-    that is 1 at fc, with L the lcm of the pivots of the rows that meet fc.
+    given by sparse rows ({column: int or Fraction}); the basis, a list of
+    integer vectors, is read off its reduced row echelon form: for each
+    free column fc, L times the rational basis vector that is 1 at fc, with
+    L the lcm of the pivots of the rows that meet fc.
 
-    The integer rows go in by descending least column, ties to fewer
-    entries.  Every row held has no column left of its pivot, and every
-    pivot is at least the least column of its row, so a row whose least
-    column is not yet a pivot keeps it as its pivot, and no held row meets
-    it: no back-substitution.  The reduced echelon form is unique, so the
-    order leaves the basis unchanged.
+    rank, when given, is the rank known beforehand: elimination stops once
+    the echelon form holds rank rows, and every row left over must vanish
+    on every basis vector (exact integer dot products), or InternalError is
+    raised.  So the basis is the one of full elimination; a rank above the
+    true one is never reached.  Rows go in fewest entries first, ties to
+    the greater least column, the order measured fastest to the rank; the
+    reduced echelon form is unique, so the order leaves the basis unchanged.
     """
     ints = []
     for r in rows:
@@ -773,31 +777,34 @@ def _fraction_nullspace(rows, ncols):
         if row:
             ints.append(row)
     ech: dict = {}
-    for row in sorted(ints, key=lambda r: (-min(r), len(r))):
+    pending = iter(sorted(ints, key=lambda r: (len(r), -min(r))))
+    while len(ech) != rank and (row := next(pending, None)) is not None:
         _echelon_add(ech, row)
+    basis = []
+    for fc in range(ncols):
+        if fc in ech:
+            continue
+        meets = [(pc, row) for pc, row in ech.items() if row.get(fc)]
+        mult = lcm(*(row[pc] for pc, row in meets))
+        v = [0] * ncols
+        v[fc] = mult
+        for pc, row in meets:
+            v[pc] = -row[fc] * (mult // row[pc])
+        basis.append(v)
+    if any(sum(x * v[c] for c, x in row.items()) for row in pending for v in basis):
+        raise InternalError(f"a row left over at rank {rank} does not vanish on the nullspace")
+    return ncols - len(ech), basis
 
-    def basis():
-        for fc in range(ncols):
-            if fc in ech:
-                continue
-            meets = [(pc, row) for pc, row in ech.items() if row.get(fc)]
-            mult = lcm(*(row[pc] for pc, row in meets))
-            v = [0] * ncols
-            v[fc] = mult
-            for pc, row in meets:
-                v[pc] = -row[fc] * (mult // row[pc])
-            yield v
 
-    return ncols - len(ech), basis()
-
-
-def graded_syzygy_space(vectors, degrees, row_shifts, k):
+def graded_syzygy_space(vectors, degrees, row_shifts, k, dim=None):
     """All degree-k syzygies of homogeneous vectors, by exact linear algebra.
 
     vectors[i] lives in ⊕_j S(-row_shifts[j]) and is homogeneous of degree
     degrees[i]; zero vectors are admitted (their coefficients are free, so
     unit syzygies appear naturally).  Returns (dimension, basis), the basis
-    built lazily as integer-normalized tuples.
+    built lazily as integer-normalized tuples.  dim, when given, is the
+    dimension known beforehand: the equations are eliminated only up to the
+    rank it implies, and the rest certified (``_fraction_nullspace``).
     """
     vars = next(p.vars for v in vectors for p in v)
 
@@ -815,7 +822,8 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k):
             for pm, c in comp.num.items():
                 row = rows[eq_index[(j, pm + mono)]]
                 row[ci] = row.get(ci, 0) + c * f
-    dim, solutions = _fraction_nullspace(rows, len(cols))
+    built, solutions = _fraction_nullspace(rows, len(cols),
+                                           None if dim is None else len(cols) - dim)
 
     def basis():
         for sol in solutions:
@@ -825,7 +833,7 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k):
                     w[i][mono] = sol[ci]
             yield integer_normalize(tuple(Poly._new(vars, t) for t in w))
 
-    return dim, basis()
+    return built, basis()
 
 
 def _schreyer_degree_bound(basis: GroebnerBasis, degrees, row_shifts) -> int:
@@ -876,11 +884,13 @@ def _minimal_syzygies(vectors, degrees, row_shifts, dims, top: int, count: int |
     beforehand (``_piece_dimensions``).  Graded pieces are scanned in
     increasing degree up to top, a degree up to which Syz(vectors) is
     generated.  A piece that the kept vectors already span, by dimension,
-    is skipped unbuilt.  Any other is built, its exact nullspace dimension
-    must equal dims(k), and its basis vectors are kept in order unless the
-    kept ones generate them, until the kept ones span the piece.  By graded
-    Nakayama the kept vectors are minimal generators of every piece up to
-    top, and past it no new generator is needed.
+    is skipped unbuilt.  Any other is built, eliminated only up to the rank
+    dims(k) gives with the rows left over certified to vanish on its basis,
+    its nullspace dimension must equal dims(k), and its basis vectors are
+    kept in order unless the kept ones generate them, until the kept ones
+    span the piece.  By graded Nakayama the kept vectors are minimal
+    generators of every piece up to top, and past it no new generator is
+    needed.
 
     count, when given, is the number of minimal generators, known when
     Syz(vectors) is free of that rank: the scan ends once it has kept count
@@ -896,7 +906,7 @@ def _minimal_syzygies(vectors, degrees, row_shifts, dims, top: int, count: int |
         dim = dims(k)
         if span.rank(k) == dim:
             continue
-        built, space = graded_syzygy_space(vectors, degrees, row_shifts, k)
+        built, space = graded_syzygy_space(vectors, degrees, row_shifts, k, dim)
         if built != dim:
             raise InternalError(f"degree-{k} syzygies have dimension {built}, "
                                 f"not {dim} as the Hilbert function gives")

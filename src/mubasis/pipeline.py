@@ -128,22 +128,29 @@ def resolve(par: Parametrization) -> FreeResolution:
 
 def outer_product(p, q, r):
     """Signed 3x3-determinant 4-vector of three 4-vectors (signs +,-,+,-)."""
+    return tuple(map(_outer_components(p, q, r), range(4)))
+
+
+def _outer_components(p, q, r):
+    """k -> component k of the outer product of p, q, r: the minor without
+    row k times (-1)^k, computed when asked from one shared memoized expansion."""
     cols = [tuple(p), tuple(q), tuple(r)]
     if any(len(v) != 4 for v in cols):
         raise ValueError("outer product needs three 4-vectors")
-    # lexicographic order lists the minor without row k at index 3 - k
-    minors = [d for _, d in PolyMatrix.from_columns(cols).maximal_minors()][::-1]
-    return tuple(d if k % 2 == 0 else -d for k, d in enumerate(minors))
+    minor = PolyMatrix.from_columns(cols)._minor_expansion()
+    return lambda k: (-1) ** k * minor(tuple(i for i in range(4) if i != k))
 
 
 def _proportionality(outer, a):
-    """The nonzero constant alpha with outer = alpha a, or None."""
+    """The nonzero constant alpha with outer(k) = alpha a_k for every k, or
+    None.  alpha is read off the first component j with a_j nonzero, and the
+    other components are asked for only when it is found."""
     j = next((j for j, ai in enumerate(a) if not ai.is_zero()), None)
-    quot = None if j is None else exact_div(outer[j], a[j])
+    quot = None if j is None else exact_div(outer(j), a[j])
     if quot is None or not quot.is_constant() or quot.is_zero():
         return None
     alpha = quot.constant_value()
-    return alpha if all(oc == ai * alpha for oc, ai in zip(outer, a)) else None
+    return alpha if all(outer(k) == ai * alpha for k, ai in enumerate(a)) else None
 
 
 def verify_mu_basis(basis, par: Parametrization) -> Fraction:
@@ -166,7 +173,7 @@ def verify_mu_basis(basis, par: Parametrization) -> Fraction:
     outer = outer_product(*basis)
     if all(c.is_zero() for c in outer):
         raise VerificationError("alpha = 0 (degenerate triple)")
-    alpha = _proportionality(outer, par.a)
+    alpha = _proportionality(outer.__getitem__, par.a)
     if alpha is None:
         raise VerificationError("outer product not proportional")
     if not modules_equal(par.syzygies, basis):
@@ -223,11 +230,13 @@ def _interreduce(basis):
 def _basis_triple(gens, a):
     """The first three of gens whose outer product passes stage 2 of
     verify_mu_basis, so a basis of Syz(a), or None.  The generators left
-    out are tried highest degree first, ties by index."""
+    out are tried highest degree first, ties by index.  Of a triple that
+    fails at the component ``_proportionality`` reads first, only that
+    component of the outer product is built."""
     order = sorted(range(len(gens)), key=lambda i: -_vector_degree(gens[i]))
     for left_out in combinations(order, len(gens) - 3):
         tri = [g for i, g in enumerate(gens) if i not in left_out]
-        if _proportionality(outer_product(*tri), a) is not None:
+        if _proportionality(_outer_components(*tri), a) is not None:
             return tri
     return None
 

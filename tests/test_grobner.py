@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -600,12 +601,14 @@ def assert_resolution_selections_agree(row):
 
 
 def overstate_nullspaces(monkeypatch):
-    """Make graded_syzygy_space report one dimension more than its basis has."""
+    """Make graded_syzygy_space report one dimension more than its basis has.
+    The real space is built without the known dimension, so that no row is
+    left over to certify and a scan sees the overstated dimension."""
     real = grobner.graded_syzygy_space
 
-    def overstated(*args):
-        dim, basis = real(*args)
-        return dim + 1, basis
+    def overstated(vectors, degrees, row_shifts, k, dim=None):
+        built, basis = real(vectors, degrees, row_shifts, k)
+        return built + 1, basis
 
     monkeypatch.setattr(grobner, "graded_syzygy_space", overstated)
 
@@ -676,6 +679,38 @@ class TestGradedMinimalGenerators:
         monkeypatch.setattr(grobner, "graded_syzygy_space", counting)
         free_resolution(recipe_row(seed, 3))
         assert calls == [5, 6, 7]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_recipe_d3_pieces_are_eliminated_up_to_their_rank(self, seed, monkeypatch):
+        # each first-map piece has full row rank, so all its rows go in; the
+        # second map's degree-7 piece has rank 24, and its elimination stops
+        # once 24 rows have gone in, before its rows run out
+        pieces, counts, inside = [], [], []
+        real_nullspace, real_add = grobner._fraction_nullspace, grobner._echelon_add
+
+        def counting_add(rows, vec):
+            added = real_add(rows, vec)
+            if inside:  # not the _GradedSpan calls
+                counts[-1][added] += 1
+            return added
+
+        def recording(rows, ncols, rank=None):
+            counts.append(Counter())
+            pieces.append((sum(1 for r in rows if any(r.values())), rank))
+            inside.append(1)
+            try:
+                return real_nullspace(rows, ncols, rank)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(grobner, "_echelon_add", counting_add)
+        monkeypatch.setattr(grobner, "_fraction_nullspace", recording)
+        free_resolution(recipe_row(seed, 3))
+        (rows5, rank5), (rows6, rank6), (rows7, rank7) = pieces
+        assert (rows5, rank5, rows6, rank6) == (21, 21, 28, 28)
+        assert counts[:2] == [Counter({True: 21}), Counter({True: 28})]
+        assert rank7 == counts[2][True] == 24
+        assert 24 + counts[2][False] < rows7 and rows7 >= 58
 
     @pytest.mark.parametrize("row", [
         [S * T, S * U, T * U],  # pairwise lcms all equal s*t*u
@@ -789,6 +824,20 @@ class TestGradedMinimalGenerators:
         with pytest.raises(InternalError, match="do not span"):
             _minimal_syzygies(row, [1, 1], [0], lambda k: first(k) + 1, 2)
 
+    @pytest.mark.parametrize("excess,match", [
+        (1, "a row left over at rank 14 does not vanish on the nullspace"),
+        (-1, "degree-4 syzygies have dimension 3, not 2 as the Hilbert function gives"),
+    ])
+    def test_hilbert_dimension_off_by_one_is_an_internal_error(self, excess, match):
+        # the degree-4 piece of (s^2, t^2, u^2) has 18 columns, rank 15 and
+        # the 3 Koszul syzygies; an overstated dimension stops elimination
+        # short of the rank, and an understated one is never reached
+        row = [S**2, T**2, U**2]
+        first, _ = _piece_dimensions(buchberger(row), [2, 2, 2])
+        dims = lambda k: first(k) + excess * (k == 4)
+        with pytest.raises(InternalError, match=match):
+            _minimal_syzygies([(g,) for g in row], [2, 2, 2], [0], dims, 4)
+
     def test_injectivity_by_maximal_minors(self):
         assert _is_injective(PolyMatrix.from_columns([(S, T, U), (T, U, S)]))
         assert not _is_injective(PolyMatrix.from_columns([(S, T, U), (S * T, T**2, T * U)]))
@@ -857,10 +906,13 @@ def test_graded_selection_matches_groebner_membership(case):
     assert_graded_agrees(*case)
 
 
-@settings(max_examples=60, deadline=2000)
-@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+RATIONAL_MATRICES = st.integers(1, 5).flatmap(lambda n: st.lists(
     st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=n, max_size=n),
-    min_size=0, max_size=5).map(lambda rows: (rows, n))), st.randoms(use_true_random=False))
+    min_size=0, max_size=5).map(lambda rows: (rows, n)))
+
+
+@settings(max_examples=60, deadline=2000)
+@given(RATIONAL_MATRICES, st.randoms(use_true_random=False))
 def test_fraction_nullspace_matches_dense_elimination(case, rng):
     rows, ncols = case
     sparse = [{c: x for c, x in enumerate(r)} for r in rows]
@@ -874,6 +926,27 @@ def test_fraction_nullspace_matches_dense_elimination(case, rng):
         assert [Fraction(x, v[free]) for x in v] == want
     rng.shuffle(sparse)  # the reduced echelon form, hence the basis, is unique
     assert list(_fraction_nullspace(sparse, ncols)[1]) == got
+
+
+@settings(max_examples=60, deadline=2000)
+@given(RATIONAL_MATRICES, st.randoms(use_true_random=False), st.data())
+def test_fraction_nullspace_with_a_known_rank(case, rng, data):
+    rows, ncols = case
+    sparse = [{c: x for c, x in enumerate(r)} for r in rows]
+    dim, basis = _fraction_nullspace(sparse, ncols)
+    rank = ncols - dim
+    for _ in range(2):  # as given, then shuffled
+        assert _fraction_nullspace(sparse, ncols, rank) == (dim, basis)
+        rng.shuffle(sparse)
+    if rank:  # stopped short of the rank, a row left over fails its check
+        low = data.draw(st.integers(0, rank - 1))
+        with pytest.raises(InternalError, match=f"left over at rank {low} does not vanish"):
+            _fraction_nullspace(sparse, ncols, low)
+    # a rank above the true one is never reached: full elimination, whose
+    # dimension exceeds the one the caller expects
+    high = data.draw(st.integers(rank + 1, ncols + 1))
+    assert _fraction_nullspace(sparse, ncols, high) == (dim, basis)
+    assert dim > ncols - high
 
 
 @st.composite

@@ -362,9 +362,13 @@ class TestOneRoute:
         # three syzygies have outer product h a, so one component settles h;
         # stage 2 still checks all four
         a = reference_input()
-        assert pipeline._proportionality(tuple(Fraction(-2, 3) * x for x in a), a) == Fraction(-2, 3)
-        assert pipeline._proportionality(tuple(a[:3]) + (2 * a[3],), a) is None
-        assert pipeline._proportionality((ZERO,) * 4, a) is None
+
+        def proportionality(outer):
+            return pipeline._proportionality(tuple(outer).__getitem__, a)
+
+        assert proportionality(Fraction(-2, 3) * x for x in a) == Fraction(-2, 3)
+        assert proportionality(tuple(a[:3]) + (2 * a[3],)) is None
+        assert proportionality((ZERO,) * 4) is None
 
     def test_basis_triple_generates_the_syzygy_module(self):
         for polys in (reference_input(), list(parse_tuple(FULL_D2_1))):
@@ -379,6 +383,25 @@ class TestOneRoute:
         real = pipeline.buchberger
         monkeypatch.setattr(pipeline, "buchberger", lambda g: calls.append(g) or real(g))
         assert pipeline._basis_triple(par.syzygies, par.a) is not None and calls == []
+
+    def test_basis_triple_builds_one_component_of_a_failing_triple(self, monkeypatch):
+        # component j = 0 is read first; all four only for the triple that
+        # passes it, the third tried on full_d2/1, whose memoized expansion
+        # gives component 0 again
+        asked = []
+        real = pipeline._outer_components
+
+        def recording(*tri):
+            component = real(*tri)
+            asked.append([])
+            return lambda k: asked[-1].append(k) or component(k)
+
+        monkeypatch.setattr(pipeline, "_outer_components", recording)
+        for text, tried in ((GRADED_INPUT, [[0]] * 10), (FULL_D2_1, [[0], [0], [0, 0, 1, 2, 3]])):
+            par = validate(list(parse_tuple(text)))
+            asked.clear()
+            pipeline._basis_triple(par.syzygies, par.a)
+            assert asked == tried
 
     def test_basis_triple_is_the_greedy_prune_where_it_keeps_three(self):
         # the pd2 documents are pinned on the triple the membership prune
@@ -401,7 +424,7 @@ class TestOneRoute:
         b_mat = PolyMatrix.from_columns(reference_basis())
         outer = outer_product(*(b_mat * t_mat).columns())
         det = t_mat.det()
-        alpha = pipeline._proportionality(outer, reference_input())
+        alpha = pipeline._proportionality(outer.__getitem__, reference_input())
         if det.is_constant() and not det.is_zero():
             assert alpha == -det.constant_value()
         else:
