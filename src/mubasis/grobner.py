@@ -42,7 +42,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .arith import (
@@ -860,19 +861,24 @@ def _schreyer_degree_bound(basis: GroebnerBasis, degrees, row_shifts) -> int:
     product criterion does not apply: it says an S-polynomial reduces to
     zero, not that the Koszul syzygy of coprime leads is redundant (the
     syzygy of s and t is one).  Only degrees are needed, not
-    representations.
+    representations: each same-position lcm is computed once, into a table
+    per position, and a pair no higher than the bound so far is not tested.
     """
     bound = max(degrees)
     pk = packing(len(basis._ext.vars))
-    leads = [k for k, _ in basis._ext.lead_terms]
-    for a, ka in enumerate(leads):
-        for kb in leads[a + 1:]:
-            if pk.position(ka) != pk.position(kb):
-                continue
-            u = pk.lcm(ka, kb)
-            if not any(pk.divides(kc, u) and pk.lcm(ka, kc) != u and pk.lcm(kb, kc) != u
-                       for kc in leads):
-                bound = max(bound, pk.degree(u) + row_shifts[pk.position(ka)])
+    by_position: dict[int, list[int]] = {}
+    for k, _ in basis._ext.lead_terms:
+        by_position.setdefault(pk.position(k), []).append(k)
+    for pos, leads in by_position.items():
+        lcms = [[0] * len(leads) for _ in leads]  # each same-position lcm, once
+        for a, b in combinations(range(len(leads)), 2):
+            lcms[a][b] = lcms[b][a] = pk.lcm(leads[a], leads[b])
+        for a, b in combinations(range(len(leads)), 2):
+            u = lcms[a][b]
+            if pk.degree(u) + row_shifts[pos] > bound and not any(
+                    pk.divides(kc, u) and lcms[a][c] != u and lcms[b][c] != u
+                    for c, kc in enumerate(leads)):
+                bound = pk.degree(u) + row_shifts[pos]
     return bound
 
 
@@ -953,9 +959,25 @@ def _piece_dimensions(first_basis: GroebnerBasis, shifts0):
 
 def _is_injective(m: PolyMatrix) -> bool:
     """True when m has full column rank over the polynomial domain: at least
-    as many rows as columns and a nonzero maximal minor, the minors computed
-    only up to the first nonzero one."""
-    return m.rows >= m.cols and any(not d.is_zero() for _, d in m.maximal_minors())
+    as many rows as columns and a nonzero maximal minor.  With one column
+    the minors are the entries.  Otherwise the rows, scaled to integers, are
+    evaluated at (s, t, u) = (2, 3, 5) and put in echelon form: n
+    independent rows there give an n x n minor with a nonzero value, so a
+    nonzero polynomial.  Only below rank n are the symbolic minors computed,
+    up to the first nonzero one."""
+    if m.rows < m.cols:
+        return False
+    if m.cols == 1:
+        return any(not p.is_zero() for p in m.column(0))
+    unpack, ech = packing(len(m.vars)).unpack, {}
+    for row in m.entries:
+        _, nums = _integer_scaled(row)
+        vals = (sum(c * prod(map(pow, (2, 3, 5), unpack(k))) for k, c in num.items())
+                for num in nums)
+        vec = {j: v for j, v in enumerate(vals) if v}
+        if vec and _echelon_add(ech, vec) and len(ech) == m.cols:
+            return True
+    return any(not d.is_zero() for _, d in m.maximal_minors())
 
 
 @dataclass
@@ -1009,21 +1031,21 @@ class FreeResolution:
                              for level in (self.shifts0, self.q)] + [self.p], True)
 
     def validate(self):
+        """Raise InternalError unless this is a graded complex as claimed:
+        ranks with alternating sum 1, the columns of d1 syzygies of gens
+        (one row-by-matrix product), d1 d2 = 0, every entry of the degree
+        the shifts give and no unit entry in d2."""
         r0, r1, r2 = self.ranks
         if r0 - r1 + r2 != 1:
             raise InternalError(f"rank alternating sum {r0}-{r1}+{r2} != 1")
         if self.d1 is not None:
+            if any(not p.is_zero() for p in (PolyMatrix([list(self.gens)]) * self.d1).entries[0]):
+                raise InternalError("columns of the presentation are not syzygies")
             for j, col in enumerate(self.d1.columns()):
-                acc = Poly.zero(self.vars)
-                for g, c in zip(self.gens, col):
-                    if not c.is_zero() and not g.is_zero():
-                        acc = acc + g * c
-                if not acc.is_zero():
-                    raise InternalError("columns of the presentation are not syzygies")
                 _check_entry_degrees(col, self.shifts0, self.q[j])
         if self.d2 is not None:
-            prod = self.d1 * self.d2
-            if any(not p.is_zero() for row in prod.entries for p in row):
+            composite = self.d1 * self.d2
+            if any(not p.is_zero() for row in composite.entries for p in row):
                 raise InternalError("composition of consecutive maps is nonzero")
             for j, col in enumerate(self.d2.columns()):
                 _check_entry_degrees(col, self.q, self.p[j])

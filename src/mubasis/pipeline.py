@@ -32,6 +32,7 @@ from .arith import (
     exact_div,
     gcd_many,
     homogenize,
+    packing,
 )
 from .bounds import BoundsReport, report_for_resolution
 from .errors import InternalError, ValidationError, VerificationError
@@ -111,10 +112,13 @@ def validate(polys) -> Parametrization:
 
 
 def homogenize_ideal(par: Parametrization):
-    """Homogenized generators (b1..b4, d); their gcd is asserted trivial."""
+    """Homogenized generators (b1..b4, d) with trivial gcd, for a par whose
+    a_i are coprime, as ``validate`` proves.  A common factor h of the b_i
+    dehomogenizes to one of the a_i, so h = c u^k; and u divides no b_i
+    whose a_i has degree d, which is checked: some b_i has a term free of u."""
     b = tuple(homogenize(p, par.d) for p in par.a)
-    nonzero = [x for x in b if not x.is_zero()]
-    if not gcd_many(nonzero).is_constant():
+    exponent = packing(3).exponent
+    if all(exponent(m, 2) for x in b for m in x.num):
         raise InternalError("homogenized generators acquired a common factor")
     return b, par.d
 

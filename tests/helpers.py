@@ -4,16 +4,22 @@ The oracles here deliberately avoid the library's Groebner machinery and its
 packed monomials: monomials are exponent tuples, and ranks and syzygies are
 found by dense linear algebra over Fraction on graded or degree-truncated
 coefficient spaces, or, for the height of an ideal, by the moments of a
-Betti table.  minimal_row, minimal_resolution, greedy_prune and the
-hypothesis strategies are conveniences built on the library, not oracles.
+Betti table.  Two oracles keep a definition the library now certifies more
+cheaply: injective_by_minors expands the maximal minors with the library's
+PolyMatrix, and schreyer_degree_bound_by_triples reads the leads of a
+library GroebnerBasis.  minimal_row, minimal_resolution, greedy_prune,
+benchmark_corpus and the hypothesis strategies are conveniences, not oracles.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 from hypothesis import strategies
 
@@ -111,6 +117,42 @@ def plain_reduce_int(work, basis, leads, want_quotients):
             else:
                 del work[term]
     return K, rem, quots
+
+
+def injective_by_minors(m):
+    """True when some maximal minor of m is a nonzero polynomial, every
+    minor expanded symbolically: an oracle for grobner._is_injective."""
+    return m.rows >= m.cols and any(not d.is_zero() for _, d in m.maximal_minors())
+
+
+def schreyer_degree_bound_by_triples(basis, degrees, row_shifts):
+    """grobner._schreyer_degree_bound by a plain triple loop on exponent
+    tuples, each lcm taken afresh: an oracle for its lcm table.  A
+    same-position pair of leads counts unless a third lead of that position
+    divides their lcm L with both of its own lcms with the pair unequal to L."""
+    pk = Packing(len(basis._ext.vars))
+    leads = [(pk.position(k), pk.unpack(k)) for k, _ in basis._ext.lead_terms]
+    bound = max(degrees)
+    for a, (pos, ma) in enumerate(leads):
+        for pos_b, mb in leads[a + 1:]:
+            if pos_b != pos:
+                continue
+            u = mono_lcm(ma, mb)
+            if not any(pos_c == pos and mono_divides(mc, u) and mono_lcm(ma, mc) != u
+                       and mono_lcm(mb, mc) != u for pos_c, mc in leads):
+                bound = max(bound, sum(u) + row_shifts[pos])
+    return bound
+
+
+def benchmark_corpus():
+    """perfbench/corpus.py, loaded by path under a private module name."""
+    name = "_benchmark_corpus"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def substitute(p, mapping):

@@ -52,6 +52,9 @@ from mubasis.grobner import (
 )
 from helpers import (
     COEFF,
+    benchmark_corpus,
+    injective_by_minors,
+    schreyer_degree_bound_by_triples,
     random_form,
     brute_force_syzygies,
     count_conversions,
@@ -567,7 +570,9 @@ def assert_level_agrees(vectors, degrees, row_shifts, cols, col_degrees):
     from the nullspaces themselves, makes the resolution's picks, and the
     bound covers every kept degree.
     """
-    bound = _schreyer_degree_bound(buchberger(vectors), degrees, row_shifts)
+    basis = buchberger(vectors)
+    bound = _schreyer_degree_bound(basis, degrees, row_shifts)
+    assert bound == schreyer_degree_bound_by_triples(basis, degrees, row_shifts)
     picked = _minimal_syzygies(vectors, degrees, row_shifts,
                                lambda k: graded_syzygy_space(vectors, degrees, row_shifts, k)[0],
                                bound)
@@ -611,6 +616,13 @@ def overstate_nullspaces(monkeypatch):
         return built + 1, basis
 
     monkeypatch.setattr(grobner, "graded_syzygy_space", overstated)
+
+
+def count_minor_expansions(monkeypatch):
+    """Log each PolyMatrix.maximal_minors call from here on."""
+    calls, real = [], PolyMatrix.maximal_minors
+    monkeypatch.setattr(PolyMatrix, "maximal_minors", lambda m: calls.append(1) or real(m))
+    return calls
 
 
 def recipe_row(seed, d):
@@ -661,8 +673,10 @@ class TestGradedMinimalGenerators:
         row = recipe_row(seed, 3)
         res = assert_resolution_selections_agree(row)
         assert _schreyer_degree_bound(res.first_basis, res.shifts0, [0]) == max(res.q) == 6
-        cols1 = [tuple(c) for c in res.d1.columns()]
-        assert _schreyer_degree_bound(buchberger(cols1), res.q, res.shifts0) == max(res.p) == 7
+        assert schreyer_degree_bound_by_triples(res.first_basis, res.shifts0, [0]) == 6
+        basis = buchberger([tuple(c) for c in res.d1.columns()])
+        assert _schreyer_degree_bound(basis, res.q, res.shifts0) == max(res.p) == 7
+        assert schreyer_degree_bound_by_triples(basis, res.q, res.shifts0) == 7
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_recipe_d3_scan_stops_at_the_top_degrees(self, seed, monkeypatch):
@@ -843,6 +857,75 @@ class TestGradedMinimalGenerators:
         assert not _is_injective(PolyMatrix.from_columns([(S, T, U), (S * T, T**2, T * U)]))
         assert not _is_injective(PolyMatrix.from_columns([(S,), (T,)]))
 
+    def test_injective_matrix_whose_minors_vanish_at_the_point(self, monkeypatch):
+        # every maximal minor has the factor 3s - 2t, zero at (s, t) = (2, 3):
+        # the evaluated rank is 1, and only an expanded minor proves the rank 2
+        h = 3 * S - 2 * T
+        m = PolyMatrix.from_columns([(h * S, h * T, h * U), (T, U, S)])
+        calls = count_minor_expansions(monkeypatch)
+        assert _is_injective(m)
+        assert calls == [1]
+        assert injective_by_minors(m)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_injectivity_at_the_point_expands_no_minor(self, seed, monkeypatch):
+        res = free_resolution(recipe_row(seed, 3))
+        calls = count_minor_expansions(monkeypatch)
+        assert res.d2.cols == 3 and _is_injective(res.d2)
+        assert calls == []
+
+
+def edited(m: PolyMatrix, i, j, entry) -> PolyMatrix:
+    """m with entry (i, j) replaced."""
+    rows = [list(r) for r in m.entries]
+    rows[i][j] = entry
+    return PolyMatrix(rows)
+
+
+class TestResolutionValidation:
+    """FreeResolution.validate on a resolution of the reference row with one
+    defect put in: d1 = [c0 | c1 | c2 | c3] with c0 = (2, 0, -1, -1) of
+    degree 2 and c1 = (t^2, -s^2, 0, 0) of degree 4, and d2 = (0, u^2, -s^2,
+    t^2) of degree 6."""
+
+    @pytest.fixture
+    def res(self):
+        res = free_resolution(homogenized_reference_generators())
+        assert res.q == (2, 4, 4, 4) and res.p == (6,)
+        res.validate()
+        return res
+
+    def test_changed_first_map_entry(self, res):
+        res = dataclasses.replace(res, d1=edited(res.d1, 0, 1, 2 * T**2))
+        with pytest.raises(InternalError, match="not syzygies"):
+            res.validate()
+
+    def test_changed_second_map_entry(self, res):
+        res = dataclasses.replace(res, d2=edited(res.d2, 1, 0, 2 * U**2))
+        with pytest.raises(InternalError, match="composition of consecutive maps is nonzero"):
+            res.validate()
+
+    def test_unit_entry_in_the_second_map(self, res):
+        # c0 twice in d1 and their difference, with entries 1 and -1, in d2
+        c0 = res.d1.column(0)
+        d1 = PolyMatrix.from_columns(res.d1.columns() + [c0])
+        d2 = PolyMatrix.from_columns([res.d2.column(0) + [ZERO3],
+                                      [ONE3, ZERO3, ZERO3, ZERO3, -ONE3]])
+        res = dataclasses.replace(res, d1=d1, q=res.q + (2,), d2=d2, p=res.p + (2,))
+        assert all(x.is_zero() for row in (d1 * d2).entries for x in row)
+        with pytest.raises(InternalError, match="second map has a unit entry"):
+            res.validate()
+
+    @pytest.mark.parametrize("level", ["d1", "d2"])
+    def test_entry_of_the_wrong_degree(self, res, level):
+        # a column times s stays in the kernel with entries one degree too high
+        m = getattr(res, level)
+        m = PolyMatrix.from_columns([[S * x for x in c] if j == 0 else c
+                                     for j, c in enumerate(m.columns())])
+        res = dataclasses.replace(res, **{level: m})
+        with pytest.raises(InternalError, match="degree does not match the grading"):
+            res.validate()
+
 
 class TestRepresentations:
     """Only lifting and syzygy callers track representations."""
@@ -950,6 +1033,41 @@ def test_fraction_nullspace_with_a_known_rank(case, rng, data):
 
 
 @st.composite
+def homogeneous_matrices(draw):
+    """An m x n matrix over Q[s,t,u], 1 <= n <= 3, homogeneous for drawn
+    row shifts and column degrees, entries of degree 0 to 2; with a drawn
+    flag its last column is a form times an earlier one, so it is
+    rank-deficient."""
+    n = draw(st.integers(1, 3))
+    shifts = draw(st.lists(st.integers(0, 1), min_size=1, max_size=4))
+    cols = []
+    for _ in range(n):
+        deg = draw(st.integers(1, 2))
+        cols.append([draw_form(draw, deg - sh) for sh in shifts])
+    if n > 1 and draw(st.booleans()):
+        f = draw_form(draw, draw(st.integers(0, 1)))
+        cols[-1] = [f * x for x in cols[draw(st.integers(0, n - 2))]]
+    return PolyMatrix.from_columns(cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(homogeneous_matrices())
+def test_injectivity_matches_the_maximal_minors(m):
+    assert _is_injective(m) == injective_by_minors(m)
+
+
+@pytest.mark.parametrize("workload", ["full_d2", "mixed", "bounds_d3"])
+def test_schreyer_bound_matches_the_triple_loop_on_the_benchmark_corpus(workload):
+    from mubasis.cli import parse_parametrization
+    from mubasis.pipeline import resolve, validate
+
+    for item in benchmark_corpus().build(workload, 1):
+        res = resolve(validate(parse_parametrization(item.text).polys))
+        assert _schreyer_degree_bound(res.first_basis, res.shifts0, [0]) == \
+            schreyer_degree_bound_by_triples(res.first_basis, res.shifts0, [0]), item.key
+
+
+@st.composite
 def homogeneous_rows(draw):
     """One to four forms in s, t, u of degrees 0 to 2, some of them zero
     and some combinations of the others, in a drawn order."""
@@ -975,12 +1093,15 @@ def test_piece_dimensions_match_the_nullspaces(row):
     first, second = _piece_dimensions(res.first_basis, res.shifts0)
     vectors = [(g,) for g in res.gens]
     top = _schreyer_degree_bound(res.first_basis, res.shifts0, [0])
+    assert top == schreyer_degree_bound_by_triples(res.first_basis, res.shifts0, [0])
     for k in range(top + 1):
         assert first(k) == graded_syzygy_space(vectors, res.shifts0, [0], k)[0]
     if res.d1 is None:
         return
     cols1 = [tuple(c) for c in res.d1.columns()]
-    top = _schreyer_degree_bound(buchberger(cols1), res.q, res.shifts0)
+    basis = buchberger(cols1)
+    top = _schreyer_degree_bound(basis, res.q, res.shifts0)
+    assert top == schreyer_degree_bound_by_triples(basis, res.q, res.shifts0)
     for k in range(top + 1):
         assert second(res.q, k) == graded_syzygy_space(cols1, res.q, res.shifts0, k)[0]
 

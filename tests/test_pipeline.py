@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mubasis import pipeline
 from mubasis.arith import VARS_ST, Poly, PolyMatrix, gcd_many
-from mubasis.errors import ValidationError, VerificationError
+from mubasis.errors import InternalError, ValidationError, VerificationError
 from mubasis.grobner import modules_equal
 from mubasis.parser import parse_tuple
 from mubasis.pipeline import (
@@ -84,6 +84,27 @@ class TestHomogenizeIdeal:
 
         u3 = Poly.variable(VARS_STU, "u")
         assert b[2] == u3 and b[3] == u3
+
+    def test_common_factor_u_is_an_internal_error(self):
+        # built without validate, at a degree above every a_i: u divides
+        # every b_i, and no gcd is taken to find it
+        par = pipeline.Parametrization(a=(S, T, ONE, ONE), d=2)
+        with pytest.raises(InternalError, match="acquired a common factor"):
+            homogenize_ideal(par)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_homogenized_generators_are_coprime(self, seed):
+        # the guard stands in for a gcd of the b_i; over validated inputs
+        # that gcd is a constant
+        rng = random.Random(seed)
+        polys = [random_poly(rng, VARS_ST, 2, coeff_bound=3) for _ in range(4)]
+        try:
+            par = validate(polys)
+        except ValidationError:
+            return
+        b, _ = homogenize_ideal(par)
+        assert gcd_many([x for x in b if not x.is_zero()]).is_constant()
 
 
 class TestOuterProduct:

@@ -74,7 +74,8 @@ print([(name, totals[name]["calls"], totals[name]["attrs"])
 
 def test_tracing_records_one_resolution_and_one_report_per_command():
     # compute and bounds both resolve once, through pipeline.resolve, and
-    # hand that resolution to one bounds report
+    # hand that resolution to one bounds report; every command takes one
+    # gcd, validate's, as homogenize_ideal proves its row coprime without one
     counts = _run(f"""
 import importlib.util
 spec = importlib.util.spec_from_file_location("tracing", {str(ROOT / "perfbench" / "tracing.py")!r})
@@ -82,7 +83,7 @@ tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
 from mubasis import cli
 out = []
-for command in ("compute", "bounds"):
+for command in ("compute", "bounds", "resolve"):
     tracer = tracing.Tracer()
     handle = tracing.install(tracer)
     try:
@@ -92,13 +93,14 @@ for command in ("compute", "bounds"):
     totals = tracing.layer_totals(tracer)
     out.append((command, code) + tuple(totals.get(name, dict(calls=0))["calls"] for name in (
         "grobner.free_resolution", "bounds.report_for_resolution", "grobner.minimal_generators",
-        "quillen_suslin.complete_columns", "grobner.syzygy_generators")))
+        "quillen_suslin.complete_columns", "grobner.syzygy_generators", "arith.gcd_many")))
 print(out)
 """)
     # the Betti numbers are read off d1, with no minimal-generator pass; the
     # reference tuple's three syzygy generators are its basis, so compute
     # runs no completion and builds the generators once
-    assert counts == "[('compute', 0, 1, 1, 0, 0, 1), ('bounds', 0, 1, 1, 0, 0, 0)]", counts
+    assert counts == ("[('compute', 0, 1, 1, 0, 0, 1, 1), ('bounds', 0, 1, 1, 0, 0, 0, 1), "
+                      "('resolve', 0, 1, 0, 0, 0, 0, 1)]"), counts
 
 
 def test_tracing_records_no_groebner_basis_for_the_basis_triple():
