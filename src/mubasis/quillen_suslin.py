@@ -4,33 +4,32 @@ complete_columns finds, for a unimodular m x n matrix F (m > n), a square
 unimodular M with M F = [I_n; 0], and returns it with its exact inverse as a
 certificate that is re-verified before being handed out.
 
-The strategy is layered.  A constant maximal minor gives M at once;
-otherwise each row of F^T is made primitive and reduced (Bezout for a last
-pair) until a constant pivot appears.  When reduction stalls, one
-stable-range step finishes the row: Q[s,t] has stable range at most 3, so
-constant column operations shorten a unimodular row of length >= 4 to three
-entries that are still unimodular, and one certified Groebner lift of 1 over
-them puts a 1 into a fourth slot (see _RowCompleter._stable_range_step).
-The pipeline's F is (n + 3) x n, so every row it completes has length >= 4.
-No step is randomized.
+There is one route: F^T is completed row by row.  Each row is made
+primitive and reduced (Bezout for a last pair) until a constant pivot
+appears.  When reduction stalls, one stable-range step finishes the row:
+Q[s,t] has stable range at most 3, so constant column operations shorten a
+unimodular row of length >= 4 to three entries that are still unimodular,
+and one certified Groebner lift of 1 over them puts a 1 into a fourth slot
+(see _RowCompleter._stable_range_step).  The route is therefore complete for
+m >= n + 3, where every row it completes has length >= 4; the pipeline's F
+is (n + 3) x n.  A shorter row that stalls raises CompletionError.  No step
+is randomized.
 
-No m x m matrix is inverted.  On the row route every step is an
-elementary operation with a known inverse, so M^-1 is built alongside M:
-column operations on M are mirrored by the inverse row operations on M^-1,
-and each block factor comes with its explicit inverse.  On the
-constant-minor route M^-1 is F bordered by unit columns, and M needs only
-the inverse of the minor's n x n block (arith.mat_inverse).  The
-certificate is checked by multiplication alone: M F = [I_n; 0], once, and
-M M^-1 = I (see CompletionCertificate).  The recursion over the rows of F^T
-multiplies only blocks: diag(1, mp) and the clearing of column 0 are
-applied to e1 as a block product and column operations, and to e1^-1 as a
-block product and row operations.
+No matrix is inverted.  Every step is an elementary operation with a known
+inverse, so M^-1 is built alongside M: column operations on M are mirrored
+by the inverse row operations on M^-1, and each block factor comes with its
+explicit inverse.  The certificate is checked by multiplication alone:
+M F = [I_n; 0], once, and M M^-1 = I (see CompletionCertificate).  The
+recursion over the rows of F^T multiplies only blocks: diag(1, mp) and the
+clearing of column 0 are applied to e1 as a block product and column
+operations, and to e1^-1 as a block product and row operations.
 
 Unimodularity of F is decided by the completion itself wherever it
-succeeds: a constant minor proves it, and so does a checked certificate,
-since M F = [I_n; 0] gives F a left inverse.  The Groebner basis of the
-maximal minors is built only when the row route fails, to tell a matrix
-that is not unimodular (ValueError) from a failed completion.
+succeeds: a checked certificate proves it, since M F = [I_n; 0] gives F a
+left inverse, so a completion that succeeds computes no maximal minor.  Only
+when the row route fails does is_unimodular build the maximal minors and
+their Groebner basis, to tell a matrix that is not unimodular (ValueError)
+from a failed completion.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import NEG_INF, VARS_ST, Poly, PolyMatrix, mat_inverse, primitive_scale
+from .arith import NEG_INF, VARS_ST, Poly, PolyMatrix, primitive_scale
 from .errors import CompletionError, InternalError
 from .grobner import buchberger, lift_coefficients, reduce_with_certificate
 
@@ -68,23 +67,13 @@ def qs_degree_bound(n_or_m: int, deg_f: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _nonzero_minors(f: PolyMatrix) -> list[tuple[tuple[int, ...], Poly]]:
-    """(rows, minor) for every nonzero maximal minor of f (m x n, m >= n),
-    with the row subsets in lexicographic order."""
-    return [(rows, d) for rows, d in f.maximal_minors() if not d.is_zero()]
-
-
-def _minors_generate_unit_ideal(minors) -> bool:
-    """True when the given nonzero minors generate (1); a constant minor
-    settles this without a Groebner basis."""
-    if any(d.is_constant() for _, d in minors):
-        return True
-    return bool(minors) and buchberger([d for _, d in minors]).contains_constant()
-
-
 def is_unimodular(f: PolyMatrix) -> bool:
-    """True when the ideal of maximal minors of f (m x n, m >= n) is (1)."""
-    return _minors_generate_unit_ideal(_nonzero_minors(f))
+    """True when the ideal of maximal minors of f (m x n, m >= n) is (1); a
+    constant minor settles this without a Groebner basis."""
+    minors = [d for _, d in f.maximal_minors() if not d.is_zero()]
+    if any(d.is_constant() for d in minors):
+        return True
+    return bool(minors) and buchberger(minors).contains_constant()
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +345,12 @@ def _complete_rows(f: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
 class CompletionCertificate:
     """Verified completion data: M unimodular, M * f = [I_n; 0].
 
-    M * f = [I_n; 0] is checked exactly once: as f^T M^T = (M f)^T on the
-    row route, or as M f on the constant-minor route.  M_inv is built
-    alongside M, step by step, and M M_inv = I is checked exactly.  That
-    alone proves M_inv M = I: over a commutative ring it gives
-    det M det M_inv = 1, so M is invertible and M_inv is its inverse.  It
-    also makes det M a nonzero constant, so det is read off the
-    constant-term matrix M(0, 0).
+    M * f = [I_n; 0] is checked exactly once, as f^T M^T = (M f)^T at the
+    top level of the row route.  M_inv is built alongside M, step by step,
+    and M M_inv = I is checked exactly.  That alone proves M_inv M = I: over
+    a commutative ring it gives det M det M_inv = 1, so M is invertible and
+    M_inv is its inverse.  It also makes det M a nonzero constant, so det is
+    read off the constant-term matrix M(0, 0).
     """
 
     M: PolyMatrix
@@ -378,81 +366,33 @@ def _target_block(n: int, m: int, vars) -> PolyMatrix:
     return PolyMatrix([[one if i == j else zero for j in range(n)] for i in range(m)])
 
 
-def _constant_minor_completion(f: PolyMatrix, rows) -> tuple[PolyMatrix, PolyMatrix]:
-    """Fast path for a maximal minor of f on ``rows`` that is a nonzero
-    constant: N = [f | unit columns on the complementary rows] is invertible,
-    M = N^-1 is a completion and M^-1 = N.
-
-    Only the block A = f[rows, :] is inverted, by mat_inverse.  The columns
-    of M indexed by ``rows`` are ([I_n; 0] - sum_i e_slot(i) f[i, :]) A^-1
-    over the complementary rows i, and column i of M is e_slot(i).
-    """
-    m, n = f.rows, f.cols
-    zero = Poly.zero(f.vars)
-    one = Poly.const(f.vars, 1)
-    complement = [i for i in range(m) if i not in rows]
-    # place each unit column at its own index when that slot is free,
-    # so e.g. completing a lone unit column yields a plain transposition
-    slots = list(range(n, m))
-    placement = {}
-    for i in complement:
-        if i in slots:
-            placement[i] = i
-            slots.remove(i)
-    for i in complement:
-        if i not in placement:
-            placement[i] = slots.pop(0)
-    ncols = [f.column(j) for j in range(n)] + [None] * (m - n)
-    for i, slot in placement.items():
-        ncols[slot] = [one if r == i else zero for r in range(m)]
-    m_inv = PolyMatrix.from_columns(ncols)
-    # every slot is a row below n, where [I_n; 0] vanishes
-    lead = _target_block(n, m, f.vars)
-    for i, slot in placement.items():
-        lead.entries[slot] = [-x for x in f.row(i)]
-    c = lead * mat_inverse(f.submatrix(rows, range(n)))[0]
-    big = PolyMatrix.zero(m, m, f.vars)
-    for k, r in enumerate(rows):
-        for i in range(m):
-            big.entries[i][r] = c[i, k]
-    for i, slot in placement.items():
-        big.entries[slot][i] = one
-    return big, m_inv
-
-
 def complete_columns(f: PolyMatrix) -> CompletionCertificate:
     """Complete a unimodular m x n matrix (m > n) to M with M f = [I_n; 0].
 
-    A constant maximal minor gives M directly; otherwise each row of f^T is
-    reduced to a constant pivot, or finished by the stable-range step when
-    reduction stalls, which needs a row of length >= 4 (m >= n + 3 keeps
-    every level there).  M f = [I_n; 0] (on the row route, its transpose)
-    and M M^-1 = I are checked exactly, once each, before returning; failure
-    raises rather than ever producing an unverified answer.
+    Each row of f^T is reduced to a constant pivot, or finished by the
+    stable-range step when reduction stalls.  That step needs a row of
+    length >= 4, so the route is complete for m >= n + 3, which keeps every
+    level there; a shorter row that stalls raises CompletionError.
+    M f = [I_n; 0] (as its transpose) and M M^-1 = I are checked exactly,
+    once each, before returning; failure raises rather than ever producing
+    an unverified answer.
 
-    Unimodularity is decided where it is needed.  A constant minor proves
-    it, and so does a completed row route, whose checked f^T M^T = [I_n, 0]
-    gives f a left inverse.  Only when the row route fails is the Groebner
-    basis of the minors built: f that is not unimodular raises ValueError,
-    and any other failure is raised as it came.
+    Unimodularity is decided only when it is needed.  A completed row route
+    proves it, since its checked f^T M^T = [I_n, 0] gives f a left inverse,
+    so a completion that succeeds computes no maximal minor.  Only when the
+    row route fails does is_unimodular decide: f that is not unimodular
+    raises ValueError, and any other failure is raised as it came.
     """
     m, n = f.rows, f.cols
     if m <= n:
         raise ValueError("expected strictly more rows than columns")
-    minors = _nonzero_minors(f)
-    const_rows = next((rows for rows, d in minors if d.is_constant()), None)
-    if const_rows is not None:
-        big, inv = _constant_minor_completion(f, const_rows)
-        if big * f != _target_block(n, m, f.vars):
-            raise CompletionError("completion failed (certificate product check)")
-    else:
-        try:
-            mt, mt_inv = _complete_rows(f.transpose())
-        except (CompletionError, InternalError):
-            if not _minors_generate_unit_ideal(minors):
-                raise ValueError("matrix is not unimodular") from None
-            raise
-        big, inv = mt.transpose(), mt_inv.transpose()
+    try:
+        mt, mt_inv = _complete_rows(f.transpose())
+    except (CompletionError, InternalError):
+        if not is_unimodular(f):
+            raise ValueError("matrix is not unimodular") from None
+        raise
+    big, inv = mt.transpose(), mt_inv.transpose()
     ident = PolyMatrix.identity(m, f.vars)
     if big * inv != ident:
         raise InternalError("completion inverse verification failed")

@@ -24,6 +24,12 @@ sha256 of the documents, each followed by a newline, in run order, of
 recipe is read from ``perfbench/corpus.py`` and from no other benchmark
 file.
 
+The graded completion route is pinned by digest too: the sha256 of the
+``compute`` document of the d = 2 recipe tuple for each i in 1-40 whose four
+or more syzygy generators hold no basis triple, so that ``completion`` is
+set: i = 13, 14, 15, 17, 23, 25, 32, 34, 35, 36 and 40.  Each recipe tuple
+is read, unreflected, from ``perfbench/corpus.py``.
+
 Three more resolve tuples pin the resolution where the scan of graded
 pieces has edge cases: ``(s^2 - t, t^2, 1, 0)`` (a zero component and a
 redundant generator), the d = 3 recipe tuple for i = 1, and a tuple of the
@@ -830,3 +836,29 @@ def test_benchmark_corpus_documents_are_byte_identical(command, workload):
             digest.update(json.dumps(doc, sort_keys=True, indent=2).encode() + b"\n")
         digests.append(digest.hexdigest())
     assert tuple(digests) == CORPUS_DIGESTS[command, workload]
+
+
+COMPLETION_DIGESTS = {
+    13: "8422f4a2491a4bc3ca7cc5f1d528cb0ce585d2c8ae2e484405543f327ded0315",
+    14: "843f601c2bc7843242ff88e75ade4eca19dcd1202155bfde5f7fb408603810fd",
+    15: "b734af72dba03ad6b5a97c1cec233febc880bed6ee93b6157eac3fea4e07878d",
+    17: "b8c9c7d7b2efe7be836f5e5de19d46373a8f268758496d925f0a9bf32b7e11d9",
+    23: "fac6f12842a32e6761a819adaee3c9cb8b94e1ee6559eb0902a1a503b53d9713",
+    25: "47f3c9d41199d3aa3b0c6809e4cd34207d9240bb285984e54f162b21bdbb0a5d",
+    32: "591419c084cadb53f869ed9c8b2dd4c21219979cb7b5f3cb4b16d9b29e47da1f",
+    34: "3f5ffc427d3df2f0b994b03b4c951a69bde93ede070c060fe3b3951dfbadcba7",
+    35: "ee615deacf547d6a0422f20164ead368e1d56161928c921f4179711533d9658e",
+    36: "eb7c7fc92057d0906b87a52573044037d63bcdb1ca148f5b6c6dc9f109474bf3",
+    40: "128948c60edb74c65e093b33d3caf69e35be9815b8098866bacdacfa165403e3",
+}
+
+
+@pytest.mark.parametrize("index", sorted(COMPLETION_DIGESTS))
+def test_graded_completion_documents_are_byte_identical(index):
+    corpus = benchmark_corpus()
+    text = corpus.tuple_text(corpus._full_degree_member(index, 2))
+    doc, code, _ = run("compute", parse_parametrization(text, seed=0))
+    assert code == 0
+    assert doc["completion"] is not None
+    text = json.dumps(doc, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == COMPLETION_DIGESTS[index]

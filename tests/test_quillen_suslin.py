@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mubasis import cli, quillen_suslin
+from mubasis import arith, cli, quillen_suslin
 from mubasis.arith import VARS_ST, Poly, PolyMatrix
 from mubasis.errors import CompletionError, InternalError
 from mubasis.parser import parse_polynomial
@@ -113,6 +113,19 @@ class TestCompleteColumns:
             f = random_unimodular_matrix(rng, m, n)
             cert = complete_columns(f)
             assert cert.M * f == target_block(n, m)
+            assert cert.det != 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_randomized_pipeline_shapes(self, n):
+        # compute completes (n + 3) x n matrices: every row the route
+        # completes has length >= 4, so a row that stalls can take the
+        # stable-range step
+        rng = random.Random(31 + n)
+        for _ in range(4):
+            f = random_unimodular_matrix(rng, n + 3, n)
+            cert = complete_columns(f)
+            assert cert.M * f == target_block(n, n + 3)
+            assert cert.M * cert.M_inv == PolyMatrix.identity(n + 3, VARS_ST)
             assert cert.det != 0
 
     def test_repeated_calls_agree(self):
@@ -280,9 +293,10 @@ D3_SEED5_F = [
 
 
 def _certificate_cases():
-    """(f, general) covering every route through completion: the
-    acceptance criterion 5 stream, the reference column, a constant minor,
-    and, with ``general`` set, the stable-range step without heuristics."""
+    """(f, general) covering every step of the row route: the acceptance
+    criterion 5 stream, the reference column, a 3 x 2 matrix with a constant
+    entry in each column, and, with ``general`` set, the stable-range step
+    without heuristics."""
     rng = random.Random(77)
     for k in range(30):
         if k % 3 == 2:
@@ -315,34 +329,19 @@ class TestCarriedInverse:
             assert (big.inv(method="DM") - _to_sympy(sp, cert.M_inv)).expand().is_zero_matrix
             assert big.det(method="berkowitz").expand() == cert.det
 
-    def test_constant_minor_needs_no_groebner_basis(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise AssertionError("slow path used")
-
-        monkeypatch.setattr(quillen_suslin, "buchberger", boom)
-        monkeypatch.setattr(quillen_suslin, "_complete_rows", boom)
-        f = PolyMatrix([[S, T], [ONE, S], [T, ONE + S * T]])
-        cert = complete_columns(f)
-        assert cert.M * f == target_block(2, 3)
-        assert cert.M_inv.column(0) == f.column(0)
-
-    def test_one_block_inverse_per_constant_minor_completion(self, monkeypatch):
-        # the constant-minor route inverts the n x n block of its minor once;
-        # the row route builds M^-1 step by step and inverts nothing
-        routes = []
-        for f, general in _certificate_cases():
-            calls = _counted(monkeypatch, quillen_suslin, "mat_inverse")
+    def test_completions_invert_no_block_and_build_no_minor(self, monkeypatch):
+        # M^-1 is built step by step, and the checked certificate proves f
+        # unimodular: a completion that succeeds calls neither mat_inverse
+        # nor is_unimodular, nor anything else that builds a maximal minor
+        cases = list(_certificate_cases())
+        inverses = _counted(monkeypatch, arith, "mat_inverse")
+        checks = _counted(monkeypatch, quillen_suslin, "is_unimodular")
+        minors = _counted(monkeypatch, PolyMatrix, "maximal_minors")
+        assert len(cases) == 35
+        for f, general in cases:
             cert = _complete(f, general, monkeypatch)
-            monkeypatch.undo()
-            const_rows = next((rows for rows, d in quillen_suslin._nonzero_minors(f)
-                               if d.is_constant()), None)
-            routes.append(const_rows is not None)
-            if const_rows is None:
-                assert calls == []
-            else:
-                assert [args for args, in calls] == [f.submatrix(const_rows, range(f.cols))]
             assert cert.M * cert.M_inv == PolyMatrix.identity(f.rows, VARS_ST)
-        assert any(routes) and not all(routes)
+        assert (inverses, checks, minors) == ([], [], [])
 
 
 nonzero_small_polys = st.dictionaries(
@@ -390,16 +389,15 @@ class TestUnimodularityOnFailure:
                 complete_columns(f)
 
     def test_row_route_never_builds_the_unimodularity_basis(self, monkeypatch):
-        cases = [(f, general) for f, general in _certificate_cases()
-                 if not any(d.is_constant() for _, d in quillen_suslin._nonzero_minors(f))]
-        # the 5 row-route cases of the stream and the 3 general-route rows
-        assert [general for _, general in cases].count(False) == 5
+        cases = list(_certificate_cases())
+        # the 32 cases with heuristics and the 3 general-route rows
+        assert [general for _, general in cases].count(False) == 32
         assert [general for _, general in cases].count(True) == 3
 
         def boom(*args, **kwargs):
             raise AssertionError("unimodularity basis built after a completion")
 
-        monkeypatch.setattr(quillen_suslin, "_minors_generate_unit_ideal", boom)
+        monkeypatch.setattr(quillen_suslin, "is_unimodular", boom)
         for f, general in cases:
             cert = _complete(f, general, monkeypatch)
             assert cert.M * f == target_block(f.cols, f.rows)
@@ -424,7 +422,8 @@ class TestRowLevelProducts:
         # and Y enter only as blocks and column or row operations
         f = PolyMatrix([[T, ONE + S * T, S, ZERO, ZERO], [ZERO, ZERO, S, ZERO, ONE + S * T]])
         assert is_unimodular(f.transpose())
-        assert not any(d.is_constant() for _, d in quillen_suslin._nonzero_minors(f.transpose()))
+        minors = [d for _, d in f.transpose().maximal_minors() if not d.is_zero()]
+        assert not any(d.is_constant() for d in minors)
         shapes = []
         mul = PolyMatrix.__mul__
 
@@ -445,10 +444,10 @@ class TestRowLevelProducts:
         PolyMatrix([[T, ZERO], [ONE + S * T, ZERO], [S, S], [ZERO, ZERO], [ZERO, ONE + S * T]]),
         PolyMatrix([[S, T], [ONE, S], [T, ONE + S * T]]),
         reference_column(),
-    ], ids=["row-route-n1", "row-route-n2", "constant-minor-n2", "constant-minor-n1"])
+    ], ids=["row-route-n1", "row-route-n2", "constant-entries-n2", "reference-column-n1"])
     def test_one_m_f_product_per_completion(self, f, monkeypatch):
-        # M F = [I_n; 0] is checked once: as F^T M^T at the top level of the
-        # row route, or as M F after a constant-minor completion
+        # M F = [I_n; 0] is checked once, as F^T M^T at the top level of the
+        # row route
         m, n = f.rows, f.cols
         shapes = []
         mul = PolyMatrix.__mul__
@@ -515,18 +514,20 @@ def _digest(*parts) -> str:
 # and random shears: the routes that remain build exactly the same matrices.
 # The last three, the GENERAL_ROUTE_ROWS on the general route, were re-pinned
 # when they grew to length 4 and the stable-range step replaced the
-# resultant charts
+# resultant charts.  Entries 0, 2, 4, 7, 9 and 21, m x 1 columns with a
+# constant entry, were re-pinned when the constant-minor route went: the row
+# route completes them with the same deg_M but arranges M differently
 CERTIFICATE_DIGESTS = [
-    "02a83e4b0002d0dfdea14ec76be42da594364ba964bc594ed39eab4919da1b9c",
+    "945746e9fbc88274d4f7f0520348d556ace75d5d7dee7713a32cb4f2d0131e75",
     "0bb1a2f7d81b6d340bad8d6780a8759575ed2f1ea6ce6caa298fb00f088480fd",
-    "636c8c95e9218ee95e2b6a9480d591f7d9d4abf8d367585fe6dd73627ee44fb0",
+    "6238fc7aadd6101008035a3f88d76479299c92ea941f3a66a2235b402966ace7",
     "bc69ac851509721958b4ebbacf23ef76b0388191ffd576f9dc8acdfc7b222917",
-    "90bbfb7b364016e36f80240860fb7d69e059f758f74f4870e6bedf422b64aee7",
+    "62541e830f57171c8efe8bc5850b543c288a8d894e6d29d1c7f1b7763623c49f",
     "44e7b8dc34331bbab7b7b155d78211cdabb3272e84262f4bbeee9ddd512971d9",
     "f100ff85a4f285d31ad0d70e1061ec540f36357a8b548bf5f1f1a360c02bdd54",
-    "51c5ffe30495ee1fc914df2b62defc5afdbed035548c0efd13bd27e6e098a3e9",
+    "50c3188dd4f1bd12ed17fc18127ccff5c9e3c0a083745368954e78e315ba2b8a",
     "5226d1e9b5e98d2f58ccfea1ce58d166b91332e89abda8efd4acdf4eba36190d",
-    "267bdb8d6ec46600c8aed3bd1c805fb0240c6cf867fb5852d5331ee38d67b49b",
+    "8cb40dc836477a11e932e4efd52ce551c1b8b5d29c391681ee688b7ab41c14ac",
     "f100ff85a4f285d31ad0d70e1061ec540f36357a8b548bf5f1f1a360c02bdd54",
     "0ac8dc62c89f37cb445ca86de2bd735b3e529fd4b0905ee98df80e94f095ac36",
     "0371d1f549a8fcb0c80162f5e1f392d207a6e29dfdbbe7b89b2e03fb9f1ab66e",
@@ -538,7 +539,7 @@ CERTIFICATE_DIGESTS = [
     "bea36f2ef8862fd7a13cc7635ced5de88eb3919b56bf3b149cf3b812d19a973e",
     "791382f13c5d0fc9687b1ebb318d0f5026b3c6e8c317ed3049fc60890e7e88b5",
     "34bb2087793c6fc99709e4262e60caaa1c9015964b4721ed2c1d53edc407cb6f",
-    "4974f4bcbbb5007cbb5a4613c697e9939990698d23773d80407ab10d15483004",
+    "f1dd81a8cdc7bf036dd4ca09b864487b0dcce1408b05f190902f09d14852d74f",
     "f100ff85a4f285d31ad0d70e1061ec540f36357a8b548bf5f1f1a360c02bdd54",
     "62b04d1c822a3072d33720dcfbf15dde70c224803201ae23b4eb3f7058c3e348",
     "c5db24d74b3d2ee74655a0393fa2f74f287e41912460b910d9b24cd66dfcb463",
