@@ -16,13 +16,13 @@ is (n + 3) x n.  A shorter row that stalls raises CompletionError.  No step
 is randomized.
 
 No matrix is inverted.  Every step is an elementary operation with a known
-inverse, so M^-1 is built alongside M: column operations on M are mirrored
-by the inverse row operations on M^-1, and each block factor comes with its
-explicit inverse.  The certificate is checked by multiplication alone:
-M F = [I_n; 0], once, and M M^-1 = I (see CompletionCertificate).  The
-recursion over the rows of F^T multiplies only blocks: diag(1, mp) and the
-clearing of column 0 are applied to e1 as a block product and column
-operations, and to e1^-1 as a block product and row operations.
+inverse, or the 2 x 2 Bezout step with its explicit inverse (SL_2 over
+Q[s,t] is not generated by elementary matrices), so M^-1 is built alongside
+M: column operations on M are mirrored by the inverse row operations on
+M^-1.  One loop over the rows of F^T changes one M and one M^-1 in place
+(see _complete_rows), so the only matrix products are the two that check
+the certificate: M F = [I_n; 0], once, and M M^-1 = I (see
+CompletionCertificate).
 
 Unimodularity of F is decided by the completion itself wherever it
 succeeds: a checked certificate proves it, since M F = [I_n; 0] gives F a
@@ -82,93 +82,88 @@ def is_unimodular(f: PolyMatrix) -> bool:
 
 
 class _RowCompleter:
-    """Builds E with row * E = e1 for a unimodular row over Q[s,t], and
-    E^-1 alongside it."""
+    """Completes row lo of A = f M to e_lo by column operations on columns
+    lo.. of A's rows from lo on and of M, each mirrored as the inverse row
+    operation on M^-1.  A, M and M^-1 are lists of rows, changed in place."""
 
-    def __init__(self, row):
+    def __init__(self, a, big, inv, lo):
         self.vars = VARS_ST
-        self.work = [p for p in row]
-        self.m = len(row)
-        self.E = PolyMatrix.identity(self.m, VARS_ST).entries
-        self.Einv = PolyMatrix.identity(self.m, VARS_ST).entries
-
-    # column operations applied simultaneously to the working row and E;
-    # each is undone by the inverse row operation on the left of Einv
+        self.work = a[lo]
+        self.lo, self.cols = lo, range(lo, len(self.work))
+        self.m = len(self.cols)
+        self.rows = a[lo:] + big
+        self.inv = inv
 
     def colop(self, i, j, factor: Poly):
+        """col_i += factor col_j; row_j -= factor row_i on M^-1."""
         if factor.is_zero():
             return
-        self.work[i] = self.work[i] + factor * self.work[j]
-        for row in self.E:
+        for row in self.rows:
             if not row[j].is_zero():
                 row[i] = row[i] + factor * row[j]
-        self.Einv[j] = [x if y.is_zero() else x - factor * y
-                        for x, y in zip(self.Einv[j], self.Einv[i])]
+        self.inv[j] = [x if y.is_zero() else x - factor * y
+                       for x, y in zip(self.inv[j], self.inv[i])]
 
     def colscale(self, i, c: Fraction):
-        self.work[i] = self.work[i] * c
-        for r in range(self.m):
-            self.E[r][i] = self.E[r][i] * c
+        for row in self.rows:
+            row[i] = row[i] * c
         cinv = Fraction(1) / c
-        self.Einv[i] = [x * cinv for x in self.Einv[i]]
+        self.inv[i] = [x * cinv for x in self.inv[i]]
 
     def colswap(self, i, j):
         if i == j:
             return
-        self.work[i], self.work[j] = self.work[j], self.work[i]
-        for r in range(self.m):
-            self.E[r][i], self.E[r][j] = self.E[r][j], self.E[r][i]
-        self.Einv[i], self.Einv[j] = self.Einv[j], self.Einv[i]
+        for row in self.rows:
+            row[i], row[j] = row[j], row[i]
+        self.inv[i], self.inv[j] = self.inv[j], self.inv[i]
 
-    def apply_matrix(self, b: PolyMatrix, b_inv: PolyMatrix):
-        """work <- work * b, E <- E * b, Einv <- b_inv * Einv."""
-        self.work = [sum((self.work[k] * b[k, j] for k in range(self.m)),
-                         Poly.zero(self.vars)) for j in range(self.m)]
-        self.E = (PolyMatrix(self.E) * b).entries
-        self.Einv = (b_inv * PolyMatrix(self.Einv)).entries
-
-    def _block(self, a: int, b: int, block) -> PolyMatrix:
-        """The identity with the 2 x 2 block ((aa, ab), (ba, bb)) on rows and
-        columns a, b."""
-        out = PolyMatrix.identity(self.m, self.vars)
-        (out.entries[a][a], out.entries[a][b]), (out.entries[b][a], out.entries[b][b]) = block
-        return out
+    def colpair(self, a, b, u, v, wa, wb):
+        """(col_a, col_b) <- (col_a, col_b) [[u, -wb], [v, wa]], whose
+        determinant u wa + v wb is 1; (row_a; row_b) <- [[wa, wb], [-v, u]]
+        (row_a; row_b) on M^-1."""
+        for row in self.rows:
+            row[a], row[b] = row[a] * u + row[b] * v, row[b] * wa - row[a] * wb
+        ra, rb = self.inv[a], self.inv[b]
+        self.inv[a] = [x * wa + y * wb for x, y in zip(ra, rb)]
+        self.inv[b] = [y * u - x * v for x, y in zip(ra, rb)]
 
     def constant_index(self):
-        for j, p in enumerate(self.work):
+        for j in self.cols:
+            p = self.work[j]
             if not p.is_zero() and p.is_constant():
                 return j
         return None
 
     def finish_with_pivot(self, j):
         c = self.work[j].constant_value()
-        for i in range(self.m):
+        for i in self.cols:
             if i != j and not self.work[i].is_zero():
                 self.colop(i, j, self.work[i] * (Fraction(-1) / c))
         self.colscale(j, Fraction(1) / c)
-        self.colswap(0, j)
+        self.colswap(self.lo, j)
 
-    def run(self) -> tuple[PolyMatrix, PolyMatrix]:
+    def run(self):
+        lo = self.lo
         if self.m == 1:
-            p = self.work[0]
+            p = self.work[lo]
             if p.is_zero() or not p.is_constant():
                 raise CompletionError("completion failed (length-one row is not a unit)")
-            self.colscale(0, Fraction(1) / p.constant_value())
-            return PolyMatrix(self.E), PolyMatrix(self.Einv)
+            self.colscale(lo, Fraction(1) / p.constant_value())
+            return
         self._normalize_columns()
         self._reduction_rounds()
         j = self.constant_index()
         if j is None:
             j = self._stable_range_step()
         self.finish_with_pivot(j)
-        if self.work != [Poly.const(self.vars, 1)] + [Poly.zero(self.vars)] * (self.m - 1):
+        if self.work[lo:] != [Poly.const(self.vars, 1)] + [Poly.zero(self.vars)] * (self.m - 1):
             raise InternalError("row completion did not reach a unit vector")
-        return PolyMatrix(self.E), PolyMatrix(self.Einv)
 
     # heuristic layer ---------------------------------------------------
 
     def _normalize_columns(self):
-        for j, p in enumerate(self.work):
+        for j in self.cols:
+            p = self.work[j]
             if p.is_zero():
                 continue
             scale = primitive_scale([p])
@@ -179,7 +174,7 @@ class _RowCompleter:
         for _ in range(40):
             if self.constant_index() is not None:
                 return
-            nz = [i for i, p in enumerate(self.work) if not p.is_zero()]
+            nz = [i for i in self.cols if not self.work[i].is_zero()]
             if len(nz) <= 1:
                 return  # single non-constant entry cannot be unimodular
             if len(nz) == 2:
@@ -195,10 +190,7 @@ class _RowCompleter:
         coeffs = lift_coefficients(one, [wa, wb])
         if coeffs is None:
             return False
-        u, v = coeffs
-        # det [[u, -wb], [v, wa]] = u wa + v wb = 1
-        self.apply_matrix(self._block(a, b, ((u, -wb), (v, wa))),
-                          self._block(a, b, ((wa, wb), (-v, u))))
+        self.colpair(a, b, *coeffs, wa, wb)
         return True
 
     def _mutual_reduction_pass(self, nz) -> bool:
@@ -254,11 +246,11 @@ class _RowCompleter:
         if self.m < 4:
             raise CompletionError("completion failed (stalled row shorter than 4)")
         v, zero, one = list(self.work), Poly.zero(self.vars), Poly.const(self.vars, 1)
-        slots = sorted(range(self.m), key=lambda i: v[i].is_zero())
+        slots = sorted(self.cols, key=lambda i: v[i].is_zero())
         a, rest = slots[:3], slots[3:]
         k = min(rest, key=lambda j: v[j].degree)
         r = len(rest)
-        d = max((int(p.degree) for p in v if not p.is_zero()), default=0)
+        d = max((int(p.degree) for p in v[self.lo:] if not p.is_zero()), default=0)
         grid = sorted(((x, y) for x in range(r * d + 1) for y in range(r * d * d + 1)), key=sum)
         for point in grid:
             weights = {i: [x**e for e in range(1, r + 1)] for i, x in zip(a[1:], point)}
@@ -285,54 +277,43 @@ def _complete_rows(f: PolyMatrix) -> tuple[PolyMatrix, PolyMatrix]:
     """(M, M^-1) with M (cols x cols, unimodular) and f M = [I_n, 0] for
     row-unimodular f.
 
-    Row 0 is completed to e1 with f[0] e1 = (1, 0, ..., 0), the rest of
-    f e1 is completed to mp recursively, and M = e1 diag(1, mp) Y, where Y
-    clears column 0 below row 0 with the column operations
-    col_0 -= (f e1)[i, 0] col_i.  Only e1[:, 1:] mp and its inverse's
-    counterpart are matrix products; Y and Y^-1 are applied as column and
-    row operations.  f M = [I_n, 0] is checked exactly at every level, the
-    last included; at the top it is complete_columns' check of M F.
+    One loop over the rows keeps A = f M, M and M^-1, starting from f, I and
+    I.  Row lo of A is completed to e_lo by column operations on columns
+    lo.. (E_lo), and columns lo+1.. are rescaled to primitive integer
+    content over the rows below (S_lo).  Y_lo, the clearing of column lo
+    below row lo by col_lo -= A[i, lo] col_i, is recorded and applied only
+    after every row is done, last row first: col_i must already hold what
+    the rows below i and their clears made of it.  So
+    M = E_0 S_0 diag(1, E_1 S_1 diag(1, ...) Y_1) Y_0, each factor applied
+    as column operations on M and the inverse row operations on M^-1.
+    f M = [I_n, 0] is then checked once, as complete_columns' check of M F.
     Nothing here decides unimodularity: a row that is not unimodular ends
     in CompletionError, and complete_columns tells the two causes apart."""
     n, m = f.rows, f.cols
     if n > m:
         raise ValueError("expected at least as many columns as rows")
-    e1, e1_inv = _RowCompleter(f.row(0)).run()
-    if n == 1:
-        if f * e1 != _target_block(m, n, f.vars):
-            raise InternalError("row completion product check failed")
-        return e1, e1_inv
-    # rows 1 .. n-1 of f e1; row 0 is (1, 0, ..., 0) by construction
-    fe = PolyMatrix(f.entries[1:]) * e1
-    # rescale the untouched columns to primitive integer content; the scales
-    # are units, so e1 stays unimodular
-    for j in range(1, m):
-        scale = primitive_scale(fe[i, j] for i in range(n - 1))
-        if scale != 1:
-            for i in range(n - 1):
-                fe.entries[i][j] = fe.entries[i][j] * scale
-            for i in range(m):
-                e1.entries[i][j] = e1.entries[i][j] * scale
-            e1_inv.entries[j] = [x * (1 / scale) for x in e1_inv.entries[j]]
-    mp, mp_inv = _complete_rows(fe.submatrix(range(n - 1), range(1, m)))
-    # the nonzero (f e1)[i, 0], i > 0, that Y clears
-    clear = [(i, fe[i - 1, 0]) for i in range(1, n) if not fe[i - 1, 0].is_zero()]
-    # e1 diag(1, mp) = [e1[:, 0] | e1[:, 1:] mp], then Y's column operations
-    block = PolyMatrix([row[1:] for row in e1.entries]) * mp
-    total = [[row[0]] + brow for row, brow in zip(e1.entries, block.entries)]
-    for row in total:
+    a = [list(row) for row in f.entries]
+    big = PolyMatrix.identity(m, f.vars).entries
+    inv = PolyMatrix.identity(m, f.vars).entries
+    clears = []
+    for lo in range(n):
+        completer = _RowCompleter(a, big, inv, lo)
+        completer.run()
+        below = a[lo + 1:]
+        if not below:
+            break
+        # the scales are units, so M stays unimodular
+        for j in range(lo + 1, m):
+            scale = primitive_scale(row[j] for row in below)
+            if scale != 1:
+                completer.colscale(j, scale)
+        clears.append((completer, [(i, a[i][lo]) for i in range(lo + 1, n)]))
+    for completer, clear in reversed(clears):
         for i, c in clear:
-            if not row[i].is_zero():
-                row[0] = row[0] - c * row[i]
-    total = PolyMatrix(total)
+            completer.colop(completer.lo, i, -c)
+    total = PolyMatrix(big)
     if f * total != _target_block(m, n, f.vars):
         raise InternalError("row completion product check failed")
-    # diag(1, mp^-1) e1^-1 = [e1^-1[0, :]; mp^-1 e1^-1[1:, :]], then the
-    # row operations row_i += (f e1)[i, 0] row_0 of Y^-1
-    head = e1_inv.entries[0]
-    inv = [head] + (mp_inv * PolyMatrix(e1_inv.entries[1:])).entries
-    for i, c in clear:
-        inv[i] = [x if y.is_zero() else x + c * y for x, y in zip(inv[i], head)]
     return total, PolyMatrix(inv)
 
 
@@ -346,7 +327,7 @@ class CompletionCertificate:
     """Verified completion data: M unimodular, M * f = [I_n; 0].
 
     M * f = [I_n; 0] is checked exactly once, as f^T M^T = (M f)^T at the
-    top level of the row route.  M_inv is built alongside M, step by step,
+    end of the row route.  M_inv is built alongside M, step by step,
     and M M_inv = I is checked exactly.  That alone proves M_inv M = I: over
     a commutative ring it gives det M det M_inv = 1, so M is invertible and
     M_inv is its inverse.  It also makes det M a nonzero constant, so det is
@@ -371,11 +352,12 @@ def complete_columns(f: PolyMatrix) -> CompletionCertificate:
 
     Each row of f^T is reduced to a constant pivot, or finished by the
     stable-range step when reduction stalls.  That step needs a row of
-    length >= 4, so the route is complete for m >= n + 3, which keeps every
-    level there; a shorter row that stalls raises CompletionError.
-    M f = [I_n; 0] (as its transpose) and M M^-1 = I are checked exactly,
-    once each, before returning; failure raises rather than ever producing
-    an unverified answer.
+    length >= 4, so the route is complete for m >= n + 3, where row k of f^T
+    is completed over m - k >= 4 columns; a shorter row that stalls raises
+    CompletionError.  M and M^-1 are built in place, and the two products
+    that check them, M f = [I_n; 0] (as its transpose) and M M^-1 = I, are
+    the only matrix products; failure raises rather than ever producing an
+    unverified answer.
 
     Unimodularity is decided only when it is needed.  A completed row route
     proves it, since its checked f^T M^T = [I_n, 0] gives f a left inverse,

@@ -330,15 +330,16 @@ def random_unimodular_column(rng: random.Random, m: int, max_entry_deg=3):
             return mat
 
 
-def random_unimodular_matrix(rng: random.Random, m: int, n: int, max_entry_deg=3):
-    """Random unimodular m x n matrix (m > n) from operations on [I; 0]."""
+def random_unimodular_matrix(rng: random.Random, m: int, n: int, max_entry_deg=3, ops=None):
+    """Random unimodular m x n matrix (m > n) from ``ops`` (by default 2 to
+    4) row operations on [I; 0]."""
     from mubasis.arith import PolyMatrix
 
     while True:
         one = Poly.const(VARS_ST, 1)
         zero = Poly.zero(VARS_ST)
         ent = [[one if i == j else zero for j in range(n)] for i in range(m)]
-        for _ in range(rng.randint(2, 4)):
+        for _ in range(ops or rng.randint(2, 4)):
             i, j = rng.sample(range(m), 2)
             h = random_poly(rng, VARS_ST, 1, coeff_bound=2)
             for c in range(n):

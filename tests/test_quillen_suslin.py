@@ -163,6 +163,16 @@ def _complete(f, general, monkeypatch):
         return complete_columns(f)
 
 
+def _row_completer(row, lo=0):
+    """(completer, M, M^-1) for row lo of A, the given row, with M and M^-1
+    the identity.  The rows above lo, which completing row lo never reads,
+    are left empty."""
+    m = len(row)
+    big = PolyMatrix.identity(m, VARS_ST).entries
+    inv = PolyMatrix.identity(m, VARS_ST).entries
+    return quillen_suslin._RowCompleter([[]] * lo + [list(row)], big, inv, lo), big, inv
+
+
 def _counted(monkeypatch, owner, name):
     """Patch owner.name to log its calls; returns the log."""
     calls = []
@@ -192,7 +202,16 @@ class TestGeneralRoute:
         # t divides every entry, so no weights work: r = 1 slot outside the
         # triple and degree d = 3 give (r d + 1)(r d^2 + 1) = 4 * 10 lifts
         calls = _counted(monkeypatch, quillen_suslin, "lift_coefficients")
-        completer = quillen_suslin._RowCompleter([T**2, S * T, T, S * T**2])
+        completer, _, _ = _row_completer([T**2, S * T, T, S * T**2])
+        with pytest.raises(CompletionError, match="no weights"):
+            completer._stable_range_step()
+        assert len(calls) == 40
+
+    def test_entries_left_of_row_lo_do_not_count(self, monkeypatch):
+        # the same row as row 1 of A, after an entry of degree 5 that an
+        # earlier row left in column 0: d is still 3, so again 40 lifts
+        calls = _counted(monkeypatch, quillen_suslin, "lift_coefficients")
+        completer, _, _ = _row_completer([S**5, T**2, S * T, T, S * T**2], lo=1)
         with pytest.raises(CompletionError, match="no weights"):
             completer._stable_range_step()
         assert len(calls) == 40
@@ -215,17 +234,17 @@ class TestGeneralRoute:
         # does not: the weights must add it to a second slot
         lifts = _counted(monkeypatch, quillen_suslin, "lift_coefficients")
         row = [T, T + S * T, S * T, ONE + T]
-        completer = quillen_suslin._RowCompleter(row)
+        completer, big, inv = _row_completer(row)
         k = completer._stable_range_step()
         assert len(lifts) > 1
         assert completer.work[k] == ONE
-        e = PolyMatrix(completer.E)
+        e = PolyMatrix(big)
         assert PolyMatrix([row]) * e == PolyMatrix([completer.work])
-        assert e * PolyMatrix(completer.Einv) == PolyMatrix.identity(4, VARS_ST)
+        assert e * PolyMatrix(inv) == PolyMatrix.identity(4, VARS_ST)
 
     def test_short_rows_are_refused(self):
         with pytest.raises(CompletionError, match="shorter than 4"):
-            quillen_suslin._RowCompleter([T**2, T + 1, S])._stable_range_step()
+            _row_completer([T**2, T + 1, S])[0]._stable_range_step()
 
 
 @st.composite
@@ -413,17 +432,10 @@ class TestUnimodularityOnFailure:
 
 
 class TestRowLevelProducts:
-    def test_one_level_uses_block_products(self, monkeypatch):
-        # a 2 x 5 row-route matrix (no constant minor) whose two rows each
-        # reach a constant by column operations alone, so every product is
-        # one of _complete_rows: f e1 for row 1, the product check of the
-        # last level (row 1 times mp), e1[:, 1:] mp, the product check, and
-        # mp^-1 e1^-1[1:, :].  None is a 5 x 5 by 5 x 5 product: diag(1, mp)
-        # and Y enter only as blocks and column or row operations
-        f = PolyMatrix([[T, ONE + S * T, S, ZERO, ZERO], [ZERO, ZERO, S, ZERO, ONE + S * T]])
-        assert is_unimodular(f.transpose())
-        minors = [d for _, d in f.transpose().maximal_minors() if not d.is_zero()]
-        assert not any(d.is_constant() for d in minors)
+    def test_two_products_per_completion(self, monkeypatch):
+        # A = f M, M and M^-1 change in place, so the only products are the
+        # two checks: F^T M^T = [I_n, 0] and M M^-1 = I
+        cases = list(_certificate_cases())
         shapes = []
         mul = PolyMatrix.__mul__
 
@@ -431,13 +443,14 @@ class TestRowLevelProducts:
             shapes.append(((a.rows, a.cols), (b.rows, b.cols)))
             return mul(a, b)
 
-        monkeypatch.setattr(PolyMatrix, "__mul__", counted)
-        m, m_inv = quillen_suslin._complete_rows(f)
-        monkeypatch.setattr(PolyMatrix, "__mul__", mul)
-        assert shapes == [((1, 5), (5, 5)), ((1, 4), (4, 4)), ((5, 4), (4, 4)), ((2, 5), (5, 5)),
-                          ((4, 4), (4, 5))]
-        assert f * m == target_block(2, 5).transpose()
-        assert m * m_inv == PolyMatrix.identity(5, VARS_ST)
+        for f, general in cases:
+            m, n = f.rows, f.cols
+            shapes.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(PolyMatrix, "__mul__", counted)
+                cert = _complete(f, general, patched)
+            assert shapes == [((n, m), (m, m)), ((m, m), (m, m))]
+            assert cert.M * f == target_block(n, m)
 
     @pytest.mark.parametrize("f", [
         PolyMatrix([[S], [ONE - S], [T]]),
@@ -555,9 +568,33 @@ CERTIFICATE_DIGESTS = [
     "36c6f54614479c084583ab1d9403f58dec59a8cb508a9b58c0ec6933ffdca3cf",
 ]
 
+# the same digest for random_unimodular_matrix(Random(seed), n + 3, n, ops=9),
+# keyed by (n, seed), pinned while completion was still a recursion over the
+# rows.  _certificate_cases() has n <= 2; these have n = 3, 4 and clears of
+# column lo below row lo at two or three levels.  The clears must enter M
+# last row first: in the other order (3, 28) and (4, 16) fail the f M check
+TALL_DIGESTS = {
+    (3, 4): "e6a20610c821db5cdd235e14bda69585c867a026f4d42a02b0a83b2f9d8c44f0",
+    (3, 19): "22503c3ea515862bc92f624a2717adc30f907aeb01ded1af9e04dec1f513b96a",
+    (3, 28): "269c4ec5f8705bf2ea9131dfe1126a6961c5ac02b65b90c05151d89217b64f3a",
+    (4, 5): "43c7f7dfc46d3df6558b45ccabb375029853f2020b00c299f0a0d79a23c56a3b",
+    (4, 6): "b2cdaa8f321702071d81b4b38602a169db4447e26e34ca0a0e5d1615d35c69f3",
+    (4, 11): "c5dd2ea3df13664dcecd89ad088f9a3f8c127cdc9f005018609803561f1963d5",
+    (4, 16): "33e223c73814ea67017d00d867ed0c491168422a45fa9226346442a96a135eae",
+    (4, 17): "3aa9e4d62e077c4bb9b1d2173f4467b3be8c5f8c186f85150ae20f446c907756",
+}
+
+
 class TestPinnedOutputs:
     def test_completion_certificates(self, monkeypatch):
         got = [_digest(repr(c.M), repr(c.M_inv), c.det, c.deg_M)
                for c in (_complete(f, general, monkeypatch)
                          for f, general in _certificate_cases())]
         assert got == CERTIFICATE_DIGESTS
+
+    @pytest.mark.parametrize("n, seed", sorted(TALL_DIGESTS))
+    def test_tall_completion_certificates(self, n, seed):
+        f = random_unimodular_matrix(random.Random(seed), n + 3, n, ops=9)
+        c = complete_columns(f)
+        assert c.deg_M in (2, 3)
+        assert _digest(repr(c.M), repr(c.M_inv), c.det, c.deg_M) == TALL_DIGESTS[n, seed]
