@@ -137,6 +137,31 @@ def _ratio(x) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
+def decimal_str(x) -> str:
+    """str(x) of an int or Fraction of any length: past the interpreter's
+    digit limit (4300 by default) str refuses, so it is written by halves."""
+    try:
+        return str(x)
+    except ValueError:
+        num, den = _ratio(x)
+        if den != 1:
+            return f"{decimal_str(num)}/{decimal_str(den)}"
+        k = num.bit_length() * 3 // 20  # about half the digits
+        high, low = divmod(abs(num), 10 ** k)
+        return "-" * (num < 0) + decimal_str(high) + decimal_str(low).zfill(k)
+
+
+def decimal_int(digits: str) -> int:
+    """int(digits) of a string of ASCII digits of any length (decimal_str)."""
+    try:
+        return int(digits)
+    except ValueError:
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+        k = len(digits) // 2
+        return decimal_int(digits[:k]) * 10 ** (len(digits) - k) + decimal_int(digits[k:])
+
+
 def _common_denominator(terms: Mapping) -> tuple[dict, int]:
     """(num, den) of nonzero Fraction terms: den the lcm of their
     denominators and num the integer terms of den * terms, a canonical pair."""
@@ -409,9 +434,9 @@ class Poly:
             if factors and mag == 1:
                 body = "*".join(factors)
             elif factors:
-                body = "*".join([str(mag)] + factors)
+                body = "*".join([decimal_str(mag)] + factors)
             else:
-                body = str(mag)
+                body = decimal_str(mag)
             parts.append(("-" if c < 0 else "+", body))
         sign, body = parts[0]
         text = ("-" if sign == "-" else "") + body

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Poly
+from .arith import Poly, decimal_str
 from .bounds import BoundsReport, report_for_resolution
 from .errors import (
     CompletionError,
@@ -62,7 +62,7 @@ def parse_parametrization(text: str, seed: int = 0,
 
 def _jsonify(obj):
     if isinstance(obj, (Poly, Fraction)):
-        return str(obj)
+        return str(obj) if isinstance(obj, Poly) else decimal_str(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -122,7 +122,7 @@ def run(command: str, spec: InputSpec, basis_text: str | None = None):
             mb, report = compute_mu_basis(par)
             doc["branch"] = report.branch
             doc["basis"] = [[str(c) for c in v] for v in mb.vectors]
-            doc["alpha"] = str(mb.alpha)
+            doc["alpha"] = decimal_str(mb.alpha)
             doc["degrees"] = list(mb.degrees)
             doc["degree_sum"] = mb.degree_sum
             doc["mu"] = list(report.mu) if report.mu is not None else None
@@ -156,7 +156,7 @@ def run(command: str, spec: InputSpec, basis_text: str | None = None):
             basis = parse_basis(basis_text)
             doc["basis"] = [[str(c) for c in v] for v in basis]
             alpha = verify_mu_basis(basis, par)
-            doc["alpha"] = str(alpha)
+            doc["alpha"] = decimal_str(alpha)
             doc["checks"] = {
                 "moving_planes": True,
                 "outer_product_proportional": True,

@@ -16,8 +16,9 @@ Q would give, so the reduction path is that of the rational algorithm.
 Rational values appear only at the boundary (``Poly.num``/``Poly.den``,
 whose monomial keys a vector takes over with a position added): the input
 vectors, the monic reduced basis with its representations, and the
-remainders and quotients of _reduce_full.  No reduction is done twice, and
-a GroebnerBasis builds its Polys only when its generators are read.
+remainders and quotients of ``GroebnerBasis.reduce``.  No reduction is done
+twice, and a GroebnerBasis builds its Polys only when its generators are
+read; its ring, leads and Hilbert function are read off the engine's keys.
 
 Free resolutions are built by exact linear algebra on one graded piece at a
 time (graded Nakayama), with one echelon routine that yields the graded
@@ -204,73 +205,6 @@ def _rational_quotients(quots, scales, d, vars) -> list[Poly]:
     return out
 
 
-def _reduce_full(vec: Vec, basis: Sequence[Vec], want_quotients=False, forms=None):
-    """Full normal form of vec against basis over Q; optionally with quotients.
-
-    Returns (remainder, quotients) where quotients[i] is the Poly q_i with
-    vec = sum q_i basis_i + remainder (None unless want_quotients).  The
-    reduction runs on integers (_reduce_int), against the integer forms
-    (scales, ints, leads) of the basis, ints[i] = scales[i] * basis[i] as
-    made by _primitive; forms passes them in when cached.  Only the results
-    are divided out over Q.
-    """
-    if forms is None:
-        forms = list(zip(*[_primitive(g.terms, g.vars, g.rank, g.den) for g in basis]))
-    scales, ints, leads = forms or ((), (), ())
-    K, rem, quots = _reduce_int(dict(vec.terms), ints, leads, want_quotients)
-    d = K * vec.den  # K * den * vec = sum quots_i * ints_i + rem
-    remainder = Vec(vec.vars, vec.rank, rem, d)
-    if not want_quotients:
-        return remainder, None
-    return remainder, _rational_quotients(quots, scales, d, vec.vars)
-
-
-@dataclass
-class _ExtGB:
-    """Reduced Groebner basis, with representations over the input generators
-    when they were tracked (reps is None otherwise).
-
-    ints holds the elements as primitive integer vectors with positive
-    leading coefficients and lead_terms their _lead; vecs holds the monic
-    elements over Q, and reps[i] expresses vecs[i] over the generators.
-    """
-
-    vars: tuple
-    rank: int
-    ngens: int
-    ints: list
-    reps: list | None   # reps[i]: list of Poly, vecs[i] = sum reps[i][j] * gen_j
-    lead_terms: list = field(init=False)
-    vecs: list = field(init=False)
-
-    def __post_init__(self):
-        self.lead_terms = [_lead(g) for g in self.ints]
-        self.vecs = [Vec(self.vars, self.rank, g.terms, lc)
-                     for g, (_, lc) in zip(self.ints, self.lead_terms)]
-        self._forms = ([lc for _, lc in self.lead_terms], self.ints, self.lead_terms)
-
-    def reduce(self, vec: Vec, want_quotients=False):
-        return _reduce_full(vec, self.vecs, want_quotients, self._forms)
-
-    def reduce_certified(self, vec: Vec):
-        """(remainder, coeffs) with vec = sum coeffs_i gen_i + remainder."""
-        rem, quots = self.reduce(vec, want_quotients=True)
-        zero = Poly.zero(self.vars)
-        coeffs = [zero] * self.ngens
-        for q, rep in zip(quots, self.reps):
-            if q.is_zero():
-                continue
-            coeffs = [c + q * r for c, r in zip(coeffs, rep)]
-        return rem, coeffs
-
-    def lift(self, vec: Vec):
-        """Coefficients over the original generators, or None if not a member."""
-        rem, coeffs = self.reduce_certified(vec)
-        if not rem.is_zero():
-            return None
-        return coeffs
-
-
 def _add_combination(base, coeffs, vectors):
     """base + sum_g coeffs[g] * vectors[g], entry by entry (lists of Poly)."""
     out = list(base)
@@ -283,7 +217,7 @@ def _add_combination(base, coeffs, vectors):
     return out
 
 
-def _buchberger_ext(gens: Sequence[Vec], track_reps: bool) -> _ExtGB:
+def _buchberger_ext(gens: Sequence[Vec], track_reps: bool) -> GroebnerBasis:
     """Buchberger with sugar selection and both classical criteria; finishes
     with interreduction to the reduced basis in one sweep in increasing lead
     order, each element reduced only against the smaller leads: a larger
@@ -298,7 +232,7 @@ def _buchberger_ext(gens: Sequence[Vec], track_reps: bool) -> _ExtGB:
     again.  Every vector is a nonzero rational multiple of the one division
     over Q would give, so the terms, reducers, pairs and sugars are those of
     the rational algorithm; representations are scaled by the same factors.
-    Only the reduced basis becomes monic over Q, in _ExtGB.
+    Only the reduced basis becomes monic over Q, in the GroebnerBasis.
     """
     vars, rank, k = gens[0].vars, gens[0].rank, len(gens)
     zero = Poly.zero(vars)
@@ -394,7 +328,7 @@ def _buchberger_ext(gens: Sequence[Vec], track_reps: bool) -> _ExtGB:
     reps_out = None
     if track_reps:
         reps_out = [[r * Fraction(1, lc) for r in rep] for rep, (_, lc) in zip(R2, L2)]
-    return _ExtGB(vars=vars, rank=rank, ngens=k, ints=G2, reps=reps_out)
+    return GroebnerBasis(vars, rank, k, G2, reps_out)
 
 
 # ---------------------------------------------------------------------------
@@ -429,54 +363,79 @@ def _normalize_items(items):
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis of an ideal or submodule; its generators are
-    built on first use, as contains and normal_form never read them."""
+    """A reduced Groebner basis of an ideal (scalar) or a submodule.
 
-    def __init__(self, ext: _ExtGB, scalar: bool):
-        self._ext = ext
-        self._scalar = scalar
-        self.reduced = True
+    ints holds the elements as primitive integer vectors with positive
+    leading coefficients and lead_terms their _lead; vecs holds the monic
+    elements over Q, and reps[i] expresses vecs[i] over the ngens input
+    generators when they were tracked (reps is None otherwise).  The Poly
+    generators are built on first read: no reduction and no reader of the
+    ring or the leads needs them."""
+
+    def __init__(self, vars, rank, ngens, ints, reps, scalar=False):
+        self.vars, self.rank, self.ngens, self.ints, self.reps = vars, rank, ngens, ints, reps
+        self.scalar, self.reduced = scalar, True
+        self.lead_terms = [_lead(g) for g in ints]
+        self.vecs = [Vec(vars, rank, g.terms, lc) for g, (_, lc) in zip(ints, self.lead_terms)]
+        self._scales = [lc for _, lc in self.lead_terms]  # ints[i] = _scales[i] * vecs[i]
 
     @cached_property
     def generators(self) -> list:
-        if self._scalar:
-            return [g.to_polys()[0] for g in self._ext.vecs]
-        return [g.to_polys() for g in self._ext.vecs]
+        return [self._from_vec(g) for g in self.vecs]
 
     def __len__(self):
-        return len(self._ext.vecs)
+        return len(self.vecs)
 
     def __iter__(self):
         return iter(self.generators)
 
     def _to_vec(self, x) -> Vec:
-        if self._scalar:
+        if self.scalar:
             if not isinstance(x, Poly):
                 raise ValueError("expected a polynomial")
             return Vec.from_polys([x])
         tup = tuple(x)
-        if len(tup) != self._ext.rank:
+        if len(tup) != self.rank:
             raise ValueError("rank mismatch")
-        return Vec.from_polys(tup, self._ext.rank)
+        return Vec.from_polys(tup, self.rank)
+
+    def _from_vec(self, v: Vec):
+        polys = v.to_polys()
+        return polys[0] if self.scalar else polys
+
+    def reduce(self, vec: Vec, want_quotients=False):
+        """(remainder, quotients): the full normal form of vec over Q, with
+        vec = sum quotients_i vecs_i + remainder (quotients None unless
+        want_quotients).  It runs on ints; only the results are over Q."""
+        K, rem, quots = _reduce_int(dict(vec.terms), self.ints, self.lead_terms, want_quotients)
+        d = K * vec.den  # K * den * vec = sum quots_i * ints_i + rem
+        remainder = Vec(vec.vars, vec.rank, rem, d)
+        if not want_quotients:
+            return remainder, None
+        return remainder, _rational_quotients(quots, self._scales, d, vec.vars)
+
+    def reduce_certified(self, vec: Vec):
+        """(remainder, coeffs) with vec = sum coeffs_i gen_i + remainder."""
+        rem, quots = self.reduce(vec, want_quotients=True)
+        return rem, _add_combination([Poly.zero(self.vars)] * self.ngens, quots, self.reps)
 
     def normal_form(self, x):
-        rem, _ = self._ext.reduce(self._to_vec(x))
-        polys = rem.to_polys()
-        return polys[0] if self._scalar else polys
+        rem, _ = self.reduce(self._to_vec(x))
+        return self._from_vec(rem)
 
     def contains(self, x) -> bool:
-        rem, _ = self._ext.reduce(self._to_vec(x))
+        rem, _ = self.reduce(self._to_vec(x))
         return rem.is_zero()
 
     @cached_property
     def leading_keys(self) -> tuple[int, ...]:
-        """Keys of the leading monomials of the generators (rank-1 only), built once."""
-        return tuple(max(g.num) for g in self.generators)
+        """Monomial keys of the leading terms (rank-1 only), in increasing order."""
+        mono = ~packing(len(self.vars)).pos_mask  # clears the position field
+        return tuple(k & mono for k, _ in self.lead_terms)
 
     def contains_constant(self) -> bool:
         """True when the ideal is the unit ideal (rank-1 only)."""
-        return self._scalar and len(self.generators) == 1 and \
-            self.generators[0].is_constant() and not self.generators[0].is_zero()
+        return self.scalar and self.leading_keys == (0,)
 
 
 def buchberger(gens) -> GroebnerBasis:
@@ -485,7 +444,9 @@ def buchberger(gens) -> GroebnerBasis:
     nonzero = [v for v in vecs if not v.is_zero()]
     if not nonzero:
         raise ValueError("all generators are zero")
-    return GroebnerBasis(_buchberger_ext(nonzero, track_reps=False), scalar)
+    gb = _buchberger_ext(nonzero, track_reps=False)
+    gb.scalar = scalar
+    return gb
 
 
 def normal_form(x, gb: GroebnerBasis):
@@ -502,14 +463,13 @@ def reduce_with_certificate(target, gens):
     nonzero = [(i, v) for i, v in enumerate(vecs) if not v.is_zero()]
     if not nonzero:
         return target, [zero] * len(vecs)
-    ext = _buchberger_ext([v for _, v in nonzero], track_reps=True)
-    tvec = Vec.from_polys([target]) if scalar else Vec.from_polys(tuple(target), rank)
-    rem, coeffs = ext.reduce_certified(tvec)
+    gb = _buchberger_ext([v for _, v in nonzero], track_reps=True)
+    gb.scalar = scalar
+    rem, coeffs = gb.reduce_certified(gb._to_vec(target))
     out = [zero] * len(vecs)
     for (orig, _), c in zip(nonzero, coeffs):
         out[orig] = c
-    polys = rem.to_polys()
-    return (polys[0] if scalar else polys), out
+    return gb._from_vec(rem), out
 
 
 def _is_zero(x) -> bool:
@@ -533,11 +493,10 @@ def lift_coefficients(target, gens):
 # ---------------------------------------------------------------------------
 
 
-def _schreyer_sigmas(ext: _ExtGB) -> list[tuple[Poly, ...]]:
+def _schreyer_sigmas(gb: GroebnerBasis) -> list[tuple[Poly, ...]]:
     """Generators of Syz(gb) from every same-position pair (no criteria)."""
-    G, L = ext.ints, ext.lead_terms
-    pk = packing(len(ext.vars))
-    scales = [lc for _, lc in L]
+    G, L = gb.ints, gb.lead_terms
+    pk = packing(len(gb.vars))
     sigmas = []
     for i in range(len(G)):
         for j in range(i + 1, len(G)):
@@ -548,9 +507,9 @@ def _schreyer_sigmas(ext: _ExtGB) -> list[tuple[Poly, ...]]:
             if rem:
                 raise InternalError("S-vector of a Groebner basis did not reduce to zero")
             # the S-vector is fi * lc_i * (x^qi vecs_i - x^qj vecs_j), and G_l = lc_l * vecs_l
-            sigma = _rational_quotients(quots, scales, -K * fi * L[i][1], ext.vars)
-            sigma[i] = sigma[i] + Poly._new(ext.vars, {qi: 1})
-            sigma[j] = sigma[j] - Poly._new(ext.vars, {qj: 1})
+            sigma = _rational_quotients(quots, gb._scales, -K * fi * L[i][1], gb.vars)
+            sigma[i] = sigma[i] + Poly._new(gb.vars, {qi: 1})
+            sigma[j] = sigma[j] - Poly._new(gb.vars, {qj: 1})
             sigmas.append(tuple(sigma))
     return sigmas
 
@@ -572,16 +531,16 @@ def syzygy_generators(items) -> list[tuple[Poly, ...]]:
     for zi in zero_idx:
         out.append(tuple(one if j == zi else zero for j in range(k)))
     if nz:
-        ext = _buchberger_ext([v for _, v in nz], track_reps=True)
-        A = ext.reps  # gb[g] = sum A[g][l] * nz[l]
+        gb = _buchberger_ext([v for _, v in nz], track_reps=True)
+        A = gb.reps  # gb[g] = sum A[g][l] * nz[l]
         nnz = len(nz)
         # syzygies of the gb, pushed down to the nonzero inputs
-        for sigma in _schreyer_sigmas(ext):
+        for sigma in _schreyer_sigmas(gb):
             out.append(_expand(_add_combination([zero] * nnz, sigma, A), nz, k, zero))
         # completion rows: v_l - sum_g B[l][g] gb_g = 0
         for l, (orig, v) in enumerate(nz):
-            quotsB = ext.lift(v)
-            if quotsB is None:
+            rem, quotsB = gb.reduce_certified(v)
+            if not rem.is_zero():
                 raise InternalError("generator does not reduce to zero against its own basis")
             w = [-q for q in quotsB]
             w[l] = w[l] + one
@@ -865,9 +824,9 @@ def _schreyer_degree_bound(basis: GroebnerBasis, degrees, row_shifts) -> int:
     per position, and a pair no higher than the bound so far is not tested.
     """
     bound = max(degrees)
-    pk = packing(len(basis._ext.vars))
+    pk = packing(len(basis.vars))
     by_position: dict[int, list[int]] = {}
-    for k, _ in basis._ext.lead_terms:
+    for k, _ in basis.lead_terms:
         by_position.setdefault(pk.position(k), []).append(k)
     for pos, leads in by_position.items():
         lcms = [[0] * len(leads) for _ in leads]  # each same-position lcm, once
@@ -942,7 +901,7 @@ def _piece_dimensions(first_basis: GroebnerBasis, shifts0):
     sum_l dim S_{k-q_l} - first(k).  dim I_k is computed once per degree
     for both.
     """
-    nvars = len(first_basis.generators[0].vars)
+    nvars = len(first_basis.vars)
     ideal = cache(partial(hilbert_function, first_basis))
 
     def free(shifts, k):
@@ -1103,7 +1062,7 @@ def free_resolution(gens) -> FreeResolution:
     cols1, q = _minimal_syzygies([(g,) for g in row], shifts0, [0], first,
                                  _schreyer_degree_bound(first_basis, shifts0, [0]))
     d1 = PolyMatrix.from_columns(cols1) if cols1 else None
-    cap = 3 * max(int(g.degree) for g in first_basis)
+    cap = 3 * max(map(packing(len(vars)).degree, first_basis.leading_keys))
     cols2, p = _minimal_syzygies(cols1, q, shifts0, partial(second, q), cap,
                                  count=len(cols1) - len(row) + 1) if cols1 else ([], [])
     d2 = PolyMatrix.from_columns(cols2) if cols2 else None
@@ -1161,34 +1120,35 @@ def minimal_betti_table(res: FreeResolution) -> BettiTable:
 
 
 def _leading_keys(gens) -> tuple[Sequence[int], int]:
-    """(lead keys of the ideal's reduced Groebner basis, number of variables)."""
-    if isinstance(gens, GroebnerBasis):
-        gb = gens
-    else:
-        gens = [g for g in gens if not g.is_zero()]
-        if not gens:
-            return [], 0
-        gb = buchberger(gens)
-    return gb.leading_keys, len(gb._ext.vars)
+    """(lead keys, number of variables) of a reduced basis or of Polys' ideal."""
+    if not isinstance(gens, GroebnerBasis):
+        gens = list(gens)
+        nonzero = [g for g in gens if not g.is_zero()]
+        if not nonzero:
+            return [], len(gens[0].vars) if gens else 0
+        gens = buchberger(nonzero)
+    return gens.leading_keys, len(gens.vars)
 
 
-def hilbert_function(gens, k: int) -> int:
-    """Dimension of the degree-k graded piece of the ideal."""
-    if k < 0:
-        return 0
-    leads, nvars = _leading_keys(gens)
+def _divisible_count(leads, nvars: int, k: int) -> int:
+    """Number of degree-k monomials divisible by a lead: dim I_k (Macaulay)."""
     if not leads:
         return 0
     divides = packing(nvars).divides
     return sum(1 for m in monomial_keys(nvars, k) if any(divides(lm, m) for lm in leads))
 
 
+def hilbert_function(gens, k: int) -> int:
+    """Dimension of the degree-k graded piece of the ideal."""
+    return _divisible_count(*_leading_keys(gens), k) if k >= 0 else 0
+
+
 def hilbert_quotient(gens, k: int) -> int:
     """Hilbert function of the quotient ring in degree k."""
     if k < 0:
         return 0
-    gens = gens if isinstance(gens, GroebnerBasis) else list(gens)
-    return len(monomials_of_degree(len(next(iter(gens)).vars), k)) - hilbert_function(gens, k)
+    leads, nvars = _leading_keys(gens)
+    return len(monomials_of_degree(nvars, k)) - _divisible_count(leads, nvars, k)
 
 
 def krull_dimension(gens) -> int:
@@ -1196,12 +1156,7 @@ def krull_dimension(gens) -> int:
 
     The zero ideal gives the ambient dimension; the unit ideal gives -1.
     """
-    if isinstance(gens, GroebnerBasis):
-        leads, nvars = _leading_keys(gens)
-    else:
-        gens = list(gens)
-        nvars = len(gens[0].vars)
-        leads, _ = _leading_keys(gens)
+    leads, nvars = _leading_keys(gens)
     if not leads:
         return nvars
     exponent = packing(nvars).exponent

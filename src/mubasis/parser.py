@@ -8,17 +8,18 @@ Grammar (whitespace insignificant):
     factor := rational | variable ["^" natural]
     rational := natural ["/" natural]
 
-Only the variables s and t are admitted; exponents must be non-negative
-integers; "**" is rejected.  str(Poly) produces the canonical form (terms
-in grevlex-descending order, coefficients in lowest terms, explicit signs)
-and parsing it back returns the same polynomial.
+Only the variables s and t are admitted; a natural is a run of ASCII
+digits 0-9 of any length; exponents must be non-negative integers; "**" is
+rejected.  str(Poly) produces the canonical form (terms in
+grevlex-descending order, coefficients in lowest terms, explicit signs) and
+parsing it back returns the same polynomial.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import VARS_ST, Poly
+from .arith import VARS_ST, Poly, decimal_int
 from .errors import ParseError
 
 
@@ -56,11 +57,11 @@ class _Tokenizer:
     def natural(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             self.error("expected a number")
-        return int(self.text[start:self.pos])
+        return decimal_int(self.text[start:self.pos])
 
 
 def _parse_factor(tk: _Tokenizer):
@@ -68,12 +69,12 @@ def _parse_factor(tk: _Tokenizer):
     ch = tk.peek()
     if ch is None:
         tk.error("unexpected end of input")
-    if ch.isdigit():
+    if ch in _DIGITS:
         num = tk.natural()
         if tk.peek() == "/":
             tk.take()
             nxt = tk.peek()
-            if nxt is None or not nxt.isdigit():
+            if nxt is None or nxt not in _DIGITS:
                 tk.error("expected an integer denominator")
             den = tk.natural()
             if den == 0:
@@ -89,14 +90,15 @@ def _parse_factor(tk: _Tokenizer):
         if tk.peek() == "^":
             tk.take()
             nxt = tk.peek()
-            if nxt is None or not nxt.isdigit():
+            if nxt is None or nxt not in _DIGITS:
                 tk.error("exponent must be a non-negative integer")
             exp = tk.natural()
         return ("var", ch, exp)
     tk.error(f"unexpected character {ch!r}")
 
 
-_TERM_STARTERS = set("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_DIGITS = "0123456789"  # ASCII only: str.isdigit also admits '²' and '٣'
+_TERM_STARTERS = set(_DIGITS + "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
 def _parse_term(tk: _Tokenizer) -> Poly:

@@ -130,8 +130,8 @@ def schreyer_degree_bound_by_triples(basis, degrees, row_shifts):
     tuples, each lcm taken afresh: an oracle for its lcm table.  A
     same-position pair of leads counts unless a third lead of that position
     divides their lcm L with both of its own lcms with the pair unequal to L."""
-    pk = Packing(len(basis._ext.vars))
-    leads = [(pk.position(k), pk.unpack(k)) for k, _ in basis._ext.lead_terms]
+    pk = Packing(len(basis.vars))
+    leads = [(pk.position(k), pk.unpack(k)) for k, _ in basis.lead_terms]
     bound = max(degrees)
     for a, (pos, ma) in enumerate(leads):
         for pos_b, mb in leads[a + 1:]:

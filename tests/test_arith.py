@@ -747,6 +747,31 @@ def big_cases(draw):
     return vars, p, q, PolyMatrix(entries)
 
 
+class TestDecimalConversion:
+    """decimal_str and decimal_int agree with str and int below the digit
+    limit and invert each other past it."""
+
+    @pytest.mark.parametrize("x", [0, 7, -12, Fraction(-3, 4), -(10**4299)],
+                             ids=["0", "7", "-12", "-3/4", "4300 digits"])
+    def test_plain_below_the_limit(self, x):
+        assert arith.decimal_str(x) == str(x)
+        assert arith.decimal_int(str(abs(x.numerator))) == abs(x.numerator)
+
+    @pytest.mark.parametrize("n, digits", [(10**4300, 4301), (-(7 * 10**5000 + 123), 5001),
+                                           (10**600 * (10**4000 + 1), 4601)],
+                             ids=["power", "negative", "zero-pieces"])
+    def test_round_trip_past_the_limit(self, n, digits):
+        def signed(text):
+            return -arith.decimal_int(text[1:]) if text[0] == "-" else arith.decimal_int(text)
+
+        text = arith.decimal_str(n)
+        assert len(text.lstrip("-")) == digits and text.lstrip("-")[0] != "0"
+        assert signed(text) == n
+        q = Fraction(n, 3 * 10**4400 + 1)
+        num, den = arith.decimal_str(q).split("/")
+        assert Fraction(signed(num), signed(den)) == q
+
+
 class TestBigCoefficientsAgainstSympy:
     @settings(max_examples=60, deadline=None)
     @given(big_cases())

@@ -4,11 +4,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mubasis import grobner
 from mubasis.arith import VARS_ST, Poly
 from mubasis.cli import main, parse_parametrization, run
-from mubasis.errors import ParseError
+from mubasis.errors import ParseError, ResourceLimitError
 from mubasis.parser import parse_basis, parse_polynomial, parse_tuple, tuple_to_string
 from helpers import random_poly
 
@@ -17,6 +19,12 @@ T = Poly.variable(VARS_ST, "t")
 
 REFERENCE = "(s^2, t^2, s^2-1, s^2+1)"
 REFERENCE_BASIS = "(-t^2, 1, t^2, 0) (-2, 0, 1, 1) (1-s^2, 0, s^2, 0)"
+# full_d2/1 of the benchmark corpus, seed 1
+FULL_D2_1 = "(-2*s*t - t^2, -3*s*t + 2*t^2 + s + 2, -2*s*t + 2*s + 2, t^2 + 3*s + 2*t + 1)"
+# N = 2500 sevens: the pd2 basis has a coefficient of 16,609 bits, past the
+# 4300 digits that str converts by default
+SEVENS = "7" * 2500
+BIG = f"({SEVENS}*s^2 + t, {SEVENS}*t^2 + s, s*t + 1, {SEVENS})"
 
 
 class TestParser:
@@ -82,6 +90,21 @@ class TestParser:
         polys = parse_tuple(REFERENCE)
         assert parse_tuple(tuple_to_string(polys)) == polys
 
+    def test_print_parse_roundtrip_past_the_digit_limit(self):
+        p = (10**4999 + 7) * S**2 - Fraction(3, 10**4400 + 1) * T
+        text = str(p)
+        assert len(text) > 9400 and text.startswith("1" + "0" * 4998 + "7*s^2 - 3/1")
+        assert parse_polynomial(text) == p
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(alphabet="0123456789\u00b2\u0663\uff10\u2075\U0001d7d9st+-*/^ ",
+                            max_size=12), min_size=4, max_size=4))
+    def test_mixed_digits_raise_only_parse_errors(self, parts):
+        try:
+            parse_tuple("(" + ", ".join(parts) + ")")
+        except (ParseError, ResourceLimitError):
+            pass
+
 
 class TestRun:
     def test_compute_reference(self):
@@ -138,6 +161,27 @@ class TestRun:
                 monkeypatch.setattr(module, "free_resolution", counting)
         _, code, _ = run(command, parse_parametrization(REFERENCE))
         assert code == 0 and calls == [4]
+
+    @pytest.mark.parametrize("command", ["compute", "resolve", "bounds"])
+    @pytest.mark.parametrize("text", [REFERENCE, FULL_D2_1], ids=["reference", "full_d2/1"])
+    def test_no_command_builds_the_polys_of_first_basis(self, command, text, monkeypatch):
+        """The ring, the leads and the Hilbert function of first_basis are
+        read off the engine's keys, so its generators are never built."""
+        resolutions = []
+        real = grobner.FreeResolution.validate
+        monkeypatch.setattr(grobner.FreeResolution, "validate",
+                            lambda res: resolutions.append(res) or real(res))
+        _, code, _ = run(command, parse_parametrization(text))
+        assert code == 0 and resolutions
+        assert all("generators" not in res.first_basis.__dict__ for res in resolutions)
+
+    def test_coefficients_past_the_digit_limit(self):
+        doc, code, _ = run("compute", parse_parametrization(BIG))
+        assert code == 0 and doc["branch"] == "pd2" and doc["degrees"] == [1, 2, 2]
+        assert max(len(c) for v in doc["basis"] for c in v) > 5000
+        basis = " ".join("(" + ", ".join(v) + ")" for v in doc["basis"])
+        checked, code, _ = run("verify", parse_parametrization(BIG), basis_text=basis)
+        assert code == 0 and checked["alpha"] == doc["alpha"]
 
     def test_max_degree_limit(self):
         spec = parse_parametrization(REFERENCE, max_degree=1)
@@ -236,6 +280,20 @@ class TestMain:
         assert code == 4
         assert doc == {"command": command, "input": text, "seed": 0,
                        "error": {"code": 4, "message": "a monomial degree exceeds 32767"}}
+
+    @pytest.mark.parametrize("argv, code", [
+        (["compute", "(2\u00b2, t, 1, 1)"], 2), (["compute", "(\u00b2, t, 1, 1)"], 2),
+        (["compute", "(1/\u00b2, t, 1, 1)"], 2), (["compute", "(s^\u00b2, t, 1, 1)"], 2),
+        (["compute", "(\u0663s, t, 1, 1)"], 2),
+        (["verify", "(\u00b2, 1, 1, 1)", "--basis", "(1,1,1,1) (1,1,1,1) (1,1,1,1)"], 2),
+        (["compute", "(" + "1" * 4401 + "*s, t, 1, 1)"], 0),
+    ])
+    def test_digits_exit_two_or_zero_never_three(self, argv, code, capsys):
+        """Only ASCII 0-9 are digits: '\u00b2' and '\u0663' are parse errors
+        (exit 2), and a literal past 4300 digits parses (exit 0)."""
+        assert main(argv + ["--json"]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.get("error", {"code": 0})["code"] == code
 
     def test_missing_input(self, capsys):
         code = main(["compute", "--json"])

@@ -20,7 +20,6 @@ from mubasis.arith import (
 )
 from mubasis.errors import InternalError
 from mubasis.grobner import (
-    GroebnerBasis,
     Vec,
     _buchberger_ext,
     _fraction_nullspace,
@@ -222,10 +221,10 @@ class SchreyerOrder:
         return (grevlex_key(mono_mul(mono, lead)), -pos, -i)
 
 
-def lead_positions(ext):
-    """(position, exponent tuple) of every leading term of an _ExtGB."""
-    pk = arith.packing(len(ext.vars))
-    return [(pk.position(k), pk.unpack(k)) for k, _ in ext.lead_terms]
+def lead_positions(gb):
+    """(position, exponent tuple) of every leading term of a GroebnerBasis."""
+    pk = arith.packing(len(gb.vars))
+    return [(pk.position(k), pk.unpack(k)) for k, _ in gb.lead_terms]
 
 
 def schreyer_syzygy_basis(gens):
@@ -233,10 +232,9 @@ def schreyer_syzygy_basis(gens):
     basis under the Schreyer order induced by gb's leading terms."""
     vecs, rank, vars, scalar = _normalize_items(gens)
     nonzero = [v for v in vecs if not v.is_zero()]
-    ext = _buchberger_ext(nonzero, track_reps=False)
-    sigmas = _schreyer_sigmas(ext)
-    order = SchreyerOrder(lead_positions(ext))
-    return GroebnerBasis(ext, scalar), sigmas, order
+    gb = _buchberger_ext(nonzero, track_reps=False)
+    gb.scalar = scalar
+    return gb, _schreyer_sigmas(gb), SchreyerOrder(lead_positions(gb))
 
 
 def _tuple_terms(vec):
@@ -936,7 +934,7 @@ class TestRepresentations:
         monkeypatch.setattr(grobner, "_add_combination",
                             lambda *a: calls.append(1) or real(*a))
         row = recipe_row(1, 3)
-        assert buchberger(row)._ext.reps is None
+        assert buchberger(row).reps is None
         free_resolution(row)
         assert calls == []
         lift_coefficients(row[0], row)
@@ -1321,7 +1319,7 @@ def test_module_reduction_certificates(case):
     assert tuple(a + b for a, b in zip(_combination(coeffs, gens, vars, rank), rem)) == target
     # rem is fully reduced: no term is divisible by a lead of the reduced basis
     gb = buchberger(gens)
-    leads = lead_positions(gb._ext)
+    leads = lead_positions(gb)
     for pos, p in enumerate(rem):
         for m in p.terms:
             assert not any(lp == pos and all(x <= y for x, y in zip(lm, m))
@@ -1490,7 +1488,7 @@ class TestGeneratorsOnDemand:
         assert len(calls) == 1
         assert gb.contains(tuple(a - b for a, b in zip(outside, nf)) if module else outside - nf)
         assert len(calls) == 1 and "generators" not in gb.__dict__
-        assert len(gb) == len(gb._ext.ints)
+        assert len(gb) == len(gb.ints)
         assert len(gb.generators) == len(gb) and len(calls) == 1 + len(gb)
         assert gb.generators is gb.generators and len(calls) == 1 + len(gb)
 
