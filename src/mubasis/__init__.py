@@ -53,11 +53,8 @@ from .grobner import (
     ideal_quotient,
     krull_dimension,
     lift_coefficients,
-    minimal_betti_table,
     minimal_generators,
     modules_equal,
-    normal_form,
-    regularity_from_resolution,
     resolution_invariants,
     syzygy_generators,
 )

@@ -16,10 +16,9 @@ checks every term and packs it once, and arithmetic builds its results with
 ``Poly._new`` (already canonical) or ``Poly._reduced`` (one gcd pass, which
 stops as soon as the gcd reaches 1).  Sums, products, exact quotients and
 matrix products are integer dict loops on the keys as stored; exponent
-tuples appear only in ``terms``, ``str`` and ``leading_monomial`` and in the
-few walks that change single variables.  Matrix products bring each row and
-column to one denominator, accumulate over Z and reduce once per output
-entry.  ``PolyMatrix.det`` stays a memoized cofactor expansion, measured
+tuples appear only in the constructor, ``terms``, ``str`` and
+``homogenize``.  Matrix products bring each row and column to one
+denominator, accumulate over Z and reduce once per output entry.  ``PolyMatrix.det`` stays a memoized cofactor expansion, measured
 faster than fraction-free Bareiss elimination at the pipeline's sizes; on
 integer entries it never leaves Z.
 """
@@ -272,17 +271,6 @@ class Poly:
             return NEG_INF
         return packing(len(self.vars)).degree(max(self.num))
 
-    def leading_monomial(self) -> Monomial:
-        if not self.num:
-            raise ValueError("zero polynomial has no leading monomial")
-        return packing(len(self.vars)).unpack(max(self.num))
-
-    def leading_coefficient(self) -> Fraction:
-        return Fraction(self.num[max(self.num)], self.den)
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return Fraction(self.num.get(packing(len(self.vars)).pack(tuple(mono)), 0), self.den)
-
     def is_homogeneous(self) -> bool:
         top = packing(len(self.vars)).top
         return len({m >> top for m in self.num}) <= 1
@@ -372,10 +360,6 @@ class Poly:
                 base = base * base
         return result
 
-    def term_mul(self, mono: Monomial, coeff) -> "Poly":
-        """Multiply by a single term coeff * x^mono."""
-        return self._times(*_ratio(coeff), packing(len(self.vars)).pack(tuple(mono)))
-
     def monic(self) -> "Poly":
         """Scale so the grevlex leading coefficient is 1."""
         if self.is_zero():
@@ -383,26 +367,6 @@ class Poly:
         lc = self.num[max(self.num)]
         sign = 1 if lc > 0 else -1
         return Poly._reduced(self.vars, {m: sign * c for m, c in self.num.items()}, sign * lc)
-
-    def set_var(self, name: str, value) -> "Poly":
-        """Specialize one variable to a rational constant a/b (same ring):
-        over den * b^top, top the largest exponent of the variable, a term
-        of exponent e gains the factor a^e b^(top - e), computed once per e."""
-        i = self.vars.index(name)
-        pk = packing(len(self.vars))
-        w = pk.weights[i]
-        a, b = _ratio(value)
-        top = max((pk.exponent(m, i) for m in self.num), default=0)
-        factors: dict[int, int] = {}
-        out: dict[int, int] = {}
-        for key, c in self.num.items():
-            e = pk.exponent(key, i)
-            f = factors.get(e)
-            if f is None:
-                f = factors[e] = a**e * b**(top - e)
-            m = key - e * w
-            out[m] = out.get(m, 0) + c * f
-        return Poly._reduced(self.vars, {m: c for m, c in out.items() if c}, self.den * b**top)
 
     # -- comparison / hashing / printing -------------------------------
 
@@ -486,10 +450,6 @@ def exact_div(f: Poly, g: Poly) -> Poly | None:
                 del work[m]
     # f / g = (q * G / den f) / (cg * G / den g)
     return Poly._new(f.vars, q, f.den)._times(g.den, cg)
-
-
-def divides(g: Poly, f: Poly) -> bool:
-    return exact_div(f, g) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -784,11 +744,6 @@ class PolyMatrix:
         return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, rows: int, cols: int, vars: tuple[str, ...]) -> "PolyMatrix":
-        z = Poly.zero(vars)
-        return cls([[z] * cols for _ in range(rows)])
-
-    @classmethod
     def from_columns(cls, columns: Sequence[Sequence[Poly]]) -> "PolyMatrix":
         cols = [list(c) for c in columns]
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
@@ -799,9 +754,6 @@ class PolyMatrix:
 
     def column(self, j: int) -> list[Poly]:
         return [self.entries[i][j] for i in range(self.rows)]
-
-    def row(self, i: int) -> list[Poly]:
-        return list(self.entries[i])
 
     def columns(self) -> list[list[Poly]]:
         return [self.column(j) for j in range(self.cols)]
@@ -831,11 +783,6 @@ class PolyMatrix:
         return PolyMatrix([[_scaled_dot(row, col, self.vars, pk) for col in cols]
                            for row in rows])
 
-    def mul_vector(self, vec: Sequence[Poly]) -> list[Poly]:
-        if len(vec) != self.cols:
-            raise ValueError("shape mismatch")
-        return (self * PolyMatrix.from_columns([vec])).column(0)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
@@ -846,9 +793,6 @@ class PolyMatrix:
     def __repr__(self) -> str:
         body = "; ".join(", ".join(str(p) for p in row) for row in self.entries)
         return f"PolyMatrix[{body}]"
-
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "PolyMatrix":
-        return PolyMatrix([[self.entries[i][j] for j in col_idx] for i in row_idx])
 
     def maximal_minors(self):
         """Yield (rows, minor) for every maximal minor of an m x n matrix,

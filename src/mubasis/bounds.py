@@ -28,7 +28,6 @@ from .grobner import (
     krull_dimension,
     minimal_generators,
     modules_equal,
-    normal_form,
 )
 from .grobner import free_resolution  # noqa: F401  perfbench/tracing.py wraps this binding
 from .quillen_suslin import degree_bound_for_D
@@ -88,7 +87,6 @@ class Verdict:
     observed: int | None
     passed: bool
     applicable: bool = True
-    note: str = ""
 
 
 @dataclass
@@ -303,7 +301,7 @@ def coprime_sequence(f_list, n: int) -> list[Poly]:
     out = [next(stream) for _ in range(n)]
     gb = buchberger(f_list)
     for i, h in enumerate(out):
-        if not normal_form(h, gb).is_zero():
+        if not gb.normal_form(h).is_zero():
             raise InternalError("coprime sequence member left the ideal")
         for j in range(i):
             if not gcd_many([out[j], h]).is_constant():
@@ -385,7 +383,7 @@ def socle_check(gens, seed: int = 0) -> SocleReport:
     if not modules_equal(gens, h):
         raise InternalError("triangular transformation changed the ideal")
     gb_k = buchberger(h[:3])
-    if normal_form(h[3], gb_k).is_zero():
+    if gb_k.normal_form(h[3]).is_zero():
         return SocleReport(False, reason="fourth generator lies in the complete intersection",
                            attempts=attempts)
 

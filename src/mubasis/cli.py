@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import sys
 from dataclasses import dataclass
@@ -233,7 +234,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=0,
                     help="seed recorded in the document; no command's result depends on it")
     ap.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
-                    help="wall-clock limit in seconds")
+                    help="wall-clock limit in seconds; 0 or a negative value sets no limit")
     ap.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE,
                     help="largest admitted input degree")
     return ap
@@ -244,6 +245,10 @@ def main(argv=None) -> int:
     if args.input is not None and args.input_file is not None:
         print("error: give either a positional input or -i, not both", file=sys.stderr)
         return EXIT_INPUT
+    if not math.isfinite(args.timeout):
+        print(f"error: --timeout must be a finite number of seconds, not {args.timeout}",
+              file=sys.stderr)
+        return EXIT_INPUT
     if args.input is not None:
         text = args.input
     elif args.input_file is not None:
@@ -252,6 +257,9 @@ def main(argv=None) -> int:
                 text = fh.read().strip()
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
+        except UnicodeDecodeError as exc:
+            print(f"error: {args.input_file} is not UTF-8 text ({exc})", file=sys.stderr)
             return EXIT_INPUT
     else:
         print("error: no input given", file=sys.stderr)
@@ -272,7 +280,12 @@ def main(argv=None) -> int:
     old = None
     if use_alarm:
         old = signal.signal(signal.SIGALRM, _alarm_handler)
-        signal.setitimer(signal.ITIMER_REAL, args.timeout)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, args.timeout)
+        except OverflowError as exc:  # past the platform's time_t
+            signal.signal(signal.SIGALRM, old)
+            print(f"error: --timeout {args.timeout}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     try:
         doc, code, timings = run(args.command, spec, basis_text=args.basis)
     except _Timeout:

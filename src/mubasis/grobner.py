@@ -374,7 +374,7 @@ class GroebnerBasis:
 
     def __init__(self, vars, rank, ngens, ints, reps, scalar=False):
         self.vars, self.rank, self.ngens, self.ints, self.reps = vars, rank, ngens, ints, reps
-        self.scalar, self.reduced = scalar, True
+        self.scalar = scalar
         self.lead_terms = [_lead(g) for g in ints]
         self.vecs = [Vec(vars, rank, g.terms, lc) for g, (_, lc) in zip(ints, self.lead_terms)]
         self._scales = [lc for _, lc in self.lead_terms]  # ints[i] = _scales[i] * vecs[i]
@@ -447,10 +447,6 @@ def buchberger(gens) -> GroebnerBasis:
     gb = _buchberger_ext(nonzero, track_reps=False)
     gb.scalar = scalar
     return gb
-
-
-def normal_form(x, gb: GroebnerBasis):
-    return gb.normal_form(x)
 
 
 def reduce_with_certificate(target, gens):
@@ -715,12 +711,12 @@ class _GradedSpan:
         return True
 
 
-def _fraction_nullspace(rows, ncols, rank=None):
-    """(dimension, basis) of the right nullspace of an exact rational matrix
-    given by sparse rows ({column: int or Fraction}); the basis, a list of
-    integer vectors, is read off its reduced row echelon form: for each
-    free column fc, L times the rational basis vector that is 1 at fc, with
-    L the lcm of the pivots of the rows that meet fc.
+def _nullspace(rows, ncols, rank=None):
+    """(dimension, basis) of the right nullspace of an integer matrix given
+    by sparse rows ({column: nonzero int}; empty rows are skipped); the
+    basis, a list of integer vectors, is read off its reduced row echelon
+    form: for each free column fc, L times the rational basis vector that is
+    1 at fc, with L the lcm of the pivots of the rows that meet fc.
 
     rank, when given, is the rank known beforehand: elimination stops once
     the echelon form holds rank rows, and every row left over must vanish
@@ -730,14 +726,8 @@ def _fraction_nullspace(rows, ncols, rank=None):
     the greater least column, the order measured fastest to the rank; the
     reduced echelon form is unique, so the order leaves the basis unchanged.
     """
-    ints = []
-    for r in rows:
-        den = lcm(*(x.denominator for x in r.values()))
-        row = {c: x.numerator * (den // x.denominator) for c, x in r.items() if x}
-        if row:
-            ints.append(row)
     ech: dict = {}
-    pending = iter(sorted(ints, key=lambda r: (len(r), -min(r))))
+    pending = iter(sorted(filter(None, rows), key=lambda r: (len(r), -min(r))))
     while len(ech) != rank and (row := next(pending, None)) is not None:
         _echelon_add(ech, row)
     basis = []
@@ -764,7 +754,7 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k, dim=None):
     unit syzygies appear naturally).  Returns (dimension, basis), the basis
     built lazily as integer-normalized tuples.  dim, when given, is the
     dimension known beforehand: the equations are eliminated only up to the
-    rank it implies, and the rest certified (``_fraction_nullspace``).
+    rank it implies, and the rest certified (``_nullspace``).
     """
     vars = next(p.vars for v in vectors for p in v)
 
@@ -782,8 +772,7 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k, dim=None):
             for pm, c in comp.num.items():
                 row = rows[eq_index[(j, pm + mono)]]
                 row[ci] = row.get(ci, 0) + c * f
-    built, solutions = _fraction_nullspace(rows, len(cols),
-                                           None if dim is None else len(cols) - dim)
+    built, solutions = _nullspace(rows, len(cols), None if dim is None else len(cols) - dim)
 
     def basis():
         for sol in solutions:
@@ -1084,11 +1073,6 @@ class BettiTable:
     regularity: int | None
 
 
-def regularity_from_resolution(res: FreeResolution) -> int:
-    """Castelnuovo-Mumford regularity of the ideal (``FreeResolution.betti``)."""
-    return res.betti.regularity
-
-
 def _betti_table(levels, minimal: bool) -> BettiTable:
     entries = Counter((i, sh) for i, level in enumerate(levels) for sh in level)
     reg = max(sh - i for i, sh in entries) if minimal else None
@@ -1107,11 +1091,6 @@ def resolution_invariants(res: FreeResolution):
     table = _betti_table((res.shifts0, res.q, res.p), False)
     gamma1, gamma2 = res.gammas
     return table, {"a": res.ranks[2], "gamma1": gamma1, "gamma2": gamma2}
-
-
-def minimal_betti_table(res: FreeResolution) -> BettiTable:
-    """Minimal graded Betti numbers of the ideal (``FreeResolution.betti``)."""
-    return res.betti
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,3 @@ def parse_basis(text: str):
     if tk.peek() is not None:
         tk.error(f"unexpected {tk.peek()!r}")
     return tuple(vectors)
-
-
-def tuple_to_string(polys) -> str:
-    return "(" + ", ".join(str(p) for p in polys) + ")"

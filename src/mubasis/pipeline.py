@@ -79,12 +79,10 @@ class PipelineReport:
     completion)."""
 
     branch: str
-    d: int
     resolution: FreeResolution
     mu: tuple | None
     completion: dict | None
     bounds: BoundsReport
-    warnings: tuple
     timings: dict
 
 
@@ -312,12 +310,10 @@ def compute_mu_basis(par: Parametrization):
     bounds_report.observed["basis_degree_max"] = max(degrees)
     report = PipelineReport(
         branch=branch,
-        d=d,
         resolution=res,
         mu=mu,
         completion=completion,
         bounds=bounds_report,
-        warnings=par.warnings,
         timings=timings,
     )
     return mb, report

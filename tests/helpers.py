@@ -157,7 +157,7 @@ def benchmark_corpus():
 
 def substitute(p, mapping):
     """p with mapping's polynomials (of p's ring) put in for its variables,
-    expanded term by term from the exponent tuples: an oracle for set_var."""
+    expanded term by term from the exponent tuples."""
     values = [mapping.get(v, Poly.variable(p.vars, v)) for v in p.vars]
     out = Poly.zero(p.vars)
     for mono, c in p.terms.items():
@@ -302,7 +302,7 @@ def hilbert_by_linear_algebra(gens, k: int) -> int:
         if d > k:
             continue
         for m in monomials_of_degree(nvars, k - d):
-            prod = g.term_mul(m, Fraction(1))
+            prod = g * Poly(g.vars, {m: 1})
             row = [Fraction(0)] * len(kmonos)
             for mono, c in prod.terms.items():
                 row[index[mono]] = c
@@ -378,7 +378,7 @@ def brute_force_syzygies(vecs, bound: int):
                 comp = v[pos]
                 if comp.is_zero():
                     continue
-                prod = comp.term_mul(m, Fraction(1))
+                prod = comp * Poly(comp.vars, {m: 1})
                 for mono, c in prod.terms.items():
                     eq_rows[out_index[(pos, mono)]][col_of(vi, mi)] += c
     sols = nullspace(eq_rows, ncols)

@@ -21,8 +21,6 @@ from mubasis.grobner import (
     krull_dimension,
     minimal_generators,
     modules_equal,
-    normal_form,
-    regularity_from_resolution,
 )
 from mubasis.pipeline import compute_mu_basis, validate
 from mubasis.quillen_suslin import complete_columns, qs_degree_bound
@@ -98,13 +96,13 @@ def test_criterion_3_koszul_regressions(capsys):
     assert sorted(res1.shifts0) == [1, 1, 1]
     assert sorted(res1.q) == [2, 2, 2]
     assert list(res1.p) == [3]
-    assert regularity_from_resolution(res1) == 1
+    assert res1.betti.regularity == 1
 
     res2 = free_resolution([s**2, t**2, u**2])
     assert sorted(res2.shifts0) == [2, 2, 2]
     assert sorted(res2.q) == [4, 4, 4]
     assert list(res2.p) == [6]
-    reg = regularity_from_resolution(res2)
+    reg = res2.betti.regularity
     assert reg == 4
     assert reg == 3 * 2 - 2  # meets the regularity bound with equality
     with capsys.disabled():
@@ -228,7 +226,7 @@ def test_criterion_7_coprime_sequences(capsys):
         assert len(out) == 10
         gb = buchberger(fam)
         for i, h in enumerate(out):
-            assert normal_form(h, gb).is_zero()
+            assert gb.normal_form(h).is_zero()
             for j in range(i):
                 assert gcd_many([out[i], out[j]]).is_constant()
         done += 1

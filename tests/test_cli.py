@@ -1,5 +1,6 @@
 import json
 import random
+import signal
 import sys
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from mubasis import grobner
 from mubasis.arith import VARS_ST, Poly
 from mubasis.cli import main, parse_parametrization, run
 from mubasis.errors import ParseError, ResourceLimitError
-from mubasis.parser import parse_basis, parse_polynomial, parse_tuple, tuple_to_string
+from mubasis.parser import parse_basis, parse_polynomial, parse_tuple
 from helpers import random_poly
 
 S = Poly.variable(VARS_ST, "s")
@@ -88,7 +89,7 @@ class TestParser:
 
     def test_tuple_to_string_roundtrip(self):
         polys = parse_tuple(REFERENCE)
-        assert parse_tuple(tuple_to_string(polys)) == polys
+        assert parse_tuple("(" + ", ".join(str(p) for p in polys) + ")") == polys
 
     def test_print_parse_roundtrip_past_the_digit_limit(self):
         p = (10**4999 + 7) * S**2 - Fraction(3, 10**4400 + 1) * T
@@ -263,6 +264,34 @@ class TestMain:
         code = main(["compute", "-i", str(path), "--json"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 0 and doc["d"] == 2
+
+    def test_input_file_not_utf8_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"\xff\xfe" + REFERENCE.encode("utf-16-le"))
+        assert main(["compute", "-i", str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "not UTF-8" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e12"])
+    def test_timeout_no_timer_holds_exit_two(self, value, capsys):
+        """A timeout that is not finite, or past the platform's time_t, is
+        invalid input; the SIGALRM handler is left as it was."""
+        handler = signal.getsignal(signal.SIGALRM)
+        assert main(["compute", REFERENCE, f"--timeout={value}", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --timeout") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert signal.getsignal(signal.SIGALRM) is handler
+
+    @pytest.mark.parametrize("value", ["0", "-1", "-0.5"])
+    def test_timeout_zero_or_negative_sets_no_alarm(self, value, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(signal, "setitimer", lambda *args: calls.append(args))
+        assert main(["compute", REFERENCE, "--timeout", value, "--json"]) == 0
+        assert calls == []
 
     def test_max_degree_flag_exit_four(self, capsys):
         code = main(["compute", REFERENCE, "--max-degree", "1", "--json"])

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,11 +23,11 @@ from mubasis.errors import InternalError
 from mubasis.grobner import (
     Vec,
     _buchberger_ext,
-    _fraction_nullspace,
     _GradedSpan,
     _is_injective,
     _minimal_syzygies,
     _normalize_items,
+    _nullspace,
     _piece_dimensions,
     _schreyer_degree_bound,
     _schreyer_sigmas,
@@ -40,12 +41,9 @@ from mubasis.grobner import (
     integer_normalize,
     krull_dimension,
     lift_coefficients,
-    minimal_betti_table,
     minimal_generators,
     modules_equal,
-    normal_form,
     reduce_with_certificate,
-    regularity_from_resolution,
     resolution_invariants,
     syzygy_generators,
 )
@@ -122,10 +120,9 @@ class TestBuchberger:
             gens = [random_poly(rng, VARS_ST, 3, coeff_bound=4, force_nonzero=True)
                     for _ in range(3)]
             gb = buchberger(gens)
-            assert gb.reduced
-            leads = [g.leading_monomial() for g in gb.generators]
+            leads = [max(g.terms, key=grevlex_key) for g in gb.generators]
             for i, g in enumerate(gb.generators):
-                assert g.leading_coefficient() == 1
+                assert g.num[max(g.num)] == g.den
                 for mono in g.terms:
                     for j, lm in enumerate(leads):
                         if j != i:
@@ -143,15 +140,15 @@ class TestBuchberger:
 class TestNormalForm:
     def test_multiple_of_lead(self):
         gb = buchberger([S2**2, T2**2])
-        assert normal_form(S2**2 * T2, gb).is_zero()
+        assert gb.normal_form(S2**2 * T2).is_zero()
 
     def test_partial_reduction(self):
         gb = buchberger([S2])
-        assert normal_form(S2 + T2, gb) == T2
+        assert gb.normal_form(S2 + T2) == T2
 
     def test_irreducible(self):
         gb = buchberger([S**2, T**2, U**2])
-        assert normal_form(S * T * U, gb) == S * T * U
+        assert gb.normal_form(S * T * U) == S * T * U
 
     def test_membership_matches_graded_linear_algebra(self):
         rng = random.Random(23)
@@ -171,7 +168,7 @@ class TestNormalForm:
             gb = buchberger(gens)
             for _ in range(6):
                 f = random_form(rng, VARS_STU, rng.randint(1, 3), coeff_bound=3)
-                in_by_nf = normal_form(f, gb).is_zero()
+                in_by_nf = gb.normal_form(f).is_zero()
                 k = int(f.degree)
                 base = hilbert_by_linear_algebra(gens, k)
                 with_f = hilbert_by_linear_algebra(gens + [f], k)
@@ -373,13 +370,13 @@ class TestFreeResolution:
         res = free_resolution([S, T, U])
         table, inv = resolution_invariants(res)
         assert table.totals == {0: 3, 1: 3, 2: 1}
-        assert regularity_from_resolution(res) == 1
+        assert res.betti.regularity == 1
         assert inv["a"] == 1 and inv["gamma1"] == 1 and inv["gamma2"] == 1
 
     def test_invariants_koszul_quadrics(self):
         res = free_resolution([S**2, T**2, U**2])
         # oracle: max(2-0, 4-1, 6-2) over the Koszul shifts
-        assert regularity_from_resolution(res) == 4
+        assert res.betti.regularity == 4
 
     def test_invariants_reference(self):
         res = free_resolution(homogenized_reference_generators())
@@ -698,7 +695,7 @@ class TestGradedMinimalGenerators:
         # second map's degree-7 piece has rank 24, and its elimination stops
         # once 24 rows have gone in, before its rows run out
         pieces, counts, inside = [], [], []
-        real_nullspace, real_add = grobner._fraction_nullspace, grobner._echelon_add
+        real_nullspace, real_add = grobner._nullspace, grobner._echelon_add
 
         def counting_add(rows, vec):
             added = real_add(rows, vec)
@@ -716,7 +713,7 @@ class TestGradedMinimalGenerators:
                 inside.pop()
 
         monkeypatch.setattr(grobner, "_echelon_add", counting_add)
-        monkeypatch.setattr(grobner, "_fraction_nullspace", recording)
+        monkeypatch.setattr(grobner, "_nullspace", recording)
         free_resolution(recipe_row(seed, 3))
         (rows5, rank5), (rows6, rank6), (rows7, rank7) = pieces
         assert (rows5, rank5, rows6, rank6) == (21, 21, 28, 28)
@@ -987,6 +984,16 @@ def test_graded_selection_matches_groebner_membership(case):
     assert_graded_agrees(*case)
 
 
+def integer_rows(rows):
+    """Each rational row scaled by the lcm of its denominators, as sparse
+    {column: nonzero int} rows: the same nullspace."""
+    out = []
+    for r in rows:
+        den = lcm(*(x.denominator for x in r))
+        out.append({c: int(x * den) for c, x in enumerate(r) if x})
+    return out
+
+
 RATIONAL_MATRICES = st.integers(1, 5).flatmap(lambda n: st.lists(
     st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=n, max_size=n),
     min_size=0, max_size=5).map(lambda rows: (rows, n)))
@@ -996,8 +1003,8 @@ RATIONAL_MATRICES = st.integers(1, 5).flatmap(lambda n: st.lists(
 @given(RATIONAL_MATRICES, st.randoms(use_true_random=False))
 def test_fraction_nullspace_matches_dense_elimination(case, rng):
     rows, ncols = case
-    sparse = [{c: x for c, x in enumerate(r)} for r in rows]
-    dim, basis = _fraction_nullspace(sparse, ncols)
+    sparse = integer_rows(rows)
+    dim, basis = _nullspace(sparse, ncols)
     expected = nullspace(rows, ncols)
     got = list(basis)
     assert dim == len(expected) == len(got)
@@ -1006,27 +1013,27 @@ def test_fraction_nullspace_matches_dense_elimination(case, rng):
         free = max(j for j, x in enumerate(v) if x)  # the free column comes last
         assert [Fraction(x, v[free]) for x in v] == want
     rng.shuffle(sparse)  # the reduced echelon form, hence the basis, is unique
-    assert list(_fraction_nullspace(sparse, ncols)[1]) == got
+    assert list(_nullspace(sparse, ncols)[1]) == got
 
 
 @settings(max_examples=60, deadline=2000)
 @given(RATIONAL_MATRICES, st.randoms(use_true_random=False), st.data())
 def test_fraction_nullspace_with_a_known_rank(case, rng, data):
     rows, ncols = case
-    sparse = [{c: x for c, x in enumerate(r)} for r in rows]
-    dim, basis = _fraction_nullspace(sparse, ncols)
+    sparse = integer_rows(rows)
+    dim, basis = _nullspace(sparse, ncols)
     rank = ncols - dim
     for _ in range(2):  # as given, then shuffled
-        assert _fraction_nullspace(sparse, ncols, rank) == (dim, basis)
+        assert _nullspace(sparse, ncols, rank) == (dim, basis)
         rng.shuffle(sparse)
     if rank:  # stopped short of the rank, a row left over fails its check
         low = data.draw(st.integers(0, rank - 1))
         with pytest.raises(InternalError, match=f"left over at rank {low} does not vanish"):
-            _fraction_nullspace(sparse, ncols, low)
+            _nullspace(sparse, ncols, low)
     # a rank above the true one is never reached: full elimination, whose
     # dimension exceeds the one the caller expects
     high = data.draw(st.integers(rank + 1, ncols + 1))
-    assert _fraction_nullspace(sparse, ncols, high) == (dim, basis)
+    assert _nullspace(sparse, ncols, high) == (dim, basis)
     assert dim > ncols - high
 
 
@@ -1104,9 +1111,10 @@ def test_piece_dimensions_match_the_nullspaces(row):
         assert second(res.q, k) == graded_syzygy_space(cols1, res.q, res.shifts0, k)[0]
 
 
-def test_fraction_nullspace_of_integer_rows_constructs_no_fraction(monkeypatch):
+def test_nullspace_of_integer_rows_constructs_no_fraction(monkeypatch):
     rng = random.Random(5)
     rows = [{c: rng.randint(-9, 9) for c in range(7) if rng.random() < 0.7} for _ in range(4)]
+    rows = [{c: x for c, x in r.items() if x} for r in rows]  # nonzero entries only
     calls = []
     real = grobner.Fraction.__new__
 
@@ -1115,7 +1123,7 @@ def test_fraction_nullspace_of_integer_rows_constructs_no_fraction(monkeypatch):
         return real(cls, *args, **kwargs)
 
     monkeypatch.setattr(grobner.Fraction, "__new__", counting)
-    dim, basis = _fraction_nullspace(rows, 7)
+    dim, basis = _nullspace(rows, 7)
     got = list(basis)
     assert calls == []
     monkeypatch.undo()
@@ -1127,13 +1135,13 @@ def test_fraction_nullspace_of_integer_rows_constructs_no_fraction(monkeypatch):
 def assert_minimal_betti_matches_oracle(row):
     """The table read off the resolution of the row equals the shifts of a
     separately built resolution of its minimal generators."""
-    table = minimal_betti_table(free_resolution(row))
+    table = free_resolution(row).betti
     minres = minimal_resolution(row)
     oracle, _ = resolution_invariants(minres)
     assert table.entries == oracle.entries
     assert table.totals == oracle.totals
     regularity = max(sh - i for i, sh in oracle.entries)
-    assert table.regularity == regularity == regularity_from_resolution(minres)
+    assert table.regularity == regularity == minres.betti.regularity
     return table
 
 
@@ -1164,7 +1172,7 @@ class TestMinimalBettiTable:
     def test_already_minimal_resolution_is_unchanged(self):
         minres = free_resolution([S**2, T**2, U**2])
         table, _ = resolution_invariants(minres)
-        minimal = minimal_betti_table(minres)
+        minimal = minres.betti
         assert (minimal.entries, minimal.totals) == (table.entries, table.totals)
         assert minimal.regularity == 4
 
@@ -1193,7 +1201,7 @@ class TestMinimalBettiTable:
         res = free_resolution(homogenized_reference_generators())
         res.q = tuple(x for x in res.q if x != 2)
         with pytest.raises(InternalError, match="d1 has 4 columns but q has 3 degrees"):
-            minimal_betti_table(res)
+            res.betti
 
 
 @settings(max_examples=60, deadline=20000)
@@ -1278,7 +1286,7 @@ def test_buchberger_matches_sympy_groebner(case):
                              for m, c in sp.Poly(e, *syms, domain="QQ").terms()})
             for e in theirs.exprs}
     ours = buchberger(gens).generators
-    assert all(g.leading_coefficient() == 1 for g in ours)
+    assert all(g.num[max(g.num)] == g.den for g in ours)
     assert {frozenset(g.terms.items()) for g in ours} == want
 
 

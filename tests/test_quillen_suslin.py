@@ -10,7 +10,7 @@ from mubasis.arith import VARS_ST, Poly, PolyMatrix
 from mubasis.errors import CompletionError, InternalError
 from mubasis.parser import parse_polynomial
 from mubasis.quillen_suslin import complete_columns, is_unimodular, qs_degree_bound
-from helpers import random_unimodular_column, random_unimodular_matrix
+from helpers import random_unimodular_column, random_unimodular_matrix, substitute
 
 S = Poly.variable(VARS_ST, "s")
 T = Poly.variable(VARS_ST, "t")
@@ -385,9 +385,8 @@ def non_unimodular_cases(draw):
         for row in rows:
             row[j] = row[j] * factor
     else:
-        point = {"s": draw(st.integers(-2, 2)), "t": draw(st.integers(-2, 2))}
-        rows = [[p - p.set_var("s", point["s"]).set_var("t", point["t"]) for p in row]
-                for row in rows]
+        point = {v: Poly.const(VARS_ST, draw(st.integers(-2, 2))) for v in VARS_ST}
+        rows = [[p - substitute(p, point) for p in row] for row in rows]
     # a zero column fails at once; keep to matrices the routes have to work on
     assume(all(any(not row[j].is_zero() for row in rows) for j in range(n)))
     return PolyMatrix(rows), draw(st.booleans())
