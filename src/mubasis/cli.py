@@ -240,8 +240,23 @@ def _build_argparser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_timeout_values(argv):
+    """argv with "--timeout VALUE" (or a prefix of the flag) as one word
+    "--timeout=VALUE": argparse reads only words like -1 and -0.5 as
+    negative numbers, and takes -1e5 or -inf for an option."""
+    out, words = [], iter(argv)
+    for word in words:
+        if len(word) > 2 and "--timeout".startswith(word):
+            value = next(words, None)
+            if value is not None:
+                word = f"--timeout={value}"
+        out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_argparser().parse_intermixed_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_argparser().parse_intermixed_args(_join_timeout_values(argv))
     if args.input is not None and args.input_file is not None:
         print("error: give either a positional input or -i, not both", file=sys.stderr)
         return EXIT_INPUT

@@ -576,7 +576,10 @@ def integer_normalize(vec):
 
 
 def modules_equal(gens_a, gens_b) -> bool:
-    """Double-inclusion equality of two submodules given by generators."""
+    """Double-inclusion equality of two submodules given by generators.
+
+    It serves ``bounds.socle_check`` and, as an oracle, the tests;
+    ``verify_mu_basis`` proves module equality by Cramer coefficients."""
     return all(all(map(buchberger(b).contains, a))
                for a, b in ((gens_a, gens_b), (gens_b, gens_a)))
 

@@ -11,8 +11,8 @@ generators of Syz(a) pass it, they are G with N the identity and n = 0.
 Otherwise G = d1 and the n relations d2 are dehomogenized, and N is the
 inverse of a certified unimodular completion of the relations.  Every
 result is verified (moving-plane identities, outer-product
-proportionality, module equality with the full syzygy module) before
-being returned.
+proportionality, and explicit Cramer coefficients that write each
+generator of the full syzygy module in the basis) before being returned.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .arith import (
 )
 from .bounds import BoundsReport, report_for_resolution
 from .errors import InternalError, ValidationError, VerificationError
-from .grobner import FreeResolution, buchberger, free_resolution, modules_equal, syzygy_generators
+from .grobner import FreeResolution, buchberger, free_resolution, syzygy_generators
 from .quillen_suslin import complete_columns
 
 
@@ -51,7 +51,8 @@ class Parametrization:
     @cached_property
     def syzygies(self) -> tuple:
         """syzygy_generators(a), built once: the pd2 basis triple and stage
-        3 of verify_mu_basis both read it."""
+        3 of verify_mu_basis, which writes each of them in the basis, both
+        read it."""
         return tuple(syzygy_generators(list(self.a)))
 
 
@@ -155,12 +156,39 @@ def _proportionality(outer, a):
     return alpha if all(outer(k) == ai * alpha for k, ai in enumerate(a)) else None
 
 
+def _cramer_certificate(gens, basis, l, det_l) -> bool:
+    """Whether every g in gens is c_1 b_1 + c_2 b_2 + c_3 b_3 with
+    polynomial c_i, where det_l != 0 is the determinant of B_l, the 3 x 3
+    matrix of the basis columns b_i without row l.  Cramer gives the c_i
+    off the other rows as adj(B_l) g_l / det_l, one exact division each;
+    the adjugate is nine 2 x 2 minors, built once, and row l is checked
+    against sum c_i b_i[l], so the identity holds outright."""
+    rows = [r for r in range(4) if r != l]
+    b = [[v[r] for v in basis] for r in rows]
+
+    def cofactor(r, i):  # of entry (r, i) of B_l; cyclic indices carry the sign
+        r1, r2, i1, i2 = (r + 1) % 3, (r + 2) % 3, (i + 1) % 3, (i + 2) % 3
+        return b[r1][i1] * b[r2][i2] - b[r1][i2] * b[r2][i1]
+
+    adj = PolyMatrix([[cofactor(r, i) for r in range(3)] for i in range(3)])
+    nums = adj * PolyMatrix([[g[r] for g in gens] for r in rows])
+    coeffs = [[exact_div(p, det_l) for p in row] for row in nums.entries]
+    if any(c is None for row in coeffs for c in row):
+        return False
+    return (PolyMatrix([[v[l] for v in basis]]) * PolyMatrix(coeffs)
+            == PolyMatrix([[g[l] for g in gens]]))
+
+
 def verify_mu_basis(basis, par: Parametrization) -> Fraction:
     """Three-stage verification; returns the proportionality constant alpha.
 
-    (1) each vector is a moving plane; (2) the outer product is a nonzero
-    constant multiple alpha of the parametrization; (3) the vectors generate
-    the full syzygy module (double inclusion, modules_equal).
+    (1) each vector is a moving plane, so the basis spans a submodule of
+    Syz(a); (2) the outer product is a nonzero constant multiple alpha of
+    the parametrization; (3) the vectors generate the full syzygy module:
+    each generator of Syz(a) in ``par.syzygies`` is written in the basis
+    with explicit Cramer coefficients (``_cramer_certificate``).  Stage 3
+    divides by det B_l = (-1)^l alpha a_l for the first l with a_l nonzero,
+    which stage 2 has checked exactly, so no determinant is recomputed.
     """
     basis = [tuple(v) for v in basis]
     if len(basis) != 3 or any(len(v) != 4 for v in basis):
@@ -178,7 +206,8 @@ def verify_mu_basis(basis, par: Parametrization) -> Fraction:
     alpha = _proportionality(outer.__getitem__, par.a)
     if alpha is None:
         raise VerificationError("outer product not proportional")
-    if not modules_equal(par.syzygies, basis):
+    l = next(j for j, ai in enumerate(par.a) if not ai.is_zero())
+    if not _cramer_certificate(par.syzygies, basis, l, par.a[l] * ((-1) ** l * alpha)):
         raise VerificationError("does not generate Syz")
     return alpha
 

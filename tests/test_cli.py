@@ -286,7 +286,15 @@ class TestMain:
         assert "Traceback" not in captured.err
         assert signal.getsignal(signal.SIGALRM) is handler
 
-    @pytest.mark.parametrize("value", ["0", "-1", "-0.5"])
+    @pytest.mark.parametrize("flag", ["--timeout", "--time"])
+    def test_timeout_negative_infinity_as_two_words_exit_two(self, flag, capsys):
+        # argparse takes a lone -inf for an option; the value reaches the check
+        assert main(["compute", REFERENCE, flag, "-inf", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --timeout must be a finite number of seconds, not -inf\n"
+
+    @pytest.mark.parametrize("value", ["0", "-1", "-0.5", "-1e5", "-2E-1"])
     def test_timeout_zero_or_negative_sets_no_alarm(self, value, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(signal, "setitimer", lambda *args: calls.append(args))

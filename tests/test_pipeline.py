@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mubasis import pipeline
+from mubasis import grobner, pipeline
 from mubasis.arith import VARS_ST, Poly, PolyMatrix, gcd_many
 from mubasis.errors import InternalError, ValidationError, VerificationError
 from mubasis.grobner import modules_equal
@@ -18,7 +19,7 @@ from mubasis.pipeline import (
     validate,
     verify_mu_basis,
 )
-from helpers import greedy_prune, random_poly
+from helpers import greedy_prune, random_poly, random_unimodular_matrix
 
 S = Poly.variable(VARS_ST, "s")
 T = Poly.variable(VARS_ST, "t")
@@ -170,14 +171,52 @@ class TestVerify:
         with pytest.raises(VerificationError):
             verify_mu_basis(scaled, par)
 
-    def test_basis_must_lie_in_the_syzygy_generators(self, monkeypatch):
-        # cut to its first generator, Syz still lies in the basis's span, so
-        # only the inclusion of the basis in the generators' span can fail
+    def test_a_generator_outside_the_basis_span_is_refused(self, monkeypatch):
+        # stage 3 writes each generator of Syz(a) in the basis; (0, 1, 0, 0)
+        # is no syzygy, and its Cramer coefficients are not polynomials
         par = validate(reference_input())
         real = pipeline.syzygy_generators
-        monkeypatch.setattr(pipeline, "syzygy_generators", lambda a: real(a)[:1])
+        monkeypatch.setattr(pipeline, "syzygy_generators",
+                            lambda a: real(a) + [(ZERO, ONE, ZERO, ZERO)])
         with pytest.raises(VerificationError, match="does not generate Syz"):
             verify_mu_basis(reference_basis(), par)
+
+    def test_row_l_of_each_generator_is_checked(self, monkeypatch):
+        # a_0 != 0, so l = 0: off row 0, (1, 0, 0, 0) has Cramer
+        # coefficients 0, and only its row-0 entry tells it from the basis
+        par = validate(reference_input())
+        real = pipeline.syzygy_generators
+        monkeypatch.setattr(pipeline, "syzygy_generators",
+                            lambda a: real(a) + [(ONE, ZERO, ZERO, ZERO)])
+        with pytest.raises(VerificationError, match="does not generate Syz"):
+            verify_mu_basis(reference_basis(), par)
+
+    @pytest.mark.parametrize("text, l", [
+        ("(s^2, t^2, s^2 - 1, s^2 + 1)", 0), ("(0, s, t^2, s*t + 1)", 1),
+        ("(0, 0, s, t^2 + 1)", 2), ("(0, 0, 0, 1)", 3)])
+    def test_cramer_denominator_on_each_row(self, text, l):
+        # the first nonzero a_l sets the row left out and the sign
+        # (-1)^l of det B_l = (-1)^l alpha a_l
+        par = validate(list(parse_tuple(text)))
+        mb, _ = compute_mu_basis(par)
+        det_l = par.a[l] * ((-1) ** l * mb.alpha)
+        assert (-1) ** l * outer_product(*mb.vectors)[l] == det_l
+        assert pipeline._cramer_certificate(par.syzygies, mb.vectors, l, det_l)
+        assert not pipeline._cramer_certificate(par.syzygies, mb.vectors, l, S * det_l)
+        assert modules_equal(par.syzygies, mb.vectors)
+
+    def test_verification_builds_no_groebner_basis(self, monkeypatch):
+        # every Groebner basis goes through _buchberger_ext; the syzygy
+        # generators are built by compute, before the count starts
+        par = validate(list(parse_tuple(FULL_D2_1)))
+        mb, _ = compute_mu_basis(par)
+        calls = []
+        for module, name in ((grobner, "_buchberger_ext"), (grobner, "buchberger"),
+                             (pipeline, "buchberger"), (grobner, "modules_equal")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *args, name=name, real=real, **kw:
+                                calls.append(name) or real(*args, **kw))
+        assert verify_mu_basis(mb.vectors, par) == mb.alpha and calls == []
 
 
 class TestExtractBasis:
@@ -494,3 +533,46 @@ class TestInterreduce:
         monkeypatch.setattr(pipeline, "buchberger", counting)
         assert pipeline._interreduce((e1, e2, v)) == (e1, e2, (ZERO, ZERO, ONE, ZERO))
         assert (e1, e2) in seen and len(seen) == len(set(seen))
+
+
+# verified bases whose first nonzero a_l has l = 0 (the reference tuple and
+# full_d2/1, a basis triple) or l = 1
+VERIFIED_INPUTS = ["(s^2, t^2, s^2 - 1, s^2 + 1)", FULL_D2_1, "(0, s, t^2, s*t + 1)"]
+
+
+@functools.lru_cache(maxsize=None)
+def _verified(text):
+    par = validate(list(parse_tuple(text)))
+    mb, _ = compute_mu_basis(par)
+    return par, mb.vectors, mb.alpha
+
+
+class TestCramerCertificate:
+    # modules_equal, two Groebner bases and a double inclusion, is the oracle
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(VERIFIED_INPUTS), st.integers(0, 2**32))
+    def test_unimodular_changes_of_a_basis_pass_with_the_oracle(self, text, seed):
+        # row operations on I give det T = 1, so alpha is kept
+        par, basis, alpha = _verified(text)
+        t_mat = random_unimodular_matrix(random.Random(seed), 3, 3, max_entry_deg=2)
+        moved = (PolyMatrix.from_columns(basis) * t_mat).columns()
+        assert verify_mu_basis(moved, par) == alpha
+        assert modules_equal(par.syzygies, moved)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(VERIFIED_INPUTS), st.integers(0, 2), st.integers(0, 2**32))
+    def test_a_vector_times_a_non_constant_fails_with_the_oracle(self, text, i, seed):
+        # stage 2 refuses f b_i already, so the certificate is called with
+        # the determinant of the scaled B_l, f times that of B_l
+        par, basis, _ = _verified(text)
+        rng = random.Random(seed)
+        f = ONE
+        while f.is_constant():
+            f = random_poly(rng, VARS_ST, 2, coeff_bound=2)
+        scaled = list(basis)
+        scaled[i] = tuple(f * x for x in basis[i])
+        l = next(j for j, ai in enumerate(par.a) if not ai.is_zero())
+        det_l = (-1) ** l * outer_product(*scaled)[l]
+        assert not pipeline._cramer_certificate(par.syzygies, scaled, l, det_l)
+        assert not modules_equal(par.syzygies, scaled)

@@ -105,8 +105,9 @@ print(out)
 def test_tracing_records_no_groebner_basis_for_the_basis_triple():
     # the harness's grobner.buchberger_calls reads these spans: on full_d2/1
     # of the benchmark corpus (seed 1), three of four syzygy generators are
-    # the basis, found by outer products; the six bases are the
-    # resolution's one, interreduction's three and modules_equal's two
+    # the basis, found by outer products, and verification writes the
+    # generators in it by Cramer's rule; the four bases are the
+    # resolution's one and interreduction's three
     calls = _run(f"""
 import importlib.util
 spec = importlib.util.spec_from_file_location("tracing", {str(ROOT / "perfbench" / "tracing.py")!r})
@@ -123,7 +124,7 @@ finally:
 totals = tracing.layer_totals(tracer)
 print((code, totals["grobner.buchberger"]["calls"], totals.get("quillen_suslin.complete_columns")))
 """)
-    assert calls == "(0, 6, None)", calls
+    assert calls == "(0, 4, None)", calls
 
 
 def test_arith_imports_no_higher_layer():
