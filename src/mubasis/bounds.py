@@ -6,7 +6,8 @@ failed verdict on valid input as a library bug.
 
 Observed regularity, Betti numbers and generic-ACI shape are the Tor
 dimensions ``FreeResolution.betti`` reads off the resolution of the given
-row; height 3 is read off the leads of its ``first_basis``.  No second
+row; height 3 is read off the leads of its ``first_basis``, and d and m off
+the row itself, so the report takes the resolution alone.  No second
 resolution and no Groebner basis is built.
 """
 
@@ -91,21 +92,14 @@ class Verdict:
 
 @dataclass
 class BoundsReport:
-    """All evaluated bound formulas together with observations and verdicts."""
+    """All evaluated bound formulas together with observations and verdicts.
 
-    d: int
-    m: int
+    ``values`` maps each formula's name to its value, None where it does
+    not apply, in the order ``evaluate_bounds`` builds, which the human
+    output keeps."""
+
     case: str
-    reg_bound: int
-    beta2_bound: int
-    beta2_bound_equal: int | None
-    beta1_bound: int | None
-    height3_beta1_bound: int
-    height3_beta2_bound: int
-    lazard: int
-    D: int | None
-    qs_bound: int | None
-    basis_bound: int | None
+    values: dict
     case_values: dict
     case_value: int
     observed: dict = field(default_factory=dict)
@@ -130,32 +124,31 @@ def evaluate_bounds(d: int, m: int, case: str, beta2: int | None = None,
         qs = degree_bound_for_D(D)
         if gamma1 is not None:
             basis = basis_degree_bound(gamma1, beta2, gamma2)
-    return BoundsReport(
-        d=d,
-        m=m,
-        case=case,
-        reg_bound=regularity_bound(d),
-        beta2_bound=beta2_bound_total(d),
-        beta2_bound_equal=beta2_bound_equal_degree(d, m) if d >= 1 else None,
-        beta1_bound=None if beta2 is None else beta2 + m - 1,
-        height3_beta1_bound=2 * d + 2,
-        height3_beta2_bound=2 * d - 1,
-        lazard=lazard_bound(d),
-        D=D,
-        qs_bound=qs,
-        basis_bound=basis,
-        case_values=case_values,
-        case_value=case_values[case],
-    )
+    values = {
+        "reg_bound": regularity_bound(d),
+        "beta2_bound": beta2_bound_total(d),
+        "beta2_bound_equal": beta2_bound_equal_degree(d, m) if d >= 1 else None,
+        "beta1_bound": None if beta2 is None else beta2 + m - 1,
+        "height3_beta1_bound": 2 * d + 2,
+        "height3_beta2_bound": 2 * d - 1,
+        "lazard": lazard_bound(d),
+        "D": D,
+        "qs_bound": qs,
+        "basis_bound": basis,
+    }
+    return BoundsReport(case=case, values=values, case_values=case_values,
+                        case_value=case_values[case])
 
 
-def check_resolution_bounds(res: FreeResolution, d: int, m: int) -> list[Verdict]:
+def check_resolution_bounds(res: FreeResolution) -> list[Verdict]:
     """Evaluate every proved inequality against a resolution of the ideal.
 
     The true (minimal) Betti numbers and the regularity are read off the
-    resolution (``FreeResolution.betti``).  Failures are verdicts, not
-    exceptions.
+    resolution (``FreeResolution.betti``), and d and m off its row: the
+    largest shift, which is the largest degree, and the number of entries.
+    Failures are verdicts, not exceptions.
     """
+    d, m = max(res.shifts0), len(res.gens)
     if d < 1:
         return [Verdict("degenerate input (d = 0): bound theorems not applicable",
                         None, None, True, applicable=False)]
@@ -197,12 +190,13 @@ def check_resolution_bounds(res: FreeResolution, d: int, m: int) -> list[Verdict
     return out
 
 
-def classify_surface_case(res: FreeResolution, d: int) -> str:
+def classify_surface_case(res: FreeResolution) -> str:
     """Tightest applicable regime for the basis-degree theorem, read off a
     resolution of the ideal; height 3 means R/I is Artinian, which the
     leads of ``first_basis`` decide (``krull_dimension``)."""
     if res.ranks[2] == 0:
         return "pd1"
+    d = max(res.shifts0)
     if general_aci_shape_check(res, d):
         return "general_aci"
     gens = [g for g in res.gens if not g.is_zero()]
@@ -340,7 +334,10 @@ def socle_check(gens, seed: int = 0) -> SocleReport:
     socle degree 2d-3, the Hilbert-function identity, and symmetry.
 
     A random upper-triangular scalar change produces the complete
-    intersection; seeds are retried until its height is 3.
+    intersection; seeds are retried until its height is 3.  Its one
+    Groebner basis gives both that height and the test of h_4, and the
+    colon's reduced basis is read as ``ideal_quotient`` returns it;
+    ``modules_equal`` keeps its own two bases as the independent check.
     """
     gens = list(gens)
     if len(gens) != 4 or any(g.is_zero() for g in gens):
@@ -374,7 +371,8 @@ def socle_check(gens, seed: int = 0) -> SocleReport:
             g3 + scalar() * g4,
             g4,
         ]
-        if krull_dimension(cand[:3]) == 0:
+        gb_k = buchberger(cand[:3])
+        if krull_dimension(gb_k) == 0:
             h = cand
             break
     if h is None:
@@ -382,14 +380,12 @@ def socle_check(gens, seed: int = 0) -> SocleReport:
                            attempts=attempts)
     if not modules_equal(gens, h):
         raise InternalError("triangular transformation changed the ideal")
-    gb_k = buchberger(h[:3])
     if gb_k.normal_form(h[3]).is_zero():
         return SocleReport(False, reason="fourth generator lies in the complete intersection",
                            attempts=attempts)
 
-    g_ideal = ideal_quotient(h[:3], h)
+    gb_g = ideal_quotient(h[:3], h[3])
     top = 3 * d - 3
-    gb_g = buchberger(g_ideal)
     gb_j = buchberger(h)
     hilb_g = tuple(hilbert_quotient(gb_g, k) for k in range(top + 2))
     artinian = krull_dimension(gb_g) == 0
@@ -439,11 +435,13 @@ def general_aci_shape_check(res: FreeResolution, d: int) -> bool:
     return res.betti.entries == _betti_table(expected_general_aci_shape(d), False).entries
 
 
-def report_for_resolution(res: FreeResolution, d: int, m: int) -> BoundsReport:
+def report_for_resolution(res: FreeResolution) -> BoundsReport:
     """Assemble a BoundsReport (formulas + verdicts + observations) for a
-    resolution of the homogenized ideal over its given generator row."""
-    verdicts = check_resolution_bounds(res, d, m)
-    case = classify_surface_case(res, d) if d >= 1 else "pd1"
+    resolution of the homogenized ideal over its given generator row; d and
+    m are read off that row."""
+    d, m = max(res.shifts0), len(res.gens)
+    verdicts = check_resolution_bounds(res)
+    case = classify_surface_case(res) if d >= 1 else "pd1"
     gamma1, gamma2 = res.gammas
     beta2 = res.ranks[2]
     report = evaluate_bounds(d, m, case, beta2=beta2 or None,

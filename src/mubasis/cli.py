@@ -22,14 +22,7 @@ from fractions import Fraction
 
 from .arith import Poly, decimal_str
 from .bounds import BoundsReport, report_for_resolution
-from .errors import (
-    CompletionError,
-    InputError,
-    InternalError,
-    MuBasisError,
-    ResourceLimitError,
-    VerificationError,
-)
+from .errors import InputError, MuBasisError, ResourceLimitError, VerificationError
 from .grobner import FreeResolution, resolution_invariants
 from .parser import parse_basis, parse_tuple
 from .pipeline import compute_mu_basis, resolve, validate, verify_mu_basis
@@ -71,17 +64,12 @@ def _jsonify(obj):
     return obj
 
 
-_BOUND_VALUES = ("reg_bound", "beta2_bound", "beta2_bound_equal", "beta1_bound",
-                 "height3_beta1_bound", "height3_beta2_bound", "lazard", "D", "qs_bound",
-                 "basis_bound")
-
-
 def _bounds_doc(report: BoundsReport) -> dict:
     return {
         "case": report.case,
         "case_value": report.case_value,
         "case_values": _jsonify(report.case_values),
-        "values": {k: getattr(report, k) for k in _BOUND_VALUES},
+        "values": report.values,
         "observed": _jsonify(report.observed),
         "verdicts": [
             {
@@ -148,7 +136,7 @@ def run(command: str, spec: InputSpec, basis_text: str | None = None):
             doc["betti"] = {f"{i},{p}": v for (i, p), v in sorted(table.entries.items())}
             return doc, EXIT_OK, {}
         if command == "bounds":
-            report = report_for_resolution(resolve(par), par.d, 4)
+            report = report_for_resolution(resolve(par))
             doc["bounds"] = _bounds_doc(report)
             return doc, EXIT_OK, {}
         if command == "verify":
@@ -165,20 +153,25 @@ def run(command: str, spec: InputSpec, basis_text: str | None = None):
             }
             return doc, EXIT_OK, {}
         raise InputError(f"unknown command {command!r}")
-    except InputError as exc:
-        return _error_doc(doc, EXIT_INPUT, str(exc)), EXIT_INPUT, {}
-    except VerificationError as exc:
-        return _error_doc(doc, EXIT_INPUT, f"verification failed: {exc}"), EXIT_INPUT, {}
-    except ResourceLimitError as exc:
-        return _error_doc(doc, EXIT_LIMIT, str(exc)), EXIT_LIMIT, {}
-    except (InternalError, CompletionError) as exc:
-        return _error_doc(doc, EXIT_INTERNAL, str(exc)), EXIT_INTERNAL, {}
-    except Exception as exc:  # a defect deep in the library; keep the exit contract
-        return _error_doc(doc, EXIT_INTERNAL, _unexpected(exc)), EXIT_INTERNAL, {}
+    except Exception as exc:  # a defect deep in the library too; keep the exit contract
+        return (*_failure(doc, exc), {})
 
 
-def _unexpected(exc: Exception) -> str:
-    return f"internal error ({type(exc).__name__}: {exc})"
+def _failure(doc, exc: Exception):
+    """(error document, exit code) for an exception: 2 for invalid input or
+    a basis that fails verification, 4 for a resource limit, 3 for any
+    other library error and, named by its type, any other exception."""
+    if isinstance(exc, VerificationError):
+        code, message = EXIT_INPUT, f"verification failed: {exc}"
+    elif isinstance(exc, InputError):
+        code, message = EXIT_INPUT, str(exc)
+    elif isinstance(exc, ResourceLimitError):
+        code, message = EXIT_LIMIT, str(exc)
+    elif isinstance(exc, MuBasisError):
+        code, message = EXIT_INTERNAL, str(exc)
+    else:
+        code, message = EXIT_INTERNAL, f"internal error ({type(exc).__name__}: {exc})"
+    return _error_doc(doc, code, message), code
 
 
 def _error_doc(doc, code, message):
@@ -283,13 +276,10 @@ def main(argv=None) -> int:
     base_doc = {"command": args.command, "input": text, "seed": args.seed}
     try:
         spec = parse_parametrization(text, seed=args.seed, max_degree=args.max_degree)
-    except (InputError, ResourceLimitError) as exc:  # a term past the packed degree limit
-        code = EXIT_LIMIT if isinstance(exc, ResourceLimitError) else EXIT_INPUT
-        _emit(_error_doc(base_doc, code, str(exc)), args.json)
+    except Exception as exc:  # a term past the packed degree limit is exit 4
+        doc, code = _failure(base_doc, exc)
+        _emit(doc, args.json)
         return code
-    except Exception as exc:  # a defect in the parser; keep the exit contract
-        _emit(_error_doc(base_doc, EXIT_INTERNAL, _unexpected(exc)), args.json)
-        return EXIT_INTERNAL
 
     use_alarm = hasattr(signal, "SIGALRM") and args.timeout > 0
     old = None
@@ -307,12 +297,8 @@ def main(argv=None) -> int:
         doc, code, timings = (_error_doc(base_doc, EXIT_LIMIT,
                                          f"timed out after {args.timeout} s"),
                               EXIT_LIMIT, {})
-    except MuBasisError as exc:
-        doc, code, timings = (_error_doc(base_doc, EXIT_INTERNAL, str(exc)),
-                              EXIT_INTERNAL, {})
-    except Exception as exc:  # a defect deep in the library; keep the exit contract
-        doc, code, timings = (_error_doc(base_doc, EXIT_INTERNAL, _unexpected(exc)),
-                              EXIT_INTERNAL, {})
+    except Exception as exc:  # run keeps the exit contract; this guards run itself
+        (doc, code), timings = _failure(base_doc, exc), {}
     finally:
         if use_alarm:
             signal.setitimer(signal.ITIMER_REAL, 0)

@@ -1152,47 +1152,11 @@ def krull_dimension(gens) -> int:
     return best
 
 
-def _first_coordinates(syzygies) -> list[Poly]:
-    return [w[0] for w in syzygies if not w[0].is_zero()]
+def ideal_quotient(k_gens, f) -> GroebnerBasis:
+    """Reduced Groebner basis of the colon (K : f) = {g : g f in K}, the
+    first coordinates of Syz(f, k_1, ..., k_r).
 
-
-def _intersect_ideals(a_gens, b_gens, vars) -> list[Poly]:
-    if not a_gens or not b_gens:
-        return []
-    one = Poly.const(vars, 1)
-    zero = Poly.zero(vars)
-    items = [(one, one)]
-    items += [(g, zero) for g in a_gens]
-    items += [(zero, g) for g in b_gens]
-    firsts = _first_coordinates(syzygy_generators(items))
-    if not firsts:
-        return []
-    return list(buchberger(firsts).generators)
-
-
-def ideal_quotient(k_gens, j_gens) -> list[Poly]:
-    """Generators of (K : J) = {f : f*J ⊆ K}.
-
-    The quotient by the zero ideal is the unit ideal.  Returns a reduced
-    Groebner basis of the result ([] encodes the zero ideal).
+    The colon by f = 0 is the unit ideal.  For f != 0, K must not be the
+    zero ideal: (0 : f) is zero, which ``buchberger`` refuses (ValueError).
     """
-    k_gens = list(k_gens)
-    vars = k_gens[0].vars if k_gens else list(j_gens)[0].vars
-    k_nz = [g for g in k_gens if not g.is_zero()]
-    j_nz = [g for g in j_gens if not g.is_zero()]
-    if not j_nz:
-        return [Poly.const(vars, 1)]
-    if not k_nz:
-        return []
-    k_gb = buchberger(k_nz)
-    result: list[Poly] | None = None
-    for f in j_nz:
-        if k_gb.contains(f):
-            continue  # (K : f) = (1); intersecting with it changes nothing
-        syz = syzygy_generators([f] + k_nz)
-        colon = _first_coordinates(syz)
-        colon = list(buchberger(colon).generators) if colon else []
-        result = colon if result is None else _intersect_ideals(result, colon, vars)
-    if result is None:
-        return [Poly.const(vars, 1)]
-    return result
+    return buchberger([w[0] for w in syzygy_generators([f, *k_gens])])

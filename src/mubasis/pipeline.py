@@ -2,7 +2,8 @@
 
 The pipeline resolves the homogenized ideal over its four given generators
 (``resolve``) and reads the basis off the last three columns of G N
-(``extract_basis``).  When the syzygy module is free (n = beta2 = 0), G is
+(``extract_basis``, which reads n = m - 3 off the m columns of G; the
+first n span ker G).  When the syzygy module is free (n = beta2 = 0), G is
 the dehomogenized d1 and N the identity.  Otherwise three syzygies are a
 basis of Syz(a) exactly when their outer product is a nonzero constant
 multiple c a (Chen-Cox-Liu); the outer product of B T is det(T) c a for a
@@ -110,23 +111,23 @@ def validate(polys) -> Parametrization:
     return Parametrization(a=tuple(polys), d=d, warnings=tuple(warnings))
 
 
-def homogenize_ideal(par: Parametrization):
-    """Homogenized generators (b1..b4, d) with trivial gcd, for a par whose
-    a_i are coprime, as ``validate`` proves.  A common factor h of the b_i
-    dehomogenizes to one of the a_i, so h = c u^k; and u divides no b_i
-    whose a_i has degree d, which is checked: some b_i has a term free of u."""
+def homogenize_ideal(par: Parametrization) -> tuple:
+    """Homogenized generators (b1..b4) of degree d = par.d with trivial gcd,
+    for a par whose a_i are coprime, as ``validate`` proves.  A common
+    factor h of the b_i dehomogenizes to one of the a_i, so h = c u^k; and
+    u divides no b_i whose a_i has degree d, which is checked: some b_i has
+    a term free of u."""
     b = tuple(homogenize(p, par.d) for p in par.a)
     exponent = packing(3).exponent
     if all(exponent(m, 2) for x in b for m in x.num):
         raise InternalError("homogenized generators acquired a common factor")
-    return b, par.d
+    return b
 
 
 def resolve(par: Parametrization) -> FreeResolution:
     """Graded free resolution of the homogenized ideal over its four
     generators, the row as given."""
-    b, _ = homogenize_ideal(par)
-    return free_resolution(list(b))
+    return free_resolution(list(homogenize_ideal(par)))
 
 
 def outer_product(p, q, r):
@@ -182,24 +183,20 @@ def _cramer_certificate(gens, basis, l, det_l) -> bool:
 def verify_mu_basis(basis, par: Parametrization) -> Fraction:
     """Three-stage verification; returns the proportionality constant alpha.
 
-    (1) each vector is a moving plane, so the basis spans a submodule of
-    Syz(a); (2) the outer product is a nonzero constant multiple alpha of
-    the parametrization; (3) the vectors generate the full syzygy module:
-    each generator of Syz(a) in ``par.syzygies`` is written in the basis
-    with explicit Cramer coefficients (``_cramer_certificate``).  Stage 3
-    divides by det B_l = (-1)^l alpha a_l for the first l with a_l nonzero,
+    (1) each vector is a moving plane, a B = 0 in one row-by-matrix
+    product, so the basis spans a submodule of Syz(a); (2) the outer
+    product is a nonzero constant multiple alpha of the parametrization;
+    (3) the vectors generate the full syzygy module: each generator of
+    Syz(a) in ``par.syzygies`` is written in the basis with explicit
+    Cramer coefficients (``_cramer_certificate``).  Stage 3 divides by det B_l = (-1)^l alpha a_l for the first l with a_l nonzero,
     which stage 2 has checked exactly, so no determinant is recomputed.
     """
     basis = [tuple(v) for v in basis]
     if len(basis) != 3 or any(len(v) != 4 for v in basis):
         raise VerificationError("a candidate basis must consist of three 4-vectors")
-    for v in basis:
-        acc = Poly.zero(VARS_ST)
-        for comp, ai in zip(v, par.a):
-            if not comp.is_zero() and not ai.is_zero():
-                acc = acc + comp * ai
-        if not acc.is_zero():
-            raise VerificationError("not a syzygy")
+    products = PolyMatrix([list(par.a)]) * PolyMatrix.from_columns(basis)
+    if any(not x.is_zero() for x in products.entries[0]):
+        raise VerificationError("not a syzygy")
     outer = outer_product(*basis)
     if all(c.is_zero() for c in outer):
         raise VerificationError("alpha = 0 (degenerate triple)")
@@ -212,15 +209,14 @@ def verify_mu_basis(basis, par: Parametrization) -> Fraction:
     return alpha
 
 
-def extract_basis(g_mat: PolyMatrix, n_mat: PolyMatrix, n: int):
-    """Basis columns of G N at positions n+1, n+2, n+3 (1-based).
+def extract_basis(g_mat: PolyMatrix, n_mat: PolyMatrix):
+    """The last three columns of G N, for G of shape 4 x m and N m x m.
 
-    Requires the first n columns of G N to vanish (they span ker G).
+    Requires the first n = m - 3 columns of G N to vanish (they span ker G).
     """
-    if g_mat.rows != 4 or n_mat.rows != n_mat.cols or g_mat.cols != n_mat.rows:
-        raise ValueError("expected G (4 x m) and square N (m x m)")
-    if n != g_mat.cols - 3:
-        raise ValueError("expected n = m - 3")
+    n = g_mat.cols - 3
+    if g_mat.rows != 4 or n < 0 or n_mat.rows != n_mat.cols or g_mat.cols != n_mat.rows:
+        raise ValueError("expected G (4 x m), m >= 3, and square N (m x m)")
     gn = g_mat * n_mat
     for j in range(n):
         if any(not gn[i, j].is_zero() for i in range(4)):
@@ -292,19 +288,19 @@ def compute_mu_basis(par: Parametrization):
     if beta2 == 0 and res.ranks[1] != 3:
         raise InternalError("free syzygy module does not have rank 3")
     completion = mu = None
+    n_mat = PolyMatrix.identity(3, VARS_ST)  # M^-1 on the completion route
     if beta2 == 0:
         branch = "pd1"
         mu = tuple(qi - d for qi in res.q)
         if sum(mu) != d:
             raise InternalError("free-branch shifts do not sum to the input degree")
         g_mat = res.d1.map_entries(dehomogenize)
-        n, n_mat = 0, PolyMatrix.identity(3, VARS_ST)
     else:
         branch = "pd2"
         t1 = time.perf_counter()
         tri = _basis_triple(par.syzygies, par.a)
         if tri is not None:
-            g_mat, n, n_mat = PolyMatrix.from_columns(tri), 0, PolyMatrix.identity(3, VARS_ST)
+            g_mat = PolyMatrix.from_columns(tri)
         else:
             g_mat = res.d1.map_entries(dehomogenize)
             f_mat = res.d2.map_entries(dehomogenize)
@@ -313,10 +309,10 @@ def compute_mu_basis(par: Parametrization):
             if f_mat.degree != NEG_INF and f_mat.degree > 2 * d:
                 raise InternalError("relation entries exceed the 2d degree bound")
             cert = complete_columns(f_mat)
-            n, n_mat = beta2, cert.M_inv
+            n_mat = cert.M_inv
             completion = {k: getattr(cert, k) for k in ("deg_M", "bound", "within_bound", "det")}
         timings["completion"] = time.perf_counter() - t1
-    basis = extract_basis(g_mat, n_mat, n)
+    basis = extract_basis(g_mat, n_mat)
     if branch == "pd1" and any(_vector_degree(v) > d for v in basis):
         raise InternalError("free-branch basis exceeds the degree-d bound")
     t2 = time.perf_counter()
@@ -328,7 +324,7 @@ def compute_mu_basis(par: Parametrization):
     timings["verification"] = time.perf_counter() - t2
 
     t3 = time.perf_counter()
-    bounds_report = report_for_resolution(res, d, 4)
+    bounds_report = report_for_resolution(res)
     timings["bounds"] = time.perf_counter() - t3
     timings["total"] = time.perf_counter() - t0
 

@@ -63,13 +63,14 @@ class TestFormulas:
 
     def test_evaluate_bounds_populates_report(self):
         rep = evaluate_bounds(2, 4, "height3", beta2=1, gamma1=2, gamma2=2)
-        assert rep.reg_bound == 4
-        assert rep.beta2_bound == 15
-        assert rep.beta2_bound_equal == 24
-        assert rep.beta1_bound == 4
-        assert rep.height3_beta1_bound == 6 and rep.height3_beta2_bound == 3
-        assert rep.D == 3 and rep.qs_bound == 881664
-        assert rep.basis_bound == 5289984
+        values = rep.values
+        assert values["reg_bound"] == 4
+        assert values["beta2_bound"] == 15
+        assert values["beta2_bound_equal"] == 24
+        assert values["beta1_bound"] == 4
+        assert values["height3_beta1_bound"] == 6 and values["height3_beta2_bound"] == 3
+        assert values["D"] == 3 and values["qs_bound"] == 881664
+        assert values["basis_bound"] == 5289984
         assert rep.case_value == case_degree_bound("height3", 2)
 
 
@@ -81,7 +82,7 @@ def reference_resolution():
 class TestResolutionVerdicts:
     def test_reference_surface(self):
         res = reference_resolution()
-        verdicts = check_resolution_bounds(res, 2, 4)
+        verdicts = check_resolution_bounds(res)
         by_name = {v.name: v for v in verdicts}
         reg = by_name["reg(ideal) <= 3d-2"]
         assert reg.passed and reg.observed == 4 and reg.bound == 4  # tight
@@ -93,7 +94,7 @@ class TestResolutionVerdicts:
         t3 = Poly.variable(VARS_STU, "t")
         gens = [S, t3, U, U]
         res = free_resolution(gens)
-        verdicts = check_resolution_bounds(res, 1, 4)
+        verdicts = check_resolution_bounds(res)
         by_name = {v.name: v for v in verdicts}
         qv = by_name["max q_i <= 3d-1"]
         assert qv.passed and qv.bound == 2
@@ -102,11 +103,11 @@ class TestResolutionVerdicts:
     def test_classification(self):
         res = reference_resolution()
         # Artinian equal-degree but not the generic shape (Koszul on 3 gens)
-        assert classify_surface_case(res, 2) == "height3"
+        assert classify_surface_case(res) == "height3"
 
     def test_report_for_resolution(self):
         res = reference_resolution()
-        rep = report_for_resolution(res, 2, 4)
+        rep = report_for_resolution(res)
         assert rep.case == "height3"
         assert rep.all_passed()
         assert rep.observed["beta2"] == 1
@@ -125,7 +126,7 @@ class TestResolutionVerdicts:
                      [S**2 - T * U, T**2, U**2, Poly.zero(VARS_STU)]):
             res = free_resolution(gens)
             calls.update(free_resolution=0, buchberger=0)
-            rep = report_for_resolution(res, 2, 4)
+            rep = report_for_resolution(res)
             assert rep.case == "height3" and rep.all_passed()
             # the graded beta2 caps read the basis the resolution built
             assert calls == {"free_resolution": 0, "buchberger": 0}
@@ -156,8 +157,8 @@ def test_height3_regime_matches_the_betti_moment_oracle(row):
     d = max(int(g.degree) for g in row if not g.is_zero())
     equal_degree = all(int(g.degree) == d for g in row if not g.is_zero())
     expected = equal_degree and artinian_from_betti(resolution_invariants(res)[0], 3)
-    assert (classify_surface_case(res, d) == "height3") == expected
-    verdicts = {v.name: v for v in check_resolution_bounds(res, d, len(row))}
+    assert (classify_surface_case(res) == "height3") == expected
+    verdicts = {v.name: v for v in check_resolution_bounds(res)}
     for name in ("beta1 <= 2d+2 (height 3, equal degrees)",
                  "beta2 <= 2d-1 (height 3, equal degrees)"):
         assert verdicts[name].applicable == expected
@@ -236,6 +237,20 @@ class TestSocleCheck:
         assert rep.applicable
         assert rep.expected_socle_degree == 3
         assert rep.all_passed(), rep
+
+    @pytest.mark.parametrize("d, rng_seed, seed", [(2, 5, 1), (3, 9, 2)])
+    def test_builds_each_groebner_basis_once(self, d, rng_seed, seed, monkeypatch):
+        # one basis each for the height of (g1..g4), the height of each
+        # attempt's (h1, h2, h3) and the test of h4, the colon's syzygies,
+        # the colon, and (h1..h4); modules_equal's two are its own check
+        gens = random_height3_instance(random.Random(rng_seed), d)
+        calls = []
+        real = grobner._buchberger_ext
+        monkeypatch.setattr(grobner, "_buchberger_ext",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        rep = socle_check(gens, seed=seed)
+        assert rep.all_passed()
+        assert len(calls) == 6 + rep.attempts
 
     def test_not_applicable_wrong_height(self):
         rep = socle_check([S**2, S * T, T**2, S * U], seed=0)

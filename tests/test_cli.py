@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from mubasis import grobner
 from mubasis.arith import VARS_ST, Poly
 from mubasis.cli import main, parse_parametrization, run
-from mubasis.errors import ParseError, ResourceLimitError
+from mubasis.errors import (
+    CompletionError,
+    InternalError,
+    ParseError,
+    ResourceLimitError,
+    VerificationError,
+)
 from mubasis.parser import parse_basis, parse_polynomial, parse_tuple
 from helpers import random_poly
 
@@ -358,6 +364,29 @@ class TestMain:
         assert "Traceback" not in captured.err
         doc, code, _ = run("compute", parse_parametrization(REFERENCE))
         assert code == 3 and "ValueError" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("error, code, message", [
+        (InternalError, 3, "stage failed"),
+        (CompletionError, 3, "stage failed"),
+        (ResourceLimitError, 4, "stage failed"),
+        (VerificationError, 2, "verification failed: stage failed"),
+    ])
+    def test_library_errors_map_to_exit_codes(self, error, code, message, capsys,
+                                              monkeypatch):
+        def broken(*args, **kwargs):
+            raise error("stage failed")
+
+        monkeypatch.setattr("mubasis.cli.compute_mu_basis", broken)
+        doc, got, _ = run("compute", parse_parametrization(REFERENCE))
+        assert got == code and doc["error"] == {"code": code, "message": message}
+        assert main(["compute", REFERENCE, "--json"]) == code
+        assert json.loads(capsys.readouterr().out)["error"] == doc["error"]
+        # main's guard around run maps an error out of run itself the same way
+        monkeypatch.setattr("mubasis.cli.run", broken)
+        assert main(["compute", REFERENCE, "--json"]) == code
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"] == doc["error"]
+        assert "Traceback" not in captured.err
 
     def test_timeout_exit_four(self, capsys):
         dense = ("(3s^3+2s^2*t-st^2+t^3-s+1, s^3-3s*t^2+2t-1,"

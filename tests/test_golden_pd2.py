@@ -30,6 +30,13 @@ or more syzygy generators hold no basis triple, so that ``completion`` is
 set: i = 13, 14, 15, 17, 23, 25, 32, 34, 35, 36 and 40.  Each recipe tuple
 is read, unreflected, from ``perfbench/corpus.py``.
 
+The recipe tuples and the criterion-4 draws are pinned together by one
+digest: the sha256 of the documents of ``compute``,
+``resolve`` and ``bounds`` on each d = 2 recipe tuple, i = 1-40, and on
+each draw 0-49 of the criterion-4 stream, then of ``resolve`` and
+``bounds`` on each d = 3 recipe tuple, i = 1-12: 294 documents, unreflected
+and in that order, each followed by a newline.
+
 Three more resolve tuples pin the resolution where the scan of graded
 pieces has edge cases: ``(s^2 - t, t^2, 1, 0)`` (a zero component and a
 redundant generator), the d = 3 recipe tuple for i = 1, and a tuple of the
@@ -862,3 +869,23 @@ def test_graded_completion_documents_are_byte_identical(index):
     assert doc["completion"] is not None
     text = json.dumps(doc, sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == COMPLETION_DIGESTS[index]
+
+
+RECIPE_DIGEST = "e735f24c514ebcd6956f83f4df78ac99939585933d9458508f15f43592bdbfb9"
+
+
+def test_recipe_and_draw_documents_are_byte_identical():
+    corpus = benchmark_corpus()
+    d2 = [corpus._full_degree_member(i, 2) for i in range(1, 41)]
+    d3 = [corpus._full_degree_member(i, 3) for i in range(1, 13)]
+    digest = hashlib.sha256()
+    all_three = ("compute", "resolve", "bounds")
+    for commands, members in ((all_three, d2 + corpus._mixed_members(50)),
+                              (("resolve", "bounds"), d3)):
+        for comps in members:
+            text = corpus.tuple_text(comps)
+            for command in commands:
+                doc, code, _ = run(command, parse_parametrization(text, seed=0))
+                assert code == 0, (command, text)
+                digest.update(json.dumps(doc, sort_keys=True, indent=2).encode() + b"\n")
+    assert digest.hexdigest() == RECIPE_DIGEST

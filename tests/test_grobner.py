@@ -462,25 +462,24 @@ class TestKrullDimension:
 
 class TestIdealQuotient:
     def test_principal(self):
-        out = ideal_quotient([S2**2], [S2])
-        assert modules_equal(out, [S2])
+        out = ideal_quotient([S2**2], S2)
+        assert modules_equal(out.generators, [S2])
 
     def test_monomials(self):
-        out = ideal_quotient([S2 * T2], [T2])
-        assert modules_equal(out, [S2])
+        out = ideal_quotient([S2 * T2], T2)
+        assert modules_equal(out.generators, [S2])
 
     def test_linear_by_irrelevant(self):
-        out = ideal_quotient([S, T], [S, T, U])
-        assert modules_equal(out, [S, T])
+        out = ideal_quotient([S, T], U)
+        assert modules_equal(out.generators, [S, T])
 
     def test_zero_divisor_ideal(self):
-        out = ideal_quotient([S2], [Poly.zero(VARS_ST)])
-        assert out == [Poly.const(VARS_ST, 1)]
+        out = ideal_quotient([S2], Poly.zero(VARS_ST))
+        assert list(out.generators) == [Poly.const(VARS_ST, 1)]
 
     def test_containment_gives_unit(self):
-        out = ideal_quotient([S2, T2], [S2])
-        gb = buchberger(out)
-        assert gb.contains_constant()
+        out = ideal_quotient([S2, T2], S2)
+        assert out.contains_constant()
 
 
 class TestMinimalGenerators:

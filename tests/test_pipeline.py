@@ -63,8 +63,8 @@ class TestValidate:
 class TestHomogenizeIdeal:
     def test_reference(self):
         par = validate(reference_input())
-        b, d = homogenize_ideal(par)
-        assert d == 2
+        b = homogenize_ideal(par)
+        assert par.d == 2
         from mubasis.arith import VARS_STU
 
         s3 = Poly.variable(VARS_STU, "s")
@@ -74,13 +74,13 @@ class TestHomogenizeIdeal:
 
     def test_equal_degree_homogeneous_fixed_point(self):
         par = validate([S**2, S * T, T**2, S**2 + T**2])
-        b, d = homogenize_ideal(par)
+        b = homogenize_ideal(par)
         assert all(bi.is_homogeneous() and int(bi.degree) == 2 for bi in b)
 
     def test_linear_with_constants(self):
         par = validate([S, T, ONE, ONE])
-        b, d = homogenize_ideal(par)
-        assert d == 1
+        b = homogenize_ideal(par)
+        assert par.d == 1
         from mubasis.arith import VARS_STU
 
         u3 = Poly.variable(VARS_STU, "u")
@@ -104,7 +104,7 @@ class TestHomogenizeIdeal:
             par = validate(polys)
         except ValidationError:
             return
-        b, _ = homogenize_ideal(par)
+        b = homogenize_ideal(par)
         assert gcd_many([x for x in b if not x.is_zero()]).is_constant()
 
 
@@ -235,7 +235,7 @@ class TestExtractBasis:
             [-ONE, ZERO, ZERO, ZERO],
             [-(T**2), ZERO, ZERO, ONE],
         ])
-        basis = extract_basis(g, n, 1)
+        basis = extract_basis(g, n)
         assert basis == reference_basis()
 
     def test_identity_with_n_zero(self):
@@ -245,7 +245,7 @@ class TestExtractBasis:
             [ONE, ZERO, S],
             [T, ONE, ZERO],
         ])
-        basis = extract_basis(g, PolyMatrix.identity(3, VARS_ST), 0)
+        basis = extract_basis(g, PolyMatrix.identity(3, VARS_ST))
         assert basis == tuple(tuple(g.column(j)) for j in range(3))
 
     def test_kernel_column_check(self):
@@ -256,7 +256,12 @@ class TestExtractBasis:
             [ZERO, ZERO, ZERO, ONE],
         ])
         with pytest.raises(ValueError, match="kernel columns"):
-            extract_basis(g, PolyMatrix.identity(4, VARS_ST), 1)
+            extract_basis(g, PolyMatrix.identity(4, VARS_ST))
+
+    def test_fewer_than_three_columns(self):
+        g = PolyMatrix([[ONE, ZERO], [ZERO, ONE], [S, T], [T, S]])
+        with pytest.raises(ValueError, match="m >= 3"):
+            extract_basis(g, PolyMatrix.identity(2, VARS_ST))
 
 
 class TestComputeMuBasis:
@@ -375,13 +380,13 @@ class TestOneRoute:
         calls = []
         real = pipeline.extract_basis
 
-        def counting(g_mat, n_mat, n):
-            calls.append((g_mat.cols, n_mat.rows, n))
-            return real(g_mat, n_mat, n)
+        def counting(g_mat, n_mat):
+            calls.append((g_mat.cols, n_mat.rows))
+            return real(g_mat, n_mat)
 
         monkeypatch.setattr(pipeline, "extract_basis", counting)
         _, report = compute_mu_basis(validate(polys))
-        assert report.branch == branch and calls == [(n + 3, n + 3, n)]
+        assert report.branch == branch and calls == [(n + 3, n + 3)]
         assert (report.completion is None) == (n == 0)
 
     def test_three_generators_need_no_completion(self, monkeypatch):
@@ -508,9 +513,9 @@ class TestOneRoute:
         seen = []
         real = pipeline.report_for_resolution
 
-        def recording(res, d, m):
+        def recording(res):
             seen.append(res)
-            return real(res, d, m)
+            return real(res)
 
         monkeypatch.setattr(pipeline, "report_for_resolution", recording)
         _, report = compute_mu_basis(validate(reference_input()))
