@@ -29,11 +29,14 @@ at the degree of the Schreyer syzygies left by the strict chain criterion,
 the second's once it has kept the rank of the free module ker d1, under a
 cap read off the leads, which also decide the height (``krull_dimension``).
 Its Hilbert function gives the dimension of every graded piece of both maps
-beforehand, so a piece the kept syzygies already span is skipped unbuilt,
-and a built piece is eliminated only up to the rank that gives, its other
-rows certified by dot products, and must have exactly that dimension.  The
-Buchberger and Schreyer route of ``syzygy_generators`` stays independent
-of it and serves verification.
+beforehand.  A piece the kept syzygies already span is skipped unbuilt,
+the span tested only when their products are at least that many.  A built
+piece is eliminated only up to the rank that gives, its other rows
+certified by dot products, and must have exactly that dimension; its new
+generators are picked in the free coordinates of its nullspace, where the
+products are read off the kept syzygies' coefficients, with no full-width
+vector formed.  The Buchberger and Schreyer route of ``syzygy_generators``
+stays independent of it and serves verification.
 """
 
 from __future__ import annotations
@@ -686,11 +689,14 @@ class _GradedSpan:
     submodule exactly when it lies in the Q-span of the products m * g with
     g kept and m a monomial of degree k - deg g.  Those products are held in
     one echelon form, extended when a vector is kept in degree k and rebuilt
-    when the degree rises.
+    when the degree rises.  ``minimal_generators`` tests each candidate
+    here; ``_minimal_syzygies`` asks only for the rank, when the products
+    can reach the dimension of a piece, and picks its vectors in the free
+    coordinates of a nullspace.
     """
 
-    def __init__(self):
-        self.kept: list[tuple[int, Vec]] = []
+    def __init__(self, kept=()):
+        self.kept: list[tuple[int, Vec]] = list(kept)  # (degree, vector) pairs
         self.degree = None
         self.piece: dict = {}  # echelon form of the current degree
 
@@ -754,10 +760,13 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k, dim=None):
 
     vectors[i] lives in ⊕_j S(-row_shifts[j]) and is homogeneous of degree
     degrees[i]; zero vectors are admitted (their coefficients are free, so
-    unit syzygies appear naturally).  Returns (dimension, basis), the basis
-    built lazily as integer-normalized tuples.  dim, when given, is the
-    dimension known beforehand: the equations are eliminated only up to the
-    rank it implies, and the rest certified (``_nullspace``).
+    unit syzygies appear naturally).  Returns (dimension, free, vector).
+    free lists the free columns of the elimination, each a (vector index,
+    monomial key) pair, and vector(j) builds the basis vector of free[j] as
+    an integer-normalized tuple: zero at every other free column, so a
+    degree-k syzygy is fixed by its entries at free.  dim, when given, is
+    the dimension known beforehand: the equations are eliminated only up to
+    the rank it implies, and the rest certified (``_nullspace``).
     """
     vars = next(p.vars for v in vectors for p in v)
 
@@ -776,16 +785,17 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k, dim=None):
                 row = rows[eq_index[(j, pm + mono)]]
                 row[ci] = row.get(ci, 0) + c * f
     built, solutions = _nullspace(rows, len(cols), None if dim is None else len(cols) - dim)
+    # the free column of a basis vector is its last nonzero entry
+    free = [cols[next(c for c in reversed(range(len(sol))) if sol[c])] for sol in solutions]
 
-    def basis():
-        for sol in solutions:
-            w = [dict() for _ in vectors]
-            for ci, (i, mono) in enumerate(cols):
-                if sol[ci]:
-                    w[i][mono] = sol[ci]
-            yield integer_normalize(tuple(Poly._new(vars, t) for t in w))
+    def vector(j):
+        w = [dict() for _ in vectors]
+        for (i, mono), x in zip(cols, solutions[j]):
+            if x:
+                w[i][mono] = x
+        return integer_normalize(tuple(Poly._new(vars, t) for t in w))
 
-    return built, basis()
+    return built, free, vector
 
 
 def _schreyer_degree_bound(basis: GroebnerBasis, degrees, row_shifts) -> int:
@@ -840,41 +850,63 @@ def _minimal_syzygies(vectors, degrees, row_shifts, dims, top: int, count: int |
     dims(k) is the dimension of the degree-k piece of Syz(vectors), known
     beforehand (``_piece_dimensions``).  Graded pieces are scanned in
     increasing degree up to top, a degree up to which Syz(vectors) is
-    generated.  A piece that the kept vectors already span, by dimension,
-    is skipped unbuilt.  Any other is built, eliminated only up to the rank
-    dims(k) gives with the rows left over certified to vanish on its basis,
-    its nullspace dimension must equal dims(k), and its basis vectors are
-    kept in order unless the kept ones generate them, until the kept ones
-    span the piece.  By graded Nakayama the kept vectors are minimal
-    generators of every piece up to top, and past it no new generator is
-    needed.
+    generated.  The products m * g of the kept vectors g by monomials m span
+    a subspace of each piece.  When they number at least dims(k), a piece
+    they span, by dimension (``_GradedSpan.rank``), is skipped unbuilt;
+    fewer cannot span it.  Any other piece is built, eliminated only up to
+    the rank dims(k) gives with the rows left over certified to vanish on
+    its basis, and its nullspace dimension must equal dims(k).
+
+    Its syzygies are then picked in the nullspace's free coordinates: a
+    syzygy of the piece is fixed by its entries at the free columns, and
+    there the basis vector of free column j is the unit vector e_j.  Taken
+    in order, a basis vector is kept unless the products and the ones kept
+    before it generate it, that is unless e_j lies in W + <e_i : i < j>,
+    with W the products read at the free columns; equivalently, unless the
+    projection of W onto the columns j, j+1, ... holds e_j.  In an echelon
+    form of W whose pivots are the last nonzero columns of its rows, that
+    happens exactly when some row has its pivot at j.  So the products,
+    read at the free columns only, go into one such echelon form (the
+    columns numbered backwards, as ``_echelon_add`` pivots on the least),
+    and the basis vectors of the other free columns are kept.  By graded
+    Nakayama the kept vectors are minimal generators of every piece up to
+    top, and past it no new generator is needed.
 
     count, when given, is the number of minimal generators, known when
     Syz(vectors) is free of that rank: the scan ends once it has kept count
     vectors, which are then all of them, and top is only a cap.  Reaching
     the cap short of count is an InternalError.
     """
-    span = _GradedSpan()
+    nvars = len(next(p.vars for v in vectors for p in v))
+    divides = packing(nvars).divides
     kept: list = []
     degs: list[int] = []
     for k in range(min(degrees), top + 1):
         if count is not None and len(kept) >= count:
             break
         dim = dims(k)
-        if span.rank(k) == dim:
+        products = sum(len(monomial_keys(nvars, k - e)) for e in degs)
+        if products >= dim and _GradedSpan(
+                [(e, Vec.from_polys(g)) for g, e in zip(kept, degs)]).rank(k) == dim:
             continue
-        built, space = graded_syzygy_space(vectors, degrees, row_shifts, k, dim)
+        built, free, vector = graded_syzygy_space(vectors, degrees, row_shifts, k, dim)
         if built != dim:
             raise InternalError(f"degree-{k} syzygies have dimension {built}, "
                                 f"not {dim} as the Hilbert function gives")
-        for v in space:
-            if span.rank(k) == dim:
-                break
-            if span.add(Vec.from_polys(v), k):
-                kept.append(v)
-                degs.append(k)
-        if span.rank(k) != dim:
+        last = len(free) - 1  # free column j is echelon column last - j
+        ech: dict = {}
+        for g, e in zip(kept, degs):
+            _, nums = _integer_scaled(g)
+            for m in monomial_keys(nvars, k - e):
+                row = {last - j: c for j, (i, mono) in enumerate(free)
+                       if divides(m, mono) and (c := nums[i].get(mono - m))}
+                if row:
+                    _echelon_add(ech, row)
+        picks = [vector(j) for j in range(len(free)) if last - j not in ech]
+        if len(ech) + len(picks) != dim:
             raise InternalError("kept syzygies do not span a graded piece")
+        kept += picks
+        degs += [k] * len(picks)
     if count is not None and len(kept) != count:
         raise InternalError(f"kept {len(kept)} syzygies by degree {top}, "
                             f"not the rank {count} of a free module")

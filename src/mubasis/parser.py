@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import VARS_ST, Poly, decimal_int
-from .errors import ParseError
+from .arith import MAX_PACKED_DEGREE, VARS_ST, Poly, decimal_int
+from .errors import ParseError, ResourceLimitError
 
 
 class _Tokenizer:
@@ -101,7 +101,10 @@ _DIGITS = "0123456789"  # ASCII only: str.isdigit also admits '²' and '٣'
 _TERM_STARTERS = set(_DIGITS + "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
-def _parse_term(tk: _Tokenizer) -> Poly:
+def _parse_term(tk: _Tokenizer) -> tuple[tuple[int, int], Fraction]:
+    """(exponents of s and t, coefficient) of one term.  A nonzero term of
+    total degree past MAX_PACKED_DEGREE stops parsing here, where packing
+    it would."""
     coeff = Fraction(1)
     exps = {"s": 0, "t": 0}
     saw_factor = False
@@ -124,19 +127,22 @@ def _parse_term(tk: _Tokenizer) -> Poly:
         else:
             _, name, exp = fac
             exps[name] += exp
-    return Poly(VARS_ST, {(exps["s"], exps["t"]): coeff})
+    if coeff and exps["s"] + exps["t"] > MAX_PACKED_DEGREE:
+        raise ResourceLimitError(f"a monomial degree exceeds {MAX_PACKED_DEGREE}")
+    return (exps["s"], exps["t"]), coeff
 
 
 def _parse_expr(tk: _Tokenizer) -> Poly:
-    total = Poly.zero(VARS_ST)
+    """One expression, its terms summed by monomial into one Poly."""
+    terms: dict[tuple[int, int], Fraction] = {}
     sign = 1
     ch = tk.peek()
     if ch in ("+", "-"):
         tk.take()
         sign = -1 if ch == "-" else 1
     while True:
-        term = _parse_term(tk)
-        total = total + term * sign
+        mono, coeff = _parse_term(tk)
+        terms[mono] = terms.get(mono, 0) + sign * coeff
         ch = tk.peek()
         if ch == "+":
             tk.take()
@@ -145,7 +151,7 @@ def _parse_expr(tk: _Tokenizer) -> Poly:
             tk.take()
             sign = -1
         else:
-            return total
+            return Poly(VARS_ST, terms)
 
 
 def parse_polynomial(text: str) -> Poly:

@@ -229,13 +229,20 @@ def _vector_degree(vec) -> int:
     return max(degs) if degs else 0
 
 
-def _interreduce(basis):
+def _interreduce(basis, d: int):
     """Best-effort degree lowering: reduce each vector modulo the other two.
 
     Elementary operations only, so the span and the outer product (hence
     alpha) are unchanged; a vector is replaced only when its degree drops.
+    A basis of a row of degree d whose degrees sum to d is returned as it
+    is: its outer product stays alpha * a with alpha != 0, of degree d, and
+    each component of it, a 3 x 3 minor, has degree at most the sum of the
+    vector degrees, so that sum cannot fall below d and no vector can drop.
+    Every pd1 basis is such a basis.
     """
     vecs = [tuple(v) for v in basis]
+    if sum(map(_vector_degree, vecs)) == d:
+        return tuple(vecs)
     bases = {}
     for _ in range(4):
         changed = False
@@ -316,7 +323,7 @@ def compute_mu_basis(par: Parametrization):
     if branch == "pd1" and any(_vector_degree(v) > d for v in basis):
         raise InternalError("free-branch basis exceeds the degree-d bound")
     t2 = time.perf_counter()
-    basis = _interreduce(basis)
+    basis = _interreduce(basis, d)
     try:
         alpha = verify_mu_basis(basis, par)
     except VerificationError as exc:

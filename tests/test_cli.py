@@ -314,10 +314,12 @@ class TestMain:
         assert "exceeds" in doc["error"]["message"]
 
     @pytest.mark.parametrize("command", ["compute", "resolve", "bounds"])
-    @pytest.mark.parametrize("text", ["(s^40000, t, 1, s)", "(s, t, 1, s^20000*t^20000)"])
+    @pytest.mark.parametrize("text", ["(s^40000, t, 1, s)", "(s, t, 1, s^20000*t^20000)",
+                                      "(s^40000 + , t, 1, 1)"])
     def test_term_past_the_packed_degree_exit_four(self, command, text, capsys):
-        """The parser packs every term, so a total degree past 32767 stops
-        parsing: a resource limit (exit 4), not a parser defect (exit 3)."""
+        """The parser checks the degree of every term as it reads it, so a
+        total degree past 32767 stops parsing, before a syntax error further
+        on: a resource limit (exit 4), not a parser defect (exit 3)."""
         code = main([command, text, "--json"])
         doc = json.loads(capsys.readouterr().out)
         assert code == 4

@@ -528,7 +528,8 @@ def reference_minimal_syzygies(vectors, degrees, row_shifts, target_degrees):
     kept, degs = [], []
     for k in sorted(set(target_degrees)):
         want, found = list(target_degrees).count(k), 0
-        for v in graded_syzygy_space(vectors, degrees, row_shifts, k)[1]:
+        _, free, vector = graded_syzygy_space(vectors, degrees, row_shifts, k)
+        for v in map(vector, range(len(free))):
             if found == want:
                 break
             if kept and buchberger(kept).contains(v):
@@ -606,8 +607,8 @@ def overstate_nullspaces(monkeypatch):
     real = grobner.graded_syzygy_space
 
     def overstated(vectors, degrees, row_shifts, k, dim=None):
-        built, basis = real(vectors, degrees, row_shifts, k)
-        return built + 1, basis
+        built, free, vector = real(vectors, degrees, row_shifts, k)
+        return built + 1, free, vector
 
     monkeypatch.setattr(grobner, "graded_syzygy_space", overstated)
 
@@ -719,6 +720,57 @@ class TestGradedMinimalGenerators:
         assert counts[:2] == [Counter({True: 21}), Counter({True: 28})]
         assert rank7 == counts[2][True] == 24
         assert 24 + counts[2][False] < rows7 and rows7 >= 58
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_recipe_d3_picks_in_free_coordinates(self, seed, monkeypatch):
+        # picks never go through a full-width membership test, and the
+        # first map's degree-6 piece (12 dimensions, 9 products of the three
+        # degree-5 syzygies) is built without a rank test; the rank tests
+        # left, first map at 3, 4 and second map at 5, 6, have nothing kept
+        ranks, adds = [], []
+        real_rank = _GradedSpan.rank
+
+        def recording(span, deg):
+            ranks.append((deg, len(span.kept)))
+            return real_rank(span, deg)
+
+        monkeypatch.setattr(_GradedSpan, "rank", recording)
+        monkeypatch.setattr(_GradedSpan, "add", lambda *args: adds.append(args))
+        free_resolution(recipe_row(seed, 3))
+        assert adds == []
+        assert ranks == [(3, 0), (4, 0), (5, 0), (6, 0)]
+
+    def test_spanned_piece_is_skipped_unbuilt(self, monkeypatch):
+        # the first map of mixed/13 keeps two degree-2 syzygies, whose six
+        # products span its 6-dimensional degree-3 piece: the rank test runs
+        # and no nullspace is built there
+        ranks, built = [], []
+        real_rank, real_space = _GradedSpan.rank, grobner.graded_syzygy_space
+
+        def recording(span, deg):
+            ranks.append((deg, len(span.kept), real_rank(span, deg)))
+            return ranks[-1][2]
+
+        def space(vectors, degrees, row_shifts, k, dim=None):
+            built.append((k, row_shifts))
+            return real_space(vectors, degrees, row_shifts, k, dim)
+
+        monkeypatch.setattr(_GradedSpan, "rank", recording)
+        monkeypatch.setattr(grobner, "graded_syzygy_space", space)
+        free_resolution(criterion_4_rows(14)[13])
+        assert (3, 2, 6) in ranks
+        assert [k for k, sh in built if sh == [0]] == [2, 4]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_basis_vectors_are_units_at_the_free_columns(self, seed):
+        row = recipe_row(seed, 3)
+        for k in (5, 6):
+            built, free, vector = graded_syzygy_space([(g,) for g in row], [3] * 4, [0], k)
+            assert built == len(free) == len(set(free))
+            for j in range(built):
+                v = vector(j)
+                at_free = [v[i].num.get(mono, 0) for i, mono in free]
+                assert at_free[j] and not any(x for n, x in enumerate(at_free) if n != j)
 
     @pytest.mark.parametrize("row", [
         [S * T, S * U, T * U],  # pairwise lcms all equal s*t*u

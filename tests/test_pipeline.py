@@ -536,8 +536,23 @@ class TestInterreduce:
             return real(gens)
 
         monkeypatch.setattr(pipeline, "buchberger", counting)
-        assert pipeline._interreduce((e1, e2, v)) == (e1, e2, (ZERO, ZERO, ONE, ZERO))
+        assert pipeline._interreduce((e1, e2, v), 0) == (e1, e2, (ZERO, ZERO, ONE, ZERO))
         assert (e1, e2) in seen and len(seen) == len(set(seen))
+
+    def test_basis_of_degree_sum_d_is_not_reduced(self, monkeypatch):
+        # a pd1 basis has degree sum d, so no vector of it can drop: no pair
+        # basis is built, and the document is the one full interreduction gives
+        from mubasis.cli import parse_parametrization, run
+
+        spec = parse_parametrization("(s^3, s^2*t, s*t^2, t^3)")
+        real_interreduce, real_buchberger = pipeline._interreduce, pipeline.buchberger
+        calls = []
+        monkeypatch.setattr(pipeline, "buchberger",
+                            lambda gens: calls.append(gens) or real_buchberger(gens))
+        doc, code, _ = run("compute", spec)
+        assert (code, doc["branch"], doc["degree_sum"], calls) == (0, "pd1", 3, [])
+        monkeypatch.setattr(pipeline, "_interreduce", lambda basis, d: real_interreduce(basis, -1))
+        assert run("compute", spec)[0] == doc and len(calls) == 3
 
 
 # verified bases whose first nonzero a_l has l = 0 (the reference tuple and
