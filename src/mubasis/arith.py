@@ -18,9 +18,10 @@ stops as soon as the gcd reaches 1).  Sums, products, exact quotients and
 matrix products are integer dict loops on the keys as stored; exponent
 tuples appear only in the constructor, ``terms``, ``str`` and
 ``homogenize``.  Matrix products bring each row and column to one
-denominator, accumulate over Z and reduce once per output entry.  ``PolyMatrix.det`` stays a memoized cofactor expansion, measured
-faster than fraction-free Bareiss elimination at the pipeline's sizes; on
-integer entries it never leaves Z.
+denominator, accumulate over Z and reduce once per output entry.
+``PolyMatrix.det`` stays a memoized cofactor expansion, measured faster
+than fraction-free Bareiss elimination at the pipeline's sizes; on integer
+entries it never leaves Z.
 """
 
 from __future__ import annotations

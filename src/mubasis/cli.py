@@ -101,10 +101,12 @@ def run(command: str, spec: InputSpec, basis_text: str | None = None):
     """Execute one command; returns (document, exit_code, timings)."""
     doc = {"command": command, "input": list(spec.expressions), "seed": spec.seed}
     try:
+        # read off the parsed tuple, before validate's gcd, which grows
+        # steeply with the degree
+        d = max((int(p.degree) for p in spec.polys if not p.is_zero()), default=0)
+        if d > spec.max_degree:
+            raise ResourceLimitError(f"input degree {d} exceeds the limit {spec.max_degree}")
         par = validate(spec.polys)
-        if par.d > spec.max_degree:
-            raise ResourceLimitError(
-                f"input degree {par.d} exceeds the limit {spec.max_degree}")
         doc["warnings"] = list(par.warnings)
         doc["d"] = par.d
         if command == "compute":
@@ -229,7 +231,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
                     help="wall-clock limit in seconds; 0 or a negative value sets no limit")
     ap.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE,
-                    help="largest admitted input degree")
+                    help="largest admitted input degree (a nonnegative integer)")
     return ap
 
 
@@ -255,6 +257,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     if not math.isfinite(args.timeout):
         print(f"error: --timeout must be a finite number of seconds, not {args.timeout}",
+              file=sys.stderr)
+        return EXIT_INPUT
+    if args.max_degree < 0:
+        print(f"error: --max-degree must be a nonnegative integer, not {args.max_degree}",
               file=sys.stderr)
         return EXIT_INPUT
     if args.input is not None:

@@ -30,13 +30,16 @@ the second's once it has kept the rank of the free module ker d1, under a
 cap read off the leads, which also decide the height (``krull_dimension``).
 Its Hilbert function gives the dimension of every graded piece of both maps
 beforehand.  A piece the kept syzygies already span is skipped unbuilt,
-the span tested only when their products are at least that many.  A built
-piece is eliminated only up to the rank that gives, its other rows
-certified by dot products, and must have exactly that dimension; its new
-generators are picked in the free coordinates of its nullspace, where the
-products are read off the kept syzygies' coefficients, with no full-width
-vector formed.  The Buchberger and Schreyer route of ``syzygy_generators``
-stays independent of it and serves verification.
+the span tested only when their products are at least that many: its
+dimension is the length of ``_span_echelon``, the echelon form of those
+products in one degree, against which ``minimal_generators`` also tests
+its candidates.  A built piece is eliminated only up to the rank that
+gives, its other rows certified by dot products, and must have exactly
+that dimension; its new generators are picked in the free coordinates of
+its nullspace, where the products are read off the kept syzygies'
+coefficients, with no full-width vector formed.  The Buchberger and
+Schreyer route of ``syzygy_generators`` stays independent of it and serves
+verification.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd, lcm, prod
 from typing import Sequence
 
@@ -612,8 +615,11 @@ def minimal_generators(vectors, shifts):
     """Minimal homogeneous generating subset of a graded submodule.
 
     Processes candidates in increasing degree and keeps those not generated
-    by the ones already kept (graded Nakayama), each decided by exact linear
-    algebra in its graded piece.  Returns (kept, degrees).
+    by the ones already kept (graded Nakayama): in each candidate degree the
+    products of the kept vectors are put in echelon form once
+    (``_span_echelon``), and each candidate is kept when ``_echelon_add``
+    finds it outside their span, which it then joins.  Returns (kept,
+    degrees).
     """
     items = []
     for v in vectors:
@@ -622,14 +628,17 @@ def minimal_generators(vectors, shifts):
             continue
         items.append((graded_degree(tup, shifts), tup))
     items.sort(key=lambda t: t[0])
-    span = _GradedSpan()
+    spanning: list[tuple[int, Vec]] = []
     kept: list[tuple[Poly, ...]] = []
     degs: list[int] = []
-    for deg, tup in items:
-        if not span.add(Vec.from_polys(tup), deg):
-            continue
-        kept.append(integer_normalize(tup))
-        degs.append(deg)
+    for deg, group in groupby(items, key=lambda t: t[0]):
+        piece = _span_echelon(spanning, deg)
+        for _, tup in group:
+            vec = Vec.from_polys(tup)
+            if _echelon_add(piece, vec.terms):
+                spanning.append((deg, vec))
+                kept.append(integer_normalize(tup))
+                degs.append(deg)
     return kept, degs
 
 
@@ -681,51 +690,27 @@ def _echelon_add(rows: dict, vec: dict) -> bool:
     return True
 
 
-class _GradedSpan:
-    """The submodule generated by kept homogeneous vectors, one graded
-    piece at a time.
-
-    Vectors come in nondecreasing degree.  One of degree k lies in the
-    submodule exactly when it lies in the Q-span of the products m * g with
-    g kept and m a monomial of degree k - deg g.  Those products are held in
-    one echelon form, extended when a vector is kept in degree k and rebuilt
-    when the degree rises.  ``minimal_generators`` tests each candidate
-    here; ``_minimal_syzygies`` asks only for the rank, when the products
-    can reach the dimension of a piece, and picks its vectors in the free
-    coordinates of a nullspace.
-    """
-
-    def __init__(self, kept=()):
-        self.kept: list[tuple[int, Vec]] = list(kept)  # (degree, vector) pairs
-        self.degree = None
-        self.piece: dict = {}  # echelon form of the current degree
-
-    def rank(self, deg: int) -> int:
-        """Dimension of the degree-deg piece of the submodule."""
-        if deg != self.degree:
-            self.degree, self.piece = deg, {}
-            for gdeg, g in self.kept:
-                pk, top = packing(len(g.vars)), max(g.terms)
-                for q in monomial_keys(len(g.vars), deg - gdeg):
-                    pk.check(top + q)  # checks the greatest product
-                    _echelon_add(self.piece, {k + q: c for k, c in g.terms.items()})
-        return len(self.piece)
-
-    def add(self, vec: Vec, deg: int) -> bool:
-        """Keep vec unless the kept vectors generate it; True when kept."""
-        self.rank(deg)
-        if not _echelon_add(self.piece, vec.terms):
-            return False
-        self.kept.append((deg, vec))
-        return True
+def _span_echelon(kept, k: int) -> dict:
+    """Echelon form (``_echelon_add``) of the products m * g, for the kept
+    (degree, Vec) pairs g and the monomials m of degree k - deg g: a basis
+    of the degree-k piece of the submodule the kept vectors generate, whose
+    dimension is its length."""
+    piece: dict = {}
+    for gdeg, g in kept:
+        pk, top = packing(len(g.vars)), max(g.terms)
+        for q in monomial_keys(len(g.vars), k - gdeg):
+            pk.check(top + q)  # checks the greatest product
+            _echelon_add(piece, {key + q: c for key, c in g.terms.items()})
+    return piece
 
 
 def _nullspace(rows, ncols, rank=None):
-    """(dimension, basis) of the right nullspace of an integer matrix given
-    by sparse rows ({column: nonzero int}; empty rows are skipped); the
-    basis, a list of integer vectors, is read off its reduced row echelon
-    form: for each free column fc, L times the rational basis vector that is
-    1 at fc, with L the lcm of the pivots of the rows that meet fc.
+    """Basis of the right nullspace of an integer matrix given by sparse
+    rows ({column: nonzero int}; empty rows are skipped), as {free column
+    fc: integer vector} in increasing fc, so its dimension is its length.
+    It is read off the reduced row echelon form: the vector of fc is L
+    times the rational basis vector that is 1 at fc, with L the lcm of the
+    pivots of the rows that meet fc, and fc is its last nonzero entry.
 
     rank, when given, is the rank known beforehand: elimination stops once
     the echelon form holds rank rows, and every row left over must vanish
@@ -739,7 +724,7 @@ def _nullspace(rows, ncols, rank=None):
     pending = iter(sorted(filter(None, rows), key=lambda r: (len(r), -min(r))))
     while len(ech) != rank and (row := next(pending, None)) is not None:
         _echelon_add(ech, row)
-    basis = []
+    basis = {}
     for fc in range(ncols):
         if fc in ech:
             continue
@@ -749,10 +734,10 @@ def _nullspace(rows, ncols, rank=None):
         v[fc] = mult
         for pc, row in meets:
             v[pc] = -row[fc] * (mult // row[pc])
-        basis.append(v)
-    if any(sum(x * v[c] for c, x in row.items()) for row in pending for v in basis):
+        basis[fc] = v
+    if any(sum(x * v[c] for c, x in row.items()) for row in pending for v in basis.values()):
         raise InternalError(f"a row left over at rank {rank} does not vanish on the nullspace")
-    return ncols - len(ech), basis
+    return basis
 
 
 def graded_syzygy_space(vectors, degrees, row_shifts, k, dim=None):
@@ -760,13 +745,14 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k, dim=None):
 
     vectors[i] lives in ⊕_j S(-row_shifts[j]) and is homogeneous of degree
     degrees[i]; zero vectors are admitted (their coefficients are free, so
-    unit syzygies appear naturally).  Returns (dimension, free, vector).
-    free lists the free columns of the elimination, each a (vector index,
-    monomial key) pair, and vector(j) builds the basis vector of free[j] as
-    an integer-normalized tuple: zero at every other free column, so a
-    degree-k syzygy is fixed by its entries at free.  dim, when given, is
-    the dimension known beforehand: the equations are eliminated only up to
-    the rank it implies, and the rest certified (``_nullspace``).
+    unit syzygies appear naturally).  Returns (free, vector).  free lists
+    the free columns of the elimination, each a (vector index, monomial key)
+    pair, one per dimension of the space, and vector(j) builds the basis
+    vector of free[j] as an integer-normalized tuple: zero at every other
+    free column, so a degree-k syzygy is fixed by its entries at free.  dim,
+    when given, is the dimension known beforehand: the equations are
+    eliminated only up to the rank it implies, and the rest certified
+    (``_nullspace``).
     """
     vars = next(p.vars for v in vectors for p in v)
 
@@ -784,9 +770,8 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k, dim=None):
             for pm, c in comp.num.items():
                 row = rows[eq_index[(j, pm + mono)]]
                 row[ci] = row.get(ci, 0) + c * f
-    built, solutions = _nullspace(rows, len(cols), None if dim is None else len(cols) - dim)
-    # the free column of a basis vector is its last nonzero entry
-    free = [cols[next(c for c in reversed(range(len(sol))) if sol[c])] for sol in solutions]
+    basis = _nullspace(rows, len(cols), None if dim is None else len(cols) - dim)
+    free, solutions = [cols[fc] for fc in basis], list(basis.values())
 
     def vector(j):
         w = [dict() for _ in vectors]
@@ -795,7 +780,7 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k, dim=None):
                 w[i][mono] = x
         return integer_normalize(tuple(Poly._new(vars, t) for t in w))
 
-    return built, free, vector
+    return free, vector
 
 
 def _schreyer_degree_bound(basis: GroebnerBasis, degrees, row_shifts) -> int:
@@ -852,10 +837,10 @@ def _minimal_syzygies(vectors, degrees, row_shifts, dims, top: int, count: int |
     increasing degree up to top, a degree up to which Syz(vectors) is
     generated.  The products m * g of the kept vectors g by monomials m span
     a subspace of each piece.  When they number at least dims(k), a piece
-    they span, by dimension (``_GradedSpan.rank``), is skipped unbuilt;
-    fewer cannot span it.  Any other piece is built, eliminated only up to
-    the rank dims(k) gives with the rows left over certified to vanish on
-    its basis, and its nullspace dimension must equal dims(k).
+    they span, by dimension (the length of ``_span_echelon``), is skipped
+    unbuilt; fewer cannot span it.  Any other piece is built, eliminated
+    only up to the rank dims(k) gives with the rows left over certified to
+    vanish on its basis, and its free columns must number dims(k).
 
     Its syzygies are then picked in the nullspace's free coordinates: a
     syzygy of the piece is fixed by its entries at the free columns, and
@@ -868,9 +853,10 @@ def _minimal_syzygies(vectors, degrees, row_shifts, dims, top: int, count: int |
     happens exactly when some row has its pivot at j.  So the products,
     read at the free columns only, go into one such echelon form (the
     columns numbered backwards, as ``_echelon_add`` pivots on the least),
-    and the basis vectors of the other free columns are kept.  By graded
-    Nakayama the kept vectors are minimal generators of every piece up to
-    top, and past it no new generator is needed.
+    and the basis vectors of the other free columns are kept, so the rows
+    and the picks together number dims(k).  By graded Nakayama the kept
+    vectors are minimal generators of every piece up to top, and past it
+    no new generator is needed.
 
     count, when given, is the number of minimal generators, known when
     Syz(vectors) is free of that rank: the scan ends once it has kept count
@@ -886,12 +872,12 @@ def _minimal_syzygies(vectors, degrees, row_shifts, dims, top: int, count: int |
             break
         dim = dims(k)
         products = sum(len(monomial_keys(nvars, k - e)) for e in degs)
-        if products >= dim and _GradedSpan(
-                [(e, Vec.from_polys(g)) for g, e in zip(kept, degs)]).rank(k) == dim:
+        if products >= dim and len(_span_echelon(
+                [(e, Vec.from_polys(g)) for g, e in zip(kept, degs)], k)) == dim:
             continue
-        built, free, vector = graded_syzygy_space(vectors, degrees, row_shifts, k, dim)
-        if built != dim:
-            raise InternalError(f"degree-{k} syzygies have dimension {built}, "
+        free, vector = graded_syzygy_space(vectors, degrees, row_shifts, k, dim)
+        if len(free) != dim:
+            raise InternalError(f"degree-{k} syzygies have dimension {len(free)}, "
                                 f"not {dim} as the Hilbert function gives")
         last = len(free) - 1  # free column j is echelon column last - j
         ech: dict = {}
@@ -903,8 +889,6 @@ def _minimal_syzygies(vectors, degrees, row_shifts, dims, top: int, count: int |
                 if row:
                     _echelon_add(ech, row)
         picks = [vector(j) for j in range(len(free)) if last - j not in ech]
-        if len(ech) + len(picks) != dim:
-            raise InternalError("kept syzygies do not span a graded piece")
         kept += picks
         degs += [k] * len(picks)
     if count is not None and len(kept) != count:

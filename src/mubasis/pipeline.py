@@ -188,8 +188,9 @@ def verify_mu_basis(basis, par: Parametrization) -> Fraction:
     product is a nonzero constant multiple alpha of the parametrization;
     (3) the vectors generate the full syzygy module: each generator of
     Syz(a) in ``par.syzygies`` is written in the basis with explicit
-    Cramer coefficients (``_cramer_certificate``).  Stage 3 divides by det B_l = (-1)^l alpha a_l for the first l with a_l nonzero,
-    which stage 2 has checked exactly, so no determinant is recomputed.
+    Cramer coefficients (``_cramer_certificate``).  Stage 3 divides by
+    det B_l = (-1)^l alpha a_l for the first l with a_l nonzero, which
+    stage 2 has checked exactly, so no determinant is recomputed.
     """
     basis = [tuple(v) for v in basis]
     if len(basis) != 3 or any(len(v) != 4 for v in basis):

@@ -313,6 +313,32 @@ class TestMain:
         assert code == 4
         assert "exceeds" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("text, echo", [
+        ("(s^21, t, 1, 1)", ["s^21", "t", "1", "1"]),
+        ("(s^21, s, s, 0)", ["s^21", "s", "s", "0"]),  # a common factor too
+    ])
+    def test_over_degree_input_exits_four_before_the_gcd(self, text, echo, capsys,
+                                                          monkeypatch):
+        """The degree is read off the parsed tuple, so validate's gcd, which
+        grows steeply with the degree, never runs on an input past the
+        limit, and a common factor it would find does not change the code."""
+        calls = []
+        monkeypatch.setattr("mubasis.pipeline.gcd_many", lambda polys: calls.append(polys))
+        assert main(["compute", text, "--json"]) == 4
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"command": "compute", "input": echo, "seed": 0,
+                       "error": {"code": 4, "message": "input degree 21 exceeds the limit 20"}}
+        assert calls == []
+
+    def test_negative_max_degree_exit_two(self, capsys):
+        assert main(["compute", "(s,t,1,1)", "--max-degree", "-1", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-degree must be a nonnegative integer, not -1\n"
+        # 0 stays a limit: it admits constants only
+        assert main(["compute", "(1, 0, 0, 0)", "--max-degree", "0", "--json"]) == 0
+        assert main(["compute", "(s, t, 1, 1)", "--max-degree", "0", "--json"]) == 4
+
     @pytest.mark.parametrize("command", ["compute", "resolve", "bounds"])
     @pytest.mark.parametrize("text", ["(s^40000, t, 1, s)", "(s, t, 1, s^20000*t^20000)",
                                       "(s^40000 + , t, 1, 1)"])

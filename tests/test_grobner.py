@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -23,7 +24,7 @@ from mubasis.errors import InternalError
 from mubasis.grobner import (
     Vec,
     _buchberger_ext,
-    _GradedSpan,
+    _echelon_add,
     _is_injective,
     _minimal_syzygies,
     _normalize_items,
@@ -31,6 +32,7 @@ from mubasis.grobner import (
     _piece_dimensions,
     _schreyer_degree_bound,
     _schreyer_sigmas,
+    _span_echelon,
     buchberger,
     free_resolution,
     graded_degree,
@@ -528,7 +530,7 @@ def reference_minimal_syzygies(vectors, degrees, row_shifts, target_degrees):
     kept, degs = [], []
     for k in sorted(set(target_degrees)):
         want, found = list(target_degrees).count(k), 0
-        _, free, vector = graded_syzygy_space(vectors, degrees, row_shifts, k)
+        free, vector = graded_syzygy_space(vectors, degrees, row_shifts, k)
         for v in map(vector, range(len(free))):
             if found == want:
                 break
@@ -540,11 +542,22 @@ def reference_minimal_syzygies(vectors, degrees, row_shifts, target_degrees):
     return kept, degs
 
 
+def span_decisions(vectors, shifts):
+    """One keep/skip decision per nonzero candidate, each made against the
+    span of the products of the ones kept before it (``_span_echelon``),
+    rebuilt for every candidate."""
+    spanning, decisions = [], []
+    for deg, t in _graded_items(vectors, shifts):
+        vec = Vec.from_polys(t)
+        decisions.append(_echelon_add(_span_echelon(spanning, deg), vec.terms))
+        if decisions[-1]:
+            spanning.append((deg, vec))
+    return decisions
+
+
 def assert_graded_agrees(vectors, shifts):
     kept, degs, decisions = reference_minimal_generators(vectors, shifts)
-    span = _GradedSpan()
-    assert [span.add(Vec.from_polys(t), deg)
-            for deg, t in _graded_items(vectors, shifts)] == decisions
+    assert span_decisions(vectors, shifts) == decisions
     assert minimal_generators(vectors, shifts) == (kept, degs)
 
 
@@ -568,9 +581,8 @@ def assert_level_agrees(vectors, degrees, row_shifts, cols, col_degrees):
     basis = buchberger(vectors)
     bound = _schreyer_degree_bound(basis, degrees, row_shifts)
     assert bound == schreyer_degree_bound_by_triples(basis, degrees, row_shifts)
-    picked = _minimal_syzygies(vectors, degrees, row_shifts,
-                               lambda k: graded_syzygy_space(vectors, degrees, row_shifts, k)[0],
-                               bound)
+    dims = lambda k: len(graded_syzygy_space(vectors, degrees, row_shifts, k)[0])
+    picked = _minimal_syzygies(vectors, degrees, row_shifts, dims, bound)
     assert picked == (list(cols), list(col_degrees))
     oracle, oracle_degs = minimal_generators(syzygy_generators(vectors), degrees)
     assert sorted(col_degrees) == sorted(oracle_degs)
@@ -601,14 +613,15 @@ def assert_resolution_selections_agree(row):
 
 
 def overstate_nullspaces(monkeypatch):
-    """Make graded_syzygy_space report one dimension more than its basis has.
-    The real space is built without the known dimension, so that no row is
-    left over to certify and a scan sees the overstated dimension."""
+    """Make graded_syzygy_space report one dimension more than its basis has,
+    its last free column listed twice.  The real space is built without the
+    known dimension, so that no row is left over to certify and a scan sees
+    the overstated dimension."""
     real = grobner.graded_syzygy_space
 
     def overstated(vectors, degrees, row_shifts, k, dim=None):
-        built, free, vector = real(vectors, degrees, row_shifts, k)
-        return built + 1, free, vector
+        free, vector = real(vectors, degrees, row_shifts, k)
+        return free + free[-1:], vector
 
     monkeypatch.setattr(grobner, "graded_syzygy_space", overstated)
 
@@ -699,7 +712,7 @@ class TestGradedMinimalGenerators:
 
         def counting_add(rows, vec):
             added = real_add(rows, vec)
-            if inside:  # not the _GradedSpan calls
+            if inside:  # not the _span_echelon calls
                 counts[-1][added] += 1
             return added
 
@@ -723,19 +736,20 @@ class TestGradedMinimalGenerators:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_recipe_d3_picks_in_free_coordinates(self, seed, monkeypatch):
-        # picks never go through a full-width membership test, and the
-        # first map's degree-6 piece (12 dimensions, 9 products of the three
-        # degree-5 syzygies) is built without a rank test; the rank tests
-        # left, first map at 3, 4 and second map at 5, 6, have nothing kept
+        # picks never go through the full-width membership test of
+        # minimal_generators, and the first map's degree-6 piece (12
+        # dimensions, 9 products of the three degree-5 syzygies) is built
+        # without a rank test; the rank tests left, first map at 3, 4 and
+        # second map at 5, 6, have nothing kept
         ranks, adds = [], []
-        real_rank = _GradedSpan.rank
+        real_span = grobner._span_echelon
 
-        def recording(span, deg):
-            ranks.append((deg, len(span.kept)))
-            return real_rank(span, deg)
+        def recording(kept, deg):
+            ranks.append((deg, len(kept)))
+            return real_span(kept, deg)
 
-        monkeypatch.setattr(_GradedSpan, "rank", recording)
-        monkeypatch.setattr(_GradedSpan, "add", lambda *args: adds.append(args))
+        monkeypatch.setattr(grobner, "_span_echelon", recording)
+        monkeypatch.setattr(grobner, "minimal_generators", lambda *args: adds.append(args))
         free_resolution(recipe_row(seed, 3))
         assert adds == []
         assert ranks == [(3, 0), (4, 0), (5, 0), (6, 0)]
@@ -745,29 +759,52 @@ class TestGradedMinimalGenerators:
         # products span its 6-dimensional degree-3 piece: the rank test runs
         # and no nullspace is built there
         ranks, built = [], []
-        real_rank, real_space = _GradedSpan.rank, grobner.graded_syzygy_space
+        real_span, real_space = grobner._span_echelon, grobner.graded_syzygy_space
 
-        def recording(span, deg):
-            ranks.append((deg, len(span.kept), real_rank(span, deg)))
-            return ranks[-1][2]
+        def recording(kept, deg):
+            piece = real_span(kept, deg)
+            ranks.append((deg, len(kept), len(piece)))
+            return piece
 
         def space(vectors, degrees, row_shifts, k, dim=None):
             built.append((k, row_shifts))
             return real_space(vectors, degrees, row_shifts, k, dim)
 
-        monkeypatch.setattr(_GradedSpan, "rank", recording)
+        monkeypatch.setattr(grobner, "_span_echelon", recording)
         monkeypatch.setattr(grobner, "graded_syzygy_space", space)
         free_resolution(criterion_4_rows(14)[13])
         assert (3, 2, 6) in ranks
         assert [k for k, sh in built if sh == [0]] == [2, 4]
 
+    def test_skipping_a_spanned_piece_is_only_a_shortcut(self, monkeypatch):
+        # with a span rank past every piece's dimension no piece is skipped,
+        # and building the spanned pieces picks nothing new
+        rows = criterion_4_rows(50) + [recipe_row(seed, 2) for seed in (1, 2, 3)]
+        built = []
+        real_space = grobner.graded_syzygy_space
+
+        def space(*args, **kwargs):
+            built.append(1)
+            return real_space(*args, **kwargs)
+
+        def maps():
+            built.clear()
+            return [(r.d1, r.q, r.d2, r.p) for r in map(free_resolution, rows)], len(built)
+
+        monkeypatch.setattr(grobner, "graded_syzygy_space", space)
+        skipping, skipped_builds = maps()
+        monkeypatch.setattr(grobner, "_span_echelon", lambda kept, k: range(sys.maxsize))
+        building, builds = maps()
+        assert building == skipping
+        assert builds > skipped_builds
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_basis_vectors_are_units_at_the_free_columns(self, seed):
         row = recipe_row(seed, 3)
         for k in (5, 6):
-            built, free, vector = graded_syzygy_space([(g,) for g in row], [3] * 4, [0], k)
-            assert built == len(free) == len(set(free))
-            for j in range(built):
+            free, vector = graded_syzygy_space([(g,) for g in row], [3] * 4, [0], k)
+            assert len(free) == len(set(free))
+            for j in range(len(free)):
                 v = vector(j)
                 at_free = [v[i].num.get(mono, 0) for i, mono in free]
                 assert at_free[j] and not any(x for n, x in enumerate(at_free) if n != j)
@@ -874,15 +911,6 @@ class TestGradedMinimalGenerators:
         overstate_nullspaces(monkeypatch)
         with pytest.raises(InternalError, match="not 1 as the Hilbert function gives"):
             free_resolution([S, T])
-
-    def test_unspanned_graded_piece_is_an_internal_error(self, monkeypatch):
-        # a Hilbert-function dimension overstated like the nullspace's passes
-        # the dimension check, and the kept syzygies then fall short of it
-        row = [(S,), (T,)]
-        first, _ = _piece_dimensions(buchberger([S, T]), [1, 1])
-        overstate_nullspaces(monkeypatch)
-        with pytest.raises(InternalError, match="do not span"):
-            _minimal_syzygies(row, [1, 1], [0], lambda k: first(k) + 1, 2)
 
     @pytest.mark.parametrize("excess,match", [
         (1, "a row left over at rank 14 does not vanish on the nullspace"),
@@ -1055,16 +1083,15 @@ RATIONAL_MATRICES = st.integers(1, 5).flatmap(lambda n: st.lists(
 def test_fraction_nullspace_matches_dense_elimination(case, rng):
     rows, ncols = case
     sparse = integer_rows(rows)
-    dim, basis = _nullspace(sparse, ncols)
+    basis = _nullspace(sparse, ncols)
     expected = nullspace(rows, ncols)
-    got = list(basis)
-    assert dim == len(expected) == len(got)
-    for v, want in zip(got, expected):
+    assert len(basis) == len(expected)
+    for (free, v), want in zip(basis.items(), expected):
         assert all(type(x) is int for x in v)
-        free = max(j for j, x in enumerate(v) if x)  # the free column comes last
+        assert free == max(j for j, x in enumerate(v) if x)  # the free column comes last
         assert [Fraction(x, v[free]) for x in v] == want
     rng.shuffle(sparse)  # the reduced echelon form, hence the basis, is unique
-    assert list(_nullspace(sparse, ncols)[1]) == got
+    assert _nullspace(sparse, ncols) == basis
 
 
 @settings(max_examples=60, deadline=2000)
@@ -1072,10 +1099,11 @@ def test_fraction_nullspace_matches_dense_elimination(case, rng):
 def test_fraction_nullspace_with_a_known_rank(case, rng, data):
     rows, ncols = case
     sparse = integer_rows(rows)
-    dim, basis = _nullspace(sparse, ncols)
+    basis = _nullspace(sparse, ncols)
+    dim = len(basis)
     rank = ncols - dim
     for _ in range(2):  # as given, then shuffled
-        assert _nullspace(sparse, ncols, rank) == (dim, basis)
+        assert _nullspace(sparse, ncols, rank) == basis
         rng.shuffle(sparse)
     if rank:  # stopped short of the rank, a row left over fails its check
         low = data.draw(st.integers(0, rank - 1))
@@ -1084,7 +1112,7 @@ def test_fraction_nullspace_with_a_known_rank(case, rng, data):
     # a rank above the true one is never reached: full elimination, whose
     # dimension exceeds the one the caller expects
     high = data.draw(st.integers(rank + 1, ncols + 1))
-    assert _nullspace(sparse, ncols, high) == (dim, basis)
+    assert _nullspace(sparse, ncols, high) == basis
     assert dim > ncols - high
 
 
@@ -1151,7 +1179,7 @@ def test_piece_dimensions_match_the_nullspaces(row):
     top = _schreyer_degree_bound(res.first_basis, res.shifts0, [0])
     assert top == schreyer_degree_bound_by_triples(res.first_basis, res.shifts0, [0])
     for k in range(top + 1):
-        assert first(k) == graded_syzygy_space(vectors, res.shifts0, [0], k)[0]
+        assert first(k) == len(graded_syzygy_space(vectors, res.shifts0, [0], k)[0])
     if res.d1 is None:
         return
     cols1 = [tuple(c) for c in res.d1.columns()]
@@ -1159,7 +1187,7 @@ def test_piece_dimensions_match_the_nullspaces(row):
     top = _schreyer_degree_bound(basis, res.q, res.shifts0)
     assert top == schreyer_degree_bound_by_triples(basis, res.q, res.shifts0)
     for k in range(top + 1):
-        assert second(res.q, k) == graded_syzygy_space(cols1, res.q, res.shifts0, k)[0]
+        assert second(res.q, k) == len(graded_syzygy_space(cols1, res.q, res.shifts0, k)[0])
 
 
 def test_nullspace_of_integer_rows_constructs_no_fraction(monkeypatch):
@@ -1174,8 +1202,8 @@ def test_nullspace_of_integer_rows_constructs_no_fraction(monkeypatch):
         return real(cls, *args, **kwargs)
 
     monkeypatch.setattr(grobner.Fraction, "__new__", counting)
-    dim, basis = _nullspace(rows, 7)
-    got = list(basis)
+    basis = _nullspace(rows, 7)
+    dim, got = len(basis), list(basis.values())
     assert calls == []
     monkeypatch.undo()
     assert dim == len(got) >= 3

@@ -6,7 +6,8 @@ path, without writing bytecode next to it.  The arithmetic base layer
 imports no higher layer: ``mubasis.grobner`` and ``mubasis.quillen_suslin``
 import it, so an import back would be a cycle.  The library has no
 dependencies; sympy, hypothesis and numpy serve only the tests.  Every
-name README.md lists as exported is an attribute of the package.
+name README.md lists as exported is an attribute of the package, and no
+source line is longer than 100 characters.
 """
 
 import os
@@ -163,3 +164,10 @@ def test_readme_exported_names_exist():
     names = re.findall(r"`([^`]+)`", paragraph)
     assert len(names) >= 20, names
     assert [n for n in names if not hasattr(mubasis, n)] == []
+
+
+def test_no_source_line_is_longer_than_100_characters():
+    long = [f"{path.relative_to(ROOT)}:{n}" for path in sorted((ROOT / "src").rglob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 100]
+    assert long == []
