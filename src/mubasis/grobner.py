@@ -21,24 +21,26 @@ twice, and a GroebnerBasis builds its Polys only when its generators are
 read; its ring, leads and Hilbert function are read off the engine's keys.
 
 Free resolutions are built by exact linear algebra on one graded piece at a
-time (graded Nakayama), with one echelon routine that yields the graded
-syzygy spaces, the minimal generators and the rank of each constant block
-of d1, from which ``FreeResolution.betti`` reads the minimal Betti numbers
-as Tor.  One Groebner basis, of the ideal, ends both scans: the first map's
-at the degree of the Schreyer syzygies left by the strict chain criterion,
-the second's once it has kept the rank of the free module ker d1, under a
-cap read off the leads, which also decide the height (``krull_dimension``).
+time (graded Nakayama), with one echelon routine, a forward form whose rows
+are never rewritten, that yields the graded syzygy spaces, the minimal
+generators and the rank of each constant block of d1, from which
+``FreeResolution.betti`` reads the minimal Betti numbers as Tor.  One
+Groebner basis, of the ideal, ends both scans: the first map's at the
+degree of the Schreyer syzygies left by the strict chain criterion, the
+second's once it has kept the rank of the free module ker d1, under a cap
+read off the leads, which also decide the height (``krull_dimension``).
 Its Hilbert function gives the dimension of every graded piece of both maps
-beforehand.  A piece the kept syzygies already span is skipped unbuilt,
-the span tested only when their products are at least that many: its
-dimension is the length of ``_span_echelon``, the echelon form of those
-products in one degree, against which ``minimal_generators`` also tests
-its candidates.  A built piece is eliminated only up to the rank that
-gives, its other rows certified by dot products, and must have exactly
-that dimension; its new generators are picked in the free coordinates of
-its nullspace, where the products are read off the kept syzygies'
-coefficients, with no full-width vector formed.  The Buchberger and
-Schreyer route of ``syzygy_generators`` stays independent of it and serves
+beforehand.  A piece the kept syzygies already span is skipped unbuilt, the
+span tested only when their products are at least that many: its dimension
+is the length of ``_span_echelon``, the echelon form of those products in
+one degree, against which ``minimal_generators`` also tests its candidates.
+A built piece is eliminated only up to the rank that gives, its other rows
+certified by dot products, and must have exactly that dimension; its new
+generators are picked in the free coordinates of its nullspace, where the
+products are read off the kept syzygies' coefficients, with no full-width
+vector formed; only the picked basis vectors are built, by
+back-substitution, unless rows are left over.  The Buchberger and Schreyer
+route of ``syzygy_generators`` stays independent of it and serves
 verification.
 """
 
@@ -650,9 +652,9 @@ def _integral(vec: dict) -> tuple[int, dict]:
 
 
 def _eliminate(target: dict, c, row: dict) -> dict:
-    """row[c] * target - target[c] * row, divided by its content: a multiple
-    of target with column c cleared, computed fraction-free with both
-    multipliers first divided by their gcd."""
+    """row[c] * target - target[c] * row, both multipliers first divided by
+    their gcd: a multiple of target with column c cleared, computed
+    fraction-free.  Its content is left to the caller."""
     g = gcd(row[c], target[c])
     a, b = row[c] // g, target[c] // g
     out = {col: a * x for col, x in target.items()}
@@ -662,31 +664,30 @@ def _eliminate(target: dict, c, row: dict) -> dict:
             out[col] = val
         else:
             del out[col]
-    g = gcd(*out.values())
-    return {col: x // g for col, x in out.items()} if g > 1 else out
+    return out
 
 
 def _echelon_add(rows: dict, vec: dict) -> bool:
-    """Insert a nonzero {column: int} vector into an echelon form; False when
-    the rows already span it.
+    """Insert a nonzero {column: int} vector into a forward echelon form;
+    False when the rows already span it.
 
-    rows maps each pivot column to a {column: int} row with coprime entries,
-    kept up to a scalar so that elimination is fraction-free.  Each row is
-    nonzero in its pivot column and every other row is zero there, so a
-    vector reduces to zero exactly when it lies in the row span.  A new
-    pivot is the least column of its reduced row, which makes the rows,
-    scaled to 1 at their pivots, the unique reduced echelon form.
+    rows maps each pivot column to a {column: int} row with coprime entries
+    whose least column it is, kept up to a scalar so that elimination is
+    fraction-free; distinct least columns make the rows independent.  The
+    vector is reduced in increasing pivot order: while its least column is
+    a pivot, that row clears it, adding only greater columns.  It lies in
+    the row span exactly when it reduces to zero; otherwise its least
+    column is a new pivot and the reduced vector, divided by its content, a
+    new row.  No row is rewritten once it is in, and vec is neither stored
+    nor changed.  The pivots are the leading columns of the unique reduced
+    echelon form of the rows.
     """
-    _, row = _integral(vec)
-    for c in [c for c in row if c in rows]:
-        row = _eliminate(row, c, rows[c])
-    if not row:
-        return False
-    pivot = min(row)
-    for p, other in rows.items():
-        if pivot in other:
-            rows[p] = _eliminate(other, pivot, row)
-    rows[pivot] = row
+    row = vec
+    while (pivot := min(row)) in rows:
+        row = _eliminate(row, pivot, rows[pivot])
+        if not row:
+            return False
+    rows[pivot] = _integral(row)[1]
     return True
 
 
@@ -705,39 +706,56 @@ def _span_echelon(kept, k: int) -> dict:
 
 
 def _nullspace(rows, ncols, rank=None):
-    """Basis of the right nullspace of an integer matrix given by sparse
-    rows ({column: nonzero int}; empty rows are skipped), as {free column
-    fc: integer vector} in increasing fc, so its dimension is its length.
-    It is read off the reduced row echelon form: the vector of fc is L
-    times the rational basis vector that is 1 at fc, with L the lcm of the
-    pivots of the rows that meet fc, and fc is its last nonzero entry.
+    """Right nullspace of an integer matrix given by sparse rows ({column:
+    nonzero int}; empty rows are skipped), as (free, vector).  free lists
+    the free columns of a forward echelon form of the rows
+    (``_echelon_add``) in increasing order, so the dimension is its length,
+    and vector(fc) is the basis vector of fc (``_back_substitute``), built
+    when first asked for: the primitive integer vector that is positive at
+    fc, zero at every other free column and so last nonzero at fc.  Being
+    unique, it does not depend on the order of the rows.
 
     rank, when given, is the rank known beforehand: elimination stops once
     the echelon form holds rank rows, and every row left over must vanish
-    on every basis vector (exact integer dot products), or InternalError is
-    raised.  So the basis is the one of full elimination; a rank above the
-    true one is never reached.  Rows go in fewest entries first, ties to
-    the greater least column, the order measured fastest to the rank; the
-    reduced echelon form is unique, so the order leaves the basis unchanged.
+    on every basis vector (exact integer dot products, so every vector is
+    then built), or InternalError is raised.  So the basis is the one of
+    full elimination; a rank above the true one is never reached.  Rows go
+    in fewest entries first, ties to the greater least column, the order
+    measured fastest to the rank.
     """
     ech: dict = {}
     pending = iter(sorted(filter(None, rows), key=lambda r: (len(r), -min(r))))
     while len(ech) != rank and (row := next(pending, None)) is not None:
         _echelon_add(ech, row)
-    basis = {}
-    for fc in range(ncols):
-        if fc in ech:
-            continue
-        meets = [(pc, row) for pc, row in ech.items() if row.get(fc)]
-        mult = lcm(*(row[pc] for pc, row in meets))
-        v = [0] * ncols
-        v[fc] = mult
-        for pc, row in meets:
-            v[pc] = -row[fc] * (mult // row[pc])
-        basis[fc] = v
-    if any(sum(x * v[c] for c, x in row.items()) for row in pending for v in basis.values()):
+    free = [fc for fc in range(ncols) if fc not in ech]
+    vector = cache(partial(_back_substitute, ech, ncols))
+    if any(sum(x * v[c] for c, x in row.items()) for row in pending for v in map(vector, free)):
         raise InternalError(f"a row left over at rank {rank} does not vanish on the nullspace")
-    return basis
+    return free, vector
+
+
+def _back_substitute(ech: dict, ncols: int, fc: int) -> tuple:
+    """The primitive integer vector v, as a tuple of ncols entries, with
+    v[fc] > 0, zero at every other non-pivot column of the forward echelon
+    form ech (``_echelon_add``) and every row of ech vanishing on it.  The
+    pivots below fc are solved for greatest first, each from its row, whose
+    other entries lie at greater columns; to keep v integral, the entries
+    solved before are scaled by the pivot entry divided by its gcd with
+    the sum it must cancel.  The pivots above fc are zero."""
+    v = {fc: 1}
+    for pc in sorted((p for p in ech if p < fc), reverse=True):
+        row = ech[pc]
+        s = sum(x * v[c] for c, x in row.items() if c in v)
+        if s:
+            g = gcd(s, row[pc])
+            if (a := row[pc] // g) != 1:
+                v = {c: a * x for c, x in v.items()}
+            v[pc] = -s // g
+    g = _content(v) if v[fc] > 0 else -_content(v)
+    out = [0] * ncols
+    for c, x in v.items():
+        out[c] = x // g
+    return tuple(out)
 
 
 def graded_syzygy_space(vectors, degrees, row_shifts, k, dim=None):
@@ -749,7 +767,8 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k, dim=None):
     the free columns of the elimination, each a (vector index, monomial key)
     pair, one per dimension of the space, and vector(j) builds the basis
     vector of free[j] as an integer-normalized tuple: zero at every other
-    free column, so a degree-k syzygy is fixed by its entries at free.  dim,
+    free column, so a degree-k syzygy is fixed by its entries at free.  Only
+    the vectors asked for are back-substituted (``_nullspace``).  dim,
     when given, is the dimension known beforehand: the equations are
     eliminated only up to the rank it implies, and the rest certified
     (``_nullspace``).
@@ -770,17 +789,16 @@ def graded_syzygy_space(vectors, degrees, row_shifts, k, dim=None):
             for pm, c in comp.num.items():
                 row = rows[eq_index[(j, pm + mono)]]
                 row[ci] = row.get(ci, 0) + c * f
-    basis = _nullspace(rows, len(cols), None if dim is None else len(cols) - dim)
-    free, solutions = [cols[fc] for fc in basis], list(basis.values())
+    free, solution = _nullspace(rows, len(cols), None if dim is None else len(cols) - dim)
 
     def vector(j):
         w = [dict() for _ in vectors]
-        for (i, mono), x in zip(cols, solutions[j]):
+        for (i, mono), x in zip(cols, solution(free[j])):
             if x:
                 w[i][mono] = x
         return integer_normalize(tuple(Poly._new(vars, t) for t in w))
 
-    return free, vector
+    return [cols[fc] for fc in free], vector
 
 
 def _schreyer_degree_bound(basis: GroebnerBasis, degrees, row_shifts) -> int:

@@ -244,18 +244,19 @@ def _interreduce(basis, d: int):
     vecs = [tuple(v) for v in basis]
     if sum(map(_vector_degree, vecs)) == d:
         return tuple(vecs)
-    bases = {}
+    bases = {}  # index pair -> Groebner basis of those two vectors
     for _ in range(4):
         changed = False
         for i in range(3):
-            others = tuple(vecs[j] for j in range(3) if j != i)
-            if others not in bases:
-                bases[others] = buchberger(others)
-            nf = tuple(bases[others].normal_form(vecs[i]))
+            pair = tuple(j for j in range(3) if j != i)
+            if pair not in bases:
+                bases[pair] = buchberger(tuple(vecs[j] for j in pair))
+            nf = tuple(bases[pair].normal_form(vecs[i]))
             if all(p.is_zero() for p in nf):
                 continue
             if _vector_degree(nf) < _vector_degree(vecs[i]):
                 vecs[i] = nf
+                bases = {pair: bases[pair]}  # the other pairs hold vecs[i]
                 changed = True
         if not changed:
             break

@@ -37,6 +37,14 @@ each draw 0-49 of the criterion-4 stream, then of ``resolve`` and
 ``bounds`` on each d = 3 recipe tuple, i = 1-12: 294 documents, unreflected
 and in that order, each followed by a newline.
 
+The maps of those resolutions are pinned apart from the documents, which
+show d1 only for pd1 bases and d2 only through its entry degrees: the
+sha256 of ``str(d1)``, ``q``, ``str(d2)`` and ``p``, each followed by a
+newline, of ``free_resolution`` on the homogenized tuple of each row of
+that digest, in its order, then of each d = 4 recipe tuple, i = 1-3.  So
+the canonical bases of the graded syzygy spaces, from which both maps are
+picked, cannot change unseen.
+
 Three more resolve tuples pin the resolution where the scan of graded
 pieces has edge cases: ``(s^2 - t, t^2, 1, 0)`` (a zero component and a
 redundant generator), the d = 3 recipe tuple for i = 1, and a tuple of the
@@ -50,6 +58,7 @@ import json
 import pytest
 
 from mubasis.cli import parse_parametrization, run
+from mubasis.pipeline import resolve, validate
 from helpers import benchmark_corpus
 
 GOLDEN = {
@@ -889,3 +898,18 @@ def test_recipe_and_draw_documents_are_byte_identical():
                 assert code == 0, (command, text)
                 digest.update(json.dumps(doc, sort_keys=True, indent=2).encode() + b"\n")
     assert digest.hexdigest() == RECIPE_DIGEST
+
+
+MAPS_DIGEST = "b058973f39105b85a54ba809125c442e81cd273f992c3c7db5b27dda75d807c5"
+
+
+def test_recipe_and_draw_resolution_maps_are_identical():
+    corpus = benchmark_corpus()
+    rows = ([corpus._full_degree_member(i, 2) for i in range(1, 41)] + corpus._mixed_members(50)
+            + [corpus._full_degree_member(i, 3) for i in range(1, 13)]
+            + [corpus._full_degree_member(i, 4) for i in range(1, 4)])
+    digest = hashlib.sha256()
+    for comps in rows:
+        res = resolve(validate(parse_parametrization(corpus.tuple_text(comps), seed=0).polys))
+        digest.update(f"{res.d1}\n{res.q}\n{res.d2}\n{res.p}\n".encode())
+    assert digest.hexdigest() == MAPS_DIGEST

@@ -53,6 +53,7 @@ from helpers import (
     COEFF,
     benchmark_corpus,
     injective_by_minors,
+    matrix_rank,
     schreyer_degree_bound_by_triples,
     random_form,
     brute_force_syzygies,
@@ -735,6 +736,28 @@ class TestGradedMinimalGenerators:
         assert 24 + counts[2][False] < rows7 and rows7 >= 58
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_recipe_d3_pieces_back_substitute_only_what_they_read(self, seed, monkeypatch):
+        # the degree-6 piece has 12 dimensions and keeps 3 of them, so 3 of
+        # its vectors are built; the degree-5 piece keeps all 3 of its own,
+        # and the degree-7 piece has rows left over, whose certificate
+        # builds all 3 of its vectors
+        pieces = []
+        real_nullspace, real_back = grobner._nullspace, grobner._back_substitute
+
+        def recording(rows, ncols, rank=None):
+            pieces.append([0, ncols - rank])
+            return real_nullspace(rows, ncols, rank)
+
+        def counting(ech, ncols, fc):
+            pieces[-1][0] += 1
+            return real_back(ech, ncols, fc)
+
+        monkeypatch.setattr(grobner, "_nullspace", recording)
+        monkeypatch.setattr(grobner, "_back_substitute", counting)
+        free_resolution(recipe_row(seed, 3))
+        assert pieces == [[3, 3], [3, 12], [3, 3]]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_recipe_d3_picks_in_free_coordinates(self, seed, monkeypatch):
         # picks never go through the full-width membership test of
         # minimal_generators, and the first map's degree-6 piece (12
@@ -1078,20 +1101,47 @@ RATIONAL_MATRICES = st.integers(1, 5).flatmap(lambda n: st.lists(
     min_size=0, max_size=5).map(lambda rows: (rows, n)))
 
 
+def nullspace_by_column(rows, ncols, rank=None):
+    """{free column: basis vector} of ``_nullspace``, every vector built."""
+    free, vector = _nullspace(rows, ncols, rank)
+    return {fc: vector(fc) for fc in free}
+
+
+@settings(max_examples=60, deadline=2000)
+@given(RATIONAL_MATRICES)
+def test_forward_echelon_form_keeps_its_rows(case):
+    # the pivots are the leading columns of the dense reduced form, a vector
+    # is refused exactly when the rows span it, and a row once in is never
+    # replaced or changed, nor is the caller's dict stored or changed
+    rows, ncols = case
+    ech, kept = {}, {}
+    for n, vec in enumerate(integer_rows(rows)):
+        if not vec:
+            continue
+        given_vec = dict(vec)
+        spanned = matrix_rank(rows[:n + 1]) == matrix_rank(rows[:n])
+        assert _echelon_add(ech, vec) is not spanned
+        assert vec == given_vec and all(row is not vec for row in ech.values())
+        assert all(ech[p] is row and row == copy for p, (row, copy) in kept.items())
+        kept.update({p: (row, dict(row)) for p, row in ech.items() if p not in kept})
+        free = {max(j for j, x in enumerate(v) if x) for v in nullspace(rows[:n + 1], ncols)}
+        assert set(ech) == set(range(ncols)) - free
+
+
 @settings(max_examples=60, deadline=2000)
 @given(RATIONAL_MATRICES, st.randoms(use_true_random=False))
 def test_fraction_nullspace_matches_dense_elimination(case, rng):
     rows, ncols = case
     sparse = integer_rows(rows)
-    basis = _nullspace(sparse, ncols)
+    basis = nullspace_by_column(sparse, ncols)
     expected = nullspace(rows, ncols)
     assert len(basis) == len(expected)
     for (free, v), want in zip(basis.items(), expected):
         assert all(type(x) is int for x in v)
         assert free == max(j for j, x in enumerate(v) if x)  # the free column comes last
         assert [Fraction(x, v[free]) for x in v] == want
-    rng.shuffle(sparse)  # the reduced echelon form, hence the basis, is unique
-    assert _nullspace(sparse, ncols) == basis
+    rng.shuffle(sparse)  # each basis vector is unique, so the row order leaves it unchanged
+    assert nullspace_by_column(sparse, ncols) == basis
 
 
 @settings(max_examples=60, deadline=2000)
@@ -1099,20 +1149,20 @@ def test_fraction_nullspace_matches_dense_elimination(case, rng):
 def test_fraction_nullspace_with_a_known_rank(case, rng, data):
     rows, ncols = case
     sparse = integer_rows(rows)
-    basis = _nullspace(sparse, ncols)
+    basis = nullspace_by_column(sparse, ncols)
     dim = len(basis)
     rank = ncols - dim
     for _ in range(2):  # as given, then shuffled
-        assert _nullspace(sparse, ncols, rank) == basis
+        assert nullspace_by_column(sparse, ncols, rank) == basis
         rng.shuffle(sparse)
     if rank:  # stopped short of the rank, a row left over fails its check
         low = data.draw(st.integers(0, rank - 1))
         with pytest.raises(InternalError, match=f"left over at rank {low} does not vanish"):
-            _nullspace(sparse, ncols, low)
+            nullspace_by_column(sparse, ncols, low)
     # a rank above the true one is never reached: full elimination, whose
     # dimension exceeds the one the caller expects
     high = data.draw(st.integers(rank + 1, ncols + 1))
-    assert _nullspace(sparse, ncols, high) == basis
+    assert nullspace_by_column(sparse, ncols, high) == basis
     assert dim > ncols - high
 
 
@@ -1202,7 +1252,7 @@ def test_nullspace_of_integer_rows_constructs_no_fraction(monkeypatch):
         return real(cls, *args, **kwargs)
 
     monkeypatch.setattr(grobner.Fraction, "__new__", counting)
-    basis = _nullspace(rows, 7)
+    basis = nullspace_by_column(rows, 7)
     dim, got = len(basis), list(basis.values())
     assert calls == []
     monkeypatch.undo()
